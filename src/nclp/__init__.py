@@ -15,14 +15,15 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       polar_decompose, support_projection)
 from .config import DEFAULT_EPS_REL, default_eps_rel
 from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
-                         Reason, additivity_check, d_tilde, dpi_probe,
+                         Reason, additivity_check,
+                         additivity_check_with_products, d_tilde, dpi_probe,
                          dpi_valid, embed_left_channel, identity_channel,
                          lemma9_check, pinching_channel, precompose,
                          q_tilde_alpha, q_tilde_alpha_z,
                          random_unital_channel, solve_sharp_least_squares,
                          solve_sharp_pseudo_inverse)
-from .errors import (ConditioningError, DomainError, FileFormatError,
-                     NclpError, ShapeError, UsageError)
+from .errors import (ConditioningError, CutoffError, DomainError,
+                     FileFormatError, NclpError, ShapeError, UsageError)
 from .functionals import (PositiveFunctional, cocycle_chain_residual,
                           connes_cocycle, haagerup_density, lemma1_cut,
                           scale)
@@ -36,7 +37,8 @@ from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
                      gen_nested_pair, gen_orthogonal_pair,
                      gen_positive_functional, gen_unitary, parse_dims,
                      run_suite, summarize, trial_rng)
-from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
+from .tensor import (TensorAlgebra, corollary7_norm,
+                     corollary7_norm_with_products, kron_element,
                      kron_functional, lemma5_density, lemma5_imaginary,
                      lemma5_polar, lemma5_power, spectral_product_check,
                      theorem6_norm, theorem6_spanning)

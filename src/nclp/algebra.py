@@ -9,6 +9,7 @@ support projections, polar decomposition) applies the kernel convention from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,7 +95,12 @@ class BlockAlgebra:
 
 
 class AlgebraElement:
-    """Immutable block-diagonal complex matrix on a :class:`BlockAlgebra`."""
+    """Immutable block-diagonal complex matrix on a :class:`BlockAlgebra`.
+
+    The public constructor copies every block to complex128 and checks the
+    block count and shapes.  Results the package computes itself go through
+    :meth:`_trusted` instead, which skips both.
+    """
 
     __slots__ = ("algebra", "blocks")
 
@@ -110,10 +116,29 @@ class AlgebraElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", mats)
 
+    @classmethod
+    def _trusted(cls, algebra: BlockAlgebra,
+                 blocks: Iterable[np.ndarray]) -> "AlgebraElement":
+        """Wrap blocks without copying or checking them.
+
+        Contract: every block is a fresh complex128 array of shape (n, n)
+        for its block dimension n, in block order, and no other object holds
+        a writable reference to it.  The blocks are marked read-only here, as
+        the public constructor does.
+        """
+        mats = tuple(blocks)
+        for mat in mats:
+            mat.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "blocks", mats)
+        return self
+
     # -- structure ---------------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [b.conj().T for b in self.blocks])
+        return AlgebraElement._trusted(self.algebra,
+                                       [b.conj().T for b in self.blocks])
 
     @property
     def H(self) -> "AlgebraElement":
@@ -159,16 +184,16 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._require_same_algebra(other)
-        return AlgebraElement(
+        return AlgebraElement._trusted(
             self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
         self._require_same_algebra(other)
-        return AlgebraElement(
+        return AlgebraElement._trusted(
             self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-b for b in self.blocks])
+        return AlgebraElement._trusted(self.algebra, [-b for b in self.blocks])
 
     def __mul__(self, scalar):
         return AlgebraElement(self.algebra, [scalar * b for b in self.blocks])
@@ -189,7 +214,7 @@ class AlgebraElement:
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix product; operands must live on the same algebra."""
     x._require_same_algebra(y)
-    return AlgebraElement(
+    return AlgebraElement._trusted(
         x.algebra, [a @ b for a, b in zip(x.blocks, y.blocks)])
 
 
@@ -254,13 +279,21 @@ class HermitianSpectrum:
                         "eigenvalue")
                 fv[keep] = fk
             out.append((vecs * fv) @ vecs.conj().T)
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._trusted(self.algebra, out)
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam, f_zero=0.0)
 
     def support(self) -> AlgebraElement:
-        """Projection onto the span of the non-kernel eigenvectors."""
+        """Projection onto the span of the non-kernel eigenvectors.
+
+        Computed on the first call and shared afterwards; the projection is
+        immutable, and the divergence paths ask for it once per parameter.
+        """
+        return self._support
+
+    @cached_property
+    def _support(self) -> AlgebraElement:
         return self.apply(lambda lam: np.ones_like(lam), f_zero=0.0)
 
     def clip_psd(self) -> "HermitianSpectrum":
@@ -288,12 +321,17 @@ class HermitianSpectrum:
 
 
 def _symmetrized(h: AlgebraElement, hermitize: bool) -> AlgebraElement:
+    """(h + h*)/2 after the Hermitian gate (skipped when ``hermitize``).
+
+    The result is exactly Hermitian, so symmetrizing it again returns the
+    same bits.
+    """
     defect = h.hermitian_defect()
     if not hermitize and defect > HERMITIAN_TOL * (1.0 + h.frobenius()):
         raise DomainError(
             f"matrix is not Hermitian (defect {defect:.3e}); pass "
             f"hermitize=True to symmetrize")
-    return AlgebraElement(
+    return AlgebraElement._trusted(
         h.algebra, [(b + b.conj().T) / 2.0 for b in h.blocks])
 
 
@@ -306,7 +344,12 @@ def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
     ``hermitize=True`` skips the gate and symmetrizes unconditionally.
     """
     eps = resolve_eps_rel(eps_rel)
-    sym = _symmetrized(h, hermitize)
+    return _symmetric_eig(_symmetrized(h, hermitize), eps)
+
+
+def _symmetric_eig(sym: AlgebraElement, eps: float) -> HermitianSpectrum:
+    """Eigendecomposition of an element already returned by _symmetrized,
+    with a resolved cutoff ``eps``."""
     vals_list, vecs_list = [], []
     for b in sym.blocks:
         vals, vecs = np.linalg.eigh(b)
@@ -318,7 +361,7 @@ def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
     vecs_t = tuple(vecs_list)
     for arr in (*vals_t, *vecs_t, *masks):
         arr.setflags(write=False)
-    return HermitianSpectrum(h.algebra, vals_t, vecs_t, masks, eps)
+    return HermitianSpectrum(sym.algebra, vals_t, vecs_t, masks, eps)
 
 
 def func_calc(h: AlgebraElement, f: Callable[[np.ndarray], np.ndarray],
@@ -375,5 +418,5 @@ def polar_decompose(x: AlgebraElement, eps_rel: float | None = None
         keep = s > eps * sigma_max
         abs_blocks.append(vh.conj().T @ (s[:, None] * vh))
         v_blocks.append(u[:, keep] @ vh[keep, :])
-    return (AlgebraElement(x.algebra, v_blocks),
-            AlgebraElement(x.algebra, abs_blocks))
+    return (AlgebraElement._trusted(x.algebra, v_blocks),
+            AlgebraElement._trusted(x.algebra, abs_blocks))

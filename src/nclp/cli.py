@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from . import io
-from .config import default_eps_rel
-from .divergence import DivergenceParams, d_tilde, q_tilde_alpha, \
+from .config import resolve_eps_rel
+from .divergence import DivergenceParams, d_from_q, q_tilde_alpha, \
     q_tilde_alpha_z
 from .errors import (ConditioningError, DomainError, FileFormatError,
                      NclpError, ShapeError, UsageError)
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 
 
 def _eps(args) -> float:
-    return default_eps_rel() if args.eps_rel is None else float(args.eps_rel)
+    return resolve_eps_rel(args.eps_rel)
 
 
 def _cmd_divergence(args) -> int:
@@ -102,7 +102,7 @@ def _cmd_divergence(args) -> int:
         q = q_tilde_alpha(psi, phi, params.alpha, eps)
     else:
         q = q_tilde_alpha_z(psi, phi, params, eps)
-    d = d_tilde(psi, phi, params, eps)
+    d = d_from_q(q, psi, phi, params.alpha)
     if args.json:
         doc = io.build_run_report(
             config={"command": "divergence", "kind": args.kind,

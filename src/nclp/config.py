@@ -9,7 +9,10 @@ declared f(0) value.  The cutoff is configurable per call, through the
 
 from __future__ import annotations
 
+import math
 import os
+
+from .errors import CutoffError
 
 DEFAULT_EPS_REL = 1e-12
 EPS_REL_ENV = "NCLP_EPS_REL"
@@ -39,12 +42,27 @@ def default_eps_rel() -> float:
     """Resolve the kernel cutoff from the environment, else the default."""
     raw = os.environ.get(EPS_REL_ENV, "")
     if raw:
-        value = float(raw)
-        if value <= 0:
-            raise ValueError(f"{EPS_REL_ENV} must be positive, got {raw}")
-        return value
+        return _checked_eps_rel(raw, EPS_REL_ENV)
     return DEFAULT_EPS_REL
 
 
 def resolve_eps_rel(eps_rel: float | None) -> float:
-    return default_eps_rel() if eps_rel is None else float(eps_rel)
+    """The cutoff to use: ``eps_rel`` if given, else :func:`default_eps_rel`.
+
+    Every cutoff is validated here; a non-positive or non-finite value raises
+    :class:`CutoffError`.
+    """
+    if eps_rel is None:
+        return default_eps_rel()
+    return _checked_eps_rel(eps_rel, "eps_rel")
+
+
+def _checked_eps_rel(raw, source: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise CutoffError(
+            f"{source} must be a positive finite number, got {raw!r}")
+    return value

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra, hermitian_eig
-from .config import resolve_eps_rel
+from .algebra import AlgebraElement, BlockAlgebra
+from .config import PSD_CLIP_TOL, resolve_eps_rel
 from .errors import ConditioningError, DomainError, ShapeError
 from .functionals import PositiveFunctional
 from .reports import CheckReport
@@ -65,7 +65,7 @@ class DivergenceParams:
     """Order alpha and sandwich power z; z=None selects the sandwiched family.
 
     Sandwiched mode requires alpha >= 1/2; the two-parameter mode accepts any
-    alpha, z > 0 with alpha != 1.
+    finite alpha, z > 0 with alpha != 1.
     """
 
     alpha: float
@@ -73,8 +73,9 @@ class DivergenceParams:
 
     def __post_init__(self):
         alpha = float(self.alpha)
-        if alpha <= 0 or alpha == 1:
-            raise DomainError(f"alpha must be positive and != 1, got {alpha}")
+        if not math.isfinite(alpha) or alpha <= 0 or alpha == 1:
+            raise DomainError(
+                f"alpha must be finite, positive and != 1, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
         if self.z is None:
             if alpha < 0.5:
@@ -82,8 +83,8 @@ class DivergenceParams:
                     f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
         else:
             z = float(self.z)
-            if z <= 0:
-                raise DomainError(f"z must be positive, got {z}")
+            if not math.isfinite(z) or z <= 0:
+                raise DomainError(f"z must be finite and positive, got {z}")
             object.__setattr__(self, "z", z)
 
     @property
@@ -115,23 +116,12 @@ def _support_violates(psi: PositiveFunctional, phi: PositiveFunctional,
     return leak > SUPPORT_VIOLATION_RTOL * psi.density.frobenius()
 
 
-def _psd_trace_power(s: AlgebraElement, power: float,
-                     eps_rel: float | None) -> float:
-    """trace(s^power) for PSD s with the kernel convention 0^power := 0."""
-    spec = hermitian_eig(s, hermitize=True, eps_rel=eps_rel).clip_psd()
-    total = 0.0
-    for vals, mask in zip(spec.eigenvalues, spec.kernel_mask):
-        kept = vals[~mask]
-        total += float(np.sum(kept ** power))
-    return total
-
-
 def _trace_power_blocks(blocks, power: float, eps_rel: float | None) -> float:
     """trace(m^power) summed over raw PSD blocks, kernel convention applied."""
     eps = resolve_eps_rel(eps_rel)
     vals_list = [np.linalg.eigvalsh((m + m.conj().T) / 2.0) for m in blocks]
     radius = max(float(np.max(np.abs(v))) for v in vals_list)
-    if np.any([np.any(v < -1e-10 * radius) for v in vals_list]):
+    if np.any([np.any(v < -PSD_CLIP_TOL * radius) for v in vals_list]):
         raise DomainError("sandwich block is not PSD within clip tolerance")
     total = 0.0
     for vals in vals_list:
@@ -302,7 +292,7 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     mids, spec, _ = _sharp_pinv_middles(psi, phi, params, eps_rel)
     blocks = [vecs @ mid @ vecs.conj().T
               for vecs, mid in zip(spec.eigenvectors, mids)]
-    return AlgebraElement(psi.algebra, blocks)
+    return AlgebraElement._trusted(psi.algebra, blocks)
 
 
 def solve_sharp_least_squares(psi: PositiveFunctional,
@@ -333,7 +323,7 @@ def solve_sharp_least_squares(psi: PositiveFunctional,
         sol, *_ = np.linalg.lstsq(full, cb.ravel(), rcond=None)
         xb = sol.reshape(n, n)
         blocks.append(sb @ xb @ sb)
-    return AlgebraElement(psi.algebra, blocks)
+    return AlgebraElement._trusted(psi.algebra, blocks)
 
 
 def d_from_q(q: DivergenceValue, psi: PositiveFunctional,
@@ -400,9 +390,27 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     are recorded without assertion.
     """
     T = TensorAlgebra(psi1.algebra, psi2.algebra)
-    psi12 = kron_functional(T, psi1, psi2)
-    phi12 = kron_functional(T, phi1, phi2)
+    return additivity_check_with_products(
+        psi1, phi1, psi2, phi2, kron_functional(T, psi1, psi2),
+        kron_functional(T, phi1, phi2), params, tol_q, tol_d, eps_rel)
 
+
+def additivity_check_with_products(psi1: PositiveFunctional,
+                                   phi1: PositiveFunctional,
+                                   psi2: PositiveFunctional,
+                                   phi2: PositiveFunctional,
+                                   psi12: PositiveFunctional,
+                                   phi12: PositiveFunctional,
+                                   params: DivergenceParams,
+                                   tol_q: float = 1e-9, tol_d: float = 1e-8,
+                                   eps_rel: float | None = None
+                                   ) -> CheckReport:
+    """:func:`additivity_check` with psi12 = psi1 (x) psi2 and
+    phi12 = phi1 (x) phi2 already built.
+
+    The products do not depend on the parameters, so a caller sweeping a
+    parameter grid builds them once and passes them to every grid point.
+    """
     def q_of(a, b):
         if params.is_sandwiched:
             return q_tilde_alpha(a, b, params.alpha, eps_rel)

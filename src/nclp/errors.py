@@ -27,3 +27,8 @@ class FileFormatError(NclpError):
 
 class UsageError(NclpError):
     """Bad command-line arguments or an unknown suite name."""
+
+
+class CutoffError(UsageError, ValueError):
+    """A kernel cutoff eps_rel that is not a positive finite number, whether
+    it came from a flag, from NCLP_EPS_REL or from an API call."""

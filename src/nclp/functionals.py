@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      canonical_trace, hermitian_eig)
+                      _symmetric_eig, _symmetrized, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError
 
@@ -28,11 +28,9 @@ class PositiveFunctional:
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
-        spectrum = hermitian_eig(density, hermitize=hermitize,
-                                 eps_rel=eps_rel).clip_psd()
-        sym = AlgebraElement(
-            density.algebra,
-            [(b + b.conj().T) / 2.0 for b in density.blocks])
+        eps = resolve_eps_rel(eps_rel)
+        sym = _symmetrized(density, hermitize)
+        spectrum = _symmetric_eig(sym, eps).clip_psd()
         object.__setattr__(self, "algebra", density.algebra)
         object.__setattr__(self, "density", sym)
         object.__setattr__(self, "_spectrum", spectrum)
@@ -52,8 +50,7 @@ class PositiveFunctional:
         eps = resolve_eps_rel(eps_rel)
         if eps == self._spectrum.eps_rel:
             return self._spectrum
-        return hermitian_eig(self.density, hermitize=True,
-                             eps_rel=eps).clip_psd()
+        return _symmetric_eig(self.density, eps).clip_psd()
 
     @property
     def mass(self) -> float:
@@ -78,7 +75,12 @@ class PositiveFunctional:
         return canonical_trace(self.density @ a)
 
     def power(self, r: float, eps_rel: float | None = None) -> AlgebraElement:
-        """Density power h^r with the kernel convention (pseudo-inverse r<0)."""
+        """Density power h^r with the kernel convention (pseudo-inverse r<0).
+
+        Not memoized: a cache keyed by the exponent would grow without bound
+        on a functional that lives long, and measured end to end it saved no
+        time beyond run-to-run noise.
+        """
         return self.spectrum(eps_rel).apply(
             lambda lam: lam ** float(r), f_zero=0.0)
 

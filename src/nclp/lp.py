@@ -182,7 +182,7 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
         raise ConditioningError(
             f"membership solve residual {residual:.3e} exceeds budget",
             residual=residual)
-    return AlgebraElement(y.algebra, blocks)
+    return AlgebraElement._trusted(y.algebra, blocks)
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,

@@ -15,20 +15,20 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockAlgebra
 from .config import PRNG_ID, resolve_eps_rel
-from .divergence import (DivergenceParams, additivity_check, d_tilde,
-                         dpi_probe, embed_left_channel, identity_channel,
-                         lemma9_check, pinching_channel, precompose,
-                         random_unital_channel, solve_sharp_least_squares,
-                         solve_sharp_pseudo_inverse)
+from .divergence import (DivergenceParams, additivity_check_with_products,
+                         d_tilde, dpi_probe, embed_left_channel,
+                         identity_channel, lemma9_check, pinching_channel,
+                         precompose, random_unital_channel,
+                         solve_sharp_least_squares, solve_sharp_pseudo_inverse)
 from .errors import DomainError, UsageError
 from .functionals import PositiveFunctional, cocycle_chain_residual, \
     connes_cocycle, lemma1_cut
 from .lp import KosakiSpec, interpolation_bound_check, lemma3_bijectivity
 from .reports import TrialReport
-from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
-                     lemma5_density, lemma5_imaginary, lemma5_polar,
-                     lemma5_power, spectral_product_check, theorem6_norm,
-                     theorem6_spanning)
+from .tensor import (TensorAlgebra, corollary7_norm_with_products,
+                     kron_element, kron_functional, lemma5_density,
+                     lemma5_imaginary, lemma5_polar, lemma5_power,
+                     spectral_product_check, theorem6_norm, theorem6_spanning)
 
 DimsProfile = tuple[tuple[int, ...], "tuple[int, ...] | None"]
 
@@ -465,13 +465,15 @@ def _suite_corollary7(config: SuiteConfig) -> list[TrialReport]:
             phi2 = gen_faithful(rng, T.right)
             x1 = gen_element(rng, T.left)
             x2 = gen_element(rng, T.right)
+            x12 = kron_element(T, x1, x2)
+            phi12 = kron_functional(T, phi1, phi2)
             residuals, tolmap = {}, {}
             for p in COROLLARY7_P_GRID:
                 for eta in COROLLARY7_ETA_GRID:
                     spec1 = KosakiSpec(phi1, p, eta)
                     spec2 = KosakiSpec(phi2, p, eta)
-                    lhs, rhs = corollary7_norm(x1, x2, spec1, spec2,
-                                               config.eps_rel)
+                    lhs, rhs = corollary7_norm_with_products(
+                        x1, x2, x12, spec1, spec2, phi12, config.eps_rel)
                     key = f"p={_p_label(p)},eta={eta:g}"
                     residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
                     tolmap[key] = tols["relative"]
@@ -493,6 +495,8 @@ def _suite_lemma1(config: SuiteConfig) -> list[TrialReport]:
     for profile in dims:
         alg = _single_profile(profile, "lemma1")
         n = alg.carrier_dim
+        if n < 2:
+            raise UsageError("lemma1 needs carrier dimension >= 2")
         for _ in range(config.trials):
             rng = trial_rng(config.seed, idx)
             rank = int(rng.integers(1, n))
@@ -613,6 +617,8 @@ def _suite_lemma9(config: SuiteConfig) -> list[TrialReport]:
     reports, idx = [], 0
     for profile in dims:
         alg = _single_profile(profile, "lemma9")
+        if alg.carrier_dim < 2:
+            raise UsageError("lemma9 needs carrier dimension >= 2")
         for _ in range(config.trials):
             rng = trial_rng(config.seed, idx)
             psi, phi, kind = _lemma9_instance(rng, alg, idx % 5)
@@ -667,15 +673,18 @@ def _suite_prop11(config: SuiteConfig) -> list[TrialReport]:
     reports, idx = [], 0
     for profile in dims:
         alg = _single_profile(profile, "prop11")
+        T = TensorAlgebra(alg, alg)
         for _ in range(config.trials):
             rng = trial_rng(config.seed, idx)
             (psi1, phi1, psi2, phi2), kind = \
                 _prop11_instance(rng, alg, idx % 3)
+            psi12 = kron_functional(T, psi1, psi2)
+            phi12 = kron_functional(T, phi1, phi2)
             residuals, tolmap = {}, {}
             infos = []
             for params in grid:
-                check = additivity_check(
-                    psi1, phi1, psi2, phi2, params,
+                check = additivity_check_with_products(
+                    psi1, phi1, psi2, phi2, psi12, phi12, params,
                     tols["q_multiplicativity"], tols["d_additivity"],
                     config.eps_rel)
                 for key, val in check.residuals.items():

@@ -50,8 +50,18 @@ def kron_element(T: TensorAlgebra, x: AlgebraElement,
         raise ShapeError("left factor does not live on the left algebra")
     if y.algebra != T.right:
         raise ShapeError("right factor does not live on the right algebra")
-    blocks = [np.kron(xb, yb) for xb in x.blocks for yb in y.blocks]
-    return AlgebraElement(T.product, blocks)
+    return AlgebraElement._trusted(
+        T.product, [_kron_block(xb, yb) for xb in x.blocks for yb in y.blocks])
+
+
+def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for square blocks, as one broadcast product.
+
+    Entry [(i, j), (k, l)] is the single product a[i, k] * b[j, l], as in
+    np.kron, so the result is bit-identical to it.
+    """
+    n, m = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
 
 
 def kron_functional(T: TensorAlgebra, psi1: PositiveFunctional,
@@ -164,14 +174,33 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
     The product-side norm uses the tensor reference phi1 (x) phi2 with the
     same (p, eta) as the factors.
     """
+    # Each product is formed on its own factors' algebras, so that a
+    # mismatch between elements and specs reaches the check in the body.
+    x12 = kron_element(TensorAlgebra(x1.algebra, x2.algebra), x1, x2)
+    phi12 = kron_functional(TensorAlgebra(spec1.algebra, spec2.algebra),
+                            spec1.phi, spec2.phi)
+    return corollary7_norm_with_products(x1, x2, x12, spec1, spec2, phi12,
+                                         eps_rel)
+
+
+def corollary7_norm_with_products(x1: AlgebraElement, x2: AlgebraElement,
+                                  x12: AlgebraElement, spec1: KosakiSpec,
+                                  spec2: KosakiSpec,
+                                  phi12: PositiveFunctional,
+                                  eps_rel: float | None = None
+                                  ) -> tuple[float, float]:
+    """:func:`corollary7_norm` with x12 = x1 (x) x2 and phi12 = phi1 (x) phi2
+    already built.
+
+    The products do not depend on (p, eta), so a caller sweeping a grid of
+    (p, eta) builds them once and passes them to every grid point.
+    """
     if spec1.p != spec2.p or spec1.eta != spec2.eta:
         raise DomainError("factor norms must share the same (p, eta)")
     if x1.algebra != spec1.algebra or x2.algebra != spec2.algebra:
         raise ShapeError("elements must live on their spec's algebra")
-    T = TensorAlgebra(x1.algebra, x2.algebra)
-    phi12 = kron_functional(T, spec1.phi, spec2.phi)
     spec12 = KosakiSpec(phi12, spec1.p, spec1.eta)
-    lhs = kosaki_norm(kron_element(T, x1, x2), spec12, eps_rel)
+    lhs = kosaki_norm(x12, spec12, eps_rel)
     rhs = (kosaki_norm(x1, spec1, eps_rel)
            * kosaki_norm(x2, spec2, eps_rel))
     return lhs, rhs

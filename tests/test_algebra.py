@@ -267,3 +267,27 @@ class TestPolar:
         assert (v @ v.H - eye).frobenius() <= 1e-10
         canonical = x @ element_power(x.H @ x, -0.5)
         assert (v - canonical).frobenius() <= 1e-10
+
+
+class TestInternalResults:
+    """Results the package builds without the public constructor's copy and
+    checks must still be read-only complex128 blocks of the right shapes."""
+
+    def test_blocks_read_only_complex_and_shaped(self):
+        alg = BlockAlgebra((1, 2, 3))
+        x, y = rand_element(alg), rand_element(alg)
+        h = rand_psd(alg)
+        spec = hermitian_eig(h)
+        results = [x @ y, multiply(x, y), x + y, x - y, -x, x.H,
+                   spec.apply(np.sqrt), spec.reconstruct(),
+                   spec.clip_psd().support(), *polar_decompose(x),
+                   element_power(h, 0.5), imaginary_power(h, 0.3)]
+        for r in results:
+            assert r.algebra == alg
+            assert len(r.blocks) == alg.num_blocks
+            for b, n in zip(r.blocks, alg.block_dims):
+                assert b.shape == (n, n)
+                assert b.dtype == np.complex128
+                assert not b.flags.writeable
+                with pytest.raises(ValueError):
+                    b[0, 0] = 1.0

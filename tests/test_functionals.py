@@ -168,3 +168,23 @@ class TestLemma1Cut:
         phi = diag_functional([0.5, 0.5])
         with pytest.raises(DomainError):
             lemma1_cut(psi, bad_prime, phi, 1.0)
+
+
+class TestCachedSupport:
+    def test_support_twice_equals_fresh_computation(self):
+        from nclp import hermitian_eig
+        alg = BlockAlgebra((2, 3))
+        rng = np.random.default_rng(19)
+        for rank in (None, 1):
+            blocks = []
+            for n in alg.block_dims:
+                g = rng.standard_normal((n, rank or n)) \
+                    + 1j * rng.standard_normal((n, rank or n))
+                blocks.append(g @ g.conj().T)
+            density = AlgebraElement(alg, blocks)
+            psi = PositiveFunctional(density)
+            fresh = hermitian_eig(density).clip_psd().support()
+            first, second = psi.support(), psi.support()
+            for a, b, c in zip(first.blocks, second.blocks, fresh.blocks):
+                assert np.array_equal(a, c) and np.array_equal(b, c)
+            assert not first.blocks[0].flags.writeable

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nclp import (AlgebraElement, BlockAlgebra, FileFormatError,
-                  PositiveFunctional, default_eps_rel, lp_norm)
+from nclp import (AlgebraElement, BlockAlgebra, CutoffError,
+                  DivergenceParams, DomainError, FileFormatError,
+                  PositiveFunctional, d_tilde, default_eps_rel, lp_norm,
+                  q_tilde_alpha, q_tilde_alpha_z)
 from nclp import io
 from nclp.cli import main
+from nclp.config import resolve_eps_rel
 
 
 def write_diag(path, entries, kind="functional"):
@@ -288,3 +291,94 @@ class TestCliSuite:
         assert main(["no-such-command"]) == 1
         assert main(["suite"]) == 1  # missing --name
         capsys.readouterr()
+
+
+class TestEpsRelValidation:
+    """Every kernel cutoff is checked in config.resolve_eps_rel, whatever its
+    source; a bad one is a usage error (exit 1), never a traceback."""
+
+    def _divergence(self, tmp_path, *extra):
+        psi = write_diag(tmp_path / "psi.json", [0.5, 0.5])
+        return main(["divergence", "--kind", "sandwiched", "--alpha", "2",
+                     "--psi", str(psi), "--phi", str(psi), *extra])
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_flag_rejected(self, tmp_path, capsys, value):
+        assert self._divergence(tmp_path, "--eps-rel", value) == 1
+        assert "eps_rel must be a positive finite number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+    def test_env_rejected(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("NCLP_EPS_REL", value)
+        assert self._divergence(tmp_path) == 1
+        assert "NCLP_EPS_REL" in capsys.readouterr().err
+        with pytest.raises(CutoffError):
+            default_eps_rel()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_api_rejected(self, value):
+        alg = BlockAlgebra((2,))
+        with pytest.raises(CutoffError):
+            resolve_eps_rel(value)
+        with pytest.raises(CutoffError):
+            PositiveFunctional(alg.diagonal([0.5, 0.5]), eps_rel=value)
+
+    def test_valid_flag_accepted(self, tmp_path, capsys):
+        assert self._divergence(tmp_path, "--eps-rel", "1e-9") == 0
+        capsys.readouterr()
+
+
+class TestCliDivergenceDomain:
+    @pytest.mark.parametrize("extra", [
+        ["--kind", "sandwiched", "--alpha", "nan"],
+        ["--kind", "sandwiched", "--alpha", "inf"],
+        ["--kind", "alpha-z", "--alpha", "2", "--z", "nan"],
+        ["--kind", "alpha-z", "--alpha", "2", "--z", "inf"],
+        ["--kind", "alpha-z", "--alpha", "nan", "--z", "1"],
+    ])
+    def test_non_finite_parameters_exit_two(self, tmp_path, capsys, extra):
+        psi = write_diag(tmp_path / "psi.json", [0.5, 0.5])
+        assert main(["divergence", *extra, "--psi", str(psi),
+                     "--phi", str(psi)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha,z", [(float("nan"), None),
+                                         (float("inf"), None),
+                                         (2.0, float("nan")),
+                                         (2.0, float("inf"))])
+    def test_params_reject_non_finite(self, alpha, z):
+        with pytest.raises(DomainError):
+            DivergenceParams(alpha, z=z)
+
+    @pytest.mark.parametrize("kind,alpha,z,psi_diag,phi_diag", [
+        ("sandwiched", "2", None, [0.3, 0.7], [0.6, 0.4]),
+        ("sandwiched", "0.5", None, [1.0, 0.0], [0.0, 1.0]),
+        ("alpha-z", "1.5", "0.8", [0.2, 0.8], [0.5, 0.5]),
+        ("alpha-z", "2", "1.5", [0.5, 0.5], [1.0, 0.0]),
+    ])
+    def test_plain_output_matches_api(self, tmp_path, capsys, kind, alpha, z,
+                                      psi_diag, phi_diag):
+        psi = write_diag(tmp_path / "psi.json", psi_diag)
+        phi = write_diag(tmp_path / "phi.json", phi_diag)
+        argv = ["divergence", "--kind", kind, "--alpha", alpha,
+                "--psi", str(psi), "--phi", str(phi)]
+        if z is not None:
+            argv += ["--z", z]
+        assert main(argv) == 0
+        f_psi = io.load_functional(psi)
+        f_phi = io.load_functional(phi)
+        params = DivergenceParams(float(alpha),
+                                  z=None if z is None else float(z))
+        q = (q_tilde_alpha(f_psi, f_phi, params.alpha) if z is None
+             else q_tilde_alpha_z(f_psi, f_phi, params))
+        d = d_tilde(f_psi, f_phi, params)
+        assert capsys.readouterr().out == f"Q={q}\nD={d}\n"
+
+
+class TestCliSuiteSmallCarrier:
+    @pytest.mark.parametrize("name", ["lemma1", "lemma8", "lemma9"])
+    def test_dims_one_exit_one(self, capsys, name):
+        assert main(["suite", "--name", name, "--trials", "2", "--seed", "0",
+                     "--dims", "1"]) == 1
+        assert "carrier dimension >= 2" in capsys.readouterr().err

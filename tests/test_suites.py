@@ -183,3 +183,63 @@ class TestReasonCoverage:
         reasons = {r for rep in reports for r in rep.info["d_reasons"]}
         assert {"finite", "support_violation", "zero_Q_alpha_lt_1",
                 "zero_reference"} <= reasons
+
+
+class TestProductsOncePerTrial:
+    """prop11 and corollary7 build their tensor products once per trial and
+    reuse them at every grid point; the residuals must be exactly those of
+    the public per-point functions, which build the products themselves."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_prop11_matches_public_check(self, seed):
+        from nclp import additivity_check
+        from nclp.suites import _prop11_grid, _prop11_instance
+        alg = BlockAlgebra((2,))
+        cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
+                          dims=((alg.block_dims, None),))
+        for rep in run_suite(cfg):
+            (psi1, phi1, psi2, phi2), _ = _prop11_instance(
+                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 3)
+            expected = {}
+            for params in _prop11_grid(cfg):
+                check = additivity_check(psi1, phi1, psi2, phi2, params)
+                for key, val in check.residuals.items():
+                    expected[f"{params.label()}:{key}"] = val
+            assert rep.residuals == expected
+
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_corollary7_matches_public_norm(self, seed):
+        from nclp import KosakiSpec, TensorAlgebra, corollary7_norm, \
+            gen_element, gen_faithful
+        from nclp.suites import COROLLARY7_ETA_GRID, COROLLARY7_P_GRID
+        T = TensorAlgebra(BlockAlgebra((3,)), BlockAlgebra((2,)))
+        cfg = SuiteConfig(suite_name="corollary7", trials=2, seed=seed,
+                          dims=parse_dims("3x2"))
+        for rep in run_suite(cfg):
+            rng = trial_rng(seed, rep.trial_index)
+            phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+            x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+            expected = {}
+            for p in COROLLARY7_P_GRID:
+                for eta in COROLLARY7_ETA_GRID:
+                    lhs, rhs = corollary7_norm(x1, x2, KosakiSpec(phi1, p, eta),
+                                               KosakiSpec(phi2, p, eta))
+                    expected[f"p={p:g},eta={eta:g}"] = \
+                        abs(lhs - rhs) / (1.0 + rhs)
+            assert rep.residuals == expected
+
+    def test_prop11_trial_builds_two_products(self, monkeypatch):
+        from nclp import divergence, suites, tensor
+        calls = []
+        original = tensor.kron_functional
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in (suites, divergence, tensor):
+            monkeypatch.setattr(mod, "kron_functional", counting)
+        reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
+                                        seed=5, dims=parse_dims("2")))
+        assert len(reports) == 1 and reports[0].passed
+        assert len(calls) == 2

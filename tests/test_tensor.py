@@ -273,3 +273,20 @@ class TestSpectralProduct:
         rep = spectral_product_check(T, gen_element(RNG, T.left),
                                      gen_element(RNG, T.right))
         assert rep.passed, rep.residuals
+
+
+class TestKronBlocks:
+    @pytest.mark.parametrize("left,right", [((1,), (1,)), ((2,), (3,)),
+                                            ((3,), (2,)), ((2, 3), (1, 2)),
+                                            ((4, 1), (3,))])
+    def test_blocks_equal_numpy_kron(self, left, right):
+        T = pair(left, right)
+        rng = np.random.default_rng(sum(left) * 10 + sum(right))
+        for _ in range(5):
+            x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+            got = kron_element(T, x, y).blocks
+            want = [np.kron(xb, yb) for xb in x.blocks for yb in y.blocks]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.complex128 and not g.flags.writeable
+                assert np.array_equal(g, w)
