@@ -274,12 +274,56 @@ class HermitianSpectrum:
                 with np.errstate(all="ignore"):
                     fk = np.asarray(f(vals[keep]), dtype=np.complex128)
                 if not np.all(np.isfinite(fk)):
-                    raise DomainError(
-                        "function undefined (non-finite) at a non-kernel "
-                        "eigenvalue")
+                    raise _nonfinite_error()
                 fv[keep] = fk
             out.append((vecs * fv) @ vecs.conj().T)
         return AlgebraElement._trusted(self.algebra, out)
+
+    def eigenvalue_powers(self, exponents: Sequence[float]
+                          ) -> tuple[np.ndarray, ...]:
+        """Per block, a (G, n) array whose row g holds lam ** exponents[g]
+        on the non-kernel eigenvalues and 0 on the kernel.
+
+        Each row is one 1-D power of the kept eigenvalues, as in
+        :meth:`apply`, so a row equals the scaling a single exponent gets.
+        """
+        exps = [float(e) for e in exponents]
+        rows = []
+        for vals, mask in zip(self.eigenvalues, self.kernel_mask):
+            keep = ~mask
+            kept = vals[keep]
+            powers = np.array([kept ** e for e in exps]).reshape(
+                len(exps), kept.size)
+            if kept.size == vals.size:
+                rows.append(powers)
+                continue
+            out = np.zeros((len(exps), vals.size))
+            out[:, keep] = powers
+            rows.append(out)
+        return tuple(rows)
+
+    def power_stack(self, exponents: Sequence[float]
+                    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """h^e for every e in ``exponents``, as one (G, n, n) stack per block.
+
+        Slice g of each block equals ``apply(lambda lam: lam ** e)`` for
+        e = exponents[g], bit for bit.  Instead of raising, returns with the
+        blocks a (G,) mask of the exponents whose powers are finite on every
+        non-kernel eigenvalue; the caller raises :func:`_nonfinite_error` for
+        a False entry at that exponent's turn.  Rows that are not finite are
+        zeroed, so that stacked LAPACK calls on them still run.
+        """
+        with np.errstate(all="ignore"):
+            rows = self.eigenvalue_powers(exponents)
+        finite = np.ones(len(exponents), dtype=bool)
+        for r in rows:
+            finite &= np.isfinite(r).all(axis=1)
+        if not finite.all():
+            for r in rows:
+                r[~finite] = 0.0
+        blocks = tuple((vecs * r[:, None, :]) @ vecs.conj().T
+                       for vecs, r in zip(self.eigenvectors, rows))
+        return blocks, finite
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam, f_zero=0.0)
@@ -318,6 +362,12 @@ class HermitianSpectrum:
             arr.setflags(write=False)
         return HermitianSpectrum(self.algebra, clipped, self.eigenvectors,
                                  masks, self.eps_rel)
+
+
+def _nonfinite_error() -> DomainError:
+    """The error of a function that is non-finite at a kept eigenvalue."""
+    return DomainError(
+        "function undefined (non-finite) at a non-kernel eigenvalue")
 
 
 def _symmetrized(h: AlgebraElement, hermitize: bool) -> AlgebraElement:

@@ -1,8 +1,9 @@
 """Command-line front end: divergence, lp-norm, tensor, suite.
 
-Exit codes: 0 success (infinite divergences included), 1 malformed input or
-usage, 2 precondition violation, 3 conditioning failure, 4 suite trials
-failed.  The kernel cutoff resolves flag > NCLP_EPS_REL env > default.
+Exit codes: 0 success (infinite divergences included), 1 malformed input,
+usage or an output file that cannot be written, 2 precondition violation,
+3 conditioning failure, 4 suite trials failed.  The kernel cutoff resolves
+flag > NCLP_EPS_REL env > default.
 """
 
 from __future__ import annotations
@@ -179,8 +180,7 @@ def _cmd_suite(args) -> int:
         results=[r.to_dict() for r in reports],
         residuals={}, status=summary["status"])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps_report(doc))
+        io.write_text_file(args.out, io.dumps_report(doc))
         print(f"suite={config.suite_name} trials={summary['trials']} "
               f"failures={summary['failures']} status={summary['status']} "
               f"report={args.out}")

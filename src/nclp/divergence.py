@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra
+from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
+                      _nonfinite_error)
 from .config import PSD_CLIP_TOL, resolve_eps_rel
-from .errors import ConditioningError, DomainError, ShapeError
+from .errors import ConditioningError, DomainError, NclpError, ShapeError
 from .functionals import PositiveFunctional
 from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional
@@ -116,39 +118,189 @@ def _support_violates(psi: PositiveFunctional, phi: PositiveFunctional,
     return leak > SUPPORT_VIOLATION_RTOL * psi.density.frobenius()
 
 
-def _trace_power_blocks(blocks, power: float, eps_rel: float | None) -> float:
-    """trace(m^power) summed over raw PSD blocks, kernel convention applied."""
-    eps = resolve_eps_rel(eps_rel)
-    vals_list = [np.linalg.eigvalsh((m + m.conj().T) / 2.0) for m in blocks]
-    radius = max(float(np.max(np.abs(v))) for v in vals_list)
-    if np.any([np.any(v < -PSD_CLIP_TOL * radius) for v in vals_list]):
-        raise DomainError("sandwich block is not PSD within clip tolerance")
-    total = 0.0
-    for vals in vals_list:
-        kept = vals[vals > eps * radius]
-        total += float(np.sum(kept ** power))
-    return total
+def _sandwiched_params(alpha: float) -> DivergenceParams:
+    """Sandwiched parameters of order alpha, with the sandwiched Q's own
+    domain message."""
+    if alpha < 0.5 or alpha == 1:
+        raise DomainError(
+            f"sandwiched order must lie in [1/2, inf) without 1, got {alpha}")
+    return DivergenceParams(alpha)
 
 
-def _eigenbasis_sandwich(phi: PositiveFunctional, target: AlgebraElement,
-                         expo: float, eps_rel: float | None):
-    """Blocks of h_phi^expo target h_phi^expo, computed in phi's eigenbasis.
+def _alpha_z_params(params: DivergenceParams) -> DivergenceParams:
+    """The same order on the two-parameter path (z = alpha if sandwiched)."""
+    if params.is_sandwiched:
+        return DivergenceParams(params.alpha, z=params.alpha)
+    return params
 
-    Returns (middles, spectrum): middles[k] = S^expo C S^expo with
-    C = U* target U and S the diagonal of clipped eigenvalues (kernel
-    directions scale to 0).  Matched positive/negative exponents of the same
-    phi then cancel entrywise instead of amplifying conditioning.
+
+def _raise_first(outcomes: list) -> list:
+    """The outcomes, after raising the first one that is an error."""
+    for out in outcomes:
+        if isinstance(out, NclpError):
+            raise out
+    return outcomes
+
+
+def q_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
+                 grid: Sequence[DivergenceParams],
+                 eps_rel: float | None = None) -> list[DivergenceValue]:
+    """Q-values of one (psi, phi) pair at every point of a parameter grid.
+
+    Points with z=None take the sandwiched path of :func:`q_tilde_alpha`,
+    the others the two-parameter path of :func:`q_tilde_alpha_z`.  Shared by
+    all points: the pair check, the cutoff resolution, the spectra of psi
+    and phi, the support-nesting test (run once if some alpha > 1) and the
+    rotation of h_psi into phi's eigenbasis.  Per block, the sandwiched
+    points share one stacked ``eigvalsh`` and the two-parameter points one
+    stacked ``svd``; the psi powers, the phi scalings and the
+    sandwich-equation certificates are stacked too.  Each point's
+    eigenvalue powers and its final sum are its own 1-D operations, so every
+    value equals the one-point call's bit for bit.
+
+    Errors: each point fails as the one-point call fails, and the first
+    failing point in grid order raises.
     """
-    spec = phi.spectrum(eps_rel)
-    mids = []
-    for vals, vecs, mask, tb in zip(spec.eigenvalues, spec.eigenvectors,
-                                    spec.kernel_mask, target.blocks):
-        keep = ~mask
-        scale = np.zeros_like(vals)
-        scale[keep] = vals[keep] ** expo
+    _check_pair(psi, phi)
+    grid = tuple(grid)
+    eps = resolve_eps_rel(eps_rel)
+    violates = (any(p.alpha > 1 for p in grid)
+                and _support_violates(psi, phi, eps))
+    outcomes: list = [DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
+                      if violates and p.alpha > 1 else None for p in grid]
+    phi_spec = phi.spectrum(eps)
+    for wanted, evaluate in ((True, _sandwiched_values),
+                             (False, _alpha_z_values)):
+        idx = [g for g, p in enumerate(grid)
+               if outcomes[g] is None and p.is_sandwiched == wanted]
+        if idx:
+            values = evaluate(psi, phi_spec, [grid[g] for g in idx], eps)
+            for g, value in zip(idx, values):
+                outcomes[g] = value
+    return _raise_first(outcomes)
+
+
+def _sandwiched_values(psi: PositiveFunctional, phi_spec: HermitianSpectrum,
+                       grid: Sequence[DivergenceParams], eps: float) -> list:
+    """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
+    point; the sandwich is formed in phi's eigenbasis, where kernel
+    directions scale to 0.  An entry is the value, or the DomainError of a
+    sandwich that is not PSD within the clip tolerance."""
+    alphas = [p.alpha for p in grid]
+    expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
+             for a in alphas]
+    eigs = []
+    for vecs, scale, tb in zip(phi_spec.eigenvectors,
+                               phi_spec.eigenvalue_powers(expos),
+                               psi.density.blocks):
         c = vecs.conj().T @ tb @ vecs
-        mids.append((scale[:, None] * c) * scale[None, :])
-    return mids, spec
+        mids = (scale[:, :, None] * c) * scale[:, None, :]
+        eigs.append(np.linalg.eigvalsh(
+            (mids + mids.conj().transpose(0, 2, 1)) / 2.0))
+    radius = np.max([np.abs(e).max(axis=1) for e in eigs], axis=0)
+    negative = np.any([(e < -PSD_CLIP_TOL * radius[:, None]).any(axis=1)
+                       for e in eigs], axis=0)
+    keeps = [e > eps * radius[:, None] for e in eigs]
+    out = []
+    for g, alpha in enumerate(alphas):
+        if negative[g]:
+            out.append(DomainError(
+                "sandwich block is not PSD within clip tolerance"))
+            continue
+        total = 0.0
+        for e, keep in zip(eigs, keeps):
+            total += float((e[g][keep[g]] ** alpha).sum())
+        out.append(DivergenceValue(total))
+    return out
+
+
+def _alpha_z_values(psi: PositiveFunctional, phi_spec: HermitianSpectrum,
+                    grid: Sequence[DivergenceParams], eps: float) -> list:
+    """Q_{alpha,z} per point, none of them a support violation.
+
+    Q is the sum of sigma^{2z} over the non-kernel singular values of
+    B = h_psi^{alpha/2z} h_phi^{(1-alpha)/2z}; the sandwich it stands for
+    is B* B, so going through sigma keeps small genuine eigenvalues accurate
+    and exact kernels collapse to sigma ~ eps, far below the cutoff.  The phi
+    factor is an exact column scaling in phi's eigenbasis (singular values
+    are right-unitarily invariant).  For alpha > 1 the corner solution of
+    the sandwich equation h_psi^{alpha/z} = h_phi^e x h_phi^e,
+    e = (alpha-1)/2z, is certified first (ConditioningError beyond budget).
+    An entry is the value or the point's error, in the one-point order:
+    certificate power, certificate, half power.
+    """
+    zs = [p.effective_z for p in grid]
+    sharp = [g for g, p in enumerate(grid) if p.alpha > 1]
+    cert_expos = [grid[g].alpha / zs[g] for g in sharp]
+    half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
+    phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
+                 else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
+    powers, finite = psi.spectrum(eps).power_stack(cert_expos + half_expos)
+    k = len(sharp)
+    if k:
+        _, residuals, budgets = _sharp_pinv_middles(
+            [b[:k] for b in powers], phi_spec,
+            [(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp])
+    svs = [np.linalg.svd((half @ vecs) * scale[:, None, :],
+                         compute_uv=False)
+           for half, vecs, scale in zip(
+               [b[k:] for b in powers], phi_spec.eigenvectors,
+               phi_spec.eigenvalue_powers(phi_expos))]
+    sv = np.concatenate(svs, axis=1)
+    keeps = sv > eps * sv.max(axis=1)[:, None]
+    out = []
+    cert = dict(zip(sharp, range(k)))
+    for g, z in enumerate(zs):
+        if g in cert:
+            i = cert[g]
+            if not finite[i]:
+                out.append(_nonfinite_error())
+                continue
+            if residuals[i] > budgets[i]:
+                out.append(_recomposition_error(float(residuals[i])))
+                continue
+        if not finite[k + g]:
+            out.append(_nonfinite_error())
+            continue
+        kept = sv[g][keeps[g]]
+        out.append(DivergenceValue(float((kept ** (2.0 * z)).sum())))
+    return out
+
+
+def _sharp_pinv_middles(hp: Sequence[np.ndarray], spec: HermitianSpectrum,
+                        expos: Sequence[float]):
+    """Eigenbasis blocks of the pseudo-inverse corner solutions of the
+    sandwich equation, one per exponent e, with their certificates.
+
+    ``hp`` holds per block a (G, n, n) stack of right-hand sides
+    h_psi^{alpha/z}.  In phi's eigenbasis the solution is
+    X_ij = C_ij / (s_i^e s_j^e) on the support corner (C the transformed
+    right-hand side); re-scaling recovers C entrywise, so the recomposition
+    residual measures exactly the part of the right-hand side outside the
+    corner plus rounding, independent of phi's conditioning.  Returns the
+    (G, n, n) middles per block, the (G,) residuals and the (G,) budgets
+    SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
+    """
+    G = len(expos)
+    mids, resid_sq, frob_sq = [], 0.0, 0.0
+    for vecs, scales, tb in zip(
+            spec.eigenvectors,
+            spec.eigenvalue_powers([-e for e in expos] + list(expos)), hp):
+        down, up = scales[:G], scales[G:]
+        c = vecs.conj().T @ tb @ vecs
+        mid = (down[:, :, None] * c) * down[:, None, :]
+        back = (up[:, :, None] * mid) * up[:, None, :]
+        resid_sq = resid_sq + np.sum(np.abs(back - c) ** 2, axis=(1, 2))
+        frob_sq = frob_sq + np.sum(np.abs(tb) ** 2, axis=(1, 2))
+        mids.append(mid)
+    budgets = SHARP_RECOMP_TOL * (1.0 + np.sqrt(frob_sq))
+    return mids, np.sqrt(resid_sq), budgets
+
+
+def _recomposition_error(residual: float) -> ConditioningError:
+    return ConditioningError(
+        f"sandwich-equation recomposition residual {residual:.3e} "
+        f"exceeds budget", residual=residual)
 
 
 def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -159,116 +311,26 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     For alpha < 1 this is the direct sandwiched trace; for alpha > 1 the
     value is finite exactly when s(psi) <= s(phi), in which case it equals
     the alpha-th power of the eta=1/2 interpolated norm of the density.
+    One point of :func:`q_tilde_grid`.
     """
     _check_pair(psi, phi)
-    if alpha < 0.5 or alpha == 1:
-        raise DomainError(
-            f"sandwiched order must lie in [1/2, inf) without 1, got {alpha}")
-    if alpha < 1:
-        r = (1.0 - alpha) / (2.0 * alpha)
-        mids, _ = _eigenbasis_sandwich(phi, psi.density, r, eps_rel)
-        return DivergenceValue(_trace_power_blocks(mids, alpha, eps_rel))
-    if _support_violates(psi, phi, eps_rel):
-        return DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
-    r = (alpha - 1.0) / (2.0 * alpha)
-    mids, _ = _eigenbasis_sandwich(phi, psi.density, -r, eps_rel)
-    return DivergenceValue(_trace_power_blocks(mids, alpha, eps_rel))
+    return q_tilde_grid(psi, phi, [_sandwiched_params(alpha)], eps_rel)[0]
 
 
 def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
                     params: DivergenceParams, eps_rel: float | None = None
                     ) -> DivergenceValue:
-    """Two-parameter Q-functional Q_{alpha,z}.
+    """Two-parameter Q-functional Q_{alpha,z} (z = alpha for sandwiched
+    parameters).
 
     For alpha > 1 the sandwich equation
     h_psi^{alpha/z} = h_phi^{(alpha-1)/2z} x h_phi^{(alpha-1)/2z} is solved
     on the corner s(phi) . s(phi) by pseudo-inverse powers; solvability is
     equivalent to s(psi) <= s(phi) here, and the recomposition residual
-    certifies the solution (ConditioningError beyond budget).
+    certifies the solution (ConditioningError beyond budget).  One point of
+    :func:`q_tilde_grid`.
     """
-    _check_pair(psi, phi)
-    alpha, z = params.alpha, params.effective_z
-    if alpha < 1:
-        sv = _half_sandwich_singular_values(
-            psi, phi, alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z), eps_rel)
-        return DivergenceValue(_sigma_power_sum(sv, z, eps_rel))
-    if _support_violates(psi, phi, eps_rel):
-        return DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
-    _sharp_pinv_middles(psi, phi, params, eps_rel)  # recomposition certificate
-    sv = _half_sandwich_singular_values(
-        psi, phi, alpha / (2.0 * z), -(alpha - 1.0) / (2.0 * z), eps_rel)
-    return DivergenceValue(_sigma_power_sum(sv, z, eps_rel))
-
-
-def _half_sandwich_singular_values(psi: PositiveFunctional,
-                                   phi: PositiveFunctional, psi_expo: float,
-                                   phi_expo: float,
-                                   eps_rel: float | None) -> np.ndarray:
-    """Singular values of B = h_psi^{psi_expo} h_phi^{phi_expo} per block.
-
-    The sandwich h_phi^{phi_expo} h_psi^{2 psi_expo} h_phi^{phi_expo} equals
-    B* B, so its spectrum is sigma(B)^2; going through sigma keeps small
-    genuine eigenvalues accurate (no square-root amplification of the noise
-    floor) and exact kernels collapse to sigma ~ eps, far below the cutoff.
-    The phi factor is applied as an exact diagonal column scaling in phi's
-    eigenbasis (singular values are right-unitarily invariant).
-    """
-    half = psi.power(psi_expo, eps_rel)
-    spec = phi.spectrum(eps_rel)
-    out = []
-    for vals, vecs, mask, hb in zip(spec.eigenvalues, spec.eigenvectors,
-                                    spec.kernel_mask, half.blocks):
-        keep = ~mask
-        scale = np.zeros_like(vals)
-        scale[keep] = vals[keep] ** phi_expo
-        g = (hb @ vecs) * scale[None, :]
-        out.append(np.linalg.svd(g, compute_uv=False))
-    return np.concatenate(out)
-
-
-def _sigma_power_sum(sv: np.ndarray, z: float,
-                     eps_rel: float | None) -> float:
-    """sum sigma^{2z} over non-kernel singular values."""
-    eps = resolve_eps_rel(eps_rel)
-    smax = float(np.max(sv)) if sv.size else 0.0
-    kept = sv[sv > eps * smax]
-    return float(np.sum(kept ** (2.0 * z)))
-
-
-def _sharp_pinv_middles(psi: PositiveFunctional, phi: PositiveFunctional,
-                        params: DivergenceParams, eps_rel: float | None):
-    """Eigenbasis blocks of the pseudo-inverse corner solution of the
-    sandwich equation, with its recomposition certificate.
-
-    In phi's eigenbasis the solution is X_ij = C_ij / (s_i^e s_j^e) on the
-    support corner (C the transformed right-hand side); re-scaling recovers C
-    entrywise, so the recomposition residual measures exactly the part of the
-    right-hand side outside the corner plus rounding, independent of phi's
-    conditioning.
-    """
-    alpha, z = params.alpha, params.effective_z
-    e = (alpha - 1.0) / (2.0 * z)
-    hp = psi.power(alpha / z, eps_rel)
-    spec = phi.spectrum(eps_rel)
-    mids, resid_sq = [], 0.0
-    for vals, vecs, mask, tb in zip(spec.eigenvalues, spec.eigenvectors,
-                                    spec.kernel_mask, hp.blocks):
-        keep = ~mask
-        down = np.zeros_like(vals)
-        down[keep] = vals[keep] ** (-e)
-        up = np.zeros_like(vals)
-        up[keep] = vals[keep] ** e
-        c = vecs.conj().T @ tb @ vecs
-        mid = (down[:, None] * c) * down[None, :]
-        back = (up[:, None] * mid) * up[None, :]
-        resid_sq += float(np.sum(np.abs(back - c) ** 2))
-        mids.append(mid)
-    residual = math.sqrt(resid_sq)
-    if residual > SHARP_RECOMP_TOL * (1.0 + hp.frobenius()):
-        raise ConditioningError(
-            f"sandwich-equation recomposition residual {residual:.3e} "
-            f"exceeds budget", residual=residual)
-    return mids, spec, residual
+    return q_tilde_grid(psi, phi, [_alpha_z_params(params)], eps_rel)[0]
 
 
 def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
@@ -284,13 +346,21 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     s(psi) <= s(phi), else the equation has no corner solution.
     """
     _check_pair(psi, phi)
-    if params.alpha <= 1:
+    alpha, z = params.alpha, params.effective_z
+    if alpha <= 1:
         raise DomainError("the sandwich-equation solve applies to alpha > 1")
     if _support_violates(psi, phi, eps_rel):
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    mids, spec, _ = _sharp_pinv_middles(psi, phi, params, eps_rel)
-    blocks = [vecs @ mid @ vecs.conj().T
+    hp, finite = psi.spectrum(eps_rel).power_stack([alpha / z])
+    if not finite[0]:
+        raise _nonfinite_error()
+    spec = phi.spectrum(eps_rel)
+    mids, residuals, budgets = _sharp_pinv_middles(
+        hp, spec, [(alpha - 1.0) / (2.0 * z)])
+    if residuals[0] > budgets[0]:
+        raise _recomposition_error(float(residuals[0]))
+    blocks = [vecs @ mid[0] @ vecs.conj().T
               for vecs, mid in zip(spec.eigenvectors, mids)]
     return AlgebraElement._trusted(psi.algebra, blocks)
 
@@ -339,6 +409,16 @@ def d_from_q(q: DivergenceValue, psi: PositiveFunctional,
         math.log(q.value / psi.mass) / (alpha - 1.0))
 
 
+def d_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
+                 grid: Sequence[DivergenceParams],
+                 eps_rel: float | None = None) -> list[DivergenceValue]:
+    """:func:`d_tilde` at every point of a grid, from one
+    :func:`q_tilde_grid` call (same sharing and error order)."""
+    grid = tuple(grid)
+    return [d_from_q(q, psi, phi, p.alpha)
+            for q, p in zip(q_tilde_grid(psi, phi, grid, eps_rel), grid)]
+
+
 def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
             params: DivergenceParams, eps_rel: float | None = None
             ) -> DivergenceValue:
@@ -348,11 +428,27 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     parameters run the two-parameter path.  May be negative for inputs whose
     masses differ from 1.
     """
-    if params.is_sandwiched:
-        q = q_tilde_alpha(psi, phi, params.alpha, eps_rel)
-    else:
-        q = q_tilde_alpha_z(psi, phi, params, eps_rel)
-    return d_from_q(q, psi, phi, params.alpha)
+    return d_tilde_grid(psi, phi, [params], eps_rel)[0]
+
+
+def lemma9_grid(psi: PositiveFunctional, phi: PositiveFunctional,
+                alphas: Sequence[float], tol: float = 1e-10,
+                eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`lemma9_check` at every order in ``alphas``.
+
+    Both paths at every order come from one :func:`q_tilde_grid` call, with
+    the points in the order sandwiched(alpha_1), alpha-z(alpha_1),
+    sandwiched(alpha_2), ...; so the first failure raises as in a loop of
+    one-point checks.
+    """
+    _check_pair(psi, phi)
+    alphas = tuple(alphas)
+    grid = []
+    for alpha in alphas:
+        grid += [_sandwiched_params(alpha), DivergenceParams(alpha, z=alpha)]
+    qs = q_tilde_grid(psi, phi, grid, eps_rel)
+    return [_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol)
+            for i, alpha in enumerate(alphas)]
 
 
 def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -363,8 +459,11 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     Finite values must agree to relative tol; infinite values must carry the
     same reason code.
     """
-    qa = q_tilde_alpha(psi, phi, alpha, eps_rel)
-    qz = q_tilde_alpha_z(psi, phi, DivergenceParams(alpha, z=alpha), eps_rel)
+    return lemma9_grid(psi, phi, [alpha], tol, eps_rel)[0]
+
+
+def _lemma9_report(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
+                   tol: float) -> CheckReport:
     info = {"q_sandwiched": str(qa), "q_alpha_z": str(qz), "alpha": alpha}
     if qa.is_finite and qz.is_finite:
         residual = abs(qa.value - qz.value) / (1.0 + abs(qa.value))
@@ -375,6 +474,31 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     return CheckReport.from_residuals(
         "lemma9", {"reason_agreement": agreement},
         {"reason_agreement": 0.0}, info)
+
+
+def additivity_grid(psi1: PositiveFunctional, phi1: PositiveFunctional,
+                    psi2: PositiveFunctional, phi2: PositiveFunctional,
+                    grid: Sequence[DivergenceParams], tol_q: float = 1e-9,
+                    tol_d: float = 1e-8,
+                    eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`additivity_check` at every point of a parameter grid.
+
+    The products psi1 (x) psi2 and phi1 (x) phi2 are built once, and each of
+    the three pairs (factor 1, factor 2, product) gets one
+    :func:`q_tilde_grid` call.  Errors: the pairs are evaluated in that
+    order, and within a pair the first failing point raises.
+    """
+    T = TensorAlgebra(psi1.algebra, psi2.algebra)
+    psi12 = kron_functional(T, psi1, psi2)
+    phi12 = kron_functional(T, phi1, phi2)
+    grid = tuple(grid)
+    eps = resolve_eps_rel(eps_rel)
+    q1s = q_tilde_grid(psi1, phi1, grid, eps)
+    q2s = q_tilde_grid(psi2, phi2, grid, eps)
+    q12s = q_tilde_grid(psi12, phi12, grid, eps)
+    return [_additivity_report(params, (q1, psi1, phi1), (q2, psi2, phi2),
+                               (q12, psi12, phi12), tol_q, tol_d)
+            for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)]
 
 
 def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
@@ -389,37 +513,16 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     well).  For alpha > 1 with z != alpha and an infinite factor, the values
     are recorded without assertion.
     """
-    T = TensorAlgebra(psi1.algebra, psi2.algebra)
-    return additivity_check_with_products(
-        psi1, phi1, psi2, phi2, kron_functional(T, psi1, psi2),
-        kron_functional(T, phi1, phi2), params, tol_q, tol_d, eps_rel)
+    return additivity_grid(psi1, phi1, psi2, phi2, [params], tol_q, tol_d,
+                           eps_rel)[0]
 
 
-def additivity_check_with_products(psi1: PositiveFunctional,
-                                   phi1: PositiveFunctional,
-                                   psi2: PositiveFunctional,
-                                   phi2: PositiveFunctional,
-                                   psi12: PositiveFunctional,
-                                   phi12: PositiveFunctional,
-                                   params: DivergenceParams,
-                                   tol_q: float = 1e-9, tol_d: float = 1e-8,
-                                   eps_rel: float | None = None
-                                   ) -> CheckReport:
-    """:func:`additivity_check` with psi12 = psi1 (x) psi2 and
-    phi12 = phi1 (x) phi2 already built.
-
-    The products do not depend on the parameters, so a caller sweeping a
-    parameter grid builds them once and passes them to every grid point.
-    """
-    def q_of(a, b):
-        if params.is_sandwiched:
-            return q_tilde_alpha(a, b, params.alpha, eps_rel)
-        return q_tilde_alpha_z(a, b, params, eps_rel)
-
-    q1, q2, q12 = q_of(psi1, phi1), q_of(psi2, phi2), q_of(psi12, phi12)
-    d1 = d_from_q(q1, psi1, phi1, params.alpha)
-    d2 = d_from_q(q2, psi2, phi2, params.alpha)
-    d12 = d_from_q(q12, psi12, phi12, params.alpha)
+def _additivity_report(params: DivergenceParams, side1, side2, side12,
+                       tol_q: float, tol_d: float) -> CheckReport:
+    """The additivity report of one point from its three (Q, psi, phi)."""
+    (q1, _, _), (q2, _, _), (q12, _, _) = side1, side2, side12
+    d1, d2, d12 = (d_from_q(q, psi, phi, params.alpha)
+                   for q, psi, phi in (side1, side2, side12))
     info = {
         "params": params.label(),
         "q_factors": [str(q1), str(q2)], "q_product": str(q12),
@@ -599,6 +702,28 @@ def dpi_valid(alpha: float, z: float) -> bool:
     return False
 
 
+def dpi_probe_grid(psi: PositiveFunctional, phi: PositiveFunctional,
+                   channel: QuantumChannel,
+                   grid: Sequence[DivergenceParams], slack: float = 1e-9,
+                   eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`dpi_probe` at every point of a parameter grid.
+
+    psi and phi are precomposed through the channel once; the values before
+    and after the channel come from one :func:`d_tilde_grid` call each.
+    Errors: the values before the channel, the precompositions and the
+    values after it are evaluated in that order, and within a pair the
+    first failing point raises.
+    """
+    grid = tuple(grid)
+    eps = resolve_eps_rel(eps_rel)
+    d_ins = d_tilde_grid(psi, phi, grid, eps)
+    psi_c = precompose(psi, channel, eps)
+    phi_c = precompose(phi, channel, eps)
+    d_outs = d_tilde_grid(psi_c, phi_c, grid, eps)
+    return [_dpi_report(params, d_in, d_out, slack)
+            for params, d_in, d_out in zip(grid, d_ins, d_outs)]
+
+
 def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
               channel: QuantumChannel, params: DivergenceParams,
               slack: float = 1e-9,
@@ -609,10 +734,11 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     monotonicity region; outside it both values are recorded without
     assertion.
     """
-    d_in = d_tilde(psi, phi, params, eps_rel)
-    psi_c = precompose(psi, channel, eps_rel)
-    phi_c = precompose(phi, channel, eps_rel)
-    d_out = d_tilde(psi_c, phi_c, params, eps_rel)
+    return dpi_probe_grid(psi, phi, channel, [params], slack, eps_rel)[0]
+
+
+def _dpi_report(params: DivergenceParams, d_in: DivergenceValue,
+                d_out: DivergenceValue, slack: float) -> CheckReport:
     if not d_in.is_finite:
         violation = 0.0
     elif not d_out.is_finite:

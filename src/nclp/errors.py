@@ -25,6 +25,10 @@ class FileFormatError(NclpError):
     """A matrix file failed structural or semantic validation."""
 
 
+class OutputError(NclpError):
+    """A report or matrix file could not be written."""
+
+
 class UsageError(NclpError):
     """Bad command-line arguments or an unknown suite name."""
 

@@ -24,7 +24,7 @@ class PositiveFunctional:
     planted zero structure (diagonal instances, exact kernels) survives.
     """
 
-    __slots__ = ("algebra", "density", "_spectrum")
+    __slots__ = ("algebra", "density", "_spectrum", "_mass")
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
@@ -34,6 +34,7 @@ class PositiveFunctional:
         object.__setattr__(self, "algebra", density.algebra)
         object.__setattr__(self, "density", sym)
         object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_mass", None)
 
     @classmethod
     def zero(cls, algebra: BlockAlgebra) -> "PositiveFunctional":
@@ -54,8 +55,13 @@ class PositiveFunctional:
 
     @property
     def mass(self) -> float:
-        """psi(1), the total mass."""
-        return float(canonical_trace(self.density).real)
+        """psi(1), the total mass; computed on the first call, since the
+        density is immutable and a grid of divergences asks for it once per
+        point."""
+        if self._mass is None:
+            object.__setattr__(self, "_mass",
+                               float(canonical_trace(self.density).real))
+        return self._mass
 
     @property
     def is_zero(self) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraElement, BlockAlgebra
 from .config import EIGENSOLVER_ID, LOG_BASE, PRNG_ID
-from .errors import DomainError, FileFormatError, ShapeError
+from .errors import DomainError, FileFormatError, OutputError, ShapeError
 from .functionals import PositiveFunctional
 from .reports import _py
 
@@ -133,8 +133,17 @@ def dumps_matrix(x: AlgebraElement, kind: str = "element") -> str:
                       allow_nan=False, indent=2) + "\n"
 
 
+def write_text_file(path, text: str):
+    """Write ``text`` to ``path``; a failing write raises OutputError, which
+    names the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def save_matrix_file(path, x: AlgebraElement, kind: str = "element"):
-    Path(path).write_text(dumps_matrix(x, kind), encoding="utf-8")
+    write_text_file(path, dumps_matrix(x, kind))
 
 
 def load_functional(path, eps_rel: float | None = None) -> PositiveFunctional:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra
+from .algebra import AlgebraElement, BlockAlgebra, HermitianSpectrum
 from .config import FAITHFULNESS_FLOOR, resolve_eps_rel
 from .errors import ConditioningError, DomainError, ShapeError
 from .functionals import PositiveFunctional
@@ -73,21 +73,53 @@ def singular_values(x: AlgebraElement) -> np.ndarray:
         [np.linalg.svd(b, compute_uv=False) for b in x.blocks])
 
 
+def _schatten(s: np.ndarray, p: LpExponent) -> float:
+    """(sum s^p)^{1/p} of a singular-value row; max s at p = inf."""
+    if p.is_inf:
+        return float(s.max())
+    total = float((s ** p.value).sum())
+    return total ** (1.0 / p.value)
+
+
+def lp_norms(x: AlgebraElement, ps) -> list[float]:
+    """||x||_p for every p in ``ps``, from one :func:`singular_values` call."""
+    ps = [_as_exponent(p) for p in ps]
+    s = singular_values(x)
+    return [_schatten(s, p) for p in ps]
+
+
 def lp_norm(x: AlgebraElement, p) -> float:
     """||x||_p = (sum sigma_i^p)^{1/p}; ||x||_inf = max sigma_i.
 
     A genuine norm for p >= 1, a quasi-norm for 0 < p < 1.
     """
-    p = _as_exponent(p)
-    s = singular_values(x)
-    if p.is_inf:
-        return float(np.max(s))
-    total = float(np.sum(s ** p.value))
-    return total ** (1.0 / p.value)
+    return lp_norms(x, [p])[0]
 
 
 def operator_norm(x: AlgebraElement) -> float:
     return lp_norm(x, math.inf)
+
+
+def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
+    """A validated (p, eta) of an interpolated norm: p >= 1, eta in [0, 1]."""
+    p = _as_exponent(p)
+    if p.value < 1:
+        raise DomainError(f"interpolated norms need p >= 1, got {p.value}")
+    eta = float(eta)
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    return p, eta
+
+
+def _check_faithfulness_floor(spec: HermitianSpectrum):
+    """ConditioningError unless min eig >= FAITHFULNESS_FLOOR * max eig."""
+    radius = spec.spectral_radius
+    low = float(np.min(spec.flat_eigenvalues()))
+    if radius == 0.0 or low < FAITHFULNESS_FLOOR * radius:
+        raise ConditioningError(
+            f"reference functional is singular or below the faithfulness "
+            f"floor (min eig {low:.3e}, max eig {radius:.3e})",
+            residual=low)
 
 
 @dataclass(frozen=True)
@@ -104,22 +136,10 @@ class KosakiSpec:
     eta: float
 
     def __post_init__(self):
-        p = _as_exponent(self.p)
-        if p.value < 1:
-            raise DomainError(f"interpolated norms need p >= 1, got {p.value}")
+        p, eta = _kosaki_point(self.p, self.eta)
         object.__setattr__(self, "p", p)
-        eta = float(self.eta)
-        if not 0.0 <= eta <= 1.0:
-            raise DomainError(f"eta must lie in [0, 1], got {eta}")
         object.__setattr__(self, "eta", eta)
-        spec = self.phi.spectrum()
-        radius = spec.spectral_radius
-        low = float(np.min(spec.flat_eigenvalues()))
-        if radius == 0.0 or low < FAITHFULNESS_FLOOR * radius:
-            raise ConditioningError(
-                f"reference functional is singular or below the faithfulness "
-                f"floor (min eig {low:.3e}, max eig {radius:.3e})",
-                residual=low)
+        _check_faithfulness_floor(self.phi.spectrum())
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -147,6 +167,45 @@ def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
     return _sandwich(a, spec.phi, spec.eta, 1.0 - spec.eta, eps_rel)
 
 
+def _kosaki_memberships(y: AlgebraElement, phi: PositiveFunctional,
+                        points: list[tuple[LpExponent, float]], eps: float):
+    """Solutions x of y = h_phi^{eta/q} x h_phi^{(1-eta)/q}, one per point.
+
+    Returns per block a (G, n, n) stack of x, and per point None or the
+    ConditioningError of a recomposition residual beyond budget.  A point
+    with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
+    """
+    if y.algebra != phi.algebra:
+        raise ShapeError("element and reference functional algebras differ")
+    lefts, rights = [], []
+    for p, eta in points:
+        inv_q = p.dual.inv
+        lefts.append(eta * inv_q)
+        rights.append((1.0 - eta) * inv_q)
+    ident = np.array([a == 0.0 and b == 0.0 for a, b in zip(lefts, rights)])
+    spec = phi.spectrum(eps)
+    G = len(points)
+    blocks, resid_sq = [], 0.0
+    for vecs, yb, scales in zip(
+            spec.eigenvectors, y.blocks, spec.eigenvalue_powers(
+                [-a for a in lefts] + [-b for b in rights] + lefts + rights)):
+        down_l, down_r, up_l, up_r = (scales[i * G:(i + 1) * G]
+                                      for i in range(4))
+        c = vecs.conj().T @ yb @ vecs
+        mid = (down_l[:, :, None] * c) * down_r[:, None, :]
+        back = (up_l[:, :, None] * mid) * up_r[:, None, :]
+        resid_sq = resid_sq + np.sum(np.abs(back - c) ** 2, axis=(1, 2))
+        x = vecs @ mid @ vecs.conj().T
+        x[ident] = yb
+        blocks.append(x)
+    residuals = np.sqrt(resid_sq)
+    budget = MEMBERSHIP_TOL * (1.0 + y.frobenius())
+    errors = [None if skip or not r > budget else ConditioningError(
+        f"membership solve residual {r:.3e} exceeds budget", residual=r)
+        for skip, r in zip(ident, residuals.tolist())]
+    return blocks, errors
+
+
 def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
                       eps_rel: float | None = None) -> AlgebraElement:
     """Solve y = h_phi^{eta/q} x h_phi^{(1-eta)/q} for x.
@@ -156,39 +215,41 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     reflects genuine kernel leakage rather than conditioning.  Raises
     ConditioningError when it exceeds MEMBERSHIP_TOL * (1 + ||y||_F).
     """
-    if y.algebra != spec.algebra:
-        raise ShapeError("element and reference functional algebras differ")
-    inv_q = spec.p.dual.inv
-    c_left = spec.eta * inv_q
-    c_right = (1.0 - spec.eta) * inv_q
-    if c_left == 0.0 and c_right == 0.0:
-        return y
-    phs = spec.phi.spectrum(eps_rel)
-    blocks, resid_sq = [], 0.0
-    for vals, vecs, mask in zip(phs.eigenvalues, phs.eigenvectors,
-                                phs.kernel_mask):
-        keep = ~mask
-        def scaled(expo):
-            s = np.zeros_like(vals)
-            s[keep] = vals[keep] ** expo
-            return s
-        c = vecs.conj().T @ y.blocks[len(blocks)] @ vecs
-        mid = (scaled(-c_left)[:, None] * c) * scaled(-c_right)[None, :]
-        back = (scaled(c_left)[:, None] * mid) * scaled(c_right)[None, :]
-        resid_sq += float(np.sum(np.abs(back - c) ** 2))
-        blocks.append(vecs @ mid @ vecs.conj().T)
-    residual = float(np.sqrt(resid_sq))
-    if residual > MEMBERSHIP_TOL * (1.0 + y.frobenius()):
-        raise ConditioningError(
-            f"membership solve residual {residual:.3e} exceeds budget",
-            residual=residual)
-    return AlgebraElement._trusted(y.algebra, blocks)
+    blocks, errors = _kosaki_memberships(
+        y, spec.phi, [(spec.p, spec.eta)], resolve_eps_rel(eps_rel))
+    if errors[0] is not None:
+        raise errors[0]
+    return AlgebraElement._trusted(y.algebra, [b[0].copy() for b in blocks])
+
+
+def kosaki_norm_grid(y: AlgebraElement, phi: PositiveFunctional, grid,
+                     eps_rel: float | None = None) -> list[float]:
+    """||y||_{p,phi,eta} at every (p, eta) of ``grid``.
+
+    Shared by all points: the validation of every (p, eta), the cutoff
+    resolution, phi's faithfulness-floor check and the rotation U* y U into
+    phi's eigenbasis.  The scalings, recomposition residuals, back-rotations
+    and singular values are stacked, one ``svd`` per block.  Errors: every
+    (p, eta) is validated before any evaluation; then the first point whose
+    membership residual exceeds its budget raises ConditioningError.
+    """
+    points = [_kosaki_point(p, eta) for p, eta in grid]
+    eps = resolve_eps_rel(eps_rel)
+    _check_faithfulness_floor(phi.spectrum(eps))
+    blocks, errors = _kosaki_memberships(y, phi, points, eps)
+    for err in errors:
+        if err is not None:
+            raise err
+    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks],
+                        axis=1)
+    return [_schatten(row, p) for row, (p, _) in zip(sv, points)]
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
                 eps_rel: float | None = None) -> float:
-    """||y||_{p,phi,eta}; equals ||y||_1 at p = 1."""
-    return lp_norm(kosaki_membership(y, spec, eps_rel), spec.p)
+    """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
+    :func:`kosaki_norm_grid`."""
+    return kosaki_norm_grid(y, spec.phi, [(spec.p, spec.eta)], eps_rel)[0]
 
 
 def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,

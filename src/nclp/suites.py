@@ -15,9 +15,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockAlgebra
 from .config import PRNG_ID, resolve_eps_rel
-from .divergence import (DivergenceParams, additivity_check_with_products,
-                         d_tilde, dpi_probe, embed_left_channel,
-                         identity_channel, lemma9_check, pinching_channel,
+from .divergence import (DivergenceParams, additivity_grid, d_tilde_grid,
+                         dpi_probe_grid, embed_left_channel,
+                         identity_channel, lemma9_grid, pinching_channel,
                          precompose, random_unital_channel,
                          solve_sharp_least_squares, solve_sharp_pseudo_inverse)
 from .errors import DomainError, UsageError
@@ -25,10 +25,10 @@ from .functionals import PositiveFunctional, cocycle_chain_residual, \
     connes_cocycle, lemma1_cut
 from .lp import KosakiSpec, interpolation_bound_check, lemma3_bijectivity
 from .reports import TrialReport
-from .tensor import (TensorAlgebra, corollary7_norm_with_products,
-                     kron_element, kron_functional, lemma5_density,
-                     lemma5_imaginary, lemma5_polar, lemma5_power,
-                     spectral_product_check, theorem6_norm, theorem6_spanning)
+from .tensor import (TensorAlgebra, corollary7_norm_grid, kron_element,
+                     lemma5_density, lemma5_imaginary_grid, lemma5_polar,
+                     lemma5_power, lemma5_power_grid, spectral_product_check,
+                     theorem6_norm_grid, theorem6_spanning)
 
 DimsProfile = tuple[tuple[int, ...], "tuple[int, ...] | None"]
 
@@ -266,9 +266,11 @@ class SuiteConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if any(t <= 0 for t in self.tolerances.values()
-               if isinstance(t, (int, float)) and t != 0.0):
-            raise DomainError("tolerances must be positive")
+        bad = [f"{key}={t}" for key, t in self.tolerances.items()
+               if isinstance(t, (int, float)) and t != 0.0 and not t > 0]
+        if bad:
+            raise DomainError(
+                f"tolerances must be positive, got {', '.join(bad)}")
 
 
 def parse_dims(text: str) -> tuple[DimsProfile, ...]:
@@ -314,6 +316,17 @@ def _p_label(p: float) -> str:
 
 
 def _tols(config: SuiteConfig, defaults: dict) -> dict:
+    """The suite's default tolerances with the config's overrides applied.
+
+    An override key the suite has no tolerance for is a UsageError, so that
+    no override is echoed in a report without being applied.
+    """
+    unknown = sorted(set(config.tolerances) - set(defaults))
+    if unknown:
+        raise UsageError(
+            f"suite {config.suite_name} has no tolerance "
+            f"{', '.join(map(repr, unknown))}; valid keys: "
+            f"{', '.join(sorted(defaults))}")
     merged = dict(defaults)
     merged.update(config.tolerances)
     return merged
@@ -346,6 +359,8 @@ def _fingerprint(config: SuiteConfig, index: int) -> str:
 THEOREM6_P_GRID = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
 COROLLARY7_P_GRID = (1.0, 1.5, 2.0, 4.0)
 COROLLARY7_ETA_GRID = (0.0, 0.25, 0.5, 1.0)
+COROLLARY7_GRID = tuple((p, eta) for p in COROLLARY7_P_GRID
+                        for eta in COROLLARY7_ETA_GRID)
 LEMMA9_ALPHAS = (0.5, 0.7, 1.5, 2.0, 3.0)
 PROP11_ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 PROP11_Z_CHOICES = ("0.5", "1", "alpha", "2alpha")
@@ -399,8 +414,8 @@ def _suite_theorem6(config: SuiteConfig) -> list[TrialReport]:
             x = gen_element(rng, T.left)
             y = gen_element(rng, T.right)
             residuals, tolmap = {}, {}
-            for p in THEOREM6_P_GRID:
-                lhs, rhs = theorem6_norm(T, x, y, p)
+            norms = theorem6_norm_grid(T, x, y, THEOREM6_P_GRID)
+            for p, (lhs, rhs) in zip(THEOREM6_P_GRID, norms):
                 key = f"p={_p_label(p)}"
                 residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
                 tolmap[key] = tols["relative"]
@@ -438,10 +453,12 @@ def _suite_lemma5(config: SuiteConfig) -> list[TrialReport]:
             psi2 = gen_positive_functional(
                 rng, T.right, "full" if r2 == n2 else ("deficient", r2))
             residuals = {}
-            residuals.update(lemma5_polar(T, x, y, tol).residuals)
-            residuals.update(lemma5_power(T, x, y, p, tol).residuals)
             residuals.update(
-                lemma5_density(T, psi1, psi2, t, tol).residuals)
+                lemma5_polar(T, x, y, tol, config.eps_rel).residuals)
+            residuals.update(
+                lemma5_power(T, x, y, p, tol, config.eps_rel).residuals)
+            residuals.update(lemma5_density(T, psi1, psi2, t, tol,
+                                            config.eps_rel).residuals)
             tolmap = {k2: tol for k2 in residuals}
             passed = all(v <= tol for v in residuals.values())
             reports.append(TrialReport(
@@ -465,18 +482,13 @@ def _suite_corollary7(config: SuiteConfig) -> list[TrialReport]:
             phi2 = gen_faithful(rng, T.right)
             x1 = gen_element(rng, T.left)
             x2 = gen_element(rng, T.right)
-            x12 = kron_element(T, x1, x2)
-            phi12 = kron_functional(T, phi1, phi2)
             residuals, tolmap = {}, {}
-            for p in COROLLARY7_P_GRID:
-                for eta in COROLLARY7_ETA_GRID:
-                    spec1 = KosakiSpec(phi1, p, eta)
-                    spec2 = KosakiSpec(phi2, p, eta)
-                    lhs, rhs = corollary7_norm_with_products(
-                        x1, x2, x12, spec1, spec2, phi12, config.eps_rel)
-                    key = f"p={_p_label(p)},eta={eta:g}"
-                    residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
-                    tolmap[key] = tols["relative"]
+            norms = corollary7_norm_grid(x1, x2, phi1, phi2, COROLLARY7_GRID,
+                                         config.eps_rel)
+            for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, norms):
+                key = f"p={_p_label(p)},eta={eta:g}"
+                residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
+                tolmap[key] = tols["relative"]
             passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
             reports.append(TrialReport(
                 "corollary7", idx, _fingerprint(config, idx),
@@ -622,17 +634,17 @@ def _suite_lemma9(config: SuiteConfig) -> list[TrialReport]:
         for _ in range(config.trials):
             rng = trial_rng(config.seed, idx)
             psi, phi, kind = _lemma9_instance(rng, alg, idx % 5)
-            residuals, tolmap, reasons = {}, {}, []
-            for alpha in alphas:
-                check = lemma9_check(psi, phi, alpha,
-                                     tols["path_agreement"], config.eps_rel)
+            residuals, tolmap = {}, {}
+            checks = lemma9_grid(psi, phi, alphas, tols["path_agreement"],
+                                 config.eps_rel)
+            for alpha, check in zip(alphas, checks):
                 for key, val in check.residuals.items():
                     full = f"alpha={alpha:g}:{key}"
                     residuals[full] = val
                     tolmap[full] = tols[key]
-                d = d_tilde(psi, phi, DivergenceParams(alpha, z=alpha),
-                            config.eps_rel)
-                reasons.append(d.reason.value)
+            reasons = [d.reason.value for d in d_tilde_grid(
+                psi, phi, [DivergenceParams(a, z=a) for a in alphas],
+                config.eps_rel)]
             passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
             reports.append(TrialReport(
                 "lemma9", idx, _fingerprint(config, idx),
@@ -673,20 +685,16 @@ def _suite_prop11(config: SuiteConfig) -> list[TrialReport]:
     reports, idx = [], 0
     for profile in dims:
         alg = _single_profile(profile, "prop11")
-        T = TensorAlgebra(alg, alg)
         for _ in range(config.trials):
             rng = trial_rng(config.seed, idx)
             (psi1, phi1, psi2, phi2), kind = \
                 _prop11_instance(rng, alg, idx % 3)
-            psi12 = kron_functional(T, psi1, psi2)
-            phi12 = kron_functional(T, phi1, phi2)
             residuals, tolmap = {}, {}
             infos = []
-            for params in grid:
-                check = additivity_check_with_products(
-                    psi1, phi1, psi2, phi2, psi12, phi12, params,
-                    tols["q_multiplicativity"], tols["d_additivity"],
-                    config.eps_rel)
+            checks = additivity_grid(
+                psi1, phi1, psi2, phi2, grid, tols["q_multiplicativity"],
+                tols["d_additivity"], config.eps_rel)
+            for params, check in zip(grid, checks):
                 for key, val in check.residuals.items():
                     full = f"{params.label()}:{key}"
                     residuals[full] = val
@@ -728,24 +736,26 @@ def _suite_appendixA(config: SuiteConfig) -> list[TrialReport]:
                 rng, T.right,
                 "full" if r2 == n2 else ("deficient", r2)).density
             residuals, tolmap = {}, {}
-            spect = spectral_product_check(T, x, y)
+            spect = spectral_product_check(T, x, y,
+                                           tols["eigenvalue_multiset"])
             residuals.update(spect.residuals)
             tolmap["eigenvalue_multiset"] = spect.tolerances[
                 "eigenvalue_multiset"]
-            for p in APPENDIXA_POWERS:
+            powers = lemma5_power_grid(T, x, y, APPENDIXA_POWERS,
+                                       eps_rel=config.eps_rel)
+            for p, check in zip(APPENDIXA_POWERS, powers):
                 key = f"f=pow{p:g}"
-                residuals[key] = lemma5_power(
-                    T, x, y, p).residuals["power"]
+                residuals[key] = check.residuals["power"]
                 tolmap[key] = tols["f_multiplicativity"]
-            for t in APPENDIXA_TS:
+            imags = lemma5_imaginary_grid(T, h1, h2, APPENDIXA_TS,
+                                          eps_rel=config.eps_rel)
+            for t, check in zip(APPENDIXA_TS, imags):
                 key = f"f=imag{t:g}"
-                residuals[key] = lemma5_imaginary(
-                    T, h1, h2, t).residuals["imaginary_power"]
+                residuals[key] = check.residuals["imaginary_power"]
                 tolmap[key] = tols["f_multiplicativity"]
             kx, ky = kron_element(T, x, y), kron_element(T, xp, yp)
             residuals["adjoint"] = (
-                kron_element(T, x, y).H
-                - kron_element(T, x.H, y.H)).frobenius()
+                kx.H - kron_element(T, x.H, y.H)).frobenius()
             tolmap["adjoint"] = tols["adjoint"]
             residuals["mixed_product"] = (
                 kx @ ky - kron_element(T, x @ xp, y @ yp)).frobenius()
@@ -785,22 +795,24 @@ def _suite_dpi(config: SuiteConfig) -> list[TrialReport]:
                 psi = gen_faithful(rng, alg)
                 phi = gen_faithful(rng, alg)
             residuals, tolmap = {}, {}
-            for alpha in alphas:
-                params = DivergenceParams(alpha)
-                check = dpi_probe(psi, phi, channel, params,
-                                  tols["monotonicity_violation"],
-                                  config.eps_rel)
+            grid = [DivergenceParams(alpha) for alpha in alphas]
+            checks = dpi_probe_grid(psi, phi, channel, grid,
+                                    tols["monotonicity_violation"],
+                                    config.eps_rel)
+            if kind == "identity":
+                d_ins = d_tilde_grid(psi, phi, grid, config.eps_rel)
+                d_outs = d_tilde_grid(
+                    precompose(psi, channel, config.eps_rel),
+                    precompose(phi, channel, config.eps_rel), grid,
+                    config.eps_rel)
+            for g, (alpha, check) in enumerate(zip(alphas, checks)):
                 key = f"alpha={alpha:g}:violation"
                 residuals[key] = check.residuals.get(
                     "monotonicity_violation", 0.0)
                 tolmap[key] = tols["monotonicity_violation"]
                 if kind == "identity":
-                    d_in = d_tilde(psi, phi, params, config.eps_rel)
-                    d_out = d_tilde(precompose(psi, channel, config.eps_rel),
-                                    precompose(phi, channel, config.eps_rel),
-                                    params, config.eps_rel)
                     ekey = f"alpha={alpha:g}:identity_equality"
-                    residuals[ekey] = abs(d_out.value - d_in.value)
+                    residuals[ekey] = abs(d_outs[g].value - d_ins[g].value)
                     tolmap[ekey] = tols["identity_equality"]
             passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
             reports.append(TrialReport(

@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, element_power,
-                      imaginary_power, polar_decompose)
+from .algebra import (AlgebraElement, BlockAlgebra, hermitian_eig,
+                      polar_decompose)
+from .config import resolve_eps_rel
 from .errors import DomainError, ShapeError
 from .functionals import PositiveFunctional
-from .lp import KosakiSpec, kosaki_norm, lp_norm, singular_values
+from .lp import KosakiSpec, kosaki_norm_grid, lp_norms, singular_values
 from .reports import CheckReport
 
 
@@ -86,35 +88,77 @@ def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
         "lemma5_polar", residuals, {k: tol for k in residuals})
 
 
+def lemma5_power_grid(T: TensorAlgebra, x: AlgebraElement,
+                      y: AlgebraElement, powers: Sequence[float],
+                      tol: float = 1e-9,
+                      eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`lemma5_power` at every p in ``powers``.
+
+    x, y and x (x) y are polar-decomposed once, and their moduli
+    eigendecomposed once (product first, as in the one-point check); each p
+    then costs three spectral applications.  Errors: every p is validated
+    before any evaluation; the decompositions come next, then the points in
+    order.
+    """
+    powers = tuple(powers)
+    for p in powers:
+        if p <= 0:
+            raise DomainError(f"power must be positive, got {p}")
+    eps = resolve_eps_rel(eps_rel)
+    _, ax = polar_decompose(x, eps)
+    _, ay = polar_decompose(y, eps)
+    _, ak = polar_decompose(kron_element(T, x, y), eps)
+    spec_k, spec_x, spec_y = (hermitian_eig(a, eps_rel=eps).clip_psd()
+                              for a in (ak, ax, ay))
+    reports = []
+    for p in powers:
+        def f(lam):
+            return lam ** float(p)
+        lhs = spec_k.apply(f)
+        rhs = kron_element(T, spec_x.apply(f), spec_y.apply(f))
+        reports.append(CheckReport.from_residuals(
+            "lemma5_power", {"power": (lhs - rhs).frobenius()},
+            {"power": tol}, info={"p": p}))
+    return reports
+
+
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  p: float, tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
     """|x (x) y|^p against |x|^p (x) |y|^p for real p > 0."""
-    if p <= 0:
-        raise DomainError(f"power must be positive, got {p}")
-    _, ax = polar_decompose(x, eps_rel)
-    _, ay = polar_decompose(y, eps_rel)
-    _, ak = polar_decompose(kron_element(T, x, y), eps_rel)
-    lhs = element_power(ak, p, eps_rel=eps_rel)
-    rhs = kron_element(T, element_power(ax, p, eps_rel=eps_rel),
-                       element_power(ay, p, eps_rel=eps_rel))
-    residual = (lhs - rhs).frobenius()
-    return CheckReport.from_residuals(
-        "lemma5_power", {"power": residual}, {"power": tol},
-        info={"p": p})
+    return lemma5_power_grid(T, x, y, [p], tol, eps_rel)[0]
+
+
+def lemma5_imaginary_grid(T: TensorAlgebra, h1: AlgebraElement,
+                          h2: AlgebraElement, ts: Sequence[float],
+                          tol: float = 1e-9,
+                          eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`lemma5_imaginary` at every t in ``ts``.
+
+    h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
+    then costs three spectral applications.  Errors: the decompositions
+    come first, then the points in order.
+    """
+    eps = resolve_eps_rel(eps_rel)
+    spec12, spec1, spec2 = (hermitian_eig(h, eps_rel=eps).clip_psd()
+                            for h in (kron_element(T, h1, h2), h1, h2))
+    reports = []
+    for t in ts:
+        def f(lam):
+            return np.exp(1j * t * np.log(lam))
+        lhs = spec12.apply(f)
+        rhs = kron_element(T, spec1.apply(f), spec2.apply(f))
+        reports.append(CheckReport.from_residuals(
+            "lemma5_imaginary", {"imaginary_power": (lhs - rhs).frobenius()},
+            {"imaginary_power": tol}, info={"t": t}))
+    return reports
 
 
 def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,
                      h2: AlgebraElement, t: float, tol: float = 1e-9,
                      eps_rel: float | None = None) -> CheckReport:
     """(h1 (x) h2)^{it} against h1^{it} (x) h2^{it} for PSD factors."""
-    lhs = imaginary_power(kron_element(T, h1, h2), t, eps_rel=eps_rel)
-    rhs = kron_element(T, imaginary_power(h1, t, eps_rel=eps_rel),
-                       imaginary_power(h2, t, eps_rel=eps_rel))
-    residual = (lhs - rhs).frobenius()
-    return CheckReport.from_residuals(
-        "lemma5_imaginary", {"imaginary_power": residual},
-        {"imaginary_power": tol}, info={"t": t})
+    return lemma5_imaginary_grid(T, h1, h2, [t], tol, eps_rel)[0]
 
 
 def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
@@ -132,12 +176,20 @@ def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
         info={"t": t})
 
 
+def theorem6_norm_grid(T: TensorAlgebra, x: AlgebraElement,
+                       y: AlgebraElement, ps) -> list[tuple[float, float]]:
+    """(||x (x) y||_p, ||x||_p ||y||_p) for every p in ``ps``, from one
+    Kronecker product and one :func:`lp_norms` call per operand."""
+    ps = tuple(ps)
+    lhs = lp_norms(kron_element(T, x, y), ps)
+    return [(l, a * b) for l, a, b in zip(lhs, lp_norms(x, ps),
+                                          lp_norms(y, ps))]
+
+
 def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                   p) -> tuple[float, float]:
     """(||x (x) y||_p, ||x||_p ||y||_p); equal up to float error."""
-    lhs = lp_norm(kron_element(T, x, y), p)
-    rhs = lp_norm(x, p) * lp_norm(y, p)
-    return lhs, rhs
+    return theorem6_norm_grid(T, x, y, [p])[0]
 
 
 def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
@@ -166,6 +218,28 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     return rank == D
 
 
+def corollary7_norm_grid(x1: AlgebraElement, x2: AlgebraElement,
+                         phi1: PositiveFunctional, phi2: PositiveFunctional,
+                         grid, eps_rel: float | None = None
+                         ) -> list[tuple[float, float]]:
+    """:func:`corollary7_norm` at every (p, eta) of ``grid``.
+
+    x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
+    factor get one :func:`kosaki_norm_grid` call, in that order, and within
+    each the first failing point raises.
+    """
+    if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
+        raise ShapeError("elements must live on their spec's algebra")
+    grid = tuple(grid)
+    eps = resolve_eps_rel(eps_rel)
+    T = TensorAlgebra(x1.algebra, x2.algebra)
+    lhs = kosaki_norm_grid(kron_element(T, x1, x2),
+                           kron_functional(T, phi1, phi2), grid, eps)
+    n1 = kosaki_norm_grid(x1, phi1, grid, eps)
+    n2 = kosaki_norm_grid(x2, phi2, grid, eps)
+    return [(l, a * b) for l, a, b in zip(lhs, n1, n2)]
+
+
 def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
                     spec1: KosakiSpec, spec2: KosakiSpec,
                     eps_rel: float | None = None) -> tuple[float, float]:
@@ -174,36 +248,10 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
     The product-side norm uses the tensor reference phi1 (x) phi2 with the
     same (p, eta) as the factors.
     """
-    # Each product is formed on its own factors' algebras, so that a
-    # mismatch between elements and specs reaches the check in the body.
-    x12 = kron_element(TensorAlgebra(x1.algebra, x2.algebra), x1, x2)
-    phi12 = kron_functional(TensorAlgebra(spec1.algebra, spec2.algebra),
-                            spec1.phi, spec2.phi)
-    return corollary7_norm_with_products(x1, x2, x12, spec1, spec2, phi12,
-                                         eps_rel)
-
-
-def corollary7_norm_with_products(x1: AlgebraElement, x2: AlgebraElement,
-                                  x12: AlgebraElement, spec1: KosakiSpec,
-                                  spec2: KosakiSpec,
-                                  phi12: PositiveFunctional,
-                                  eps_rel: float | None = None
-                                  ) -> tuple[float, float]:
-    """:func:`corollary7_norm` with x12 = x1 (x) x2 and phi12 = phi1 (x) phi2
-    already built.
-
-    The products do not depend on (p, eta), so a caller sweeping a grid of
-    (p, eta) builds them once and passes them to every grid point.
-    """
     if spec1.p != spec2.p or spec1.eta != spec2.eta:
         raise DomainError("factor norms must share the same (p, eta)")
-    if x1.algebra != spec1.algebra or x2.algebra != spec2.algebra:
-        raise ShapeError("elements must live on their spec's algebra")
-    spec12 = KosakiSpec(phi12, spec1.p, spec1.eta)
-    lhs = kosaki_norm(x12, spec12, eps_rel)
-    rhs = (kosaki_norm(x1, spec1, eps_rel)
-           * kosaki_norm(x2, spec2, eps_rel))
-    return lhs, rhs
+    return corollary7_norm_grid(x1, x2, spec1.phi, spec2.phi,
+                                [(spec1.p, spec1.eta)], eps_rel)[0]
 
 
 def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,

@@ -1,0 +1,240 @@
+"""Grid forms against loops of their one-point functions.
+
+Each grid form shares the parameter-free work of a grid (decompositions,
+basis changes, products) and stacks the rest; the one-point functions are the
+reference, and every value must equal theirs exactly (`==`), since the
+stacked arithmetic performs the same floating-point operations per point.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
+                  KosakiSpec, PositiveFunctional, Reason, SuiteConfig,
+                  TensorAlgebra, additivity_check, additivity_grid,
+                  corollary7_norm, corollary7_norm_grid, d_tilde,
+                  d_tilde_grid, dpi_probe, dpi_probe_grid, gen_classical_pair,
+                  gen_element, gen_faithful, gen_nested_pair,
+                  gen_positive_functional, kosaki_norm, kosaki_norm_grid,
+                  lemma5_imaginary, lemma5_imaginary_grid, lemma5_power,
+                  lemma5_power_grid, lemma9_check, lemma9_grid, lp_norm,
+                  lp_norms, parse_dims, pinching_channel, q_tilde_alpha,
+                  q_tilde_alpha_z, q_tilde_grid, random_unital_channel,
+                  run_suite, theorem6_norm, theorem6_norm_grid)
+
+ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
+AZ_GRID = tuple(DivergenceParams(a, z=z) for a in ALPHAS
+                for z in (0.5, 1.0, a, 2.0 * a))
+SANDWICHED_GRID = tuple(DivergenceParams(a) for a in ALPHAS if a >= 0.5)
+MIXED_GRID = SANDWICHED_GRID + AZ_GRID
+PROFILES = ((2,), (3,), (2, 3))
+
+
+def one_point_q(psi, phi, params):
+    if params.is_sandwiched:
+        return q_tilde_alpha(psi, phi, params.alpha)
+    return q_tilde_alpha_z(psi, phi, params)
+
+
+def pairs(dims, seed):
+    """(kind, psi, phi) covering the finite, support-violation,
+    zero-reference and orthogonal branches."""
+    alg = BlockAlgebra(dims)
+    rng = np.random.default_rng(seed)
+    n = alg.carrier_dim
+    psi_n, phi_n = gen_nested_pair(rng, alg, n - 1, max(1, n - 2))
+    orth_psi, orth_phi, _, _ = gen_classical_pair(rng, alg, orthogonal=True)
+    return [
+        ("faithful", gen_faithful(rng, alg), gen_faithful(rng, alg)),
+        ("nested", psi_n, phi_n),
+        ("support_violation", phi_n, psi_n),
+        ("deficient_psi", gen_positive_functional(
+            rng, alg, ("deficient", 1)), gen_faithful(rng, alg)),
+        ("orthogonal", orth_psi, orth_phi),
+        ("zero_reference", gen_faithful(rng, alg),
+         PositiveFunctional.zero(alg)),
+    ]
+
+
+CASES = [(dims, seed) for dims in PROFILES for seed in (11, 12)]
+
+
+class TestDivergenceGrid:
+    @pytest.mark.parametrize("dims,seed", CASES)
+    @pytest.mark.parametrize("grid", [AZ_GRID, SANDWICHED_GRID, MIXED_GRID],
+                             ids=["alpha_z", "sandwiched", "mixed"])
+    def test_q_grid_equals_one_point_loop(self, dims, seed, grid):
+        for kind, psi, phi in pairs(dims, seed):
+            expected = [one_point_q(psi, phi, p) for p in grid]
+            assert q_tilde_grid(psi, phi, grid) == expected, kind
+
+    def test_branches_are_reached(self):
+        reasons = set()
+        for dims, seed in CASES:
+            for _, psi, phi in pairs(dims, seed):
+                reasons.update(d.reason for d in d_tilde_grid(
+                    psi, phi, MIXED_GRID))
+        assert reasons == set(Reason)
+
+    @pytest.mark.parametrize("dims,seed", CASES)
+    def test_d_grid_equals_one_point_loop(self, dims, seed):
+        for kind, psi, phi in pairs(dims, seed):
+            assert d_tilde_grid(psi, phi, MIXED_GRID) == [
+                d_tilde(psi, phi, p) for p in MIXED_GRID], kind
+
+    @pytest.mark.parametrize("dims,seed", CASES)
+    def test_lemma9_grid(self, dims, seed):
+        alphas = (0.5, 0.7, 1.5, 2.0, 3.0)
+        for kind, psi, phi in pairs(dims, seed):
+            got = lemma9_grid(psi, phi, alphas)
+            want = [lemma9_check(psi, phi, a) for a in alphas]
+            assert [r.to_dict() for r in got] == \
+                [r.to_dict() for r in want], kind
+
+    @pytest.mark.parametrize("dims", PROFILES)
+    def test_additivity_grid(self, dims):
+        cases = pairs(dims, 21)
+        for (k1, psi1, phi1), (k2, psi2, phi2) in zip(cases, cases[1:]):
+            got = additivity_grid(psi1, phi1, psi2, phi2, MIXED_GRID)
+            want = [additivity_check(psi1, phi1, psi2, phi2, p)
+                    for p in MIXED_GRID]
+            assert [r.to_dict() for r in got] == \
+                [r.to_dict() for r in want], (k1, k2)
+
+    @pytest.mark.parametrize("dims", PROFILES)
+    def test_dpi_grid(self, dims):
+        alg = BlockAlgebra(dims)
+        rng = np.random.default_rng(31)
+        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        for channel in (pinching_channel(alg),
+                        random_unital_channel(rng, alg, alg)):
+            got = dpi_probe_grid(psi, phi, channel, MIXED_GRID)
+            want = [dpi_probe(psi, phi, channel, p) for p in MIXED_GRID]
+            assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+    def test_certificate_failure_raised_at_its_point(self):
+        # psi leaks 1e-11 outside phi's support: below the support test's
+        # budget, but h_psi^{alpha/z} = h_psi^{1/2} leaks ~3e-6, beyond the
+        # sandwich-equation certificate's budget.
+        alg = BlockAlgebra((2,))
+        psi = PositiveFunctional(alg.diagonal([1.0, 1e-11]))
+        phi = PositiveFunctional(alg.diagonal([1.0, 0.0]))
+        grid = [DivergenceParams(0.5, z=1.0), DivergenceParams(1.5, z=3.0),
+                DivergenceParams(2.0, z=1.0)]
+        assert q_tilde_alpha_z(psi, phi, grid[0]).is_finite
+        with pytest.raises(ConditioningError) as one:
+            q_tilde_alpha_z(psi, phi, grid[1])
+        with pytest.raises(ConditioningError) as stacked:
+            q_tilde_grid(psi, phi, grid)
+        assert stacked.value.residual == one.value.residual
+        assert str(stacked.value) == str(one.value)
+
+
+def kosaki_grid_points():
+    return [(p, eta) for p in (1.0, 1.5, 2.0, 4.0, math.inf)
+            for eta in (0.0, 0.25, 0.5, 1.0)]
+
+
+class TestNormGrids:
+    @pytest.mark.parametrize("dims", PROFILES)
+    def test_kosaki_grid_equals_one_point_loop(self, dims):
+        alg = BlockAlgebra(dims)
+        rng = np.random.default_rng(41)
+        phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
+        grid = kosaki_grid_points()
+        assert kosaki_norm_grid(y, phi, grid) == [
+            kosaki_norm(y, KosakiSpec(phi, p, eta)) for p, eta in grid]
+
+    def test_identity_point_alone(self):
+        # p = 1 has q = inf, so eta/q = (1-eta)/q = 0: the norm is ||y||_1.
+        alg = BlockAlgebra((2, 3))
+        rng = np.random.default_rng(42)
+        phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
+        grid = [(1.0, 0.0), (1.0, 0.5)]
+        assert kosaki_norm_grid(y, phi, grid) == [lp_norm(y, 1.0)] * 2
+
+    def test_membership_failure_raised_at_its_point(self):
+        # phi's second eigenvalue clears the faithfulness floor (1e-13) but
+        # falls under the kernel cutoff (1e-12): y leaks into that kernel,
+        # which only non-identity points see.
+        alg = BlockAlgebra((2,))
+        phi = PositiveFunctional(alg.diagonal([1.0, 5e-13]))
+        y = gen_element(np.random.default_rng(43), alg)
+        grid = [(1.0, 0.5), (2.0, 0.5), (4.0, 0.0)]
+        assert kosaki_norm(y, KosakiSpec(phi, 1.0, 0.5)) == lp_norm(y, 1.0)
+        with pytest.raises(ConditioningError) as one:
+            kosaki_norm(y, KosakiSpec(phi, 2.0, 0.5))
+        with pytest.raises(ConditioningError) as stacked:
+            kosaki_norm_grid(y, phi, grid)
+        assert stacked.value.residual == one.value.residual
+
+    @pytest.mark.parametrize("dims", PROFILES)
+    def test_lp_norms(self, dims):
+        x = gen_element(np.random.default_rng(44), BlockAlgebra(dims))
+        ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
+        assert lp_norms(x, ps) == [lp_norm(x, p) for p in ps]
+
+    @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
+    def test_theorem6_grid(self, left, right):
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        rng = np.random.default_rng(45)
+        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+        ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
+        assert theorem6_norm_grid(T, x, y, ps) == [
+            theorem6_norm(T, x, y, p) for p in ps]
+
+    @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (3,))])
+    def test_corollary7_grid(self, left, right):
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        rng = np.random.default_rng(46)
+        phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+        x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+        grid = kosaki_grid_points()
+        assert corollary7_norm_grid(x1, x2, phi1, phi2, grid) == [
+            corollary7_norm(x1, x2, KosakiSpec(phi1, p, eta),
+                            KosakiSpec(phi2, p, eta)) for p, eta in grid]
+
+
+class TestTensorGrids:
+    @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
+    def test_lemma5_power_grid(self, left, right):
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        rng = np.random.default_rng(51)
+        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+        powers = (0.5, 1.0, 2.0, 2.7)
+        assert [r.to_dict() for r in lemma5_power_grid(T, x, y, powers)] \
+            == [lemma5_power(T, x, y, p).to_dict() for p in powers]
+
+    @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
+    def test_lemma5_imaginary_grid(self, left, right):
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        rng = np.random.default_rng(52)
+        h1 = gen_positive_functional(rng, T.left, ("deficient", 1)).density
+        h2 = gen_faithful(rng, T.right).density
+        ts = (-1.2, 0.3, 1.0)
+        assert [r.to_dict() for r in lemma5_imaginary_grid(T, h1, h2, ts)] \
+            == [lemma5_imaginary(T, h1, h2, t).to_dict() for t in ts]
+
+
+class TestStackedLapackCalls:
+    @pytest.mark.parametrize("dims", ["2", "2+3"])
+    def test_prop11_one_svd_per_block_per_operand_pair(self, monkeypatch,
+                                                       dims):
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
+                                        seed=5, dims=parse_dims(dims)))
+        assert len(reports) == 1 and reports[0].passed
+        alg = BlockAlgebra(parse_dims(dims)[0][0])
+        product = TensorAlgebra(alg, alg).product
+        # factor 1, factor 2 and the product: one svd per block each.
+        assert len(calls) <= 2 * alg.num_blocks + product.num_blocks
+        assert all(len(shape) == 3 for shape in calls)

@@ -382,3 +382,73 @@ class TestCliSuiteSmallCarrier:
         assert main(["suite", "--name", name, "--trials", "2", "--seed", "0",
                      "--dims", "1"]) == 1
         assert "carrier dimension >= 2" in capsys.readouterr().err
+
+
+class TestCliOutputErrors:
+    """A file that cannot be written is a typed error (exit 1) naming its
+    path, never a traceback."""
+
+    def test_suite_out_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        assert main(["suite", "--name", "theorem6", "--trials", "1",
+                     "--dims", "2x2", "--out", str(target)]) == 1
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_tensor_out_in_missing_directory(self, tmp_path, capsys):
+        a = write_diag(tmp_path / "a.json", [1.0, 2.0], kind="element")
+        target = tmp_path / "missing" / "x.json"
+        assert main(["tensor", "--left", str(a), "--right", str(a),
+                     "-o", str(target)]) == 1
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+
+class TestCliTolOverrideValidation:
+    def test_unknown_key_exit_one_lists_valid_keys(self, capsys):
+        assert main(["suite", "--name", "theorem6", "--trials", "1",
+                     "--dims", "2x2", "--tol-override", "typo=1"]) == 1
+        err = capsys.readouterr().err
+        assert "'typo'" in err and "relative, spanning" in err
+
+    def test_nan_value_rejected_like_negative(self, capsys):
+        for value in ("nan", "-1"):
+            assert main(["suite", "--name", "theorem6", "--trials", "1",
+                         "--dims", "2x2", "--tol-override",
+                         f"relative={value}"]) == 2
+            assert "tolerances must be positive" in capsys.readouterr().err
+
+    def test_appendixA_multiset_override_applied(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["suite", "--name", "appendixA", "--trials", "1",
+                     "--dims", "2x2", "--tol-override",
+                     "eigenvalue_multiset=1e-3", "--out", str(out)]) == 0
+        trial = json.loads(out.read_text())["results"][0]
+        assert trial["tolerances"]["eigenvalue_multiset"] > 1e-3
+        capsys.readouterr()
+
+
+class TestCliEpsRelReachesEveryCheck:
+    """--eps-rel and NCLP_EPS_REL give the same report: every check of the
+    suite runs at the resolved cutoff, not at the default."""
+
+    @pytest.mark.parametrize("name", ["lemma5", "appendixA"])
+    def test_flag_equals_env(self, tmp_path, capsys, monkeypatch, name):
+        args = ["suite", "--name", name, "--trials", "2", "--seed", "3"]
+        flag, env = tmp_path / "flag.json", tmp_path / "env.json"
+        monkeypatch.delenv("NCLP_EPS_REL", raising=False)
+        code = main(args + ["--eps-rel", "0.3", "--out", str(flag)])
+        monkeypatch.setenv("NCLP_EPS_REL", "0.3")
+        assert main(args + ["--out", str(env)]) == code
+        assert flag.read_bytes() == env.read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["lemma5", "appendixA"])
+    def test_default_cutoff_flag_changes_nothing(self, tmp_path, capsys,
+                                                 monkeypatch, name):
+        monkeypatch.delenv("NCLP_EPS_REL", raising=False)
+        args = ["suite", "--name", name, "--trials", "2", "--seed", "3"]
+        plain, flag = tmp_path / "plain.json", tmp_path / "flag.json"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--eps-rel", repr(default_eps_rel()),
+                            "--out", str(flag)]) == 0
+        assert plain.read_bytes() == flag.read_bytes()
+        capsys.readouterr()

@@ -229,7 +229,7 @@ class TestProductsOncePerTrial:
             assert rep.residuals == expected
 
     def test_prop11_trial_builds_two_products(self, monkeypatch):
-        from nclp import divergence, suites, tensor
+        from nclp import divergence, tensor
         calls = []
         original = tensor.kron_functional
 
@@ -237,7 +237,8 @@ class TestProductsOncePerTrial:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for mod in (suites, divergence, tensor):
+        # The suite builds no product itself; additivity_grid builds both.
+        for mod in (divergence, tensor):
             monkeypatch.setattr(mod, "kron_functional", counting)
         reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
                                         seed=5, dims=parse_dims("2")))
