@@ -341,7 +341,8 @@ class HermitianSpectrum:
         return self.apply(lambda lam: np.ones_like(lam), f_zero=0.0)
 
     def clip_psd(self) -> "HermitianSpectrum":
-        """Clip tiny negative eigenvalues to 0; reject genuinely negative ones.
+        """Clip tiny negative eigenvalues to 0; reject genuinely negative ones
+        and a non-finite spectrum (entries so large that they overflow).
 
         The kernel mask is recomputed from the clipped values so that every
         clipped direction counts as kernel.
@@ -350,6 +351,8 @@ class HermitianSpectrum:
         floor = -PSD_CLIP_TOL * radius
         clipped = []
         for vals in self.eigenvalues:
+            if not np.isfinite(vals).all():
+                raise DomainError("matrix has a non-finite eigenvalue")
             if np.any(vals < floor):
                 raise DomainError(
                     f"matrix is not PSD: eigenvalue {float(np.min(vals)):.3e} "

@@ -447,7 +447,8 @@ def lemma9_grid(psi: PositiveFunctional, phi: PositiveFunctional,
     for alpha in alphas:
         grid += [_sandwiched_params(alpha), DivergenceParams(alpha, z=alpha)]
     qs = q_tilde_grid(psi, phi, grid, eps_rel)
-    return [_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol)
+    return [_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol,
+                           d_from_q(qs[2 * i + 1], psi, phi, alpha))
             for i, alpha in enumerate(alphas)]
 
 
@@ -457,14 +458,16 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     """Agreement of the two code paths at z = alpha.
 
     Finite values must agree to relative tol; infinite values must carry the
-    same reason code.
+    same reason code.  The info holds both Q-values and ``d_reason``, the
+    reason code of the divergence on the alpha-z path.
     """
     return lemma9_grid(psi, phi, [alpha], tol, eps_rel)[0]
 
 
 def _lemma9_report(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
-                   tol: float) -> CheckReport:
-    info = {"q_sandwiched": str(qa), "q_alpha_z": str(qz), "alpha": alpha}
+                   tol: float, dz: DivergenceValue) -> CheckReport:
+    info = {"q_sandwiched": str(qa), "q_alpha_z": str(qz), "alpha": alpha,
+            "d_reason": dz.reason.value}
     if qa.is_finite and qz.is_finite:
         residual = abs(qa.value - qz.value) / (1.0 + abs(qa.value))
         return CheckReport.from_residuals(
@@ -732,7 +735,8 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
 
     The decrease is asserted only when (alpha, z) lies in the known-valid
     monotonicity region; outside it both values are recorded without
-    assertion.
+    assertion.  The info's ``gap`` is |D after - D before|: 0 for two
+    infinite values with the same reason, inf for different reasons.
     """
     return dpi_probe_grid(psi, phi, channel, [params], slack, eps_rel)[0]
 
@@ -745,9 +749,13 @@ def _dpi_report(params: DivergenceParams, d_in: DivergenceValue,
         violation = math.inf
     else:
         violation = max(0.0, d_out.value - d_in.value)
+    if d_in.is_finite and d_out.is_finite:
+        gap = abs(d_out.value - d_in.value)
+    else:
+        gap = 0.0 if d_in.reason == d_out.reason else math.inf
     asserted = dpi_valid(params.alpha, params.effective_z)
     info = {"d_before": str(d_in), "d_after": str(d_out),
-            "params": params.label(), "asserted": asserted}
+            "params": params.label(), "asserted": asserted, "gap": gap}
     if asserted:
         return CheckReport.from_residuals(
             "dpi", {"monotonicity_violation": violation},

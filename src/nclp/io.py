@@ -10,7 +10,7 @@ bytes; infinities appear only as the string "inf".
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,22 +28,28 @@ KINDS = ("element", "functional")
 
 @dataclass(frozen=True)
 class MatrixFile:
+    """A decoded matrix file.  A file of kind "functional" carries its
+    functional, built and validated once when the file is parsed."""
+
     element: AlgebraElement
     kind: str
+    phi: PositiveFunctional | None = None
 
     @property
     def algebra(self) -> BlockAlgebra:
         return self.element.algebra
 
-    def functional(self, eps_rel: float | None = None) -> PositiveFunctional:
-        if self.kind != "functional":
+    def functional(self) -> PositiveFunctional:
+        if self.phi is None:
             raise FileFormatError(
                 f"expected a functional file, got kind={self.kind!r}")
-        try:
-            return PositiveFunctional(self.element, eps_rel=eps_rel)
-        except DomainError as exc:
-            raise FileFormatError(f"invalid functional payload: {exc}") \
-                from exc
+        return self.phi
+
+
+# The largest finite float as an int.  An entry larger in magnitude (inf, or
+# an int that no float holds, on which math.isfinite would raise) is
+# rejected, and so is NaN, which fails every comparison.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def _reject_constant(token: str):
@@ -59,14 +65,15 @@ def _real_grid(raw, n: int, label: str) -> np.ndarray:
             raise FileFormatError(f"{label} rows must have length {n}")
         for v in row:
             if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not math.isfinite(v):
+                    or not abs(v) <= _FLOAT_MAX:
                 raise FileFormatError(f"{label} entries must be finite reals")
         grid.append([float(v) for v in row])
     return np.array(grid, dtype=float)
 
 
-def parse_matrix_document(doc) -> MatrixFile:
-    """Validate and decode one matrix-file JSON document."""
+def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
+    """Validate and decode one matrix-file JSON document; a functional is
+    built at the kernel cutoff ``eps_rel``."""
     if not isinstance(doc, dict):
         raise FileFormatError("document must be a JSON object")
     try:
@@ -93,26 +100,31 @@ def parse_matrix_document(doc) -> MatrixFile:
         im = _real_grid(raw.get("im"), n, f"block {i} im")
         blocks.append(re + 1j * im)
     element = AlgebraElement(algebra, blocks)
-    mf = MatrixFile(element, kind)
-    if kind == "functional":
-        mf.functional()  # validates Hermitian gate + PSD clipping
-    return mf
+    if kind == "element":
+        return MatrixFile(element, kind)
+    try:  # the Hermitian gate and the PSD clip
+        phi = PositiveFunctional(element, eps_rel=eps_rel)
+    except DomainError as exc:
+        raise FileFormatError(f"invalid functional payload: {exc}") from exc
+    return MatrixFile(element, kind, phi)
 
 
-def loads_matrix(text: str) -> MatrixFile:
+def loads_matrix(text: str, eps_rel: float | None = None) -> MatrixFile:
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
-    return parse_matrix_document(doc)
+    except RecursionError as exc:
+        raise FileFormatError("invalid JSON: nested too deeply") from exc
+    return parse_matrix_document(doc, eps_rel)
 
 
-def load_matrix_file(path) -> MatrixFile:
+def load_matrix_file(path, eps_rel: float | None = None) -> MatrixFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    return loads_matrix(text)
+    return loads_matrix(text, eps_rel)
 
 
 def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
@@ -147,7 +159,7 @@ def save_matrix_file(path, x: AlgebraElement, kind: str = "element"):
 
 
 def load_functional(path, eps_rel: float | None = None) -> PositiveFunctional:
-    return load_matrix_file(path).functional(eps_rel)
+    return load_matrix_file(path, eps_rel).functional()
 
 
 def load_element(path) -> AlgebraElement:

@@ -139,7 +139,9 @@ class KosakiSpec:
         p, eta = _kosaki_point(self.p, self.eta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "eta", eta)
-        _check_faithfulness_floor(self.phi.spectrum())
+        # The floor reads only eigenvalues, which no cutoff changes, so the
+        # stored spectrum serves and no cutoff is resolved here.
+        _check_faithfulness_floor(self.phi._spectrum)
 
     @property
     def algebra(self) -> BlockAlgebra:

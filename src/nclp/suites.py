@@ -4,21 +4,37 @@ Each suite draws its instances from a per-trial generator stream derived from
 (seed, trial_index), so runs are deterministic and trials are independent of
 scheduling.  Suite names form the external contract: lemma1, lemma3, lemma5,
 theorem6, corollary7, lemma8, lemma9, prop11, appendixA, dpi.
+
+One driver, :func:`run_suite`, runs every suite from the ``_SUITES`` table.
+Per profile it builds the algebra (a :class:`TensorAlgebra` for tensor
+profiles such as 2x2, else a :class:`BlockAlgebra`); per trial it draws
+``trial_rng(seed, idx)`` and calls the suite's trial function
+
+    trial(config, tols, algebra, rng, idx, k) -> (instance, checks, info)
+
+where ``tols`` are the suite's tolerances with the config's overrides
+applied, ``idx`` is the trial's index across all profiles and ``k`` its
+index within the profile.  The trial function draws everything it needs from
+``rng`` and returns the instance summary (the driver adds ``dims``), a list
+of ``(report key, residual, tolerance)`` checks and the report's ``info``.
+The driver alone fills the residual and tolerance maps and decides
+``passed``: a trial passes exactly when every residual is at most its
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .algebra import AlgebraElement, BlockAlgebra
-from .config import PRNG_ID, resolve_eps_rel
-from .divergence import (DivergenceParams, additivity_grid, d_tilde_grid,
-                         dpi_probe_grid, embed_left_channel,
-                         identity_channel, lemma9_grid, pinching_channel,
-                         precompose, random_unital_channel,
+from .config import PRNG_ID
+from .divergence import (DivergenceParams, additivity_grid, dpi_probe_grid,
+                         embed_left_channel, identity_channel, lemma9_grid,
+                         pinching_channel, random_unital_channel,
                          solve_sharp_least_squares, solve_sharp_pseudo_inverse)
 from .errors import DomainError, UsageError
 from .functionals import PositiveFunctional, cocycle_chain_residual, \
@@ -258,7 +274,6 @@ class SuiteConfig:
     seed: int
     dims: tuple[DimsProfile, ...] = ()
     tolerances: dict = field(default_factory=dict)
-    param_grid: tuple[DivergenceParams, ...] = ()
     eps_rel: float | None = None
 
     def __post_init__(self):
@@ -332,29 +347,36 @@ def _tols(config: SuiteConfig, defaults: dict) -> dict:
     return merged
 
 
-def _pair_profile(profile: DimsProfile, suite: str) -> TensorAlgebra:
+def _profile_algebra(profile: DimsProfile, suite: str,
+                     tensor: bool) -> BlockAlgebra | TensorAlgebra:
+    """The algebra of one profile; a UsageError unless the profile is a
+    tensor pair exactly when the suite's profiles are."""
     left, right = profile
-    if right is None:
+    if tensor != (right is not None):
+        want = ("tensor profiles like 2x2" if tensor
+                else "single-algebra profiles like 2 or 2+3")
         raise UsageError(
-            f"suite {suite} needs tensor profiles like 2x2, got "
-            f"{format_profile(profile)}")
+            f"suite {suite} needs {want}, got {format_profile(profile)}")
+    if right is None:
+        return BlockAlgebra(left)
     return TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
 
 
-def _single_profile(profile: DimsProfile, suite: str) -> BlockAlgebra:
-    left, right = profile
-    if right is not None:
-        raise UsageError(
-            f"suite {suite} needs single-algebra profiles like 2 or 2+3, "
-            f"got {format_profile(profile)}")
-    return BlockAlgebra(left)
+def _carrier_at_least_two(alg: BlockAlgebra, suite: str) -> int:
+    n = alg.carrier_dim
+    if n < 2:
+        raise UsageError(f"{suite} needs carrier dimension >= 2")
+    return n
 
 
-def _fingerprint(config: SuiteConfig, index: int) -> str:
-    return f"{PRNG_ID} seed={config.seed} trial={index}"
+def _ranked(rng: np.random.Generator, alg: BlockAlgebra,
+            rank: int) -> PositiveFunctional:
+    """A random functional of the given rank, full rank included."""
+    return gen_positive_functional(
+        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank))
 
 
-# -- suites -------------------------------------------------------------------
+# -- trial functions ----------------------------------------------------------
 
 THEOREM6_P_GRID = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
 COROLLARY7_P_GRID = (1.0, 1.5, 2.0, 4.0)
@@ -363,244 +385,113 @@ COROLLARY7_GRID = tuple((p, eta) for p in COROLLARY7_P_GRID
                         for eta in COROLLARY7_ETA_GRID)
 LEMMA9_ALPHAS = (0.5, 0.7, 1.5, 2.0, 3.0)
 PROP11_ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
-PROP11_Z_CHOICES = ("0.5", "1", "alpha", "2alpha")
+# Each alpha at z = 0.5, 1, alpha and 2 alpha, duplicates dropped in order.
+PROP11_GRID = tuple(dict.fromkeys(
+    DivergenceParams(alpha, z=z) for alpha in PROP11_ALPHAS
+    for z in (0.5, 1.0, alpha, 2.0 * alpha)))
 DPI_ALPHAS = (0.5, 0.7, 1.5, 2.0)
 LEMMA3_P_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
 LEMMA3_ETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 APPENDIXA_POWERS = (0.5, 1.0, 2.0)
 APPENDIXA_TS = (0.3, 1.0)
 
-DEFAULT_DIMS = {
-    "theorem6": (((2,), (2,)), ((3,), (2,)), ((3,), (3,)), ((2, 3), (2,))),
-    "lemma5": (((2,), (2,)), ((3,), (2,))),
-    "corollary7": (((2,), (2,)), ((3,), (2,))),
-    "appendixA": (((2,), (2,)), ((3,), (2,)), ((3,), (3,))),
-    "lemma1": (((2,), None), ((3,), None), ((4,), None)),
-    "lemma3": (((2,), None), ((3,), None), ((2, 2), None)),
-    "lemma8": (((2,), None), ((3,), None)),
-    "lemma9": (((2,), None), ((3,), None)),
-    "prop11": (((2,), None), ((3,), None)),
-    "dpi": (((2,), None), ((3,), None)),
-}
+
+def _theorem6_trial(config, tols, T, rng, idx, k):
+    x = gen_element(rng, T.left)
+    y = gen_element(rng, T.right)
+    norms = theorem6_norm_grid(T, x, y, THEOREM6_P_GRID)
+    checks = [(f"p={_p_label(p)}", abs(lhs - rhs) / (1.0 + rhs),
+               tols["relative"])
+              for p, (lhs, rhs) in zip(THEOREM6_P_GRID, norms)]
+    if k == 0:
+        ok = theorem6_spanning(T, T.product.total_dim + 4, rng)
+        checks.append(("spanning", 0.0 if ok else math.inf,
+                       tols["spanning"]))
+    return {}, checks, {}
 
 
-def _prop11_grid(config: SuiteConfig) -> tuple[DivergenceParams, ...]:
-    if config.param_grid:
-        return config.param_grid
-    grid = []
-    for alpha in PROP11_ALPHAS:
-        for choice in PROP11_Z_CHOICES:
-            z = {"0.5": 0.5, "1": 1.0, "alpha": alpha,
-                 "2alpha": 2.0 * alpha}[choice]
-            grid.append(DivergenceParams(alpha, z=z))
-    return tuple(dict.fromkeys(grid))
+def _lemma5_trial(config, tols, T, rng, idx, k):
+    x = gen_element(rng, T.left)
+    y = gen_element(rng, T.right)
+    p = float(rng.uniform(0.4, 3.0))
+    t = float(rng.uniform(-2.0, 2.0))
+    r1 = int(rng.integers(1, T.left.carrier_dim + 1))
+    r2 = int(rng.integers(1, T.right.carrier_dim + 1))
+    psi1 = _ranked(rng, T.left, r1)
+    psi2 = _ranked(rng, T.right, r2)
+    tol, eps = tols["residual"], config.eps_rel
+    reports = (lemma5_polar(T, x, y, tol, eps),
+               lemma5_power(T, x, y, p, tol, eps),
+               lemma5_density(T, psi1, psi2, t, tol, eps))
+    checks = [(key, val, tol) for rep in reports
+              for key, val in rep.residuals.items()]
+    return {"ranks": [r1, r2], "p": p, "t": t}, checks, {}
 
 
-def _alpha_list(config: SuiteConfig, default: tuple[float, ...]
-                ) -> tuple[float, ...]:
-    if config.param_grid:
-        return tuple(dict.fromkeys(p.alpha for p in config.param_grid))
-    return default
+def _corollary7_trial(config, tols, T, rng, idx, k):
+    phi1 = gen_faithful(rng, T.left)
+    phi2 = gen_faithful(rng, T.right)
+    x1 = gen_element(rng, T.left)
+    x2 = gen_element(rng, T.right)
+    norms = corollary7_norm_grid(x1, x2, phi1, phi2, COROLLARY7_GRID,
+                                 config.eps_rel)
+    checks = [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
+               tols["relative"])
+              for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, norms)]
+    return {"masses": [phi1.mass, phi2.mass]}, checks, {}
 
 
-def _suite_theorem6(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"relative": 1e-10, "spanning": 0.0})
-    dims = config.dims or DEFAULT_DIMS["theorem6"]
-    reports, idx = [], 0
-    for profile in dims:
-        T = _pair_profile(profile, "theorem6")
-        for k in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            x = gen_element(rng, T.left)
-            y = gen_element(rng, T.right)
-            residuals, tolmap = {}, {}
-            norms = theorem6_norm_grid(T, x, y, THEOREM6_P_GRID)
-            for p, (lhs, rhs) in zip(THEOREM6_P_GRID, norms):
-                key = f"p={_p_label(p)}"
-                residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
-                tolmap[key] = tols["relative"]
-            if k == 0:
-                ok = theorem6_spanning(T, T.product.total_dim + 4, rng)
-                residuals["spanning"] = 0.0 if ok else math.inf
-                tolmap["spanning"] = tols["spanning"]
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "theorem6", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile)},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
+def _lemma1_trial(config, tols, alg, rng, idx, k):
+    n = _carrier_at_least_two(alg, "lemma1")
+    eps = config.eps_rel
+    rank = int(rng.integers(1, n))
+    psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
+    phi = gen_faithful(rng, alg)
+    t = float(rng.uniform(-5.0, 5.0))
+    s_par = float(rng.uniform(-5.0, 5.0))
+    lhs, rhs = lemma1_cut(psi, psi_prime, phi, t, eps)
+    u0 = connes_cocycle(psi, phi, 0.0, eps)
+    checks = [
+        ("identity", (lhs - rhs).frobenius(), tols["identity"]),
+        ("chain", cocycle_chain_residual(psi, phi, t, s_par, eps),
+         tols["chain"]),
+        ("support_at_zero", (u0 - psi.support(eps)).frobenius(),
+         tols["support_at_zero"]),
+    ]
+    return {"rank": rank, "t": t}, checks, {}
 
 
-def _suite_lemma5(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"residual": 1e-9})
-    dims = config.dims or DEFAULT_DIMS["lemma5"]
-    tol = tols["residual"]
-    reports, idx = [], 0
-    for profile in dims:
-        T = _pair_profile(profile, "lemma5")
-        n1, n2 = T.left.carrier_dim, T.right.carrier_dim
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            x = gen_element(rng, T.left)
-            y = gen_element(rng, T.right)
-            p = float(rng.uniform(0.4, 3.0))
-            t = float(rng.uniform(-2.0, 2.0))
-            r1 = int(rng.integers(1, n1 + 1))
-            r2 = int(rng.integers(1, n2 + 1))
-            psi1 = gen_positive_functional(
-                rng, T.left, "full" if r1 == n1 else ("deficient", r1))
-            psi2 = gen_positive_functional(
-                rng, T.right, "full" if r2 == n2 else ("deficient", r2))
-            residuals = {}
-            residuals.update(
-                lemma5_polar(T, x, y, tol, config.eps_rel).residuals)
-            residuals.update(
-                lemma5_power(T, x, y, p, tol, config.eps_rel).residuals)
-            residuals.update(lemma5_density(T, psi1, psi2, t, tol,
-                                            config.eps_rel).residuals)
-            tolmap = {k2: tol for k2 in residuals}
-            passed = all(v <= tol for v in residuals.values())
-            reports.append(TrialReport(
-                "lemma5", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "ranks": [r1, r2],
-                 "p": p, "t": t},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
-
-
-def _suite_corollary7(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"relative": 1e-9})
-    dims = config.dims or DEFAULT_DIMS["corollary7"]
-    reports, idx = [], 0
-    for profile in dims:
-        T = _pair_profile(profile, "corollary7")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            phi1 = gen_faithful(rng, T.left)
-            phi2 = gen_faithful(rng, T.right)
-            x1 = gen_element(rng, T.left)
-            x2 = gen_element(rng, T.right)
-            residuals, tolmap = {}, {}
-            norms = corollary7_norm_grid(x1, x2, phi1, phi2, COROLLARY7_GRID,
+def _lemma3_trial(config, tols, alg, rng, idx, k):
+    phi = gen_faithful(rng, alg)
+    a = gen_element(rng, alg)
+    p = float(rng.choice(LEMMA3_P_GRID))
+    eta = float(rng.choice(LEMMA3_ETA_GRID))
+    lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, p, eta),
                                          config.eps_rel)
-            for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, norms):
-                key = f"p={_p_label(p)},eta={eta:g}"
-                residuals[key] = abs(lhs - rhs) / (1.0 + rhs)
-                tolmap[key] = tols["relative"]
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "corollary7", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile),
-                 "masses": [phi1.mass, phi2.mass]},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
+    bij = lemma3_bijectivity(phi, p, config.eps_rel)
+    checks = [
+        ("interpolation_slack", max(0.0, lhs - rhs),
+         tols["interpolation_slack"]),
+        ("bijectivity", 0.0 if bij else math.inf, tols["bijectivity"]),
+    ]
+    return {"p": _p_label(p), "eta": eta}, checks, {"lhs": lhs, "rhs": rhs}
 
 
-def _suite_lemma1(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"identity": 1e-9, "chain": 1e-10,
-                          "support_at_zero": 1e-10})
-    dims = config.dims or DEFAULT_DIMS["lemma1"]
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "lemma1")
-        n = alg.carrier_dim
-        if n < 2:
-            raise UsageError("lemma1 needs carrier dimension >= 2")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            rank = int(rng.integers(1, n))
-            psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
-            phi = gen_faithful(rng, alg)
-            t = float(rng.uniform(-5.0, 5.0))
-            s_par = float(rng.uniform(-5.0, 5.0))
-            lhs, rhs = lemma1_cut(psi, psi_prime, phi, t, config.eps_rel)
-            u0 = connes_cocycle(psi, phi, 0.0, config.eps_rel)
-            residuals = {
-                "identity": (lhs - rhs).frobenius(),
-                "chain": cocycle_chain_residual(psi, phi, t, s_par,
-                                                config.eps_rel),
-                "support_at_zero":
-                    (u0 - psi.support(config.eps_rel)).frobenius(),
-            }
-            tolmap = {k2: tols[k2] for k2 in residuals}
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "lemma1", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "rank": rank, "t": t},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
-
-
-def _suite_lemma3(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"interpolation_slack": 1e-10, "bijectivity": 0.0})
-    dims = config.dims or DEFAULT_DIMS["lemma3"]
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "lemma3")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            phi = gen_faithful(rng, alg)
-            a = gen_element(rng, alg)
-            p = float(rng.choice(LEMMA3_P_GRID))
-            eta = float(rng.choice(LEMMA3_ETA_GRID))
-            spec = KosakiSpec(phi, p, eta)
-            lhs, rhs = interpolation_bound_check(a, spec, config.eps_rel)
-            bij = lemma3_bijectivity(phi, p, config.eps_rel)
-            residuals = {
-                "interpolation_slack": max(0.0, lhs - rhs),
-                "bijectivity": 0.0 if bij else math.inf,
-            }
-            tolmap = {k2: tols[k2] for k2 in residuals}
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "lemma3", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "p": _p_label(p),
-                 "eta": eta},
-                residuals, tolmap, passed,
-                info={"lhs": lhs, "rhs": rhs}))
-            idx += 1
-    return reports
-
-
-def _suite_lemma8(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"solver_agreement": 1e-8})
-    dims = config.dims or DEFAULT_DIMS["lemma8"]
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "lemma8")
-        n = alg.carrier_dim
-        if n < 2:
-            raise UsageError("lemma8 needs carrier dimension >= 2")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            rank_phi = int(rng.integers(1, n))
-            rank_psi = int(rng.integers(1, rank_phi + 1))
-            psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi)
-            alpha = float(rng.choice((1.5, 2.0, 3.0)))
-            z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
-            params = DivergenceParams(alpha, z=z)
-            x_pinv = solve_sharp_pseudo_inverse(psi, phi, params,
-                                                config.eps_rel)
-            x_ls = solve_sharp_least_squares(psi, phi, params,
-                                             config.eps_rel)
-            residuals = {
-                "solver_agreement":
-                    (x_pinv - x_ls).frobenius() / (1.0 + x_pinv.frobenius()),
-            }
-            tolmap = {"solver_agreement": tols["solver_agreement"]}
-            passed = residuals["solver_agreement"] <= tolmap[
-                "solver_agreement"]
-            reports.append(TrialReport(
-                "lemma8", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile),
-                 "ranks": [rank_psi, rank_phi], "params": params.label()},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
+def _lemma8_trial(config, tols, alg, rng, idx, k):
+    n = _carrier_at_least_two(alg, "lemma8")
+    rank_phi = int(rng.integers(1, n))
+    rank_psi = int(rng.integers(1, rank_phi + 1))
+    psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+    alpha = float(rng.choice((1.5, 2.0, 3.0)))
+    z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
+    params = DivergenceParams(alpha, z=z)
+    x_pinv = solve_sharp_pseudo_inverse(psi, phi, params, config.eps_rel)
+    x_ls = solve_sharp_least_squares(psi, phi, params, config.eps_rel)
+    checks = [("solver_agreement",
+               (x_pinv - x_ls).frobenius() / (1.0 + x_pinv.frobenius()),
+               tols["solver_agreement"])]
+    return ({"ranks": [rank_psi, rank_phi], "params": params.label()},
+            checks, {})
 
 
 def _lemma9_instance(rng, alg, variant):
@@ -622,37 +513,16 @@ def _lemma9_instance(rng, alg, variant):
     return psi, psi, "identical"
 
 
-def _suite_lemma9(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"path_agreement": 1e-10, "reason_agreement": 0.0})
-    dims = config.dims or DEFAULT_DIMS["lemma9"]
-    alphas = _alpha_list(config, LEMMA9_ALPHAS)
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "lemma9")
-        if alg.carrier_dim < 2:
-            raise UsageError("lemma9 needs carrier dimension >= 2")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            psi, phi, kind = _lemma9_instance(rng, alg, idx % 5)
-            residuals, tolmap = {}, {}
-            checks = lemma9_grid(psi, phi, alphas, tols["path_agreement"],
-                                 config.eps_rel)
-            for alpha, check in zip(alphas, checks):
-                for key, val in check.residuals.items():
-                    full = f"alpha={alpha:g}:{key}"
-                    residuals[full] = val
-                    tolmap[full] = tols[key]
-            reasons = [d.reason.value for d in d_tilde_grid(
-                psi, phi, [DivergenceParams(a, z=a) for a in alphas],
-                config.eps_rel)]
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "lemma9", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "variant": kind},
-                residuals, tolmap, passed,
-                info={"d_reasons": reasons}))
-            idx += 1
-    return reports
+def _lemma9_trial(config, tols, alg, rng, idx, k):
+    _carrier_at_least_two(alg, "lemma9")
+    psi, phi, kind = _lemma9_instance(rng, alg, idx % 5)
+    reports = lemma9_grid(psi, phi, LEMMA9_ALPHAS, tols["path_agreement"],
+                          config.eps_rel)
+    checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
+              for alpha, rep in zip(LEMMA9_ALPHAS, reports)
+              for key, val in rep.residuals.items()]
+    return ({"variant": kind}, checks,
+            {"d_reasons": [rep.info["d_reason"] for rep in reports]})
 
 
 def _prop11_instance(rng, alg, variant):
@@ -666,174 +536,134 @@ def _prop11_instance(rng, alg, variant):
         psi1 = gen_reference(rng, alg)
         psi2 = gen_reference(rng, alg)
         return (psi1, psi1, psi2, psi2), "identical_pairs"
-    rank1 = int(rng.integers(1, n + 1))
-    psi1 = gen_positive_functional(
-        rng, alg, "full" if rank1 == n else ("deficient", rank1))
+    psi1 = _ranked(rng, alg, int(rng.integers(1, n + 1)))
     phi1 = gen_reference(rng, alg)
-    rank2 = int(rng.integers(1, n + 1))
-    psi2 = gen_positive_functional(
-        rng, alg, "full" if rank2 == n else ("deficient", rank2))
+    psi2 = _ranked(rng, alg, int(rng.integers(1, n + 1)))
     phi2 = gen_reference(rng, alg)
     return (psi1, phi1, psi2, phi2), "random"
 
 
-def _suite_prop11(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
-                          "infinite_branch": 0.0})
-    dims = config.dims or DEFAULT_DIMS["prop11"]
-    grid = _prop11_grid(config)
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "prop11")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            (psi1, phi1, psi2, phi2), kind = \
-                _prop11_instance(rng, alg, idx % 3)
-            residuals, tolmap = {}, {}
-            infos = []
-            checks = additivity_grid(
-                psi1, phi1, psi2, phi2, grid, tols["q_multiplicativity"],
-                tols["d_additivity"], config.eps_rel)
-            for params, check in zip(grid, checks):
-                for key, val in check.residuals.items():
-                    full = f"{params.label()}:{key}"
-                    residuals[full] = val
-                    tolmap[full] = tols[key]
-                if not check.residuals:
-                    infos.append(f"{params.label()}: recorded only")
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "prop11", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "variant": kind,
-                 "masses": [psi1.mass, psi2.mass]},
-                residuals, tolmap, passed,
-                info={"unasserted": infos} if infos else {}))
-            idx += 1
-    return reports
+def _prop11_trial(config, tols, alg, rng, idx, k):
+    (psi1, phi1, psi2, phi2), kind = _prop11_instance(rng, alg, idx % 3)
+    reports = additivity_grid(psi1, phi1, psi2, phi2, PROP11_GRID,
+                              tols["q_multiplicativity"],
+                              tols["d_additivity"], config.eps_rel)
+    checks = [(f"{params.label()}:{key}", val, tols[key])
+              for params, rep in zip(PROP11_GRID, reports)
+              for key, val in rep.residuals.items()]
+    unasserted = [f"{params.label()}: recorded only"
+                  for params, rep in zip(PROP11_GRID, reports)
+                  if not rep.residuals]
+    return ({"variant": kind, "masses": [psi1.mass, psi2.mass]}, checks,
+            {"unasserted": unasserted} if unasserted else {})
 
 
-def _suite_appendixA(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"eigenvalue_multiset": 1e-9,
-                          "f_multiplicativity": 1e-9,
-                          "adjoint": 1e-12, "mixed_product": 1e-12})
-    dims = config.dims or DEFAULT_DIMS["appendixA"]
-    reports, idx = [], 0
-    for profile in dims:
-        T = _pair_profile(profile, "appendixA")
-        n1, n2 = T.left.carrier_dim, T.right.carrier_dim
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            x = gen_element(rng, T.left)
-            y = gen_element(rng, T.right)
-            xp = gen_element(rng, T.left)
-            yp = gen_element(rng, T.right)
-            r1 = int(rng.integers(1, n1 + 1))
-            r2 = int(rng.integers(1, n2 + 1))
-            h1 = gen_positive_functional(
-                rng, T.left,
-                "full" if r1 == n1 else ("deficient", r1)).density
-            h2 = gen_positive_functional(
-                rng, T.right,
-                "full" if r2 == n2 else ("deficient", r2)).density
-            residuals, tolmap = {}, {}
-            spect = spectral_product_check(T, x, y,
-                                           tols["eigenvalue_multiset"])
-            residuals.update(spect.residuals)
-            tolmap["eigenvalue_multiset"] = spect.tolerances[
-                "eigenvalue_multiset"]
-            powers = lemma5_power_grid(T, x, y, APPENDIXA_POWERS,
-                                       eps_rel=config.eps_rel)
-            for p, check in zip(APPENDIXA_POWERS, powers):
-                key = f"f=pow{p:g}"
-                residuals[key] = check.residuals["power"]
-                tolmap[key] = tols["f_multiplicativity"]
-            imags = lemma5_imaginary_grid(T, h1, h2, APPENDIXA_TS,
-                                          eps_rel=config.eps_rel)
-            for t, check in zip(APPENDIXA_TS, imags):
-                key = f"f=imag{t:g}"
-                residuals[key] = check.residuals["imaginary_power"]
-                tolmap[key] = tols["f_multiplicativity"]
-            kx, ky = kron_element(T, x, y), kron_element(T, xp, yp)
-            residuals["adjoint"] = (
-                kx.H - kron_element(T, x.H, y.H)).frobenius()
-            tolmap["adjoint"] = tols["adjoint"]
-            residuals["mixed_product"] = (
-                kx @ ky - kron_element(T, x @ xp, y @ yp)).frobenius()
-            tolmap["mixed_product"] = tols["mixed_product"]
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "appendixA", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "ranks": [r1, r2]},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
+def _appendixA_trial(config, tols, T, rng, idx, k):
+    x = gen_element(rng, T.left)
+    y = gen_element(rng, T.right)
+    xp = gen_element(rng, T.left)
+    yp = gen_element(rng, T.right)
+    r1 = int(rng.integers(1, T.left.carrier_dim + 1))
+    r2 = int(rng.integers(1, T.right.carrier_dim + 1))
+    h1 = _ranked(rng, T.left, r1).density
+    h2 = _ranked(rng, T.right, r2).density
+    spect = spectral_product_check(T, x, y, tols["eigenvalue_multiset"])
+    checks = [(key, val, spect.tolerances[key])
+              for key, val in spect.residuals.items()]
+    powers = lemma5_power_grid(T, x, y, APPENDIXA_POWERS,
+                               eps_rel=config.eps_rel)
+    checks += [(f"f=pow{p:g}", rep.residuals["power"],
+                tols["f_multiplicativity"])
+               for p, rep in zip(APPENDIXA_POWERS, powers)]
+    imags = lemma5_imaginary_grid(T, h1, h2, APPENDIXA_TS,
+                                  eps_rel=config.eps_rel)
+    checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"],
+                tols["f_multiplicativity"])
+               for t, rep in zip(APPENDIXA_TS, imags)]
+    kx, ky = kron_element(T, x, y), kron_element(T, xp, yp)
+    checks += [
+        ("adjoint", (kx.H - kron_element(T, x.H, y.H)).frobenius(),
+         tols["adjoint"]),
+        ("mixed_product",
+         (kx @ ky - kron_element(T, x @ xp, y @ yp)).frobenius(),
+         tols["mixed_product"]),
+    ]
+    return {"ranks": [r1, r2]}, checks, {}
 
 
-def _suite_dpi(config: SuiteConfig) -> list[TrialReport]:
-    tols = _tols(config, {"monotonicity_violation": 1e-9,
-                          "identity_equality": 1e-9})
-    dims = config.dims or DEFAULT_DIMS["dpi"]
-    alphas = _alpha_list(config, DPI_ALPHAS)
-    reports, idx = [], 0
-    for profile in dims:
-        alg = _single_profile(profile, "dpi")
-        for _ in range(config.trials):
-            rng = trial_rng(config.seed, idx)
-            variant = idx % 4
-            if variant == 2:
-                T = TensorAlgebra(alg, BlockAlgebra((2,)))
-                channel = embed_left_channel(T)
-                kind = "partial_trace_embedding"
-                psi = gen_faithful(rng, T.product)
-                phi = gen_faithful(rng, T.product)
-            else:
-                channel = {0: identity_channel(alg),
-                           1: pinching_channel(alg),
-                           3: random_unital_channel(rng, alg, alg)}[variant]
-                kind = {0: "identity", 1: "pinching",
-                        3: "random_unital"}[variant]
-                psi = gen_faithful(rng, alg)
-                phi = gen_faithful(rng, alg)
-            residuals, tolmap = {}, {}
-            grid = [DivergenceParams(alpha) for alpha in alphas]
-            checks = dpi_probe_grid(psi, phi, channel, grid,
-                                    tols["monotonicity_violation"],
-                                    config.eps_rel)
-            if kind == "identity":
-                d_ins = d_tilde_grid(psi, phi, grid, config.eps_rel)
-                d_outs = d_tilde_grid(
-                    precompose(psi, channel, config.eps_rel),
-                    precompose(phi, channel, config.eps_rel), grid,
-                    config.eps_rel)
-            for g, (alpha, check) in enumerate(zip(alphas, checks)):
-                key = f"alpha={alpha:g}:violation"
-                residuals[key] = check.residuals.get(
-                    "monotonicity_violation", 0.0)
-                tolmap[key] = tols["monotonicity_violation"]
-                if kind == "identity":
-                    ekey = f"alpha={alpha:g}:identity_equality"
-                    residuals[ekey] = abs(d_outs[g].value - d_ins[g].value)
-                    tolmap[ekey] = tols["identity_equality"]
-            passed = all(residuals[k2] <= tolmap[k2] for k2 in residuals)
-            reports.append(TrialReport(
-                "dpi", idx, _fingerprint(config, idx),
-                {"dims": format_profile(profile), "channel": kind},
-                residuals, tolmap, passed))
-            idx += 1
-    return reports
+def _dpi_trial(config, tols, alg, rng, idx, k):
+    variant = idx % 4
+    if variant == 2:
+        T = TensorAlgebra(alg, BlockAlgebra((2,)))
+        channel = embed_left_channel(T)
+        kind = "partial_trace_embedding"
+        psi = gen_faithful(rng, T.product)
+        phi = gen_faithful(rng, T.product)
+    else:
+        channel = {0: identity_channel(alg),
+                   1: pinching_channel(alg),
+                   3: random_unital_channel(rng, alg, alg)}[variant]
+        kind = {0: "identity", 1: "pinching", 3: "random_unital"}[variant]
+        psi = gen_faithful(rng, alg)
+        phi = gen_faithful(rng, alg)
+    reports = dpi_probe_grid(psi, phi, channel,
+                             [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
+                             tols["monotonicity_violation"], config.eps_rel)
+    checks = []
+    for alpha, rep in zip(DPI_ALPHAS, reports):
+        checks.append((f"alpha={alpha:g}:violation",
+                       rep.residuals.get("monotonicity_violation", 0.0),
+                       tols["monotonicity_violation"]))
+        if kind == "identity":
+            checks.append((f"alpha={alpha:g}:identity_equality",
+                           rep.info["gap"], tols["identity_equality"]))
+    return {"channel": kind}, checks, {}
+
+
+# -- the driver ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A named suite: its default tolerances, its default dims profiles and
+    its trial function (see the module docstring)."""
+
+    tolerances: dict
+    dims: tuple[DimsProfile, ...]
+    trial: Callable
+
+    @property
+    def tensor(self) -> bool:
+        """Whether the suite's profiles are tensor pairs like 2x2."""
+        return self.dims[0][1] is not None
 
 
 _SUITES = {
-    "lemma1": _suite_lemma1,
-    "lemma3": _suite_lemma3,
-    "lemma5": _suite_lemma5,
-    "theorem6": _suite_theorem6,
-    "corollary7": _suite_corollary7,
-    "lemma8": _suite_lemma8,
-    "lemma9": _suite_lemma9,
-    "prop11": _suite_prop11,
-    "appendixA": _suite_appendixA,
-    "dpi": _suite_dpi,
+    "lemma1": _Suite({"identity": 1e-9, "chain": 1e-10,
+                      "support_at_zero": 1e-10},
+                     parse_dims("2,3,4"), _lemma1_trial),
+    "lemma3": _Suite({"interpolation_slack": 1e-10, "bijectivity": 0.0},
+                     parse_dims("2,3,2+2"), _lemma3_trial),
+    "lemma5": _Suite({"residual": 1e-9}, parse_dims("2x2,3x2"),
+                     _lemma5_trial),
+    "theorem6": _Suite({"relative": 1e-10, "spanning": 0.0},
+                       parse_dims("2x2,3x2,3x3,2+3x2"), _theorem6_trial),
+    "corollary7": _Suite({"relative": 1e-9}, parse_dims("2x2,3x2"),
+                         _corollary7_trial),
+    "lemma8": _Suite({"solver_agreement": 1e-8}, parse_dims("2,3"),
+                     _lemma8_trial),
+    "lemma9": _Suite({"path_agreement": 1e-10, "reason_agreement": 0.0},
+                     parse_dims("2,3"), _lemma9_trial),
+    "prop11": _Suite({"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
+                      "infinite_branch": 0.0},
+                     parse_dims("2,3"), _prop11_trial),
+    "appendixA": _Suite({"eigenvalue_multiset": 1e-9,
+                         "f_multiplicativity": 1e-9,
+                         "adjoint": 1e-12, "mixed_product": 1e-12},
+                        parse_dims("2x2,3x2,3x3"), _appendixA_trial),
+    "dpi": _Suite({"monotonicity_violation": 1e-9,
+                   "identity_equality": 1e-9},
+                  parse_dims("2,3"), _dpi_trial),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -841,12 +671,28 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 
 def run_suite(config: SuiteConfig) -> list[TrialReport]:
     """Run a named suite; deterministic given the config."""
-    fn = _SUITES.get(config.suite_name)
-    if fn is None:
+    suite = _SUITES.get(config.suite_name)
+    if suite is None:
         raise UsageError(
             f"unknown suite {config.suite_name!r}; known suites: "
             f"{', '.join(SUITE_NAMES)}")
-    return fn(config)
+    tols = _tols(config, suite.tolerances)
+    reports, idx = [], 0
+    for profile in config.dims or suite.dims:
+        algebra = _profile_algebra(profile, config.suite_name, suite.tensor)
+        dims = format_profile(profile)
+        for k in range(config.trials):
+            instance, checks, info = suite.trial(
+                config, tols, algebra, trial_rng(config.seed, idx), idx, k)
+            reports.append(TrialReport(
+                config.suite_name, idx,
+                f"{PRNG_ID} seed={config.seed} trial={idx}",
+                {"dims": dims, **instance},
+                {key: res for key, res, _ in checks},
+                {key: tol for key, _, tol in checks},
+                all(res <= tol for _, res, tol in checks), info))
+            idx += 1
+    return reports
 
 
 def summarize(reports: list[TrialReport]) -> dict:

@@ -134,6 +134,14 @@ class TestHermitianEig:
             hermitian_eig(x)
         hermitian_eig(x, hermitize=True)  # symmetrized, no error
 
+    def test_clip_rejects_non_finite_spectrum(self):
+        # 1e308 + 1e308 overflows while symmetrizing; eigh then returns NaN
+        # eigenvalues, which no comparison with the clip floor catches.
+        spec = hermitian_eig(BlockAlgebra((2,)).diagonal([1e308, 1e308]))
+        assert np.isnan(spec.eigenvalues[0]).any()
+        with pytest.raises(DomainError, match="non-finite eigenvalue"):
+            spec.clip_psd()
+
 
 class TestFuncCalc:
     def test_kernel_convention_imaginary(self):

@@ -423,3 +423,23 @@ class TestDpi:
         assert rep.passed
         assert rep.residuals == {}
         assert rep.info["asserted"] is False
+
+    def test_identity_gap_of_two_infinite_values_is_zero(self):
+        # Orthogonal supports: D is +inf (support violation) before and
+        # after the identity channel; the gap is 0, not inf - inf = nan.
+        alg = BlockAlgebra((4,))
+        psi, phi, _, _ = gen_classical_pair(np.random.default_rng(62), alg,
+                                            orthogonal=True)
+        rep = dpi_probe(psi, phi, identity_channel(alg),
+                        DivergenceParams(2.0))
+        assert rep.info["d_before"] == rep.info["d_after"] \
+            == "inf reason=support_violation"
+        assert rep.info["gap"] == 0.0
+
+    def test_gap_of_infinite_values_with_different_reasons_is_inf(self):
+        from nclp.divergence import _dpi_report
+        rep = _dpi_report(DivergenceParams(0.5),
+                          DivergenceValue.infinite(Reason.ZERO_REFERENCE),
+                          DivergenceValue.infinite(Reason.ZERO_Q_ALPHA_LT_1),
+                          1e-9)
+        assert rep.info["gap"] == math.inf

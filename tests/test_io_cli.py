@@ -452,3 +452,55 @@ class TestCliEpsRelReachesEveryCheck:
                             "--out", str(flag)]) == 0
         assert plain.read_bytes() == flag.read_bytes()
         capsys.readouterr()
+
+
+class TestInvalidEnvWithValidFlag:
+    """A valid --eps-rel is the cutoff even when NCLP_EPS_REL is invalid:
+    the command exits 0 with the same output as without the variable."""
+
+    def _both(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("NCLP_EPS_REL", raising=False)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("NCLP_EPS_REL", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_divergence(self, tmp_path, capsys, monkeypatch):
+        f = write_diag(tmp_path / "f.json", [0.3, 0.7])
+        self._both(["divergence", "--kind", "sandwiched", "--alpha", "2",
+                    "--psi", str(f), "--phi", str(f), "--eps-rel", "1e-12"],
+                   capsys, monkeypatch)
+
+    def test_kosaki_lp_norm(self, tmp_path, capsys, monkeypatch):
+        f = write_diag(tmp_path / "f.json", [0.3, 0.7])
+        x = write_diag(tmp_path / "x.json", [1.0, 2.0], kind="element")
+        self._both(["lp-norm", "--p", "2", "--x", str(x), "--kosaki",
+                    "--phi", str(f), "--eps-rel", "1e-12"],
+                   capsys, monkeypatch)
+
+
+class TestFileInputsWithoutTraceback:
+    """Each input that used to end in a traceback is a FileFormatError."""
+
+    def test_deep_nesting(self):
+        with pytest.raises(FileFormatError, match="nested too deeply"):
+            io.loads_matrix("[" * 100_000)
+
+    def test_integer_beyond_float_range(self):
+        text = ('{"algebra": {"blocks": [1]}, "matrix": {"blocks": '
+                '[{"re": [[' + "1" + "0" * 400 + ']], "im": [[0]]}]}, '
+                '"kind": "element"}')
+        with pytest.raises(FileFormatError, match="finite reals"):
+            io.loads_matrix(text)
+
+    @pytest.mark.parametrize("kind", [["sandwiched"],
+                                      ["alpha-z", "--z", "1.5"]])
+    def test_functional_that_overflows_exit_one(self, tmp_path, capsys,
+                                                kind):
+        big = tmp_path / "big.json"
+        io.save_matrix_file(big, BlockAlgebra((2,)).diagonal([1e308, 1e308]),
+                            "functional")
+        assert main(["divergence", "--kind", *kind, "--alpha", "2",
+                     "--psi", str(big), "--phi", str(big)]) == 1
+        assert "non-finite eigenvalue" in capsys.readouterr().err

@@ -193,7 +193,7 @@ class TestProductsOncePerTrial:
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_prop11_matches_public_check(self, seed):
         from nclp import additivity_check
-        from nclp.suites import _prop11_grid, _prop11_instance
+        from nclp.suites import PROP11_GRID, _prop11_instance
         alg = BlockAlgebra((2,))
         cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
                           dims=((alg.block_dims, None),))
@@ -201,7 +201,7 @@ class TestProductsOncePerTrial:
             (psi1, phi1, psi2, phi2), _ = _prop11_instance(
                 trial_rng(seed, rep.trial_index), alg, rep.trial_index % 3)
             expected = {}
-            for params in _prop11_grid(cfg):
+            for params in PROP11_GRID:
                 check = additivity_check(psi1, phi1, psi2, phi2, params)
                 for key, val in check.residuals.items():
                     expected[f"{params.label()}:{key}"] = val
@@ -244,3 +244,73 @@ class TestProductsOncePerTrial:
                                         seed=5, dims=parse_dims("2")))
         assert len(reports) == 1 and reports[0].passed
         assert len(calls) == 2
+
+
+class TestDriver:
+    """run_suite builds each profile's algebra, fills the residual and
+    tolerance maps and decides ``passed`` for every suite in one place."""
+
+    @pytest.mark.parametrize("name,dims", [("theorem6", "2"),
+                                           ("appendixA", "2+3"),
+                                           ("lemma1", "2x2"),
+                                           ("dpi", "3x2")])
+    def test_profile_of_the_wrong_shape(self, name, dims):
+        with pytest.raises(UsageError, match=f"suite {name} needs"):
+            run_suite(SuiteConfig(suite_name=name, trials=1, seed=0,
+                                  dims=parse_dims(dims)))
+
+    def test_trial_fails_exactly_when_a_residual_exceeds_its_tolerance(
+            self):
+        reports = run_suite(SuiteConfig(suite_name="theorem6", trials=4,
+                                        seed=1,
+                                        tolerances={"relative": 1e-300}))
+        assert any(not r.passed for r in reports)
+        for r in reports:
+            assert r.residuals.keys() == r.tolerances.keys()
+            over = [k for k in r.residuals
+                    if not r.residuals[k] <= r.tolerances[k]]
+            assert r.passed == (not over)
+
+    def test_tiny_tolerance_override_fails_the_run(self, capsys):
+        from nclp.cli import main
+        assert main(["suite", "--name", "theorem6", "--trials", "2",
+                     "--dims", "2x2", "--tol-override",
+                     "relative=1e-300"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "fail"
+        assert not all(r["passed"] for r in doc["results"])
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_lemma9_d_reasons_equal_d_tilde_grid(self, seed):
+        from nclp import d_tilde_grid
+        from nclp.suites import LEMMA9_ALPHAS, _lemma9_instance
+        alg = BlockAlgebra((3,))
+        cfg = SuiteConfig(suite_name="lemma9", trials=10, seed=seed,
+                          dims=parse_dims("3"))
+        for rep in run_suite(cfg):
+            psi, phi, _ = _lemma9_instance(trial_rng(seed, rep.trial_index),
+                                           alg, rep.trial_index % 5)
+            want = [d.reason.value for d in d_tilde_grid(
+                psi, phi, [DivergenceParams(a, z=a) for a in LEMMA9_ALPHAS])]
+            assert rep.info["d_reasons"] == want
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_dpi_identity_equality_is_the_public_gap(self, seed):
+        from nclp import gen_faithful, identity_channel, precompose
+        from nclp.suites import DPI_ALPHAS
+        alg = BlockAlgebra((3,))
+        channel = identity_channel(alg)
+        reports = run_suite(SuiteConfig(suite_name="dpi", trials=8, seed=seed,
+                                        dims=parse_dims("3")))
+        identity = [r for r in reports if r.instance["channel"] == "identity"]
+        assert len(identity) == 2
+        for rep in identity:
+            rng = trial_rng(seed, rep.trial_index)
+            psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+            for alpha in DPI_ALPHAS:
+                params = DivergenceParams(alpha)
+                before = d_tilde(psi, phi, params)
+                after = d_tilde(precompose(psi, channel),
+                                precompose(phi, channel), params)
+                assert rep.residuals[f"alpha={alpha:g}:identity_equality"] \
+                    == abs(after.value - before.value)
