@@ -4,12 +4,19 @@ Exit codes: 0 success (infinite divergences included), 1 malformed input,
 usage or an output file that cannot be written, 2 precondition violation,
 3 conditioning failure, 4 suite trials failed.  The kernel cutoff resolves
 flag > NCLP_EPS_REL env > default.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call; parsing keeps no state between
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+
+import numpy as np
 
 from . import io
 from .config import resolve_eps_rel
@@ -31,7 +38,9 @@ EXIT_SUITE_FAILED = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
+    """argparse variant that reports usage problems as exit code 1.
+
+    ``error`` keeps no state, so one parser serves every call of main."""
 
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
@@ -75,11 +84,19 @@ def _build_parser() -> _Parser:
     p_suite.add_argument("--dims", default=None,
                          help="profiles like 2x2,3x2 or 2,3 (suite default "
                          "otherwise)")
-    p_suite.add_argument("--tol-override", action="append", default=[],
+    # default=None, not a list: the parser outlives a call, so a default
+    # list would be one object handed to every call.
+    p_suite.add_argument("--tol-override", action="append", default=None,
                          metavar="KEY=VALUE")
     p_suite.add_argument("--out", default=None, metavar="FILE")
     p_suite.add_argument("--eps-rel", type=float, default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The process's parser, built by :func:`_build_parser` on first use."""
+    return _build_parser()
 
 
 def _eps(args) -> float:
@@ -122,7 +139,7 @@ def _cmd_divergence(args) -> int:
 def _cmd_lp_norm(args) -> int:
     eps = _eps(args)
     p = LpExponent.parse(args.p)
-    x = io.load_element(args.x)
+    x = io.load_element(args.x, eps)
     if args.kosaki:
         if not args.phi:
             raise UsageError("--kosaki requires --phi FILE")
@@ -139,7 +156,9 @@ def _cmd_tensor(args) -> int:
     left = io.load_matrix_file(args.left)
     right = io.load_matrix_file(args.right)
     T = TensorAlgebra(left.algebra, right.algebra)
-    product = kron_element(T, left.element, right.element)
+    with np.errstate(over="ignore"):
+        # An entry beyond the float range is rejected when it is written.
+        product = kron_element(T, left.element, right.element)
     kind = "functional" if (left.kind == "functional"
                             and right.kind == "functional") else "element"
     io.save_matrix_file(args.out, product, kind)
@@ -166,7 +185,7 @@ def _cmd_suite(args) -> int:
     dims = parse_dims(args.dims) if args.dims else ()
     config = SuiteConfig(
         suite_name=args.name, trials=args.trials, seed=args.seed,
-        dims=dims, tolerances=_parse_overrides(args.tol_override),
+        dims=dims, tolerances=_parse_overrides(args.tol_override or ()),
         eps_rel=eps)
     reports = run_suite(config)
     summary = summarize(reports)
@@ -198,9 +217,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,8 @@ class PositiveFunctional:
     The density is symmetrized on construction and validated as PSD after
     clipping; its stored matrix entries are otherwise kept bit-exact so that
     planted zero structure (diagonal instances, exact kernels) survives.
+    A functional built from others (a sum, a multiple, a tensor product)
+    keeps the cutoff of its first operand, so no cutoff is resolved again.
     """
 
     __slots__ = ("algebra", "density", "_spectrum", "_mass")
@@ -37,8 +39,9 @@ class PositiveFunctional:
         object.__setattr__(self, "_mass", None)
 
     @classmethod
-    def zero(cls, algebra: BlockAlgebra) -> "PositiveFunctional":
-        return cls(algebra.zero())
+    def zero(cls, algebra: BlockAlgebra,
+             eps_rel: float | None = None) -> "PositiveFunctional":
+        return cls(algebra.zero(), eps_rel=eps_rel)
 
     @classmethod
     def from_diagonal(cls, algebra: BlockAlgebra,
@@ -96,7 +99,8 @@ class PositiveFunctional:
             lambda lam: np.exp(1j * t * np.log(lam)), f_zero=0.0)
 
     def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
-        return PositiveFunctional(self.density + other.density)
+        return PositiveFunctional(self.density + other.density,
+                                  eps_rel=self._spectrum.eps_rel)
 
     def __repr__(self):
         return (f"PositiveFunctional(blocks={self.algebra.block_dims}, "
@@ -112,7 +116,8 @@ def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
     """lam * psi for lam >= 0; mass scales linearly."""
     if lam < 0:
         raise DomainError(f"scale factor must be nonnegative, got {lam}")
-    return PositiveFunctional(float(lam) * psi.density)
+    return PositiveFunctional(float(lam) * psi.density,
+                              eps_rel=psi._spectrum.eps_rel)
 
 
 def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,

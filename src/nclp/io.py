@@ -128,8 +128,12 @@ def load_matrix_file(path, eps_rel: float | None = None) -> MatrixFile:
 
 
 def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
+    """The JSON document of ``x``; DomainError unless every entry is finite,
+    since a matrix file holds finite reals only."""
     if kind not in KINDS:
         raise FileFormatError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not all(np.isfinite(b).all() for b in x.blocks):
+        raise DomainError("matrix entries exceed the float range")
     return {
         "algebra": {"blocks": list(x.algebra.block_dims)},
         "matrix": {"blocks": [
@@ -162,8 +166,10 @@ def load_functional(path, eps_rel: float | None = None) -> PositiveFunctional:
     return load_matrix_file(path, eps_rel).functional()
 
 
-def load_element(path) -> AlgebraElement:
-    return load_matrix_file(path).element
+def load_element(path, eps_rel: float | None = None) -> AlgebraElement:
+    """The element of a matrix file; a functional file is validated at the
+    cutoff ``eps_rel``."""
+    return load_matrix_file(path, eps_rel).element
 
 
 # -- run reports --------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockAlgebra, HermitianSpectrum
 from .config import FAITHFULNESS_FLOOR, resolve_eps_rel
-from .errors import ConditioningError, DomainError, ShapeError
+from .errors import ConditioningError, DomainError, ShapeError, UsageError
 from .functionals import PositiveFunctional
 
 MEMBERSHIP_TOL = 1e-9
@@ -55,9 +55,16 @@ class LpExponent:
 
     @classmethod
     def parse(cls, text: str) -> "LpExponent":
+        """The exponent a command line gives; UsageError unless it is a
+        number or inf."""
         if text.strip().lower() in ("inf", "infinity", "oo"):
             return cls(math.inf)
-        return cls(float(text))
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise UsageError(f"exponent must be a number or inf, "
+                             f"got {text!r}") from exc
+        return cls(value)
 
     def __str__(self):
         return "inf" if self.is_inf else repr(self.value)
@@ -74,11 +81,34 @@ def singular_values(x: AlgebraElement) -> np.ndarray:
 
 
 def _schatten(s: np.ndarray, p: LpExponent) -> float:
-    """(sum s^p)^{1/p} of a singular-value row; max s at p = inf."""
+    """(sum s^p)^{1/p} of a singular-value row; max s at p = inf.
+
+    Singular values near the float maximum overflow in s^p although the norm
+    may be finite; only then is the sum taken over s / max s, so every value
+    the direct sum gives keeps its bits.  DomainError if the norm itself
+    exceeds the float range.
+    """
     if p.is_inf:
         return float(s.max())
-    total = float((s ** p.value).sum())
-    return total ** (1.0 / p.value)
+    norm = _power_mean_root(s, p.value)
+    if math.isfinite(norm):
+        return norm
+    top = float(s.max())
+    norm = top * _power_mean_root(s / top, p.value)
+    if not math.isfinite(norm):
+        raise DomainError(f"the Schatten {p}-norm exceeds the float range "
+                          f"(largest singular value {top:.6g})")
+    return norm
+
+
+def _power_mean_root(s: np.ndarray, p: float) -> float:
+    """(sum s^p)^{1/p}, inf where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((s ** p).sum())
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        return math.inf
 
 
 def lp_norms(x: AlgebraElement, ps) -> list[float]:
@@ -169,13 +199,16 @@ def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
     return _sandwich(a, spec.phi, spec.eta, 1.0 - spec.eta, eps_rel)
 
 
+# An overflow shows as a non-finite x, which is reported as an error.
+@np.errstate(over="ignore", invalid="ignore")
 def _kosaki_memberships(y: AlgebraElement, phi: PositiveFunctional,
                         points: list[tuple[LpExponent, float]], eps: float):
     """Solutions x of y = h_phi^{eta/q} x h_phi^{(1-eta)/q}, one per point.
 
-    Returns per block a (G, n, n) stack of x, and per point None or the
-    ConditioningError of a recomposition residual beyond budget.  A point
-    with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
+    Returns per block a (G, n, n) stack of x, and per point None, the
+    DomainError of an x beyond the float range, or the ConditioningError of
+    a recomposition residual beyond budget.  A point with
+    eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
     """
     if y.algebra != phi.algebra:
         raise ShapeError("element and reference functional algebras differ")
@@ -202,9 +235,20 @@ def _kosaki_memberships(y: AlgebraElement, phi: PositiveFunctional,
         blocks.append(x)
     residuals = np.sqrt(resid_sq)
     budget = MEMBERSHIP_TOL * (1.0 + y.frobenius())
-    errors = [None if skip or not r > budget else ConditioningError(
-        f"membership solve residual {r:.3e} exceeds budget", residual=r)
-        for skip, r in zip(ident, residuals.tolist())]
+    finite = np.all([np.isfinite(x).all(axis=(1, 2)) for x in blocks], axis=0)
+    errors = []
+    for skip, ok, r in zip(ident, finite, residuals.tolist()):
+        if skip:
+            errors.append(None)
+        elif not ok:
+            errors.append(DomainError(
+                "the membership solution exceeds the float range"))
+        elif r > budget:
+            errors.append(ConditioningError(
+                f"membership solve residual {r:.3e} exceeds budget",
+                residual=r))
+        else:
+            errors.append(None)
     return blocks, errors
 
 
@@ -233,7 +277,7 @@ def kosaki_norm_grid(y: AlgebraElement, phi: PositiveFunctional, grid,
     phi's eigenbasis.  The scalings, recomposition residuals, back-rotations
     and singular values are stacked, one ``svd`` per block.  Errors: every
     (p, eta) is validated before any evaluation; then the first point whose
-    membership residual exceeds its budget raises ConditioningError.
+    membership solve fails (see :func:`_kosaki_memberships`) raises.
     """
     points = [_kosaki_point(p, eta) for p, eta in grid]
     eps = resolve_eps_rel(eps_rel)

@@ -96,16 +96,18 @@ def _distribute(total: int, caps: tuple[int, ...]) -> list[int]:
 
 
 def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
-                            rank_profile="full",
-                            normalize: bool = True) -> PositiveFunctional:
+                            rank_profile="full", normalize: bool = True,
+                            eps_rel: float | None = None
+                            ) -> PositiveFunctional:
     """Random PSD density: factor construction G G* at the requested rank.
 
     rank_profile is "full", "zero", or ("deficient", r); deficient ranks are
     realized with an r-column Gaussian factor so the kernel is exact at the
-    matrix level, not produced by thresholding.
+    matrix level, not produced by thresholding.  Every ``gen_*`` helper
+    builds its functionals at the cutoff ``eps_rel`` (resolved when None).
     """
     if rank_profile == "zero":
-        return PositiveFunctional.zero(algebra)
+        return PositiveFunctional.zero(algebra, eps_rel)
     if rank_profile == "full":
         ranks = list(algebra.block_dims)
     else:
@@ -120,19 +122,20 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
         else:
             g = complex_gaussian(rng, n, r)
             blocks.append(g @ g.conj().T)
-    psi = PositiveFunctional(AlgebraElement(algebra, blocks))
+    psi = PositiveFunctional(AlgebraElement(algebra, blocks), eps_rel=eps_rel)
     if normalize and psi.mass > 0:
-        psi = PositiveFunctional(psi.density / psi.mass)
+        psi = PositiveFunctional(psi.density / psi.mass, eps_rel=eps_rel)
     return psi
 
 
 def gen_faithful(rng: np.random.Generator, algebra: BlockAlgebra,
-                 normalize: bool = True) -> PositiveFunctional:
-    return gen_positive_functional(rng, algebra, "full", normalize)
+                 normalize: bool = True,
+                 eps_rel: float | None = None) -> PositiveFunctional:
+    return gen_positive_functional(rng, algebra, "full", normalize, eps_rel)
 
 
-def gen_reference(rng: np.random.Generator,
-                  algebra: BlockAlgebra) -> PositiveFunctional:
+def gen_reference(rng: np.random.Generator, algebra: BlockAlgebra,
+                  eps_rel: float | None = None) -> PositiveFunctional:
     """Faithful functional with spectrum in [0.2, 1] before normalization.
 
     Used where large density-power exponents meet the reference (condition
@@ -142,21 +145,21 @@ def gen_reference(rng: np.random.Generator,
     n = algebra.carrier_dim
     u = gen_unitary(rng, algebra)
     entries = rng.uniform(0.2, 1.0, n)
-    psi = _diag_density(algebra, entries / np.sum(entries), u)
-    return psi
+    return _diag_density(algebra, entries / np.sum(entries), u, eps_rel)
 
 
 def _diag_density(algebra: BlockAlgebra, entries: np.ndarray,
-                  basis: AlgebraElement | None) -> PositiveFunctional:
+                  basis: AlgebraElement | None,
+                  eps_rel: float | None) -> PositiveFunctional:
     d = algebra.diagonal(entries)
     if basis is not None:
         d = basis @ d @ basis.H
-    return PositiveFunctional(d, hermitize=True)
+    return PositiveFunctional(d, hermitize=True, eps_rel=eps_rel)
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                        rank: int) -> tuple[PositiveFunctional,
-                                            PositiveFunctional]:
+                        rank: int, eps_rel: float | None = None
+                        ) -> tuple[PositiveFunctional, PositiveFunctional]:
     """(psi, psi') with complementary supports in a common random eigenbasis.
 
     psi has the given rank; psi' has full rank on the orthocomplement, so
@@ -174,13 +177,14 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         a[ofs:ofs + rk] = rng.uniform(0.1, 1.0, rk)
         b[ofs + rk:ofs + nk] = rng.uniform(0.1, 1.0, nk - rk)
         ofs += nk
-    psi = _diag_density(algebra, a / np.sum(a), u)
-    psi_prime = _diag_density(algebra, b / np.sum(b), u)
+    psi = _diag_density(algebra, a / np.sum(a), u, eps_rel)
+    psi_prime = _diag_density(algebra, b / np.sum(b), u, eps_rel)
     return psi, psi_prime
 
 
 def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                    rank_phi: int, rank_psi: int
+                    rank_phi: int, rank_psi: int,
+                    eps_rel: float | None = None
                     ) -> tuple[PositiveFunctional, PositiveFunctional]:
     """(psi, phi) with s(psi) <= s(phi), built in a common eigenbasis.
 
@@ -211,13 +215,16 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     def rotate(blocks):
         elem = AlgebraElement(algebra, blocks)
         out = u @ elem @ u.H
-        f = PositiveFunctional(out, hermitize=True)
-        return PositiveFunctional(f.density / f.mass) if f.mass > 0 else f
+        f = PositiveFunctional(out, hermitize=True, eps_rel=eps_rel)
+        if f.mass > 0:
+            return PositiveFunctional(f.density / f.mass, eps_rel=eps_rel)
+        return f
     return rotate(psi_blocks), rotate(phi_blocks)
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                       orthogonal: bool = False
+                       orthogonal: bool = False,
+                       eps_rel: float | None = None
                        ) -> tuple[PositiveFunctional, PositiveFunctional,
                                   np.ndarray, np.ndarray]:
     """Exactly diagonal (psi, phi) plus their probability vectors.
@@ -236,8 +243,8 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         q[:k] = 0.0
     p = p / np.sum(p)
     q = q / np.sum(q)
-    return (_diag_density(algebra, p, None), _diag_density(algebra, q, None),
-            p, q)
+    return (_diag_density(algebra, p, None, eps_rel),
+            _diag_density(algebra, q, None, eps_rel), p, q)
 
 
 # -- scalar oracle ------------------------------------------------------------
@@ -369,11 +376,12 @@ def _carrier_at_least_two(alg: BlockAlgebra, suite: str) -> int:
     return n
 
 
-def _ranked(rng: np.random.Generator, alg: BlockAlgebra,
-            rank: int) -> PositiveFunctional:
+def _ranked(rng: np.random.Generator, alg: BlockAlgebra, rank: int,
+            eps_rel: float | None) -> PositiveFunctional:
     """A random functional of the given rank, full rank included."""
     return gen_positive_functional(
-        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank))
+        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank),
+        eps_rel=eps_rel)
 
 
 # -- trial functions ----------------------------------------------------------
@@ -417,9 +425,9 @@ def _lemma5_trial(config, tols, T, rng, idx, k):
     t = float(rng.uniform(-2.0, 2.0))
     r1 = int(rng.integers(1, T.left.carrier_dim + 1))
     r2 = int(rng.integers(1, T.right.carrier_dim + 1))
-    psi1 = _ranked(rng, T.left, r1)
-    psi2 = _ranked(rng, T.right, r2)
     tol, eps = tols["residual"], config.eps_rel
+    psi1 = _ranked(rng, T.left, r1, eps)
+    psi2 = _ranked(rng, T.right, r2, eps)
     reports = (lemma5_polar(T, x, y, tol, eps),
                lemma5_power(T, x, y, p, tol, eps),
                lemma5_density(T, psi1, psi2, t, tol, eps))
@@ -429,8 +437,8 @@ def _lemma5_trial(config, tols, T, rng, idx, k):
 
 
 def _corollary7_trial(config, tols, T, rng, idx, k):
-    phi1 = gen_faithful(rng, T.left)
-    phi2 = gen_faithful(rng, T.right)
+    phi1 = gen_faithful(rng, T.left, eps_rel=config.eps_rel)
+    phi2 = gen_faithful(rng, T.right, eps_rel=config.eps_rel)
     x1 = gen_element(rng, T.left)
     x2 = gen_element(rng, T.right)
     norms = corollary7_norm_grid(x1, x2, phi1, phi2, COROLLARY7_GRID,
@@ -445,8 +453,8 @@ def _lemma1_trial(config, tols, alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma1")
     eps = config.eps_rel
     rank = int(rng.integers(1, n))
-    psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
-    phi = gen_faithful(rng, alg)
+    psi, psi_prime = gen_orthogonal_pair(rng, alg, rank, eps)
+    phi = gen_faithful(rng, alg, eps_rel=eps)
     t = float(rng.uniform(-5.0, 5.0))
     s_par = float(rng.uniform(-5.0, 5.0))
     lhs, rhs = lemma1_cut(psi, psi_prime, phi, t, eps)
@@ -462,7 +470,7 @@ def _lemma1_trial(config, tols, alg, rng, idx, k):
 
 
 def _lemma3_trial(config, tols, alg, rng, idx, k):
-    phi = gen_faithful(rng, alg)
+    phi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
     a = gen_element(rng, alg)
     p = float(rng.choice(LEMMA3_P_GRID))
     eta = float(rng.choice(LEMMA3_ETA_GRID))
@@ -481,7 +489,7 @@ def _lemma8_trial(config, tols, alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma8")
     rank_phi = int(rng.integers(1, n))
     rank_psi = int(rng.integers(1, rank_phi + 1))
-    psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+    psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi, config.eps_rel)
     alpha = float(rng.choice((1.5, 2.0, 3.0)))
     z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
     params = DivergenceParams(alpha, z=z)
@@ -494,28 +502,29 @@ def _lemma8_trial(config, tols, alg, rng, idx, k):
             checks, {})
 
 
-def _lemma9_instance(rng, alg, variant):
+def _lemma9_instance(rng, alg, variant, eps=None):
     n = alg.carrier_dim
     if variant == 0:
-        return gen_faithful(rng, alg), gen_faithful(rng, alg), "faithful"
+        return (gen_faithful(rng, alg, eps_rel=eps),
+                gen_faithful(rng, alg, eps_rel=eps), "faithful")
     if variant == 1:
         rank_phi = n
         rank_psi = int(rng.integers(1, n))
-        psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+        psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi, eps)
         return psi, phi, "nested"
     if variant == 2:
-        psi, phi, _, _ = gen_classical_pair(rng, alg, orthogonal=True)
+        psi, phi, _, _ = gen_classical_pair(rng, alg, True, eps)
         return psi, phi, "orthogonal"
     if variant == 3:
-        return gen_faithful(rng, alg), PositiveFunctional.zero(alg), \
-            "zero_reference"
-    psi = gen_faithful(rng, alg)
+        return (gen_faithful(rng, alg, eps_rel=eps),
+                PositiveFunctional.zero(alg, eps), "zero_reference")
+    psi = gen_faithful(rng, alg, eps_rel=eps)
     return psi, psi, "identical"
 
 
 def _lemma9_trial(config, tols, alg, rng, idx, k):
     _carrier_at_least_two(alg, "lemma9")
-    psi, phi, kind = _lemma9_instance(rng, alg, idx % 5)
+    psi, phi, kind = _lemma9_instance(rng, alg, idx % 5, config.eps_rel)
     reports = lemma9_grid(psi, phi, LEMMA9_ALPHAS, tols["path_agreement"],
                           config.eps_rel)
     checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
@@ -525,26 +534,27 @@ def _lemma9_trial(config, tols, alg, rng, idx, k):
             {"d_reasons": [rep.info["d_reason"] for rep in reports]})
 
 
-def _prop11_instance(rng, alg, variant):
+def _prop11_instance(rng, alg, variant, eps=None):
     n = alg.carrier_dim
     if variant == 1:
-        psi1, phi1, _, _ = gen_classical_pair(rng, alg, orthogonal=True)
-        psi2 = gen_faithful(rng, alg)
-        phi2 = gen_reference(rng, alg)
+        psi1, phi1, _, _ = gen_classical_pair(rng, alg, True, eps)
+        psi2 = gen_faithful(rng, alg, eps_rel=eps)
+        phi2 = gen_reference(rng, alg, eps)
         return (psi1, phi1, psi2, phi2), "support_violating_factor"
     if variant == 2:
-        psi1 = gen_reference(rng, alg)
-        psi2 = gen_reference(rng, alg)
+        psi1 = gen_reference(rng, alg, eps)
+        psi2 = gen_reference(rng, alg, eps)
         return (psi1, psi1, psi2, psi2), "identical_pairs"
-    psi1 = _ranked(rng, alg, int(rng.integers(1, n + 1)))
-    phi1 = gen_reference(rng, alg)
-    psi2 = _ranked(rng, alg, int(rng.integers(1, n + 1)))
-    phi2 = gen_reference(rng, alg)
+    psi1 = _ranked(rng, alg, int(rng.integers(1, n + 1)), eps)
+    phi1 = gen_reference(rng, alg, eps)
+    psi2 = _ranked(rng, alg, int(rng.integers(1, n + 1)), eps)
+    phi2 = gen_reference(rng, alg, eps)
     return (psi1, phi1, psi2, phi2), "random"
 
 
 def _prop11_trial(config, tols, alg, rng, idx, k):
-    (psi1, phi1, psi2, phi2), kind = _prop11_instance(rng, alg, idx % 3)
+    (psi1, phi1, psi2, phi2), kind = _prop11_instance(
+        rng, alg, idx % 3, config.eps_rel)
     reports = additivity_grid(psi1, phi1, psi2, phi2, PROP11_GRID,
                               tols["q_multiplicativity"],
                               tols["d_additivity"], config.eps_rel)
@@ -565,8 +575,8 @@ def _appendixA_trial(config, tols, T, rng, idx, k):
     yp = gen_element(rng, T.right)
     r1 = int(rng.integers(1, T.left.carrier_dim + 1))
     r2 = int(rng.integers(1, T.right.carrier_dim + 1))
-    h1 = _ranked(rng, T.left, r1).density
-    h2 = _ranked(rng, T.right, r2).density
+    h1 = _ranked(rng, T.left, r1, config.eps_rel).density
+    h2 = _ranked(rng, T.right, r2, config.eps_rel).density
     spect = spectral_product_check(T, x, y, tols["eigenvalue_multiset"])
     checks = [(key, val, spect.tolerances[key])
               for key, val in spect.residuals.items()]
@@ -597,15 +607,15 @@ def _dpi_trial(config, tols, alg, rng, idx, k):
         T = TensorAlgebra(alg, BlockAlgebra((2,)))
         channel = embed_left_channel(T)
         kind = "partial_trace_embedding"
-        psi = gen_faithful(rng, T.product)
-        phi = gen_faithful(rng, T.product)
+        psi = gen_faithful(rng, T.product, eps_rel=config.eps_rel)
+        phi = gen_faithful(rng, T.product, eps_rel=config.eps_rel)
     else:
         channel = {0: identity_channel(alg),
                    1: pinching_channel(alg),
                    3: random_unital_channel(rng, alg, alg)}[variant]
         kind = {0: "identity", 1: "pinching", 3: "random_unital"}[variant]
-        psi = gen_faithful(rng, alg)
-        phi = gen_faithful(rng, alg)
+        psi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
+        phi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
     reports = dpi_probe_grid(psi, phi, channel,
                              [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
                              tols["monotonicity_violation"], config.eps_rel)

@@ -68,9 +68,11 @@ def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kron_functional(T: TensorAlgebra, psi1: PositiveFunctional,
                     psi2: PositiveFunctional) -> PositiveFunctional:
-    """Product functional; density is the Kronecker of the factor densities."""
+    """Product functional; density is the Kronecker of the factor densities.
+    It keeps psi1's cutoff."""
     return PositiveFunctional(
-        kron_element(T, psi1.density, psi2.density))
+        kron_element(T, psi1.density, psi2.density),
+        eps_rel=psi1._spectrum.eps_rel)
 
 
 def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,

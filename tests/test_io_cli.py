@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +15,10 @@ from nclp import (AlgebraElement, BlockAlgebra, CutoffError,
                   DivergenceParams, DomainError, FileFormatError,
                   PositiveFunctional, d_tilde, default_eps_rel, lp_norm,
                   q_tilde_alpha, q_tilde_alpha_z)
-from nclp import io
+from nclp import cli, io
 from nclp.cli import main
 from nclp.config import resolve_eps_rel
+from nclp.suites import SUITE_NAMES
 
 
 def write_diag(path, entries, kind="functional"):
@@ -197,6 +203,33 @@ class TestCliLpNorm:
         assert main(["lp-norm", "--p", "2", "--x", str(x), "--kosaki",
                      "--phi", str(phi)]) == 3
         capsys.readouterr()
+
+    def test_unparsable_exponent_exit_one(self, tmp_path, capsys):
+        x = write_diag(tmp_path / "x.json", [1.0, 2.0], kind="element")
+        assert main(["lp-norm", "--p", "abc", "--x", str(x)]) == 1
+        assert "got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p, norm", [("2", "1.4142135623730951e+308"),
+                                         ("3", "1.2599210498948732e+308")])
+    def test_entries_near_float_max(self, tmp_path, capsys, p, norm):
+        x = write_diag(tmp_path / "x.json", [1e308, 1e308], kind="element")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lp-norm", "--p", p, "--x", str(x)]) == 0
+        assert capsys.readouterr().out == f"norm={norm}\n"
+
+    @pytest.mark.parametrize("kosaki", [False, True])
+    def test_norm_beyond_float_range_exit_two(self, tmp_path, capsys,
+                                              kosaki):
+        x = write_diag(tmp_path / "x.json", [1e308, 1e308], kind="element")
+        argv = ["lp-norm", "--p", "1", "--x", str(x)]
+        if kosaki:
+            phi = write_diag(tmp_path / "phi.json", [0.3, 0.7])
+            argv += ["--kosaki", "--phi", str(phi)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert "exceeds the float range" in capsys.readouterr().err
 
 
 class TestCliTensor:
@@ -401,6 +434,17 @@ class TestCliOutputErrors:
                      "-o", str(target)]) == 1
         assert f"cannot write {target}" in capsys.readouterr().err
 
+    def test_tensor_product_beyond_float_range_exit_two(self, tmp_path,
+                                                         capsys):
+        a = write_diag(tmp_path / "a.json", [1e308, 1.0], kind="element")
+        target = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tensor", "--left", str(a), "--right", str(a),
+                         "-o", str(target)]) == 2
+        assert "exceed the float range" in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestCliTolOverrideValidation:
     def test_unknown_key_exit_one_lists_valid_keys(self, capsys):
@@ -479,6 +523,16 @@ class TestInvalidEnvWithValidFlag:
                     "--phi", str(f), "--eps-rel", "1e-12"],
                    capsys, monkeypatch)
 
+    def test_lp_norm_of_functional_file(self, tmp_path, capsys, monkeypatch):
+        f = write_diag(tmp_path / "f.json", [0.3, 0.7])
+        self._both(["lp-norm", "--p", "2", "--x", str(f), "--eps-rel",
+                    "1e-12"], capsys, monkeypatch)
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite(self, capsys, monkeypatch, name):
+        self._both(["suite", "--name", name, "--trials", "2", "--eps-rel",
+                    "1e-12"], capsys, monkeypatch)
+
 
 class TestFileInputsWithoutTraceback:
     """Each input that used to end in a traceback is a FileFormatError."""
@@ -504,3 +558,77 @@ class TestFileInputsWithoutTraceback:
         assert main(["divergence", "--kind", *kind, "--alpha", "2",
                      "--psi", str(big), "--phi", str(big)]) == 1
         assert "non-finite eigenvalue" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call's arguments
+    reach the next call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every _Parser constructed from a cleared parser cache on."""
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_one_parser_for_many_calls(self, tmp_path, capsys, built):
+        x = write_diag(tmp_path / "x.json", [3.0, 4.0], kind="element")
+        assert main(["lp-norm", "--p", "2", "--x", str(x)]) == 0
+        per_build = len(built)  # the top-level parser and one per command
+        assert main(["lp-norm", "--p", "abc", "--x", str(x)]) == 1
+        assert main(["suite", "--name", "theorem6", "--trials", "1",
+                     "--dims", "2x2"]) == 0
+        assert main(["no-such-command"]) == 1
+        capsys.readouterr()
+        assert len(built) == per_build
+        assert [p.prog for p in built].count("nclp") == 1
+
+    def test_tol_override_does_not_reach_next_call(self, capsys):
+        argv = ["suite", "--name", "theorem6", "--trials", "1", "--dims",
+                "2x2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--tol-override", "relative=1e-300"]) == 4
+        assert '"relative": 1e-300' in capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+
+class TestEntryPoint:
+    """``python -m nclp.cli`` in a fresh interpreter, as users run it."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _run(self, *argv):
+        env = {k: v for k, v in os.environ.items() if k != "NCLP_EPS_REL"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-m", "nclp.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_help_exits_zero(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert "usage: nclp" in proc.stdout
+
+    def test_usage_error_exits_one_without_traceback(self):
+        proc = self._run("suite", "--trials", "abc")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_suite_exits_zero(self):
+        proc = self._run("suite", "--name", "lemma3", "--trials", "1",
+                         "--dims", "2")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "ok" and len(doc["results"]) == 1

@@ -1,12 +1,14 @@
 """Schatten norms, interpolated norms, and the interpolation estimate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DomainError, KosakiSpec, LpExponent, PositiveFunctional,
+                  UsageError,
                   element_power, gen_element, gen_faithful,
                   interpolation_bound_check, kosaki_embed, kosaki_membership,
                   kosaki_norm, lemma3_bijectivity, lp_norm)
@@ -31,6 +33,11 @@ class TestLpExponent:
         assert LpExponent.parse("inf").is_inf
         assert LpExponent.parse("1.7").value == 1.7
 
+    @pytest.mark.parametrize("text", ["abc", "", "1,5"])
+    def test_parse_rejects_text(self, text):
+        with pytest.raises(UsageError, match=repr(text)):
+            LpExponent.parse(text)
+
     def test_invalid(self):
         with pytest.raises(DomainError):
             LpExponent(0.0)
@@ -41,6 +48,36 @@ class TestLpExponent:
 
 
 class TestLpNorm:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_near_float_max_finite_without_warning(self, p):
+        x = BlockAlgebra((2,)).diagonal([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = lp_norm(x, p)
+        assert norm == pytest.approx(2.0 ** (1.0 / p) * 1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [0.5, 1])
+    def test_beyond_float_range_domain_error(self, p):
+        x = BlockAlgebra((2,)).diagonal([1e308, 1e308])
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            lp_norm(x, p)
+
+    def test_membership_beyond_float_range_domain_error(self):
+        alg = BlockAlgebra((2,))
+        spec = KosakiSpec(PositiveFunctional(alg.diagonal([0.3, 0.7])), 2,
+                          0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="exceeds the float range"):
+                kosaki_membership(alg.diagonal([1e308, 1e308]), spec)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_finite_sum_keeps_direct_value(self, p):
+        x = rand_element(BlockAlgebra((2, 3)))
+        s = np.concatenate([np.linalg.svd(b, compute_uv=False)
+                            for b in x.blocks])
+        assert lp_norm(x, p) == float((s ** p).sum()) ** (1.0 / p)
+
     def test_pythagorean(self):
         alg = BlockAlgebra((2,))
         assert lp_norm(alg.diagonal([3.0, 4.0]), 2) == pytest.approx(5.0)
