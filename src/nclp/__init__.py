@@ -10,8 +10,8 @@ CLI front end (``nclp``).
 __version__ = "0.1.0"
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      canonical_trace, element_power, frobenius_distance,
-                      func_calc, hermitian_eig, imaginary_power, multiply,
+                      canonical_trace, element_power, func_calc,
+                      hermitian_eig, imaginary_power, multiply,
                       polar_decompose, support_projection)
 from .config import DEFAULT_EPS_REL, default_eps_rel
 from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,

@@ -145,7 +145,9 @@ class AlgebraElement:
         return self.adjoint()
 
     def frobenius(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in self.blocks)))
+        """sqrt(sum |entries|^2) over all blocks; inf beyond the float
+        range.  :func:`_frobenius_stack` of the unstacked blocks."""
+        return float(_frobenius_stack(self.blocks))
 
     def flatten(self) -> np.ndarray:
         """Row-major concatenation of all blocks (length = total_dim)."""
@@ -161,16 +163,6 @@ class AlgebraElement:
             out[ofs:ofs + n, ofs:ofs + n] = b
             ofs += n
         return out
-
-    def carrier_diagonal(self) -> np.ndarray:
-        return np.concatenate([np.diag(b) for b in self.blocks])
-
-    def hermitian_defect(self) -> float:
-        return float(np.sqrt(sum(
-            np.sum(np.abs(b - b.conj().T) ** 2) for b in self.blocks)))
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_defect() <= tol * (1.0 + self.frobenius())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,8 +215,58 @@ def canonical_trace(x: AlgebraElement) -> complex:
     return complex(sum(np.trace(b) for b in x.blocks))
 
 
-def frobenius_distance(x: AlgebraElement, y: AlgebraElement) -> float:
-    return (x - y).frobenius()
+# -- stacks ------------------------------------------------------------------
+#
+# A stack holds B elements of one algebra as one (B, n, n) array per block,
+# so that each LAPACK routine, matmul and reduction runs once per block for
+# all B elements.  numpy applies them matrix by matrix, so every slice equals
+# the one-element result bit for bit.  The one-element functions of this
+# package are B = 1 calls of the stacked kernels.
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked along a new leading axis; a view for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _blockwise(per_element: Sequence[Sequence[np.ndarray]]
+               ) -> tuple[np.ndarray, ...]:
+    """Per block, the stack of B elements' arrays for that block (blocks,
+    eigenvectors, eigenvalue powers), in order."""
+    if len(per_element) == 1:
+        return tuple([a[None] for a in per_element[0]])
+    return tuple([np.stack(arrays) for arrays in zip(*per_element)])
+
+
+def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
+    """Per block, the (B, n, n) stack of the elements' blocks, in order."""
+    return _blockwise([x.blocks for x in elements])
+
+
+def _unstack(algebra: BlockAlgebra,
+             stacked: Sequence[np.ndarray]) -> list[AlgebraElement]:
+    """The B elements of per-block (B, n, n) stacks that the package
+    computed itself.  The stacks become read-only; the blocks are views."""
+    for s in stacked:
+        s.setflags(write=False)
+    return [AlgebraElement._trusted(algebra, [s[j] for s in stacked])
+            for j in range(len(stacked[0]))]
+
+
+def _frobenius_stack(stacked: Sequence[np.ndarray]) -> np.ndarray:
+    """(B,) Frobenius norms of stacked elements; inf beyond the float
+    range."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(_squared_norms(stacked))
+
+
+def _squared_norms(stacked: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of |entries|^2 over the last two axes of every block."""
+    return sum((abs(s) ** 2).sum(axis=(-2, -1)) for s in stacked)
+
+
+def _adjoint_stack(stacked: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    return tuple(s.conj().swapaxes(-2, -1) for s in stacked)
 
 
 # -- spectral machinery ------------------------------------------------------
@@ -244,10 +286,9 @@ class HermitianSpectrum:
     kernel_mask: tuple[np.ndarray, ...]
     eps_rel: float
 
-    @property
+    @cached_property
     def spectral_radius(self) -> float:
-        return float(max(np.max(np.abs(v)) if v.size else 0.0
-                         for v in self.eigenvalues))
+        return float(_radius(self.eigenvalues))
 
     def flat_eigenvalues(self) -> np.ndarray:
         return np.concatenate(self.eigenvalues)
@@ -264,20 +305,9 @@ class HermitianSpectrum:
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray],
               f_zero: complex = 0.0) -> AlgebraElement:
-        """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere."""
-        out = []
-        for vals, vecs, mask in zip(self.eigenvalues, self.eigenvectors,
-                                    self.kernel_mask):
-            fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
-            keep = ~mask
-            if keep.any():
-                with np.errstate(all="ignore"):
-                    fk = np.asarray(f(vals[keep]), dtype=np.complex128)
-                if not np.all(np.isfinite(fk)):
-                    raise _nonfinite_error()
-                fv[keep] = fk
-            out.append((vecs * fv) @ vecs.conj().T)
-        return AlgebraElement._trusted(self.algebra, out)
+        """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere.
+        One element of :func:`_apply_stack`."""
+        return _unstack(self.algebra, _apply_stack([self], [f], f_zero))[0]
 
     def eigenvalue_powers(self, exponents: Sequence[float]
                           ) -> tuple[np.ndarray, ...]:
@@ -302,29 +332,6 @@ class HermitianSpectrum:
             rows.append(out)
         return tuple(rows)
 
-    def power_stack(self, exponents: Sequence[float]
-                    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """h^e for every e in ``exponents``, as one (G, n, n) stack per block.
-
-        Slice g of each block equals ``apply(lambda lam: lam ** e)`` for
-        e = exponents[g], bit for bit.  Instead of raising, returns with the
-        blocks a (G,) mask of the exponents whose powers are finite on every
-        non-kernel eigenvalue; the caller raises :func:`_nonfinite_error` for
-        a False entry at that exponent's turn.  Rows that are not finite are
-        zeroed, so that stacked LAPACK calls on them still run.
-        """
-        with np.errstate(all="ignore"):
-            rows = self.eigenvalue_powers(exponents)
-        finite = np.ones(len(exponents), dtype=bool)
-        for r in rows:
-            finite &= np.isfinite(r).all(axis=1)
-        if not finite.all():
-            for r in rows:
-                r[~finite] = 0.0
-        blocks = tuple((vecs * r[:, None, :]) @ vecs.conj().T
-                       for vecs, r in zip(self.eigenvectors, rows))
-        return blocks, finite
-
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam, f_zero=0.0)
 
@@ -333,38 +340,23 @@ class HermitianSpectrum:
 
         Computed on the first call and shared afterwards; the projection is
         immutable, and the divergence paths ask for it once per parameter.
+        One element of :func:`_support_stack`.
         """
         return self._support
 
     @cached_property
     def _support(self) -> AlgebraElement:
-        return self.apply(lambda lam: np.ones_like(lam), f_zero=0.0)
+        return self.apply(np.ones_like, f_zero=0.0)
 
     def clip_psd(self) -> "HermitianSpectrum":
         """Clip tiny negative eigenvalues to 0; reject genuinely negative ones
         and a non-finite spectrum (entries so large that they overflow).
-
-        The kernel mask is recomputed from the clipped values so that every
-        clipped direction counts as kernel.
-        """
-        radius = self.spectral_radius
-        floor = -PSD_CLIP_TOL * radius
-        clipped = []
-        for vals in self.eigenvalues:
-            if not np.isfinite(vals).all():
-                raise DomainError("matrix has a non-finite eigenvalue")
-            if np.any(vals < floor):
-                raise DomainError(
-                    f"matrix is not PSD: eigenvalue {float(np.min(vals)):.3e} "
-                    f"below clip tolerance {floor:.3e}")
-            clipped.append(np.maximum(vals, 0.0))
-        new_radius = max(float(np.max(v)) for v in clipped)
-        masks = tuple(v <= self.eps_rel * new_radius for v in clipped)
-        clipped = tuple(clipped)
-        for arr in (*clipped, *masks):
-            arr.setflags(write=False)
-        return HermitianSpectrum(self.algebra, clipped, self.eigenvectors,
-                                 masks, self.eps_rel)
+        One element of :func:`_clip_stack`."""
+        clipped, masks = _clip_stack([v[None] for v in self.eigenvalues],
+                                     self.eps_rel)
+        return _spectra(self.algebra, clipped,
+                        [v[None] for v in self.eigenvectors], masks,
+                        self.eps_rel)[0]
 
 
 def _nonfinite_error() -> DomainError:
@@ -373,19 +365,109 @@ def _nonfinite_error() -> DomainError:
         "function undefined (non-finite) at a non-kernel eigenvalue")
 
 
-def _symmetrized(h: AlgebraElement, hermitize: bool) -> AlgebraElement:
-    """(h + h*)/2 after the Hermitian gate (skipped when ``hermitize``).
+def _spectra(algebra: BlockAlgebra, vals, vecs, masks,
+             eps: float) -> list[HermitianSpectrum]:
+    """The B spectra of per-block stacks of eigenvalues (B, n), eigenvectors
+    (B, n, n) and kernel masks (B, n); the stacks become read-only and each
+    spectrum holds views of them."""
+    for arr in (*vals, *vecs, *masks):
+        arr.setflags(write=False)
+    return [HermitianSpectrum(algebra, tuple(v[j] for v in vals),
+                              tuple(u[j] for u in vecs),
+                              tuple(m[j] for m in masks), eps)
+            for j in range(vals[0].shape[0])]
+
+
+def _radius(vals: Sequence[np.ndarray]) -> np.ndarray:
+    """(B,) largest |eigenvalue| across the blocks of each element (a
+    scalar for unstacked blocks).
+
+    Blocks are combined as Python's ``max`` combines them (a later block
+    wins only if it is larger), so a NaN block counts only when it comes
+    first, exactly as in a one-element loop."""
+    radius = abs(vals[0]).max(axis=-1)
+    for v in vals[1:]:
+        r = abs(v).max(axis=-1)
+        radius = np.where(r > radius, r, radius)
+    return radius
+
+
+def _kernel_masks(vals: Sequence[np.ndarray],
+                  eps: float) -> tuple[np.ndarray, ...]:
+    """The kernel convention: per block, the (B, n) mask of eigenvalues with
+    |lam| <= eps * radius, the radius taken across all blocks."""
+    cut = eps * _radius(vals)[:, None]
+    return tuple(abs(v) <= cut for v in vals)
+
+
+def _clip_stack(vals: Sequence[np.ndarray], eps: float
+                ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The PSD clip of stacked eigenvalues: values in [-PSD_CLIP_TOL * radius,
+    0) become 0, and the kernel masks are recomputed from the clipped values
+    so that every clipped direction counts as kernel.
+
+    Raises the DomainError of the first element, in order, with a
+    non-finite eigenvalue or one below the clip floor; within an element
+    the blocks are checked in order, as in a one-element loop."""
+    flat = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
+    # The floor is exact for every element whose spectrum is finite; any
+    # other element fails the finiteness test anyway.
+    floor = -PSD_CLIP_TOL * abs(flat).max(axis=-1)
+    ok = np.isfinite(flat).all(axis=-1) & (flat >= floor[:, None]).all(
+        axis=-1)
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
+        floor = -PSD_CLIP_TOL * float(_radius([v[j] for v in vals]))
+        for v in vals:
+            if not np.isfinite(v[j]).all():
+                raise DomainError("matrix has a non-finite eigenvalue")
+            if np.any(v[j] < floor):
+                raise DomainError(
+                    f"matrix is not PSD: eigenvalue {float(np.min(v[j])):.3e} "
+                    f"below clip tolerance {floor:.3e}")
+    clipped = tuple(np.maximum(v, 0.0) for v in vals)
+    return clipped, _kernel_masks(clipped, eps)
+
+
+def _symmetrized_stack(stacked: Sequence[np.ndarray],
+                       hermitize: bool) -> tuple[np.ndarray, ...]:
+    """(h + h*)/2 of stacked elements, after the Hermitian gate (skipped
+    when ``hermitize``); the DomainError of the first element that fails it.
 
     The result is exactly Hermitian, so symmetrizing it again returns the
-    same bits.
-    """
-    defect = h.hermitian_defect()
-    if not hermitize and defect > HERMITIAN_TOL * (1.0 + h.frobenius()):
+    same bits.  Entries near the float maximum overflow to inf here without
+    a warning; the PSD clip then rejects the non-finite spectrum."""
+    adj = _adjoint_stack(stacked)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = tuple((s + a) / 2.0 for s, a in zip(stacked, adj))
+        if hermitize:
+            return sym
+        defect = np.sqrt(_squared_norms([s - a for s, a in zip(stacked, adj)]))
+        bad = defect > HERMITIAN_TOL * (1.0 + np.sqrt(_squared_norms(stacked)))
+    if bad.any():
         raise DomainError(
-            f"matrix is not Hermitian (defect {defect:.3e}); pass "
+            f"matrix is not Hermitian (defect "
+            f"{float(defect[np.flatnonzero(bad)[0]]):.3e}); pass "
             f"hermitize=True to symmetrize")
-    return AlgebraElement._trusted(
-        h.algebra, [(b + b.conj().T) / 2.0 for b in h.blocks])
+    return sym
+
+
+def _eig_stack(sym: Sequence[np.ndarray]):
+    """Per block, the eigenvalues (B, n) and eigenvectors (B, n, n) of
+    stacked elements returned by :func:`_symmetrized_stack`, one ``eigh``
+    per block."""
+    pairs = [np.linalg.eigh(s) for s in sym]
+    return tuple(w for w, _ in pairs), tuple(u for _, u in pairs)
+
+
+def _clipped_eig_stack(algebra: BlockAlgebra, sym: Sequence[np.ndarray],
+                       eps: float) -> list[HermitianSpectrum]:
+    """``hermitian_eig(...).clip_psd()`` of B stacked elements already
+    returned by :func:`_symmetrized_stack`: one ``eigh`` per block and one
+    stacked clip."""
+    vals, vecs = _eig_stack(sym)
+    clipped, masks = _clip_stack(vals, eps)
+    return _spectra(algebra, clipped, vecs, masks, eps)
 
 
 def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
@@ -397,24 +479,89 @@ def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
     ``hermitize=True`` skips the gate and symmetrizes unconditionally.
     """
     eps = resolve_eps_rel(eps_rel)
-    return _symmetric_eig(_symmetrized(h, hermitize), eps)
+    vals, vecs = _eig_stack(_symmetrized_stack(_stack([h]), hermitize))
+    return _spectra(h.algebra, vals, vecs, _kernel_masks(vals, eps), eps)[0]
 
 
-def _symmetric_eig(sym: AlgebraElement, eps: float) -> HermitianSpectrum:
-    """Eigendecomposition of an element already returned by _symmetrized,
-    with a resolved cutoff ``eps``."""
-    vals_list, vecs_list = [], []
-    for b in sym.blocks:
-        vals, vecs = np.linalg.eigh(b)
-        vals_list.append(vals)
-        vecs_list.append(vecs)
-    radius = max(float(np.max(np.abs(v))) for v in vals_list)
-    masks = tuple(np.abs(v) <= eps * radius for v in vals_list)
-    vals_t = tuple(vals_list)
-    vecs_t = tuple(vecs_list)
-    for arr in (*vals_t, *vecs_t, *masks):
-        arr.setflags(write=False)
-    return HermitianSpectrum(sym.algebra, vals_t, vecs_t, masks, eps)
+def _calc_values(spec: HermitianSpectrum, f: Callable, f_zero: complex
+                 ) -> list[np.ndarray]:
+    """Per block, f on the non-kernel eigenvalues and f_zero on the kernel,
+    each block's kept values one 1-D call of f (warnings are the caller's to
+    silence); the error of a non-finite value at a kept eigenvalue."""
+    out = []
+    for vals, mask in zip(spec.eigenvalues, spec.kernel_mask):
+        fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
+        keep = ~mask
+        if keep.any():
+            fk = np.asarray(f(vals[keep]), dtype=np.complex128)
+            if not np.isfinite(fk).all():
+                raise _nonfinite_error()
+            fv[keep] = fk
+        out.append(fv)
+    return out
+
+
+def _eigenvectors(spectra: Sequence[HermitianSpectrum]
+                  ) -> tuple[np.ndarray, ...]:
+    """Per block, the (B, n, n) eigenvectors of each spectrum."""
+    return _blockwise([s.eigenvectors for s in spectra])
+
+
+def _apply_stack(spectra: Sequence[HermitianSpectrum], fs: Sequence[Callable],
+                 f_zero: complex = 0.0) -> tuple[np.ndarray, ...]:
+    """Functional calculus of B spectra of one algebra, f = fs[j] on
+    spectrum j, as per-block (B, n, n) stacks with one matmul per block.
+
+    The values are each spectrum's own 1-D calls (see :func:`_calc_values`);
+    the first spectrum, in order, with a non-finite value raises."""
+    with np.errstate(all="ignore"):
+        values = [_calc_values(s, f, f_zero) for s, f in zip(spectra, fs)]
+    return tuple((vecs * fv[:, None, :]) @ vecs.conj().swapaxes(-2, -1)
+                 for vecs, fv in zip(_eigenvectors(spectra),
+                                     _blockwise(values)))
+
+
+def _support_stack(spectra: Sequence[HermitianSpectrum]
+                   ) -> tuple[np.ndarray, ...]:
+    """The support projections of spectra of one algebra, stacked per
+    block.  Those not yet computed are computed as one stack and kept by
+    their spectra, as :meth:`HermitianSpectrum.support` keeps its own."""
+    missing = [s for s in spectra if "_support" not in vars(s)]
+    if missing:
+        computed = _apply_stack(missing, [np.ones_like] * len(missing))
+        for spec, support in zip(missing,
+                                 _unstack(missing[0].algebra, computed)):
+            vars(spec)["_support"] = support
+    return _stack([s.support() for s in spectra])
+
+
+def _power_stack(spectra: Sequence[HermitianSpectrum],
+                 exponents: Sequence[float]
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """h_j^e for every spectrum j and every e in ``exponents``, as one
+    (B, G, n, n) stack per block.
+
+    Slice (j, g) equals ``spectra[j].apply(lambda lam: lam ** e)`` for
+    e = exponents[g], bit for bit.  Instead of raising, returns with the
+    blocks a (B, G) mask of the powers that are finite on every non-kernel
+    eigenvalue; the caller raises :func:`_nonfinite_error` for a False entry
+    at that power's turn.  Rows that are not finite are zeroed, so that
+    stacked LAPACK calls on them still run.
+    """
+    with np.errstate(all="ignore"):
+        rows = [spec.eigenvalue_powers(exponents) for spec in spectra]
+    finite = np.ones((len(spectra), len(exponents)), dtype=bool)
+    for j, r in enumerate(rows):
+        for block in r:
+            finite[j] &= np.isfinite(block).all(axis=1)
+        if not finite[j].all():
+            for block in r:
+                block[~finite[j]] = 0.0
+    blocks = tuple((vecs[:, None] * r[:, :, None, :])
+                   @ vecs.conj().swapaxes(-2, -1)[:, None]
+                   for vecs, r in zip(_eigenvectors(spectra),
+                                      _blockwise(rows)))
+    return blocks, finite
 
 
 def func_calc(h: AlgebraElement, f: Callable[[np.ndarray], np.ndarray],
@@ -437,7 +584,7 @@ def element_power(h: AlgebraElement, r: float, hermitize: bool = False,
     must be PSD up to the clip tolerance.
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec.apply(lambda lam: lam ** float(r), f_zero=0.0)
+    return spec.apply(_power_f(r), f_zero=0.0)
 
 
 def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
@@ -447,7 +594,21 @@ def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
     The result is a partial isometry u with u* u = support(h).
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec.apply(lambda lam: np.exp(1j * t * np.log(lam)), f_zero=0.0)
+    return spec.apply(_imaginary_f(t), f_zero=0.0)
+
+
+def _power_f(r: float) -> Callable[[np.ndarray], np.ndarray]:
+    """lam -> lam^r on positive eigenvalues."""
+    def f(lam):
+        return lam ** float(r)
+    return f
+
+
+def _imaginary_f(t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """lam -> lam^{it} = exp(i t log lam) on positive eigenvalues."""
+    def f(lam):
+        return np.exp(1j * t * np.log(lam))
+    return f
 
 
 def support_projection(h: AlgebraElement,
@@ -461,15 +622,27 @@ def polar_decompose(x: AlgebraElement, eps_rel: float | None = None
     """Canonical polar factors: x = v |x| with |x| = (x* x)^{1/2}.
 
     v is the phase-canonical partial isometry x (x* x)^{-1/2} on the support,
-    so v* v equals the support projection of |x|.
+    so v* v equals the support projection of |x|.  One element of
+    :func:`_polar_stack`.
     """
-    eps = resolve_eps_rel(eps_rel)
-    svds = [np.linalg.svd(b) for b in x.blocks]
-    sigma_max = max(float(s[0]) if s.size else 0.0 for _, s, _ in svds)
+    v, a = _polar_stack(_stack([x]), resolve_eps_rel(eps_rel))
+    return _unstack(x.algebra, v)[0], _unstack(x.algebra, a)[0]
+
+
+def _polar_stack(stacked: Sequence[np.ndarray], eps: float
+                 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Polar factors (v, |x|) of B stacked elements as per-block stacks, one
+    ``svd`` per block.  A singular value is kept when it exceeds eps times
+    the element's largest one."""
+    svds = [np.linalg.svd(s) for s in stacked]
+    sigma_max = _radius([s[..., :1] for _, s, _ in svds])
     v_blocks, abs_blocks = [], []
     for u, s, vh in svds:
-        keep = s > eps * sigma_max
-        abs_blocks.append(vh.conj().T @ (s[:, None] * vh))
-        v_blocks.append(u[:, keep] @ vh[keep, :])
-    return (AlgebraElement._trusted(x.algebra, v_blocks),
-            AlgebraElement._trusted(x.algebra, abs_blocks))
+        keep = s > eps * sigma_max[:, None]
+        abs_blocks.append(vh.conj().swapaxes(-2, -1) @ (s[..., None] * vh))
+        if keep.all():
+            v_blocks.append(u @ vh)
+        else:
+            v_blocks.append(np.stack([uj[:, kj] @ vhj[kj, :] for uj, kj, vhj
+                                      in zip(u, keep, vh)]))
+    return tuple(v_blocks), tuple(abs_blocks)

@@ -68,7 +68,9 @@ def _build_parser() -> _Parser:
     p_norm.add_argument("--x", required=True, metavar="FILE")
     p_norm.add_argument("--kosaki", action="store_true")
     p_norm.add_argument("--phi", metavar="FILE")
-    p_norm.add_argument("--eta", type=float, default=0.0)
+    p_norm.add_argument("--eta", type=float, default=None,
+                        help="interpolation parameter of --kosaki "
+                        "(default 0)")
     p_norm.add_argument("--eps-rel", type=float, default=None)
 
     p_tensor = sub.add_parser("tensor", help="Kronecker product of two "
@@ -137,6 +139,8 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_lp_norm(args) -> int:
+    if not args.kosaki and (args.eta is not None or args.phi is not None):
+        raise UsageError("--eta and --phi apply only with --kosaki")
     eps = _eps(args)
     p = LpExponent.parse(args.p)
     x = io.load_element(args.x, eps)
@@ -144,7 +148,7 @@ def _cmd_lp_norm(args) -> int:
         if not args.phi:
             raise UsageError("--kosaki requires --phi FILE")
         phi = io.load_functional(args.phi, eps)
-        spec = KosakiSpec(phi, p, args.eta)
+        spec = KosakiSpec(phi, p, 0.0 if args.eta is None else args.eta)
         value = kosaki_norm(x, spec, eps)
     else:
         value = lp_norm(x, p)
@@ -196,7 +200,7 @@ def _cmd_suite(args) -> int:
                          (config.dims or ())] or "default",
                 "tolerance_overrides": config.tolerances,
                 "eps_rel": eps},
-        results=[r.to_dict() for r in reports],
+        results=[r.fields() for r in reports],
         residuals={}, status=summary["status"])
     if args.out:
         io.write_text_file(args.out, io.dumps_report(doc))

@@ -17,10 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _nonfinite_error)
+                      _blockwise, _eigenvectors, _nonfinite_error,
+                      _power_stack, _squared_norms, _stacked,
+                      _support_stack)
 from .config import PSD_CLIP_TOL, resolve_eps_rel
 from .errors import ConditioningError, DomainError, NclpError, ShapeError
-from .functionals import PositiveFunctional
+from .functionals import (PositiveFunctional, _densities,
+                          _positive_functionals)
+from .lp import singular_values_stack
 from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional
 
@@ -110,12 +114,20 @@ def _check_pair(psi: PositiveFunctional, phi: PositiveFunctional):
         raise DomainError("left functional must be nonzero")
 
 
-def _support_violates(psi: PositiveFunctional, phi: PositiveFunctional,
-                      eps_rel: float | None) -> bool:
-    """True when s(psi) <= s(phi) fails beyond the relative budget."""
-    comp = psi.algebra.identity() - phi.support(eps_rel)
-    leak = (comp @ psi.density @ comp).frobenius()
-    return leak > SUPPORT_VIOLATION_RTOL * psi.density.frobenius()
+def _support_violations(psis: Sequence[PositiveFunctional],
+                        phis: Sequence[PositiveFunctional],
+                        eps: float) -> np.ndarray:
+    """(B,) whether s(psi) <= s(phi) fails beyond the relative budget, per
+    pair of one algebra: the leak (1 - s(phi)) h_psi (1 - s(phi)) against
+    the density's norm, stacked across the pairs."""
+    supports = _support_stack([phi.spectrum(eps) for phi in phis])
+    densities = _densities(psis)
+    comps = [np.eye(s.shape[-1], dtype=np.complex128) - s for s in supports]
+    with np.errstate(over="ignore"):
+        leak = np.sqrt(_squared_norms([c @ h @ c
+                                       for c, h in zip(comps, densities)]))
+        return leak > SUPPORT_VIOLATION_RTOL * np.sqrt(
+            _squared_norms(densities))
 
 
 def _sandwiched_params(alpha: float) -> DivergenceParams:
@@ -159,64 +171,95 @@ def q_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
     value equals the one-point call's bit for bit.
 
     Errors: each point fails as the one-point call fails, and the first
-    failing point in grid order raises.
+    failing point in grid order raises.  One pair of :func:`q_tilde_stack`.
     """
-    _check_pair(psi, phi)
+    return _raise_first(q_tilde_stack([psi], [phi], grid, eps_rel)[0])
+
+
+def q_tilde_stack(psis: Sequence[PositiveFunctional],
+                  phis: Sequence[PositiveFunctional],
+                  grid: Sequence[DivergenceParams],
+                  eps_rel: float | None = None) -> list[list]:
+    """:func:`q_tilde_grid` of B pairs (psis[j], phis[j]) of one algebra,
+    with each LAPACK call stacked across the pairs as well as the points.
+
+    Entry j lists pair j's outcome at every point: its DivergenceValue, or
+    the error its one-pair call would raise at that point (returned, not
+    raised).  Pairs that violate the support nesting skip the points with
+    alpha > 1, so they are evaluated in a stack of their own.
+    """
+    for psi, phi in zip(psis, phis):
+        _check_pair(psi, phi)
     grid = tuple(grid)
     eps = resolve_eps_rel(eps_rel)
-    violates = (any(p.alpha > 1 for p in grid)
-                and _support_violates(psi, phi, eps))
-    outcomes: list = [DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
-                      if violates and p.alpha > 1 else None for p in grid]
-    phi_spec = phi.spectrum(eps)
-    for wanted, evaluate in ((True, _sandwiched_values),
-                             (False, _alpha_z_values)):
-        idx = [g for g, p in enumerate(grid)
-               if outcomes[g] is None and p.is_sandwiched == wanted]
-        if idx:
-            values = evaluate(psi, phi_spec, [grid[g] for g in idx], eps)
-            for g, value in zip(idx, values):
-                outcomes[g] = value
-    return _raise_first(outcomes)
+    sharp = [p.alpha > 1 for p in grid]
+    violations = (_support_violations(psis, phis, eps).tolist()
+                  if any(sharp) else [False] * len(psis))
+    outcomes = [[None] * len(grid) for _ in psis]
+    for violates in sorted(set(violations)):
+        js = [j for j, v in enumerate(violations) if v == violates]
+        for wanted, evaluate in ((True, _sandwiched_values),
+                                 (False, _alpha_z_values)):
+            idx = [g for g, p in enumerate(grid) if p.is_sandwiched == wanted
+                   and not (violates and sharp[g])]
+            if idx:
+                values = evaluate([psis[j] for j in js],
+                                  [phis[j].spectrum(eps) for j in js],
+                                  [grid[g] for g in idx], eps)
+                for j, vals in zip(js, values):
+                    for g, value in zip(idx, vals):
+                        outcomes[j][g] = value
+        if violates:
+            for j in js:
+                outcomes[j] = [DivergenceValue.infinite(
+                    Reason.SUPPORT_VIOLATION) if out is None else out
+                    for out in outcomes[j]]
+    return outcomes
 
 
-def _sandwiched_values(psi: PositiveFunctional, phi_spec: HermitianSpectrum,
+def _sandwiched_values(psis: Sequence[PositiveFunctional],
+                       phi_specs: Sequence[HermitianSpectrum],
                        grid: Sequence[DivergenceParams], eps: float) -> list:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
-    point; the sandwich is formed in phi's eigenbasis, where kernel
+    pair and point; the sandwich is formed in phi's eigenbasis, where kernel
     directions scale to 0.  An entry is the value, or the DomainError of a
     sandwich that is not PSD within the clip tolerance."""
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
+    scales = _blockwise([spec.eigenvalue_powers(expos)
+                         for spec in phi_specs])
     eigs = []
-    for vecs, scale, tb in zip(phi_spec.eigenvectors,
-                               phi_spec.eigenvalue_powers(expos),
-                               psi.density.blocks):
-        c = vecs.conj().T @ tb @ vecs
-        mids = (scale[:, :, None] * c) * scale[:, None, :]
+    for vecs, scale, tb in zip(_eigenvectors(phi_specs), scales,
+                               _densities(psis)):
+        c = vecs.conj().swapaxes(-2, -1) @ tb @ vecs
+        mids = (scale[..., :, None] * c[:, None]) * scale[..., None, :]
         eigs.append(np.linalg.eigvalsh(
-            (mids + mids.conj().transpose(0, 2, 1)) / 2.0))
-    radius = np.max([np.abs(e).max(axis=1) for e in eigs], axis=0)
-    negative = np.any([(e < -PSD_CLIP_TOL * radius[:, None]).any(axis=1)
+            (mids + mids.conj().swapaxes(-2, -1)) / 2.0))
+    radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
+    negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
                        for e in eigs], axis=0)
-    keeps = [e > eps * radius[:, None] for e in eigs]
+    keeps = [e > eps * radius[..., None] for e in eigs]
     out = []
-    for g, alpha in enumerate(alphas):
-        if negative[g]:
-            out.append(DomainError(
-                "sandwich block is not PSD within clip tolerance"))
-            continue
-        total = 0.0
-        for e, keep in zip(eigs, keeps):
-            total += float((e[g][keep[g]] ** alpha).sum())
-        out.append(DivergenceValue(total))
+    for j in range(len(psis)):
+        vals = []
+        for g, alpha in enumerate(alphas):
+            if negative[j, g]:
+                vals.append(DomainError(
+                    "sandwich block is not PSD within clip tolerance"))
+                continue
+            total = 0.0
+            for e, keep in zip(eigs, keeps):
+                total += float((e[j, g][keep[j, g]] ** alpha).sum())
+            vals.append(DivergenceValue(total))
+        out.append(vals)
     return out
 
 
-def _alpha_z_values(psi: PositiveFunctional, phi_spec: HermitianSpectrum,
+def _alpha_z_values(psis: Sequence[PositiveFunctional],
+                    phi_specs: Sequence[HermitianSpectrum],
                     grid: Sequence[DivergenceParams], eps: float) -> list:
-    """Q_{alpha,z} per point, none of them a support violation.
+    """Q_{alpha,z} per pair and point, none of them a support violation.
 
     Q is the sum of sigma^{2z} over the non-kernel singular values of
     B = h_psi^{alpha/2z} h_phi^{(1-alpha)/2z}; the sandwich it stands for
@@ -235,63 +278,74 @@ def _alpha_z_values(psi: PositiveFunctional, phi_spec: HermitianSpectrum,
     half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
     phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
                  else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
-    powers, finite = psi.spectrum(eps).power_stack(cert_expos + half_expos)
+    powers, finite = _power_stack([psi.spectrum(eps) for psi in psis],
+                                  cert_expos + half_expos)
     k = len(sharp)
+    vecs = _eigenvectors(phi_specs)
     if k:
         _, residuals, budgets = _sharp_pinv_middles(
-            [b[:k] for b in powers], phi_spec,
+            [b[:, :k] for b in powers], phi_specs, vecs,
             [(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp])
-    svs = [np.linalg.svd((half @ vecs) * scale[:, None, :],
-                         compute_uv=False)
-           for half, vecs, scale in zip(
-               [b[k:] for b in powers], phi_spec.eigenvectors,
-               phi_spec.eigenvalue_powers(phi_expos))]
-    sv = np.concatenate(svs, axis=1)
-    keeps = sv > eps * sv.max(axis=1)[:, None]
-    out = []
+    scales = _blockwise([spec.eigenvalue_powers(phi_expos)
+                         for spec in phi_specs])
+    sv = singular_values_stack([(half[:, k:] @ u[:, None])
+                                * scale[..., None, :]
+                                for half, u, scale in zip(powers, vecs,
+                                                          scales)])
+    keeps = sv > eps * sv.max(axis=-1)[..., None]
     cert = dict(zip(sharp, range(k)))
-    for g, z in enumerate(zs):
-        if g in cert:
-            i = cert[g]
-            if not finite[i]:
-                out.append(_nonfinite_error())
+    out = []
+    for j in range(len(psis)):
+        vals = []
+        for g, z in enumerate(zs):
+            if g in cert:
+                i = cert[g]
+                if not finite[j, i]:
+                    vals.append(_nonfinite_error())
+                    continue
+                if residuals[j, i] > budgets[j, i]:
+                    vals.append(_recomposition_error(float(residuals[j, i])))
+                    continue
+            if not finite[j, k + g]:
+                vals.append(_nonfinite_error())
                 continue
-            if residuals[i] > budgets[i]:
-                out.append(_recomposition_error(float(residuals[i])))
-                continue
-        if not finite[k + g]:
-            out.append(_nonfinite_error())
-            continue
-        kept = sv[g][keeps[g]]
-        out.append(DivergenceValue(float((kept ** (2.0 * z)).sum())))
+            kept = sv[j, g][keeps[j, g]]
+            vals.append(DivergenceValue(float((kept ** (2.0 * z)).sum())))
+        out.append(vals)
     return out
 
 
-def _sharp_pinv_middles(hp: Sequence[np.ndarray], spec: HermitianSpectrum,
+def _sharp_pinv_middles(hp: Sequence[np.ndarray],
+                        specs: Sequence[HermitianSpectrum],
+                        vecs: Sequence[np.ndarray],
                         expos: Sequence[float]):
     """Eigenbasis blocks of the pseudo-inverse corner solutions of the
-    sandwich equation, one per exponent e, with their certificates.
+    sandwich equation, one per pair j and exponent e, with their
+    certificates.
 
-    ``hp`` holds per block a (G, n, n) stack of right-hand sides
-    h_psi^{alpha/z}.  In phi's eigenbasis the solution is
-    X_ij = C_ij / (s_i^e s_j^e) on the support corner (C the transformed
-    right-hand side); re-scaling recovers C entrywise, so the recomposition
-    residual measures exactly the part of the right-hand side outside the
-    corner plus rounding, independent of phi's conditioning.  Returns the
-    (G, n, n) middles per block, the (G,) residuals and the (G,) budgets
+    ``hp`` holds per block a (B, G, n, n) stack of right-hand sides
+    h_psi^{alpha/z}, specs[j] is the spectrum of pair j's phi and ``vecs``
+    holds their eigenvectors stacked per block.  In phi's eigenbasis the
+    solution is X_ij = C_ij / (s_i^e s_j^e) on the support corner (C the
+    transformed right-hand side); re-scaling recovers C entrywise, so the
+    recomposition residual measures exactly the part of the right-hand side
+    outside the corner plus rounding, independent of phi's conditioning.  Returns the (B, G, n, n) middles per block, the
+    (B, G) residuals and the (B, G) budgets
     SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
     """
     G = len(expos)
+    scales = _blockwise([
+        spec.eigenvalue_powers([-e for e in expos] + list(expos))
+        for spec in specs])
     mids, resid_sq, frob_sq = [], 0.0, 0.0
-    for vecs, scales, tb in zip(
-            spec.eigenvectors,
-            spec.eigenvalue_powers([-e for e in expos] + list(expos)), hp):
-        down, up = scales[:G], scales[G:]
-        c = vecs.conj().T @ tb @ vecs
-        mid = (down[:, :, None] * c) * down[:, None, :]
-        back = (up[:, :, None] * mid) * up[:, None, :]
-        resid_sq = resid_sq + np.sum(np.abs(back - c) ** 2, axis=(1, 2))
-        frob_sq = frob_sq + np.sum(np.abs(tb) ** 2, axis=(1, 2))
+    for tb, u, sc in zip(hp, vecs, scales):
+        u = u[:, None]
+        down, up = sc[:, :G], sc[:, G:]
+        c = u.conj().swapaxes(-2, -1) @ tb @ u
+        mid = (down[..., :, None] * c) * down[..., None, :]
+        back = (up[..., :, None] * mid) * up[..., None, :]
+        resid_sq = resid_sq + (abs(back - c) ** 2).sum(axis=(-2, -1))
+        frob_sq = frob_sq + (abs(tb) ** 2).sum(axis=(-2, -1))
         mids.append(mid)
     budgets = SHARP_RECOMP_TOL * (1.0 + np.sqrt(frob_sq))
     return mids, np.sqrt(resid_sq), budgets
@@ -349,18 +403,18 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     alpha, z = params.alpha, params.effective_z
     if alpha <= 1:
         raise DomainError("the sandwich-equation solve applies to alpha > 1")
-    if _support_violates(psi, phi, eps_rel):
+    if _support_violations([psi], [phi], resolve_eps_rel(eps_rel))[0]:
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    hp, finite = psi.spectrum(eps_rel).power_stack([alpha / z])
-    if not finite[0]:
+    hp, finite = _power_stack([psi.spectrum(eps_rel)], [alpha / z])
+    if not finite[0, 0]:
         raise _nonfinite_error()
     spec = phi.spectrum(eps_rel)
     mids, residuals, budgets = _sharp_pinv_middles(
-        hp, spec, [(alpha - 1.0) / (2.0 * z)])
-    if residuals[0] > budgets[0]:
-        raise _recomposition_error(float(residuals[0]))
-    blocks = [vecs @ mid[0] @ vecs.conj().T
+        hp, [spec], _eigenvectors([spec]), [(alpha - 1.0) / (2.0 * z)])
+    if residuals[0, 0] > budgets[0, 0]:
+        raise _recomposition_error(float(residuals[0, 0]))
+    blocks = [vecs @ mid[0, 0] @ vecs.conj().T
               for vecs, mid in zip(spec.eigenvectors, mids)]
     return AlgebraElement._trusted(psi.algebra, blocks)
 
@@ -415,8 +469,7 @@ def d_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
     """:func:`d_tilde` at every point of a grid, from one
     :func:`q_tilde_grid` call (same sharing and error order)."""
     grid = tuple(grid)
-    return [d_from_q(q, psi, phi, p.alpha)
-            for q, p in zip(q_tilde_grid(psi, phi, grid, eps_rel), grid)]
+    return _d_stack([psi], [phi], grid, eps_rel)[0]
 
 
 def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -436,20 +489,34 @@ def lemma9_grid(psi: PositiveFunctional, phi: PositiveFunctional,
                 eps_rel: float | None = None) -> list[CheckReport]:
     """:func:`lemma9_check` at every order in ``alphas``.
 
-    Both paths at every order come from one :func:`q_tilde_grid` call, with
-    the points in the order sandwiched(alpha_1), alpha-z(alpha_1),
+    Both paths at every order come from one Q-grid evaluation, with the
+    points in the order sandwiched(alpha_1), alpha-z(alpha_1),
     sandwiched(alpha_2), ...; so the first failure raises as in a loop of
-    one-point checks.
+    one-point checks.  One pair of :func:`lemma9_stack`.
     """
-    _check_pair(psi, phi)
+    return lemma9_stack([psi], [phi], alphas, tol, eps_rel)[0]
+
+
+def lemma9_stack(psis: Sequence[PositiveFunctional],
+                 phis: Sequence[PositiveFunctional],
+                 alphas: Sequence[float], tol: float = 1e-10,
+                 eps_rel: float | None = None) -> list[list[CheckReport]]:
+    """:func:`lemma9_grid` of B pairs, from one :func:`q_tilde_stack`; the
+    first pair with a failing point raises it."""
+    for psi, phi in zip(psis, phis):
+        _check_pair(psi, phi)
     alphas = tuple(alphas)
     grid = []
     for alpha in alphas:
         grid += [_sandwiched_params(alpha), DivergenceParams(alpha, z=alpha)]
-    qs = q_tilde_grid(psi, phi, grid, eps_rel)
-    return [_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol,
-                           d_from_q(qs[2 * i + 1], psi, phi, alpha))
-            for i, alpha in enumerate(alphas)]
+    out = []
+    for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid, eps_rel), psis,
+                            phis):
+        _raise_first(qs)
+        out.append([_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol,
+                                   d_from_q(qs[2 * i + 1], psi, phi, alpha))
+                    for i, alpha in enumerate(alphas)])
+    return out
 
 
 def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -487,21 +554,45 @@ def additivity_grid(psi1: PositiveFunctional, phi1: PositiveFunctional,
     """:func:`additivity_check` at every point of a parameter grid.
 
     The products psi1 (x) psi2 and phi1 (x) phi2 are built once, and each of
-    the three pairs (factor 1, factor 2, product) gets one
-    :func:`q_tilde_grid` call.  Errors: the pairs are evaluated in that
-    order, and within a pair the first failing point raises.
+    the three pairs (factor 1, factor 2, product) gets one Q-grid
+    evaluation.  Errors: the pairs are evaluated in that order, and within
+    a pair the first failing point raises.  One element of
+    :func:`additivity_stack`.
     """
-    T = TensorAlgebra(psi1.algebra, psi2.algebra)
-    psi12 = kron_functional(T, psi1, psi2)
-    phi12 = kron_functional(T, phi1, phi2)
+    return additivity_stack([psi1], [phi1], [psi2], [phi2], grid, tol_q,
+                            tol_d, eps_rel)[0]
+
+
+def additivity_stack(psi1s: Sequence[PositiveFunctional],
+                     phi1s: Sequence[PositiveFunctional],
+                     psi2s: Sequence[PositiveFunctional],
+                     phi2s: Sequence[PositiveFunctional],
+                     grid: Sequence[DivergenceParams], tol_q: float = 1e-9,
+                     tol_d: float = 1e-8, eps_rel: float | None = None
+                     ) -> list[list[CheckReport]]:
+    """:func:`additivity_grid` of B quadruples on one pair of algebras.
+    Each of the three pairs gets one :func:`q_tilde_stack` across the
+    quadruples; element j raises its errors as its one-element call does,
+    the first such element first."""
+    T = TensorAlgebra(psi1s[0].algebra, psi2s[0].algebra)
+    psi12s, phi12s = [], []
+    for psi1, phi1, psi2, phi2 in zip(psi1s, phi1s, psi2s, phi2s):
+        psi12s.append(kron_functional(T, psi1, psi2))
+        phi12s.append(kron_functional(T, phi1, phi2))
     grid = tuple(grid)
     eps = resolve_eps_rel(eps_rel)
-    q1s = q_tilde_grid(psi1, phi1, grid, eps)
-    q2s = q_tilde_grid(psi2, phi2, grid, eps)
-    q12s = q_tilde_grid(psi12, phi12, grid, eps)
-    return [_additivity_report(params, (q1, psi1, phi1), (q2, psi2, phi2),
-                               (q12, psi12, phi12), tol_q, tol_d)
-            for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)]
+    sides = [(psi1s, phi1s), (psi2s, phi2s), (psi12s, phi12s)]
+    qs = [q_tilde_stack(psis, phis, grid, eps) for psis, phis in sides]
+    out = []
+    for j, (q1s, q2s, q12s) in enumerate(zip(*qs)):
+        for outcomes in (q1s, q2s, q12s):
+            _raise_first(outcomes)
+        psi1, phi1, psi2, phi2 = psi1s[j], phi1s[j], psi2s[j], phi2s[j]
+        out.append([_additivity_report(
+            params, (q1, psi1, phi1), (q2, psi2, phi2),
+            (q12, psi12s[j], phi12s[j]), tol_q, tol_d)
+            for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)])
+    return out
 
 
 def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
@@ -590,10 +681,6 @@ class QuantumChannel:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "kraus", mats)
 
-    def unitality_defect(self) -> float:
-        acc = sum(v.conj().T @ v for v in self.kraus)
-        return float(np.linalg.norm(acc - np.eye(self.codomain.carrier_dim)))
-
     def apply(self, b: AlgebraElement) -> AlgebraElement:
         """Forward action on a domain element (lands in the codomain)."""
         if b.algebra != self.domain:
@@ -608,14 +695,29 @@ def precompose(psi: PositiveFunctional, channel: QuantumChannel,
     """Pull a codomain functional back through the channel.
 
     The density maps through the adjoint Kraus sum followed by block-diagonal
-    compression; unital channels preserve the mass.
+    compression; unital channels preserve the mass.  One pair of
+    :func:`precompose_stack`.
     """
-    if psi.algebra != channel.codomain:
-        raise ShapeError("functional does not live on the channel codomain")
-    full = psi.density.full_matrix()
-    acc = sum(v @ full @ v.conj().T for v in channel.kraus)
-    h = channel.domain.from_full(acc)
-    return PositiveFunctional(h, hermitize=True, eps_rel=eps_rel)
+    return precompose_stack([psi], [channel], eps_rel)[0]
+
+
+def precompose_stack(psis: Sequence[PositiveFunctional],
+                     channels: Sequence[QuantumChannel],
+                     eps_rel: float | None = None
+                     ) -> list[PositiveFunctional]:
+    """:func:`precompose` of B pairs whose channels share a domain, a
+    codomain and a number of Kraus operators, stacked across the pairs."""
+    for psi, channel in zip(psis, channels):
+        if psi.algebra != channel.codomain:
+            raise ShapeError(
+                "functional does not live on the channel codomain")
+    full = _stacked([psi.density.full_matrix() for psi in psis])
+    acc = sum(v @ full @ v.conj().swapaxes(-2, -1) for v in (
+        _stacked(kraus) for kraus in zip(*(ch.kraus for ch in channels))))
+    domain = channels[0].domain
+    offsets = np.cumsum([0, *domain.block_dims])
+    blocks = [acc[:, a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return _positive_functionals(domain, blocks, True, eps_rel)
 
 
 def identity_channel(algebra: BlockAlgebra) -> QuantumChannel:
@@ -712,19 +814,41 @@ def dpi_probe_grid(psi: PositiveFunctional, phi: PositiveFunctional,
     """:func:`dpi_probe` at every point of a parameter grid.
 
     psi and phi are precomposed through the channel once; the values before
-    and after the channel come from one :func:`d_tilde_grid` call each.
-    Errors: the values before the channel, the precompositions and the
-    values after it are evaluated in that order, and within a pair the
-    first failing point raises.
+    and after the channel come from one Q-grid evaluation each.  Errors: the
+    values before the channel, the precompositions and the values after it
+    are evaluated in that order, and within a pair the first failing point
+    raises.  One element of :func:`dpi_probe_stack`.
     """
+    return dpi_probe_stack([psi], [phi], [channel], grid, slack, eps_rel)[0]
+
+
+def dpi_probe_stack(psis: Sequence[PositiveFunctional],
+                    phis: Sequence[PositiveFunctional],
+                    channels: Sequence[QuantumChannel],
+                    grid: Sequence[DivergenceParams], slack: float = 1e-9,
+                    eps_rel: float | None = None) -> list[list[CheckReport]]:
+    """:func:`dpi_probe_grid` of B triples whose channels share a domain
+    and a codomain, stage by stage: the values before the channels (the
+    first pair with an error raises it), the precompositions, then the
+    values after them."""
     grid = tuple(grid)
     eps = resolve_eps_rel(eps_rel)
-    d_ins = d_tilde_grid(psi, phi, grid, eps)
-    psi_c = precompose(psi, channel, eps)
-    phi_c = precompose(phi, channel, eps)
-    d_outs = d_tilde_grid(psi_c, phi_c, grid, eps)
-    return [_dpi_report(params, d_in, d_out, slack)
-            for params, d_in, d_out in zip(grid, d_ins, d_outs)]
+    d_ins = _d_stack(psis, phis, grid, eps)
+    psi_cs = precompose_stack(psis, channels, eps)
+    phi_cs = precompose_stack(phis, channels, eps)
+    d_outs = _d_stack(psi_cs, phi_cs, grid, eps)
+    return [[_dpi_report(params, d_in, d_out, slack)
+             for params, d_in, d_out in zip(grid, ins, outs)]
+            for ins, outs in zip(d_ins, d_outs)]
+
+
+def _d_stack(psis, phis, grid, eps) -> list[list[DivergenceValue]]:
+    """Per pair, the divergences at every point; the first pair with a
+    failing point raises it."""
+    return [[d_from_q(q, psi, phi, p.alpha)
+             for q, p in zip(_raise_first(qs), grid)]
+            for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid, eps),
+                                    psis, phis)]
 
 
 def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _symmetric_eig, _symmetrized, canonical_trace)
+                      _apply_stack, _clipped_eig_stack, _frobenius_stack,
+                      _imaginary_f, _power_f, _stack, _support_stack,
+                      _symmetrized_stack, _unstack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError
 
@@ -24,16 +26,20 @@ class PositiveFunctional:
     planted zero structure (diagonal instances, exact kernels) survives.
     A functional built from others (a sum, a multiple, a tensor product)
     keeps the cutoff of its first operand, so no cutoff is resolved again.
+    The constructor is one element of :func:`_positive_functionals`.
     """
 
     __slots__ = ("algebra", "density", "_spectrum", "_mass")
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
-        eps = resolve_eps_rel(eps_rel)
-        sym = _symmetrized(density, hermitize)
-        spectrum = _symmetric_eig(sym, eps).clip_psd()
-        object.__setattr__(self, "algebra", density.algebra)
+        psi, = _positive_functionals(density.algebra, _stack([density]),
+                                     hermitize, eps_rel)
+        self._set(psi.algebra, psi.density, psi._spectrum)
+
+    def _set(self, algebra: BlockAlgebra, sym: AlgebraElement,
+             spectrum: HermitianSpectrum):
+        object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "density", sym)
         object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "_mass", None)
@@ -43,18 +49,14 @@ class PositiveFunctional:
              eps_rel: float | None = None) -> "PositiveFunctional":
         return cls(algebra.zero(), eps_rel=eps_rel)
 
-    @classmethod
-    def from_diagonal(cls, algebra: BlockAlgebra,
-                      entries) -> "PositiveFunctional":
-        return cls(algebra.diagonal(entries))
-
     # -- basic structure -----------------------------------------------------
 
     def spectrum(self, eps_rel: float | None = None) -> HermitianSpectrum:
         eps = resolve_eps_rel(eps_rel)
         if eps == self._spectrum.eps_rel:
             return self._spectrum
-        return _symmetric_eig(self.density, eps).clip_psd()
+        return _clipped_eig_stack(self.algebra, _stack([self.density]),
+                                  eps)[0]
 
     @property
     def mass(self) -> float:
@@ -90,13 +92,11 @@ class PositiveFunctional:
         on a functional that lives long, and measured end to end it saved no
         time beyond run-to-run noise.
         """
-        return self.spectrum(eps_rel).apply(
-            lambda lam: lam ** float(r), f_zero=0.0)
+        return self.spectrum(eps_rel).apply(_power_f(r), f_zero=0.0)
 
     def imaginary_power(self, t: float,
                         eps_rel: float | None = None) -> AlgebraElement:
-        return self.spectrum(eps_rel).apply(
-            lambda lam: np.exp(1j * t * np.log(lam)), f_zero=0.0)
+        return self.spectrum(eps_rel).apply(_imaginary_f(t), f_zero=0.0)
 
     def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
         return PositiveFunctional(self.density + other.density,
@@ -105,6 +105,25 @@ class PositiveFunctional:
     def __repr__(self):
         return (f"PositiveFunctional(blocks={self.algebra.block_dims}, "
                 f"mass={self.mass:.6g}, rank={self._spectrum.rank()})")
+
+
+def _positive_functionals(algebra: BlockAlgebra, stacked,
+                          hermitize: bool = False,
+                          eps_rel: float | None = None
+                          ) -> list[PositiveFunctional]:
+    """The functionals of B stacked densities (per block a (B, n, n) array),
+    as B constructor calls build them: the Hermitian gate, one ``eigh`` per
+    block and the PSD clip, each for all B at once.  The first density, in
+    order, that fails the gate or the clip raises its error."""
+    eps = resolve_eps_rel(eps_rel)
+    sym = _symmetrized_stack(stacked, hermitize)
+    out = []
+    for density, spectrum in zip(_unstack(algebra, sym),
+                                 _clipped_eig_stack(algebra, sym, eps)):
+        psi = object.__new__(PositiveFunctional)
+        psi._set(algebra, density, spectrum)
+        out.append(psi)
+    return out
 
 
 def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
@@ -120,20 +139,43 @@ def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
                               eps_rel=psi._spectrum.eps_rel)
 
 
+def _imaginary_powers(psis, ts, eps_rel) -> tuple[np.ndarray, ...]:
+    """h_j^{i t_j} of each functional, as per-block (B, n, n) stacks."""
+    return _apply_stack([psi.spectrum(eps_rel) for psi in psis],
+                        [_imaginary_f(t) for t in ts])
+
+
+def _supports(psis, eps_rel) -> tuple[np.ndarray, ...]:
+    """The support projections of the functionals, stacked per block."""
+    return _support_stack([psi.spectrum(eps_rel) for psi in psis])
+
+
 def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
                    t: float, eps_rel: float | None = None) -> AlgebraElement:
     """Radon-Nikodym cocycle u_t = h_psi^{it} h_phi^{-it} (phi faithful).
 
     u_0 equals the support projection of psi; when the densities commute,
-    u_t* u_t recovers that support for every t.
+    u_t* u_t recovers that support for every t.  One pair of
+    :func:`connes_cocycle_stack`.
     """
-    if psi.algebra != phi.algebra:
-        raise DomainError("functionals must live on the same algebra")
-    if not phi.is_faithful(eps_rel):
-        raise DomainError(
-            "reference functional must be faithful; use the support-cut "
-            "identity (lemma1_cut) for non-faithful references")
-    return psi.imaginary_power(t, eps_rel) @ phi.imaginary_power(-t, eps_rel)
+    return _unstack(psi.algebra,
+                    connes_cocycle_stack([psi], [phi], [t], eps_rel))[0]
+
+
+def connes_cocycle_stack(psis, phis, ts, eps_rel: float | None = None
+                         ) -> tuple[np.ndarray, ...]:
+    """u_{t_j}(psi_j, phi_j) of B pairs of one algebra, as per-block
+    (B, n, n) stacks; the first pair, in order, that fails a check raises."""
+    for psi, phi in zip(psis, phis):
+        if psi.algebra != phi.algebra:
+            raise DomainError("functionals must live on the same algebra")
+        if not phi.is_faithful(eps_rel):
+            raise DomainError(
+                "reference functional must be faithful; use the support-cut "
+                "identity (lemma1_cut) for non-faithful references")
+    left = _imaginary_powers(psis, ts, eps_rel)
+    right = _imaginary_powers(phis, [-t for t in ts], eps_rel)
+    return tuple(a @ b for a, b in zip(left, right))
 
 
 def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
@@ -144,22 +186,39 @@ def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
 
     With s(psi') = 1 - s(psi) and chi = psi + psi' faithful, returns the pair
     (u_t(psi, phi), s(psi) u_t(chi, phi)); the two agree up to numerical
-    residual, which the caller asserts.
+    residual, which the caller asserts.  One triple of
+    :func:`lemma1_cut_stack`.
     """
-    s = psi.support(eps_rel)
-    s_prime = psi_prime.support(eps_rel)
-    one = psi.algebra.identity()
-    defect = (s + s_prime - one).frobenius()
-    overlap = (s @ s_prime).frobenius()
-    if defect > SUPPORT_TOL or overlap > SUPPORT_TOL:
-        raise DomainError(
-            f"supports are not complementary: |s+s'-1|={defect:.3e}, "
-            f"|s s'|={overlap:.3e}")
-    chi = psi + psi_prime
-    if not chi.is_faithful(eps_rel):
-        raise DomainError("psi + psi' must be faithful")
-    lhs = connes_cocycle(psi, phi, t, eps_rel)
-    rhs = s @ connes_cocycle(chi, phi, t, eps_rel)
+    lhs, rhs = lemma1_cut_stack([psi], [psi_prime], [phi], [t], eps_rel)
+    return _unstack(psi.algebra, lhs)[0], _unstack(psi.algebra, rhs)[0]
+
+
+def lemma1_cut_stack(psis, psi_primes, phis, ts,
+                     eps_rel: float | None = None
+                     ) -> tuple[tuple, tuple]:
+    """:func:`lemma1_cut` of B triples of one algebra, each side as
+    per-block (B, n, n) stacks.  The sums chi = psi + psi' keep the cutoff
+    of psis[0], which every psi shares."""
+    s = _supports(psis, eps_rel)
+    s_prime = _supports(psi_primes, eps_rel)
+    defects = _frobenius_stack([a + b - np.eye(a.shape[-1])
+                                for a, b in zip(s, s_prime)])
+    overlaps = _frobenius_stack([a @ b for a, b in zip(s, s_prime)])
+    for defect, overlap in zip(defects, overlaps):
+        if defect > SUPPORT_TOL or overlap > SUPPORT_TOL:
+            raise DomainError(
+                f"supports are not complementary: |s+s'-1|={defect:.3e}, "
+                f"|s s'|={overlap:.3e}")
+    chis = _positive_functionals(
+        psis[0].algebra, [a + b for a, b in zip(_densities(psis),
+                                                _densities(psi_primes))],
+        eps_rel=psis[0]._spectrum.eps_rel)
+    for chi in chis:
+        if not chi.is_faithful(eps_rel):
+            raise DomainError("psi + psi' must be faithful")
+    lhs = connes_cocycle_stack(psis, phis, ts, eps_rel)
+    rhs = tuple(a @ b for a, b in zip(
+        s, connes_cocycle_stack(chis, phis, ts, eps_rel)))
     return lhs, rhs
 
 
@@ -169,11 +228,25 @@ def cocycle_chain_residual(psi: PositiveFunctional, phi: PositiveFunctional,
     """Residual of the flow-twisted chain rule u_{t+s} = u_t sigma_t(u_s).
 
     sigma_t is conjugation by h_phi^{it}; the identity holds for every psi
-    and faithful phi, commuting or not.
+    and faithful phi, commuting or not.  One pair of
+    :func:`cocycle_chain_stack`.
     """
-    u_ts = connes_cocycle(psi, phi, t + s, eps_rel)
-    u_t = connes_cocycle(psi, phi, t, eps_rel)
-    u_s = connes_cocycle(psi, phi, s, eps_rel)
-    w = phi.imaginary_power(t, eps_rel)
-    twisted = w @ u_s @ phi.imaginary_power(-t, eps_rel)
-    return (u_ts - u_t @ twisted).frobenius()
+    return float(cocycle_chain_stack([psi], [phi], [t], [s], eps_rel)[0])
+
+
+def cocycle_chain_stack(psis, phis, ts, ss,
+                        eps_rel: float | None = None) -> np.ndarray:
+    """(B,) :func:`cocycle_chain_residual` of B pairs of one algebra."""
+    u_ts = connes_cocycle_stack(psis, phis, [t + s for t, s in zip(ts, ss)],
+                                eps_rel)
+    u_t = connes_cocycle_stack(psis, phis, ts, eps_rel)
+    u_s = connes_cocycle_stack(psis, phis, ss, eps_rel)
+    w = _imaginary_powers(phis, ts, eps_rel)
+    w_inv = _imaginary_powers(phis, [-t for t in ts], eps_rel)
+    return _frobenius_stack([a - b @ (c @ d @ e) for a, b, c, d, e
+                             in zip(u_ts, u_t, w, u_s, w_inv)])
+
+
+def _densities(psis) -> tuple[np.ndarray, ...]:
+    """The functionals' densities, stacked per block."""
+    return _stack([psi.density for psi in psis])

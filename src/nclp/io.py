@@ -177,7 +177,10 @@ def load_element(path, eps_rel: float | None = None) -> AlgebraElement:
 
 def build_run_report(config: dict, results, residuals: dict,
                      status: str) -> dict:
-    """Assemble the stable report envelope around a command's outputs."""
+    """Assemble the stable report envelope around a command's outputs.
+
+    The config, results and residuals are coerced to plain JSON values here,
+    once (see :func:`nclp.reports._py`); infinities become "inf"."""
     if status not in ("ok", "fail", "error"):
         raise DomainError(f"bad status {status!r}")
     echo = {"log_base": LOG_BASE, "eigensolver": EIGENSOLVER_ID,

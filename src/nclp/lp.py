@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra, HermitianSpectrum
+from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
+                      _blockwise, _eigenvectors, _frobenius_stack, _stack,
+                      _unstack)
 from .config import FAITHFULNESS_FLOOR, resolve_eps_rel
-from .errors import ConditioningError, DomainError, ShapeError, UsageError
+from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
+                     UsageError)
 from .functionals import PositiveFunctional
 
 MEMBERSHIP_TOL = 1e-9
@@ -75,9 +78,20 @@ def _as_exponent(p) -> LpExponent:
 
 
 def singular_values(x: AlgebraElement) -> np.ndarray:
-    """All singular values across blocks, descending within each block."""
-    return np.concatenate(
-        [np.linalg.svd(b, compute_uv=False) for b in x.blocks])
+    """All singular values across blocks, descending within each block;
+    :func:`singular_values_stack` of the unstacked blocks."""
+    return singular_values_stack(x.blocks)
+
+
+def singular_values_stack(stacked) -> np.ndarray:
+    """(..., N) singular values of elements given per block as (..., n, n)
+    arrays, one ``svd`` call per block; a stack of more than one leading
+    axis is passed to it as one flat stack of matrices."""
+    return np.concatenate([
+        np.linalg.svd(s, compute_uv=False) if s.ndim <= 3 else
+        np.linalg.svd(s.reshape(-1, *s.shape[-2:]),
+                      compute_uv=False).reshape(s.shape[:-1])
+        for s in stacked], axis=-1)
 
 
 def _schatten(s: np.ndarray, p: LpExponent) -> float:
@@ -141,15 +155,17 @@ def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
     return p, eta
 
 
-def _check_faithfulness_floor(spec: HermitianSpectrum):
-    """ConditioningError unless min eig >= FAITHFULNESS_FLOOR * max eig."""
+def _floor_error(spec: HermitianSpectrum) -> ConditioningError | None:
+    """The ConditioningError of a reference whose min eig falls below
+    FAITHFULNESS_FLOOR * max eig, else None."""
     radius = spec.spectral_radius
     low = float(np.min(spec.flat_eigenvalues()))
     if radius == 0.0 or low < FAITHFULNESS_FLOOR * radius:
-        raise ConditioningError(
+        return ConditioningError(
             f"reference functional is singular or below the faithfulness "
             f"floor (min eig {low:.3e}, max eig {radius:.3e})",
             residual=low)
+    return None
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,9 @@ class KosakiSpec:
         object.__setattr__(self, "eta", eta)
         # The floor reads only eigenvalues, which no cutoff changes, so the
         # stored spectrum serves and no cutoff is resolved here.
-        _check_faithfulness_floor(self.phi._spectrum)
+        err = _floor_error(self.phi._spectrum)
+        if err is not None:
+            raise err
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -201,54 +219,63 @@ def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
 
 # An overflow shows as a non-finite x, which is reported as an error.
 @np.errstate(over="ignore", invalid="ignore")
-def _kosaki_memberships(y: AlgebraElement, phi: PositiveFunctional,
+def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
                         points: list[tuple[LpExponent, float]], eps: float):
-    """Solutions x of y = h_phi^{eta/q} x h_phi^{(1-eta)/q}, one per point.
+    """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
+    of phis[j], for each of B stacked elements y_j and each point.
 
-    Returns per block a (G, n, n) stack of x, and per point None, the
-    DomainError of an x beyond the float range, or the ConditioningError of
-    a recomposition residual beyond budget.  A point with
-    eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
+    Returns per block a (B, G, n, n) stack of x, and per element and point
+    None, the DomainError of an x beyond the float range, or the
+    ConditioningError of a recomposition residual beyond budget.  A point
+    with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
+    The eigenvalue powers of each phi are its own 1-D operations; the
+    rotations, scalings and residuals are stacked.
     """
-    if y.algebra != phi.algebra:
-        raise ShapeError("element and reference functional algebras differ")
     lefts, rights = [], []
     for p, eta in points:
         inv_q = p.dual.inv
         lefts.append(eta * inv_q)
         rights.append((1.0 - eta) * inv_q)
     ident = np.array([a == 0.0 and b == 0.0 for a, b in zip(lefts, rights)])
-    spec = phi.spectrum(eps)
+    specs = [phi.spectrum(eps) for phi in phis]
+    exponents = [-a for a in lefts] + [-b for b in rights] + lefts + rights
+    scales = [spec.eigenvalue_powers(exponents) for spec in specs]
     G = len(points)
     blocks, resid_sq = [], 0.0
-    for vecs, yb, scales in zip(
-            spec.eigenvectors, y.blocks, spec.eigenvalue_powers(
-                [-a for a in lefts] + [-b for b in rights] + lefts + rights)):
-        down_l, down_r, up_l, up_r = (scales[i * G:(i + 1) * G]
+    for yb, vecs, sc in zip(stacked_y, _eigenvectors(specs),
+                            _blockwise(scales)):
+        vecs_h = vecs.conj().swapaxes(-2, -1)
+        down_l, down_r, up_l, up_r = (sc[:, i * G:(i + 1) * G]
                                       for i in range(4))
-        c = vecs.conj().T @ yb @ vecs
-        mid = (down_l[:, :, None] * c) * down_r[:, None, :]
-        back = (up_l[:, :, None] * mid) * up_r[:, None, :]
-        resid_sq = resid_sq + np.sum(np.abs(back - c) ** 2, axis=(1, 2))
-        x = vecs @ mid @ vecs.conj().T
-        x[ident] = yb
+        c = vecs_h @ yb @ vecs
+        mid = (down_l[..., :, None] * c[:, None]) * down_r[..., None, :]
+        back = (up_l[..., :, None] * mid) * up_r[..., None, :]
+        resid_sq = resid_sq + (abs(back - c[:, None]) ** 2).sum(axis=(2, 3))
+        x = vecs[:, None] @ mid @ vecs_h[:, None]
+        if ident.any():
+            x[:, ident] = yb[:, None]
         blocks.append(x)
-    residuals = np.sqrt(resid_sq)
-    budget = MEMBERSHIP_TOL * (1.0 + y.frobenius())
-    finite = np.all([np.isfinite(x).all(axis=(1, 2)) for x in blocks], axis=0)
+    finite = np.isfinite(blocks[0]).all(axis=(2, 3))
+    for x in blocks[1:]:
+        finite &= np.isfinite(x).all(axis=(2, 3))
+    budgets = MEMBERSHIP_TOL * (1.0 + _frobenius_stack(stacked_y))
     errors = []
-    for skip, ok, r in zip(ident, finite, residuals.tolist()):
-        if skip:
-            errors.append(None)
-        elif not ok:
-            errors.append(DomainError(
-                "the membership solution exceeds the float range"))
-        elif r > budget:
-            errors.append(ConditioningError(
-                f"membership solve residual {r:.3e} exceeds budget",
-                residual=r))
-        else:
-            errors.append(None)
+    for ok_j, r_j, budget in zip(finite.tolist(), np.sqrt(resid_sq).tolist(),
+                                 budgets.tolist()):
+        errs = []
+        for skip, ok, r in zip(ident, ok_j, r_j):
+            if skip:
+                errs.append(None)
+            elif not ok:
+                errs.append(DomainError(
+                    "the membership solution exceeds the float range"))
+            elif r > budget:
+                errs.append(ConditioningError(
+                    f"membership solve residual {r:.3e} exceeds budget",
+                    residual=r))
+            else:
+                errs.append(None)
+        errors.append(errs)
     return blocks, errors
 
 
@@ -261,11 +288,14 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     reflects genuine kernel leakage rather than conditioning.  Raises
     ConditioningError when it exceeds MEMBERSHIP_TOL * (1 + ||y||_F).
     """
+    eps = resolve_eps_rel(eps_rel)
+    if y.algebra != spec.algebra:
+        raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
-        y, spec.phi, [(spec.p, spec.eta)], resolve_eps_rel(eps_rel))
-    if errors[0] is not None:
-        raise errors[0]
-    return AlgebraElement._trusted(y.algebra, [b[0].copy() for b in blocks])
+        _stack([y]), [spec.phi], [(spec.p, spec.eta)], eps)
+    if errors[0][0] is not None:
+        raise errors[0][0]
+    return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
 
 def kosaki_norm_grid(y: AlgebraElement, phi: PositiveFunctional, grid,
@@ -277,18 +307,42 @@ def kosaki_norm_grid(y: AlgebraElement, phi: PositiveFunctional, grid,
     phi's eigenbasis.  The scalings, recomposition residuals, back-rotations
     and singular values are stacked, one ``svd`` per block.  Errors: every
     (p, eta) is validated before any evaluation; then the first point whose
-    membership solve fails (see :func:`_kosaki_memberships`) raises.
+    membership solve fails (see :func:`_kosaki_memberships`) raises.  One
+    element of :func:`kosaki_norm_stack`.
     """
     points = [_kosaki_point(p, eta) for p, eta in grid]
-    eps = resolve_eps_rel(eps_rel)
-    _check_faithfulness_floor(phi.spectrum(eps))
-    blocks, errors = _kosaki_memberships(y, phi, points, eps)
-    for err in errors:
-        if err is not None:
-            raise err
-    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks],
-                        axis=1)
-    return [_schatten(row, p) for row, (p, _) in zip(sv, points)]
+    out = kosaki_norm_stack(y.algebra, _stack([y]), [phi], points,
+                            resolve_eps_rel(eps_rel))[0]
+    if isinstance(out, NclpError):
+        raise out
+    return out
+
+
+def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
+                      phis: list[PositiveFunctional], points,
+                      eps: float) -> list:
+    """:func:`kosaki_norm_grid` of B stacked elements y_j (per block a
+    (B, n, n) array on ``algebra``) against phis[j], at validated points
+    (see :func:`_kosaki_point`) and a resolved cutoff.
+
+    Entry j is element j's list of norms, or its error: the faithfulness
+    floor of phis[j], then its first failing point, as a one-element call
+    raises them.  An element with an error gets no singular values.
+    """
+    floor = [_floor_error(phi.spectrum(eps)) for phi in phis]
+    for err, phi in zip(floor, phis):
+        if phi.algebra != algebra:
+            raise err or ShapeError(
+                "element and reference functional algebras differ")
+    blocks, errors = _kosaki_memberships(stacked_y, phis, points, eps)
+    firsts = [next((e for e in (f, *errs) if e is not None), None)
+              for f, errs in zip(floor, errors)]
+    failed = [j for j, e in enumerate(firsts) if e is not None]
+    if failed:
+        for x in blocks:
+            x[failed] = 0.0
+    return [err or [_schatten(row, p) for row, (p, _) in zip(rows, points)]
+            for err, rows in zip(firsts, singular_values_stack(blocks))]
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,

@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 
 def _py(value):
     """Coerce numpy scalars/containers to plain JSON-serializable Python."""
+    kind = type(value)
+    if kind is str or kind is bool or kind is int:
+        return value
+    if kind is float and math.isfinite(value):
+        return value
     if isinstance(value, dict):
         return {str(k): _py(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -77,21 +82,20 @@ class TrialReport:
     passed: bool
     info: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_check(cls, suite: str, trial_index: int, generator: str,
-                   instance: dict, check: CheckReport) -> "TrialReport":
-        return cls(suite, trial_index, generator, dict(instance),
-                   check.residuals, check.tolerances, check.passed,
-                   check.info)
-
-    def to_dict(self) -> dict:
+    def fields(self) -> dict:
+        """The report's fields by name, values as stored; a run report
+        coerces them once (see :func:`nclp.io.build_run_report`)."""
         return {
             "suite": self.suite,
             "trial_index": self.trial_index,
             "generator": self.generator,
-            "instance": _py(self.instance),
-            "residuals": _py(self.residuals),
-            "tolerances": _py(self.tolerances),
+            "instance": self.instance,
+            "residuals": self.residuals,
+            "tolerances": self.tolerances,
             "passed": self.passed,
-            "info": _py(self.info),
+            "info": self.info,
         }
+
+    def to_dict(self) -> dict:
+        """The fields as plain JSON-serializable Python."""
+        return _py(self.fields())

@@ -7,19 +7,31 @@ theorem6, corollary7, lemma8, lemma9, prop11, appendixA, dpi.
 
 One driver, :func:`run_suite`, runs every suite from the ``_SUITES`` table.
 Per profile it builds the algebra (a :class:`TensorAlgebra` for tensor
-profiles such as 2x2, else a :class:`BlockAlgebra`); per trial it draws
-``trial_rng(seed, idx)`` and calls the suite's trial function
+profiles such as 2x2, else a :class:`BlockAlgebra`) and first draws every
+trial's inputs, each from its own ``trial_rng(seed, idx)`` stream:
 
-    trial(config, tols, algebra, rng, idx, k) -> (instance, checks, info)
+    draw(config, algebra, rng, idx, k) -> draw
+
+where ``idx`` is the trial's index across all profiles and ``k`` its index
+within the profile.  It then groups the draws by the suite's ``group`` key
+(the variant, for suites whose trials take different code paths) and calls
+the suite's batch function once per group, groups in the order of their
+first trial:
+
+    batch(config, tols, algebra, draws) -> [(instance, checks, info), ...]
 
 where ``tols`` are the suite's tolerances with the config's overrides
-applied, ``idx`` is the trial's index across all profiles and ``k`` its
-index within the profile.  The trial function draws everything it needs from
-``rng`` and returns the instance summary (the driver adds ``dims``), a list
-of ``(report key, residual, tolerance)`` checks and the report's ``info``.
-The driver alone fills the residual and tolerance maps and decides
-``passed``: a trial passes exactly when every residual is at most its
-tolerance.
+applied.  A batch returns one triple per draw, in order: the instance summary
+(the driver adds ``dims``), a list of ``(report key, residual, tolerance)``
+checks and the report's ``info``.  Most batches evaluate their trials as
+stacks, with one LAPACK call per block for the whole group; each trial's
+scalar work (eigenvalue powers, sums, norms) stays its own 1-D operation, so
+a report does not depend on which trials share a batch.  lemma8 loops over
+its trials.  A batch runs stage by stage: a lone failing trial raises the
+error of its one-trial call, and of several, the first to fail in the first
+failing stage raises.  The driver alone fills the residual and tolerance
+maps and decides ``passed``: a trial passes exactly when every residual is at
+most its tolerance.
 """
 
 from __future__ import annotations
@@ -30,21 +42,24 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra
+from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
+                      _stack, _symmetrized_stack)
 from .config import PRNG_ID
-from .divergence import (DivergenceParams, additivity_grid, dpi_probe_grid,
-                         embed_left_channel, identity_channel, lemma9_grid,
+from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
+                         embed_left_channel, identity_channel, lemma9_stack,
                          pinching_channel, random_unital_channel,
                          solve_sharp_least_squares, solve_sharp_pseudo_inverse)
 from .errors import DomainError, UsageError
-from .functionals import PositiveFunctional, cocycle_chain_residual, \
-    connes_cocycle, lemma1_cut
+from .functionals import (PositiveFunctional, _positive_functionals,
+                          _supports, cocycle_chain_stack,
+                          connes_cocycle_stack, lemma1_cut_stack)
 from .lp import KosakiSpec, interpolation_bound_check, lemma3_bijectivity
 from .reports import TrialReport
-from .tensor import (TensorAlgebra, corollary7_norm_grid, kron_element,
-                     lemma5_density, lemma5_imaginary_grid, lemma5_polar,
-                     lemma5_power, lemma5_power_grid, spectral_product_check,
-                     theorem6_norm_grid, theorem6_spanning)
+from .tensor import (TensorAlgebra, corollary7_norm_stack,
+                     lemma5_density_stack, lemma5_imaginary_stack,
+                     lemma5_polar_stack, lemma5_power_stack,
+                     spectral_product_stack, kron_identities_stack,
+                     theorem6_norm_stack, theorem6_spanning)
 
 DimsProfile = tuple[tuple[int, ...], "tuple[int, ...] | None"]
 
@@ -108,6 +123,17 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
     """
     if rank_profile == "zero":
         return PositiveFunctional.zero(algebra, eps_rel)
+    sym = _symmetrized_stack(_stack([_gram(rng, algebra, rank_profile)]),
+                             False)
+    if normalize:
+        sym = _normalized_stack(sym)
+    return _positive_functionals(algebra, sym, eps_rel=eps_rel)[0]
+
+
+def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
+          rank_profile="full") -> AlgebraElement:
+    """The factor square G G* of :func:`gen_positive_functional` at a
+    nonzero rank profile."""
     if rank_profile == "full":
         ranks = list(algebra.block_dims)
     else:
@@ -122,10 +148,17 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
         else:
             g = complex_gaussian(rng, n, r)
             blocks.append(g @ g.conj().T)
-    psi = PositiveFunctional(AlgebraElement(algebra, blocks), eps_rel=eps_rel)
-    if normalize and psi.mass > 0:
-        psi = PositiveFunctional(psi.density / psi.mass, eps_rel=eps_rel)
-    return psi
+    return AlgebraElement(algebra, blocks)
+
+
+def _normalized_stack(sym) -> tuple[np.ndarray, ...]:
+    """Stacked symmetrized densities, each divided by its trace where that
+    is positive.  Built into functionals, they are the functionals of
+    normalized densities: symmetrizing them again changes no bit."""
+    mass = sum(np.trace(s, axis1=-2, axis2=-1) for s in sym).real
+    positive = mass > 0
+    scale = np.where(positive, mass, 1.0)[:, None, None]
+    return tuple(np.where(positive[:, None, None], s / scale, s) for s in sym)
 
 
 def gen_faithful(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -142,19 +175,33 @@ def gen_reference(rng: np.random.Generator, algebra: BlockAlgebra,
     number enters as kappa^exponent); a Gaussian square would occasionally be
     too ill-conditioned for the advertised residuals.
     """
+    return PositiveFunctional(_reference_density(rng, algebra),
+                              hermitize=True, eps_rel=eps_rel)
+
+
+def _reference_density(rng: np.random.Generator,
+                       algebra: BlockAlgebra) -> AlgebraElement:
+    """The density of :func:`gen_reference`, to be built with
+    ``hermitize=True``."""
     n = algebra.carrier_dim
     u = gen_unitary(rng, algebra)
     entries = rng.uniform(0.2, 1.0, n)
-    return _diag_density(algebra, entries / np.sum(entries), u, eps_rel)
+    return _diag_element(algebra, entries / np.sum(entries), u)
+
+
+def _diag_element(algebra: BlockAlgebra, entries: np.ndarray,
+                  basis: AlgebraElement | None) -> AlgebraElement:
+    d = algebra.diagonal(entries)
+    if basis is not None:
+        d = basis @ d @ basis.H
+    return d
 
 
 def _diag_density(algebra: BlockAlgebra, entries: np.ndarray,
                   basis: AlgebraElement | None,
                   eps_rel: float | None) -> PositiveFunctional:
-    d = algebra.diagonal(entries)
-    if basis is not None:
-        d = basis @ d @ basis.H
-    return PositiveFunctional(d, hermitize=True, eps_rel=eps_rel)
+    return PositiveFunctional(_diag_element(algebra, entries, basis),
+                              hermitize=True, eps_rel=eps_rel)
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -165,6 +212,14 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     psi has the given rank; psi' has full rank on the orthocomplement, so
     s(psi) + s(psi') = 1 and psi + psi' is faithful.
     """
+    return tuple(PositiveFunctional(d, hermitize=True, eps_rel=eps_rel)
+                 for d in _orthogonal_densities(rng, algebra, rank))
+
+
+def _orthogonal_densities(rng: np.random.Generator, algebra: BlockAlgebra,
+                          rank: int) -> tuple[AlgebraElement, AlgebraElement]:
+    """The densities of :func:`gen_orthogonal_pair`, to be built with
+    ``hermitize=True``."""
     n = algebra.carrier_dim
     if not 0 < rank < n:
         raise DomainError(f"rank must lie strictly between 0 and {n}")
@@ -177,9 +232,8 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         a[ofs:ofs + rk] = rng.uniform(0.1, 1.0, rk)
         b[ofs + rk:ofs + nk] = rng.uniform(0.1, 1.0, nk - rk)
         ofs += nk
-    psi = _diag_density(algebra, a / np.sum(a), u, eps_rel)
-    psi_prime = _diag_density(algebra, b / np.sum(b), u, eps_rel)
-    return psi, psi_prime
+    return (_diag_element(algebra, a / np.sum(a), u),
+            _diag_element(algebra, b / np.sum(b), u))
 
 
 def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -214,11 +268,9 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         psi_blocks.append(pb)
     def rotate(blocks):
         elem = AlgebraElement(algebra, blocks)
-        out = u @ elem @ u.H
-        f = PositiveFunctional(out, hermitize=True, eps_rel=eps_rel)
-        if f.mass > 0:
-            return PositiveFunctional(f.density / f.mass, eps_rel=eps_rel)
-        return f
+        sym = _symmetrized_stack(_stack([u @ elem @ u.H]), True)
+        return _positive_functionals(algebra, _normalized_stack(sym),
+                                     eps_rel=eps_rel)[0]
     return rotate(psi_blocks), rotate(phi_blocks)
 
 
@@ -232,6 +284,14 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     With orthogonal=True the supports split the carrier coordinates, with
     exact zeros, so scalar-oracle comparisons are exact.
     """
+    p, q = _classical_vectors(rng, algebra, orthogonal)
+    return (_diag_density(algebra, p, None, eps_rel),
+            _diag_density(algebra, q, None, eps_rel), p, q)
+
+
+def _classical_vectors(rng: np.random.Generator, algebra: BlockAlgebra,
+                       orthogonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The probability vectors of :func:`gen_classical_pair`."""
     n = algebra.carrier_dim
     p = rng.uniform(0.1, 1.0, n)
     q = rng.uniform(0.1, 1.0, n)
@@ -241,10 +301,7 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         k = n // 2
         p[k:] = 0.0
         q[:k] = 0.0
-    p = p / np.sum(p)
-    q = q / np.sum(q)
-    return (_diag_density(algebra, p, None, eps_rel),
-            _diag_density(algebra, q, None, eps_rel), p, q)
+    return p / np.sum(p), q / np.sum(q)
 
 
 # -- scalar oracle ------------------------------------------------------------
@@ -376,12 +433,24 @@ def _carrier_at_least_two(alg: BlockAlgebra, suite: str) -> int:
     return n
 
 
-def _ranked(rng: np.random.Generator, alg: BlockAlgebra, rank: int,
-            eps_rel: float | None) -> PositiveFunctional:
-    """A random functional of the given rank, full rank included."""
-    return gen_positive_functional(
-        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank),
-        eps_rel=eps_rel)
+def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
+                 rank: int) -> AlgebraElement:
+    """The factor square of a random functional of the given rank, full
+    rank included."""
+    return _gram(
+        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank))
+
+
+def _functionals(alg: BlockAlgebra, densities, eps: float,
+                 gram: bool = True) -> list[PositiveFunctional]:
+    """The functionals of drawn densities, built as one stack: factor
+    squares (``gram``) as :func:`gen_positive_functional` builds them,
+    other densities with ``hermitize=True`` as :func:`_diag_density` does."""
+    if gram:
+        return _positive_functionals(
+            alg, _normalized_stack(_symmetrized_stack(_stack(densities),
+                                                      False)), eps_rel=eps)
+    return _positive_functionals(alg, _stack(densities), True, eps)
 
 
 # -- trial functions ----------------------------------------------------------
@@ -404,102 +473,150 @@ APPENDIXA_POWERS = (0.5, 1.0, 2.0)
 APPENDIXA_TS = (0.3, 1.0)
 
 
-def _theorem6_trial(config, tols, T, rng, idx, k):
-    x = gen_element(rng, T.left)
-    y = gen_element(rng, T.right)
-    norms = theorem6_norm_grid(T, x, y, THEOREM6_P_GRID)
-    checks = [(f"p={_p_label(p)}", abs(lhs - rhs) / (1.0 + rhs),
-               tols["relative"])
-              for p, (lhs, rhs) in zip(THEOREM6_P_GRID, norms)]
-    if k == 0:
-        ok = theorem6_spanning(T, T.product.total_dim + 4, rng)
-        checks.append(("spanning", 0.0 if ok else math.inf,
-                       tols["spanning"]))
-    return {}, checks, {}
+def _theorem6_draw(config, T, rng, idx, k):
+    # The spanning check runs once per profile, on its first trial's stream.
+    return gen_element(rng, T.left), gen_element(rng, T.right), \
+        rng if k == 0 else None
 
 
-def _lemma5_trial(config, tols, T, rng, idx, k):
+def _theorem6_batch(config, tols, T, draws):
+    xs, ys, rngs = zip(*draws)
+    out = []
+    for rng, norms in zip(rngs, theorem6_norm_stack(T, xs, ys,
+                                                     THEOREM6_P_GRID)):
+        checks = [(f"p={_p_label(p)}", abs(lhs - rhs) / (1.0 + rhs),
+                   tols["relative"])
+                  for p, (lhs, rhs) in zip(THEOREM6_P_GRID, norms)]
+        if rng is not None:
+            ok = theorem6_spanning(T, T.product.total_dim + 4, rng)
+            checks.append(("spanning", 0.0 if ok else math.inf,
+                           tols["spanning"]))
+        out.append(({}, checks, {}))
+    return out
+
+
+def _lemma5_draw(config, T, rng, idx, k):
     x = gen_element(rng, T.left)
     y = gen_element(rng, T.right)
     p = float(rng.uniform(0.4, 3.0))
     t = float(rng.uniform(-2.0, 2.0))
     r1 = int(rng.integers(1, T.left.carrier_dim + 1))
     r2 = int(rng.integers(1, T.right.carrier_dim + 1))
+    return (x, y, p, t, r1, r2, _ranked_gram(rng, T.left, r1),
+            _ranked_gram(rng, T.right, r2))
+
+
+def _lemma5_batch(config, tols, T, draws):
+    xs, ys, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
     tol, eps = tols["residual"], config.eps_rel
-    psi1 = _ranked(rng, T.left, r1, eps)
-    psi2 = _ranked(rng, T.right, r2, eps)
-    reports = (lemma5_polar(T, x, y, tol, eps),
-               lemma5_power(T, x, y, p, tol, eps),
-               lemma5_density(T, psi1, psi2, t, tol, eps))
-    checks = [(key, val, tol) for rep in reports
-              for key, val in rep.residuals.items()]
-    return {"ranks": [r1, r2], "p": p, "t": t}, checks, {}
+    psi1s = _functionals(T.left, h1s, eps)
+    psi2s = _functionals(T.right, h2s, eps)
+    reports = zip(lemma5_polar_stack(T, xs, ys, tol, eps),
+                  lemma5_power_stack(T, xs, ys, [[p] for p in ps], tol, eps),
+                  lemma5_density_stack(T, psi1s, psi2s, ts, tol, eps))
+    return [({"ranks": [r1, r2], "p": p, "t": t},
+             [(key, val, tol) for rep in (polar, power[0], density)
+              for key, val in rep.residuals.items()], {})
+            for r1, r2, p, t, (polar, power, density)
+            in zip(r1s, r2s, ps, ts, reports)]
 
 
-def _corollary7_trial(config, tols, T, rng, idx, k):
-    phi1 = gen_faithful(rng, T.left, eps_rel=config.eps_rel)
-    phi2 = gen_faithful(rng, T.right, eps_rel=config.eps_rel)
-    x1 = gen_element(rng, T.left)
-    x2 = gen_element(rng, T.right)
-    norms = corollary7_norm_grid(x1, x2, phi1, phi2, COROLLARY7_GRID,
-                                 config.eps_rel)
-    checks = [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
+def _corollary7_draw(config, T, rng, idx, k):
+    return (_gram(rng, T.left), _gram(rng, T.right),
+            gen_element(rng, T.left), gen_element(rng, T.right))
+
+
+def _corollary7_batch(config, tols, T, draws):
+    h1s, h2s, x1s, x2s = zip(*draws)
+    phi1s = _functionals(T.left, h1s, config.eps_rel)
+    phi2s = _functionals(T.right, h2s, config.eps_rel)
+    norms = corollary7_norm_stack(x1s, x2s, phi1s, phi2s, COROLLARY7_GRID,
+                                  config.eps_rel)
+    return [({"masses": [phi1.mass, phi2.mass]},
+             [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
                tols["relative"])
-              for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, norms)]
-    return {"masses": [phi1.mass, phi2.mass]}, checks, {}
+              for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, trial)], {})
+            for phi1, phi2, trial in zip(phi1s, phi2s, norms)]
 
 
-def _lemma1_trial(config, tols, alg, rng, idx, k):
+def _lemma1_draw(config, alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma1")
-    eps = config.eps_rel
     rank = int(rng.integers(1, n))
-    psi, psi_prime = gen_orthogonal_pair(rng, alg, rank, eps)
-    phi = gen_faithful(rng, alg, eps_rel=eps)
+    psi, psi_prime = _orthogonal_densities(rng, alg, rank)
+    phi = _gram(rng, alg)
     t = float(rng.uniform(-5.0, 5.0))
     s_par = float(rng.uniform(-5.0, 5.0))
-    lhs, rhs = lemma1_cut(psi, psi_prime, phi, t, eps)
-    u0 = connes_cocycle(psi, phi, 0.0, eps)
-    checks = [
-        ("identity", (lhs - rhs).frobenius(), tols["identity"]),
-        ("chain", cocycle_chain_residual(psi, phi, t, s_par, eps),
-         tols["chain"]),
-        ("support_at_zero", (u0 - psi.support(eps)).frobenius(),
-         tols["support_at_zero"]),
-    ]
-    return {"rank": rank, "t": t}, checks, {}
+    return rank, psi, psi_prime, phi, t, s_par
 
 
-def _lemma3_trial(config, tols, alg, rng, idx, k):
-    phi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
+def _lemma1_batch(config, tols, alg, draws):
+    ranks, psis, primes, phis, ts, s_pars = zip(*draws)
+    eps = config.eps_rel
+    psis = _functionals(alg, psis, eps, gram=False)
+    primes = _functionals(alg, primes, eps, gram=False)
+    phis = _functionals(alg, phis, eps)
+    lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts, eps)
+    u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws), eps)
+    residuals = zip(
+        _frobenius_stack([a - b for a, b in zip(lhs, rhs)]),
+        cocycle_chain_stack(psis, phis, ts, s_pars, eps),
+        _frobenius_stack([a - b for a, b in zip(u0, _supports(psis, eps))]))
+    return [({"rank": rank, "t": t},
+             [("identity", float(identity), tols["identity"]),
+              ("chain", float(chain), tols["chain"]),
+              ("support_at_zero", float(support), tols["support_at_zero"])],
+             {})
+            for rank, t, (identity, chain, support) in zip(ranks, ts,
+                                                          residuals)]
+
+
+def _lemma3_draw(config, alg, rng, idx, k):
+    phi = _gram(rng, alg)
     a = gen_element(rng, alg)
     p = float(rng.choice(LEMMA3_P_GRID))
     eta = float(rng.choice(LEMMA3_ETA_GRID))
-    lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, p, eta),
-                                         config.eps_rel)
-    bij = lemma3_bijectivity(phi, p, config.eps_rel)
-    checks = [
-        ("interpolation_slack", max(0.0, lhs - rhs),
-         tols["interpolation_slack"]),
-        ("bijectivity", 0.0 if bij else math.inf, tols["bijectivity"]),
-    ]
-    return {"p": _p_label(p), "eta": eta}, checks, {"lhs": lhs, "rhs": rhs}
+    return phi, a, p, eta
 
 
-def _lemma8_trial(config, tols, alg, rng, idx, k):
+def _lemma3_batch(config, tols, alg, draws):
+    # The references are built as one stack; the checks run trial by trial.
+    phis = _functionals(alg, [phi for phi, _, _, _ in draws], config.eps_rel)
+    out = []
+    for phi, (_, a, p, eta) in zip(phis, draws):
+        lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, p, eta),
+                                             config.eps_rel)
+        bij = lemma3_bijectivity(phi, p, config.eps_rel)
+        checks = [
+            ("interpolation_slack", max(0.0, lhs - rhs),
+             tols["interpolation_slack"]),
+            ("bijectivity", 0.0 if bij else math.inf, tols["bijectivity"]),
+        ]
+        out.append(({"p": _p_label(p), "eta": eta}, checks,
+                    {"lhs": lhs, "rhs": rhs}))
+    return out
+
+
+def _lemma8_draw(config, alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma8")
     rank_phi = int(rng.integers(1, n))
     rank_psi = int(rng.integers(1, rank_phi + 1))
     psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi, config.eps_rel)
     alpha = float(rng.choice((1.5, 2.0, 3.0)))
     z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
-    params = DivergenceParams(alpha, z=z)
-    x_pinv = solve_sharp_pseudo_inverse(psi, phi, params, config.eps_rel)
-    x_ls = solve_sharp_least_squares(psi, phi, params, config.eps_rel)
-    checks = [("solver_agreement",
-               (x_pinv - x_ls).frobenius() / (1.0 + x_pinv.frobenius()),
-               tols["solver_agreement"])]
-    return ({"ranks": [rank_psi, rank_phi], "params": params.label()},
-            checks, {})
+    return rank_psi, rank_phi, psi, phi, DivergenceParams(alpha, z=z)
+
+
+def _lemma8_batch(config, tols, alg, draws):
+    out = []
+    for rank_psi, rank_phi, psi, phi, params in draws:
+        x_pinv = solve_sharp_pseudo_inverse(psi, phi, params, config.eps_rel)
+        x_ls = solve_sharp_least_squares(psi, phi, params, config.eps_rel)
+        checks = [("solver_agreement",
+                   (x_pinv - x_ls).frobenius() / (1.0 + x_pinv.frobenius()),
+                   tols["solver_agreement"])]
+        out.append(({"ranks": [rank_psi, rank_phi],
+                     "params": params.label()}, checks, {}))
+    return out
 
 
 def _lemma9_instance(rng, alg, variant, eps=None):
@@ -522,112 +639,166 @@ def _lemma9_instance(rng, alg, variant, eps=None):
     return psi, psi, "identical"
 
 
-def _lemma9_trial(config, tols, alg, rng, idx, k):
+def _lemma9_draw(config, alg, rng, idx, k):
     _carrier_at_least_two(alg, "lemma9")
     psi, phi, kind = _lemma9_instance(rng, alg, idx % 5, config.eps_rel)
-    reports = lemma9_grid(psi, phi, LEMMA9_ALPHAS, tols["path_agreement"],
-                          config.eps_rel)
-    checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
-              for alpha, rep in zip(LEMMA9_ALPHAS, reports)
-              for key, val in rep.residuals.items()]
-    return ({"variant": kind}, checks,
-            {"d_reasons": [rep.info["d_reason"] for rep in reports]})
+    return kind, psi, phi
+
+
+def _lemma9_batch(config, tols, alg, draws):
+    kinds, psis, phis = zip(*draws)
+    out = []
+    for kind, reports in zip(kinds, lemma9_stack(
+            psis, phis, LEMMA9_ALPHAS, tols["path_agreement"],
+            config.eps_rel)):
+        checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
+                  for alpha, rep in zip(LEMMA9_ALPHAS, reports)
+                  for key, val in rep.residuals.items()]
+        out.append(({"variant": kind}, checks,
+                    {"d_reasons": [rep.info["d_reason"] for rep in reports]}))
+    return out
+
+
+# Per variant, whether each of (psi1, phi1, psi2, phi2) is drawn as a factor
+# square (else as a rotated or diagonal density; see _functionals).
+_PROP11_GRAM = {"random": (True, False, True, False),
+                "support_violating_factor": (False, False, True, False),
+                "identical_pairs": (False, False, False, False)}
+
+
+def _prop11_densities(rng, alg, variant):
+    """The densities of (psi1, phi1, psi2, phi2) and the variant's name."""
+    if variant == 1:
+        p, q = _classical_vectors(rng, alg, True)
+        psi1, phi1 = _diag_element(alg, p, None), _diag_element(alg, q, None)
+        psi2 = _gram(rng, alg)
+        return (psi1, phi1, psi2, _reference_density(rng, alg)), \
+            "support_violating_factor"
+    if variant == 2:
+        psi1 = _reference_density(rng, alg)
+        psi2 = _reference_density(rng, alg)
+        return (psi1, psi1, psi2, psi2), "identical_pairs"
+    n = alg.carrier_dim
+    psi1 = _ranked_gram(rng, alg, int(rng.integers(1, n + 1)))
+    phi1 = _reference_density(rng, alg)
+    psi2 = _ranked_gram(rng, alg, int(rng.integers(1, n + 1)))
+    return (psi1, phi1, psi2, _reference_density(rng, alg)), "random"
 
 
 def _prop11_instance(rng, alg, variant, eps=None):
-    n = alg.carrier_dim
-    if variant == 1:
-        psi1, phi1, _, _ = gen_classical_pair(rng, alg, True, eps)
-        psi2 = gen_faithful(rng, alg, eps_rel=eps)
-        phi2 = gen_reference(rng, alg, eps)
-        return (psi1, phi1, psi2, phi2), "support_violating_factor"
-    if variant == 2:
-        psi1 = gen_reference(rng, alg, eps)
-        psi2 = gen_reference(rng, alg, eps)
-        return (psi1, psi1, psi2, psi2), "identical_pairs"
-    psi1 = _ranked(rng, alg, int(rng.integers(1, n + 1)), eps)
-    phi1 = gen_reference(rng, alg, eps)
-    psi2 = _ranked(rng, alg, int(rng.integers(1, n + 1)), eps)
-    phi2 = gen_reference(rng, alg, eps)
-    return (psi1, phi1, psi2, phi2), "random"
+    densities, kind = _prop11_densities(rng, alg, variant)
+    return tuple(_functionals(alg, [d], eps, gram)[0]
+                 for d, gram in zip(densities, _PROP11_GRAM[kind])), kind
 
 
-def _prop11_trial(config, tols, alg, rng, idx, k):
-    (psi1, phi1, psi2, phi2), kind = _prop11_instance(
-        rng, alg, idx % 3, config.eps_rel)
-    reports = additivity_grid(psi1, phi1, psi2, phi2, PROP11_GRID,
-                              tols["q_multiplicativity"],
-                              tols["d_additivity"], config.eps_rel)
-    checks = [(f"{params.label()}:{key}", val, tols[key])
-              for params, rep in zip(PROP11_GRID, reports)
-              for key, val in rep.residuals.items()]
-    unasserted = [f"{params.label()}: recorded only"
+def _prop11_draw(config, alg, rng, idx, k):
+    densities, kind = _prop11_densities(rng, alg, idx % 3)
+    return kind, densities
+
+
+def _prop11_batch(config, tols, alg, draws):
+    kind = draws[0][0]
+    roles = zip(*(densities for _, densities in draws))
+    psi1s, phi1s, psi2s, phi2s = (
+        _functionals(alg, role, config.eps_rel, gram)
+        for role, gram in zip(roles, _PROP11_GRAM[kind]))
+    out = []
+    for psi1, psi2, reports in zip(psi1s, psi2s, additivity_stack(
+            psi1s, phi1s, psi2s, phi2s, PROP11_GRID,
+            tols["q_multiplicativity"], tols["d_additivity"],
+            config.eps_rel)):
+        checks = [(f"{params.label()}:{key}", val, tols[key])
                   for params, rep in zip(PROP11_GRID, reports)
-                  if not rep.residuals]
-    return ({"variant": kind, "masses": [psi1.mass, psi2.mass]}, checks,
-            {"unasserted": unasserted} if unasserted else {})
+                  for key, val in rep.residuals.items()]
+        unasserted = [f"{params.label()}: recorded only"
+                      for params, rep in zip(PROP11_GRID, reports)
+                      if not rep.residuals]
+        out.append(({"variant": kind, "masses": [psi1.mass, psi2.mass]},
+                    checks, {"unasserted": unasserted} if unasserted else {}))
+    return out
 
 
-def _appendixA_trial(config, tols, T, rng, idx, k):
+def _appendixA_draw(config, T, rng, idx, k):
     x = gen_element(rng, T.left)
     y = gen_element(rng, T.right)
     xp = gen_element(rng, T.left)
     yp = gen_element(rng, T.right)
     r1 = int(rng.integers(1, T.left.carrier_dim + 1))
     r2 = int(rng.integers(1, T.right.carrier_dim + 1))
-    h1 = _ranked(rng, T.left, r1, config.eps_rel).density
-    h2 = _ranked(rng, T.right, r2, config.eps_rel).density
-    spect = spectral_product_check(T, x, y, tols["eigenvalue_multiset"])
-    checks = [(key, val, spect.tolerances[key])
-              for key, val in spect.residuals.items()]
-    powers = lemma5_power_grid(T, x, y, APPENDIXA_POWERS,
-                               eps_rel=config.eps_rel)
-    checks += [(f"f=pow{p:g}", rep.residuals["power"],
-                tols["f_multiplicativity"])
-               for p, rep in zip(APPENDIXA_POWERS, powers)]
-    imags = lemma5_imaginary_grid(T, h1, h2, APPENDIXA_TS,
-                                  eps_rel=config.eps_rel)
-    checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"],
-                tols["f_multiplicativity"])
-               for t, rep in zip(APPENDIXA_TS, imags)]
-    kx, ky = kron_element(T, x, y), kron_element(T, xp, yp)
-    checks += [
-        ("adjoint", (kx.H - kron_element(T, x.H, y.H)).frobenius(),
-         tols["adjoint"]),
-        ("mixed_product",
-         (kx @ ky - kron_element(T, x @ xp, y @ yp)).frobenius(),
-         tols["mixed_product"]),
-    ]
-    return {"ranks": [r1, r2]}, checks, {}
+    return (x, y, xp, yp, r1, r2, _ranked_gram(rng, T.left, r1),
+            _ranked_gram(rng, T.right, r2))
 
 
-def _dpi_trial(config, tols, alg, rng, idx, k):
+def _appendixA_batch(config, tols, T, draws):
+    xs, ys, xps, yps, r1s, r2s, h1s, h2s = zip(*draws)
+    eps, B = config.eps_rel, len(draws)
+    h1s = [psi.density for psi in _functionals(T.left, h1s, eps)]
+    h2s = [psi.density for psi in _functionals(T.right, h2s, eps)]
+    spects = spectral_product_stack(T, xs, ys, tols["eigenvalue_multiset"])
+    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B,
+                                eps_rel=eps)
+    imags = lemma5_imaginary_stack(T, h1s, h2s, [APPENDIXA_TS] * B,
+                                   eps_rel=eps)
+    adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
+    out = []
+    for j, (r1, r2, spect) in enumerate(zip(r1s, r2s, spects)):
+        checks = [(key, val, spect.tolerances[key])
+                  for key, val in spect.residuals.items()]
+        checks += [(f"f=pow{p:g}", rep.residuals["power"],
+                    tols["f_multiplicativity"])
+                   for p, rep in zip(APPENDIXA_POWERS, powers[j])]
+        checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"],
+                    tols["f_multiplicativity"])
+                   for t, rep in zip(APPENDIXA_TS, imags[j])]
+        checks += [("adjoint", float(adjoint[j]), tols["adjoint"]),
+                   ("mixed_product", float(mixed[j]), tols["mixed_product"])]
+        out.append(({"ranks": [r1, r2]}, checks, {}))
+    return out
+
+
+def _dpi_draw(config, alg, rng, idx, k):
     variant = idx % 4
     if variant == 2:
         T = TensorAlgebra(alg, BlockAlgebra((2,)))
         channel = embed_left_channel(T)
         kind = "partial_trace_embedding"
-        psi = gen_faithful(rng, T.product, eps_rel=config.eps_rel)
-        phi = gen_faithful(rng, T.product, eps_rel=config.eps_rel)
+        psi = _gram(rng, T.product)
+        phi = _gram(rng, T.product)
     else:
+        # Every channel is built, so the random one draws in every variant.
         channel = {0: identity_channel(alg),
                    1: pinching_channel(alg),
                    3: random_unital_channel(rng, alg, alg)}[variant]
         kind = {0: "identity", 1: "pinching", 3: "random_unital"}[variant]
-        psi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
-        phi = gen_faithful(rng, alg, eps_rel=config.eps_rel)
-    reports = dpi_probe_grid(psi, phi, channel,
-                             [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
-                             tols["monotonicity_violation"], config.eps_rel)
-    checks = []
-    for alpha, rep in zip(DPI_ALPHAS, reports):
-        checks.append((f"alpha={alpha:g}:violation",
-                       rep.residuals.get("monotonicity_violation", 0.0),
-                       tols["monotonicity_violation"]))
-        if kind == "identity":
-            checks.append((f"alpha={alpha:g}:identity_equality",
-                           rep.info["gap"], tols["identity_equality"]))
-    return {"channel": kind}, checks, {}
+        psi = _gram(rng, alg)
+        phi = _gram(rng, alg)
+    return kind, psi, phi, channel
+
+
+def _dpi_batch(config, tols, alg, draws):
+    kinds, psis, phis, channels = zip(*draws)
+    alg = psis[0].algebra
+    psis = _functionals(alg, psis, config.eps_rel)
+    phis = _functionals(alg, phis, config.eps_rel)
+    out = []
+    for kind, reports in zip(kinds, dpi_probe_stack(
+            psis, phis, channels,
+            [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
+            tols["monotonicity_violation"], config.eps_rel)):
+        checks = []
+        for alpha, rep in zip(DPI_ALPHAS, reports):
+            checks.append((f"alpha={alpha:g}:violation",
+                           rep.residuals.get("monotonicity_violation", 0.0),
+                           tols["monotonicity_violation"]))
+            if kind == "identity":
+                checks.append((f"alpha={alpha:g}:identity_equality",
+                               rep.info["gap"], tols["identity_equality"]))
+        out.append(({"channel": kind}, checks, {}))
+    return out
+
+
+def _variant(draw) -> str:
+    return draw[0]
 
 
 # -- the driver ---------------------------------------------------------------
@@ -635,12 +806,15 @@ def _dpi_trial(config, tols, alg, rng, idx, k):
 
 @dataclass(frozen=True)
 class _Suite:
-    """A named suite: its default tolerances, its default dims profiles and
-    its trial function (see the module docstring)."""
+    """A named suite: its default tolerances, its default dims profiles, its
+    draw and batch functions and, for suites whose trials take different
+    code paths, the group key of a draw (see the module docstring)."""
 
     tolerances: dict
     dims: tuple[DimsProfile, ...]
-    trial: Callable
+    draw: Callable
+    batch: Callable
+    group: Callable | None = None
 
     @property
     def tensor(self) -> bool:
@@ -651,29 +825,33 @@ class _Suite:
 _SUITES = {
     "lemma1": _Suite({"identity": 1e-9, "chain": 1e-10,
                       "support_at_zero": 1e-10},
-                     parse_dims("2,3,4"), _lemma1_trial),
+                     parse_dims("2,3,4"), _lemma1_draw, _lemma1_batch),
     "lemma3": _Suite({"interpolation_slack": 1e-10, "bijectivity": 0.0},
-                     parse_dims("2,3,2+2"), _lemma3_trial),
+                     parse_dims("2,3,2+2"), _lemma3_draw, _lemma3_batch),
     "lemma5": _Suite({"residual": 1e-9}, parse_dims("2x2,3x2"),
-                     _lemma5_trial),
+                     _lemma5_draw, _lemma5_batch),
     "theorem6": _Suite({"relative": 1e-10, "spanning": 0.0},
-                       parse_dims("2x2,3x2,3x3,2+3x2"), _theorem6_trial),
+                       parse_dims("2x2,3x2,3x3,2+3x2"), _theorem6_draw,
+                       _theorem6_batch),
     "corollary7": _Suite({"relative": 1e-9}, parse_dims("2x2,3x2"),
-                         _corollary7_trial),
+                         _corollary7_draw, _corollary7_batch),
     "lemma8": _Suite({"solver_agreement": 1e-8}, parse_dims("2,3"),
-                     _lemma8_trial),
+                     _lemma8_draw, _lemma8_batch),
     "lemma9": _Suite({"path_agreement": 1e-10, "reason_agreement": 0.0},
-                     parse_dims("2,3"), _lemma9_trial),
+                     parse_dims("2,3"), _lemma9_draw, _lemma9_batch,
+                     _variant),
     "prop11": _Suite({"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
                       "infinite_branch": 0.0},
-                     parse_dims("2,3"), _prop11_trial),
+                     parse_dims("2,3"), _prop11_draw, _prop11_batch,
+                     _variant),
     "appendixA": _Suite({"eigenvalue_multiset": 1e-9,
                          "f_multiplicativity": 1e-9,
                          "adjoint": 1e-12, "mixed_product": 1e-12},
-                        parse_dims("2x2,3x2,3x3"), _appendixA_trial),
+                        parse_dims("2x2,3x2,3x3"), _appendixA_draw,
+                        _appendixA_batch),
     "dpi": _Suite({"monotonicity_violation": 1e-9,
                    "identity_equality": 1e-9},
-                  parse_dims("2,3"), _dpi_trial),
+                  parse_dims("2,3"), _dpi_draw, _dpi_batch, _variant),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -691,9 +869,15 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
     for profile in config.dims or suite.dims:
         algebra = _profile_algebra(profile, config.suite_name, suite.tensor)
         dims = format_profile(profile)
-        for k in range(config.trials):
-            instance, checks, info = suite.trial(
-                config, tols, algebra, trial_rng(config.seed, idx), idx, k)
+        draws = [suite.draw(config, algebra, trial_rng(config.seed, idx + k),
+                            idx + k, k) for k in range(config.trials)]
+        results = [None] * config.trials
+        for members in _groups(suite.group, draws):
+            outs = suite.batch(config, tols, algebra,
+                               [draws[k] for k in members])
+            for k, out in zip(members, outs):
+                results[k] = out
+        for instance, checks, info in results:
             reports.append(TrialReport(
                 config.suite_name, idx,
                 f"{PRNG_ID} seed={config.seed} trial={idx}",
@@ -703,6 +887,17 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
                 all(res <= tol for _, res, tol in checks), info))
             idx += 1
     return reports
+
+
+def _groups(key: Callable | None, draws: list) -> list[list[int]]:
+    """Positions of the draws per group key, groups in the order of their
+    first draw; one group when ``key`` is None."""
+    if key is None:
+        return [list(range(len(draws)))]
+    groups: dict = {}
+    for k, draw in enumerate(draws):
+        groups.setdefault(key(draw), []).append(k)
+    return list(groups.values())
 
 
 def summarize(reports: list[TrialReport]) -> dict:

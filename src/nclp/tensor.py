@@ -16,12 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, hermitian_eig,
-                      polar_decompose)
+from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
+                      _apply_stack, _clipped_eig_stack, _frobenius_stack,
+                      _imaginary_f, _polar_stack, _power_f, _stack,
+                      _symmetrized_stack)
 from .config import resolve_eps_rel
-from .errors import DomainError, ShapeError
-from .functionals import PositiveFunctional
-from .lp import KosakiSpec, kosaki_norm_grid, lp_norms, singular_values
+from .errors import DomainError, NclpError, ShapeError
+from .functionals import (PositiveFunctional, _densities,
+                          _positive_functionals)
+from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten,
+                 kosaki_norm_stack, singular_values_stack)
 from .reports import CheckReport
 
 
@@ -57,37 +61,107 @@ def kron_element(T: TensorAlgebra, x: AlgebraElement,
 
 
 def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) for square blocks, as one broadcast product.
+    """np.kron(a, b) for square blocks, over any leading axes, as one
+    broadcast product.
 
     Entry [(i, j), (k, l)] is the single product a[i, k] * b[j, l], as in
     np.kron, so the result is bit-identical to it.
     """
-    n, m = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    n, m = a.shape[-1], b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *a.shape[:-2], n * m, n * m)
+
+
+def _kron_stack(sx, sy) -> tuple[np.ndarray, ...]:
+    """Per product block, the stacked Kronecker products of stacked left
+    and right elements, in the left-major block order."""
+    return tuple(_kron_block(a, b) for a in sx for b in sy)
 
 
 def kron_functional(T: TensorAlgebra, psi1: PositiveFunctional,
                     psi2: PositiveFunctional) -> PositiveFunctional:
     """Product functional; density is the Kronecker of the factor densities.
-    It keeps psi1's cutoff."""
-    return PositiveFunctional(
-        kron_element(T, psi1.density, psi2.density),
-        eps_rel=psi1._spectrum.eps_rel)
+    It keeps psi1's cutoff.  One pair of :func:`kron_functional_stack`."""
+    return kron_functional_stack(T, [psi1], [psi2])[0]
+
+
+def kron_functional_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
+                          psi2s: list[PositiveFunctional]
+                          ) -> list[PositiveFunctional]:
+    """:func:`kron_functional` of each pair, one ``eigh`` per product block.
+    The products keep the cutoff of psi1s[0], which every psi1 shares."""
+    _check_factors(T, [p.density for p in psi1s], [p.density for p in psi2s])
+    return _positive_functionals(
+        T.product, _kron_stack(_densities(psi1s), _densities(psi2s)),
+        eps_rel=psi1s[0]._spectrum.eps_rel)
+
+
+def _residuals(a, b) -> np.ndarray:
+    """(B,) Frobenius norms of the differences of two stacks."""
+    return _frobenius_stack([x - y for x, y in zip(a, b)])
+
+
+def _reports(name: str, residuals: dict, tol: float, info=None) -> list:
+    """One CheckReport per element from (B,) residual arrays."""
+    keys = list(residuals)
+    return [CheckReport.from_residuals(
+        name, dict(zip(keys, vals)), {k: tol for k in keys},
+        info=None if info is None else info[j])
+        for j, vals in enumerate(zip(*residuals.values()))]
 
 
 def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
-    """Polar factors of x (x) y against the tensor of the factor polars."""
-    vx, ax = polar_decompose(x, eps_rel)
-    vy, ay = polar_decompose(y, eps_rel)
-    vk, ak = polar_decompose(kron_element(T, x, y), eps_rel)
-    residuals = {
-        "polar_isometry": (vk - kron_element(T, vx, vy)).frobenius(),
-        "polar_modulus": (ak - kron_element(T, ax, ay)).frobenius(),
-    }
-    return CheckReport.from_residuals(
-        "lemma5_polar", residuals, {k: tol for k in residuals})
+    """Polar factors of x (x) y against the tensor of the factor polars.
+    One element of :func:`lemma5_polar_stack`."""
+    return lemma5_polar_stack(T, [x], [y], tol, eps_rel)[0]
+
+
+def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
+                       ys: list[AlgebraElement], tol: float = 1e-9,
+                       eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`lemma5_polar` of each pair, one ``svd`` per block."""
+    eps = resolve_eps_rel(eps_rel)
+    _check_factors(T, xs, ys)
+    sx, sy = _stack(xs), _stack(ys)
+    vx, ax = _polar_stack(sx, eps)
+    vy, ay = _polar_stack(sy, eps)
+    vk, ak = _polar_stack(_kron_stack(sx, sy), eps)
+    return _reports("lemma5_polar", {
+        "polar_isometry": _residuals(vk, _kron_stack(vx, vy)),
+        "polar_modulus": _residuals(ak, _kron_stack(ax, ay))}, tol)
+
+
+def _check_factors(T: TensorAlgebra, xs, ys):
+    for x, y in zip(xs, ys):
+        if x.algebra != T.left:
+            raise ShapeError("left factor does not live on the left algebra")
+        if y.algebra != T.right:
+            raise ShapeError(
+                "right factor does not live on the right algebra")
+
+
+def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, make_f,
+                         name: str, key: str, label: str, tol: float,
+                         eps: float) -> list[list[CheckReport]]:
+    """f(k) against f(x) (x) f(y) for PSD stacks k, x, y (eigendecomposed
+    and clipped in that order, one ``eigh`` per block) at every point of
+    each element: ``points[j]`` holds element j's points, all of one
+    length, and ``make_f(point)`` is the function of a point."""
+    spec_k = _clipped_eig_stack(T.product, _symmetrized_stack(sk, False), eps)
+    spec_x = _clipped_eig_stack(T.left, _symmetrized_stack(sx, False), eps)
+    spec_y = _clipped_eig_stack(T.right, _symmetrized_stack(sy, False), eps)
+    out = [[] for _ in points]
+    for g in range(len(points[0])):
+        fs = [make_f(pts[g]) for pts in points]
+        lhs = _apply_stack(spec_k, fs)
+        rhs = _kron_stack(_apply_stack(spec_x, fs), _apply_stack(spec_y, fs))
+        for j, rep in enumerate(_reports(
+                name, {key: _residuals(lhs, rhs)}, tol,
+                [{label: pts[g]} for pts in points])):
+            out[j].append(rep)
+    return out
 
 
 def lemma5_power_grid(T: TensorAlgebra, x: AlgebraElement,
@@ -100,28 +174,31 @@ def lemma5_power_grid(T: TensorAlgebra, x: AlgebraElement,
     eigendecomposed once (product first, as in the one-point check); each p
     then costs three spectral applications.  Errors: every p is validated
     before any evaluation; the decompositions come next, then the points in
-    order.
+    order.  One element of :func:`lemma5_power_stack`.
     """
-    powers = tuple(powers)
-    for p in powers:
-        if p <= 0:
-            raise DomainError(f"power must be positive, got {p}")
+    return lemma5_power_stack(T, [x], [y], [powers], tol, eps_rel)[0]
+
+
+def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
+                       ys: list[AlgebraElement],
+                       powers: Sequence[Sequence[float]], tol: float = 1e-9,
+                       eps_rel: float | None = None
+                       ) -> list[list[CheckReport]]:
+    """:func:`lemma5_power_grid` of each pair (xs[j], ys[j]) at the powers
+    ``powers[j]``, which have one length for all j."""
+    powers = [tuple(ps) for ps in powers]
+    for ps in powers:
+        for p in ps:
+            if p <= 0:
+                raise DomainError(f"power must be positive, got {p}")
     eps = resolve_eps_rel(eps_rel)
-    _, ax = polar_decompose(x, eps)
-    _, ay = polar_decompose(y, eps)
-    _, ak = polar_decompose(kron_element(T, x, y), eps)
-    spec_k, spec_x, spec_y = (hermitian_eig(a, eps_rel=eps).clip_psd()
-                              for a in (ak, ax, ay))
-    reports = []
-    for p in powers:
-        def f(lam):
-            return lam ** float(p)
-        lhs = spec_k.apply(f)
-        rhs = kron_element(T, spec_x.apply(f), spec_y.apply(f))
-        reports.append(CheckReport.from_residuals(
-            "lemma5_power", {"power": (lhs - rhs).frobenius()},
-            {"power": tol}, info={"p": p}))
-    return reports
+    _check_factors(T, xs, ys)
+    sx, sy = _stack(xs), _stack(ys)
+    _, ax = _polar_stack(sx, eps)
+    _, ay = _polar_stack(sy, eps)
+    _, ak = _polar_stack(_kron_stack(sx, sy), eps)
+    return _factorization_stack(T, ak, ax, ay, powers, _power_f,
+                                "lemma5_power", "power", "p", tol, eps)
 
 
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
@@ -139,21 +216,26 @@ def lemma5_imaginary_grid(T: TensorAlgebra, h1: AlgebraElement,
 
     h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
     then costs three spectral applications.  Errors: the decompositions
-    come first, then the points in order.
+    come first, then the points in order.  One element of
+    :func:`lemma5_imaginary_stack`.
     """
+    return lemma5_imaginary_stack(T, [h1], [h2], [ts], tol, eps_rel)[0]
+
+
+def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
+                           h2s: list[AlgebraElement],
+                           ts: Sequence[Sequence[float]], tol: float = 1e-9,
+                           eps_rel: float | None = None
+                           ) -> list[list[CheckReport]]:
+    """:func:`lemma5_imaginary_grid` of each pair (h1s[j], h2s[j]) at the
+    times ``ts[j]``, which have one length for all j."""
     eps = resolve_eps_rel(eps_rel)
-    spec12, spec1, spec2 = (hermitian_eig(h, eps_rel=eps).clip_psd()
-                            for h in (kron_element(T, h1, h2), h1, h2))
-    reports = []
-    for t in ts:
-        def f(lam):
-            return np.exp(1j * t * np.log(lam))
-        lhs = spec12.apply(f)
-        rhs = kron_element(T, spec1.apply(f), spec2.apply(f))
-        reports.append(CheckReport.from_residuals(
-            "lemma5_imaginary", {"imaginary_power": (lhs - rhs).frobenius()},
-            {"imaginary_power": tol}, info={"t": t}))
-    return reports
+    _check_factors(T, h1s, h2s)
+    s1, s2 = _stack(h1s), _stack(h2s)
+    return _factorization_stack(T, _kron_stack(s1, s2), s1, s2,
+                                [tuple(t) for t in ts], _imaginary_f,
+                                "lemma5_imaginary", "imaginary_power", "t",
+                                tol, eps)
 
 
 def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,
@@ -167,25 +249,50 @@ def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
                    psi2: PositiveFunctional, t: float = 0.7,
                    tol: float = 1e-9,
                    eps_rel: float | None = None) -> CheckReport:
-    """Product-functional density identity plus its imaginary-power half."""
-    prod = kron_functional(T, psi1, psi2)
-    direct = kron_element(T, psi1.density, psi2.density)
-    res_density = (prod.density - direct).frobenius()
-    imag = lemma5_imaginary(T, psi1.density, psi2.density, t, tol, eps_rel)
-    residuals = {"density": res_density, **imag.residuals}
-    return CheckReport.from_residuals(
-        "lemma5_density", residuals, {k: tol for k in residuals},
-        info={"t": t})
+    """Product-functional density identity plus its imaginary-power half.
+    One element of :func:`lemma5_density_stack`."""
+    return lemma5_density_stack(T, [psi1], [psi2], [t], tol, eps_rel)[0]
+
+
+def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
+                         psi2s: list[PositiveFunctional],
+                         ts: Sequence[float], tol: float = 1e-9,
+                         eps_rel: float | None = None) -> list[CheckReport]:
+    """:func:`lemma5_density` of each pair at its own t."""
+    prods = kron_functional_stack(T, psi1s, psi2s)
+    direct = _kron_stack(_densities(psi1s), _densities(psi2s))
+    res_density = _residuals(_densities(prods), direct)
+    imags = lemma5_imaginary_stack(
+        T, [p.density for p in psi1s], [p.density for p in psi2s],
+        [[t] for t in ts], tol, eps_rel)
+    return [CheckReport.from_residuals(
+        "lemma5_density", {"density": res, **imag[0].residuals},
+        {k: tol for k in ("density", *imag[0].residuals)}, info={"t": t})
+        for res, imag, t in zip(res_density, imags, ts)]
 
 
 def theorem6_norm_grid(T: TensorAlgebra, x: AlgebraElement,
                        y: AlgebraElement, ps) -> list[tuple[float, float]]:
     """(||x (x) y||_p, ||x||_p ||y||_p) for every p in ``ps``, from one
-    Kronecker product and one :func:`lp_norms` call per operand."""
-    ps = tuple(ps)
-    lhs = lp_norms(kron_element(T, x, y), ps)
-    return [(l, a * b) for l, a, b in zip(lhs, lp_norms(x, ps),
-                                          lp_norms(y, ps))]
+    Kronecker product and one singular-value call per operand.  One element
+    of :func:`theorem6_norm_stack`."""
+    return theorem6_norm_stack(T, [x], [y], ps)[0]
+
+
+def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
+                        ys: list[AlgebraElement],
+                        ps) -> list[list[tuple[float, float]]]:
+    """:func:`theorem6_norm_grid` of each pair, one ``svd`` per block.  Each
+    element's norms are its own 1-D sums, product side first."""
+    _check_factors(T, xs, ys)
+    ps = [_as_exponent(p) for p in ps]
+    sx, sy = _stack(xs), _stack(ys)
+    svs = [singular_values_stack(s) for s in (_kron_stack(sx, sy), sx, sy)]
+    out = []
+    for sk, s1, s2 in zip(*svs):
+        lhs, a, b = ([_schatten(s, p) for p in ps] for s in (sk, s1, s2))
+        out.append([(l, u * v) for l, u, v in zip(lhs, a, b)])
+    return out
 
 
 def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
@@ -227,19 +334,43 @@ def corollary7_norm_grid(x1: AlgebraElement, x2: AlgebraElement,
     """:func:`corollary7_norm` at every (p, eta) of ``grid``.
 
     x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
-    factor get one :func:`kosaki_norm_grid` call, in that order, and within
-    each the first failing point raises.
+    factor get one stacked Kosaki norm call, in that order, and within each
+    the first failing point raises.  One element of
+    :func:`corollary7_norm_stack`.
     """
-    if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
-        raise ShapeError("elements must live on their spec's algebra")
-    grid = tuple(grid)
+    return corollary7_norm_stack([x1], [x2], [phi1], [phi2], grid,
+                                 eps_rel)[0]
+
+
+def corollary7_norm_stack(x1s: list[AlgebraElement],
+                          x2s: list[AlgebraElement],
+                          phi1s: list[PositiveFunctional],
+                          phi2s: list[PositiveFunctional], grid,
+                          eps_rel: float | None = None
+                          ) -> list[list[tuple[float, float]]]:
+    """:func:`corollary7_norm_grid` of each (x1, x2, phi1, phi2), all on one
+    pair of algebras: the products, memberships and singular values are
+    stacked across the elements.  Element j's error is raised as its
+    one-element call raises it, the first such element first."""
+    for x1, x2, phi1, phi2 in zip(x1s, x2s, phi1s, phi2s):
+        if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
+            raise ShapeError("elements must live on their spec's algebra")
+    points = [_kosaki_point(p, eta) for p, eta in grid]
     eps = resolve_eps_rel(eps_rel)
-    T = TensorAlgebra(x1.algebra, x2.algebra)
-    lhs = kosaki_norm_grid(kron_element(T, x1, x2),
-                           kron_functional(T, phi1, phi2), grid, eps)
-    n1 = kosaki_norm_grid(x1, phi1, grid, eps)
-    n2 = kosaki_norm_grid(x2, phi2, grid, eps)
-    return [(l, a * b) for l, a, b in zip(lhs, n1, n2)]
+    T = TensorAlgebra(x1s[0].algebra, x2s[0].algebra)
+    s1, s2 = _stack(x1s), _stack(x2s)
+    sides = [kosaki_norm_stack(T.product, _kron_stack(s1, s2),
+                               kron_functional_stack(T, phi1s, phi2s),
+                               points, eps),
+             kosaki_norm_stack(T.left, s1, phi1s, points, eps),
+             kosaki_norm_stack(T.right, s2, phi2s, points, eps)]
+    out = []
+    for lhs, n1, n2 in zip(*sides):
+        for side in (lhs, n1, n2):
+            if isinstance(side, NclpError):
+                raise side
+        out.append([(l, a * b) for l, a, b in zip(lhs, n1, n2)])
+    return out
 
 
 def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
@@ -263,13 +394,40 @@ def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,
 
     Both multisets are sorted and paired greedily in order; the residual is
     the largest absolute mismatch, judged against tol_scale * largest value.
+    One element of :func:`spectral_product_stack`.
     """
-    sx = singular_values(x)
-    sy = singular_values(y)
-    products = np.sort(np.outer(sx, sy).ravel())
-    spectrum = np.sort(singular_values(kron_element(T, x, y)))
-    top = float(products[-1]) if products.size else 0.0
-    residual = float(np.max(np.abs(spectrum - products)))
-    return CheckReport.from_residuals(
-        "spectral_product", {"eigenvalue_multiset": residual},
-        {"eigenvalue_multiset": tol_scale * (1.0 + top)})
+    return spectral_product_stack(T, [x], [y], tol_scale)[0]
+
+
+def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],
+                           ys: list[AlgebraElement],
+                           tol_scale: float = 1e-9) -> list[CheckReport]:
+    """:func:`spectral_product_check` of each pair, one ``svd`` per block;
+    the sorting and matching are each element's own 1-D operations."""
+    _check_factors(T, xs, ys)
+    sx, sy = _stack(xs), _stack(ys)
+    svs = [singular_values_stack(s) for s in (sx, sy, _kron_stack(sx, sy))]
+    out = []
+    for s1, s2, sk in zip(*svs):
+        products = np.sort(np.outer(s1, s2).ravel())
+        spectrum = np.sort(sk)
+        top = float(products[-1]) if products.size else 0.0
+        residual = float(np.max(np.abs(spectrum - products)))
+        out.append(CheckReport.from_residuals(
+            "spectral_product", {"eigenvalue_multiset": residual},
+            {"eigenvalue_multiset": tol_scale * (1.0 + top)}))
+    return out
+
+
+def kron_identities_stack(T: TensorAlgebra, xs, ys, xps, yps
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) residuals of (x (x) y)* = x* (x) y* and of the mixed product
+    (x (x) y)(x' (x) y') = x x' (x) y y' for stacked elements."""
+    sx, sy, sxp, syp = (_stack(e) for e in (xs, ys, xps, yps))
+    kx, ky = _kron_stack(sx, sy), _kron_stack(sxp, syp)
+    adjoint = _residuals(_adjoint_stack(kx),
+                         _kron_stack(_adjoint_stack(sx), _adjoint_stack(sy)))
+    mixed = _residuals([a @ b for a, b in zip(kx, ky)],
+                       _kron_stack([a @ b for a, b in zip(sx, sxp)],
+                                   [a @ b for a, b in zip(sy, syp)]))
+    return adjoint, mixed

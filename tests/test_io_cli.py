@@ -204,6 +204,18 @@ class TestCliLpNorm:
                      "--phi", str(phi)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [["--eta", "0.9"],
+                                       ["--phi", "missing.json"],
+                                       ["--eta", "0.9", "--phi",
+                                        "missing.json"]])
+    def test_kosaki_flags_without_kosaki_exit_one(self, tmp_path, capsys,
+                                                  extra):
+        x = write_diag(tmp_path / "x.json", [3.0, 4.0], kind="element")
+        assert main(["lp-norm", "--p", "2", "--x", str(x), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "apply only with --kosaki" in captured.err
+
     def test_unparsable_exponent_exit_one(self, tmp_path, capsys):
         x = write_diag(tmp_path / "x.json", [1.0, 2.0], kind="element")
         assert main(["lp-norm", "--p", "abc", "--x", str(x)]) == 1
