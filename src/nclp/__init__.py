@@ -15,11 +15,10 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       polar_decompose, support_projection)
 from .config import DEFAULT_EPS_REL, default_eps_rel
 from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
-                         Reason, additivity_check, additivity_grid, d_tilde,
-                         d_tilde_grid, dpi_probe, dpi_probe_grid, dpi_valid,
-                         embed_left_channel, identity_channel, lemma9_check,
-                         lemma9_grid, pinching_channel, precompose,
-                         q_tilde_alpha, q_tilde_alpha_z, q_tilde_grid,
+                         Reason, additivity_check, d_tilde, dpi_probe,
+                         dpi_valid, embed_left_channel, identity_channel,
+                         lemma9_check, pinching_channel, precompose,
+                         q_tilde_alpha, q_tilde_alpha_z,
                          random_unital_channel, solve_sharp_least_squares,
                          solve_sharp_pseudo_inverse)
 from .errors import (ConditioningError, CutoffError, DomainError,
@@ -30,16 +29,14 @@ from .functionals import (PositiveFunctional, cocycle_chain_residual,
                           scale)
 from .lp import (KosakiSpec, LpExponent, interpolation_bound_check,
                  kosaki_embed, kosaki_membership, kosaki_norm,
-                 kosaki_norm_grid, lemma3_bijectivity, lp_norm, lp_norms,
-                 operator_norm, singular_values)
+                 lemma3_bijectivity, lp_norm, operator_norm, singular_values)
 from .reports import CheckReport, TrialReport
 from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
                      gen_classical_pair, gen_element, gen_faithful,
                      gen_nested_pair, gen_orthogonal_pair,
                      gen_positive_functional, gen_unitary, parse_dims,
                      run_suite, summarize, trial_rng)
-from .tensor import (TensorAlgebra, corollary7_norm, corollary7_norm_grid,
-                     kron_element, kron_functional, lemma5_density,
-                     lemma5_imaginary, lemma5_imaginary_grid, lemma5_polar,
-                     lemma5_power, lemma5_power_grid, spectral_product_check,
-                     theorem6_norm, theorem6_norm_grid, theorem6_spanning)
+from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
+                     kron_functional, lemma5_density, lemma5_imaginary,
+                     lemma5_polar, lemma5_power, spectral_product_check,
+                     theorem6_norm, theorem6_spanning)

@@ -8,6 +8,7 @@ support projections, polar decomposition) applies the kernel convention from
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -25,7 +26,11 @@ class BlockAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.block_dims)
+        try:
+            dims = tuple(operator.index(n) for n in self.block_dims)
+        except TypeError as exc:
+            raise DomainError(f"block dimensions must be integers, got "
+                              f"{self.block_dims!r}") from exc
         if len(dims) < 1:
             raise DomainError("algebra needs at least one block")
         if any(n < 1 for n in dims):
@@ -57,7 +62,7 @@ class BlockAlgebra:
 
     def diagonal(self, entries: Sequence[float]) -> "AlgebraElement":
         """Element with the given carrier-diagonal, zeros elsewhere."""
-        entries = np.asarray(entries)
+        entries = _complex_array(entries)
         if entries.shape != (self.carrier_dim,):
             raise ShapeError(f"need {self.carrier_dim} diagonal entries")
         blocks, ofs = [], 0
@@ -68,7 +73,7 @@ class BlockAlgebra:
 
     def from_flat(self, flat: np.ndarray) -> "AlgebraElement":
         """Inverse of :meth:`AlgebraElement.flatten` (row-major per block)."""
-        flat = np.asarray(flat)
+        flat = _complex_array(flat)
         if flat.shape != (self.total_dim,):
             raise ShapeError(f"flat vector must have length {self.total_dim}")
         blocks, ofs = [], 0
@@ -84,7 +89,7 @@ class BlockAlgebra:
         conditional expectation onto the algebra.
         """
         N = self.carrier_dim
-        full = np.asarray(full)
+        full = _complex_array(full)
         if full.shape != (N, N):
             raise ShapeError(f"full matrix must be {N}x{N}, got {full.shape}")
         blocks, ofs = [], 0
@@ -105,7 +110,7 @@ class AlgebraElement:
     __slots__ = ("algebra", "blocks")
 
     def __init__(self, algebra: BlockAlgebra, blocks: Iterable[np.ndarray]):
-        mats = tuple(np.array(b, dtype=np.complex128) for b in blocks)
+        mats = tuple(_complex_array(b) for b in blocks)
         if len(mats) != algebra.num_blocks:
             raise ShapeError(
                 f"expected {algebra.num_blocks} blocks, got {len(mats)}")
@@ -203,6 +208,15 @@ class AlgebraElement:
                 f"frobenius={self.frobenius():.6g})")
 
 
+def _complex_array(raw) -> np.ndarray:
+    """A fresh complex128 array of ``raw``; DomainError unless ``raw`` is a
+    rectangular nesting of numbers within the float range."""
+    try:
+        return np.array(raw, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"matrix entries must be numbers: {exc}") from exc
+
+
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix product; operands must live on the same algebra."""
     x._require_same_algebra(y)
@@ -221,7 +235,9 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # so that each LAPACK routine, matmul and reduction runs once per block for
 # all B elements.  numpy applies them matrix by matrix, so every slice equals
 # the one-element result bit for bit.  The one-element functions of this
-# package are B = 1 calls of the stacked kernels.
+# package are B = 1 calls of the stacked kernels.  A kernel on functionals
+# reads each one's stored spectrum and cutoff; one on bare elements is given
+# a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:

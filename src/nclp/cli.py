@@ -101,12 +101,8 @@ def _parser() -> _Parser:
     return _build_parser()
 
 
-def _eps(args) -> float:
-    return resolve_eps_rel(args.eps_rel)
-
-
 def _cmd_divergence(args) -> int:
-    eps = _eps(args)
+    eps = resolve_eps_rel(args.eps_rel)
     if args.kind == "sandwiched":
         if args.z is not None:
             raise UsageError("--z applies only to --kind alpha-z")
@@ -141,7 +137,7 @@ def _cmd_divergence(args) -> int:
 def _cmd_lp_norm(args) -> int:
     if not args.kosaki and (args.eta is not None or args.phi is not None):
         raise UsageError("--eta and --phi apply only with --kosaki")
-    eps = _eps(args)
+    eps = resolve_eps_rel(args.eps_rel)
     p = LpExponent.parse(args.p)
     x = io.load_element(args.x, eps)
     if args.kosaki:
@@ -185,7 +181,7 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _cmd_suite(args) -> int:
-    eps = _eps(args)
+    eps = resolve_eps_rel(args.eps_rel)
     dims = parse_dims(args.dims) if args.dims else ()
     config = SuiteConfig(
         suite_name=args.name, trials=args.trials, seed=args.seed,

@@ -3,8 +3,9 @@
 Every eigenvalue whose magnitude falls at or below ``eps_rel * spectral_radius``
 is treated as an exact zero of the operator (the "kernel convention"): scalar
 functions applied through the functional calculus send those directions to the
-declared f(0) value.  The cutoff is configurable per call, through the
-``NCLP_EPS_REL`` environment variable, or falls back to ``DEFAULT_EPS_REL``.
+declared f(0) value.  An entry point resolves the cutoff (a given value,
+else the ``NCLP_EPS_REL`` environment variable, else ``DEFAULT_EPS_REL``);
+from there the functionals and spectra built at it carry it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def resolve_eps_rel(eps_rel: float | None) -> float:
 def _checked_eps_rel(raw, source: str) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise CutoffError(

@@ -17,14 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _blockwise, _eigenvectors, _nonfinite_error,
-                      _power_stack, _squared_norms, _stacked,
-                      _support_stack)
-from .config import PSD_CLIP_TOL, resolve_eps_rel
-from .errors import ConditioningError, DomainError, NclpError, ShapeError
-from .functionals import (PositiveFunctional, _densities,
+                      _blockwise, _complex_array, _eigenvectors,
+                      _nonfinite_error, _power_stack, _squared_norms,
+                      _stacked, _support_stack)
+from .config import PSD_CLIP_TOL
+from .errors import ConditioningError, DomainError, ShapeError, _raise_first
+from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
-from .lp import singular_values_stack
+from .lp import _real, singular_values_stack
 from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional
 
@@ -78,7 +78,7 @@ class DivergenceParams:
     z: float | None = None
 
     def __post_init__(self):
-        alpha = float(self.alpha)
+        alpha = _real(self.alpha, "alpha")
         if not math.isfinite(alpha) or alpha <= 0 or alpha == 1:
             raise DomainError(
                 f"alpha must be finite, positive and != 1, got {alpha}")
@@ -88,7 +88,7 @@ class DivergenceParams:
                 raise DomainError(
                     f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
         else:
-            z = float(self.z)
+            z = _real(self.z, "z")
             if not math.isfinite(z) or z <= 0:
                 raise DomainError(f"z must be finite and positive, got {z}")
             object.__setattr__(self, "z", z)
@@ -115,12 +115,11 @@ def _check_pair(psi: PositiveFunctional, phi: PositiveFunctional):
 
 
 def _support_violations(psis: Sequence[PositiveFunctional],
-                        phis: Sequence[PositiveFunctional],
-                        eps: float) -> np.ndarray:
+                        phis: Sequence[PositiveFunctional]) -> np.ndarray:
     """(B,) whether s(psi) <= s(phi) fails beyond the relative budget, per
     pair of one algebra: the leak (1 - s(phi)) h_psi (1 - s(phi)) against
     the density's norm, stacked across the pairs."""
-    supports = _support_stack([phi.spectrum(eps) for phi in phis])
+    supports = _support_stack([phi._spectrum for phi in phis])
     densities = _densities(psis)
     comps = [np.eye(s.shape[-1], dtype=np.complex128) - s for s in supports]
     with np.errstate(over="ignore"):
@@ -130,70 +129,33 @@ def _support_violations(psis: Sequence[PositiveFunctional],
             _squared_norms(densities))
 
 
-def _sandwiched_params(alpha: float) -> DivergenceParams:
-    """Sandwiched parameters of order alpha, with the sandwiched Q's own
-    domain message."""
-    if alpha < 0.5 or alpha == 1:
-        raise DomainError(
-            f"sandwiched order must lie in [1/2, inf) without 1, got {alpha}")
-    return DivergenceParams(alpha)
-
-
-def _alpha_z_params(params: DivergenceParams) -> DivergenceParams:
-    """The same order on the two-parameter path (z = alpha if sandwiched)."""
-    if params.is_sandwiched:
-        return DivergenceParams(params.alpha, z=params.alpha)
-    return params
-
-
-def _raise_first(outcomes: list) -> list:
-    """The outcomes, after raising the first one that is an error."""
-    for out in outcomes:
-        if isinstance(out, NclpError):
-            raise out
-    return outcomes
-
-
-def q_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
-                 grid: Sequence[DivergenceParams],
-                 eps_rel: float | None = None) -> list[DivergenceValue]:
-    """Q-values of one (psi, phi) pair at every point of a parameter grid.
-
-    Points with z=None take the sandwiched path of :func:`q_tilde_alpha`,
-    the others the two-parameter path of :func:`q_tilde_alpha_z`.  Shared by
-    all points: the pair check, the cutoff resolution, the spectra of psi
-    and phi, the support-nesting test (run once if some alpha > 1) and the
-    rotation of h_psi into phi's eigenbasis.  Per block, the sandwiched
-    points share one stacked ``eigvalsh`` and the two-parameter points one
-    stacked ``svd``; the psi powers, the phi scalings and the
-    sandwich-equation certificates are stacked too.  Each point's
-    eigenvalue powers and its final sum are its own 1-D operations, so every
-    value equals the one-point call's bit for bit.
-
-    Errors: each point fails as the one-point call fails, and the first
-    failing point in grid order raises.  One pair of :func:`q_tilde_stack`.
-    """
-    return _raise_first(q_tilde_stack([psi], [phi], grid, eps_rel)[0])
-
-
 def q_tilde_stack(psis: Sequence[PositiveFunctional],
                   phis: Sequence[PositiveFunctional],
-                  grid: Sequence[DivergenceParams],
-                  eps_rel: float | None = None) -> list[list]:
-    """:func:`q_tilde_grid` of B pairs (psis[j], phis[j]) of one algebra,
-    with each LAPACK call stacked across the pairs as well as the points.
+                  grid: Sequence[DivergenceParams]) -> list[list]:
+    """Q-values of B pairs (psis[j], phis[j]) of one algebra, read from
+    their stored spectra at their one shared cutoff, at every point of a
+    parameter grid: z=None takes the sandwiched path of
+    :func:`q_tilde_alpha`, other points the two-parameter path of
+    :func:`q_tilde_alpha_z`.
+
+    Shared by all points of a pair: the pair check, the support-nesting test
+    (run once if some alpha > 1) and the rotation of h_psi into phi's
+    eigenbasis.  Per block, the sandwiched points of all pairs share one
+    stacked ``eigvalsh`` and the two-parameter points one stacked ``svd``;
+    the psi powers, the phi scalings and the sandwich-equation certificates
+    are stacked too.  Each point's eigenvalue powers and its final sum are
+    its own 1-D operations, so every value equals the one-point call's.
 
     Entry j lists pair j's outcome at every point: its DivergenceValue, or
-    the error its one-pair call would raise at that point (returned, not
+    the error its one-point call would raise at that point (returned, not
     raised).  Pairs that violate the support nesting skip the points with
     alpha > 1, so they are evaluated in a stack of their own.
     """
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
     grid = tuple(grid)
-    eps = resolve_eps_rel(eps_rel)
     sharp = [p.alpha > 1 for p in grid]
-    violations = (_support_violations(psis, phis, eps).tolist()
+    violations = (_support_violations(psis, phis).tolist()
                   if any(sharp) else [False] * len(psis))
     outcomes = [[None] * len(grid) for _ in psis]
     for violates in sorted(set(violations)):
@@ -204,8 +166,8 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
                    and not (violates and sharp[g])]
             if idx:
                 values = evaluate([psis[j] for j in js],
-                                  [phis[j].spectrum(eps) for j in js],
-                                  [grid[g] for g in idx], eps)
+                                  [phis[j]._spectrum for j in js],
+                                  [grid[g] for g in idx])
                 for j, vals in zip(js, values):
                     for g, value in zip(idx, vals):
                         outcomes[j][g] = value
@@ -219,7 +181,7 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
 
 def _sandwiched_values(psis: Sequence[PositiveFunctional],
                        phi_specs: Sequence[HermitianSpectrum],
-                       grid: Sequence[DivergenceParams], eps: float) -> list:
+                       grid: Sequence[DivergenceParams]) -> list:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
     directions scale to 0.  An entry is the value, or the DomainError of a
@@ -239,6 +201,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
     negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
                        for e in eigs], axis=0)
+    eps = phi_specs[0].eps_rel
     keeps = [e > eps * radius[..., None] for e in eigs]
     out = []
     for j in range(len(psis)):
@@ -258,7 +221,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
                     phi_specs: Sequence[HermitianSpectrum],
-                    grid: Sequence[DivergenceParams], eps: float) -> list:
+                    grid: Sequence[DivergenceParams]) -> list:
     """Q_{alpha,z} per pair and point, none of them a support violation.
 
     Q is the sum of sigma^{2z} over the non-kernel singular values of
@@ -278,7 +241,7 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
     phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
                  else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
-    powers, finite = _power_stack([psi.spectrum(eps) for psi in psis],
+    powers, finite = _power_stack([psi._spectrum for psi in psis],
                                   cert_expos + half_expos)
     k = len(sharp)
     vecs = _eigenvectors(phi_specs)
@@ -292,6 +255,7 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
                                 * scale[..., None, :]
                                 for half, u, scale in zip(powers, vecs,
                                                           scales)])
+    eps = phi_specs[0].eps_rel
     keeps = sv > eps * sv.max(axis=-1)[..., None]
     cert = dict(zip(sharp, range(k)))
     out = []
@@ -365,10 +329,11 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     For alpha < 1 this is the direct sandwiched trace; for alpha > 1 the
     value is finite exactly when s(psi) <= s(phi), in which case it equals
     the alpha-th power of the eta=1/2 interpolated norm of the density.
-    One point of :func:`q_tilde_grid`.
+    One point of :func:`q_tilde_stack`.
     """
-    _check_pair(psi, phi)
-    return q_tilde_grid(psi, phi, [_sandwiched_params(alpha)], eps_rel)[0]
+    params = DivergenceParams(alpha)
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return _raise_first(q_tilde_stack([psi], [phi], [params])[0])[0]
 
 
 def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -382,9 +347,12 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     on the corner s(phi) . s(phi) by pseudo-inverse powers; solvability is
     equivalent to s(psi) <= s(phi) here, and the recomposition residual
     certifies the solution (ConditioningError beyond budget).  One point of
-    :func:`q_tilde_grid`.
+    :func:`q_tilde_stack`.
     """
-    return q_tilde_grid(psi, phi, [_alpha_z_params(params)], eps_rel)[0]
+    if params.is_sandwiched:
+        params = DivergenceParams(params.alpha, z=params.alpha)
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return _raise_first(q_tilde_stack([psi], [phi], [params])[0])[0]
 
 
 def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
@@ -403,13 +371,14 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     alpha, z = params.alpha, params.effective_z
     if alpha <= 1:
         raise DomainError("the sandwich-equation solve applies to alpha > 1")
-    if _support_violations([psi], [phi], resolve_eps_rel(eps_rel))[0]:
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    if _support_violations([psi], [phi])[0]:
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    hp, finite = _power_stack([psi.spectrum(eps_rel)], [alpha / z])
+    hp, finite = _power_stack([psi._spectrum], [alpha / z])
     if not finite[0, 0]:
         raise _nonfinite_error()
-    spec = phi.spectrum(eps_rel)
+    spec = phi._spectrum
     mids, residuals, budgets = _sharp_pinv_middles(
         hp, [spec], _eigenvectors([spec]), [(alpha - 1.0) / (2.0 * z)])
     if residuals[0, 0] > budgets[0, 0]:
@@ -463,15 +432,6 @@ def d_from_q(q: DivergenceValue, psi: PositiveFunctional,
         math.log(q.value / psi.mass) / (alpha - 1.0))
 
 
-def d_tilde_grid(psi: PositiveFunctional, phi: PositiveFunctional,
-                 grid: Sequence[DivergenceParams],
-                 eps_rel: float | None = None) -> list[DivergenceValue]:
-    """:func:`d_tilde` at every point of a grid, from one
-    :func:`q_tilde_grid` call (same sharing and error order)."""
-    grid = tuple(grid)
-    return _d_stack([psi], [phi], grid, eps_rel)[0]
-
-
 def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
             params: DivergenceParams, eps_rel: float | None = None
             ) -> DivergenceValue:
@@ -481,37 +441,29 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     parameters run the two-parameter path.  May be negative for inputs whose
     masses differ from 1.
     """
-    return d_tilde_grid(psi, phi, [params], eps_rel)[0]
-
-
-def lemma9_grid(psi: PositiveFunctional, phi: PositiveFunctional,
-                alphas: Sequence[float], tol: float = 1e-10,
-                eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`lemma9_check` at every order in ``alphas``.
-
-    Both paths at every order come from one Q-grid evaluation, with the
-    points in the order sandwiched(alpha_1), alpha-z(alpha_1),
-    sandwiched(alpha_2), ...; so the first failure raises as in a loop of
-    one-point checks.  One pair of :func:`lemma9_stack`.
-    """
-    return lemma9_stack([psi], [phi], alphas, tol, eps_rel)[0]
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return _d_stack([psi], [phi], [params])[0][0]
 
 
 def lemma9_stack(psis: Sequence[PositiveFunctional],
                  phis: Sequence[PositiveFunctional],
-                 alphas: Sequence[float], tol: float = 1e-10,
-                 eps_rel: float | None = None) -> list[list[CheckReport]]:
-    """:func:`lemma9_grid` of B pairs, from one :func:`q_tilde_stack`; the
-    first pair with a failing point raises it."""
+                 alphas: Sequence[float], tol: float = 1e-10
+                 ) -> list[list[CheckReport]]:
+    """:func:`lemma9_check` of B pairs at every order in ``alphas``.
+
+    Both paths at every order come from one :func:`q_tilde_stack`, with the
+    points in the order sandwiched(alpha_1), alpha-z(alpha_1),
+    sandwiched(alpha_2), ...; so the first failure of a pair raises as in a
+    loop of one-point checks, and the first pair with a failing point
+    raises it."""
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
     alphas = tuple(alphas)
     grid = []
     for alpha in alphas:
-        grid += [_sandwiched_params(alpha), DivergenceParams(alpha, z=alpha)]
+        grid += [DivergenceParams(alpha), DivergenceParams(alpha, z=alpha)]
     out = []
-    for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid, eps_rel), psis,
-                            phis):
+    for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid), psis, phis):
         _raise_first(qs)
         out.append([_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol,
                                    d_from_q(qs[2 * i + 1], psi, phi, alpha))
@@ -528,7 +480,8 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     same reason code.  The info holds both Q-values and ``d_reason``, the
     reason code of the divergence on the alpha-z path.
     """
-    return lemma9_grid(psi, phi, [alpha], tol, eps_rel)[0]
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return lemma9_stack([psi], [phi], [alpha], tol)[0][0]
 
 
 def _lemma9_report(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
@@ -546,43 +499,29 @@ def _lemma9_report(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
         {"reason_agreement": 0.0}, info)
 
 
-def additivity_grid(psi1: PositiveFunctional, phi1: PositiveFunctional,
-                    psi2: PositiveFunctional, phi2: PositiveFunctional,
-                    grid: Sequence[DivergenceParams], tol_q: float = 1e-9,
-                    tol_d: float = 1e-8,
-                    eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`additivity_check` at every point of a parameter grid.
-
-    The products psi1 (x) psi2 and phi1 (x) phi2 are built once, and each of
-    the three pairs (factor 1, factor 2, product) gets one Q-grid
-    evaluation.  Errors: the pairs are evaluated in that order, and within
-    a pair the first failing point raises.  One element of
-    :func:`additivity_stack`.
-    """
-    return additivity_stack([psi1], [phi1], [psi2], [phi2], grid, tol_q,
-                            tol_d, eps_rel)[0]
-
-
 def additivity_stack(psi1s: Sequence[PositiveFunctional],
                      phi1s: Sequence[PositiveFunctional],
                      psi2s: Sequence[PositiveFunctional],
                      phi2s: Sequence[PositiveFunctional],
                      grid: Sequence[DivergenceParams], tol_q: float = 1e-9,
-                     tol_d: float = 1e-8, eps_rel: float | None = None
-                     ) -> list[list[CheckReport]]:
-    """:func:`additivity_grid` of B quadruples on one pair of algebras.
-    Each of the three pairs gets one :func:`q_tilde_stack` across the
-    quadruples; element j raises its errors as its one-element call does,
-    the first such element first."""
+                     tol_d: float = 1e-8) -> list[list[CheckReport]]:
+    """:func:`additivity_check` of B quadruples on one pair of algebras, at
+    every point of a parameter grid.
+
+    The products psi1 (x) psi2 and phi1 (x) phi2 are built once per
+    quadruple, and each of the three pairs (factor 1, factor 2, product)
+    gets one :func:`q_tilde_stack` across the quadruples and the points.
+    Errors: the pairs are evaluated in that order, and within a pair the
+    first failing point raises; element j raises its errors as its
+    one-element call does, the first such element first."""
     T = TensorAlgebra(psi1s[0].algebra, psi2s[0].algebra)
     psi12s, phi12s = [], []
     for psi1, phi1, psi2, phi2 in zip(psi1s, phi1s, psi2s, phi2s):
         psi12s.append(kron_functional(T, psi1, psi2))
         phi12s.append(kron_functional(T, phi1, phi2))
     grid = tuple(grid)
-    eps = resolve_eps_rel(eps_rel)
     sides = [(psi1s, phi1s), (psi2s, phi2s), (psi12s, phi12s)]
-    qs = [q_tilde_stack(psis, phis, grid, eps) for psis, phis in sides]
+    qs = [q_tilde_stack(psis, phis, grid) for psis, phis in sides]
     out = []
     for j, (q1s, q2s, q12s) in enumerate(zip(*qs)):
         for outcomes in (q1s, q2s, q12s):
@@ -607,8 +546,9 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     well).  For alpha > 1 with z != alpha and an infinite factor, the values
     are recorded without assertion.
     """
-    return additivity_grid(psi1, phi1, psi2, phi2, [params], tol_q, tol_d,
-                           eps_rel)[0]
+    psi1, phi1, psi2, phi2 = _at_cutoff([psi1, phi1, psi2, phi2], eps_rel)
+    return additivity_stack([psi1], [phi1], [psi2], [phi2], [params], tol_q,
+                            tol_d)[0][0]
 
 
 def _additivity_report(params: DivergenceParams, side1, side2, side12,
@@ -663,7 +603,7 @@ class QuantumChannel:
     __slots__ = ("domain", "codomain", "kraus")
 
     def __init__(self, domain: BlockAlgebra, codomain: BlockAlgebra, kraus):
-        mats = tuple(np.array(v, dtype=np.complex128) for v in kraus)
+        mats = tuple(_complex_array(v) for v in kraus)
         if not mats:
             raise DomainError("a channel needs at least one Kraus operator")
         n_dom, n_cod = domain.carrier_dim, codomain.carrier_dim
@@ -672,9 +612,12 @@ class QuantumChannel:
                 raise ShapeError(
                     f"Kraus operator shape {v.shape} != ({n_dom}, {n_cod})")
             v.setflags(write=False)
-        acc = sum(v.conj().T @ v for v in mats)
-        defect = float(np.linalg.norm(acc - np.eye(n_cod)))
-        if defect > CHANNEL_UNITALITY_TOL:
+        # A non-finite entry, or one so large that it overflows, makes the
+        # defect inf or NaN, which the negated test rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = sum(v.conj().T @ v for v in mats)
+            defect = float(np.linalg.norm(acc - np.eye(n_cod)))
+        if not defect <= CHANNEL_UNITALITY_TOL:
             raise DomainError(
                 f"channel is not unital: |sum V*V - 1| = {defect:.3e}")
         object.__setattr__(self, "domain", domain)
@@ -698,15 +641,16 @@ def precompose(psi: PositiveFunctional, channel: QuantumChannel,
     compression; unital channels preserve the mass.  One pair of
     :func:`precompose_stack`.
     """
-    return precompose_stack([psi], [channel], eps_rel)[0]
+    return precompose_stack(_at_cutoff([psi], eps_rel), [channel])[0]
 
 
 def precompose_stack(psis: Sequence[PositiveFunctional],
-                     channels: Sequence[QuantumChannel],
-                     eps_rel: float | None = None
+                     channels: Sequence[QuantumChannel]
                      ) -> list[PositiveFunctional]:
     """:func:`precompose` of B pairs whose channels share a domain, a
-    codomain and a number of Kraus operators, stacked across the pairs."""
+    codomain and a number of Kraus operators, stacked across the pairs.
+    The pulled-back functionals keep the cutoff of psis[0], which every psi
+    shares."""
     for psi, channel in zip(psis, channels):
         if psi.algebra != channel.codomain:
             raise ShapeError(
@@ -717,7 +661,8 @@ def precompose_stack(psis: Sequence[PositiveFunctional],
     domain = channels[0].domain
     offsets = np.cumsum([0, *domain.block_dims])
     blocks = [acc[:, a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    return _positive_functionals(domain, blocks, True, eps_rel)
+    return _positive_functionals(domain, blocks, True,
+                                 psis[0]._spectrum.eps_rel)
 
 
 def identity_channel(algebra: BlockAlgebra) -> QuantumChannel:
@@ -807,47 +752,35 @@ def dpi_valid(alpha: float, z: float) -> bool:
     return False
 
 
-def dpi_probe_grid(psi: PositiveFunctional, phi: PositiveFunctional,
-                   channel: QuantumChannel,
-                   grid: Sequence[DivergenceParams], slack: float = 1e-9,
-                   eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`dpi_probe` at every point of a parameter grid.
-
-    psi and phi are precomposed through the channel once; the values before
-    and after the channel come from one Q-grid evaluation each.  Errors: the
-    values before the channel, the precompositions and the values after it
-    are evaluated in that order, and within a pair the first failing point
-    raises.  One element of :func:`dpi_probe_stack`.
-    """
-    return dpi_probe_stack([psi], [phi], [channel], grid, slack, eps_rel)[0]
-
-
 def dpi_probe_stack(psis: Sequence[PositiveFunctional],
                     phis: Sequence[PositiveFunctional],
                     channels: Sequence[QuantumChannel],
-                    grid: Sequence[DivergenceParams], slack: float = 1e-9,
-                    eps_rel: float | None = None) -> list[list[CheckReport]]:
-    """:func:`dpi_probe_grid` of B triples whose channels share a domain
-    and a codomain, stage by stage: the values before the channels (the
-    first pair with an error raises it), the precompositions, then the
-    values after them."""
+                    grid: Sequence[DivergenceParams], slack: float = 1e-9
+                    ) -> list[list[CheckReport]]:
+    """:func:`dpi_probe` of B triples whose channels share a domain and a
+    codomain, at every point of a parameter grid.
+
+    psi and phi are precomposed through the channel once; the values before
+    and after the channel come from one :func:`q_tilde_stack` each.  Errors,
+    stage by stage: the values before the channels, the precompositions,
+    then the values after them; within a stage the first pair with a
+    failing point raises it."""
     grid = tuple(grid)
-    eps = resolve_eps_rel(eps_rel)
-    d_ins = _d_stack(psis, phis, grid, eps)
-    psi_cs = precompose_stack(psis, channels, eps)
-    phi_cs = precompose_stack(phis, channels, eps)
-    d_outs = _d_stack(psi_cs, phi_cs, grid, eps)
+    d_ins = _d_stack(psis, phis, grid)
+    psi_cs = precompose_stack(psis, channels)
+    phi_cs = precompose_stack(phis, channels)
+    d_outs = _d_stack(psi_cs, phi_cs, grid)
     return [[_dpi_report(params, d_in, d_out, slack)
              for params, d_in, d_out in zip(grid, ins, outs)]
             for ins, outs in zip(d_ins, d_outs)]
 
 
-def _d_stack(psis, phis, grid, eps) -> list[list[DivergenceValue]]:
+def _d_stack(psis, phis, grid) -> list[list[DivergenceValue]]:
     """Per pair, the divergences at every point; the first pair with a
     failing point raises it."""
     return [[d_from_q(q, psi, phi, p.alpha)
              for q, p in zip(_raise_first(qs), grid)]
-            for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid, eps),
+            for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid),
                                     psis, phis)]
 
 
@@ -862,7 +795,8 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     assertion.  The info's ``gap`` is |D after - D before|: 0 for two
     infinite values with the same reason, inf for different reasons.
     """
-    return dpi_probe_grid(psi, phi, channel, [params], slack, eps_rel)[0]
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return dpi_probe_stack([psi], [phi], [channel], [params], slack)[0][0]
 
 
 def _dpi_report(params: DivergenceParams, d_in: DivergenceValue,

@@ -5,6 +5,14 @@ class NclpError(Exception):
     """Base class for all toolkit errors."""
 
 
+def _raise_first(outcomes):
+    """The outcomes, after raising the first one that is an error."""
+    for out in outcomes:
+        if isinstance(out, NclpError):
+            raise out
+    return outcomes
+
+
 class ShapeError(NclpError):
     """Operands live on different algebras or have nonconforming blocks."""
 

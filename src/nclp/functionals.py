@@ -24,9 +24,12 @@ class PositiveFunctional:
     The density is symmetrized on construction and validated as PSD after
     clipping; its stored matrix entries are otherwise kept bit-exact so that
     planted zero structure (diagonal instances, exact kernels) survives.
-    A functional built from others (a sum, a multiple, a tensor product)
-    keeps the cutoff of its first operand, so no cutoff is resolved again.
-    The constructor is one element of :func:`_positive_functionals`.
+    The functional owns its kernel cutoff: the spectrum stored at
+    construction carries it, and the package's kernels read that spectrum.
+    A method or public function given a cutoff works on the functional as
+    :func:`_at_cutoff` returns it.  A functional built from others (a sum, a
+    multiple, a tensor product) keeps the cutoff of its first operand.  The
+    constructor is one element of :func:`_positive_functionals`.
     """
 
     __slots__ = ("algebra", "density", "_spectrum", "_mass")
@@ -52,11 +55,7 @@ class PositiveFunctional:
     # -- basic structure -----------------------------------------------------
 
     def spectrum(self, eps_rel: float | None = None) -> HermitianSpectrum:
-        eps = resolve_eps_rel(eps_rel)
-        if eps == self._spectrum.eps_rel:
-            return self._spectrum
-        return _clipped_eig_stack(self.algebra, _stack([self.density]),
-                                  eps)[0]
+        return _at_cutoff([self], eps_rel)[0]._spectrum
 
     @property
     def mass(self) -> float:
@@ -73,9 +72,8 @@ class PositiveFunctional:
         return self._spectrum.spectral_radius == 0.0
 
     def is_faithful(self, eps_rel: float | None = None) -> bool:
-        """True iff no eigenvalue of the density falls in the kernel."""
-        if self.is_zero:
-            return False
+        """True iff no eigenvalue of the density falls in the kernel (all of
+        the zero functional's do)."""
         return self.spectrum(eps_rel).rank() == self.algebra.carrier_dim
 
     def support(self, eps_rel: float | None = None) -> AlgebraElement:
@@ -126,6 +124,17 @@ def _positive_functionals(algebra: BlockAlgebra, stacked,
     return out
 
 
+def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
+    """The functionals at the cutoff ``eps_rel`` (resolved; None reads
+    ``NCLP_EPS_REL``, else the default): each one already at that cutoff
+    itself, any other rebuilt at it from the same density.  Every public
+    function and method that takes a cutoff routes its functionals through
+    here; kernels on functionals take none."""
+    eps = resolve_eps_rel(eps_rel)
+    return [psi if psi._spectrum.eps_rel == eps else _positive_functionals(
+        psi.algebra, _stack([psi.density]), eps_rel=eps)[0] for psi in psis]
+
+
 def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
     """The density h with psi(a) = trace(h a); trace(h) = psi(1)."""
     return psi.density
@@ -139,15 +148,15 @@ def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
                               eps_rel=psi._spectrum.eps_rel)
 
 
-def _imaginary_powers(psis, ts, eps_rel) -> tuple[np.ndarray, ...]:
+def _imaginary_powers(psis, ts) -> tuple[np.ndarray, ...]:
     """h_j^{i t_j} of each functional, as per-block (B, n, n) stacks."""
-    return _apply_stack([psi.spectrum(eps_rel) for psi in psis],
+    return _apply_stack([psi._spectrum for psi in psis],
                         [_imaginary_f(t) for t in ts])
 
 
-def _supports(psis, eps_rel) -> tuple[np.ndarray, ...]:
+def _supports(psis) -> tuple[np.ndarray, ...]:
     """The support projections of the functionals, stacked per block."""
-    return _support_stack([psi.spectrum(eps_rel) for psi in psis])
+    return _support_stack([psi._spectrum for psi in psis])
 
 
 def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -158,23 +167,23 @@ def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
     u_t* u_t recovers that support for every t.  One pair of
     :func:`connes_cocycle_stack`.
     """
-    return _unstack(psi.algebra,
-                    connes_cocycle_stack([psi], [phi], [t], eps_rel))[0]
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return _unstack(psi.algebra, connes_cocycle_stack([psi], [phi], [t]))[0]
 
 
-def connes_cocycle_stack(psis, phis, ts, eps_rel: float | None = None
-                         ) -> tuple[np.ndarray, ...]:
+def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
     """u_{t_j}(psi_j, phi_j) of B pairs of one algebra, as per-block
-    (B, n, n) stacks; the first pair, in order, that fails a check raises."""
+    (B, n, n) stacks; the first pair, in order, that fails a check raises.
+    Each power is taken in its functional's stored spectrum."""
     for psi, phi in zip(psis, phis):
         if psi.algebra != phi.algebra:
             raise DomainError("functionals must live on the same algebra")
-        if not phi.is_faithful(eps_rel):
+        if not phi.is_faithful(phi._spectrum.eps_rel):
             raise DomainError(
                 "reference functional must be faithful; use the support-cut "
                 "identity (lemma1_cut) for non-faithful references")
-    left = _imaginary_powers(psis, ts, eps_rel)
-    right = _imaginary_powers(phis, [-t for t in ts], eps_rel)
+    left = _imaginary_powers(psis, ts)
+    right = _imaginary_powers(phis, [-t for t in ts])
     return tuple(a @ b for a, b in zip(left, right))
 
 
@@ -189,18 +198,17 @@ def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
     residual, which the caller asserts.  One triple of
     :func:`lemma1_cut_stack`.
     """
-    lhs, rhs = lemma1_cut_stack([psi], [psi_prime], [phi], [t], eps_rel)
+    psi, psi_prime, phi = _at_cutoff([psi, psi_prime, phi], eps_rel)
+    lhs, rhs = lemma1_cut_stack([psi], [psi_prime], [phi], [t])
     return _unstack(psi.algebra, lhs)[0], _unstack(psi.algebra, rhs)[0]
 
 
-def lemma1_cut_stack(psis, psi_primes, phis, ts,
-                     eps_rel: float | None = None
-                     ) -> tuple[tuple, tuple]:
+def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
     """:func:`lemma1_cut` of B triples of one algebra, each side as
     per-block (B, n, n) stacks.  The sums chi = psi + psi' keep the cutoff
     of psis[0], which every psi shares."""
-    s = _supports(psis, eps_rel)
-    s_prime = _supports(psi_primes, eps_rel)
+    s = _supports(psis)
+    s_prime = _supports(psi_primes)
     defects = _frobenius_stack([a + b - np.eye(a.shape[-1])
                                 for a, b in zip(s, s_prime)])
     overlaps = _frobenius_stack([a @ b for a, b in zip(s, s_prime)])
@@ -214,11 +222,11 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts,
                                                 _densities(psi_primes))],
         eps_rel=psis[0]._spectrum.eps_rel)
     for chi in chis:
-        if not chi.is_faithful(eps_rel):
+        if not chi.is_faithful(chi._spectrum.eps_rel):
             raise DomainError("psi + psi' must be faithful")
-    lhs = connes_cocycle_stack(psis, phis, ts, eps_rel)
+    lhs = connes_cocycle_stack(psis, phis, ts)
     rhs = tuple(a @ b for a, b in zip(
-        s, connes_cocycle_stack(chis, phis, ts, eps_rel)))
+        s, connes_cocycle_stack(chis, phis, ts)))
     return lhs, rhs
 
 
@@ -231,18 +239,17 @@ def cocycle_chain_residual(psi: PositiveFunctional, phi: PositiveFunctional,
     and faithful phi, commuting or not.  One pair of
     :func:`cocycle_chain_stack`.
     """
-    return float(cocycle_chain_stack([psi], [phi], [t], [s], eps_rel)[0])
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return float(cocycle_chain_stack([psi], [phi], [t], [s])[0])
 
 
-def cocycle_chain_stack(psis, phis, ts, ss,
-                        eps_rel: float | None = None) -> np.ndarray:
+def cocycle_chain_stack(psis, phis, ts, ss) -> np.ndarray:
     """(B,) :func:`cocycle_chain_residual` of B pairs of one algebra."""
-    u_ts = connes_cocycle_stack(psis, phis, [t + s for t, s in zip(ts, ss)],
-                                eps_rel)
-    u_t = connes_cocycle_stack(psis, phis, ts, eps_rel)
-    u_s = connes_cocycle_stack(psis, phis, ss, eps_rel)
-    w = _imaginary_powers(phis, ts, eps_rel)
-    w_inv = _imaginary_powers(phis, [-t for t in ts], eps_rel)
+    u_ts = connes_cocycle_stack(psis, phis, [t + s for t, s in zip(ts, ss)])
+    u_t = connes_cocycle_stack(psis, phis, ts)
+    u_s = connes_cocycle_stack(psis, phis, ss)
+    w = _imaginary_powers(phis, ts)
+    w_inv = _imaginary_powers(phis, [-t for t in ts])
     return _frobenius_stack([a - b @ (c @ d @ e) for a, b, c, d, e
                              in zip(u_ts, u_t, w, u_s, w_inv)])
 

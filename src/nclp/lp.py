@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _blockwise, _eigenvectors, _frobenius_stack, _stack,
-                      _unstack)
-from .config import FAITHFULNESS_FLOOR, resolve_eps_rel
-from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
-                     UsageError)
-from .functionals import PositiveFunctional
+                      _blockwise, _eigenvectors, _frobenius_stack, _power_f,
+                      _stack, _unstack)
+from .config import FAITHFULNESS_FLOOR
+from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
+                     _raise_first)
+from .functionals import PositiveFunctional, _at_cutoff
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -31,7 +31,7 @@ class LpExponent:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        v = _real(self.value, "exponent")
         if math.isnan(v) or v <= 0:
             raise DomainError(f"exponent must lie in (0, inf], got {self.value}")
         object.__setattr__(self, "value", v)
@@ -73,8 +73,18 @@ class LpExponent:
         return "inf" if self.is_inf else repr(self.value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; DomainError unless it is a real number within
+    the float range."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"{name} must be a real number, got {value!r}") from exc
+
+
 def _as_exponent(p) -> LpExponent:
-    return p if isinstance(p, LpExponent) else LpExponent(float(p))
+    return p if isinstance(p, LpExponent) else LpExponent(p)
 
 
 def singular_values(x: AlgebraElement) -> np.ndarray:
@@ -125,19 +135,13 @@ def _power_mean_root(s: np.ndarray, p: float) -> float:
         return math.inf
 
 
-def lp_norms(x: AlgebraElement, ps) -> list[float]:
-    """||x||_p for every p in ``ps``, from one :func:`singular_values` call."""
-    ps = [_as_exponent(p) for p in ps]
-    s = singular_values(x)
-    return [_schatten(s, p) for p in ps]
-
-
 def lp_norm(x: AlgebraElement, p) -> float:
     """||x||_p = (sum sigma_i^p)^{1/p}; ||x||_inf = max sigma_i.
 
     A genuine norm for p >= 1, a quasi-norm for 0 < p < 1.
     """
-    return lp_norms(x, [p])[0]
+    p = _as_exponent(p)
+    return _schatten(singular_values(x), p)
 
 
 def operator_norm(x: AlgebraElement) -> float:
@@ -149,7 +153,7 @@ def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
     p = _as_exponent(p)
     if p.value < 1:
         raise DomainError(f"interpolated norms need p >= 1, got {p.value}")
-    eta = float(eta)
+    eta = _real(eta, "eta")
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     return p, eta
@@ -197,14 +201,14 @@ class KosakiSpec:
 
 
 def _sandwich(a: AlgebraElement, phi: PositiveFunctional, left: float,
-              right: float, eps_rel: float | None) -> AlgebraElement:
+              right: float) -> AlgebraElement:
     """h_phi^left a h_phi^right, skipping exponent-0 factors exactly."""
-    out = a
+    out, spec = a, phi._spectrum
     if left != 0.0:
-        lf = phi.density if left == 1.0 else phi.power(left, eps_rel)
+        lf = phi.density if left == 1.0 else spec.apply(_power_f(left))
         out = lf @ out
     if right != 0.0:
-        rf = phi.density if right == 1.0 else phi.power(right, eps_rel)
+        rf = phi.density if right == 1.0 else spec.apply(_power_f(right))
         out = out @ rf
     return out
 
@@ -214,13 +218,14 @@ def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
     """The injective embedding a -> h_phi^eta a h_phi^{1-eta}."""
     if a.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
-    return _sandwich(a, spec.phi, spec.eta, 1.0 - spec.eta, eps_rel)
+    phi, = _at_cutoff([spec.phi], eps_rel)
+    return _sandwich(a, phi, spec.eta, 1.0 - spec.eta)
 
 
 # An overflow shows as a non-finite x, which is reported as an error.
 @np.errstate(over="ignore", invalid="ignore")
 def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
-                        points: list[tuple[LpExponent, float]], eps: float):
+                        points: list[tuple[LpExponent, float]]):
     """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
     of phis[j], for each of B stacked elements y_j and each point.
 
@@ -237,7 +242,7 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
         lefts.append(eta * inv_q)
         rights.append((1.0 - eta) * inv_q)
     ident = np.array([a == 0.0 and b == 0.0 for a, b in zip(lefts, rights)])
-    specs = [phi.spectrum(eps) for phi in phis]
+    specs = [phi._spectrum for phi in phis]
     exponents = [-a for a in lefts] + [-b for b in rights] + lefts + rights
     scales = [spec.eigenvalue_powers(exponents) for spec in specs]
     G = len(points)
@@ -288,53 +293,34 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     reflects genuine kernel leakage rather than conditioning.  Raises
     ConditioningError when it exceeds MEMBERSHIP_TOL * (1 + ||y||_F).
     """
-    eps = resolve_eps_rel(eps_rel)
+    phi, = _at_cutoff([spec.phi], eps_rel)
     if y.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
-        _stack([y]), [spec.phi], [(spec.p, spec.eta)], eps)
-    if errors[0][0] is not None:
-        raise errors[0][0]
+        _stack([y]), [phi], [(spec.p, spec.eta)])
+    _raise_first(errors[0])
     return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
 
-def kosaki_norm_grid(y: AlgebraElement, phi: PositiveFunctional, grid,
-                     eps_rel: float | None = None) -> list[float]:
-    """||y||_{p,phi,eta} at every (p, eta) of ``grid``.
-
-    Shared by all points: the validation of every (p, eta), the cutoff
-    resolution, phi's faithfulness-floor check and the rotation U* y U into
-    phi's eigenbasis.  The scalings, recomposition residuals, back-rotations
-    and singular values are stacked, one ``svd`` per block.  Errors: every
-    (p, eta) is validated before any evaluation; then the first point whose
-    membership solve fails (see :func:`_kosaki_memberships`) raises.  One
-    element of :func:`kosaki_norm_stack`.
-    """
-    points = [_kosaki_point(p, eta) for p, eta in grid]
-    out = kosaki_norm_stack(y.algebra, _stack([y]), [phi], points,
-                            resolve_eps_rel(eps_rel))[0]
-    if isinstance(out, NclpError):
-        raise out
-    return out
-
-
 def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
-                      phis: list[PositiveFunctional], points,
-                      eps: float) -> list:
-    """:func:`kosaki_norm_grid` of B stacked elements y_j (per block a
-    (B, n, n) array on ``algebra``) against phis[j], at validated points
-    (see :func:`_kosaki_point`) and a resolved cutoff.
+                      phis: list[PositiveFunctional], points) -> list:
+    """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
+    (B, n, n) array on ``algebra``) at every validated (p, eta) of
+    ``points`` (see :func:`_kosaki_point`).
 
-    Entry j is element j's list of norms, or its error: the faithfulness
-    floor of phis[j], then its first failing point, as a one-element call
-    raises them.  An element with an error gets no singular values.
+    Shared by all points of an element: phi_j's faithfulness-floor check
+    and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
+    The scalings, recomposition residuals, back-rotations and singular
+    values are stacked, one ``svd`` per block.  Entry j is element j's list
+    of norms, or its error: the floor of phis[j], then its first failing
+    point, as a one-element call raises them.
     """
-    floor = [_floor_error(phi.spectrum(eps)) for phi in phis]
+    floor = [_floor_error(phi._spectrum) for phi in phis]
     for err, phi in zip(floor, phis):
         if phi.algebra != algebra:
             raise err or ShapeError(
                 "element and reference functional algebras differ")
-    blocks, errors = _kosaki_memberships(stacked_y, phis, points, eps)
+    blocks, errors = _kosaki_memberships(stacked_y, phis, points)
     firsts = [next((e for e in (f, *errs) if e is not None), None)
               for f, errs in zip(floor, errors)]
     failed = [j for j, e in enumerate(firsts) if e is not None]
@@ -348,8 +334,10 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
                 eps_rel: float | None = None) -> float:
     """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
-    :func:`kosaki_norm_grid`."""
-    return kosaki_norm_grid(y, spec.phi, [(spec.p, spec.eta)], eps_rel)[0]
+    :func:`kosaki_norm_stack`."""
+    phi, = _at_cutoff([spec.phi], eps_rel)
+    return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
+                                          [(spec.p, spec.eta)]))[0][0]
 
 
 def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,
@@ -378,9 +366,7 @@ def lemma3_bijectivity(phi: PositiveFunctional, p,
     linearization; a near-singular reference yields False, flagging the
     conditioning problem rather than raising.
     """
-    p = _as_exponent(p)
-    eps = resolve_eps_rel(eps_rel)
-    b = phi.power(p.inv, eps)
+    b = phi.power(_as_exponent(p).inv, eps_rel)
     D = phi.algebra.total_dim
     lin = np.zeros((D, D), dtype=np.complex128)
     ofs = 0

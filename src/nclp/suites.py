@@ -37,6 +37,7 @@ most its tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -167,22 +168,15 @@ def gen_faithful(rng: np.random.Generator, algebra: BlockAlgebra,
     return gen_positive_functional(rng, algebra, "full", normalize, eps_rel)
 
 
-def gen_reference(rng: np.random.Generator, algebra: BlockAlgebra,
-                  eps_rel: float | None = None) -> PositiveFunctional:
-    """Faithful functional with spectrum in [0.2, 1] before normalization.
+def _reference_density(rng: np.random.Generator,
+                       algebra: BlockAlgebra) -> AlgebraElement:
+    """A faithful density with spectrum in [0.2, 1] before normalization,
+    to be built with ``hermitize=True``.
 
     Used where large density-power exponents meet the reference (condition
     number enters as kappa^exponent); a Gaussian square would occasionally be
     too ill-conditioned for the advertised residuals.
     """
-    return PositiveFunctional(_reference_density(rng, algebra),
-                              hermitize=True, eps_rel=eps_rel)
-
-
-def _reference_density(rng: np.random.Generator,
-                       algebra: BlockAlgebra) -> AlgebraElement:
-    """The density of :func:`gen_reference`, to be built with
-    ``hermitize=True``."""
     n = algebra.carrier_dim
     u = gen_unitary(rng, algebra)
     entries = rng.uniform(0.2, 1.0, n)
@@ -195,13 +189,6 @@ def _diag_element(algebra: BlockAlgebra, entries: np.ndarray,
     if basis is not None:
         d = basis @ d @ basis.H
     return d
-
-
-def _diag_density(algebra: BlockAlgebra, entries: np.ndarray,
-                  basis: AlgebraElement | None,
-                  eps_rel: float | None) -> PositiveFunctional:
-    return PositiveFunctional(_diag_element(algebra, entries, basis),
-                              hermitize=True, eps_rel=eps_rel)
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -285,8 +272,9 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     exact zeros, so scalar-oracle comparisons are exact.
     """
     p, q = _classical_vectors(rng, algebra, orthogonal)
-    return (_diag_density(algebra, p, None, eps_rel),
-            _diag_density(algebra, q, None, eps_rel), p, q)
+    psi, phi = (PositiveFunctional(algebra.diagonal(v), hermitize=True,
+                                   eps_rel=eps_rel) for v in (p, q))
+    return psi, phi, p, q
 
 
 def _classical_vectors(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -341,12 +329,16 @@ class SuiteConfig:
     eps_rel: float | None = None
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.trials, self.seed)):
+            raise DomainError(f"trials and seed must be integers, got "
+                              f"{self.trials!r} and {self.seed!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         bad = [f"{key}={t}" for key, t in self.tolerances.items()
-               if isinstance(t, (int, float)) and t != 0.0 and not t > 0]
+               if not (isinstance(t, (int, float)) and (t == 0.0 or t > 0))]
         if bad:
             raise DomainError(
                 f"tolerances must be positive, got {', '.join(bad)}")
@@ -445,7 +437,8 @@ def _functionals(alg: BlockAlgebra, densities, eps: float,
                  gram: bool = True) -> list[PositiveFunctional]:
     """The functionals of drawn densities, built as one stack: factor
     squares (``gram``) as :func:`gen_positive_functional` builds them,
-    other densities with ``hermitize=True`` as :func:`_diag_density` does."""
+    other densities with ``hermitize=True`` as :func:`gen_classical_pair`
+    does."""
     if gram:
         return _positive_functionals(
             alg, _normalized_stack(_symmetrized_stack(_stack(densities),
@@ -508,12 +501,14 @@ def _lemma5_draw(config, T, rng, idx, k):
 
 def _lemma5_batch(config, tols, T, draws):
     xs, ys, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
-    tol, eps = tols["residual"], config.eps_rel
-    psi1s = _functionals(T.left, h1s, eps)
-    psi2s = _functionals(T.right, h2s, eps)
+    tol = tols["residual"]
+    psi1s = _functionals(T.left, h1s, config.eps_rel)
+    psi2s = _functionals(T.right, h2s, config.eps_rel)
+    # The element checks run at the cutoff the functionals were built at.
+    eps = psi1s[0]._spectrum.eps_rel
     reports = zip(lemma5_polar_stack(T, xs, ys, tol, eps),
                   lemma5_power_stack(T, xs, ys, [[p] for p in ps], tol, eps),
-                  lemma5_density_stack(T, psi1s, psi2s, ts, tol, eps))
+                  lemma5_density_stack(T, psi1s, psi2s, ts, tol))
     return [({"ranks": [r1, r2], "p": p, "t": t},
              [(key, val, tol) for rep in (polar, power[0], density)
               for key, val in rep.residuals.items()], {})
@@ -530,8 +525,7 @@ def _corollary7_batch(config, tols, T, draws):
     h1s, h2s, x1s, x2s = zip(*draws)
     phi1s = _functionals(T.left, h1s, config.eps_rel)
     phi2s = _functionals(T.right, h2s, config.eps_rel)
-    norms = corollary7_norm_stack(x1s, x2s, phi1s, phi2s, COROLLARY7_GRID,
-                                  config.eps_rel)
+    norms = corollary7_norm_stack(x1s, x2s, phi1s, phi2s, COROLLARY7_GRID)
     return [({"masses": [phi1.mass, phi2.mass]},
              [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
                tols["relative"])
@@ -551,16 +545,15 @@ def _lemma1_draw(config, alg, rng, idx, k):
 
 def _lemma1_batch(config, tols, alg, draws):
     ranks, psis, primes, phis, ts, s_pars = zip(*draws)
-    eps = config.eps_rel
-    psis = _functionals(alg, psis, eps, gram=False)
-    primes = _functionals(alg, primes, eps, gram=False)
-    phis = _functionals(alg, phis, eps)
-    lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts, eps)
-    u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws), eps)
+    psis = _functionals(alg, psis, config.eps_rel, gram=False)
+    primes = _functionals(alg, primes, config.eps_rel, gram=False)
+    phis = _functionals(alg, phis, config.eps_rel)
+    lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts)
+    u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws))
     residuals = zip(
         _frobenius_stack([a - b for a, b in zip(lhs, rhs)]),
-        cocycle_chain_stack(psis, phis, ts, s_pars, eps),
-        _frobenius_stack([a - b for a, b in zip(u0, _supports(psis, eps))]))
+        cocycle_chain_stack(psis, phis, ts, s_pars),
+        _frobenius_stack([a - b for a, b in zip(u0, _supports(psis))]))
     return [({"rank": rank, "t": t},
              [("identity", float(identity), tols["identity"]),
               ("chain", float(chain), tols["chain"]),
@@ -649,8 +642,7 @@ def _lemma9_batch(config, tols, alg, draws):
     kinds, psis, phis = zip(*draws)
     out = []
     for kind, reports in zip(kinds, lemma9_stack(
-            psis, phis, LEMMA9_ALPHAS, tols["path_agreement"],
-            config.eps_rel)):
+            psis, phis, LEMMA9_ALPHAS, tols["path_agreement"])):
         checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
                   for alpha, rep in zip(LEMMA9_ALPHAS, reports)
                   for key, val in rep.residuals.items()]
@@ -705,8 +697,7 @@ def _prop11_batch(config, tols, alg, draws):
     out = []
     for psi1, psi2, reports in zip(psi1s, psi2s, additivity_stack(
             psi1s, phi1s, psi2s, phi2s, PROP11_GRID,
-            tols["q_multiplicativity"], tols["d_additivity"],
-            config.eps_rel)):
+            tols["q_multiplicativity"], tols["d_additivity"])):
         checks = [(f"{params.label()}:{key}", val, tols[key])
                   for params, rep in zip(PROP11_GRID, reports)
                   for key, val in rep.residuals.items()]
@@ -731,24 +722,24 @@ def _appendixA_draw(config, T, rng, idx, k):
 
 def _appendixA_batch(config, tols, T, draws):
     xs, ys, xps, yps, r1s, r2s, h1s, h2s = zip(*draws)
-    eps, B = config.eps_rel, len(draws)
-    h1s = [psi.density for psi in _functionals(T.left, h1s, eps)]
-    h2s = [psi.density for psi in _functionals(T.right, h2s, eps)]
+    B, tol = len(draws), tols["f_multiplicativity"]
+    psi1s = _functionals(T.left, h1s, config.eps_rel)
+    psi2s = _functionals(T.right, h2s, config.eps_rel)
+    # The element checks run at the cutoff the functionals were built at.
+    eps = psi1s[0]._spectrum.eps_rel
     spects = spectral_product_stack(T, xs, ys, tols["eigenvalue_multiset"])
-    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B,
-                                eps_rel=eps)
-    imags = lemma5_imaginary_stack(T, h1s, h2s, [APPENDIXA_TS] * B,
-                                   eps_rel=eps)
+    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, tol, eps)
+    imags = lemma5_imaginary_stack(T, [psi.density for psi in psi1s],
+                                   [psi.density for psi in psi2s],
+                                   [APPENDIXA_TS] * B, tol, eps)
     adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
     out = []
     for j, (r1, r2, spect) in enumerate(zip(r1s, r2s, spects)):
         checks = [(key, val, spect.tolerances[key])
                   for key, val in spect.residuals.items()]
-        checks += [(f"f=pow{p:g}", rep.residuals["power"],
-                    tols["f_multiplicativity"])
+        checks += [(f"f=pow{p:g}", rep.residuals["power"], tol)
                    for p, rep in zip(APPENDIXA_POWERS, powers[j])]
-        checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"],
-                    tols["f_multiplicativity"])
+        checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"], tol)
                    for t, rep in zip(APPENDIXA_TS, imags[j])]
         checks += [("adjoint", float(adjoint[j]), tols["adjoint"]),
                    ("mixed_product", float(mixed[j]), tols["mixed_product"])]
@@ -784,7 +775,7 @@ def _dpi_batch(config, tols, alg, draws):
     for kind, reports in zip(kinds, dpi_probe_stack(
             psis, phis, channels,
             [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
-            tols["monotonicity_violation"], config.eps_rel)):
+            tols["monotonicity_violation"])):
         checks = []
         for alpha, rep in zip(DPI_ALPHAS, reports):
             checks.append((f"alpha={alpha:g}:violation",

@@ -21,8 +21,8 @@ from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _imaginary_f, _polar_stack, _power_f, _stack,
                       _symmetrized_stack)
 from .config import resolve_eps_rel
-from .errors import DomainError, NclpError, ShapeError
-from .functionals import (PositiveFunctional, _densities,
+from .errors import DomainError, ShapeError, _raise_first
+from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
 from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten,
                  kosaki_norm_stack, singular_values_stack)
@@ -52,10 +52,7 @@ class TensorAlgebra:
 def kron_element(T: TensorAlgebra, x: AlgebraElement,
                  y: AlgebraElement) -> AlgebraElement:
     """Blockwise Kronecker product of a left and a right element."""
-    if x.algebra != T.left:
-        raise ShapeError("left factor does not live on the left algebra")
-    if y.algebra != T.right:
-        raise ShapeError("right factor does not live on the right algebra")
+    _check_factors(T, [x], [y])
     return AlgebraElement._trusted(
         T.product, [_kron_block(xb, yb) for xb in x.blocks for yb in y.blocks])
 
@@ -115,14 +112,14 @@ def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  eps_rel: float | None = None) -> CheckReport:
     """Polar factors of x (x) y against the tensor of the factor polars.
     One element of :func:`lemma5_polar_stack`."""
-    return lemma5_polar_stack(T, [x], [y], tol, eps_rel)[0]
+    return lemma5_polar_stack(T, [x], [y], tol, resolve_eps_rel(eps_rel))[0]
 
 
 def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                       ys: list[AlgebraElement], tol: float = 1e-9,
-                       eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`lemma5_polar` of each pair, one ``svd`` per block."""
-    eps = resolve_eps_rel(eps_rel)
+                       ys: list[AlgebraElement], tol: float,
+                       eps: float) -> list[CheckReport]:
+    """:func:`lemma5_polar` of each pair at the resolved cutoff ``eps``,
+    one ``svd`` per block."""
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     vx, ax = _polar_stack(sx, eps)
@@ -164,34 +161,23 @@ def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, make_f,
     return out
 
 
-def lemma5_power_grid(T: TensorAlgebra, x: AlgebraElement,
-                      y: AlgebraElement, powers: Sequence[float],
-                      tol: float = 1e-9,
-                      eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`lemma5_power` at every p in ``powers``.
-
-    x, y and x (x) y are polar-decomposed once, and their moduli
-    eigendecomposed once (product first, as in the one-point check); each p
-    then costs three spectral applications.  Errors: every p is validated
-    before any evaluation; the decompositions come next, then the points in
-    order.  One element of :func:`lemma5_power_stack`.
-    """
-    return lemma5_power_stack(T, [x], [y], [powers], tol, eps_rel)[0]
-
-
 def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                        ys: list[AlgebraElement],
-                       powers: Sequence[Sequence[float]], tol: float = 1e-9,
-                       eps_rel: float | None = None
-                       ) -> list[list[CheckReport]]:
-    """:func:`lemma5_power_grid` of each pair (xs[j], ys[j]) at the powers
-    ``powers[j]``, which have one length for all j."""
+                       powers: Sequence[Sequence[float]], tol: float,
+                       eps: float) -> list[list[CheckReport]]:
+    """:func:`lemma5_power` of each pair (xs[j], ys[j]) at every p of
+    ``powers[j]`` (one length for all j), at the resolved cutoff ``eps``.
+
+    x, y and x (x) y are polar-decomposed once, and their moduli
+    eigendecomposed once (product first); each p then costs three spectral
+    applications.  Errors: every p is validated before any evaluation; the
+    decompositions come next, then the points in order.
+    """
     powers = [tuple(ps) for ps in powers]
     for ps in powers:
         for p in ps:
             if p <= 0:
                 raise DomainError(f"power must be positive, got {p}")
-    eps = resolve_eps_rel(eps_rel)
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     _, ax = _polar_stack(sx, eps)
@@ -205,31 +191,21 @@ def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  p: float, tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
     """|x (x) y|^p against |x|^p (x) |y|^p for real p > 0."""
-    return lemma5_power_grid(T, x, y, [p], tol, eps_rel)[0]
-
-
-def lemma5_imaginary_grid(T: TensorAlgebra, h1: AlgebraElement,
-                          h2: AlgebraElement, ts: Sequence[float],
-                          tol: float = 1e-9,
-                          eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`lemma5_imaginary` at every t in ``ts``.
-
-    h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
-    then costs three spectral applications.  Errors: the decompositions
-    come first, then the points in order.  One element of
-    :func:`lemma5_imaginary_stack`.
-    """
-    return lemma5_imaginary_stack(T, [h1], [h2], [ts], tol, eps_rel)[0]
+    return lemma5_power_stack(T, [x], [y], [[p]], tol,
+                              resolve_eps_rel(eps_rel))[0][0]
 
 
 def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
                            h2s: list[AlgebraElement],
-                           ts: Sequence[Sequence[float]], tol: float = 1e-9,
-                           eps_rel: float | None = None
-                           ) -> list[list[CheckReport]]:
-    """:func:`lemma5_imaginary_grid` of each pair (h1s[j], h2s[j]) at the
-    times ``ts[j]``, which have one length for all j."""
-    eps = resolve_eps_rel(eps_rel)
+                           ts: Sequence[Sequence[float]], tol: float,
+                           eps: float) -> list[list[CheckReport]]:
+    """:func:`lemma5_imaginary` of each pair (h1s[j], h2s[j]) at every t of
+    ``ts[j]`` (one length for all j), at the resolved cutoff ``eps``.
+
+    h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
+    then costs three spectral applications.  Errors: the decompositions
+    come first, then the points in order.
+    """
     _check_factors(T, h1s, h2s)
     s1, s2 = _stack(h1s), _stack(h2s)
     return _factorization_stack(T, _kron_stack(s1, s2), s1, s2,
@@ -242,7 +218,8 @@ def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,
                      h2: AlgebraElement, t: float, tol: float = 1e-9,
                      eps_rel: float | None = None) -> CheckReport:
     """(h1 (x) h2)^{it} against h1^{it} (x) h2^{it} for PSD factors."""
-    return lemma5_imaginary_grid(T, h1, h2, [t], tol, eps_rel)[0]
+    return lemma5_imaginary_stack(T, [h1], [h2], [[t]], tol,
+                                  resolve_eps_rel(eps_rel))[0][0]
 
 
 def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
@@ -251,38 +228,33 @@ def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
                    eps_rel: float | None = None) -> CheckReport:
     """Product-functional density identity plus its imaginary-power half.
     One element of :func:`lemma5_density_stack`."""
-    return lemma5_density_stack(T, [psi1], [psi2], [t], tol, eps_rel)[0]
+    psi1, psi2 = _at_cutoff([psi1, psi2], eps_rel)
+    return lemma5_density_stack(T, [psi1], [psi2], [t], tol)[0]
 
 
 def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
                          psi2s: list[PositiveFunctional],
-                         ts: Sequence[float], tol: float = 1e-9,
-                         eps_rel: float | None = None) -> list[CheckReport]:
-    """:func:`lemma5_density` of each pair at its own t."""
+                         ts: Sequence[float], tol: float = 1e-9
+                         ) -> list[CheckReport]:
+    """:func:`lemma5_density` of each pair at its own t, at the cutoff of
+    psi1s[0], which every functional shares."""
     prods = kron_functional_stack(T, psi1s, psi2s)
     direct = _kron_stack(_densities(psi1s), _densities(psi2s))
     res_density = _residuals(_densities(prods), direct)
     imags = lemma5_imaginary_stack(
         T, [p.density for p in psi1s], [p.density for p in psi2s],
-        [[t] for t in ts], tol, eps_rel)
+        [[t] for t in ts], tol, psi1s[0]._spectrum.eps_rel)
     return [CheckReport.from_residuals(
         "lemma5_density", {"density": res, **imag[0].residuals},
         {k: tol for k in ("density", *imag[0].residuals)}, info={"t": t})
         for res, imag, t in zip(res_density, imags, ts)]
 
 
-def theorem6_norm_grid(T: TensorAlgebra, x: AlgebraElement,
-                       y: AlgebraElement, ps) -> list[tuple[float, float]]:
-    """(||x (x) y||_p, ||x||_p ||y||_p) for every p in ``ps``, from one
-    Kronecker product and one singular-value call per operand.  One element
-    of :func:`theorem6_norm_stack`."""
-    return theorem6_norm_stack(T, [x], [y], ps)[0]
-
-
 def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                         ys: list[AlgebraElement],
                         ps) -> list[list[tuple[float, float]]]:
-    """:func:`theorem6_norm_grid` of each pair, one ``svd`` per block.  Each
+    """:func:`theorem6_norm` of each pair at every p in ``ps``, from one
+    Kronecker product and one ``svd`` per block for each operand.  Each
     element's norms are its own 1-D sums, product side first."""
     _check_factors(T, xs, ys)
     ps = [_as_exponent(p) for p in ps]
@@ -298,7 +270,7 @@ def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
 def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                   p) -> tuple[float, float]:
     """(||x (x) y||_p, ||x||_p ||y||_p); equal up to float error."""
-    return theorem6_norm_grid(T, x, y, [p])[0]
+    return theorem6_norm_stack(T, [x], [y], [p])[0][0]
 
 
 def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
@@ -327,48 +299,33 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     return rank == D
 
 
-def corollary7_norm_grid(x1: AlgebraElement, x2: AlgebraElement,
-                         phi1: PositiveFunctional, phi2: PositiveFunctional,
-                         grid, eps_rel: float | None = None
-                         ) -> list[tuple[float, float]]:
-    """:func:`corollary7_norm` at every (p, eta) of ``grid``.
-
-    x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
-    factor get one stacked Kosaki norm call, in that order, and within each
-    the first failing point raises.  One element of
-    :func:`corollary7_norm_stack`.
-    """
-    return corollary7_norm_stack([x1], [x2], [phi1], [phi2], grid,
-                                 eps_rel)[0]
-
-
 def corollary7_norm_stack(x1s: list[AlgebraElement],
                           x2s: list[AlgebraElement],
                           phi1s: list[PositiveFunctional],
-                          phi2s: list[PositiveFunctional], grid,
-                          eps_rel: float | None = None
+                          phi2s: list[PositiveFunctional], grid
                           ) -> list[list[tuple[float, float]]]:
-    """:func:`corollary7_norm_grid` of each (x1, x2, phi1, phi2), all on one
-    pair of algebras: the products, memberships and singular values are
-    stacked across the elements.  Element j's error is raised as its
-    one-element call raises it, the first such element first."""
+    """:func:`corollary7_norm` of each (x1, x2, phi1, phi2), all on one pair
+    of algebras, at every (p, eta) of ``grid``.
+
+    x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
+    factor get one :func:`kosaki_norm_stack` across the elements and the
+    points, in that order.  Element j's error is raised as its one-element
+    call raises it (within a side, the first failing point), the first such
+    element first."""
     for x1, x2, phi1, phi2 in zip(x1s, x2s, phi1s, phi2s):
         if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
             raise ShapeError("elements must live on their spec's algebra")
     points = [_kosaki_point(p, eta) for p, eta in grid]
-    eps = resolve_eps_rel(eps_rel)
     T = TensorAlgebra(x1s[0].algebra, x2s[0].algebra)
     s1, s2 = _stack(x1s), _stack(x2s)
     sides = [kosaki_norm_stack(T.product, _kron_stack(s1, s2),
                                kron_functional_stack(T, phi1s, phi2s),
-                               points, eps),
-             kosaki_norm_stack(T.left, s1, phi1s, points, eps),
-             kosaki_norm_stack(T.right, s2, phi2s, points, eps)]
+                               points),
+             kosaki_norm_stack(T.left, s1, phi1s, points),
+             kosaki_norm_stack(T.right, s2, phi2s, points)]
     out = []
     for lhs, n1, n2 in zip(*sides):
-        for side in (lhs, n1, n2):
-            if isinstance(side, NclpError):
-                raise side
+        _raise_first((lhs, n1, n2))
         out.append([(l, a * b) for l, a, b in zip(lhs, n1, n2)])
     return out
 
@@ -383,8 +340,9 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
     """
     if spec1.p != spec2.p or spec1.eta != spec2.eta:
         raise DomainError("factor norms must share the same (p, eta)")
-    return corollary7_norm_grid(x1, x2, spec1.phi, spec2.phi,
-                                [(spec1.p, spec1.eta)], eps_rel)[0]
+    phi1, phi2 = _at_cutoff([spec1.phi, spec2.phi], eps_rel)
+    return corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+                                 [(spec1.p, spec1.eta)])[0][0]
 
 
 def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,

@@ -1,6 +1,7 @@
 """Divergence case analysis, covariances, channels, and monotonicity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,25 @@ class TestChannels:
         alg = BlockAlgebra((2,))
         with pytest.raises(DomainError):
             QuantumChannel(alg, alg, [np.eye(2) * 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_operator_rejected(self, bad):
+        # A NaN unitality defect slips through a "defect > tol" test, and an
+        # inf operator warned on the way; both must be rejected quietly.
+        alg = BlockAlgebra((2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not unital"):
+                QuantumChannel(alg, alg, [np.full((2, 2), bad)])
+            with pytest.raises(DomainError, match="not unital"):
+                QuantumChannel(alg, alg, [np.eye(2), np.diag([0.0, bad])])
+
+    def test_overflowing_kraus_operator_not_unital(self):
+        alg = BlockAlgebra((2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not unital"):
+                QuantumChannel(alg, alg, [np.full((2, 2), 1e300)])
 
     def test_mass_preserved(self):
         rng = np.random.default_rng(56)

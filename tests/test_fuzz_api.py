@@ -1,0 +1,175 @@
+"""Fuzzing the public constructors: whatever arguments arrive, each call
+returns or raises NclpError, never another exception.
+
+Covered: BlockAlgebra, AlgebraElement (also through from_full and
+diagonal), PositiveFunctional, DivergenceParams, LpExponent, KosakiSpec,
+QuantumChannel and SuiteConfig; a SuiteConfig that constructs with few
+trials must also run.
+The arguments mix valid values with wrong types, numbers beyond the float
+range, non-finite numbers, strings and wrong shapes.  Block dimensions stay
+at most 4, so nothing large is allocated.  The runs are derandomized and
+the example counts bounded, as in the other fuzz tests.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
+                  KosakiSpec, LpExponent, NclpError, PositiveFunctional,
+                  QuantumChannel, SuiteConfig, run_suite)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+EXTREMES = st.sampled_from([10 ** 400, -10 ** 400, 1e308, -1e308, 5e-324,
+                            0, -0.0, 1.0, 0.5, 2.0, float("nan"),
+                            float("inf"), float("-inf")])
+NUMBERS = st.one_of(st.floats(), st.integers(-3, 3), EXTREMES,
+                    st.complex_numbers(max_magnitude=1e3))
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=1))
+SCALARS = st.one_of(NUMBERS, JUNK)
+CUTOFFS = st.one_of(st.none(), st.sampled_from(
+    [1e-12, 1e-9, 0.0, -1.0, float("nan"), float("inf"), 10 ** 400, "x"]))
+DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+def _returns_or_raises_nclp_error(fn, *args):
+    try:
+        return fn(*args)
+    except NclpError:
+        return None
+
+
+@st.composite
+def matrices(draw, n, m=None):
+    """An n x m nested list (square by default): numbers, one junk entry,
+    strings, or a wrong shape."""
+    m = n if m is None else m
+    kind = draw(st.sampled_from(["finite", "numbers", "junk", "strings",
+                                 "shape"]))
+    if kind == "shape":
+        n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = {"finite": st.floats(-10, 10), "junk": SCALARS,
+             "strings": st.sampled_from(["1", "x", ""])}.get(kind, NUMBERS)
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if kind == "junk" and rows and rows[0]:
+        rows[0][0] = draw(JUNK)
+    return rows
+
+
+@SETTINGS
+@given(st.one_of(st.lists(st.one_of(st.integers(-1, 4), SCALARS),
+                          max_size=3), SCALARS))
+def test_block_algebra(dims):
+    alg = _returns_or_raises_nclp_error(BlockAlgebra, dims)
+    if alg is not None:
+        assert all(type(n) is int and n >= 1 for n in alg.block_dims)
+
+
+@SETTINGS
+@given(DIMS, st.data())
+def test_algebra_element(dims, data):
+    alg = BlockAlgebra(tuple(dims))
+    blocks = [data.draw(matrices(n)) for n in dims]
+    if data.draw(st.booleans()):
+        blocks = blocks[:-1] or blocks + blocks
+    _returns_or_raises_nclp_error(AlgebraElement, alg, blocks)
+    n = alg.carrier_dim
+    _returns_or_raises_nclp_error(alg.from_full, data.draw(matrices(n)))
+    entries = data.draw(st.one_of(st.lists(NUMBERS, min_size=n, max_size=n),
+                                  st.lists(SCALARS, max_size=n + 1),
+                                  SCALARS))
+    _returns_or_raises_nclp_error(alg.diagonal, entries)
+
+
+@SETTINGS
+@given(DIMS, st.data(), st.booleans(), CUTOFFS)
+def test_positive_functional(dims, data, hermitize, eps_rel):
+    alg = BlockAlgebra(tuple(dims))
+    element = _returns_or_raises_nclp_error(
+        AlgebraElement, alg, [data.draw(matrices(n)) for n in dims])
+    if element is not None:
+        _returns_or_raises_nclp_error(
+            lambda: PositiveFunctional(element, hermitize, eps_rel))
+
+
+@SETTINGS
+@given(SCALARS, st.one_of(st.none(), SCALARS))
+def test_divergence_params(alpha, z):
+    _returns_or_raises_nclp_error(DivergenceParams, alpha, z)
+
+
+@SETTINGS
+@given(SCALARS)
+def test_lp_exponent(value):
+    _returns_or_raises_nclp_error(LpExponent, value)
+
+
+REFERENCES = {
+    "faithful": PositiveFunctional(BlockAlgebra((2,)).diagonal([0.6, 0.4])),
+    "singular": PositiveFunctional(BlockAlgebra((2,)).diagonal([1.0, 0.0])),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(REFERENCES)),
+       st.one_of(SCALARS, st.just(LpExponent(math.inf))), SCALARS)
+def test_kosaki_spec(ref, p, eta):
+    _returns_or_raises_nclp_error(KosakiSpec, REFERENCES[ref], p, eta)
+
+
+@SETTINGS
+@given(DIMS, DIMS, st.integers(0, 3), st.data())
+def test_quantum_channel(dom_dims, cod_dims, count, data):
+    dom, cod = BlockAlgebra(tuple(dom_dims)), BlockAlgebra(tuple(cod_dims))
+    kraus = [data.draw(matrices(dom.carrier_dim, cod.carrier_dim))
+             for _ in range(count)]
+    if data.draw(st.booleans()):
+        # One Kraus operator that is unital on its own, perhaps spoiled.
+        kraus = [np.eye(dom.carrier_dim, cod.carrier_dim).tolist()]
+        if data.draw(st.booleans()):
+            kraus[0][0][0] = data.draw(NUMBERS)
+    _returns_or_raises_nclp_error(QuantumChannel, dom, cod, kraus)
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(["theorem6", "lemma3", "lemma9"]),
+                 st.text(max_size=4)),
+       st.one_of(st.integers(0, 2), SCALARS),
+       st.one_of(st.integers(-1, 2 ** 70), SCALARS),
+       st.dictionaries(st.sampled_from(["relative", "path_agreement", "x"]),
+                       SCALARS, max_size=2),
+       CUTOFFS)
+def test_suite_config(name, trials, seed, tolerances, eps_rel):
+    config = _returns_or_raises_nclp_error(
+        lambda: SuiteConfig(name, trials, seed, tolerances=tolerances,
+                            eps_rel=eps_rel))
+    # Any trial count constructs; only small ones are run.
+    if config is not None and config.trials <= 2:
+        _returns_or_raises_nclp_error(run_suite, config)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BlockAlgebra((2.5,)),
+    lambda: SuiteConfig("lemma3", 1.5, 0),
+    lambda: DivergenceParams(10 ** 400),
+    lambda: LpExponent(10 ** 400),
+    lambda: DivergenceParams("x"),
+    lambda: LpExponent(None),
+    lambda: KosakiSpec(REFERENCES["faithful"], 2, "x"),
+    lambda: AlgebraElement(BlockAlgebra((1,)), [np.array([["x"]])]),
+    lambda: QuantumChannel(BlockAlgebra((1,)), BlockAlgebra((1,)),
+                           [np.array([["x"]])]),
+], ids=["fractional_block", "fractional_trials", "huge_alpha",
+        "huge_exponent", "text_alpha", "none_exponent", "text_eta",
+        "text_block", "text_kraus"])
+def test_known_holes_raise_nclp_errors(call):
+    with pytest.raises(NclpError):
+        call()

@@ -1,9 +1,11 @@
-"""Grid forms against loops of their one-point functions.
+"""Stacked kernels over parameter grids against loops of their one-point
+functions.
 
-Each grid form shares the parameter-free work of a grid (decompositions,
-basis changes, products) and stacks the rest; the one-point functions are the
-reference, and every value must equal theirs exactly (`==`), since the
-stacked arithmetic performs the same floating-point operations per point.
+A kernel given one element and a grid of parameters shares the
+parameter-free work (decompositions, basis changes, products) and stacks
+the rest; the one-point functions are the reference, and every value must
+equal theirs exactly (`==`), since the stacked arithmetic performs the same
+floating-point operations per point.
 """
 
 import math
@@ -12,17 +14,22 @@ import numpy as np
 import pytest
 
 from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
-                  KosakiSpec, PositiveFunctional, Reason, SuiteConfig,
-                  TensorAlgebra, additivity_check, additivity_grid,
-                  corollary7_norm, corollary7_norm_grid, d_tilde,
-                  d_tilde_grid, dpi_probe, dpi_probe_grid, gen_classical_pair,
-                  gen_element, gen_faithful, gen_nested_pair,
-                  gen_positive_functional, kosaki_norm, kosaki_norm_grid,
-                  lemma5_imaginary, lemma5_imaginary_grid, lemma5_power,
-                  lemma5_power_grid, lemma9_check, lemma9_grid, lp_norm,
-                  lp_norms, parse_dims, pinching_channel, q_tilde_alpha,
-                  q_tilde_alpha_z, q_tilde_grid, random_unital_channel,
-                  run_suite, theorem6_norm, theorem6_norm_grid)
+                  KosakiSpec, LpExponent, PositiveFunctional, Reason,
+                  SuiteConfig, TensorAlgebra, additivity_check,
+                  corollary7_norm, d_tilde, default_eps_rel, dpi_probe,
+                  gen_classical_pair, gen_element, gen_faithful,
+                  gen_nested_pair, gen_positive_functional, kosaki_norm,
+                  lemma5_imaginary, lemma5_power, lemma9_check, lp_norm,
+                  parse_dims, pinching_channel, q_tilde_alpha,
+                  q_tilde_alpha_z, random_unital_channel, run_suite,
+                  singular_values, theorem6_norm)
+from nclp.algebra import _stack
+from nclp.divergence import (_d_stack, additivity_stack, dpi_probe_stack,
+                             lemma9_stack, q_tilde_stack)
+from nclp.errors import _raise_first
+from nclp.lp import _kosaki_point, _schatten, kosaki_norm_stack
+from nclp.tensor import (corollary7_norm_stack, lemma5_imaginary_stack,
+                         lemma5_power_stack, theorem6_norm_stack)
 
 ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 AZ_GRID = tuple(DivergenceParams(a, z=z) for a in ALPHAS
@@ -68,27 +75,27 @@ class TestDivergenceGrid:
     def test_q_grid_equals_one_point_loop(self, dims, seed, grid):
         for kind, psi, phi in pairs(dims, seed):
             expected = [one_point_q(psi, phi, p) for p in grid]
-            assert q_tilde_grid(psi, phi, grid) == expected, kind
+            assert q_tilde_stack([psi], [phi], grid)[0] == expected, kind
 
     def test_branches_are_reached(self):
         reasons = set()
         for dims, seed in CASES:
             for _, psi, phi in pairs(dims, seed):
-                reasons.update(d.reason for d in d_tilde_grid(
-                    psi, phi, MIXED_GRID))
+                reasons.update(d.reason for d in _d_stack(
+                    [psi], [phi], MIXED_GRID)[0])
         assert reasons == set(Reason)
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_d_grid_equals_one_point_loop(self, dims, seed):
         for kind, psi, phi in pairs(dims, seed):
-            assert d_tilde_grid(psi, phi, MIXED_GRID) == [
+            assert _d_stack([psi], [phi], MIXED_GRID)[0] == [
                 d_tilde(psi, phi, p) for p in MIXED_GRID], kind
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_lemma9_grid(self, dims, seed):
         alphas = (0.5, 0.7, 1.5, 2.0, 3.0)
         for kind, psi, phi in pairs(dims, seed):
-            got = lemma9_grid(psi, phi, alphas)
+            got = lemma9_stack([psi], [phi], alphas)[0]
             want = [lemma9_check(psi, phi, a) for a in alphas]
             assert [r.to_dict() for r in got] == \
                 [r.to_dict() for r in want], kind
@@ -97,7 +104,8 @@ class TestDivergenceGrid:
     def test_additivity_grid(self, dims):
         cases = pairs(dims, 21)
         for (k1, psi1, phi1), (k2, psi2, phi2) in zip(cases, cases[1:]):
-            got = additivity_grid(psi1, phi1, psi2, phi2, MIXED_GRID)
+            got = additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                   MIXED_GRID)[0]
             want = [additivity_check(psi1, phi1, psi2, phi2, p)
                     for p in MIXED_GRID]
             assert [r.to_dict() for r in got] == \
@@ -110,7 +118,7 @@ class TestDivergenceGrid:
         psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
         for channel in (pinching_channel(alg),
                         random_unital_channel(rng, alg, alg)):
-            got = dpi_probe_grid(psi, phi, channel, MIXED_GRID)
+            got = dpi_probe_stack([psi], [phi], [channel], MIXED_GRID)[0]
             want = [dpi_probe(psi, phi, channel, p) for p in MIXED_GRID]
             assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
@@ -127,7 +135,7 @@ class TestDivergenceGrid:
         with pytest.raises(ConditioningError) as one:
             q_tilde_alpha_z(psi, phi, grid[1])
         with pytest.raises(ConditioningError) as stacked:
-            q_tilde_grid(psi, phi, grid)
+            _raise_first(q_tilde_stack([psi], [phi], grid)[0])
         assert stacked.value.residual == one.value.residual
         assert str(stacked.value) == str(one.value)
 
@@ -137,6 +145,14 @@ def kosaki_grid_points():
             for eta in (0.0, 0.25, 0.5, 1.0)]
 
 
+def kosaki_norms(y, phi, grid):
+    """The norms of one element at every point, from one stack call; the
+    first failing point raises."""
+    points = [_kosaki_point(p, eta) for p, eta in grid]
+    return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
+                                          points))[0]
+
+
 class TestNormGrids:
     @pytest.mark.parametrize("dims", PROFILES)
     def test_kosaki_grid_equals_one_point_loop(self, dims):
@@ -144,7 +160,7 @@ class TestNormGrids:
         rng = np.random.default_rng(41)
         phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
         grid = kosaki_grid_points()
-        assert kosaki_norm_grid(y, phi, grid) == [
+        assert kosaki_norms(y, phi, grid) == [
             kosaki_norm(y, KosakiSpec(phi, p, eta)) for p, eta in grid]
 
     def test_identity_point_alone(self):
@@ -153,7 +169,7 @@ class TestNormGrids:
         rng = np.random.default_rng(42)
         phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
         grid = [(1.0, 0.0), (1.0, 0.5)]
-        assert kosaki_norm_grid(y, phi, grid) == [lp_norm(y, 1.0)] * 2
+        assert kosaki_norms(y, phi, grid) == [lp_norm(y, 1.0)] * 2
 
     def test_membership_failure_raised_at_its_point(self):
         # phi's second eigenvalue clears the faithfulness floor (1e-13) but
@@ -167,14 +183,16 @@ class TestNormGrids:
         with pytest.raises(ConditioningError) as one:
             kosaki_norm(y, KosakiSpec(phi, 2.0, 0.5))
         with pytest.raises(ConditioningError) as stacked:
-            kosaki_norm_grid(y, phi, grid)
+            kosaki_norms(y, phi, grid)
         assert stacked.value.residual == one.value.residual
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_lp_norms(self, dims):
         x = gen_element(np.random.default_rng(44), BlockAlgebra(dims))
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
-        assert lp_norms(x, ps) == [lp_norm(x, p) for p in ps]
+        s = singular_values(x)
+        assert [_schatten(s, LpExponent(p)) for p in ps] == [
+            lp_norm(x, p) for p in ps]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
     def test_theorem6_grid(self, left, right):
@@ -182,7 +200,7 @@ class TestNormGrids:
         rng = np.random.default_rng(45)
         x, y = gen_element(rng, T.left), gen_element(rng, T.right)
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
-        assert theorem6_norm_grid(T, x, y, ps) == [
+        assert theorem6_norm_stack(T, [x], [y], ps)[0] == [
             theorem6_norm(T, x, y, p) for p in ps]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (3,))])
@@ -192,7 +210,8 @@ class TestNormGrids:
         phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         grid = kosaki_grid_points()
-        assert corollary7_norm_grid(x1, x2, phi1, phi2, grid) == [
+        assert corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+                                     grid)[0] == [
             corollary7_norm(x1, x2, KosakiSpec(phi1, p, eta),
                             KosakiSpec(phi2, p, eta)) for p, eta in grid]
 
@@ -204,7 +223,9 @@ class TestTensorGrids:
         rng = np.random.default_rng(51)
         x, y = gen_element(rng, T.left), gen_element(rng, T.right)
         powers = (0.5, 1.0, 2.0, 2.7)
-        assert [r.to_dict() for r in lemma5_power_grid(T, x, y, powers)] \
+        got = lemma5_power_stack(T, [x], [y], [powers], 1e-9,
+                                 default_eps_rel())[0]
+        assert [r.to_dict() for r in got] \
             == [lemma5_power(T, x, y, p).to_dict() for p in powers]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
@@ -214,7 +235,9 @@ class TestTensorGrids:
         h1 = gen_positive_functional(rng, T.left, ("deficient", 1)).density
         h2 = gen_faithful(rng, T.right).density
         ts = (-1.2, 0.3, 1.0)
-        assert [r.to_dict() for r in lemma5_imaginary_grid(T, h1, h2, ts)] \
+        got = lemma5_imaginary_stack(T, [h1], [h2], [ts], 1e-9,
+                                     default_eps_rel())[0]
+        assert [r.to_dict() for r in got] \
             == [lemma5_imaginary(T, h1, h2, t).to_dict() for t in ts]
 
 

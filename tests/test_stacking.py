@@ -16,9 +16,9 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, PositiveFunctional,
-                  SuiteConfig, TensorAlgebra, corollary7_norm_grid,
-                  gen_element, gen_faithful, gen_positive_functional, io,
-                  lemma5_power_grid, q_tilde_grid, run_suite, trial_rng)
+                  SuiteConfig, TensorAlgebra, gen_element, gen_faithful,
+                  gen_positive_functional, io, lemma5_power, run_suite,
+                  trial_rng)
 from nclp import suites
 from nclp.algebra import _clip_stack, _stack
 from nclp.cli import main
@@ -126,8 +126,8 @@ class TestStackedErrors:
         phi2s = [gen_faithful(rng, T.right) for _ in range(3)]
         phi2s[1] = PositiveFunctional(T.right.diagonal([1.0, 1e-15]))
         grid = [(2.0, 0.5), (3.0, 0.25)]
-        want = _raised(lambda: corollary7_norm_grid(
-            x1s[1], x2s[1], phi1s[1], phi2s[1], grid))
+        want = _raised(lambda: corollary7_norm_stack(
+            x1s[1:2], x2s[1:2], phi1s[1:2], phi2s[1:2], grid))
         assert want[0] is ConditioningError
         assert _raised(lambda: corollary7_norm_stack(
             x1s, x2s, phi1s, phi2s, grid)) == want
@@ -138,8 +138,9 @@ class TestStackedErrors:
         xs = [gen_element(rng, T.left) for _ in range(3)]
         ys = [gen_element(rng, T.right) for _ in range(3)]
         powers = [[0.5], [-1.0], [2.0]]
-        want = _raised(lambda: lemma5_power_grid(T, xs[1], ys[1], [-1.0]))
-        assert _raised(lambda: lemma5_power_stack(T, xs, ys, powers)) == want
+        want = _raised(lambda: lemma5_power(T, xs[1], ys[1], -1.0))
+        assert _raised(lambda: lemma5_power_stack(T, xs, ys, powers, 1e-9,
+                                                  1e-12)) == want
 
     def test_cocycle_reference_not_faithful(self):
         alg = BlockAlgebra((3,))
@@ -168,7 +169,7 @@ class TestStackedValues:
                 for z in (0.7, a)] + [DivergenceParams(1.5)]
         stacked = q_tilde_stack(psis, phis, grid)
         for psi, phi, outcomes in zip(psis, phis, stacked):
-            assert outcomes == q_tilde_grid(psi, phi, grid)
+            assert outcomes == q_tilde_stack([psi], [phi], grid)[0]
 
     def test_functional_stack_equals_an_eigh_loop(self):
         # The reference loop: symmetrize, eigh, clip, one matrix at a time.

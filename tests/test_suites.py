@@ -237,7 +237,7 @@ class TestProductsOncePerTrial:
             calls.append(args)
             return original(*args, **kwargs)
 
-        # The suite builds no product itself; additivity_grid builds both.
+        # The suite builds no product itself; additivity_stack builds both.
         for mod in (divergence, tensor):
             monkeypatch.setattr(mod, "kron_functional", counting)
         reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
@@ -281,8 +281,7 @@ class TestDriver:
         assert not all(r["passed"] for r in doc["results"])
 
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_lemma9_d_reasons_equal_d_tilde_grid(self, seed):
-        from nclp import d_tilde_grid
+    def test_lemma9_d_reasons_equal_d_tilde(self, seed):
         from nclp.suites import LEMMA9_ALPHAS, _lemma9_instance
         alg = BlockAlgebra((3,))
         cfg = SuiteConfig(suite_name="lemma9", trials=10, seed=seed,
@@ -290,8 +289,8 @@ class TestDriver:
         for rep in run_suite(cfg):
             psi, phi, _ = _lemma9_instance(trial_rng(seed, rep.trial_index),
                                            alg, rep.trial_index % 5)
-            want = [d.reason.value for d in d_tilde_grid(
-                psi, phi, [DivergenceParams(a, z=a) for a in LEMMA9_ALPHAS])]
+            want = [d_tilde(psi, phi, DivergenceParams(a, z=a)).reason.value
+                    for a in LEMMA9_ALPHAS]
             assert rep.info["d_reasons"] == want
 
     @pytest.mark.parametrize("seed", [3, 17])
