@@ -110,6 +110,9 @@ class AlgebraElement:
     __slots__ = ("algebra", "blocks")
 
     def __init__(self, algebra: BlockAlgebra, blocks: Iterable[np.ndarray]):
+        if not isinstance(algebra, BlockAlgebra):
+            raise DomainError(f"an element needs a BlockAlgebra, got "
+                              f"{type(algebra).__name__}")
         mats = tuple(_complex_array(b) for b in blocks)
         if len(mats) != algebra.num_blocks:
             raise ShapeError(
@@ -283,6 +286,18 @@ def _squared_norms(stacked: Sequence[np.ndarray]) -> np.ndarray:
 
 def _adjoint_stack(stacked: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(s.conj().swapaxes(-2, -1) for s in stacked)
+
+
+def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for square blocks, over any leading axes, as one
+    broadcast product.
+
+    Entry [(i, j), (k, l)] is the single product a[i, k] * b[j, l], as in
+    np.kron, so the result is bit-identical to it.
+    """
+    n, m = a.shape[-1], b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *a.shape[:-2], n * m, n * m)
 
 
 # -- spectral machinery ------------------------------------------------------
@@ -552,21 +567,22 @@ def _support_stack(spectra: Sequence[HermitianSpectrum]
 
 
 def _power_stack(spectra: Sequence[HermitianSpectrum],
-                 exponents: Sequence[float]
+                 exponents: Sequence[Sequence[float]]
                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """h_j^e for every spectrum j and every e in ``exponents``, as one
-    (B, G, n, n) stack per block.
+    """h_j^e for every spectrum j and every e in ``exponents[j]`` (one
+    length G for all j), as one (B, G, n, n) stack per block.
 
     Slice (j, g) equals ``spectra[j].apply(lambda lam: lam ** e)`` for
-    e = exponents[g], bit for bit.  Instead of raising, returns with the
+    e = exponents[j][g], bit for bit.  Instead of raising, returns with the
     blocks a (B, G) mask of the powers that are finite on every non-kernel
     eigenvalue; the caller raises :func:`_nonfinite_error` for a False entry
     at that power's turn.  Rows that are not finite are zeroed, so that
     stacked LAPACK calls on them still run.
     """
     with np.errstate(all="ignore"):
-        rows = [spec.eigenvalue_powers(exponents) for spec in spectra]
-    finite = np.ones((len(spectra), len(exponents)), dtype=bool)
+        rows = [spec.eigenvalue_powers(exps)
+                for spec, exps in zip(spectra, exponents)]
+    finite = np.ones((len(spectra), len(exponents[0])), dtype=bool)
     for j, r in enumerate(rows):
         for block in r:
             finite[j] &= np.isfinite(block).all(axis=1)

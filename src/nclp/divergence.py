@@ -18,15 +18,15 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _blockwise, _complex_array, _eigenvectors,
-                      _nonfinite_error, _power_stack, _squared_norms,
-                      _stacked, _support_stack)
+                      _kron_block, _nonfinite_error, _power_stack,
+                      _squared_norms, _stacked, _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
 from .errors import ConditioningError, DomainError, ShapeError, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
 from .lp import _real, singular_values_stack
 from .reports import CheckReport
-from .tensor import TensorAlgebra, kron_functional
+from .tensor import TensorAlgebra, kron_functional_stack
 
 SUPPORT_VIOLATION_RTOL = 1e-10
 SHARP_RECOMP_TOL = 1e-9
@@ -242,13 +242,14 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
                  else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
     powers, finite = _power_stack([psi._spectrum for psi in psis],
-                                  cert_expos + half_expos)
+                                  [cert_expos + half_expos] * len(psis))
     k = len(sharp)
     vecs = _eigenvectors(phi_specs)
     if k:
         _, residuals, budgets = _sharp_pinv_middles(
             [b[:, :k] for b in powers], phi_specs, vecs,
-            [(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp])
+            [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
+            * len(psis))
     scales = _blockwise([spec.eigenvalue_powers(phi_expos)
                          for spec in phi_specs])
     sv = singular_values_stack([(half[:, k:] @ u[:, None])
@@ -282,10 +283,10 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
 def _sharp_pinv_middles(hp: Sequence[np.ndarray],
                         specs: Sequence[HermitianSpectrum],
                         vecs: Sequence[np.ndarray],
-                        expos: Sequence[float]):
+                        expos: Sequence[Sequence[float]]):
     """Eigenbasis blocks of the pseudo-inverse corner solutions of the
-    sandwich equation, one per pair j and exponent e, with their
-    certificates.
+    sandwich equation, one per pair j and exponent e of ``expos[j]`` (one
+    length G for all j), with their certificates.
 
     ``hp`` holds per block a (B, G, n, n) stack of right-hand sides
     h_psi^{alpha/z}, specs[j] is the spectrum of pair j's phi and ``vecs``
@@ -293,14 +294,14 @@ def _sharp_pinv_middles(hp: Sequence[np.ndarray],
     solution is X_ij = C_ij / (s_i^e s_j^e) on the support corner (C the
     transformed right-hand side); re-scaling recovers C entrywise, so the
     recomposition residual measures exactly the part of the right-hand side
-    outside the corner plus rounding, independent of phi's conditioning.  Returns the (B, G, n, n) middles per block, the
-    (B, G) residuals and the (B, G) budgets
-    SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
+    outside the corner plus rounding, independent of phi's conditioning.
+    Returns the (B, G, n, n) middles per block, the (B, G) residuals and
+    the (B, G) budgets SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
     """
-    G = len(expos)
+    G = len(expos[0])
     scales = _blockwise([
-        spec.eigenvalue_powers([-e for e in expos] + list(expos))
-        for spec in specs])
+        spec.eigenvalue_powers([-e for e in exps] + list(exps))
+        for spec, exps in zip(specs, expos)])
     mids, resid_sq, frob_sq = [], 0.0, 0.0
     for tb, u, sc in zip(hp, vecs, scales):
         u = u[:, None]
@@ -365,27 +366,54 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     Returns x = h_phi^{-e} h_psi^{alpha/z} h_phi^{-e} compressed to the
     support corner of phi, with e = (alpha-1)/2z; the recomposition residual
     certifies the solve (ConditioningError beyond budget).  Requires
-    s(psi) <= s(phi), else the equation has no corner solution.
+    s(psi) <= s(phi), else the equation has no corner solution.  One pair
+    of :func:`solve_sharp_pseudo_inverse_stack`.
     """
-    _check_pair(psi, phi)
-    alpha, z = params.alpha, params.effective_z
-    if alpha <= 1:
-        raise DomainError("the sandwich-equation solve applies to alpha > 1")
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    if _support_violations([psi], [phi])[0]:
+    return _unstack(psi.algebra, solve_sharp_pseudo_inverse_stack(
+        [psi], [phi], [params]))[0]
+
+
+def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
+                                     phis: Sequence[PositiveFunctional],
+                                     params: Sequence[DivergenceParams]
+                                     ) -> tuple[np.ndarray, ...]:
+    """:func:`solve_sharp_pseudo_inverse` of B pairs of one algebra, pair j
+    at params[j], as per-block (B, n, n) stacks: one stacked support test,
+    power, solve and back-rotation per block.  Errors, stage by stage: the
+    pair checks, the support nesting, the powers, the certificates; within
+    a stage the first failing pair raises."""
+    exps = _sharp_exponents(psis, phis, params)
+    if _support_violations(psis, phis).any():
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    hp, finite = _power_stack([psi._spectrum], [alpha / z])
-    if not finite[0, 0]:
+    hp, finite = _power_stack([psi._spectrum for psi in psis],
+                              [[r] for r, _ in exps])
+    if not finite.all():
         raise _nonfinite_error()
-    spec = phi._spectrum
-    mids, residuals, budgets = _sharp_pinv_middles(
-        hp, [spec], _eigenvectors([spec]), [(alpha - 1.0) / (2.0 * z)])
-    if residuals[0, 0] > budgets[0, 0]:
-        raise _recomposition_error(float(residuals[0, 0]))
-    blocks = [vecs @ mid[0, 0] @ vecs.conj().T
-              for vecs, mid in zip(spec.eigenvectors, mids)]
-    return AlgebraElement._trusted(psi.algebra, blocks)
+    specs = [phi._spectrum for phi in phis]
+    vecs = _eigenvectors(specs)
+    mids, residuals, budgets = _sharp_pinv_middles(hp, specs, vecs,
+                                                   [[e] for _, e in exps])
+    over = residuals[:, 0] > budgets[:, 0]
+    if over.any():
+        raise _recomposition_error(float(residuals[np.argmax(over), 0]))
+    return tuple(u @ mid[:, 0] @ u.conj().swapaxes(-2, -1)
+                 for u, mid in zip(vecs, mids))
+
+
+def _sharp_exponents(psis, phis, params) -> list[tuple[float, float]]:
+    """Per pair, (alpha/z, (alpha-1)/2z) of the sandwich equation, after
+    the pair check and the alpha > 1 check of each pair in order."""
+    out = []
+    for psi, phi, p in zip(psis, phis, params):
+        _check_pair(psi, phi)
+        alpha, z = p.alpha, p.effective_z
+        if alpha <= 1:
+            raise DomainError(
+                "the sandwich-equation solve applies to alpha > 1")
+        out.append((alpha / z, (alpha - 1.0) / (2.0 * z)))
+    return out
 
 
 def solve_sharp_least_squares(psi: PositiveFunctional,
@@ -398,25 +426,42 @@ def solve_sharp_least_squares(psi: PositiveFunctional,
     Builds the explicit linearization of x -> h_phi^e (s x s) h_phi^e per
     block and returns the minimum-norm least-squares solution compressed to
     the corner.  Coincides with the pseudo-inverse solution whenever the
-    equation is solvable.
+    equation is solvable.  One pair of
+    :func:`solve_sharp_least_squares_stack`.
     """
-    _check_pair(psi, phi)
-    alpha, z = params.alpha, params.effective_z
-    if alpha <= 1:
-        raise DomainError("the sandwich-equation solve applies to alpha > 1")
-    e = (alpha - 1.0) / (2.0 * z)
-    a = phi.power(e, eps_rel)
-    s = phi.support(eps_rel)
-    target = psi.power(alpha / z, eps_rel)
+    psi, phi = _at_cutoff([psi, phi], eps_rel)
+    return _unstack(psi.algebra, solve_sharp_least_squares_stack(
+        [psi], [phi], [params]))[0]
+
+
+def solve_sharp_least_squares_stack(psis: Sequence[PositiveFunctional],
+                                    phis: Sequence[PositiveFunctional],
+                                    params: Sequence[DivergenceParams]
+                                    ) -> tuple[np.ndarray, ...]:
+    """:func:`solve_sharp_least_squares` of B pairs of one algebra, pair j
+    at params[j], as per-block (B, n, n) stacks.  The powers, supports and
+    linearizations are stacked; ``lstsq``, which takes one system at a
+    time, runs per pair and block."""
+    exps = _sharp_exponents(psis, phis, params)
+    a, finite_a = _power_stack([phi._spectrum for phi in phis],
+                               [[e] for _, e in exps])
+    if not finite_a.all():
+        raise _nonfinite_error()
+    s = _support_stack([phi._spectrum for phi in phis])
+    target, finite_t = _power_stack([psi._spectrum for psi in psis],
+                                    [[r] for r, _ in exps])
+    if not finite_t.all():
+        raise _nonfinite_error()
     blocks = []
-    for ab, sb, cb in zip(a.blocks, s.blocks, target.blocks):
-        n = ab.shape[0]
+    for ab, sb, cb in zip(a, s, target):
+        ab, cb = ab[:, 0], cb[:, 0]
         # row-major vec: vec(A X A) = kron(A, A^T) vec(X)
-        full = np.kron(ab, ab.T) @ np.kron(sb, sb.T)
-        sol, *_ = np.linalg.lstsq(full, cb.ravel(), rcond=None)
-        xb = sol.reshape(n, n)
+        full = (_kron_block(ab, ab.swapaxes(-2, -1))
+                @ _kron_block(sb, sb.swapaxes(-2, -1)))
+        xb = np.stack([np.linalg.lstsq(f, c.ravel(), rcond=None)[0]
+                       for f, c in zip(full, cb)]).reshape(cb.shape)
         blocks.append(sb @ xb @ sb)
-    return AlgebraElement._trusted(psi.algebra, blocks)
+    return tuple(blocks)
 
 
 def d_from_q(q: DivergenceValue, psi: PositiveFunctional,
@@ -508,17 +553,16 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
     """:func:`additivity_check` of B quadruples on one pair of algebras, at
     every point of a parameter grid.
 
-    The products psi1 (x) psi2 and phi1 (x) phi2 are built once per
-    quadruple, and each of the three pairs (factor 1, factor 2, product)
-    gets one :func:`q_tilde_stack` across the quadruples and the points.
-    Errors: the pairs are evaluated in that order, and within a pair the
-    first failing point raises; element j raises its errors as its
-    one-element call does, the first such element first."""
+    The products psi1 (x) psi2 and phi1 (x) phi2 are built as one
+    :func:`kron_functional_stack` each, and each of the three pairs (factor
+    1, factor 2, product) gets one :func:`q_tilde_stack` across the
+    quadruples and the points.  Errors: the products come first, the psi
+    products before the phi products; then the pairs in that order, and
+    within a pair the first failing point raises; element j raises its
+    errors as its one-element call does, the first such element first."""
     T = TensorAlgebra(psi1s[0].algebra, psi2s[0].algebra)
-    psi12s, phi12s = [], []
-    for psi1, phi1, psi2, phi2 in zip(psi1s, phi1s, psi2s, phi2s):
-        psi12s.append(kron_functional(T, psi1, psi2))
-        phi12s.append(kron_functional(T, phi1, phi2))
+    psi12s = kron_functional_stack(T, psi1s, psi2s)
+    phi12s = kron_functional_stack(T, phi1s, phi2s)
     grid = tuple(grid)
     sides = [(psi1s, phi1s), (psi2s, phi2s), (psi12s, phi12s)]
     qs = [q_tilde_stack(psis, phis, grid) for psis, phis in sides]
@@ -603,6 +647,10 @@ class QuantumChannel:
     __slots__ = ("domain", "codomain", "kraus")
 
     def __init__(self, domain: BlockAlgebra, codomain: BlockAlgebra, kraus):
+        for alg in (domain, codomain):
+            if not isinstance(alg, BlockAlgebra):
+                raise DomainError(f"a channel maps between BlockAlgebras, "
+                                  f"got {type(alg).__name__}")
         mats = tuple(_complex_array(v) for v in kraus)
         if not mats:
             raise DomainError("a channel needs at least one Kraus operator")

@@ -36,6 +36,9 @@ class PositiveFunctional:
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
+        if not isinstance(density, AlgebraElement):
+            raise DomainError(f"a functional needs an AlgebraElement "
+                              f"density, got {type(density).__name__}")
         psi, = _positive_functionals(density.algebra, _stack([density]),
                                      hermitize, eps_rel)
         self._set(psi.algebra, psi.density, psi._spectrum)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _blockwise, _eigenvectors, _frobenius_stack, _power_f,
-                      _stack, _unstack)
+                      _apply_stack, _blockwise, _eigenvectors,
+                      _frobenius_stack, _kron_block, _power_f, _stack,
+                      _unstack)
 from .config import FAITHFULNESS_FLOOR
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _raise_first)
-from .functionals import PositiveFunctional, _at_cutoff
+from .functionals import PositiveFunctional, _at_cutoff, _densities
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -186,6 +187,9 @@ class KosakiSpec:
     eta: float
 
     def __post_init__(self):
+        if not isinstance(self.phi, PositiveFunctional):
+            raise DomainError(f"the reference must be a PositiveFunctional, "
+                              f"got {type(self.phi).__name__}")
         p, eta = _kosaki_point(self.p, self.eta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "eta", eta)
@@ -200,34 +204,70 @@ class KosakiSpec:
         return self.phi.algebra
 
 
-def _sandwich(a: AlgebraElement, phi: PositiveFunctional, left: float,
-              right: float) -> AlgebraElement:
-    """h_phi^left a h_phi^right, skipping exponent-0 factors exactly."""
-    out, spec = a, phi._spectrum
-    if left != 0.0:
-        lf = phi.density if left == 1.0 else spec.apply(_power_f(left))
-        out = lf @ out
-    if right != 0.0:
-        rf = phi.density if right == 1.0 else spec.apply(_power_f(right))
-        out = out @ rf
+def _sandwich_stack(stacked, phis: list[PositiveFunctional],
+                    lefts: list[float], rights: list[float]
+                    ) -> tuple[np.ndarray, ...]:
+    """h_j^lefts[j] a_j h_j^rights[j] of B stacked elements a_j, h_j the
+    density of phis[j], as per-block (B, n, n) stacks.  An exponent-0
+    factor is skipped exactly and exponent 1 is the density itself; each
+    side is one stacked product over the elements that have it."""
+    out = tuple(stacked)
+    for expos, on_left in ((lefts, True), (rights, False)):
+        idx = [j for j, e in enumerate(expos) if e != 0.0]
+        if not idx:
+            continue
+        factors = _density_powers([phis[j] for j in idx],
+                                  [expos[j] for j in idx])
+        whole = len(idx) == len(expos)
+        sides = []
+        for s, f in zip(out, factors):
+            part = s if whole else s[idx]
+            prod = f @ part if on_left else part @ f
+            if whole:
+                sides.append(prod)
+            else:
+                side = s.copy()
+                side[idx] = prod
+                sides.append(side)
+        out = tuple(sides)
+    return out
+
+
+def _density_powers(phis: list[PositiveFunctional],
+                    expos: list[float]) -> tuple[np.ndarray, ...]:
+    """h_j^expos[j] of each functional as per-block stacks: the density
+    itself at exponent 1, else the power of its stored spectrum."""
+    powered = [j for j, e in enumerate(expos) if e != 1.0]
+    if not powered:
+        return _densities(phis)
+    powers = _apply_stack([phis[j]._spectrum for j in powered],
+                          [_power_f(expos[j]) for j in powered])
+    if len(powered) == len(expos):
+        return powers
+    out = _densities(phis)
+    for block, power in zip(out, powers):
+        block[powered] = power
     return out
 
 
 def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
                  eps_rel: float | None = None) -> AlgebraElement:
-    """The injective embedding a -> h_phi^eta a h_phi^{1-eta}."""
+    """The injective embedding a -> h_phi^eta a h_phi^{1-eta}.  One element
+    of :func:`_sandwich_stack`."""
     if a.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
     phi, = _at_cutoff([spec.phi], eps_rel)
-    return _sandwich(a, phi, spec.eta, 1.0 - spec.eta)
+    return _unstack(a.algebra, _sandwich_stack(
+        _stack([a]), [phi], [spec.eta], [1.0 - spec.eta]))[0]
 
 
 # An overflow shows as a non-finite x, which is reported as an error.
 @np.errstate(over="ignore", invalid="ignore")
 def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
-                        points: list[tuple[LpExponent, float]]):
+                        points: list[list[tuple[LpExponent, float]]]):
     """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
-    of phis[j], for each of B stacked elements y_j and each point.
+    of phis[j], for each of B stacked elements y_j and each point of
+    points[j] (one length G for all j).
 
     Returns per block a (B, G, n, n) stack of x, and per element and point
     None, the DomainError of an x beyond the float range, or the
@@ -236,16 +276,21 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     The eigenvalue powers of each phi are its own 1-D operations; the
     rotations, scalings and residuals are stacked.
     """
-    lefts, rights = [], []
-    for p, eta in points:
-        inv_q = p.dual.inv
-        lefts.append(eta * inv_q)
-        rights.append((1.0 - eta) * inv_q)
-    ident = np.array([a == 0.0 and b == 0.0 for a, b in zip(lefts, rights)])
+    weights = {}
+    for pts in points:
+        for p, eta in pts:
+            if (p, eta) not in weights:
+                inv_q = p.dual.inv
+                weights[p, eta] = (eta * inv_q, (1.0 - eta) * inv_q)
+    lefts = [[weights[pt][0] for pt in pts] for pts in points]
+    rights = [[weights[pt][1] for pt in pts] for pts in points]
+    ident = np.array([[a == 0.0 and b == 0.0 for a, b in zip(ls, rs)]
+                      for ls, rs in zip(lefts, rights)])
     specs = [phi._spectrum for phi in phis]
-    exponents = [-a for a in lefts] + [-b for b in rights] + lefts + rights
-    scales = [spec.eigenvalue_powers(exponents) for spec in specs]
-    G = len(points)
+    scales = [spec.eigenvalue_powers([-a for a in ls] + [-b for b in rs]
+                                     + ls + rs)
+              for spec, ls, rs in zip(specs, lefts, rights)]
+    G = len(points[0])
     blocks, resid_sq = [], 0.0
     for yb, vecs, sc in zip(stacked_y, _eigenvectors(specs),
                             _blockwise(scales)):
@@ -258,17 +303,18 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
         resid_sq = resid_sq + (abs(back - c[:, None]) ** 2).sum(axis=(2, 3))
         x = vecs[:, None] @ mid @ vecs_h[:, None]
         if ident.any():
-            x[:, ident] = yb[:, None]
+            x[ident] = np.broadcast_to(yb[:, None], x.shape)[ident]
         blocks.append(x)
     finite = np.isfinite(blocks[0]).all(axis=(2, 3))
     for x in blocks[1:]:
         finite &= np.isfinite(x).all(axis=(2, 3))
     budgets = MEMBERSHIP_TOL * (1.0 + _frobenius_stack(stacked_y))
     errors = []
-    for ok_j, r_j, budget in zip(finite.tolist(), np.sqrt(resid_sq).tolist(),
-                                 budgets.tolist()):
+    for skips, ok_j, r_j, budget in zip(ident, finite.tolist(),
+                                        np.sqrt(resid_sq).tolist(),
+                                        budgets.tolist()):
         errs = []
-        for skip, ok, r in zip(ident, ok_j, r_j):
+        for skip, ok, r in zip(skips, ok_j, r_j):
             if skip:
                 errs.append(None)
             elif not ok:
@@ -297,7 +343,7 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     if y.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
-        _stack([y]), [phi], [(spec.p, spec.eta)])
+        _stack([y]), [phi], [[(spec.p, spec.eta)]])
     _raise_first(errors[0])
     return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
@@ -306,7 +352,7 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
                       phis: list[PositiveFunctional], points) -> list:
     """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
     (B, n, n) array on ``algebra``) at every validated (p, eta) of
-    ``points`` (see :func:`_kosaki_point`).
+    ``points[j]`` (see :func:`_kosaki_point`; one length for all j).
 
     Shared by all points of an element: phi_j's faithfulness-floor check
     and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
@@ -327,8 +373,9 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
     if failed:
         for x in blocks:
             x[failed] = 0.0
-    return [err or [_schatten(row, p) for row, (p, _) in zip(rows, points)]
-            for err, rows in zip(firsts, singular_values_stack(blocks))]
+    return [err or [_schatten(row, p) for row, (p, _) in zip(rows, pts)]
+            for err, rows, pts in zip(firsts, singular_values_stack(blocks),
+                                      points)]
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
@@ -337,7 +384,7 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
     :func:`kosaki_norm_stack`."""
     phi, = _at_cutoff([spec.phi], eps_rel)
     return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
-                                          [(spec.p, spec.eta)]))[0][0]
+                                          [[(spec.p, spec.eta)]]))[0][0]
 
 
 def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,
@@ -347,14 +394,46 @@ def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,
 
     Returns (lhs, rhs) with lhs = ||h^eta a h^{1-eta}||_{p,phi,eta} and
     rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p}; lhs <= rhs up to float
-    slack.
+    slack.  One element of :func:`interpolation_bound_stack`.
     """
-    y = kosaki_embed(a, spec, eps_rel)
-    lhs = kosaki_norm(y, spec, eps_rel)
-    inv_p = spec.p.inv
-    inv_q = 1.0 - inv_p
-    rhs = operator_norm(a) ** inv_q * lp_norm(y, 1.0) ** inv_p
-    return lhs, rhs
+    phi, = _at_cutoff([spec.phi], eps_rel)
+    return interpolation_bound_stack(a.algebra, _stack([a]), [phi],
+                                     [(spec.p, spec.eta)])[0]
+
+
+def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
+                              phis: list[PositiveFunctional], points
+                              ) -> list[tuple[float, float]]:
+    """:func:`interpolation_bound_check` of B stacked elements a_j (per
+    block a (B, n, n) array on ``algebra``), element j at the reference
+    phis[j] and its own validated (p, eta) = points[j].
+
+    The embeddings, the interpolated norms and the singular values of every
+    a_j and its embedding (one ``svd`` per block for both) are stacked.
+    Errors, stage by stage: each reference's faithfulness floor and algebra,
+    then the norms; within a stage the first failing element raises.
+    """
+    for phi in phis:
+        err = _floor_error(phi._spectrum)
+        if err is not None:
+            raise err
+        if phi.algebra != algebra:
+            raise ShapeError(
+                "element and reference functional algebras differ")
+    ys = _sandwich_stack(stacked_a, phis, [eta for _, eta in points],
+                         [1.0 - eta for _, eta in points])
+    lhs = _raise_first(kosaki_norm_stack(algebra, ys, phis,
+                                         [[pt] for pt in points]))
+    svs = singular_values_stack([np.concatenate([a, y])
+                                 for a, y in zip(stacked_a, ys)])
+    B, top, trace = len(phis), LpExponent(math.inf), LpExponent(1.0)
+    out = []
+    for j, ((p, _), norms) in enumerate(zip(points, lhs)):
+        inv_p = p.inv
+        inv_q = 1.0 - inv_p
+        out.append((norms[0], _schatten(svs[j], top) ** inv_q
+                    * _schatten(svs[B + j], trace) ** inv_p))
+    return out
 
 
 def lemma3_bijectivity(phi: PositiveFunctional, p,
@@ -364,19 +443,31 @@ def lemma3_bijectivity(phi: PositiveFunctional, p,
 
     Decided by the singular values of the explicit total_dim x total_dim
     linearization; a near-singular reference yields False, flagging the
-    conditioning problem rather than raising.
+    conditioning problem rather than raising.  One element of
+    :func:`lemma3_bijectivity_stack`.
     """
-    b = phi.power(_as_exponent(p).inv, eps_rel)
-    D = phi.algebra.total_dim
-    lin = np.zeros((D, D), dtype=np.complex128)
+    p = _as_exponent(p)
+    phi, = _at_cutoff([phi], eps_rel)
+    return lemma3_bijectivity_stack([phi], [p], rank_rtol)[0]
+
+
+def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps,
+                             rank_rtol: float = 1e-10) -> list[bool]:
+    """:func:`lemma3_bijectivity` of B functionals of one algebra, phis[j]
+    at its own exponent ps[j]: stacked powers and linearizations, one
+    ``svd`` for all of them."""
+    invs = [_as_exponent(p).inv for p in ps]
+    alg = phis[0].algebra
+    powers = _apply_stack([phi._spectrum for phi in phis],
+                          [_power_f(inv) for inv in invs])
+    D = alg.total_dim
+    lin = np.zeros((len(phis), D, D), dtype=np.complex128)
     ofs = 0
-    for blk, n in zip(b.blocks, phi.algebra.block_dims):
+    for blk, n in zip(powers, alg.block_dims):
         m = n * n
         # row-major vec: vec(X B) = kron(I, B^T) vec(X)
-        lin[ofs:ofs + m, ofs:ofs + m] = np.kron(np.eye(n), blk.T)
+        lin[:, ofs:ofs + m, ofs:ofs + m] = _kron_block(
+            np.broadcast_to(np.eye(n), blk.shape), blk.swapaxes(-2, -1))
         ofs += m
-    sv = np.linalg.svd(lin, compute_uv=False)
-    smax = float(sv[0])
-    if smax == 0.0:
-        return False
-    return bool(float(sv[-1]) > rank_rtol * smax)
+    return [bool(sv[0] != 0.0 and sv[-1] > rank_rtol * sv[0])
+            for sv in np.linalg.svd(lin, compute_uv=False).tolist()]

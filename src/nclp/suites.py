@@ -7,8 +7,9 @@ theorem6, corollary7, lemma8, lemma9, prop11, appendixA, dpi.
 
 One driver, :func:`run_suite`, runs every suite from the ``_SUITES`` table.
 Per profile it builds the algebra (a :class:`TensorAlgebra` for tensor
-profiles such as 2x2, else a :class:`BlockAlgebra`) and first draws every
-trial's inputs, each from its own ``trial_rng(seed, idx)`` stream:
+profiles such as 2x2, else a :class:`BlockAlgebra`) and first draws the
+trials' inputs, a chunk at a time (see below), each from its own
+``trial_rng(seed, idx)`` stream:
 
     draw(config, algebra, rng, idx, k) -> draw
 
@@ -23,15 +24,22 @@ first trial:
 where ``tols`` are the suite's tolerances with the config's overrides
 applied.  A batch returns one triple per draw, in order: the instance summary
 (the driver adds ``dims``), a list of ``(report key, residual, tolerance)``
-checks and the report's ``info``.  Most batches evaluate their trials as
-stacks, with one LAPACK call per block for the whole group; each trial's
+checks and the report's ``info``.  The batches evaluate their trials as
+stacks, with one LAPACK call per block for the whole group (``lstsq``, which
+takes one system at a time, aside); each trial's
 scalar work (eigenvalue powers, sums, norms) stays its own 1-D operation, so
-a report does not depend on which trials share a batch.  lemma8 loops over
-its trials.  A batch runs stage by stage: a lone failing trial raises the
-error of its one-trial call, and of several, the first to fail in the first
-failing stage raises.  The driver alone fills the residual and tolerance
-maps and decides ``passed``: a trial passes exactly when every residual is at
-most its tolerance.
+a report does not depend on which trials share a batch.  Draws return
+densities and elements, not functionals: a batch builds each role's
+functionals as one stack.  A batch runs stage by stage: a lone failing trial
+raises the error of its one-trial call, and of several, the first to fail in
+the first failing stage raises.  :func:`run_suite` alone fills the
+residual and tolerance maps and decides ``passed``: a trial passes exactly
+when every residual is at most its tolerance.
+
+A profile's trials are drawn and evaluated in chunks of at most
+``CHUNK_TRIALS`` trials, each chunk grouped and batched as above, so the
+draws a command holds are bounded; since reports do not depend on batching,
+the chunk size changes no byte of them.
 """
 
 from __future__ import annotations
@@ -49,12 +57,14 @@ from .config import PRNG_ID
 from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          embed_left_channel, identity_channel, lemma9_stack,
                          pinching_channel, random_unital_channel,
-                         solve_sharp_least_squares, solve_sharp_pseudo_inverse)
+                         solve_sharp_least_squares_stack,
+                         solve_sharp_pseudo_inverse_stack)
 from .errors import DomainError, UsageError
 from .functionals import (PositiveFunctional, _positive_functionals,
                           _supports, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
-from .lp import KosakiSpec, interpolation_bound_check, lemma3_bijectivity
+from .lp import (_kosaki_point, interpolation_bound_stack,
+                 lemma3_bijectivity_stack)
 from .reports import TrialReport
 from .tensor import (TensorAlgebra, corollary7_norm_stack,
                      lemma5_density_stack, lemma5_imaginary_stack,
@@ -80,9 +90,13 @@ def complex_gaussian(rng: np.random.Generator, rows: int,
             + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
 
 
+# The generators wrap the fresh complex128 blocks they compute with
+# AlgebraElement._trusted, without the public constructor's copy.
+
+
 def gen_element(rng: np.random.Generator,
                 algebra: BlockAlgebra) -> AlgebraElement:
-    return AlgebraElement(
+    return AlgebraElement._trusted(
         algebra, [complex_gaussian(rng, n, n) for n in algebra.block_dims])
 
 
@@ -96,7 +110,7 @@ def gen_unitary(rng: np.random.Generator,
         phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1, d)),
                           1.0)
         blocks.append(q * phases.conj())
-    return AlgebraElement(algebra, blocks)
+    return AlgebraElement._trusted(algebra, blocks)
 
 
 def _distribute(total: int, caps: tuple[int, ...]) -> list[int]:
@@ -149,7 +163,7 @@ def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
         else:
             g = complex_gaussian(rng, n, r)
             blocks.append(g @ g.conj().T)
-    return AlgebraElement(algebra, blocks)
+    return AlgebraElement._trusted(algebra, blocks)
 
 
 def _normalized_stack(sym) -> tuple[np.ndarray, ...]:
@@ -235,13 +249,23 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     the sandwich equation stay accurate); psi's corner is a Gaussian factor
     square, non-commuting with phi in general.
     """
+    return tuple(_functionals(algebra, [d], eps_rel)[0] for d in
+                 _nested_densities(rng, algebra, rank_phi, rank_psi))
+
+
+def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
+                      rank_phi: int, rank_psi: int
+                      ) -> tuple[AlgebraElement, AlgebraElement]:
+    """The densities (psi, phi) of :func:`gen_nested_pair`, before
+    normalization (see :func:`_functionals`)."""
     if rank_psi > rank_phi:
         raise DomainError("psi rank cannot exceed phi rank")
     ranks_phi = _distribute(rank_phi, algebra.block_dims)
     ranks_psi = _distribute(rank_psi, tuple(ranks_phi))
     u = gen_unitary(rng, algebra)
     phi_blocks, psi_blocks = [], []
-    for nk, rpk, rsk in zip(algebra.block_dims, ranks_phi, ranks_psi):
+    for ub, nk, rpk, rsk in zip(u.blocks, algebra.block_dims, ranks_phi,
+                                ranks_psi):
         hb = np.zeros((nk, nk), dtype=np.complex128)
         pb = np.zeros((nk, nk), dtype=np.complex128)
         if rpk:
@@ -251,14 +275,10 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
         if rsk:
             g = complex_gaussian(rng, rsk, rsk)
             pb[:rsk, :rsk] = g @ g.conj().T
-        phi_blocks.append(hb)
-        psi_blocks.append(pb)
-    def rotate(blocks):
-        elem = AlgebraElement(algebra, blocks)
-        sym = _symmetrized_stack(_stack([u @ elem @ u.H]), True)
-        return _positive_functionals(algebra, _normalized_stack(sym),
-                                     eps_rel=eps_rel)[0]
-    return rotate(psi_blocks), rotate(phi_blocks)
+        phi_blocks.append(ub @ hb @ ub.conj().T)
+        psi_blocks.append(ub @ pb @ ub.conj().T)
+    return (AlgebraElement._trusted(algebra, psi_blocks),
+            AlgebraElement._trusted(algebra, phi_blocks))
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -434,16 +454,42 @@ def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
 
 
 def _functionals(alg: BlockAlgebra, densities, eps: float,
-                 gram: bool = True) -> list[PositiveFunctional]:
-    """The functionals of drawn densities, built as one stack: factor
-    squares (``gram``) as :func:`gen_positive_functional` builds them,
-    other densities with ``hermitize=True`` as :func:`gen_classical_pair`
-    does."""
-    if gram:
+                 normalize: bool = True) -> list[PositiveFunctional]:
+    """The functionals of drawn densities, built as one stack: densities to
+    be normalized (factor squares, nested pairs) as
+    :func:`gen_positive_functional` builds them, already normalized ones
+    with ``hermitize=True`` as :func:`gen_classical_pair` does."""
+    if normalize:
         return _positive_functionals(
             alg, _normalized_stack(_symmetrized_stack(_stack(densities),
                                                       False)), eps_rel=eps)
     return _positive_functionals(alg, _stack(densities), True, eps)
+
+
+# Per kind of a prop11 or lemma9 draw, whether each of its densities (psi1,
+# phi1, psi2, phi2, or psi, phi) is normalized when built (see _functionals).
+_NORMALIZE = {"random": (True, False, True, False),
+              "support_violating_factor": (False, False, True, False),
+              "identical_pairs": (False, False, False, False),
+              "faithful": (True, True), "nested": (True, True),
+              "orthogonal": (False, False),
+              "zero_reference": (True, False), "identical": (True, True)}
+
+
+def _instance(alg: BlockAlgebra, densities, kind: str, eps=None) -> tuple:
+    """The functionals of one prop11 or lemma9 draw's densities (see
+    ``_prop11_densities``, ``_lemma9_densities``), one constructor call
+    each; the reference the stacked batches are tested against."""
+    return tuple(_functionals(alg, [d], eps, normalize)[0]
+                 for d, normalize in zip(densities, _NORMALIZE[kind]))
+
+
+def _role_functionals(alg: BlockAlgebra, draws, eps) -> list:
+    """Per role, the functionals of a group of (kind, densities) draws of
+    one kind, built as one stack per role."""
+    roles = zip(*(densities for _, densities in draws))
+    return [_functionals(alg, role, eps, normalize)
+            for role, normalize in zip(roles, _NORMALIZE[draws[0][0]])]
 
 
 # -- trial functions ----------------------------------------------------------
@@ -545,8 +591,8 @@ def _lemma1_draw(config, alg, rng, idx, k):
 
 def _lemma1_batch(config, tols, alg, draws):
     ranks, psis, primes, phis, ts, s_pars = zip(*draws)
-    psis = _functionals(alg, psis, config.eps_rel, gram=False)
-    primes = _functionals(alg, primes, config.eps_rel, gram=False)
+    psis = _functionals(alg, psis, config.eps_rel, normalize=False)
+    primes = _functionals(alg, primes, config.eps_rel, normalize=False)
     phis = _functionals(alg, phis, config.eps_rel)
     lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts)
     u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws))
@@ -572,90 +618,77 @@ def _lemma3_draw(config, alg, rng, idx, k):
 
 
 def _lemma3_batch(config, tols, alg, draws):
-    # The references are built as one stack; the checks run trial by trial.
-    phis = _functionals(alg, [phi for phi, _, _, _ in draws], config.eps_rel)
-    out = []
-    for phi, (_, a, p, eta) in zip(phis, draws):
-        lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, p, eta),
-                                             config.eps_rel)
-        bij = lemma3_bijectivity(phi, p, config.eps_rel)
-        checks = [
-            ("interpolation_slack", max(0.0, lhs - rhs),
-             tols["interpolation_slack"]),
-            ("bijectivity", 0.0 if bij else math.inf, tols["bijectivity"]),
-        ]
-        out.append(({"p": _p_label(p), "eta": eta}, checks,
-                    {"lhs": lhs, "rhs": rhs}))
-    return out
+    phis, xs, ps, etas = zip(*draws)
+    phis = _functionals(alg, phis, config.eps_rel)
+    points = [_kosaki_point(p, eta) for p, eta in zip(ps, etas)]
+    bounds = interpolation_bound_stack(alg, _stack(xs), phis, points)
+    bijective = lemma3_bijectivity_stack(phis, [p for p, _ in points])
+    return [({"p": _p_label(p), "eta": eta},
+             [("interpolation_slack", max(0.0, lhs - rhs),
+               tols["interpolation_slack"]),
+              ("bijectivity", 0.0 if bij else math.inf, tols["bijectivity"])],
+             {"lhs": lhs, "rhs": rhs})
+            for p, eta, (lhs, rhs), bij in zip(ps, etas, bounds, bijective)]
 
 
 def _lemma8_draw(config, alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma8")
     rank_phi = int(rng.integers(1, n))
     rank_psi = int(rng.integers(1, rank_phi + 1))
-    psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi, config.eps_rel)
+    psi, phi = _nested_densities(rng, alg, rank_phi, rank_psi)
     alpha = float(rng.choice((1.5, 2.0, 3.0)))
     z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
     return rank_psi, rank_phi, psi, phi, DivergenceParams(alpha, z=z)
 
 
 def _lemma8_batch(config, tols, alg, draws):
-    out = []
-    for rank_psi, rank_phi, psi, phi, params in draws:
-        x_pinv = solve_sharp_pseudo_inverse(psi, phi, params, config.eps_rel)
-        x_ls = solve_sharp_least_squares(psi, phi, params, config.eps_rel)
-        checks = [("solver_agreement",
-                   (x_pinv - x_ls).frobenius() / (1.0 + x_pinv.frobenius()),
-                   tols["solver_agreement"])]
-        out.append(({"ranks": [rank_psi, rank_phi],
-                     "params": params.label()}, checks, {}))
-    return out
+    rank_psis, rank_phis, psis, phis, params = zip(*draws)
+    psis = _functionals(alg, psis, config.eps_rel)
+    phis = _functionals(alg, phis, config.eps_rel)
+    x_pinv = solve_sharp_pseudo_inverse_stack(psis, phis, params)
+    x_ls = solve_sharp_least_squares_stack(psis, phis, params)
+    agreement = (_frobenius_stack([a - b for a, b in zip(x_pinv, x_ls)])
+                 / (1.0 + _frobenius_stack(x_pinv)))
+    return [({"ranks": [rank_psi, rank_phi], "params": par.label()},
+             [("solver_agreement", res, tols["solver_agreement"])], {})
+            for rank_psi, rank_phi, par, res
+            in zip(rank_psis, rank_phis, params, agreement.tolist())]
 
 
-def _lemma9_instance(rng, alg, variant, eps=None):
-    n = alg.carrier_dim
+def _lemma9_densities(rng, alg, variant):
+    """The densities of (psi, phi) and the variant's name."""
     if variant == 0:
-        return (gen_faithful(rng, alg, eps_rel=eps),
-                gen_faithful(rng, alg, eps_rel=eps), "faithful")
+        return (_gram(rng, alg), _gram(rng, alg)), "faithful"
     if variant == 1:
-        rank_phi = n
-        rank_psi = int(rng.integers(1, n))
-        psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi, eps)
-        return psi, phi, "nested"
+        n = alg.carrier_dim
+        return _nested_densities(rng, alg, n, int(rng.integers(1, n))), \
+            "nested"
     if variant == 2:
-        psi, phi, _, _ = gen_classical_pair(rng, alg, True, eps)
-        return psi, phi, "orthogonal"
+        p, q = _classical_vectors(rng, alg, True)
+        return (_diag_element(alg, p, None), _diag_element(alg, q, None)), \
+            "orthogonal"
     if variant == 3:
-        return (gen_faithful(rng, alg, eps_rel=eps),
-                PositiveFunctional.zero(alg, eps), "zero_reference")
-    psi = gen_faithful(rng, alg, eps_rel=eps)
-    return psi, psi, "identical"
+        return (_gram(rng, alg), alg.zero()), "zero_reference"
+    psi = _gram(rng, alg)
+    return (psi, psi), "identical"
 
 
 def _lemma9_draw(config, alg, rng, idx, k):
     _carrier_at_least_two(alg, "lemma9")
-    psi, phi, kind = _lemma9_instance(rng, alg, idx % 5, config.eps_rel)
-    return kind, psi, phi
+    densities, kind = _lemma9_densities(rng, alg, idx % 5)
+    return kind, densities
 
 
 def _lemma9_batch(config, tols, alg, draws):
-    kinds, psis, phis = zip(*draws)
-    out = []
-    for kind, reports in zip(kinds, lemma9_stack(
-            psis, phis, LEMMA9_ALPHAS, tols["path_agreement"])):
-        checks = [(f"alpha={alpha:g}:{key}", val, tols[key])
-                  for alpha, rep in zip(LEMMA9_ALPHAS, reports)
-                  for key, val in rep.residuals.items()]
-        out.append(({"variant": kind}, checks,
-                    {"d_reasons": [rep.info["d_reason"] for rep in reports]}))
-    return out
-
-
-# Per variant, whether each of (psi1, phi1, psi2, phi2) is drawn as a factor
-# square (else as a rotated or diagonal density; see _functionals).
-_PROP11_GRAM = {"random": (True, False, True, False),
-                "support_violating_factor": (False, False, True, False),
-                "identical_pairs": (False, False, False, False)}
+    kind = draws[0][0]
+    psis, phis = _role_functionals(alg, draws, config.eps_rel)
+    return [({"variant": kind},
+             [(f"alpha={alpha:g}:{key}", val, tols[key])
+              for alpha, rep in zip(LEMMA9_ALPHAS, reports)
+              for key, val in rep.residuals.items()],
+             {"d_reasons": [rep.info["d_reason"] for rep in reports]})
+            for reports in lemma9_stack(psis, phis, LEMMA9_ALPHAS,
+                                        tols["path_agreement"])]
 
 
 def _prop11_densities(rng, alg, variant):
@@ -677,12 +710,6 @@ def _prop11_densities(rng, alg, variant):
     return (psi1, phi1, psi2, _reference_density(rng, alg)), "random"
 
 
-def _prop11_instance(rng, alg, variant, eps=None):
-    densities, kind = _prop11_densities(rng, alg, variant)
-    return tuple(_functionals(alg, [d], eps, gram)[0]
-                 for d, gram in zip(densities, _PROP11_GRAM[kind])), kind
-
-
 def _prop11_draw(config, alg, rng, idx, k):
     densities, kind = _prop11_densities(rng, alg, idx % 3)
     return kind, densities
@@ -690,10 +717,8 @@ def _prop11_draw(config, alg, rng, idx, k):
 
 def _prop11_batch(config, tols, alg, draws):
     kind = draws[0][0]
-    roles = zip(*(densities for _, densities in draws))
-    psi1s, phi1s, psi2s, phi2s = (
-        _functionals(alg, role, config.eps_rel, gram)
-        for role, gram in zip(roles, _PROP11_GRAM[kind]))
+    psi1s, phi1s, psi2s, phi2s = _role_functionals(alg, draws,
+                                                   config.eps_rel)
     out = []
     for psi1, psi2, reports in zip(psi1s, psi2s, additivity_stack(
             psi1s, phi1s, psi2s, phi2s, PROP11_GRID,
@@ -847,6 +872,10 @@ _SUITES = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
+# The most trials of a profile drawn and evaluated at once: the draws a
+# command holds stay bounded whatever its trial count.
+CHUNK_TRIALS = 256
+
 
 def run_suite(config: SuiteConfig) -> list[TrialReport]:
     """Run a named suite; deterministic given the config."""
@@ -856,27 +885,31 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
             f"unknown suite {config.suite_name!r}; known suites: "
             f"{', '.join(SUITE_NAMES)}")
     tols = _tols(config, suite.tolerances)
-    reports, idx = [], 0
+    reports, first = [], 0
     for profile in config.dims or suite.dims:
         algebra = _profile_algebra(profile, config.suite_name, suite.tensor)
         dims = format_profile(profile)
-        draws = [suite.draw(config, algebra, trial_rng(config.seed, idx + k),
-                            idx + k, k) for k in range(config.trials)]
-        results = [None] * config.trials
-        for members in _groups(suite.group, draws):
-            outs = suite.batch(config, tols, algebra,
-                               [draws[k] for k in members])
-            for k, out in zip(members, outs):
-                results[k] = out
-        for instance, checks, info in results:
-            reports.append(TrialReport(
-                config.suite_name, idx,
-                f"{PRNG_ID} seed={config.seed} trial={idx}",
-                {"dims": dims, **instance},
-                {key: res for key, res, _ in checks},
-                {key: tol for key, _, tol in checks},
-                all(res <= tol for _, res, tol in checks), info))
-            idx += 1
+        for start in range(0, config.trials, CHUNK_TRIALS):
+            ks = range(start, min(start + CHUNK_TRIALS, config.trials))
+            draws = [suite.draw(config, algebra,
+                                trial_rng(config.seed, first + k), first + k,
+                                k) for k in ks]
+            results = [None] * len(draws)
+            for members in _groups(suite.group, draws):
+                outs = suite.batch(config, tols, algebra,
+                                   [draws[i] for i in members])
+                for i, out in zip(members, outs):
+                    results[i] = out
+            for k, (instance, checks, info) in zip(ks, results):
+                idx = first + k
+                reports.append(TrialReport(
+                    config.suite_name, idx,
+                    f"{PRNG_ID} seed={config.seed} trial={idx}",
+                    {"dims": dims, **instance},
+                    {key: res for key, res, _ in checks},
+                    {key: tol for key, _, tol in checks},
+                    all(res <= tol for _, res, tol in checks), info))
+        first += config.trials
     return reports
 
 

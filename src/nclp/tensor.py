@@ -18,8 +18,8 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _apply_stack, _clipped_eig_stack, _frobenius_stack,
-                      _imaginary_f, _polar_stack, _power_f, _stack,
-                      _symmetrized_stack)
+                      _imaginary_f, _kron_block, _polar_stack, _power_f,
+                      _stack, _symmetrized_stack)
 from .config import resolve_eps_rel
 from .errors import DomainError, ShapeError, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
@@ -55,18 +55,6 @@ def kron_element(T: TensorAlgebra, x: AlgebraElement,
     _check_factors(T, [x], [y])
     return AlgebraElement._trusted(
         T.product, [_kron_block(xb, yb) for xb in x.blocks for yb in y.blocks])
-
-
-def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) for square blocks, over any leading axes, as one
-    broadcast product.
-
-    Entry [(i, j), (k, l)] is the single product a[i, k] * b[j, l], as in
-    np.kron, so the result is bit-identical to it.
-    """
-    n, m = a.shape[-1], b.shape[-1]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        *a.shape[:-2], n * m, n * m)
 
 
 def _kron_stack(sx, sy) -> tuple[np.ndarray, ...]:
@@ -278,22 +266,30 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
                       rank_rtol: float = 1e-10) -> bool:
     """Whether random simple tensors span the full product carrier.
 
-    Draws sample_budget Gaussian simple tensors, stacks their flattenings and
-    checks the SVD rank against total_dim of the product algebra.
+    Draws sample_budget Gaussian simple tensors x (x) y, stacks their
+    flattenings and checks the SVD rank against total_dim of the product
+    algebra.  Sample by sample, the draw order is: the blocks of x in
+    order, then those of y, each block an (n, n) standard normal real part
+    followed by its imaginary part, the entries (real + i imag)/sqrt(2).
+    All samples come from one ``standard_normal`` call in that order, which
+    yields the same values as drawing each part on its own.
     """
     D = T.product.total_dim
     if sample_budget < D:
         raise DomainError(
             f"sample budget {sample_budget} below carrier dimension {D}")
-
-    def gauss(alg: BlockAlgebra) -> AlgebraElement:
-        return AlgebraElement(alg, [
-            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            / math.sqrt(2.0) for n in alg.block_dims])
-
-    rows = np.stack([
-        kron_element(T, gauss(T.left), gauss(T.right)).flatten()
-        for _ in range(sample_budget)])
+    dims = (*T.left.block_dims, *T.right.block_dims)
+    draws = rng.standard_normal((sample_budget, 2 * sum(n * n for n in dims)))
+    blocks, ofs = [], 0
+    for n in dims:
+        re, im = (draws[:, ofs + k * n * n:ofs + (k + 1) * n * n].reshape(
+            sample_budget, n, n) for k in (0, 1))
+        blocks.append((re + 1j * im) / math.sqrt(2.0))
+        ofs += 2 * n * n
+    left = T.left.num_blocks
+    rows = np.concatenate(
+        [k.reshape(sample_budget, -1)
+         for k in _kron_stack(blocks[:left], blocks[left:])], axis=1)
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.count_nonzero(sv > rank_rtol * sv[0])) if sv[0] > 0 else 0
     return rank == D
@@ -315,7 +311,7 @@ def corollary7_norm_stack(x1s: list[AlgebraElement],
     for x1, x2, phi1, phi2 in zip(x1s, x2s, phi1s, phi2s):
         if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
             raise ShapeError("elements must live on their spec's algebra")
-    points = [_kosaki_point(p, eta) for p, eta in grid]
+    points = [[_kosaki_point(p, eta) for p, eta in grid]] * len(x1s)
     T = TensorAlgebra(x1s[0].algebra, x2s[0].algebra)
     s1, s2 = _stack(x1s), _stack(x2s)
     sides = [kosaki_norm_stack(T.product, _kron_stack(s1, s2),

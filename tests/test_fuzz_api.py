@@ -6,7 +6,9 @@ diagonal), PositiveFunctional, DivergenceParams, LpExponent, KosakiSpec,
 QuantumChannel and SuiteConfig; a SuiteConfig that constructs with few
 trials must also run.
 The arguments mix valid values with wrong types, numbers beyond the float
-range, non-finite numbers, strings and wrong shapes.  Block dimensions stay
+range, non-finite numbers, strings and wrong shapes; an argument meant to
+be an algebra, an element or a functional may be junk or an object of
+another of the package's types.  Block dimensions stay
 at most 4, so nothing large is allocated.  The runs are derandomized and
 the example counts bounded, as in the other fuzz tests.
 """
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   KosakiSpec, LpExponent, NclpError, PositiveFunctional,
-                  QuantumChannel, SuiteConfig, run_suite)
+                  QuantumChannel, SuiteConfig, TensorAlgebra, run_suite)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -38,6 +40,16 @@ SCALARS = st.one_of(NUMBERS, JUNK)
 CUTOFFS = st.one_of(st.none(), st.sampled_from(
     [1e-12, 1e-9, 0.0, -1.0, float("nan"), float("inf"), 10 ** 400, "x"]))
 DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+_ALG = BlockAlgebra((2,))
+# Stand-ins for an algebra, an element or a functional of the wrong type.
+WRONG_OBJECTS = st.one_of(JUNK, st.sampled_from([
+    np.eye(2), _ALG, _ALG.identity(), TensorAlgebra(_ALG, _ALG),
+    PositiveFunctional(_ALG.identity())]))
+
+
+def _or_wrong(value):
+    """The value, or an argument of the wrong type in its place."""
+    return st.one_of(st.just(value), WRONG_OBJECTS)
 
 
 def _returns_or_raises_nclp_error(fn, *args):
@@ -80,7 +92,8 @@ def test_algebra_element(dims, data):
     blocks = [data.draw(matrices(n)) for n in dims]
     if data.draw(st.booleans()):
         blocks = blocks[:-1] or blocks + blocks
-    _returns_or_raises_nclp_error(AlgebraElement, alg, blocks)
+    _returns_or_raises_nclp_error(AlgebraElement, data.draw(_or_wrong(alg)),
+                                  blocks)
     n = alg.carrier_dim
     _returns_or_raises_nclp_error(alg.from_full, data.draw(matrices(n)))
     entries = data.draw(st.one_of(st.lists(NUMBERS, min_size=n, max_size=n),
@@ -95,9 +108,9 @@ def test_positive_functional(dims, data, hermitize, eps_rel):
     alg = BlockAlgebra(tuple(dims))
     element = _returns_or_raises_nclp_error(
         AlgebraElement, alg, [data.draw(matrices(n)) for n in dims])
-    if element is not None:
-        _returns_or_raises_nclp_error(
-            lambda: PositiveFunctional(element, hermitize, eps_rel))
+    density = data.draw(_or_wrong(element))
+    _returns_or_raises_nclp_error(
+        lambda: PositiveFunctional(density, hermitize, eps_rel))
 
 
 @SETTINGS
@@ -119,10 +132,11 @@ REFERENCES = {
 
 
 @SETTINGS
-@given(st.sampled_from(sorted(REFERENCES)),
+@given(st.one_of(st.sampled_from(sorted(REFERENCES)).map(REFERENCES.get),
+                 WRONG_OBJECTS),
        st.one_of(SCALARS, st.just(LpExponent(math.inf))), SCALARS)
 def test_kosaki_spec(ref, p, eta):
-    _returns_or_raises_nclp_error(KosakiSpec, REFERENCES[ref], p, eta)
+    _returns_or_raises_nclp_error(KosakiSpec, ref, p, eta)
 
 
 @SETTINGS
@@ -136,7 +150,8 @@ def test_quantum_channel(dom_dims, cod_dims, count, data):
         kraus = [np.eye(dom.carrier_dim, cod.carrier_dim).tolist()]
         if data.draw(st.booleans()):
             kraus[0][0][0] = data.draw(NUMBERS)
-    _returns_or_raises_nclp_error(QuantumChannel, dom, cod, kraus)
+    _returns_or_raises_nclp_error(QuantumChannel, data.draw(_or_wrong(dom)),
+                                  data.draw(_or_wrong(cod)), kraus)
 
 
 @SETTINGS
@@ -167,9 +182,14 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel):
     lambda: AlgebraElement(BlockAlgebra((1,)), [np.array([["x"]])]),
     lambda: QuantumChannel(BlockAlgebra((1,)), BlockAlgebra((1,)),
                            [np.array([["x"]])]),
+    lambda: KosakiSpec("x", 2, 0.5),
+    lambda: PositiveFunctional("x"),
+    lambda: AlgebraElement("x", [np.eye(2)]),
+    lambda: QuantumChannel("x", "x", [np.eye(2)]),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
-        "text_block", "text_kraus"])
+        "text_block", "text_kraus", "text_reference", "text_density",
+        "text_algebra", "text_channel_algebras"])
 def test_known_holes_raise_nclp_errors(call):
     with pytest.raises(NclpError):
         call()

@@ -150,7 +150,7 @@ def kosaki_norms(y, phi, grid):
     first failing point raises."""
     points = [_kosaki_point(p, eta) for p, eta in grid]
     return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
-                                          points))[0]
+                                          [points]))[0]
 
 
 class TestNormGrids:

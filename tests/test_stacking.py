@@ -9,6 +9,7 @@ error of that element's one-element call.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, PositiveFunctional,
-                  SuiteConfig, TensorAlgebra, gen_element, gen_faithful,
-                  gen_positive_functional, io, lemma5_power, run_suite,
+                  SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
+                  gen_faithful, gen_nested_pair, gen_positive_functional, io,
+                  kron_element, lemma5_power, run_suite, theorem6_spanning,
                   trial_rng)
 from nclp import suites
 from nclp.algebra import _clip_stack, _stack
@@ -184,6 +186,122 @@ class TestStackedValues:
                 assert np.array_equal(psi._spectrum.eigenvalues[k],
                                       np.maximum(vals, 0.0))
                 assert np.array_equal(psi._spectrum.eigenvectors[k], vecs)
+
+
+def _spanning_loop(T, budget, rng):
+    """The sample matrix of theorem6_spanning drawn sample by sample: the
+    left element's blocks, then the right's, each a real and then an
+    imaginary standard normal draw, and one kron_element per sample."""
+    def gauss(alg):
+        return AlgebraElement(alg, [
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            / math.sqrt(2.0) for n in alg.block_dims])
+    return np.stack([kron_element(T, gauss(T.left), gauss(T.right)).flatten()
+                     for _ in range(budget)])
+
+
+def _same_functional(a, b):
+    sa, sb = a._spectrum, b._spectrum
+    return (a.algebra == b.algebra and sa.eps_rel == sb.eps_rel
+            and all(np.array_equal(x, y) for x, y in zip(
+                (*a.density.blocks, *sa.eigenvalues, *sa.eigenvectors,
+                 *sa.kernel_mask),
+                (*b.density.blocks, *sb.eigenvalues, *sb.eigenvectors,
+                 *sb.kernel_mask))))
+
+
+def _lemma9_one_call(rng, alg, variant):
+    """The (psi, phi) of a lemma9 draw from the public generators, one
+    constructor call per functional."""
+    n = alg.carrier_dim
+    if variant == 0:
+        return gen_faithful(rng, alg), gen_faithful(rng, alg)
+    if variant == 1:
+        return gen_nested_pair(rng, alg, n, int(rng.integers(1, n)))
+    if variant == 2:
+        return gen_classical_pair(rng, alg, True)[:2]
+    if variant == 3:
+        return gen_faithful(rng, alg), PositiveFunctional.zero(alg)
+    psi = gen_faithful(rng, alg)
+    return psi, psi
+
+
+class TestStackedDraws:
+    """Inputs built as one stack per batch equal their one-by-one
+    constructions bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 281])
+    @pytest.mark.parametrize("dims", ["2x2", "3x2", "3x3", "2+3x2",
+                                      "2+3x2+2"])
+    def test_spanning_samples_equal_the_per_sample_loop(self, monkeypatch,
+                                                        dims, seed):
+        (left, right), = suites.parse_dims(dims)
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        budget = T.product.total_dim + 4
+        seen = []
+        svd = np.linalg.svd
+
+        def capture(a, *args, **kwargs):
+            seen.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", capture)
+        rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+        assert theorem6_spanning(T, budget, rng)
+        monkeypatch.undo()
+        want = _spanning_loop(T, budget, loop_rng)
+        assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
+        assert seen[0].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def _batch_functionals(self, monkeypatch, name, target, seed, dims):
+        """The functionals a suite's batches hand to ``target``, in trial
+        order within each batch."""
+        got = []
+        original = getattr(suites, target)
+
+        def capture(psis, phis, *args):
+            got.extend(zip(psis, phis))
+            return original(psis, phis, *args)
+
+        monkeypatch.setattr(suites, target, capture)
+        reports = run_suite(SuiteConfig(name, 10, seed,
+                                        suites.parse_dims(dims)))
+        return got, reports
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("dims", ["3", "2+3"])
+    def test_lemma8_functionals_equal_gen_nested_pair(self, monkeypatch,
+                                                      seed, dims):
+        alg = BlockAlgebra(suites.parse_dims(dims)[0][0])
+        got, _ = self._batch_functionals(
+            monkeypatch, "lemma8", "solve_sharp_pseudo_inverse_stack", seed,
+            dims)
+        assert len(got) == 10
+        for k, (psi, phi) in enumerate(got):
+            rng = trial_rng(seed, k)
+            rank_phi = int(rng.integers(1, alg.carrier_dim))
+            rank_psi = int(rng.integers(1, rank_phi + 1))
+            want = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+            assert _same_functional(psi, want[0])
+            assert _same_functional(phi, want[1])
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("dims", ["3", "2+3"])
+    def test_lemma9_functionals_equal_the_public_generators(
+            self, monkeypatch, seed, dims):
+        alg = BlockAlgebra(suites.parse_dims(dims)[0][0])
+        got, reports = self._batch_functionals(monkeypatch, "lemma9",
+                                               "lemma9_stack", seed, dims)
+        # Batches run per variant in the order of their first trial.
+        order = sorted(range(10), key=lambda k: (k % 5, k))
+        assert [reports[k].instance["variant"] for k in order[::2]] == [
+            "faithful", "nested", "orthogonal", "zero_reference",
+            "identical"]
+        for k, (psi, phi) in zip(order, got):
+            want = _lemma9_one_call(trial_rng(seed, k), alg, k % 5)
+            assert _same_functional(psi, want[0])
+            assert _same_functional(phi, want[1])
 
 
 class TestOverflowWithoutWarnings:

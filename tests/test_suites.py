@@ -193,13 +193,13 @@ class TestProductsOncePerTrial:
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_prop11_matches_public_check(self, seed):
         from nclp import additivity_check
-        from nclp.suites import PROP11_GRID, _prop11_instance
+        from nclp.suites import PROP11_GRID, _instance, _prop11_densities
         alg = BlockAlgebra((2,))
         cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
                           dims=((alg.block_dims, None),))
         for rep in run_suite(cfg):
-            (psi1, phi1, psi2, phi2), _ = _prop11_instance(
-                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 3)
+            psi1, phi1, psi2, phi2 = _instance(alg, *_prop11_densities(
+                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 3))
             expected = {}
             for params in PROP11_GRID:
                 check = additivity_check(psi1, phi1, psi2, phi2, params)
@@ -230,20 +230,25 @@ class TestProductsOncePerTrial:
 
     def test_prop11_trial_builds_two_products(self, monkeypatch):
         from nclp import divergence, tensor
-        calls = []
-        original = tensor.kron_functional
+        pairs = []
+        original = tensor.kron_functional_stack
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(T, psi1s, psi2s):
+            # Holding the factors keeps their ids from being reused.
+            pairs.append(list(zip(psi1s, psi2s)))
+            return original(T, psi1s, psi2s)
 
-        # The suite builds no product itself; additivity_stack builds both.
+        # The suite builds no product itself; additivity_stack builds the
+        # psi and the phi products of a group's quadruples as one stack each.
         for mod in (divergence, tensor):
-            monkeypatch.setattr(mod, "kron_functional", counting)
-        reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
+            monkeypatch.setattr(mod, "kron_functional_stack", counting)
+        reports = run_suite(SuiteConfig(suite_name="prop11", trials=6,
                                         seed=5, dims=parse_dims("2")))
-        assert len(reports) == 1 and reports[0].passed
-        assert len(calls) == 2
+        assert len(reports) == 6 and all(r.passed for r in reports)
+        # Three variants, two quadruples each: two stacks of two per group.
+        assert [len(stack) for stack in pairs] == [2] * 6
+        built = [(id(a), id(b)) for stack in pairs for a, b in stack]
+        assert len(set(built)) == len(built) == 2 * 6
 
 
 class TestDriver:
@@ -282,13 +287,13 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_lemma9_d_reasons_equal_d_tilde(self, seed):
-        from nclp.suites import LEMMA9_ALPHAS, _lemma9_instance
+        from nclp.suites import LEMMA9_ALPHAS, _instance, _lemma9_densities
         alg = BlockAlgebra((3,))
         cfg = SuiteConfig(suite_name="lemma9", trials=10, seed=seed,
                           dims=parse_dims("3"))
         for rep in run_suite(cfg):
-            psi, phi, _ = _lemma9_instance(trial_rng(seed, rep.trial_index),
-                                           alg, rep.trial_index % 5)
+            psi, phi = _instance(alg, *_lemma9_densities(
+                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 5))
             want = [d_tilde(psi, phi, DivergenceParams(a, z=a)).reason.value
                     for a in LEMMA9_ALPHAS]
             assert rep.info["d_reasons"] == want
@@ -313,3 +318,46 @@ class TestDriver:
                                 precompose(phi, channel), params)
                 assert rep.residuals[f"alpha={alpha:g}:identity_equality"] \
                     == abs(after.value - before.value)
+
+
+class TestChunks:
+    """run_suite draws and evaluates a profile's trials in chunks of at most
+    CHUNK_TRIALS, so a large trial count never holds all its draws."""
+
+    @staticmethod
+    def _report(name):
+        cfg = SuiteConfig(suite_name=name, trials=7, seed=11)
+        return json.dumps([r.to_dict() for r in run_suite(cfg)],
+                          sort_keys=True)
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_chunk_size_changes_no_byte(self, monkeypatch, name):
+        from nclp import suites
+        whole = self._report(name)
+        for size in (1, 3):
+            monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
+            assert self._report(name) == whole
+
+    def test_one_chunk_is_drawn_before_the_first_batch(self, monkeypatch):
+        import dataclasses
+
+        from nclp import suites
+        events = []
+        suite = suites._SUITES["lemma9"]
+
+        def draw(*args):
+            events.append("draw")
+            return suite.draw(*args)
+
+        def batch(config, tols, alg, draws):
+            events.append("batch")
+            return suite.batch(config, tols, alg, draws)
+
+        monkeypatch.setitem(suites._SUITES, "lemma9", dataclasses.replace(
+            suite, draw=draw, batch=batch))
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", 3)
+        reports = run_suite(SuiteConfig(suite_name="lemma9", trials=8,
+                                        seed=2, dims=parse_dims("3")))
+        assert len(reports) == 8
+        assert events.index("batch") == 3
+        assert events.count("draw") == 8
