@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import HERMITIAN_TOL, PSD_CLIP_TOL, resolve_eps_rel
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_type
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ class AlgebraElement:
     __slots__ = ("algebra", "blocks")
 
     def __init__(self, algebra: BlockAlgebra, blocks: Iterable[np.ndarray]):
-        if not isinstance(algebra, BlockAlgebra):
-            raise DomainError(f"an element needs a BlockAlgebra, got "
-                              f"{type(algebra).__name__}")
+        _check_type(algebra, BlockAlgebra, "an element needs a BlockAlgebra")
         mats = tuple(_complex_array(b) for b in blocks)
         if len(mats) != algebra.num_blocks:
             raise ShapeError(
@@ -238,9 +236,10 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # so that each LAPACK routine, matmul and reduction runs once per block for
 # all B elements.  numpy applies them matrix by matrix, so every slice equals
 # the one-element result bit for bit.  The one-element functions of this
-# package are B = 1 calls of the stacked kernels.  A kernel on functionals
-# reads each one's stored spectrum and cutoff; one on bare elements is given
-# a resolved cutoff.
+# package are B = 1 calls of the stacked kernels.  Kernels only compute: they
+# take no tolerance and build no report (a check kernel returns residuals),
+# and resolve no cutoff.  A kernel on functionals reads each one's stored
+# spectrum and cutoff; any other is given a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:

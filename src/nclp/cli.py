@@ -22,8 +22,8 @@ from . import io
 from .config import resolve_eps_rel
 from .divergence import DivergenceParams, d_from_q, q_tilde_alpha, \
     q_tilde_alpha_z
-from .errors import (ConditioningError, DomainError, FileFormatError,
-                     NclpError, ShapeError, UsageError)
+from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
+                     UsageError)
 from .lp import KosakiSpec, LpExponent, kosaki_norm, lp_norm
 from .reports import format_float
 from .suites import (SUITE_NAMES, SuiteConfig, format_profile, parse_dims,
@@ -220,17 +220,12 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ConditioningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONING
     except NclpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (DomainError, ShapeError)):
+            return EXIT_PRECONDITION
+        if isinstance(exc, ConditioningError):
+            return EXIT_CONDITIONING
         return EXIT_USAGE
 
 

@@ -21,7 +21,8 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _kron_block, _nonfinite_error, _power_stack,
                       _squared_norms, _stacked, _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
-from .errors import ConditioningError, DomainError, ShapeError, _raise_first
+from .errors import (ConditioningError, DomainError, ShapeError,
+                     _check_type, _raise_first)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
 from .lp import _real, singular_values_stack
@@ -492,9 +493,9 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
 
 def lemma9_stack(psis: Sequence[PositiveFunctional],
                  phis: Sequence[PositiveFunctional],
-                 alphas: Sequence[float], tol: float = 1e-10
-                 ) -> list[list[CheckReport]]:
-    """:func:`lemma9_check` of B pairs at every order in ``alphas``.
+                 alphas: Sequence[float]) -> list[list[tuple[dict, dict]]]:
+    """The (residuals, info) of :func:`lemma9_check` of B pairs at every
+    order in ``alphas``.
 
     Both paths at every order come from one :func:`q_tilde_stack`, with the
     points in the order sandwiched(alpha_1), alpha-z(alpha_1),
@@ -510,8 +511,8 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
     out = []
     for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid), psis, phis):
         _raise_first(qs)
-        out.append([_lemma9_report(alpha, qs[2 * i], qs[2 * i + 1], tol,
-                                   d_from_q(qs[2 * i + 1], psi, phi, alpha))
+        out.append([_lemma9_point(alpha, qs[2 * i], qs[2 * i + 1],
+                                  d_from_q(qs[2 * i + 1], psi, phi, alpha))
                     for i, alpha in enumerate(alphas)])
     return out
 
@@ -526,32 +527,30 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     reason code of the divergence on the alpha-z path.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return lemma9_stack([psi], [phi], [alpha], tol)[0][0]
+    ((res, info),), = lemma9_stack([psi], [phi], [alpha])
+    return CheckReport.from_residuals(
+        "lemma9", res, {"path_agreement": tol, "reason_agreement": 0.0}, info)
 
 
-def _lemma9_report(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
-                   tol: float, dz: DivergenceValue) -> CheckReport:
+def _lemma9_point(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
+                  dz: DivergenceValue) -> tuple[dict, dict]:
     info = {"q_sandwiched": str(qa), "q_alpha_z": str(qz), "alpha": alpha,
             "d_reason": dz.reason.value}
     if qa.is_finite and qz.is_finite:
         residual = abs(qa.value - qz.value) / (1.0 + abs(qa.value))
-        return CheckReport.from_residuals(
-            "lemma9", {"path_agreement": residual},
-            {"path_agreement": tol}, info)
+        return {"path_agreement": residual}, info
     agreement = 0.0 if qa.reason == qz.reason else math.inf
-    return CheckReport.from_residuals(
-        "lemma9", {"reason_agreement": agreement},
-        {"reason_agreement": 0.0}, info)
+    return {"reason_agreement": agreement}, info
 
 
 def additivity_stack(psi1s: Sequence[PositiveFunctional],
                      phi1s: Sequence[PositiveFunctional],
                      psi2s: Sequence[PositiveFunctional],
                      phi2s: Sequence[PositiveFunctional],
-                     grid: Sequence[DivergenceParams], tol_q: float = 1e-9,
-                     tol_d: float = 1e-8) -> list[list[CheckReport]]:
-    """:func:`additivity_check` of B quadruples on one pair of algebras, at
-    every point of a parameter grid.
+                     grid: Sequence[DivergenceParams]
+                     ) -> list[list[tuple[dict, dict]]]:
+    """The (residuals, info) of :func:`additivity_check` of B quadruples on
+    one pair of algebras, at every point of a parameter grid.
 
     The products psi1 (x) psi2 and phi1 (x) phi2 are built as one
     :func:`kron_functional_stack` each, and each of the three pairs (factor
@@ -571,9 +570,9 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
         for outcomes in (q1s, q2s, q12s):
             _raise_first(outcomes)
         psi1, phi1, psi2, phi2 = psi1s[j], phi1s[j], psi2s[j], phi2s[j]
-        out.append([_additivity_report(
+        out.append([_additivity_point(
             params, (q1, psi1, phi1), (q2, psi2, phi2),
-            (q12, psi12s[j], phi12s[j]), tol_q, tol_d)
+            (q12, psi12s[j], phi12s[j]))
             for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)])
     return out
 
@@ -591,13 +590,18 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     are recorded without assertion.
     """
     psi1, phi1, psi2, phi2 = _at_cutoff([psi1, phi1, psi2, phi2], eps_rel)
-    return additivity_stack([psi1], [phi1], [psi2], [phi2], [params], tol_q,
-                            tol_d)[0][0]
+    ((res, info),), = additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                       [params])
+    return CheckReport.from_residuals(
+        "prop11_additivity", res, {"q_multiplicativity": tol_q,
+                                   "d_additivity": tol_d,
+                                   "infinite_branch": 0.0}, info)
 
 
-def _additivity_report(params: DivergenceParams, side1, side2, side12,
-                       tol_q: float, tol_d: float) -> CheckReport:
-    """The additivity report of one point from its three (Q, psi, phi)."""
+def _additivity_point(params: DivergenceParams, side1, side2,
+                      side12) -> tuple[dict, dict]:
+    """The additivity (residuals, info) of one point from its three (Q,
+    psi, phi); no residual where nothing is asserted."""
     (q1, _, _), (q2, _, _), (q12, _, _) = side1, side2, side12
     d1, d2, d12 = (d_from_q(q, psi, phi, params.alpha)
                    for q, psi, phi in (side1, side2, side12))
@@ -616,19 +620,12 @@ def _additivity_report(params: DivergenceParams, side1, side2, side12,
         else:
             finite_sum = d1.is_finite and d2.is_finite
             res_d = 0.0 if (not finite_sum and not d12.is_finite) else math.inf
-        return CheckReport.from_residuals(
-            "prop11_additivity",
-            {"q_multiplicativity": res_q, "d_additivity": res_d},
-            {"q_multiplicativity": tol_q, "d_additivity": tol_d}, info)
+        return {"q_multiplicativity": res_q, "d_additivity": res_d}, info
 
-    alpha_eq_z = params.is_sandwiched or params.z == params.alpha
-    if alpha_eq_z:
-        res = 0.0 if not q12.is_finite else math.inf
-        return CheckReport.from_residuals(
-            "prop11_additivity", {"infinite_branch": res},
-            {"infinite_branch": 0.0}, info)
+    if params.is_sandwiched or params.z == params.alpha:
+        return {"infinite_branch": math.inf if q12.is_finite else 0.0}, info
     info["asserted"] = False
-    return CheckReport.from_residuals("prop11_additivity", {}, {}, info)
+    return {}, info
 
 
 # -- channels and monotonicity ------------------------------------------------
@@ -648,9 +645,8 @@ class QuantumChannel:
 
     def __init__(self, domain: BlockAlgebra, codomain: BlockAlgebra, kraus):
         for alg in (domain, codomain):
-            if not isinstance(alg, BlockAlgebra):
-                raise DomainError(f"a channel maps between BlockAlgebras, "
-                                  f"got {type(alg).__name__}")
+            _check_type(alg, BlockAlgebra,
+                        "a channel maps between BlockAlgebras")
         mats = tuple(_complex_array(v) for v in kraus)
         if not mats:
             raise DomainError("a channel needs at least one Kraus operator")
@@ -803,10 +799,11 @@ def dpi_valid(alpha: float, z: float) -> bool:
 def dpi_probe_stack(psis: Sequence[PositiveFunctional],
                     phis: Sequence[PositiveFunctional],
                     channels: Sequence[QuantumChannel],
-                    grid: Sequence[DivergenceParams], slack: float = 1e-9
-                    ) -> list[list[CheckReport]]:
-    """:func:`dpi_probe` of B triples whose channels share a domain and a
-    codomain, at every point of a parameter grid.
+                    grid: Sequence[DivergenceParams]
+                    ) -> list[list[tuple[dict, dict]]]:
+    """The (residuals, info) of :func:`dpi_probe` of B triples whose
+    channels share a domain and a codomain, at every point of a parameter
+    grid.
 
     psi and phi are precomposed through the channel once; the values before
     and after the channel come from one :func:`q_tilde_stack` each.  Errors,
@@ -818,7 +815,7 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
     psi_cs = precompose_stack(psis, channels)
     phi_cs = precompose_stack(phis, channels)
     d_outs = _d_stack(psi_cs, phi_cs, grid)
-    return [[_dpi_report(params, d_in, d_out, slack)
+    return [[_dpi_point(params, d_in, d_out)
              for params, d_in, d_out in zip(grid, ins, outs)]
             for ins, outs in zip(d_ins, d_outs)]
 
@@ -844,11 +841,13 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     infinite values with the same reason, inf for different reasons.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return dpi_probe_stack([psi], [phi], [channel], [params], slack)[0][0]
+    ((res, info),), = dpi_probe_stack([psi], [phi], [channel], [params])
+    return CheckReport.from_residuals(
+        "dpi", res, {"monotonicity_violation": slack}, info)
 
 
-def _dpi_report(params: DivergenceParams, d_in: DivergenceValue,
-                d_out: DivergenceValue, slack: float) -> CheckReport:
+def _dpi_point(params: DivergenceParams, d_in: DivergenceValue,
+               d_out: DivergenceValue) -> tuple[dict, dict]:
     if not d_in.is_finite:
         violation = 0.0
     elif not d_out.is_finite:
@@ -863,9 +862,7 @@ def _dpi_report(params: DivergenceParams, d_in: DivergenceValue,
     info = {"d_before": str(d_in), "d_after": str(d_out),
             "params": params.label(), "asserted": asserted, "gap": gap}
     if asserted:
-        return CheckReport.from_residuals(
-            "dpi", {"monotonicity_violation": violation},
-            {"monotonicity_violation": slack}, info)
+        return {"monotonicity_violation": violation}, info
     info["observed_violation"] = violation if math.isfinite(violation) \
         else "inf"
-    return CheckReport.from_residuals("dpi", {}, {}, info)
+    return {}, info

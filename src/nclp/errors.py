@@ -44,3 +44,9 @@ class UsageError(NclpError):
 class CutoffError(UsageError, ValueError):
     """A kernel cutoff eps_rel that is not a positive finite number, whether
     it came from a flag, from NCLP_EPS_REL or from an API call."""
+
+
+def _check_type(value, kind: type, message: str):
+    """The DomainError "<message>, got <type>" unless value is a kind."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{message}, got {type(value).__name__}")

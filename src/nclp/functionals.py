@@ -15,7 +15,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _imaginary_f, _power_f, _stack, _support_stack,
                       _symmetrized_stack, _unstack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
-from .errors import DomainError
+from .errors import DomainError, _check_type
 
 
 class PositiveFunctional:
@@ -36,11 +36,10 @@ class PositiveFunctional:
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
-        if not isinstance(density, AlgebraElement):
-            raise DomainError(f"a functional needs an AlgebraElement "
-                              f"density, got {type(density).__name__}")
+        _check_type(density, AlgebraElement,
+                    "a functional needs an AlgebraElement density")
         psi, = _positive_functionals(density.algebra, _stack([density]),
-                                     hermitize, eps_rel)
+                                     hermitize, resolve_eps_rel(eps_rel))
         self._set(psi.algebra, psi.density, psi._spectrum)
 
     def _set(self, algebra: BlockAlgebra, sym: AlgebraElement,
@@ -53,6 +52,7 @@ class PositiveFunctional:
     @classmethod
     def zero(cls, algebra: BlockAlgebra,
              eps_rel: float | None = None) -> "PositiveFunctional":
+        _check_type(algebra, BlockAlgebra, "a functional needs a BlockAlgebra")
         return cls(algebra.zero(), eps_rel=eps_rel)
 
     # -- basic structure -----------------------------------------------------
@@ -108,15 +108,12 @@ class PositiveFunctional:
                 f"mass={self.mass:.6g}, rank={self._spectrum.rank()})")
 
 
-def _positive_functionals(algebra: BlockAlgebra, stacked,
-                          hermitize: bool = False,
-                          eps_rel: float | None = None
-                          ) -> list[PositiveFunctional]:
-    """The functionals of B stacked densities (per block a (B, n, n) array),
-    as B constructor calls build them: the Hermitian gate, one ``eigh`` per
-    block and the PSD clip, each for all B at once.  The first density, in
-    order, that fails the gate or the clip raises its error."""
-    eps = resolve_eps_rel(eps_rel)
+def _positive_functionals(algebra: BlockAlgebra, stacked, hermitize: bool,
+                          eps: float) -> list[PositiveFunctional]:
+    """The functionals of B stacked densities (per block a (B, n, n) array)
+    at the resolved cutoff ``eps``, as B constructor calls build them: the
+    Hermitian gate, one ``eigh`` per block and the PSD clip, each for all B
+    at once.  The first density that fails the gate or the clip raises."""
     sym = _symmetrized_stack(stacked, hermitize)
     out = []
     for density, spectrum in zip(_unstack(algebra, sym),
@@ -135,7 +132,7 @@ def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
     here; kernels on functionals take none."""
     eps = resolve_eps_rel(eps_rel)
     return [psi if psi._spectrum.eps_rel == eps else _positive_functionals(
-        psi.algebra, _stack([psi.density]), eps_rel=eps)[0] for psi in psis]
+        psi.algebra, _stack([psi.density]), False, eps)[0] for psi in psis]
 
 
 def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
@@ -177,11 +174,12 @@ def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
 def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
     """u_{t_j}(psi_j, phi_j) of B pairs of one algebra, as per-block
     (B, n, n) stacks; the first pair, in order, that fails a check raises.
-    Each power is taken in its functional's stored spectrum."""
+    Each power and the faithfulness test read the functional's stored
+    spectrum."""
     for psi, phi in zip(psis, phis):
         if psi.algebra != phi.algebra:
             raise DomainError("functionals must live on the same algebra")
-        if not phi.is_faithful(phi._spectrum.eps_rel):
+        if phi._spectrum.rank() != phi.algebra.carrier_dim:
             raise DomainError(
                 "reference functional must be faithful; use the support-cut "
                 "identity (lemma1_cut) for non-faithful references")
@@ -223,9 +221,9 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
     chis = _positive_functionals(
         psis[0].algebra, [a + b for a, b in zip(_densities(psis),
                                                 _densities(psi_primes))],
-        eps_rel=psis[0]._spectrum.eps_rel)
+        False, psis[0]._spectrum.eps_rel)
     for chi in chis:
-        if not chi.is_faithful(chi._spectrum.eps_rel):
+        if chi._spectrum.rank() != chi.algebra.carrier_dim:
             raise DomainError("psi + psi' must be faithful")
     lhs = connes_cocycle_stack(psis, phis, ts)
     rhs = tuple(a @ b for a, b in zip(

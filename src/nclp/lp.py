@@ -19,7 +19,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _unstack)
 from .config import FAITHFULNESS_FLOOR
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
-                     _raise_first)
+                     _check_type, _raise_first)
 from .functionals import PositiveFunctional, _at_cutoff, _densities
 
 MEMBERSHIP_TOL = 1e-9
@@ -91,6 +91,7 @@ def _as_exponent(p) -> LpExponent:
 def singular_values(x: AlgebraElement) -> np.ndarray:
     """All singular values across blocks, descending within each block;
     :func:`singular_values_stack` of the unstacked blocks."""
+    _check_type(x, AlgebraElement, "singular values need an AlgebraElement")
     return singular_values_stack(x.blocks)
 
 
@@ -187,9 +188,8 @@ class KosakiSpec:
     eta: float
 
     def __post_init__(self):
-        if not isinstance(self.phi, PositiveFunctional):
-            raise DomainError(f"the reference must be a PositiveFunctional, "
-                              f"got {type(self.phi).__name__}")
+        _check_type(self.phi, PositiveFunctional,
+                    "the reference must be a PositiveFunctional")
         p, eta = _kosaki_point(self.p, self.eta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "eta", eta)

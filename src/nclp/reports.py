@@ -1,4 +1,5 @@
-"""Result records for identity checks and property-suite trials."""
+"""Result records: :class:`CheckReport` of the one-point check functions and
+:class:`TrialReport` of the suite driver; the stacked kernels build neither."""
 
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def format_float(value: float) -> str:
 
 @dataclass
 class CheckReport:
-    """Residuals of one identity check against their tolerances."""
+    """Residuals of one identity check against their tolerances, as a
+    one-point check function returns them."""
 
     name: str
     residuals: dict[str, float]
@@ -54,10 +56,11 @@ class CheckReport:
     def from_residuals(cls, name: str, residuals: dict[str, float],
                        tolerances: dict[str, float],
                        info: dict | None = None) -> "CheckReport":
+        """Tolerances of keys without a residual are dropped."""
         res = {k: float(v) for k, v in residuals.items()}
-        passed = all(res[k] <= tolerances[k] for k in res)
-        return cls(name, res, {k: float(v) for k, v in tolerances.items()},
-                   passed, dict(info or {}))
+        tols = {k: float(tolerances[k]) for k in res}
+        return cls(name, res, tols, all(res[k] <= tols[k] for k in res),
+                   dict(info or {}))
 
     def to_dict(self) -> dict:
         return {

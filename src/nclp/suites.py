@@ -11,7 +11,7 @@ profiles such as 2x2, else a :class:`BlockAlgebra`) and first draws the
 trials' inputs, a chunk at a time (see below), each from its own
 ``trial_rng(seed, idx)`` stream:
 
-    draw(config, algebra, rng, idx, k) -> draw
+    draw(algebra, rng, idx, k) -> draw
 
 where ``idx`` is the trial's index across all profiles and ``k`` its index
 within the profile.  It then groups the draws by the suite's ``group`` key
@@ -22,19 +22,22 @@ first trial:
     batch(config, tols, algebra, draws) -> [(instance, checks, info), ...]
 
 where ``tols`` are the suite's tolerances with the config's overrides
-applied.  A batch returns one triple per draw, in order: the instance summary
-(the driver adds ``dims``), a list of ``(report key, residual, tolerance)``
-checks and the report's ``info``.  The batches evaluate their trials as
-stacks, with one LAPACK call per block for the whole group (``lstsq``, which
-takes one system at a time, aside); each trial's
-scalar work (eigenvalue powers, sums, norms) stays its own 1-D operation, so
-a report does not depend on which trials share a batch.  Draws return
+applied and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved
+once: the batches build their functionals at it and give it to the element
+kernels.  A batch returns one triple per draw, in order: the instance
+summary (the driver adds ``dims``), a list of ``(report key, residual,
+tolerance)`` checks and the report's ``info``.  The batches evaluate their
+trials as stacks, with one LAPACK call per block for the whole group
+(``lstsq``, which takes one system at a time, aside); each trial's scalar
+work (eigenvalue powers, sums, norms) stays its own 1-D operation, so a
+report does not depend on which trials share a batch.  Draws return
 densities and elements, not functionals: a batch builds each role's
-functionals as one stack.  A batch runs stage by stage: a lone failing trial
-raises the error of its one-trial call, and of several, the first to fail in
-the first failing stage raises.  :func:`run_suite` alone fills the
-residual and tolerance maps and decides ``passed``: a trial passes exactly
-when every residual is at most its tolerance.
+functionals as one stack.  A batch runs stage by stage: a lone failing
+trial raises the error of its one-trial call, and of several, the first to
+fail in the first failing stage raises.  The kernels return residuals;
+:func:`run_suite` alone fills the residual and tolerance maps and decides
+``passed``: a trial passes exactly when every residual is at most its
+tolerance.
 
 A profile's trials are drawn and evaluated in chunks of at most
 ``CHUNK_TRIALS`` trials, each chunk grouped and batched as above, so the
@@ -44,6 +47,7 @@ the chunk size changes no byte of them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -53,7 +57,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
                       _stack, _symmetrized_stack)
-from .config import PRNG_ID
+from .config import PRNG_ID, resolve_eps_rel
 from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          embed_left_channel, identity_channel, lemma9_stack,
                          pinching_channel, random_unital_channel,
@@ -138,11 +142,8 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
     """
     if rank_profile == "zero":
         return PositiveFunctional.zero(algebra, eps_rel)
-    sym = _symmetrized_stack(_stack([_gram(rng, algebra, rank_profile)]),
-                             False)
-    if normalize:
-        sym = _normalized_stack(sym)
-    return _positive_functionals(algebra, sym, eps_rel=eps_rel)[0]
+    return _functionals(algebra, [_gram(rng, algebra, rank_profile)],
+                        resolve_eps_rel(eps_rel), normalize)[0]
 
 
 def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -198,11 +199,8 @@ def _reference_density(rng: np.random.Generator,
 
 
 def _diag_element(algebra: BlockAlgebra, entries: np.ndarray,
-                  basis: AlgebraElement | None) -> AlgebraElement:
-    d = algebra.diagonal(entries)
-    if basis is not None:
-        d = basis @ d @ basis.H
-    return d
+                  basis: AlgebraElement) -> AlgebraElement:
+    return basis @ algebra.diagonal(entries) @ basis.H
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -249,8 +247,8 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     the sandwich equation stay accurate); psi's corner is a Gaussian factor
     square, non-commuting with phi in general.
     """
-    return tuple(_functionals(algebra, [d], eps_rel)[0] for d in
-                 _nested_densities(rng, algebra, rank_phi, rank_psi))
+    return tuple(_functionals(algebra, _nested_densities(
+        rng, algebra, rank_phi, rank_psi), resolve_eps_rel(eps_rel)))
 
 
 def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -339,7 +337,9 @@ def classical_renyi_oracle(p, q, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """One suite run: name, trial count, seed, dim profiles, tolerances."""
+    """One suite run: name, trial count, seed, dim profiles (as
+    :func:`parse_dims` returns them; empty for the suite's defaults),
+    tolerances and the cutoff, which :func:`run_suite` resolves."""
 
     suite_name: str
     trials: int
@@ -357,6 +357,15 @@ class SuiteConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        try:
+            dims = tuple((BlockAlgebra(tuple(left)).block_dims,
+                          None if right is None
+                          else BlockAlgebra(tuple(right)).block_dims)
+                         for left, right in self.dims)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"dims must be (left, right) profiles of "
+                              f"block dimensions, got {self.dims!r}") from exc
+        object.__setattr__(self, "dims", dims)
         bad = [f"{key}={t}" for key, t in self.tolerances.items()
                if not (isinstance(t, (int, float)) and (t == 0.0 or t > 0))]
         if bad:
@@ -456,13 +465,13 @@ def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
 def _functionals(alg: BlockAlgebra, densities, eps: float,
                  normalize: bool = True) -> list[PositiveFunctional]:
     """The functionals of drawn densities, built as one stack: densities to
-    be normalized (factor squares, nested pairs) as
-    :func:`gen_positive_functional` builds them, already normalized ones
-    with ``hermitize=True`` as :func:`gen_classical_pair` does."""
+    be normalized (factor squares, nested pairs) symmetrized and divided by
+    their traces, already normalized ones with ``hermitize=True`` as
+    :func:`gen_classical_pair` does."""
     if normalize:
         return _positive_functionals(
             alg, _normalized_stack(_symmetrized_stack(_stack(densities),
-                                                      False)), eps_rel=eps)
+                                                      False)), False, eps)
     return _positive_functionals(alg, _stack(densities), True, eps)
 
 
@@ -476,12 +485,13 @@ _NORMALIZE = {"random": (True, False, True, False),
               "zero_reference": (True, False), "identical": (True, True)}
 
 
-def _instance(alg: BlockAlgebra, densities, kind: str, eps=None) -> tuple:
+def _instance(alg: BlockAlgebra, densities, kind: str, eps_rel=None) -> tuple:
     """The functionals of one prop11 or lemma9 draw's densities (see
     ``_prop11_densities``, ``_lemma9_densities``), one constructor call
-    each; the reference the stacked batches are tested against."""
-    return tuple(_functionals(alg, [d], eps, normalize)[0]
-                 for d, normalize in zip(densities, _NORMALIZE[kind]))
+    each at the cutoff ``eps_rel`` (resolved); the reference the stacked
+    batches are tested against."""
+    return tuple(psi for psi, in _role_functionals(
+        alg, [(kind, densities)], resolve_eps_rel(eps_rel)))
 
 
 def _role_functionals(alg: BlockAlgebra, draws, eps) -> list:
@@ -512,7 +522,7 @@ APPENDIXA_POWERS = (0.5, 1.0, 2.0)
 APPENDIXA_TS = (0.3, 1.0)
 
 
-def _theorem6_draw(config, T, rng, idx, k):
+def _theorem6_draw(T, rng, idx, k):
     # The spanning check runs once per profile, on its first trial's stream.
     return gen_element(rng, T.left), gen_element(rng, T.right), \
         rng if k == 0 else None
@@ -534,7 +544,7 @@ def _theorem6_batch(config, tols, T, draws):
     return out
 
 
-def _lemma5_draw(config, T, rng, idx, k):
+def _lemma5_draw(T, rng, idx, k):
     x = gen_element(rng, T.left)
     y = gen_element(rng, T.right)
     p = float(rng.uniform(0.4, 3.0))
@@ -547,22 +557,20 @@ def _lemma5_draw(config, T, rng, idx, k):
 
 def _lemma5_batch(config, tols, T, draws):
     xs, ys, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
-    tol = tols["residual"]
-    psi1s = _functionals(T.left, h1s, config.eps_rel)
-    psi2s = _functionals(T.right, h2s, config.eps_rel)
-    # The element checks run at the cutoff the functionals were built at.
-    eps = psi1s[0]._spectrum.eps_rel
-    reports = zip(lemma5_polar_stack(T, xs, ys, tol, eps),
-                  lemma5_power_stack(T, xs, ys, [[p] for p in ps], tol, eps),
-                  lemma5_density_stack(T, psi1s, psi2s, ts, tol))
+    tol, eps = tols["residual"], config.eps_rel
+    psi1s = _functionals(T.left, h1s, eps)
+    psi2s = _functionals(T.right, h2s, eps)
+    residuals = zip(lemma5_polar_stack(T, xs, ys, eps),
+                    lemma5_power_stack(T, xs, ys, [[p] for p in ps], eps),
+                    lemma5_density_stack(T, psi1s, psi2s, ts))
     return [({"ranks": [r1, r2], "p": p, "t": t},
-             [(key, val, tol) for rep in (polar, power[0], density)
-              for key, val in rep.residuals.items()], {})
-            for r1, r2, p, t, (polar, power, density)
-            in zip(r1s, r2s, ps, ts, reports)]
+             [(key, val, tol) for res in (polar, {"power": power}, density)
+              for key, val in res.items()], {})
+            for r1, r2, p, t, (polar, (power,), density)
+            in zip(r1s, r2s, ps, ts, residuals)]
 
 
-def _corollary7_draw(config, T, rng, idx, k):
+def _corollary7_draw(T, rng, idx, k):
     return (_gram(rng, T.left), _gram(rng, T.right),
             gen_element(rng, T.left), gen_element(rng, T.right))
 
@@ -579,7 +587,7 @@ def _corollary7_batch(config, tols, T, draws):
             for phi1, phi2, trial in zip(phi1s, phi2s, norms)]
 
 
-def _lemma1_draw(config, alg, rng, idx, k):
+def _lemma1_draw(alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma1")
     rank = int(rng.integers(1, n))
     psi, psi_prime = _orthogonal_densities(rng, alg, rank)
@@ -609,7 +617,7 @@ def _lemma1_batch(config, tols, alg, draws):
                                                           residuals)]
 
 
-def _lemma3_draw(config, alg, rng, idx, k):
+def _lemma3_draw(alg, rng, idx, k):
     phi = _gram(rng, alg)
     a = gen_element(rng, alg)
     p = float(rng.choice(LEMMA3_P_GRID))
@@ -631,7 +639,7 @@ def _lemma3_batch(config, tols, alg, draws):
             for p, eta, (lhs, rhs), bij in zip(ps, etas, bounds, bijective)]
 
 
-def _lemma8_draw(config, alg, rng, idx, k):
+def _lemma8_draw(alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma8")
     rank_phi = int(rng.integers(1, n))
     rank_psi = int(rng.integers(1, rank_phi + 1))
@@ -665,7 +673,7 @@ def _lemma9_densities(rng, alg, variant):
             "nested"
     if variant == 2:
         p, q = _classical_vectors(rng, alg, True)
-        return (_diag_element(alg, p, None), _diag_element(alg, q, None)), \
+        return (alg.diagonal(p), alg.diagonal(q)), \
             "orthogonal"
     if variant == 3:
         return (_gram(rng, alg), alg.zero()), "zero_reference"
@@ -673,7 +681,7 @@ def _lemma9_densities(rng, alg, variant):
     return (psi, psi), "identical"
 
 
-def _lemma9_draw(config, alg, rng, idx, k):
+def _lemma9_draw(alg, rng, idx, k):
     _carrier_at_least_two(alg, "lemma9")
     densities, kind = _lemma9_densities(rng, alg, idx % 5)
     return kind, densities
@@ -684,18 +692,17 @@ def _lemma9_batch(config, tols, alg, draws):
     psis, phis = _role_functionals(alg, draws, config.eps_rel)
     return [({"variant": kind},
              [(f"alpha={alpha:g}:{key}", val, tols[key])
-              for alpha, rep in zip(LEMMA9_ALPHAS, reports)
-              for key, val in rep.residuals.items()],
-             {"d_reasons": [rep.info["d_reason"] for rep in reports]})
-            for reports in lemma9_stack(psis, phis, LEMMA9_ALPHAS,
-                                        tols["path_agreement"])]
+              for alpha, (res, _) in zip(LEMMA9_ALPHAS, points)
+              for key, val in res.items()],
+             {"d_reasons": [info["d_reason"] for _, info in points]})
+            for points in lemma9_stack(psis, phis, LEMMA9_ALPHAS)]
 
 
 def _prop11_densities(rng, alg, variant):
     """The densities of (psi1, phi1, psi2, phi2) and the variant's name."""
     if variant == 1:
         p, q = _classical_vectors(rng, alg, True)
-        psi1, phi1 = _diag_element(alg, p, None), _diag_element(alg, q, None)
+        psi1, phi1 = alg.diagonal(p), alg.diagonal(q)
         psi2 = _gram(rng, alg)
         return (psi1, phi1, psi2, _reference_density(rng, alg)), \
             "support_violating_factor"
@@ -710,7 +717,7 @@ def _prop11_densities(rng, alg, variant):
     return (psi1, phi1, psi2, _reference_density(rng, alg)), "random"
 
 
-def _prop11_draw(config, alg, rng, idx, k):
+def _prop11_draw(alg, rng, idx, k):
     densities, kind = _prop11_densities(rng, alg, idx % 3)
     return kind, densities
 
@@ -720,21 +727,20 @@ def _prop11_batch(config, tols, alg, draws):
     psi1s, phi1s, psi2s, phi2s = _role_functionals(alg, draws,
                                                    config.eps_rel)
     out = []
-    for psi1, psi2, reports in zip(psi1s, psi2s, additivity_stack(
-            psi1s, phi1s, psi2s, phi2s, PROP11_GRID,
-            tols["q_multiplicativity"], tols["d_additivity"])):
+    for psi1, psi2, points in zip(psi1s, psi2s, additivity_stack(
+            psi1s, phi1s, psi2s, phi2s, PROP11_GRID)):
         checks = [(f"{params.label()}:{key}", val, tols[key])
-                  for params, rep in zip(PROP11_GRID, reports)
-                  for key, val in rep.residuals.items()]
+                  for params, (res, _) in zip(PROP11_GRID, points)
+                  for key, val in res.items()]
         unasserted = [f"{params.label()}: recorded only"
-                      for params, rep in zip(PROP11_GRID, reports)
-                      if not rep.residuals]
+                      for params, (res, _) in zip(PROP11_GRID, points)
+                      if not res]
         out.append(({"variant": kind, "masses": [psi1.mass, psi2.mass]},
                     checks, {"unasserted": unasserted} if unasserted else {}))
     return out
 
 
-def _appendixA_draw(config, T, rng, idx, k):
+def _appendixA_draw(T, rng, idx, k):
     x = gen_element(rng, T.left)
     y = gen_element(rng, T.right)
     xp = gen_element(rng, T.left)
@@ -747,48 +753,43 @@ def _appendixA_draw(config, T, rng, idx, k):
 
 def _appendixA_batch(config, tols, T, draws):
     xs, ys, xps, yps, r1s, r2s, h1s, h2s = zip(*draws)
-    B, tol = len(draws), tols["f_multiplicativity"]
-    psi1s = _functionals(T.left, h1s, config.eps_rel)
-    psi2s = _functionals(T.right, h2s, config.eps_rel)
-    # The element checks run at the cutoff the functionals were built at.
-    eps = psi1s[0]._spectrum.eps_rel
-    spects = spectral_product_stack(T, xs, ys, tols["eigenvalue_multiset"])
-    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, tol, eps)
+    B, tol, eps = len(draws), tols["f_multiplicativity"], config.eps_rel
+    psi1s = _functionals(T.left, h1s, eps)
+    psi2s = _functionals(T.right, h2s, eps)
+    spects = spectral_product_stack(T, xs, ys)
+    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, eps)
     imags = lemma5_imaginary_stack(T, [psi.density for psi in psi1s],
                                    [psi.density for psi in psi2s],
-                                   [APPENDIXA_TS] * B, tol, eps)
+                                   [APPENDIXA_TS] * B, eps)
     adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
     out = []
-    for j, (r1, r2, spect) in enumerate(zip(r1s, r2s, spects)):
-        checks = [(key, val, spect.tolerances[key])
-                  for key, val in spect.residuals.items()]
-        checks += [(f"f=pow{p:g}", rep.residuals["power"], tol)
-                   for p, rep in zip(APPENDIXA_POWERS, powers[j])]
-        checks += [(f"f=imag{t:g}", rep.residuals["imaginary_power"], tol)
-                   for t, rep in zip(APPENDIXA_TS, imags[j])]
+    for j, (r1, r2, (spect, top)) in enumerate(zip(r1s, r2s, spects)):
+        checks = [("eigenvalue_multiset", spect,
+                   tols["eigenvalue_multiset"] * (1.0 + top))]
+        checks += [(f"f=pow{p:g}", res, tol)
+                   for p, res in zip(APPENDIXA_POWERS, powers[j])]
+        checks += [(f"f=imag{t:g}", res, tol)
+                   for t, res in zip(APPENDIXA_TS, imags[j])]
         checks += [("adjoint", float(adjoint[j]), tols["adjoint"]),
                    ("mixed_product", float(mixed[j]), tols["mixed_product"])]
         out.append(({"ranks": [r1, r2]}, checks, {}))
     return out
 
 
-def _dpi_draw(config, alg, rng, idx, k):
+def _dpi_draw(alg, rng, idx, k):
     variant = idx % 4
     if variant == 2:
         T = TensorAlgebra(alg, BlockAlgebra((2,)))
         channel = embed_left_channel(T)
         kind = "partial_trace_embedding"
-        psi = _gram(rng, T.product)
-        phi = _gram(rng, T.product)
+        alg = T.product
     else:
         # Every channel is built, so the random one draws in every variant.
         channel = {0: identity_channel(alg),
                    1: pinching_channel(alg),
                    3: random_unital_channel(rng, alg, alg)}[variant]
         kind = {0: "identity", 1: "pinching", 3: "random_unital"}[variant]
-        psi = _gram(rng, alg)
-        phi = _gram(rng, alg)
-    return kind, psi, phi, channel
+    return kind, _gram(rng, alg), _gram(rng, alg), channel
 
 
 def _dpi_batch(config, tols, alg, draws):
@@ -797,18 +798,17 @@ def _dpi_batch(config, tols, alg, draws):
     psis = _functionals(alg, psis, config.eps_rel)
     phis = _functionals(alg, phis, config.eps_rel)
     out = []
-    for kind, reports in zip(kinds, dpi_probe_stack(
+    for kind, points in zip(kinds, dpi_probe_stack(
             psis, phis, channels,
-            [DivergenceParams(alpha) for alpha in DPI_ALPHAS],
-            tols["monotonicity_violation"])):
+            [DivergenceParams(alpha) for alpha in DPI_ALPHAS])):
         checks = []
-        for alpha, rep in zip(DPI_ALPHAS, reports):
+        for alpha, (res, info) in zip(DPI_ALPHAS, points):
             checks.append((f"alpha={alpha:g}:violation",
-                           rep.residuals.get("monotonicity_violation", 0.0),
+                           res.get("monotonicity_violation", 0.0),
                            tols["monotonicity_violation"]))
             if kind == "identity":
                 checks.append((f"alpha={alpha:g}:identity_equality",
-                               rep.info["gap"], tols["identity_equality"]))
+                               info["gap"], tols["identity_equality"]))
         out.append(({"channel": kind}, checks, {}))
     return out
 
@@ -885,15 +885,16 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
             f"unknown suite {config.suite_name!r}; known suites: "
             f"{', '.join(SUITE_NAMES)}")
     tols = _tols(config, suite.tolerances)
+    config = dataclasses.replace(config,
+                                 eps_rel=resolve_eps_rel(config.eps_rel))
     reports, first = [], 0
     for profile in config.dims or suite.dims:
         algebra = _profile_algebra(profile, config.suite_name, suite.tensor)
         dims = format_profile(profile)
         for start in range(0, config.trials, CHUNK_TRIALS):
             ks = range(start, min(start + CHUNK_TRIALS, config.trials))
-            draws = [suite.draw(config, algebra,
-                                trial_rng(config.seed, first + k), first + k,
-                                k) for k in ks]
+            draws = [suite.draw(algebra, trial_rng(config.seed, first + k),
+                                first + k, k) for k in ks]
             results = [None] * len(draws)
             for members in _groups(suite.group, draws):
                 outs = suite.batch(config, tols, algebra,

@@ -21,7 +21,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _imaginary_f, _kron_block, _polar_stack, _power_f,
                       _stack, _symmetrized_stack)
 from .config import resolve_eps_rel
-from .errors import DomainError, ShapeError, _raise_first
+from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
 from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten,
@@ -35,6 +35,11 @@ class TensorAlgebra:
 
     left: BlockAlgebra
     right: BlockAlgebra
+
+    def __post_init__(self):
+        for alg in (self.left, self.right):
+            _check_type(alg, BlockAlgebra,
+                        "a tensor product needs two BlockAlgebras")
 
     @cached_property
     def product(self) -> BlockAlgebra:
@@ -77,8 +82,8 @@ def kron_functional_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
     The products keep the cutoff of psi1s[0], which every psi1 shares."""
     _check_factors(T, [p.density for p in psi1s], [p.density for p in psi2s])
     return _positive_functionals(
-        T.product, _kron_stack(_densities(psi1s), _densities(psi2s)),
-        eps_rel=psi1s[0]._spectrum.eps_rel)
+        T.product, _kron_stack(_densities(psi1s), _densities(psi2s)), False,
+        psi1s[0]._spectrum.eps_rel)
 
 
 def _residuals(a, b) -> np.ndarray:
@@ -86,75 +91,64 @@ def _residuals(a, b) -> np.ndarray:
     return _frobenius_stack([x - y for x, y in zip(a, b)])
 
 
-def _reports(name: str, residuals: dict, tol: float, info=None) -> list:
-    """One CheckReport per element from (B,) residual arrays."""
-    keys = list(residuals)
-    return [CheckReport.from_residuals(
-        name, dict(zip(keys, vals)), {k: tol for k in keys},
-        info=None if info is None else info[j])
-        for j, vals in enumerate(zip(*residuals.values()))]
-
-
 def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
     """Polar factors of x (x) y against the tensor of the factor polars.
     One element of :func:`lemma5_polar_stack`."""
-    return lemma5_polar_stack(T, [x], [y], tol, resolve_eps_rel(eps_rel))[0]
+    res, = lemma5_polar_stack(T, [x], [y], resolve_eps_rel(eps_rel))
+    return CheckReport.from_residuals("lemma5_polar", res,
+                                      dict.fromkeys(res, tol))
 
 
 def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                       ys: list[AlgebraElement], tol: float,
-                       eps: float) -> list[CheckReport]:
-    """:func:`lemma5_polar` of each pair at the resolved cutoff ``eps``,
-    one ``svd`` per block."""
+                       ys: list[AlgebraElement], eps: float) -> list[dict]:
+    """The residuals of :func:`lemma5_polar` of each pair at the resolved
+    cutoff ``eps``, one ``svd`` per block."""
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     vx, ax = _polar_stack(sx, eps)
     vy, ay = _polar_stack(sy, eps)
     vk, ak = _polar_stack(_kron_stack(sx, sy), eps)
-    return _reports("lemma5_polar", {
-        "polar_isometry": _residuals(vk, _kron_stack(vx, vy)),
-        "polar_modulus": _residuals(ak, _kron_stack(ax, ay))}, tol)
+    return [{"polar_isometry": v, "polar_modulus": a} for v, a in zip(
+        _residuals(vk, _kron_stack(vx, vy)).tolist(),
+        _residuals(ak, _kron_stack(ax, ay)).tolist())]
 
 
 def _check_factors(T: TensorAlgebra, xs, ys):
     for x, y in zip(xs, ys):
-        if x.algebra != T.left:
-            raise ShapeError("left factor does not live on the left algebra")
-        if y.algebra != T.right:
-            raise ShapeError(
-                "right factor does not live on the right algebra")
+        for side, z, alg in (("left", x, T.left), ("right", y, T.right)):
+            _check_type(z, AlgebraElement, "factors must be AlgebraElements")
+            if z.algebra != alg:
+                raise ShapeError(
+                    f"{side} factor does not live on the {side} algebra")
 
 
 def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, make_f,
-                         name: str, key: str, label: str, tol: float,
-                         eps: float) -> list[list[CheckReport]]:
-    """f(k) against f(x) (x) f(y) for PSD stacks k, x, y (eigendecomposed
-    and clipped in that order, one ``eigh`` per block) at every point of
-    each element: ``points[j]`` holds element j's points, all of one
-    length, and ``make_f(point)`` is the function of a point."""
+                         eps: float) -> list[list[float]]:
+    """Residuals of f(k) against f(x) (x) f(y) for PSD stacks k, x, y
+    (eigendecomposed and clipped in that order, one ``eigh`` per block) at
+    every point of each element: ``points[j]`` holds element j's points,
+    all of one length, and ``make_f(point)`` is the function of a point."""
     spec_k = _clipped_eig_stack(T.product, _symmetrized_stack(sk, False), eps)
     spec_x = _clipped_eig_stack(T.left, _symmetrized_stack(sx, False), eps)
     spec_y = _clipped_eig_stack(T.right, _symmetrized_stack(sy, False), eps)
-    out = [[] for _ in points]
+    out = []
     for g in range(len(points[0])):
         fs = [make_f(pts[g]) for pts in points]
         lhs = _apply_stack(spec_k, fs)
         rhs = _kron_stack(_apply_stack(spec_x, fs), _apply_stack(spec_y, fs))
-        for j, rep in enumerate(_reports(
-                name, {key: _residuals(lhs, rhs)}, tol,
-                [{label: pts[g]} for pts in points])):
-            out[j].append(rep)
-    return out
+        out.append(_residuals(lhs, rhs))
+    return np.stack(out, axis=1).tolist()
 
 
 def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                        ys: list[AlgebraElement],
-                       powers: Sequence[Sequence[float]], tol: float,
-                       eps: float) -> list[list[CheckReport]]:
-    """:func:`lemma5_power` of each pair (xs[j], ys[j]) at every p of
-    ``powers[j]`` (one length for all j), at the resolved cutoff ``eps``.
+                       powers: Sequence[Sequence[float]],
+                       eps: float) -> list[list[float]]:
+    """The residuals of :func:`lemma5_power` of each pair (xs[j], ys[j]) at
+    every p of ``powers[j]`` (one length for all j), at the resolved cutoff
+    ``eps``.
 
     x, y and x (x) y are polar-decomposed once, and their moduli
     eigendecomposed once (product first); each p then costs three spectral
@@ -171,24 +165,25 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
     _, ax = _polar_stack(sx, eps)
     _, ay = _polar_stack(sy, eps)
     _, ak = _polar_stack(_kron_stack(sx, sy), eps)
-    return _factorization_stack(T, ak, ax, ay, powers, _power_f,
-                                "lemma5_power", "power", "p", tol, eps)
+    return _factorization_stack(T, ak, ax, ay, powers, _power_f, eps)
 
 
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
                  p: float, tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
     """|x (x) y|^p against |x|^p (x) |y|^p for real p > 0."""
-    return lemma5_power_stack(T, [x], [y], [[p]], tol,
-                              resolve_eps_rel(eps_rel))[0][0]
+    (res,), = lemma5_power_stack(T, [x], [y], [[p]], resolve_eps_rel(eps_rel))
+    return CheckReport.from_residuals("lemma5_power", {"power": res},
+                                      {"power": tol}, {"p": p})
 
 
 def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
                            h2s: list[AlgebraElement],
-                           ts: Sequence[Sequence[float]], tol: float,
-                           eps: float) -> list[list[CheckReport]]:
-    """:func:`lemma5_imaginary` of each pair (h1s[j], h2s[j]) at every t of
-    ``ts[j]`` (one length for all j), at the resolved cutoff ``eps``.
+                           ts: Sequence[Sequence[float]],
+                           eps: float) -> list[list[float]]:
+    """The residuals of :func:`lemma5_imaginary` of each pair (h1s[j],
+    h2s[j]) at every t of ``ts[j]`` (one length for all j), at the resolved
+    cutoff ``eps``.
 
     h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
     then costs three spectral applications.  Errors: the decompositions
@@ -197,17 +192,18 @@ def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
     _check_factors(T, h1s, h2s)
     s1, s2 = _stack(h1s), _stack(h2s)
     return _factorization_stack(T, _kron_stack(s1, s2), s1, s2,
-                                [tuple(t) for t in ts], _imaginary_f,
-                                "lemma5_imaginary", "imaginary_power", "t",
-                                tol, eps)
+                                [tuple(t) for t in ts], _imaginary_f, eps)
 
 
 def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,
                      h2: AlgebraElement, t: float, tol: float = 1e-9,
                      eps_rel: float | None = None) -> CheckReport:
     """(h1 (x) h2)^{it} against h1^{it} (x) h2^{it} for PSD factors."""
-    return lemma5_imaginary_stack(T, [h1], [h2], [[t]], tol,
-                                  resolve_eps_rel(eps_rel))[0][0]
+    (res,), = lemma5_imaginary_stack(T, [h1], [h2], [[t]],
+                                     resolve_eps_rel(eps_rel))
+    return CheckReport.from_residuals(
+        "lemma5_imaginary", {"imaginary_power": res},
+        {"imaginary_power": tol}, {"t": t})
 
 
 def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
@@ -217,25 +213,24 @@ def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
     """Product-functional density identity plus its imaginary-power half.
     One element of :func:`lemma5_density_stack`."""
     psi1, psi2 = _at_cutoff([psi1, psi2], eps_rel)
-    return lemma5_density_stack(T, [psi1], [psi2], [t], tol)[0]
+    res, = lemma5_density_stack(T, [psi1], [psi2], [t])
+    return CheckReport.from_residuals("lemma5_density", res,
+                                      dict.fromkeys(res, tol), {"t": t})
 
 
 def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
                          psi2s: list[PositiveFunctional],
-                         ts: Sequence[float], tol: float = 1e-9
-                         ) -> list[CheckReport]:
-    """:func:`lemma5_density` of each pair at its own t, at the cutoff of
-    psi1s[0], which every functional shares."""
+                         ts: Sequence[float]) -> list[dict]:
+    """The residuals of :func:`lemma5_density` of each pair at its own t,
+    at the cutoff of psi1s[0], which every functional shares."""
     prods = kron_functional_stack(T, psi1s, psi2s)
     direct = _kron_stack(_densities(psi1s), _densities(psi2s))
-    res_density = _residuals(_densities(prods), direct)
+    res_density = _residuals(_densities(prods), direct).tolist()
     imags = lemma5_imaginary_stack(
         T, [p.density for p in psi1s], [p.density for p in psi2s],
-        [[t] for t in ts], tol, psi1s[0]._spectrum.eps_rel)
-    return [CheckReport.from_residuals(
-        "lemma5_density", {"density": res, **imag[0].residuals},
-        {k: tol for k in ("density", *imag[0].residuals)}, info={"t": t})
-        for res, imag, t in zip(res_density, imags, ts)]
+        [[t] for t in ts], psi1s[0]._spectrum.eps_rel)
+    return [{"density": res, "imaginary_power": imag}
+            for res, (imag,) in zip(res_density, imags)]
 
 
 def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
@@ -347,29 +342,29 @@ def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,
     """Spectrum of |x (x) y| equals all pairwise singular-value products.
 
     Both multisets are sorted and paired greedily in order; the residual is
-    the largest absolute mismatch, judged against tol_scale * largest value.
-    One element of :func:`spectral_product_stack`.
+    the largest absolute mismatch, judged against tol_scale * (1 + largest
+    value).  One element of :func:`spectral_product_stack`.
     """
-    return spectral_product_stack(T, [x], [y], tol_scale)[0]
+    (residual, top), = spectral_product_stack(T, [x], [y])
+    return CheckReport.from_residuals(
+        "spectral_product", {"eigenvalue_multiset": residual},
+        {"eigenvalue_multiset": tol_scale * (1.0 + top)})
 
 
 def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                           ys: list[AlgebraElement],
-                           tol_scale: float = 1e-9) -> list[CheckReport]:
-    """:func:`spectral_product_check` of each pair, one ``svd`` per block;
-    the sorting and matching are each element's own 1-D operations."""
+                           ys: list[AlgebraElement]
+                           ) -> list[tuple[float, float]]:
+    """(residual, largest product) of :func:`spectral_product_check` of
+    each pair, one ``svd`` per block; the sorting and matching are each
+    element's own 1-D operations."""
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     svs = [singular_values_stack(s) for s in (sx, sy, _kron_stack(sx, sy))]
     out = []
     for s1, s2, sk in zip(*svs):
         products = np.sort(np.outer(s1, s2).ravel())
-        spectrum = np.sort(sk)
-        top = float(products[-1]) if products.size else 0.0
-        residual = float(np.max(np.abs(spectrum - products)))
-        out.append(CheckReport.from_residuals(
-            "spectral_product", {"eigenvalue_multiset": residual},
-            {"eigenvalue_multiset": tol_scale * (1.0 + top)}))
+        out.append((float(np.max(np.abs(np.sort(sk) - products))),
+                    float(products[-1])))
     return out
 
 
@@ -377,6 +372,8 @@ def kron_identities_stack(T: TensorAlgebra, xs, ys, xps, yps
                           ) -> tuple[np.ndarray, np.ndarray]:
     """(B,) residuals of (x (x) y)* = x* (x) y* and of the mixed product
     (x (x) y)(x' (x) y') = x x' (x) y y' for stacked elements."""
+    _check_factors(T, xs, ys)
+    _check_factors(T, xps, yps)
     sx, sy, sxp, syp = (_stack(e) for e in (xs, ys, xps, yps))
     kx, ky = _kron_stack(sx, sy), _kron_stack(sxp, syp)
     adjoint = _residuals(_adjoint_stack(kx),

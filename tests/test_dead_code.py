@@ -54,3 +54,36 @@ def test_every_definition_is_referenced():
     used = _used_names()
     unused = [where for where, name in _definitions() if name not in used]
     assert unused == []
+
+
+# The suite protocol fixes these parameters whether or not a function reads
+# them (see the nclp.suites docstring): a draw's trial indices and a batch's
+# config.
+PROTOCOL = {"_draw": ("idx", "k"), "_batch": ("config",)}
+
+
+def _unread_parameters():
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            name = getattr(node, "name", "<lambda>")
+            exempt = [p for suffix, ps in PROTOCOL.items()
+                      if name.startswith("_") and name.endswith(suffix)
+                      for p in ps]
+            for param in params:
+                if param not in read and param not in exempt:
+                    yield f"{path.name}:{node.lineno} {name}({param})"
+
+
+def test_every_parameter_is_read():
+    assert list(_unread_parameters()) == []

@@ -457,9 +457,9 @@ class TestDpi:
         assert rep.info["gap"] == 0.0
 
     def test_gap_of_infinite_values_with_different_reasons_is_inf(self):
-        from nclp.divergence import _dpi_report
-        rep = _dpi_report(DivergenceParams(0.5),
-                          DivergenceValue.infinite(Reason.ZERO_REFERENCE),
-                          DivergenceValue.infinite(Reason.ZERO_Q_ALPHA_LT_1),
-                          1e-9)
-        assert rep.info["gap"] == math.inf
+        from nclp.divergence import _dpi_point
+        _, info = _dpi_point(
+            DivergenceParams(0.5),
+            DivergenceValue.infinite(Reason.ZERO_REFERENCE),
+            DivergenceValue.infinite(Reason.ZERO_Q_ALPHA_LT_1))
+        assert info["gap"] == math.inf

@@ -4,7 +4,8 @@ returns or raises NclpError, never another exception.
 Covered: BlockAlgebra, AlgebraElement (also through from_full and
 diagonal), PositiveFunctional, DivergenceParams, LpExponent, KosakiSpec,
 QuantumChannel and SuiteConfig; a SuiteConfig that constructs with few
-trials must also run.
+trials must also run.  Known holes in other public functions given junk
+arguments are pinned as single cases at the end.
 The arguments mix valid values with wrong types, numbers beyond the float
 range, non-finite numbers, strings and wrong shapes; an argument meant to
 be an algebra, an element or a functional may be junk or an object of
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   KosakiSpec, LpExponent, NclpError, PositiveFunctional,
-                  QuantumChannel, SuiteConfig, TensorAlgebra, run_suite)
+                  QuantumChannel, SuiteConfig, TensorAlgebra, kron_element,
+                  lp_norm, run_suite, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -161,11 +163,13 @@ def test_quantum_channel(dom_dims, cod_dims, count, data):
        st.one_of(st.integers(-1, 2 ** 70), SCALARS),
        st.dictionaries(st.sampled_from(["relative", "path_agreement", "x"]),
                        SCALARS, max_size=2),
-       CUTOFFS)
-def test_suite_config(name, trials, seed, tolerances, eps_rel):
+       CUTOFFS,
+       st.one_of(st.just(()), st.sampled_from([(((2,), None),),
+                                               (((2,), (2,)),)]),
+                 SCALARS, st.lists(st.tuples(SCALARS, SCALARS), max_size=2)))
+def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     config = _returns_or_raises_nclp_error(
-        lambda: SuiteConfig(name, trials, seed, tolerances=tolerances,
-                            eps_rel=eps_rel))
+        lambda: SuiteConfig(name, trials, seed, dims, tolerances, eps_rel))
     # Any trial count constructs; only small ones are run.
     if config is not None and config.trials <= 2:
         _returns_or_raises_nclp_error(run_suite, config)
@@ -186,10 +190,18 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel):
     lambda: PositiveFunctional("x"),
     lambda: AlgebraElement("x", [np.eye(2)]),
     lambda: QuantumChannel("x", "x", [np.eye(2)]),
+    lambda: PositiveFunctional.zero("x"),
+    lambda: kron_element(TensorAlgebra(_ALG, _ALG), 1, 2),
+    lambda: theorem6_norm(TensorAlgebra(_ALG, _ALG), 1, 2, 2),
+    lambda: TensorAlgebra("x", "y").product,
+    lambda: lp_norm("x", 2),
+    lambda: SuiteConfig("lemma3", 1, 0, dims="x"),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
-        "text_algebra", "text_channel_algebras"])
+        "text_algebra", "text_channel_algebras", "text_zero_algebra",
+        "number_kron_factors", "number_theorem6_factors",
+        "text_tensor_factors", "text_lp_norm_element", "text_dims"])
 def test_known_holes_raise_nclp_errors(call):
     with pytest.raises(NclpError):
         call()

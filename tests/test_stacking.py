@@ -105,7 +105,8 @@ class TestStackedErrors:
         densities = _densities(alg, 5, 4)
         densities[2] = AlgebraElement(alg, [np.array(bad)])
         want = _raised(lambda: PositiveFunctional(densities[2]))
-        got = _raised(lambda: _positive_functionals(alg, _stack(densities)))
+        got = _raised(lambda: _positive_functionals(alg, _stack(densities),
+                                                    False, 1e-12))
         assert got == want
 
     def test_clip_reads_blocks_in_order(self):
@@ -141,7 +142,7 @@ class TestStackedErrors:
         ys = [gen_element(rng, T.right) for _ in range(3)]
         powers = [[0.5], [-1.0], [2.0]]
         want = _raised(lambda: lemma5_power(T, xs[1], ys[1], -1.0))
-        assert _raised(lambda: lemma5_power_stack(T, xs, ys, powers, 1e-9,
+        assert _raised(lambda: lemma5_power_stack(T, xs, ys, powers,
                                                   1e-12)) == want
 
     def test_cocycle_reference_not_faithful(self):
@@ -177,8 +178,8 @@ class TestStackedValues:
         # The reference loop: symmetrize, eigh, clip, one matrix at a time.
         alg = BlockAlgebra((2, 3))
         densities = _densities(alg, 31, 5)
-        for psi, d in zip(_positive_functionals(alg, _stack(densities)),
-                          densities):
+        for psi, d in zip(_positive_functionals(alg, _stack(densities),
+                                                False, 1e-12), densities):
             for k, b in enumerate(d.blocks):
                 sym = (b + b.conj().T) / 2.0
                 vals, vecs = np.linalg.eigh(sym)

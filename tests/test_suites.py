@@ -285,6 +285,34 @@ class TestDriver:
         assert doc["status"] == "fail"
         assert not all(r["passed"] for r in doc["results"])
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_kernels_build_no_check_report(self, monkeypatch, name):
+        # The stacked kernels return residuals; only the one-point check
+        # functions build a CheckReport.
+        from nclp.reports import CheckReport
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite built a CheckReport")
+
+        monkeypatch.setattr(CheckReport, "from_residuals", refuse)
+        assert len(run_suite(SuiteConfig(suite_name=name, trials=3,
+                                         seed=4))) > 0
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_cutoff_resolved_once_per_run(self, monkeypatch, name):
+        from nclp import config
+        calls = []
+        checked = config._checked_eps_rel
+
+        def counting(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(config, "_checked_eps_rel", counting)
+        run_suite(SuiteConfig(suite_name=name, trials=3, seed=4,
+                              eps_rel=1e-12))
+        assert calls == [(1e-12, "eps_rel")]
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_lemma9_d_reasons_equal_d_tilde(self, seed):
         from nclp.suites import LEMMA9_ALPHAS, _instance, _lemma9_densities
