@@ -173,8 +173,8 @@ class AlgebraElement:
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_algebra(self, other: "AlgebraElement"):
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"expected AlgebraElement, got {type(other)!r}")
+        _check_type(other, AlgebraElement,
+                    "element arithmetic needs an AlgebraElement")
         if other.algebra != self.algebra:
             raise ShapeError(
                 f"algebra mismatch: {self.algebra.block_dims} vs "
@@ -235,11 +235,15 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # A stack holds B elements of one algebra as one (B, n, n) array per block,
 # so that each LAPACK routine, matmul and reduction runs once per block for
 # all B elements.  numpy applies them matrix by matrix, so every slice equals
-# the one-element result bit for bit.  The one-element functions of this
-# package are B = 1 calls of the stacked kernels.  Kernels only compute: they
-# take no tolerance and build no report (a check kernel returns residuals),
-# and resolve no cutoff.  A kernel on functionals reads each one's stored
-# spectrum and cutoff; any other is given a resolved cutoff.
+# the one-element result bit for bit.  The scalar work of the elements and
+# their grid points (eigenvalue powers, Q sums, Schatten norms) runs as row
+# reductions over the stacks, each row equal to the 1-D operation it stands
+# for (see :func:`_powers` and :func:`_kept_power_sums`).  The one-element
+# functions of this package are B = 1 calls of the stacked kernels.  Kernels
+# only compute: they take no tolerance, build no report or report string (a
+# check kernel returns residuals and values), and resolve no cutoff.  A
+# kernel on functionals reads each one's stored spectrum and cutoff; any
+# other is given a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -254,6 +258,74 @@ def _blockwise(per_element: Sequence[Sequence[np.ndarray]]
     if len(per_element) == 1:
         return tuple([a[None] for a in per_element[0]])
     return tuple([np.stack(arrays) for arrays in zip(*per_element)])
+
+
+# For a Python-float exponent e, numpy computes ``array ** e`` with power,
+# but may send some values of e to another ufunc whose last bit can differ:
+# numpy 2.4 sends 0.5 to sqrt, and some versions also send 2, 1 and -1 to
+# square, positive and reciprocal.
+_SCALAR_POWER_EXPONENTS = (0.5, 2.0, 1.0, -1.0)
+
+
+def _powers(x: np.ndarray, exponents) -> np.ndarray:
+    """x ** e row by row, as one broadcast power: ``exponents`` (a
+    G-sequence, or an array of the leading shape) gives row g its e, and x
+    has the result's shape (..., G, n), or 1 in place of G.
+
+    Each row equals the 1-D ``row ** e`` with e a Python float, bit for bit:
+    power is elementwise, and the rows at an exponent that numpy may route
+    to another ufunc are redone as ``** e``.  A single exponent is one
+    ``** e``."""
+    exps = np.asarray(exponents, dtype=float)
+    if exps.size == 1 and exps.ndim < x.ndim:
+        return x ** exps.item()
+    out = np.power(x, exps[..., None])
+    flat = exps.ravel().tolist()
+    for e in _SCALAR_POWER_EXPONENTS:
+        if e not in flat:
+            continue
+        if len(flat) == exps.shape[-1]:
+            # One exponent per g for every leading index: redo rows g (one
+            # row by a basic index, which costs less).
+            gs = [g for g, v in enumerate(flat) if v == e]
+            if len(gs) == 1:
+                g = gs[0]
+                out[..., g, :] = x[..., g if x.shape[-2] > 1 else 0, :] ** e
+            else:
+                out[..., gs, :] = (x if x.shape[-2] == 1
+                                   else x[..., gs, :]) ** e
+        else:
+            if x.shape != out.shape:
+                x = np.repeat(x, out.shape[-2], axis=-2)
+            hit = exps == e
+            out[..., hit, :] = x[..., hit, :] ** e
+    return out
+
+
+def _kept_power_sums(x: np.ndarray, keep: np.ndarray,
+                     exponents) -> np.ndarray:
+    """Per row (last axis) of x, the sum of its kept entries' powers: the
+    row at index (..., g) sums ``row[keep_row] ** exponents[g]`` and equals
+    that 1-D operation bit for bit.
+
+    The rows with k kept entries are compressed, in order, to a (rows, k)
+    array that is powered (see :func:`_powers`) and summed row by row.
+    Summing zero-filled full rows instead would differ: numpy's pairwise sum
+    adds rows of 8 or more entries in blocks of eight."""
+    kept = np.count_nonzero(keep)
+    if kept == keep.size:
+        return _powers(x, exponents).sum(axis=-1)
+    if keep.size == keep.shape[-1]:
+        return _powers(x[keep].reshape(*keep.shape[:-1], kept),
+                       exponents).sum(axis=-1)
+    counts = keep.sum(axis=-1)
+    exps = np.broadcast_to(np.asarray(exponents, dtype=float), counts.shape)
+    sums = np.zeros(counts.shape)
+    for k in set(counts.ravel().tolist()) - {0}:
+        rows = counts == k
+        sums[rows] = _powers(x[rows][keep[rows]].reshape(-1, k),
+                             exps[rows]).sum(axis=-1)
+    return sums
 
 
 def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
@@ -338,29 +410,6 @@ class HermitianSpectrum:
         """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere.
         One element of :func:`_apply_stack`."""
         return _unstack(self.algebra, _apply_stack([self], [f], f_zero))[0]
-
-    def eigenvalue_powers(self, exponents: Sequence[float]
-                          ) -> tuple[np.ndarray, ...]:
-        """Per block, a (G, n) array whose row g holds lam ** exponents[g]
-        on the non-kernel eigenvalues and 0 on the kernel.
-
-        Each row is one 1-D power of the kept eigenvalues, as in
-        :meth:`apply`, so a row equals the scaling a single exponent gets.
-        """
-        exps = [float(e) for e in exponents]
-        rows = []
-        for vals, mask in zip(self.eigenvalues, self.kernel_mask):
-            keep = ~mask
-            kept = vals[keep]
-            powers = np.array([kept ** e for e in exps]).reshape(
-                len(exps), kept.size)
-            if kept.size == vals.size:
-                rows.append(powers)
-                continue
-            out = np.zeros((len(exps), vals.size))
-            out[:, keep] = powers
-            rows.append(out)
-        return tuple(rows)
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam, f_zero=0.0)
@@ -565,6 +614,28 @@ def _support_stack(spectra: Sequence[HermitianSpectrum]
     return _stack([s.support() for s in spectra])
 
 
+def _eigenvalue_powers(spectra: Sequence[HermitianSpectrum], exponents
+                       ) -> tuple[np.ndarray, ...]:
+    """Per block, the (B, G, n) stack whose row (j, g) holds lam ** e on the
+    non-kernel eigenvalues of spectra[j] and 0 on its kernel, for
+    e = exponents[g], or exponents[j][g] when they are given per spectrum.
+
+    One broadcast power per block over all spectra and exponents (see
+    :func:`_powers`): every row equals the 1-D power of the kept eigenvalues
+    that :meth:`HermitianSpectrum.apply` takes for a single exponent, bit
+    for bit.  Warnings are the caller's to silence."""
+    exps = np.asarray(exponents, dtype=float)
+    out = []
+    for vals, masks in zip(_blockwise([s.eigenvalues for s in spectra]),
+                           _blockwise([s.kernel_mask for s in spectra])):
+        kernel = np.count_nonzero(masks)
+        # Kernel entries are powered as 1.0, then zeroed.
+        rows = _powers(np.where(masks, 1.0, vals)[:, None] if kernel
+                       else vals[:, None], exps)
+        out.append(np.where(masks[:, None], 0.0, rows) if kernel else rows)
+    return tuple(out)
+
+
 def _power_stack(spectra: Sequence[HermitianSpectrum],
                  exponents: Sequence[Sequence[float]]
                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -572,26 +643,24 @@ def _power_stack(spectra: Sequence[HermitianSpectrum],
     length G for all j), as one (B, G, n, n) stack per block.
 
     Slice (j, g) equals ``spectra[j].apply(lambda lam: lam ** e)`` for
-    e = exponents[j][g], bit for bit.  Instead of raising, returns with the
+    e = exponents[j][g], bit for bit: the eigenvalue powers are one
+    :func:`_eigenvalue_powers` call.  Instead of raising, returns with the
     blocks a (B, G) mask of the powers that are finite on every non-kernel
     eigenvalue; the caller raises :func:`_nonfinite_error` for a False entry
     at that power's turn.  Rows that are not finite are zeroed, so that
     stacked LAPACK calls on them still run.
     """
     with np.errstate(all="ignore"):
-        rows = [spec.eigenvalue_powers(exps)
-                for spec, exps in zip(spectra, exponents)]
-    finite = np.ones((len(spectra), len(exponents[0])), dtype=bool)
-    for j, r in enumerate(rows):
-        for block in r:
-            finite[j] &= np.isfinite(block).all(axis=1)
-        if not finite[j].all():
-            for block in r:
-                block[~finite[j]] = 0.0
+        rows = _eigenvalue_powers(spectra, exponents)
+    finite = np.isfinite(rows[0]).all(axis=-1)
+    for r in rows[1:]:
+        finite &= np.isfinite(r).all(axis=-1)
+    if not finite.all():
+        for r in rows:
+            r[~finite] = 0.0
     blocks = tuple((vecs[:, None] * r[:, :, None, :])
                    @ vecs.conj().swapaxes(-2, -1)[:, None]
-                   for vecs, r in zip(_eigenvectors(spectra),
-                                      _blockwise(rows)))
+                   for vecs, r in zip(_eigenvectors(spectra), rows))
     return blocks, finite
 
 

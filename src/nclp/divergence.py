@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _blockwise, _complex_array, _eigenvectors,
-                      _kron_block, _nonfinite_error, _power_stack,
-                      _squared_norms, _stacked, _support_stack, _unstack)
+                      _complex_array, _eigenvalue_powers, _eigenvectors,
+                      _kept_power_sums, _kron_block, _nonfinite_error,
+                      _power_stack, _squared_norms, _stacked,
+                      _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first)
@@ -144,8 +145,10 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
     eigenbasis.  Per block, the sandwiched points of all pairs share one
     stacked ``eigvalsh`` and the two-parameter points one stacked ``svd``;
     the psi powers, the phi scalings and the sandwich-equation certificates
-    are stacked too.  Each point's eigenvalue powers and its final sum are
-    its own 1-D operations, so every value equals the one-point call's.
+    are stacked too.  The eigenvalue powers and the final sums are row
+    reductions across the pairs and points, each row equal to the point's
+    1-D operation (see :func:`_kept_power_sums`), so every value equals the
+    one-point call's.
 
     Entry j lists pair j's outcome at every point: its DivergenceValue, or
     the error its one-point call would raise at that point (returned, not
@@ -190,8 +193,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
-    scales = _blockwise([spec.eigenvalue_powers(expos)
-                         for spec in phi_specs])
+    scales = _eigenvalue_powers(phi_specs, expos)
     eigs = []
     for vecs, scale, tb in zip(_eigenvectors(phi_specs), scales,
                                _densities(psis)):
@@ -201,23 +203,18 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
             (mids + mids.conj().swapaxes(-2, -1)) / 2.0))
     radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
     negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
-                       for e in eigs], axis=0)
+                       for e in eigs], axis=0).tolist()
     eps = phi_specs[0].eps_rel
-    keeps = [e > eps * radius[..., None] for e in eigs]
-    out = []
-    for j in range(len(psis)):
-        vals = []
-        for g, alpha in enumerate(alphas):
-            if negative[j, g]:
-                vals.append(DomainError(
-                    "sandwich block is not PSD within clip tolerance"))
-                continue
-            total = 0.0
-            for e, keep in zip(eigs, keeps):
-                total += float((e[j, g][keep[j, g]] ** alpha).sum())
-            vals.append(DivergenceValue(total))
-        out.append(vals)
-    return out
+    # Per block, one masked row sum of the kept eigenvalues' powers; the
+    # blocks add up in order from 0.0, as Python floats would.
+    totals = 0.0
+    for e in eigs:
+        totals = totals + _kept_power_sums(e, e > eps * radius[..., None],
+                                           alphas)
+    return [[DomainError("sandwich block is not PSD within clip tolerance")
+             if bad else DivergenceValue(total)
+             for bad, total in zip(bads, row)]
+            for bads, row in zip(negative, totals.tolist())]
 
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
@@ -251,32 +248,30 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
             [b[:, :k] for b in powers], phi_specs, vecs,
             [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
             * len(psis))
-    scales = _blockwise([spec.eigenvalue_powers(phi_expos)
-                         for spec in phi_specs])
+    scales = _eigenvalue_powers(phi_specs, phi_expos)
     sv = singular_values_stack([(half[:, k:] @ u[:, None])
                                 * scale[..., None, :]
                                 for half, u, scale in zip(powers, vecs,
                                                           scales)])
     eps = phi_specs[0].eps_rel
     keeps = sv > eps * sv.max(axis=-1)[..., None]
+    qs = _kept_power_sums(sv, keeps, [2.0 * z for z in zs]).tolist()
+    finite = finite.tolist()
+    over = (residuals > budgets).tolist() if k else None
     cert = dict(zip(sharp, range(k)))
     out = []
-    for j in range(len(psis)):
+    for j, q_row in enumerate(qs):
         vals = []
-        for g, z in enumerate(zs):
-            if g in cert:
-                i = cert[g]
-                if not finite[j, i]:
-                    vals.append(_nonfinite_error())
-                    continue
-                if residuals[j, i] > budgets[j, i]:
-                    vals.append(_recomposition_error(float(residuals[j, i])))
-                    continue
-            if not finite[j, k + g]:
+        for g, q in enumerate(q_row):
+            i = cert.get(g)
+            if i is not None and not finite[j][i]:
                 vals.append(_nonfinite_error())
-                continue
-            kept = sv[j, g][keeps[j, g]]
-            vals.append(DivergenceValue(float((kept ** (2.0 * z)).sum())))
+            elif i is not None and over[j][i]:
+                vals.append(_recomposition_error(float(residuals[j, i])))
+            elif not finite[j][k + g]:
+                vals.append(_nonfinite_error())
+            else:
+                vals.append(DivergenceValue(q))
         out.append(vals)
     return out
 
@@ -300,9 +295,8 @@ def _sharp_pinv_middles(hp: Sequence[np.ndarray],
     the (B, G) budgets SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
     """
     G = len(expos[0])
-    scales = _blockwise([
-        spec.eigenvalue_powers([-e for e in exps] + list(exps))
-        for spec, exps in zip(specs, expos)])
+    scales = _eigenvalue_powers(specs, [[-e for e in exps] + list(exps)
+                                        for exps in expos])
     mids, resid_sq, frob_sq = [], 0.0, 0.0
     for tb, u, sc in zip(hp, vecs, scales):
         u = u[:, None]
@@ -493,9 +487,9 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
 
 def lemma9_stack(psis: Sequence[PositiveFunctional],
                  phis: Sequence[PositiveFunctional],
-                 alphas: Sequence[float]) -> list[list[tuple[dict, dict]]]:
-    """The (residuals, info) of :func:`lemma9_check` of B pairs at every
-    order in ``alphas``.
+                 alphas: Sequence[float]) -> list[list[tuple[dict, tuple]]]:
+    """The residuals of :func:`lemma9_check` of B pairs at every order in
+    ``alphas``, each with its values (Q sandwiched, Q alpha-z, D alpha-z).
 
     Both paths at every order come from one :func:`q_tilde_stack`, with the
     points in the order sandwiched(alpha_1), alpha-z(alpha_1),
@@ -511,7 +505,7 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
     out = []
     for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid), psis, phis):
         _raise_first(qs)
-        out.append([_lemma9_point(alpha, qs[2 * i], qs[2 * i + 1],
+        out.append([_lemma9_point(qs[2 * i], qs[2 * i + 1],
                                   d_from_q(qs[2 * i + 1], psi, phi, alpha))
                     for i, alpha in enumerate(alphas)])
     return out
@@ -527,20 +521,20 @@ def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
     reason code of the divergence on the alpha-z path.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    ((res, info),), = lemma9_stack([psi], [phi], [alpha])
+    ((res, (qa, qz, dz)),), = lemma9_stack([psi], [phi], [alpha])
     return CheckReport.from_residuals(
-        "lemma9", res, {"path_agreement": tol, "reason_agreement": 0.0}, info)
+        "lemma9", res, {"path_agreement": tol, "reason_agreement": 0.0},
+        {"q_sandwiched": str(qa), "q_alpha_z": str(qz),
+         "alpha": alpha, "d_reason": dz.reason.value})
 
 
-def _lemma9_point(alpha: float, qa: DivergenceValue, qz: DivergenceValue,
-                  dz: DivergenceValue) -> tuple[dict, dict]:
-    info = {"q_sandwiched": str(qa), "q_alpha_z": str(qz), "alpha": alpha,
-            "d_reason": dz.reason.value}
+def _lemma9_point(qa: DivergenceValue, qz: DivergenceValue,
+                  dz: DivergenceValue) -> tuple[dict, tuple]:
     if qa.is_finite and qz.is_finite:
         residual = abs(qa.value - qz.value) / (1.0 + abs(qa.value))
-        return {"path_agreement": residual}, info
+        return {"path_agreement": residual}, (qa, qz, dz)
     agreement = 0.0 if qa.reason == qz.reason else math.inf
-    return {"reason_agreement": agreement}, info
+    return {"reason_agreement": agreement}, (qa, qz, dz)
 
 
 def additivity_stack(psi1s: Sequence[PositiveFunctional],
@@ -548,9 +542,11 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
                      psi2s: Sequence[PositiveFunctional],
                      phi2s: Sequence[PositiveFunctional],
                      grid: Sequence[DivergenceParams]
-                     ) -> list[list[tuple[dict, dict]]]:
-    """The (residuals, info) of :func:`additivity_check` of B quadruples on
-    one pair of algebras, at every point of a parameter grid.
+                     ) -> list[list[tuple[dict, tuple]]]:
+    """The residuals of :func:`additivity_check` of B quadruples on one
+    pair of algebras, at every point of a parameter grid, each with its
+    values (Q1, Q2, Q12, D1, D2, D12); no residual where nothing is
+    asserted.
 
     The products psi1 (x) psi2 and phi1 (x) phi2 are built as one
     :func:`kron_functional_stack` each, and each of the three pairs (factor
@@ -590,8 +586,15 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     are recorded without assertion.
     """
     psi1, phi1, psi2, phi2 = _at_cutoff([psi1, phi1, psi2, phi2], eps_rel)
-    ((res, info),), = additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                       [params])
+    ((res, (q1, q2, q12, d1, d2, d12)),), = additivity_stack(
+        [psi1], [phi1], [psi2], [phi2], [params])
+    info = {
+        "params": params.label(),
+        "q_factors": [str(q1), str(q2)], "q_product": str(q12),
+        "d_factors": [str(d1), str(d2)], "d_product": str(d12),
+    }
+    if not res:
+        info["asserted"] = False
     return CheckReport.from_residuals(
         "prop11_additivity", res, {"q_multiplicativity": tol_q,
                                    "d_additivity": tol_d,
@@ -599,17 +602,13 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
 
 
 def _additivity_point(params: DivergenceParams, side1, side2,
-                      side12) -> tuple[dict, dict]:
-    """The additivity (residuals, info) of one point from its three (Q,
+                      side12) -> tuple[dict, tuple]:
+    """The additivity residuals and values of one point from its three (Q,
     psi, phi); no residual where nothing is asserted."""
     (q1, _, _), (q2, _, _), (q12, _, _) = side1, side2, side12
     d1, d2, d12 = (d_from_q(q, psi, phi, params.alpha)
                    for q, psi, phi in (side1, side2, side12))
-    info = {
-        "params": params.label(),
-        "q_factors": [str(q1), str(q2)], "q_product": str(q12),
-        "d_factors": [str(d1), str(d2)], "d_product": str(d12),
-    }
+    values = (q1, q2, q12, d1, d2, d12)
 
     if q1.is_finite and q2.is_finite:
         prod = q1.value * q2.value
@@ -620,12 +619,11 @@ def _additivity_point(params: DivergenceParams, side1, side2,
         else:
             finite_sum = d1.is_finite and d2.is_finite
             res_d = 0.0 if (not finite_sum and not d12.is_finite) else math.inf
-        return {"q_multiplicativity": res_q, "d_additivity": res_d}, info
+        return {"q_multiplicativity": res_q, "d_additivity": res_d}, values
 
     if params.is_sandwiched or params.z == params.alpha:
-        return {"infinite_branch": math.inf if q12.is_finite else 0.0}, info
-    info["asserted"] = False
-    return {}, info
+        return {"infinite_branch": math.inf if q12.is_finite else 0.0}, values
+    return {}, values
 
 
 # -- channels and monotonicity ------------------------------------------------
@@ -691,17 +689,25 @@ def precompose(psi: PositiveFunctional, channel: QuantumChannel,
 def precompose_stack(psis: Sequence[PositiveFunctional],
                      channels: Sequence[QuantumChannel]
                      ) -> list[PositiveFunctional]:
-    """:func:`precompose` of B pairs whose channels share a domain, a
-    codomain and a number of Kraus operators, stacked across the pairs.
-    The pulled-back functionals keep the cutoff of psis[0], which every psi
-    shares."""
+    """:func:`precompose` of B pairs whose channels share a domain and a
+    codomain, stacked across the pairs.  The channels may have different
+    numbers of Kraus operators: each pair sums its own terms in its own
+    order, as a one-pair call does.  The pulled-back functionals keep the
+    cutoff of psis[0], which every psi shares."""
     for psi, channel in zip(psis, channels):
         if psi.algebra != channel.codomain:
             raise ShapeError(
                 "functional does not live on the channel codomain")
     full = _stacked([psi.density.full_matrix() for psi in psis])
-    acc = sum(v @ full @ v.conj().swapaxes(-2, -1) for v in (
-        _stacked(kraus) for kraus in zip(*(ch.kraus for ch in channels))))
+    counts = [len(ch.kraus) for ch in channels]
+    acc = 0
+    for i in range(max(counts)):
+        js = [j for j, c in enumerate(counts) if c > i]
+        v = _stacked([channels[j].kraus[i] for j in js])
+        if len(js) == len(counts):
+            acc = acc + v @ full @ v.conj().swapaxes(-2, -1)
+        else:
+            acc[js] += v @ full[js] @ v.conj().swapaxes(-2, -1)
     domain = channels[0].domain
     offsets = np.cumsum([0, *domain.block_dims])
     blocks = [acc[:, a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
@@ -800,10 +806,11 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
                     phis: Sequence[PositiveFunctional],
                     channels: Sequence[QuantumChannel],
                     grid: Sequence[DivergenceParams]
-                    ) -> list[list[tuple[dict, dict]]]:
-    """The (residuals, info) of :func:`dpi_probe` of B triples whose
-    channels share a domain and a codomain, at every point of a parameter
-    grid.
+                    ) -> list[list[tuple[dict, tuple]]]:
+    """The residuals of :func:`dpi_probe` of B triples whose channels share
+    a domain and a codomain, at every point of a parameter grid, each with
+    its values (D before, D after, gap, violation); no residual where
+    nothing is asserted.
 
     psi and phi are precomposed through the channel once; the values before
     and after the channel come from one :func:`q_tilde_stack` each.  Errors,
@@ -811,12 +818,13 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
     then the values after them; within a stage the first pair with a
     failing point raises it."""
     grid = tuple(grid)
+    asserted = [dpi_valid(p.alpha, p.effective_z) for p in grid]
     d_ins = _d_stack(psis, phis, grid)
     psi_cs = precompose_stack(psis, channels)
     phi_cs = precompose_stack(phis, channels)
     d_outs = _d_stack(psi_cs, phi_cs, grid)
-    return [[_dpi_point(params, d_in, d_out)
-             for params, d_in, d_out in zip(grid, ins, outs)]
+    return [[_dpi_point(valid, d_in, d_out)
+             for valid, d_in, d_out in zip(asserted, ins, outs)]
             for ins, outs in zip(d_ins, d_outs)]
 
 
@@ -841,13 +849,19 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     infinite values with the same reason, inf for different reasons.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    ((res, info),), = dpi_probe_stack([psi], [phi], [channel], [params])
+    ((res, (d_in, d_out, gap, violation)),), = dpi_probe_stack(
+        [psi], [phi], [channel], [params])
+    info = {"d_before": str(d_in), "d_after": str(d_out),
+            "params": params.label(), "asserted": bool(res), "gap": gap}
+    if not res:
+        info["observed_violation"] = violation \
+            if math.isfinite(violation) else "inf"
     return CheckReport.from_residuals(
         "dpi", res, {"monotonicity_violation": slack}, info)
 
 
-def _dpi_point(params: DivergenceParams, d_in: DivergenceValue,
-               d_out: DivergenceValue) -> tuple[dict, dict]:
+def _dpi_point(asserted: bool, d_in: DivergenceValue,
+               d_out: DivergenceValue) -> tuple[dict, tuple]:
     if not d_in.is_finite:
         violation = 0.0
     elif not d_out.is_finite:
@@ -858,11 +872,7 @@ def _dpi_point(params: DivergenceParams, d_in: DivergenceValue,
         gap = abs(d_out.value - d_in.value)
     else:
         gap = 0.0 if d_in.reason == d_out.reason else math.inf
-    asserted = dpi_valid(params.alpha, params.effective_z)
-    info = {"d_before": str(d_in), "d_after": str(d_out),
-            "params": params.label(), "asserted": asserted, "gap": gap}
+    values = (d_in, d_out, gap, violation)
     if asserted:
-        return {"monotonicity_violation": violation}, info
-    info["observed_violation"] = violation if math.isfinite(violation) \
-        else "inf"
-    return {}, info
+        return {"monotonicity_violation": violation}, values
+    return {}, values

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _apply_stack, _blockwise, _eigenvectors,
-                      _frobenius_stack, _kron_block, _power_f, _stack,
-                      _unstack)
+                      _apply_stack, _eigenvalue_powers, _eigenvectors,
+                      _frobenius_stack, _kron_block, _power_f, _powers,
+                      _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _raise_first)
@@ -131,10 +131,41 @@ def _power_mean_root(s: np.ndarray, p: float) -> float:
     """(sum s^p)^{1/p}, inf where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = float((s ** p).sum())
+    return _root(total, p)
+
+
+def _root(total: float, p: float) -> float:
+    """total^{1/p} as a Python float, inf where it overflows."""
     try:
         return total ** (1.0 / p)
     except OverflowError:
         return math.inf
+
+
+def _schatten_stack(s: np.ndarray, ps) -> list[list[float]]:
+    """Schatten norms of singular-value rows: s is (B, G, N) and row (j, g)
+    is taken at ``ps[j][g]``; entry [j][g] equals ``_schatten(s[j, g],
+    ps[j][g])`` bit for bit.
+
+    One stacked power and row sum (see :func:`_powers`) for all rows; the
+    root stays a Python-float power per row, and a row whose direct sum
+    gives no finite norm goes through :func:`_schatten`'s fallback (the
+    first such row to raise raises)."""
+    exps = [[p.value for p in row] for row in ps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A row at p = inf is powered too; its norm is its maximum.
+        totals = _powers(s, exps).sum(axis=-1).tolist()
+    if any(math.inf in row for row in exps):
+        tops = s.max(axis=-1).tolist()
+    out = []
+    for j, (row_exps, row_totals) in enumerate(zip(exps, totals)):
+        norms = []
+        for g, (e, total) in enumerate(zip(row_exps, row_totals)):
+            norm = tops[j][g] if e == math.inf else _root(total, e)
+            norms.append(norm if math.isfinite(norm)
+                         else _schatten(s[j, g], ps[j][g]))
+        out.append(norms)
+    return out
 
 
 def lp_norm(x: AlgebraElement, p) -> float:
@@ -273,8 +304,8 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     None, the DomainError of an x beyond the float range, or the
     ConditioningError of a recomposition residual beyond budget.  A point
     with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
-    The eigenvalue powers of each phi are its own 1-D operations; the
-    rotations, scalings and residuals are stacked.
+    The eigenvalue powers (one broadcast power per block, each row equal to
+    the 1-D power), rotations, scalings and residuals are stacked.
     """
     weights = {}
     for pts in points:
@@ -287,13 +318,12 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     ident = np.array([[a == 0.0 and b == 0.0 for a, b in zip(ls, rs)]
                       for ls, rs in zip(lefts, rights)])
     specs = [phi._spectrum for phi in phis]
-    scales = [spec.eigenvalue_powers([-a for a in ls] + [-b for b in rs]
-                                     + ls + rs)
-              for spec, ls, rs in zip(specs, lefts, rights)]
+    scales = _eigenvalue_powers(specs, [[-a for a in ls] + [-b for b in rs]
+                                        + ls + rs
+                                        for ls, rs in zip(lefts, rights)])
     G = len(points[0])
     blocks, resid_sq = [], 0.0
-    for yb, vecs, sc in zip(stacked_y, _eigenvectors(specs),
-                            _blockwise(scales)):
+    for yb, vecs, sc in zip(stacked_y, _eigenvectors(specs), scales):
         vecs_h = vecs.conj().swapaxes(-2, -1)
         down_l, down_r, up_l, up_r = (sc[:, i * G:(i + 1) * G]
                                       for i in range(4))
@@ -356,10 +386,10 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
 
     Shared by all points of an element: phi_j's faithfulness-floor check
     and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
-    The scalings, recomposition residuals, back-rotations and singular
-    values are stacked, one ``svd`` per block.  Entry j is element j's list
-    of norms, or its error: the floor of phis[j], then its first failing
-    point, as a one-element call raises them.
+    The scalings, recomposition residuals, back-rotations, singular values
+    (one ``svd`` per block) and norms are stacked.  Entry j is element j's
+    list of norms, or its error: the floor of phis[j], then its first
+    failing point, as a one-element call raises them.
     """
     floor = [_floor_error(phi._spectrum) for phi in phis]
     for err, phi in zip(floor, phis):
@@ -373,9 +403,9 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
     if failed:
         for x in blocks:
             x[failed] = 0.0
-    return [err or [_schatten(row, p) for row, (p, _) in zip(rows, pts)]
-            for err, rows, pts in zip(firsts, singular_values_stack(blocks),
-                                      points)]
+    norms = _schatten_stack(singular_values_stack(blocks),
+                            [[p for p, _ in pts] for pts in points])
+    return [err or row for err, row in zip(firsts, norms)]
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
@@ -426,13 +456,14 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
                                          [[pt] for pt in points]))
     svs = singular_values_stack([np.concatenate([a, y])
                                  for a, y in zip(stacked_a, ys)])
-    B, top, trace = len(phis), LpExponent(math.inf), LpExponent(1.0)
+    B = len(phis)
+    tops = _schatten_stack(svs[:B, None], [[LpExponent(math.inf)]] * B)
+    traces = _schatten_stack(svs[B:, None], [[LpExponent(1.0)]] * B)
     out = []
-    for j, ((p, _), norms) in enumerate(zip(points, lhs)):
+    for (p, _), norms, (top,), (trace,) in zip(points, lhs, tops, traces):
         inv_p = p.inv
         inv_q = 1.0 - inv_p
-        out.append((norms[0], _schatten(svs[j], top) ** inv_q
-                    * _schatten(svs[B + j], trace) ** inv_p))
+        out.append((norms[0], top ** inv_q * trace ** inv_p))
     return out
 
 

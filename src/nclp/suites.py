@@ -14,10 +14,8 @@ trials' inputs, a chunk at a time (see below), each from its own
     draw(algebra, rng, idx, k) -> draw
 
 where ``idx`` is the trial's index across all profiles and ``k`` its index
-within the profile.  It then groups the draws by the suite's ``group`` key
-(the variant, for suites whose trials take different code paths) and calls
-the suite's batch function once per group, groups in the order of their
-first trial:
+within the profile.  It then calls the suite's batch function once on the
+chunk's draws:
 
     batch(config, tols, algebra, draws) -> [(instance, checks, info), ...]
 
@@ -26,23 +24,28 @@ applied and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved
 once: the batches build their functionals at it and give it to the element
 kernels.  A batch returns one triple per draw, in order: the instance
 summary (the driver adds ``dims``), a list of ``(report key, residual,
-tolerance)`` checks and the report's ``info``.  The batches evaluate their
-trials as stacks, with one LAPACK call per block for the whole group
-(``lstsq``, which takes one system at a time, aside); each trial's scalar
-work (eigenvalue powers, sums, norms) stays its own 1-D operation, so a
-report does not depend on which trials share a batch.  Draws return
+tolerance)`` checks and the report's ``info``.  There is no group key: the
+trials of a chunk that take different code paths (the variants of
+``prop11``, ``lemma9`` and ``dpi``) share one batch, and each kernel sorts
+its own branches.  The batches evaluate their trials as stacks, with one
+LAPACK call per block for the whole chunk (``lstsq``, which takes one
+system at a time, aside; ``dpi`` makes one stack per algebra, as some of
+its trials live on a product).  The scalar work of each trial and point
+(eigenvalue powers, Q sums, Schatten norms) runs as row reductions across
+the stack, each row equal to the trial's own 1-D operation bit for bit, so
+a report does not depend on which trials share a batch.  Draws return
 densities and elements, not functionals: a batch builds each role's
-functionals as one stack.  A batch runs stage by stage: a lone failing
-trial raises the error of its one-trial call, and of several, the first to
-fail in the first failing stage raises.  The kernels return residuals;
-:func:`run_suite` alone fills the residual and tolerance maps and decides
-``passed``: a trial passes exactly when every residual is at most its
-tolerance.
+functionals as stacks (see ``_role_functionals``).  A batch runs stage by
+stage: a lone failing trial raises the error of its one-trial call, and of
+several, one of those that fail in the first failing stage raises.  The
+kernels return residuals and values and format no strings; :func:`run_suite`
+alone fills the residual and tolerance maps and decides ``passed``: a trial
+passes exactly when every residual is at most its tolerance.
 
 A profile's trials are drawn and evaluated in chunks of at most
-``CHUNK_TRIALS`` trials, each chunk grouped and batched as above, so the
-draws a command holds are bounded; since reports do not depend on batching,
-the chunk size changes no byte of them.
+``CHUNK_TRIALS`` trials, each chunk one batch, so the draws a command holds
+are bounded; since reports do not depend on batching, the chunk size
+changes no byte of them (``CHUNK_TRIALS = 1`` runs one-trial batches).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,7 +67,7 @@ from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          pinching_channel, random_unital_channel,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_type
 from .functionals import (PositiveFunctional, _positive_functionals,
                           _supports, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
@@ -366,6 +370,8 @@ class SuiteConfig:
             raise DomainError(f"dims must be (left, right) profiles of "
                               f"block dimensions, got {self.dims!r}") from exc
         object.__setattr__(self, "dims", dims)
+        _check_type(self.tolerances, Mapping,
+                    "tolerances must map check keys to numbers")
         bad = [f"{key}={t}" for key, t in self.tolerances.items()
                if not (isinstance(t, (int, float)) and (t == 0.0 or t > 0))]
         if bad:
@@ -495,11 +501,21 @@ def _instance(alg: BlockAlgebra, densities, kind: str, eps_rel=None) -> tuple:
 
 
 def _role_functionals(alg: BlockAlgebra, draws, eps) -> list:
-    """Per role, the functionals of a group of (kind, densities) draws of
-    one kind, built as one stack per role."""
-    roles = zip(*(densities for _, densities in draws))
-    return [_functionals(alg, role, eps, normalize)
-            for role, normalize in zip(roles, _NORMALIZE[draws[0][0]])]
+    """Per role, the functionals of (kind, densities) draws of any kinds,
+    in draw order: a role's densities build in at most two stacks, one per
+    ``_NORMALIZE`` flag of their kinds, the flag of the first draw first."""
+    flags = [_NORMALIZE[kind] for kind, _ in draws]
+    out = []
+    for r, role in enumerate(zip(*(densities for _, densities in draws))):
+        role_flags = [f[r] for f in flags]
+        built = [None] * len(role)
+        for normalize in dict.fromkeys(role_flags):
+            js = [j for j, f in enumerate(role_flags) if f == normalize]
+            for j, psi in zip(js, _functionals(
+                    alg, [role[j] for j in js], eps, normalize)):
+                built[j] = psi
+        out.append(built)
+    return out
 
 
 # -- trial functions ----------------------------------------------------------
@@ -688,14 +704,14 @@ def _lemma9_draw(alg, rng, idx, k):
 
 
 def _lemma9_batch(config, tols, alg, draws):
-    kind = draws[0][0]
     psis, phis = _role_functionals(alg, draws, config.eps_rel)
     return [({"variant": kind},
              [(f"alpha={alpha:g}:{key}", val, tols[key])
               for alpha, (res, _) in zip(LEMMA9_ALPHAS, points)
               for key, val in res.items()],
-             {"d_reasons": [info["d_reason"] for _, info in points]})
-            for points in lemma9_stack(psis, phis, LEMMA9_ALPHAS)]
+             {"d_reasons": [dz.reason.value for _, (_, _, dz) in points]})
+            for (kind, _), points in zip(draws, lemma9_stack(
+                psis, phis, LEMMA9_ALPHAS))]
 
 
 def _prop11_densities(rng, alg, variant):
@@ -722,18 +738,20 @@ def _prop11_draw(alg, rng, idx, k):
     return kind, densities
 
 
+_PROP11_LABELS = tuple(params.label() for params in PROP11_GRID)
+
+
 def _prop11_batch(config, tols, alg, draws):
-    kind = draws[0][0]
     psi1s, phi1s, psi2s, phi2s = _role_functionals(alg, draws,
                                                    config.eps_rel)
+    stacks = additivity_stack(psi1s, phi1s, psi2s, phi2s, PROP11_GRID)
     out = []
-    for psi1, psi2, points in zip(psi1s, psi2s, additivity_stack(
-            psi1s, phi1s, psi2s, phi2s, PROP11_GRID)):
-        checks = [(f"{params.label()}:{key}", val, tols[key])
-                  for params, (res, _) in zip(PROP11_GRID, points)
+    for (kind, _), psi1, psi2, points in zip(draws, psi1s, psi2s, stacks):
+        checks = [(f"{label}:{key}", val, tols[key])
+                  for label, (res, _) in zip(_PROP11_LABELS, points)
                   for key, val in res.items()]
-        unasserted = [f"{params.label()}: recorded only"
-                      for params, (res, _) in zip(PROP11_GRID, points)
+        unasserted = [f"{label}: recorded only"
+                      for label, (res, _) in zip(_PROP11_LABELS, points)
                       if not res]
         out.append(({"variant": kind, "masses": [psi1.mass, psi2.mass]},
                     checks, {"unasserted": unasserted} if unasserted else {}))
@@ -793,28 +811,29 @@ def _dpi_draw(alg, rng, idx, k):
 
 
 def _dpi_batch(config, tols, alg, draws):
-    kinds, psis, phis, channels = zip(*draws)
-    alg = psis[0].algebra
-    psis = _functionals(alg, psis, config.eps_rel)
-    phis = _functionals(alg, phis, config.eps_rel)
-    out = []
-    for kind, points in zip(kinds, dpi_probe_stack(
-            psis, phis, channels,
-            [DivergenceParams(alpha) for alpha in DPI_ALPHAS])):
-        checks = []
-        for alpha, (res, info) in zip(DPI_ALPHAS, points):
-            checks.append((f"alpha={alpha:g}:violation",
-                           res.get("monotonicity_violation", 0.0),
-                           tols["monotonicity_violation"]))
-            if kind == "identity":
-                checks.append((f"alpha={alpha:g}:identity_equality",
-                               info["gap"], tols["identity_equality"]))
-        out.append(({"channel": kind}, checks, {}))
+    # The trials of partial_trace_embedding live on a product of alg: one
+    # stack of the trials on alg and one of those on the product, in the
+    # order of their first trial.
+    on_alg = [psi.algebra == alg for _, psi, _, _ in draws]
+    grid = [DivergenceParams(alpha) for alpha in DPI_ALPHAS]
+    out = [None] * len(draws)
+    for flag in dict.fromkeys(on_alg):
+        js = [j for j, f in enumerate(on_alg) if f == flag]
+        kinds, psis, phis, channels = zip(*(draws[j] for j in js))
+        on = psis[0].algebra
+        for j, kind, points in zip(js, kinds, dpi_probe_stack(
+                _functionals(on, psis, config.eps_rel),
+                _functionals(on, phis, config.eps_rel), channels, grid)):
+            checks = []
+            for alpha, (res, (_, _, gap, _)) in zip(DPI_ALPHAS, points):
+                checks.append((f"alpha={alpha:g}:violation",
+                               res.get("monotonicity_violation", 0.0),
+                               tols["monotonicity_violation"]))
+                if kind == "identity":
+                    checks.append((f"alpha={alpha:g}:identity_equality",
+                                   gap, tols["identity_equality"]))
+            out[j] = ({"channel": kind}, checks, {})
     return out
-
-
-def _variant(draw) -> str:
-    return draw[0]
 
 
 # -- the driver ---------------------------------------------------------------
@@ -822,15 +841,13 @@ def _variant(draw) -> str:
 
 @dataclass(frozen=True)
 class _Suite:
-    """A named suite: its default tolerances, its default dims profiles, its
-    draw and batch functions and, for suites whose trials take different
-    code paths, the group key of a draw (see the module docstring)."""
+    """A named suite: its default tolerances, its default dims profiles and
+    its draw and batch functions (see the module docstring)."""
 
     tolerances: dict
     dims: tuple[DimsProfile, ...]
     draw: Callable
     batch: Callable
-    group: Callable | None = None
 
     @property
     def tensor(self) -> bool:
@@ -854,12 +871,10 @@ _SUITES = {
     "lemma8": _Suite({"solver_agreement": 1e-8}, parse_dims("2,3"),
                      _lemma8_draw, _lemma8_batch),
     "lemma9": _Suite({"path_agreement": 1e-10, "reason_agreement": 0.0},
-                     parse_dims("2,3"), _lemma9_draw, _lemma9_batch,
-                     _variant),
+                     parse_dims("2,3"), _lemma9_draw, _lemma9_batch),
     "prop11": _Suite({"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
                       "infinite_branch": 0.0},
-                     parse_dims("2,3"), _prop11_draw, _prop11_batch,
-                     _variant),
+                     parse_dims("2,3"), _prop11_draw, _prop11_batch),
     "appendixA": _Suite({"eigenvalue_multiset": 1e-9,
                          "f_multiplicativity": 1e-9,
                          "adjoint": 1e-12, "mixed_product": 1e-12},
@@ -867,14 +882,16 @@ _SUITES = {
                         _appendixA_batch),
     "dpi": _Suite({"monotonicity_violation": 1e-9,
                    "identity_equality": 1e-9},
-                  parse_dims("2,3"), _dpi_draw, _dpi_batch, _variant),
+                  parse_dims("2,3"), _dpi_draw, _dpi_batch),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
-# The most trials of a profile drawn and evaluated at once: the draws a
-# command holds stay bounded whatever its trial count.
-CHUNK_TRIALS = 256
+# The most trials of a profile drawn and evaluated at once, so that the draws
+# and the (trials, points, n, n) stacks a command holds stay bounded whatever
+# its trial count.  A chunk is one batch of every variant; batches of more
+# than about 64 trials run no faster and only hold more memory.
+CHUNK_TRIALS = 64
 
 
 def run_suite(config: SuiteConfig) -> list[TrialReport]:
@@ -895,13 +912,8 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
             ks = range(start, min(start + CHUNK_TRIALS, config.trials))
             draws = [suite.draw(algebra, trial_rng(config.seed, first + k),
                                 first + k, k) for k in ks]
-            results = [None] * len(draws)
-            for members in _groups(suite.group, draws):
-                outs = suite.batch(config, tols, algebra,
-                                   [draws[i] for i in members])
-                for i, out in zip(members, outs):
-                    results[i] = out
-            for k, (instance, checks, info) in zip(ks, results):
+            for k, (instance, checks, info) in zip(
+                    ks, suite.batch(config, tols, algebra, draws)):
                 idx = first + k
                 reports.append(TrialReport(
                     config.suite_name, idx,
@@ -912,17 +924,6 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
                     all(res <= tol for _, res, tol in checks), info))
         first += config.trials
     return reports
-
-
-def _groups(key: Callable | None, draws: list) -> list[list[int]]:
-    """Positions of the draws per group key, groups in the order of their
-    first draw; one group when ``key`` is None."""
-    if key is None:
-        return [list(range(len(draws)))]
-    groups: dict = {}
-    for k, draw in enumerate(draws):
-        groups.setdefault(key(draw), []).append(k)
-    return list(groups.values())
 
 
 def summarize(reports: list[TrialReport]) -> dict:

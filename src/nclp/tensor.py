@@ -24,7 +24,7 @@ from .config import resolve_eps_rel
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
-from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten,
+from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 from .reports import CheckReport
 
@@ -116,6 +116,7 @@ def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
 
 
 def _check_factors(T: TensorAlgebra, xs, ys):
+    _check_type(T, TensorAlgebra, "a tensor product needs a TensorAlgebra")
     for x, y in zip(xs, ys):
         for side, z, alg in (("left", x, T.left), ("right", y, T.right)):
             _check_type(z, AlgebraElement, "factors must be AlgebraElements")
@@ -237,17 +238,18 @@ def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                         ys: list[AlgebraElement],
                         ps) -> list[list[tuple[float, float]]]:
     """:func:`theorem6_norm` of each pair at every p in ``ps``, from one
-    Kronecker product and one ``svd`` per block for each operand.  Each
-    element's norms are its own 1-D sums, product side first."""
+    Kronecker product and one ``svd`` per block for each operand, and one
+    :func:`_schatten_stack` each, product side first."""
     _check_factors(T, xs, ys)
     ps = [_as_exponent(p) for p in ps]
     sx, sy = _stack(xs), _stack(ys)
-    svs = [singular_values_stack(s) for s in (_kron_stack(sx, sy), sx, sy)]
-    out = []
-    for sk, s1, s2 in zip(*svs):
-        lhs, a, b = ([_schatten(s, p) for p in ps] for s in (sk, s1, s2))
-        out.append([(l, u * v) for l, u, v in zip(lhs, a, b)])
-    return out
+    B, G = len(xs), len(ps)
+    sides = []
+    for s in (_kron_stack(sx, sy), sx, sy):
+        sv = singular_values_stack(s)
+        sides.append(_schatten_stack(
+            np.broadcast_to(sv[:, None], (B, G, sv.shape[-1])), [ps] * B))
+    return [[(l, u * v) for l, u, v in zip(*trio)] for trio in zip(*sides)]
 
 
 def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,

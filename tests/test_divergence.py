@@ -458,8 +458,8 @@ class TestDpi:
 
     def test_gap_of_infinite_values_with_different_reasons_is_inf(self):
         from nclp.divergence import _dpi_point
-        _, info = _dpi_point(
-            DivergenceParams(0.5),
+        _, (_, _, gap, _) = _dpi_point(
+            dpi_valid(0.5, 0.5),
             DivergenceValue.infinite(Reason.ZERO_REFERENCE),
             DivergenceValue.infinite(Reason.ZERO_Q_ALPHA_LT_1))
-        assert info["gap"] == math.inf
+        assert gap == math.inf

@@ -196,12 +196,17 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: TensorAlgebra("x", "y").product,
     lambda: lp_norm("x", 2),
     lambda: SuiteConfig("lemma3", 1, 0, dims="x"),
+    lambda: SuiteConfig("lemma3", 1, 0, tolerances="x"),
+    lambda: BlockAlgebra((2,)).identity() + 1,
+    lambda: kron_element("x", AlgebraElement(_ALG, [np.eye(2)]),
+                         AlgebraElement(_ALG, [np.eye(2)])),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
         "text_algebra", "text_channel_algebras", "text_zero_algebra",
         "number_kron_factors", "number_theorem6_factors",
-        "text_tensor_factors", "text_lp_norm_element", "text_dims"])
+        "text_tensor_factors", "text_lp_norm_element", "text_dims",
+        "text_tolerances", "number_element_sum", "text_kron_algebra"])
 def test_known_holes_raise_nclp_errors(call):
     with pytest.raises(NclpError):
         call()

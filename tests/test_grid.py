@@ -97,7 +97,10 @@ class TestDivergenceGrid:
         for kind, psi, phi in pairs(dims, seed):
             got = lemma9_stack([psi], [phi], alphas)[0]
             want = [lemma9_check(psi, phi, a) for a in alphas]
-            assert got == [(r.residuals, r.info) for r in want], kind
+            assert [(res, str(qa), str(qz), dz.reason.value)
+                    for res, (qa, qz, dz) in got] == [
+                (r.residuals, r.info["q_sandwiched"], r.info["q_alpha_z"],
+                 r.info["d_reason"]) for r in want], kind
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_additivity_grid(self, dims):
@@ -107,7 +110,11 @@ class TestDivergenceGrid:
                                    MIXED_GRID)[0]
             want = [additivity_check(psi1, phi1, psi2, phi2, p)
                     for p in MIXED_GRID]
-            assert got == [(r.residuals, r.info) for r in want], (k1, k2)
+            assert [(res, [str(v) for v in values]) for res, values
+                    in got] == [
+                (r.residuals, [*r.info["q_factors"], r.info["q_product"],
+                               *r.info["d_factors"], r.info["d_product"]])
+                for r in want], (k1, k2)
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_dpi_grid(self, dims):
@@ -118,7 +125,10 @@ class TestDivergenceGrid:
                         random_unital_channel(rng, alg, alg)):
             got = dpi_probe_stack([psi], [phi], [channel], MIXED_GRID)[0]
             want = [dpi_probe(psi, phi, channel, p) for p in MIXED_GRID]
-            assert got == [(r.residuals, r.info) for r in want]
+            assert [(res, str(d_in), str(d_out), gap)
+                    for res, (d_in, d_out, gap, _) in got] == [
+                (r.residuals, r.info["d_before"], r.info["d_after"],
+                 r.info["gap"]) for r in want]
 
     def test_certificate_failure_raised_at_its_point(self):
         # psi leaks 1e-11 outside phi's support: below the support test's

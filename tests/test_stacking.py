@@ -1,13 +1,16 @@
 """Stacks of trials against one-trial calls.
 
-A suite's batch function evaluates a profile's trials as stacks, one LAPACK
-call per block for the whole group.  numpy applies stacked routines matrix
-by matrix, so the reports must not depend on which trials share a batch:
-a whole-profile batch equals the concatenation of its one-trial batches,
-byte for byte.  A stacked kernel whose j-th element fails raises exactly the
-error of that element's one-element call.
+A suite's batch function evaluates a chunk of trials as stacks, one LAPACK
+call per block for the whole chunk, whatever code paths its trials take.
+numpy applies stacked routines matrix by matrix, and the per-trial scalar
+work runs as row reductions equal to the 1-D operations, so the reports must
+not depend on which trials share a batch: a whole-profile batch equals the
+concatenation of its one-trial batches (``CHUNK_TRIALS = 1``), byte for
+byte.  A stacked kernel whose j-th element fails raises exactly the error of
+that element's one-element call.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -35,10 +38,6 @@ PROFILES = [(name, dims) for name in suites.SUITE_NAMES
                          else "2+3")]
 
 
-def _one_trial_groups(key, draws):
-    return [[k] for k in range(len(draws))]
-
-
 def _report(name, seed, dims):
     cfg = SuiteConfig(suite_name=name, trials=6, seed=seed,
                       dims=suites.parse_dims(dims) if dims else ())
@@ -50,13 +49,27 @@ class TestBatchEqualsOneTrialBatches:
     @pytest.mark.parametrize("name,dims", PROFILES)
     def test_profile(self, monkeypatch, name, dims, seed):
         stacked = _report(name, seed, dims)
-        monkeypatch.setattr(suites, "_groups", _one_trial_groups)
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", 1)
         assert _report(name, seed, dims) == stacked
 
-    def test_groups_keep_trial_order(self):
-        draws = ["b", "a", "b", "c", "a"]
-        assert suites._groups(lambda d: d, draws) == [[0, 2], [1, 4], [3]]
-        assert suites._groups(None, draws) == [[0, 1, 2, 3, 4]]
+    @pytest.mark.parametrize("name,variants", [("prop11", 3), ("lemma9", 5),
+                                               ("dpi", 4)])
+    @pytest.mark.parametrize("dims", [None, "2+3"])
+    def test_one_batch_holds_every_variant(self, monkeypatch, name,
+                                           variants, dims):
+        suite = suites._SUITES[name]
+        kinds = []
+
+        def batch(config, tols, alg, draws):
+            kinds.append({kind for kind, *_ in draws})
+            return suite.batch(config, tols, alg, draws)
+
+        monkeypatch.setitem(suites._SUITES, name,
+                            dataclasses.replace(suite, batch=batch))
+        stacked = _report(name, 7, dims)
+        assert [len(k) for k in kinds] == [variants] * (1 if dims else 2)
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", 1)
+        assert _report(name, 7, dims) == stacked
 
 
 class TestKnownGateFailure:
@@ -74,7 +87,7 @@ class TestKnownGateFailure:
                    for key, res in r["residuals"].items()
                    if not res <= r["tolerances"][key]]
         assert failing == [(1, "f=imag0.3"), (1, "f=imag1")]
-        monkeypatch.setattr(suites, "_groups", _one_trial_groups)
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", 1)
         assert main(argv + [str(tmp_path / "single.json")]) == 4
         capsys.readouterr()
         assert (tmp_path / "single.json").read_bytes() == \
@@ -294,12 +307,12 @@ class TestStackedDraws:
         alg = BlockAlgebra(suites.parse_dims(dims)[0][0])
         got, reports = self._batch_functionals(monkeypatch, "lemma9",
                                                "lemma9_stack", seed, dims)
-        # Batches run per variant in the order of their first trial.
-        order = sorted(range(10), key=lambda k: (k % 5, k))
-        assert [reports[k].instance["variant"] for k in order[::2]] == [
+        # One batch of every variant, in trial order.
+        assert [r.instance["variant"] for r in reports[:5]] == [
             "faithful", "nested", "orthogonal", "zero_reference",
             "identical"]
-        for k, (psi, phi) in zip(order, got):
+        assert len(got) == 10
+        for k, (psi, phi) in enumerate(got):
             want = _lemma9_one_call(trial_rng(seed, k), alg, k % 5)
             assert _same_functional(psi, want[0])
             assert _same_functional(phi, want[1])

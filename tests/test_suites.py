@@ -239,14 +239,16 @@ class TestProductsOncePerTrial:
             return original(T, psi1s, psi2s)
 
         # The suite builds no product itself; additivity_stack builds the
-        # psi and the phi products of a group's quadruples as one stack each.
+        # psi and the phi products of a batch's quadruples as one stack
+        # each.
         for mod in (divergence, tensor):
             monkeypatch.setattr(mod, "kron_functional_stack", counting)
         reports = run_suite(SuiteConfig(suite_name="prop11", trials=6,
                                         seed=5, dims=parse_dims("2")))
         assert len(reports) == 6 and all(r.passed for r in reports)
-        # Three variants, two quadruples each: two stacks of two per group.
-        assert [len(stack) for stack in pairs] == [2] * 6
+        # Three variants, two quadruples each, in one batch: two stacks of
+        # six.
+        assert [len(stack) for stack in pairs] == [6, 6]
         built = [(id(a), id(b)) for stack in pairs for a, b in stack]
         assert len(set(built)) == len(built) == 2 * 6
 
