@@ -235,29 +235,25 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # A stack holds B elements of one algebra as one (B, n, n) array per block,
 # so that each LAPACK routine, matmul and reduction runs once per block for
 # all B elements.  numpy applies them matrix by matrix, so every slice equals
-# the one-element result bit for bit.  The scalar work of the elements and
-# their grid points (eigenvalue powers, Q sums, Schatten norms) runs as row
-# reductions over the stacks, each row equal to the 1-D operation it stands
-# for (see :func:`_powers` and :func:`_kept_power_sums`).  The one-element
-# functions of this package are B = 1 calls of the stacked kernels.  Kernels
-# only compute: they take no tolerance, build no report or report string (a
-# check kernel returns residuals and values), and resolve no cutoff.  A
-# kernel on functionals reads each one's stored spectrum and cutoff; any
-# other is given a resolved cutoff.
+# the one-element result bit for bit.  Spectra have one representation, the
+# :class:`SpectrumStack` of B eigendecompositions, which one ``eigh`` per
+# block fills; a :class:`HermitianSpectrum` is one row of it, and the
+# functionals of a batch share their batch's stack.  The scalar work of the
+# elements and their grid points (eigenvalue powers, imaginary powers, Q
+# sums, Schatten norms) runs as row reductions over the stacks, each row
+# equal to the 1-D operation it stands for (see :func:`_powers` and
+# :func:`_kept_power_sums`); one kernel, :func:`_apply_stack`, turns such
+# rows into elements.  The one-element functions of this package are B = 1
+# calls of the stacked kernels.  Kernels only compute: they take no
+# tolerance, build no report or report string (a check kernel returns
+# residuals and values), and resolve no cutoff.  A kernel on functionals
+# reads their spectrum stack and its cutoff; any other is given a resolved
+# cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays stacked along a new leading axis; a view for one array."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _blockwise(per_element: Sequence[Sequence[np.ndarray]]
-               ) -> tuple[np.ndarray, ...]:
-    """Per block, the stack of B elements' arrays for that block (blocks,
-    eigenvectors, eigenvalue powers), in order."""
-    if len(per_element) == 1:
-        return tuple([a[None] for a in per_element[0]])
-    return tuple([np.stack(arrays) for arrays in zip(*per_element)])
 
 
 # For a Python-float exponent e, numpy computes ``array ** e`` with power,
@@ -330,7 +326,8 @@ def _kept_power_sums(x: np.ndarray, keep: np.ndarray,
 
 def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
     """Per block, the (B, n, n) stack of the elements' blocks, in order."""
-    return _blockwise([x.blocks for x in elements])
+    return tuple([_stacked(arrays)
+                  for arrays in zip(*[x.blocks for x in elements])])
 
 
 def _unstack(algebra: BlockAlgebra,
@@ -374,19 +371,49 @@ def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- spectral machinery ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Blockwise eigendecomposition with the kernel mask already applied.
-
-    Eigenvalues ascend within each block; the mask flags entries with
-    ``|eig| <= eps_rel * spectral_radius`` (radius taken across all blocks).
-    """
+@dataclass(frozen=True, eq=False)
+class SpectrumStack:
+    """The one representation of spectra: blockwise eigendecompositions of
+    B elements of one algebra with the kernel masks applied, per block the
+    (B, n) eigenvalues, the (B, n, n) eigenvectors and the (B, n) masks, all
+    read-only.  The functionals of a batch share their batch's stack and
+    the kernels read its arrays; a :class:`HermitianSpectrum` is a row."""
 
     algebra: BlockAlgebra
     eigenvalues: tuple[np.ndarray, ...]
     eigenvectors: tuple[np.ndarray, ...]
     kernel_mask: tuple[np.ndarray, ...]
     eps_rel: float
+
+    def __post_init__(self):
+        for arr in (*self.eigenvalues, *self.eigenvectors, *self.kernel_mask):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.eigenvalues[0].shape[0]
+
+
+@dataclass(frozen=True)
+class HermitianSpectrum:
+    """One element's blockwise eigendecomposition with the kernel mask
+    applied: row ``row`` of a :class:`SpectrumStack`, whose arrays its
+    attributes view (a B = 1 view of the stack).
+
+    Eigenvalues ascend within each block; the mask flags entries with
+    ``|eig| <= eps_rel * spectral_radius`` (radius taken across all blocks).
+    """
+
+    stack: SpectrumStack
+    row: int
+
+    algebra = property(lambda self: self.stack.algebra)
+    eps_rel = property(lambda self: self.stack.eps_rel)
+    eigenvalues = property(lambda self: tuple(
+        v[self.row] for v in self.stack.eigenvalues))
+    eigenvectors = property(lambda self: tuple(
+        u[self.row] for u in self.stack.eigenvectors))
+    kernel_mask = property(lambda self: tuple(
+        m[self.row] for m in self.stack.kernel_mask))
 
     @cached_property
     def spectral_radius(self) -> float:
@@ -405,56 +432,60 @@ class HermitianSpectrum:
         kept = self.flat_eigenvalues()[~self.flat_kernel_mask()]
         return float(np.min(kept)) if kept.size else 0.0
 
+    def _calculus(self, values: Callable, *args) -> AlgebraElement:
+        """The element U diag(v) U* of this spectrum at the values v that
+        ``values(single, *args)`` gives for its B = 1 stack ``single`` (see
+        :func:`_apply_stack`)."""
+        single = _gather([self])
+        return AlgebraElement._trusted(self.algebra, [
+            b.reshape(b.shape[-2:])
+            for b in _apply_stack(single, values(single, *args))])
+
     def apply(self, f: Callable[[np.ndarray], np.ndarray],
               f_zero: complex = 0.0) -> AlgebraElement:
-        """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere.
-        One element of :func:`_apply_stack`."""
-        return _unstack(self.algebra, _apply_stack([self], [f], f_zero))[0]
+        """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere,
+        each block's kept eigenvalues one 1-D call of f."""
+        _check_type(f, Callable, "functional calculus needs a callable f")
+        return self._calculus(_calc_values, f, f_zero)
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam, f_zero=0.0)
 
     def support(self) -> AlgebraElement:
-        """Projection onto the span of the non-kernel eigenvectors.
-
-        Computed on the first call and shared afterwards; the projection is
-        immutable, and the divergence paths ask for it once per parameter.
-        One element of :func:`_support_stack`.
-        """
-        return self._support
-
-    @cached_property
-    def _support(self) -> AlgebraElement:
-        return self.apply(np.ones_like, f_zero=0.0)
+        """Projection onto the span of the non-kernel eigenvectors.  One row
+        of :func:`_support_stack`."""
+        return _unstack(self.algebra, _support_stack(_gather([self])))[0]
 
     def clip_psd(self) -> "HermitianSpectrum":
         """Clip tiny negative eigenvalues to 0; reject genuinely negative ones
         and a non-finite spectrum (entries so large that they overflow).
-        One element of :func:`_clip_stack`."""
-        clipped, masks = _clip_stack([v[None] for v in self.eigenvalues],
-                                     self.eps_rel)
-        return _spectra(self.algebra, clipped,
-                        [v[None] for v in self.eigenvectors], masks,
-                        self.eps_rel)[0]
+        One row of :func:`_clip_stack`."""
+        single = _gather([self])
+        clipped, masks = _clip_stack(single.eigenvalues, self.eps_rel)
+        return HermitianSpectrum(SpectrumStack(
+            self.algebra, clipped, single.eigenvectors, masks,
+            self.eps_rel), 0)
+
+
+def _gather(spectra: Sequence[HermitianSpectrum]) -> SpectrumStack:
+    """The stack whose row j is spectra[j]: the stack they are the rows of,
+    in order, else one stacked from their rows (views for one spectrum),
+    which share one cutoff.  The one place that gathers spectra."""
+    stack = spectra[0].stack
+    if len(spectra) == len(stack) and all(
+            s.stack is stack and s.row == j for j, s in enumerate(spectra)):
+        return stack
+    return SpectrumStack(stack.algebra, *(
+        tuple(_stacked(arrays) for arrays in zip(*per_spectrum))
+        for per_spectrum in zip(*((s.eigenvalues, s.eigenvectors,
+                                   s.kernel_mask) for s in spectra))),
+        stack.eps_rel)
 
 
 def _nonfinite_error() -> DomainError:
     """The error of a function that is non-finite at a kept eigenvalue."""
     return DomainError(
         "function undefined (non-finite) at a non-kernel eigenvalue")
-
-
-def _spectra(algebra: BlockAlgebra, vals, vecs, masks,
-             eps: float) -> list[HermitianSpectrum]:
-    """The B spectra of per-block stacks of eigenvalues (B, n), eigenvectors
-    (B, n, n) and kernel masks (B, n); the stacks become read-only and each
-    spectrum holds views of them."""
-    for arr in (*vals, *vecs, *masks):
-        arr.setflags(write=False)
-    return [HermitianSpectrum(algebra, tuple(v[j] for v in vals),
-                              tuple(u[j] for u in vecs),
-                              tuple(m[j] for m in masks), eps)
-            for j in range(vals[0].shape[0])]
 
 
 def _radius(vals: Sequence[np.ndarray]) -> np.ndarray:
@@ -509,20 +540,24 @@ def _clip_stack(vals: Sequence[np.ndarray], eps: float
 
 
 def _symmetrized_stack(stacked: Sequence[np.ndarray],
-                       hermitize: bool) -> tuple[np.ndarray, ...]:
-    """(h + h*)/2 of stacked elements, after the Hermitian gate (skipped
-    when ``hermitize``); the DomainError of the first element that fails it.
+                       hermitize) -> tuple[np.ndarray, ...]:
+    """(h + h*)/2 of stacked elements, after the Hermitian gate; the
+    DomainError of the first element that fails it.  ``hermitize`` (one
+    flag, or a (B,) mask) names the elements that skip the gate.
 
     The result is exactly Hermitian, so symmetrizing it again returns the
     same bits.  Entries near the float maximum overflow to inf here without
     a warning; the PSD clip then rejects the non-finite spectrum."""
+    per_element = isinstance(hermitize, np.ndarray)
     adj = _adjoint_stack(stacked)
     with np.errstate(over="ignore", invalid="ignore"):
         sym = tuple((s + a) / 2.0 for s, a in zip(stacked, adj))
-        if hermitize:
+        if hermitize.all() if per_element else hermitize:
             return sym
         defect = np.sqrt(_squared_norms([s - a for s, a in zip(stacked, adj)]))
         bad = defect > HERMITIAN_TOL * (1.0 + np.sqrt(_squared_norms(stacked)))
+    if per_element:
+        bad &= ~hermitize
     if bad.any():
         raise DomainError(
             f"matrix is not Hermitian (defect "
@@ -540,13 +575,13 @@ def _eig_stack(sym: Sequence[np.ndarray]):
 
 
 def _clipped_eig_stack(algebra: BlockAlgebra, sym: Sequence[np.ndarray],
-                       eps: float) -> list[HermitianSpectrum]:
+                       eps: float) -> SpectrumStack:
     """``hermitian_eig(...).clip_psd()`` of B stacked elements already
-    returned by :func:`_symmetrized_stack`: one ``eigh`` per block and one
-    stacked clip."""
+    returned by :func:`_symmetrized_stack`, as one stack: one ``eigh`` per
+    block and one stacked clip."""
     vals, vecs = _eig_stack(sym)
     clipped, masks = _clip_stack(vals, eps)
-    return _spectra(algebra, clipped, vecs, masks, eps)
+    return SpectrumStack(algebra, clipped, vecs, masks, eps)
 
 
 def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
@@ -557,77 +592,68 @@ def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
     solving, so the decomposition is deterministic for near-Hermitian data.
     ``hermitize=True`` skips the gate and symmetrizes unconditionally.
     """
+    _check_type(h, AlgebraElement, "a spectrum needs an AlgebraElement")
     eps = resolve_eps_rel(eps_rel)
     vals, vecs = _eig_stack(_symmetrized_stack(_stack([h]), hermitize))
-    return _spectra(h.algebra, vals, vecs, _kernel_masks(vals, eps), eps)[0]
+    return HermitianSpectrum(SpectrumStack(
+        h.algebra, vals, vecs, _kernel_masks(vals, eps), eps), 0)
 
 
-def _calc_values(spec: HermitianSpectrum, f: Callable, f_zero: complex
+@np.errstate(all="ignore")
+def _calc_values(single: SpectrumStack, f: Callable, f_zero: complex
                  ) -> list[np.ndarray]:
-    """Per block, f on the non-kernel eigenvalues and f_zero on the kernel,
-    each block's kept values one 1-D call of f (warnings are the caller's to
-    silence); the error of a non-finite value at a kept eigenvalue."""
+    """Per block, the (1, n) values of f on the non-kernel eigenvalues of a
+    B = 1 stack and f_zero on its kernel, each block's kept values one 1-D
+    call of f, with its warnings silenced."""
     out = []
-    for vals, mask in zip(spec.eigenvalues, spec.kernel_mask):
+    for vals, mask in zip(single.eigenvalues, single.kernel_mask):
         fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
-        keep = ~mask
-        if keep.any():
-            fk = np.asarray(f(vals[keep]), dtype=np.complex128)
-            if not np.isfinite(fk).all():
-                raise _nonfinite_error()
-            fv[keep] = fk
+        if not mask.all():
+            fv[~mask] = f(vals[~mask])
         out.append(fv)
     return out
 
 
-def _eigenvectors(spectra: Sequence[HermitianSpectrum]
-                  ) -> tuple[np.ndarray, ...]:
-    """Per block, the (B, n, n) eigenvectors of each spectrum."""
-    return _blockwise([s.eigenvectors for s in spectra])
+def _apply_stack(stack: SpectrumStack, values) -> tuple[np.ndarray, ...]:
+    """Functional calculus on a spectrum stack: per block, U diag(v) U* for
+    the eigenvectors U of each row j and each row v of values given per
+    block as (B, n), or (B, G, n) for G rows per element, as one
+    (B, [G,] n, n) stack per block with one matmul.
+
+    The values carry the kernel convention already (see
+    :func:`_eigenvalue_powers`, :func:`_imaginary_values` and
+    :func:`_support_stack`); a non-finite value raises, so that no result
+    is silently inf or NaN."""
+    out = []
+    for vecs, v in zip(stack.eigenvectors, values):
+        if not np.isfinite(v).all():
+            raise _nonfinite_error()
+        if v.ndim == vecs.ndim:
+            vecs = vecs[:, None]
+        out.append((vecs * v[..., None, :]) @ vecs.conj().swapaxes(-2, -1))
+    return tuple(out)
 
 
-def _apply_stack(spectra: Sequence[HermitianSpectrum], fs: Sequence[Callable],
-                 f_zero: complex = 0.0) -> tuple[np.ndarray, ...]:
-    """Functional calculus of B spectra of one algebra, f = fs[j] on
-    spectrum j, as per-block (B, n, n) stacks with one matmul per block.
-
-    The values are each spectrum's own 1-D calls (see :func:`_calc_values`);
-    the first spectrum, in order, with a non-finite value raises."""
-    with np.errstate(all="ignore"):
-        values = [_calc_values(s, f, f_zero) for s, f in zip(spectra, fs)]
-    return tuple((vecs * fv[:, None, :]) @ vecs.conj().swapaxes(-2, -1)
-                 for vecs, fv in zip(_eigenvectors(spectra),
-                                     _blockwise(values)))
+def _support_stack(stack: SpectrumStack) -> tuple[np.ndarray, ...]:
+    """The support projections of a stack's rows, per block (B, n, n): the
+    calculus of 1 on the non-kernel eigenvalues."""
+    return _apply_stack(stack, [~m for m in stack.kernel_mask])
 
 
-def _support_stack(spectra: Sequence[HermitianSpectrum]
-                   ) -> tuple[np.ndarray, ...]:
-    """The support projections of spectra of one algebra, stacked per
-    block.  Those not yet computed are computed as one stack and kept by
-    their spectra, as :meth:`HermitianSpectrum.support` keeps its own."""
-    missing = [s for s in spectra if "_support" not in vars(s)]
-    if missing:
-        computed = _apply_stack(missing, [np.ones_like] * len(missing))
-        for spec, support in zip(missing,
-                                 _unstack(missing[0].algebra, computed)):
-            vars(spec)["_support"] = support
-    return _stack([s.support() for s in spectra])
-
-
-def _eigenvalue_powers(spectra: Sequence[HermitianSpectrum], exponents
+@np.errstate(all="ignore")
+def _eigenvalue_powers(stack: SpectrumStack, exponents
                        ) -> tuple[np.ndarray, ...]:
     """Per block, the (B, G, n) stack whose row (j, g) holds lam ** e on the
-    non-kernel eigenvalues of spectra[j] and 0 on its kernel, for
-    e = exponents[g], or exponents[j][g] when they are given per spectrum.
+    non-kernel eigenvalues of row j and 0 on its kernel, for
+    e = exponents[g], or exponents[j][g] when they are given per row.
 
-    One broadcast power per block over all spectra and exponents (see
-    :func:`_powers`): every row equals the 1-D power of the kept eigenvalues
-    that :meth:`HermitianSpectrum.apply` takes for a single exponent, bit
-    for bit.  Warnings are the caller's to silence."""
+    One broadcast power per block over all rows and exponents (see
+    :func:`_powers`): every row equals the 1-D power ``kept ** e`` of the
+    kept eigenvalues, bit for bit.  A power beyond the float range shows as
+    a non-finite value, without a warning."""
     exps = np.asarray(exponents, dtype=float)
     out = []
-    for vals, masks in zip(_blockwise([s.eigenvalues for s in spectra]),
-                           _blockwise([s.kernel_mask for s in spectra])):
+    for vals, masks in zip(stack.eigenvalues, stack.kernel_mask):
         kernel = np.count_nonzero(masks)
         # Kernel entries are powered as 1.0, then zeroed.
         rows = _powers(np.where(masks, 1.0, vals)[:, None] if kernel
@@ -636,32 +662,24 @@ def _eigenvalue_powers(spectra: Sequence[HermitianSpectrum], exponents
     return tuple(out)
 
 
-def _power_stack(spectra: Sequence[HermitianSpectrum],
-                 exponents: Sequence[Sequence[float]]
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """h_j^e for every spectrum j and every e in ``exponents[j]`` (one
-    length G for all j), as one (B, G, n, n) stack per block.
+@np.errstate(all="ignore")
+def _imaginary_values(stack: SpectrumStack, ts) -> tuple[np.ndarray, ...]:
+    """Per block, the rows of lam^{it} = exp(i t log lam) on the non-kernel
+    eigenvalues of row j and 0 on its kernel: (B, n) rows for t = ts[j], or
+    (B, G, n) for t = ts[j][g].
 
-    Slice (j, g) equals ``spectra[j].apply(lambda lam: lam ** e)`` for
-    e = exponents[j][g], bit for bit: the eigenvalue powers are one
-    :func:`_eigenvalue_powers` call.  Instead of raising, returns with the
-    blocks a (B, G) mask of the powers that are finite on every non-kernel
-    eigenvalue; the caller raises :func:`_nonfinite_error` for a False entry
-    at that power's turn.  Rows that are not finite are zeroed, so that
-    stacked LAPACK calls on them still run.
-    """
-    with np.errstate(all="ignore"):
-        rows = _eigenvalue_powers(spectra, exponents)
-    finite = np.isfinite(rows[0]).all(axis=-1)
-    for r in rows[1:]:
-        finite &= np.isfinite(r).all(axis=-1)
-    if not finite.all():
-        for r in rows:
-            r[~finite] = 0.0
-    blocks = tuple((vecs[:, None] * r[:, :, None, :])
-                   @ vecs.conj().swapaxes(-2, -1)[:, None]
-                   for vecs, r in zip(_eigenvectors(spectra), rows))
-    return blocks, finite
+    One row-wise ``exp`` and ``log`` per block: every row equals the 1-D
+    ``np.exp(1j * t * np.log(kept))`` of the kept eigenvalues, bit for bit,
+    as both are elementwise.  A non-finite value shows as such, without a
+    warning."""
+    t = np.asarray(ts, dtype=float)[..., None]
+    out = []
+    for vals, masks in zip(stack.eigenvalues, stack.kernel_mask):
+        if t.ndim == 3:
+            vals, masks = vals[:, None], masks[:, None]
+        rows = np.exp(1j * t * np.log(np.where(masks, 1.0, vals)))
+        out.append(np.where(masks, 0.0, rows))
+    return tuple(out)
 
 
 def func_calc(h: AlgebraElement, f: Callable[[np.ndarray], np.ndarray],
@@ -684,7 +702,7 @@ def element_power(h: AlgebraElement, r: float, hermitize: bool = False,
     must be PSD up to the clip tolerance.
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec.apply(_power_f(r), f_zero=0.0)
+    return spec._calculus(_eigenvalue_powers, [r])
 
 
 def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
@@ -694,21 +712,7 @@ def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
     The result is a partial isometry u with u* u = support(h).
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec.apply(_imaginary_f(t), f_zero=0.0)
-
-
-def _power_f(r: float) -> Callable[[np.ndarray], np.ndarray]:
-    """lam -> lam^r on positive eigenvalues."""
-    def f(lam):
-        return lam ** float(r)
-    return f
-
-
-def _imaginary_f(t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """lam -> lam^{it} = exp(i t log lam) on positive eigenvalues."""
-    def f(lam):
-        return np.exp(1j * t * np.log(lam))
-    return f
+    return spec._calculus(_imaginary_values, [t])
 
 
 def support_projection(h: AlgebraElement,

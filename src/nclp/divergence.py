@@ -16,16 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _complex_array, _eigenvalue_powers, _eigenvectors,
+from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
+                      _apply_stack, _complex_array, _eigenvalue_powers,
                       _kept_power_sums, _kron_block, _nonfinite_error,
-                      _power_stack, _squared_norms, _stacked,
-                      _support_stack, _unstack)
+                      _squared_norms, _stacked, _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
-                          _positive_functionals)
+                          _positive_functionals, _stack_of)
 from .lp import _real, singular_values_stack
 from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional_stack
@@ -121,7 +120,7 @@ def _support_violations(psis: Sequence[PositiveFunctional],
     """(B,) whether s(psi) <= s(phi) fails beyond the relative budget, per
     pair of one algebra: the leak (1 - s(phi)) h_psi (1 - s(phi)) against
     the density's norm, stacked across the pairs."""
-    supports = _support_stack([phi._spectrum for phi in phis])
+    supports = _support_stack(_stack_of(phis))
     densities = _densities(psis)
     comps = [np.eye(s.shape[-1], dtype=np.complex128) - s for s in supports]
     with np.errstate(over="ignore"):
@@ -170,7 +169,7 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
                    and not (violates and sharp[g])]
             if idx:
                 values = evaluate([psis[j] for j in js],
-                                  [phis[j]._spectrum for j in js],
+                                  _stack_of([phis[j] for j in js]),
                                   [grid[g] for g in idx])
                 for j, vals in zip(js, values):
                     for g, value in zip(idx, vals):
@@ -184,7 +183,7 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
 
 
 def _sandwiched_values(psis: Sequence[PositiveFunctional],
-                       phi_specs: Sequence[HermitianSpectrum],
+                       phi_stack: SpectrumStack,
                        grid: Sequence[DivergenceParams]) -> list:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
@@ -193,9 +192,9 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
-    scales = _eigenvalue_powers(phi_specs, expos)
+    scales = _eigenvalue_powers(phi_stack, expos)
     eigs = []
-    for vecs, scale, tb in zip(_eigenvectors(phi_specs), scales,
+    for vecs, scale, tb in zip(phi_stack.eigenvectors, scales,
                                _densities(psis)):
         c = vecs.conj().swapaxes(-2, -1) @ tb @ vecs
         mids = (scale[..., :, None] * c[:, None]) * scale[..., None, :]
@@ -204,7 +203,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
     negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
                        for e in eigs], axis=0).tolist()
-    eps = phi_specs[0].eps_rel
+    eps = phi_stack.eps_rel
     # Per block, one masked row sum of the kept eigenvalues' powers; the
     # blocks add up in order from 0.0, as Python floats would.
     totals = 0.0
@@ -218,7 +217,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
 
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
-                    phi_specs: Sequence[HermitianSpectrum],
+                    phi_stack: SpectrumStack,
                     grid: Sequence[DivergenceParams]) -> list:
     """Q_{alpha,z} per pair and point, none of them a support violation.
 
@@ -239,21 +238,29 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
     phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
                  else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
-    powers, finite = _power_stack([psi._spectrum for psi in psis],
-                                  [cert_expos + half_expos] * len(psis))
+    psi_stack = _stack_of(psis)
+    rows = _eigenvalue_powers(psi_stack, cert_expos + half_expos)
+    # A power that is not finite on some kept eigenvalue is that point's
+    # error; its rows are zeroed so that the stacked calls still run.
+    finite = np.isfinite(rows[0]).all(axis=-1)
+    for r in rows[1:]:
+        finite &= np.isfinite(r).all(axis=-1)
+    if not finite.all():
+        for r in rows:
+            r[~finite] = 0.0
+    powers = _apply_stack(psi_stack, rows)
     k = len(sharp)
-    vecs = _eigenvectors(phi_specs)
     if k:
         _, residuals, budgets = _sharp_pinv_middles(
-            [b[:, :k] for b in powers], phi_specs, vecs,
+            [b[:, :k] for b in powers], phi_stack,
             [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
             * len(psis))
-    scales = _eigenvalue_powers(phi_specs, phi_expos)
+    scales = _eigenvalue_powers(phi_stack, phi_expos)
     sv = singular_values_stack([(half[:, k:] @ u[:, None])
                                 * scale[..., None, :]
-                                for half, u, scale in zip(powers, vecs,
-                                                          scales)])
-    eps = phi_specs[0].eps_rel
+                                for half, u, scale in zip(
+                                    powers, phi_stack.eigenvectors, scales)])
+    eps = phi_stack.eps_rel
     keeps = sv > eps * sv.max(axis=-1)[..., None]
     qs = _kept_power_sums(sv, keeps, [2.0 * z for z in zs]).tolist()
     finite = finite.tolist()
@@ -276,29 +283,27 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     return out
 
 
-def _sharp_pinv_middles(hp: Sequence[np.ndarray],
-                        specs: Sequence[HermitianSpectrum],
-                        vecs: Sequence[np.ndarray],
+def _sharp_pinv_middles(hp: Sequence[np.ndarray], stack: SpectrumStack,
                         expos: Sequence[Sequence[float]]):
     """Eigenbasis blocks of the pseudo-inverse corner solutions of the
     sandwich equation, one per pair j and exponent e of ``expos[j]`` (one
     length G for all j), with their certificates.
 
     ``hp`` holds per block a (B, G, n, n) stack of right-hand sides
-    h_psi^{alpha/z}, specs[j] is the spectrum of pair j's phi and ``vecs``
-    holds their eigenvectors stacked per block.  In phi's eigenbasis the
-    solution is X_ij = C_ij / (s_i^e s_j^e) on the support corner (C the
-    transformed right-hand side); re-scaling recovers C entrywise, so the
-    recomposition residual measures exactly the part of the right-hand side
-    outside the corner plus rounding, independent of phi's conditioning.
+    h_psi^{alpha/z} and row j of ``stack`` is the spectrum of pair j's
+    phi.  In phi's eigenbasis the solution is X_ij = C_ij / (s_i^e s_j^e)
+    on the support corner (C the transformed right-hand side); re-scaling
+    recovers C entrywise, so the recomposition residual measures exactly
+    the part of the right-hand side outside the corner plus rounding,
+    independent of phi's conditioning.
     Returns the (B, G, n, n) middles per block, the (B, G) residuals and
     the (B, G) budgets SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
     """
     G = len(expos[0])
-    scales = _eigenvalue_powers(specs, [[-e for e in exps] + list(exps)
+    scales = _eigenvalue_powers(stack, [[-e for e in exps] + list(exps)
                                         for exps in expos])
     mids, resid_sq, frob_sq = [], 0.0, 0.0
-    for tb, u, sc in zip(hp, vecs, scales):
+    for tb, u, sc in zip(hp, stack.eigenvectors, scales):
         u = u[:, None]
         down, up = sc[:, :G], sc[:, G:]
         c = u.conj().swapaxes(-2, -1) @ tb @ u
@@ -382,19 +387,16 @@ def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
     if _support_violations(psis, phis).any():
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    hp, finite = _power_stack([psi._spectrum for psi in psis],
-                              [[r] for r, _ in exps])
-    if not finite.all():
-        raise _nonfinite_error()
-    specs = [phi._spectrum for phi in phis]
-    vecs = _eigenvectors(specs)
-    mids, residuals, budgets = _sharp_pinv_middles(hp, specs, vecs,
+    psi_stack, phi_stack = _stack_of(psis), _stack_of(phis)
+    hp = _apply_stack(psi_stack, _eigenvalue_powers(
+        psi_stack, [[r] for r, _ in exps]))
+    mids, residuals, budgets = _sharp_pinv_middles(hp, phi_stack,
                                                    [[e] for _, e in exps])
     over = residuals[:, 0] > budgets[:, 0]
     if over.any():
         raise _recomposition_error(float(residuals[np.argmax(over), 0]))
     return tuple(u @ mid[:, 0] @ u.conj().swapaxes(-2, -1)
-                 for u, mid in zip(vecs, mids))
+                 for u, mid in zip(phi_stack.eigenvectors, mids))
 
 
 def _sharp_exponents(psis, phis, params) -> list[tuple[float, float]]:
@@ -438,15 +440,12 @@ def solve_sharp_least_squares_stack(psis: Sequence[PositiveFunctional],
     linearizations are stacked; ``lstsq``, which takes one system at a
     time, runs per pair and block."""
     exps = _sharp_exponents(psis, phis, params)
-    a, finite_a = _power_stack([phi._spectrum for phi in phis],
-                               [[e] for _, e in exps])
-    if not finite_a.all():
-        raise _nonfinite_error()
-    s = _support_stack([phi._spectrum for phi in phis])
-    target, finite_t = _power_stack([psi._spectrum for psi in psis],
-                                    [[r] for r, _ in exps])
-    if not finite_t.all():
-        raise _nonfinite_error()
+    phi_stack, psi_stack = _stack_of(phis), _stack_of(psis)
+    a = _apply_stack(phi_stack, _eigenvalue_powers(
+        phi_stack, [[e] for _, e in exps]))
+    s = _support_stack(phi_stack)
+    target = _apply_stack(psi_stack, _eigenvalue_powers(
+        psi_stack, [[r] for r, _ in exps]))
     blocks = []
     for ab, sb, cb in zip(a, s, target):
         ab, cb = ab[:, 0], cb[:, 0]

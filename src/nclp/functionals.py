@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _apply_stack, _clipped_eig_stack, _frobenius_stack,
-                      _imaginary_f, _power_f, _stack, _support_stack,
+                      SpectrumStack, _apply_stack, _clipped_eig_stack,
+                      _eigenvalue_powers, _frobenius_stack, _gather,
+                      _imaginary_values, _stack, _support_stack,
                       _symmetrized_stack, _unstack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError, _check_type
@@ -25,8 +26,10 @@ class PositiveFunctional:
     clipping; its stored matrix entries are otherwise kept bit-exact so that
     planted zero structure (diagonal instances, exact kernels) survives.
     The functional owns its kernel cutoff: the spectrum stored at
-    construction carries it, and the package's kernels read that spectrum.
-    A method or public function given a cutoff works on the functional as
+    construction carries it.  That spectrum is one row of the
+    :class:`SpectrumStack` of the functional's batch (B = 1 for a
+    constructor call), and the package's kernels read the stack.  A method
+    or public function given a cutoff works on the functional as
     :func:`_at_cutoff` returns it.  A functional built from others (a sum, a
     multiple, a tensor product) keeps the cutoff of its first operand.  The
     constructor is one element of :func:`_positive_functionals`.
@@ -93,13 +96,15 @@ class PositiveFunctional:
         on a functional that lives long, and measured end to end it saved no
         time beyond run-to-run noise.
         """
-        return self.spectrum(eps_rel).apply(_power_f(r), f_zero=0.0)
+        return self.spectrum(eps_rel)._calculus(_eigenvalue_powers, [r])
 
     def imaginary_power(self, t: float,
                         eps_rel: float | None = None) -> AlgebraElement:
-        return self.spectrum(eps_rel).apply(_imaginary_f(t), f_zero=0.0)
+        return self.spectrum(eps_rel)._calculus(_imaginary_values, [t])
 
     def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
+        _check_type(other, PositiveFunctional,
+                    "functional addition needs a PositiveFunctional")
         return PositiveFunctional(self.density + other.density,
                                   eps_rel=self._spectrum.eps_rel)
 
@@ -113,15 +118,22 @@ def _positive_functionals(algebra: BlockAlgebra, stacked, hermitize: bool,
     """The functionals of B stacked densities (per block a (B, n, n) array)
     at the resolved cutoff ``eps``, as B constructor calls build them: the
     Hermitian gate, one ``eigh`` per block and the PSD clip, each for all B
-    at once.  The first density that fails the gate or the clip raises."""
+    at once.  Functional j's spectrum is row j of the one spectrum stack.
+    The first density that fails the gate or the clip raises."""
     sym = _symmetrized_stack(stacked, hermitize)
+    stack = _clipped_eig_stack(algebra, sym, eps)
     out = []
-    for density, spectrum in zip(_unstack(algebra, sym),
-                                 _clipped_eig_stack(algebra, sym, eps)):
+    for j, density in enumerate(_unstack(algebra, sym)):
         psi = object.__new__(PositiveFunctional)
-        psi._set(algebra, density, spectrum)
+        psi._set(algebra, density, HermitianSpectrum(stack, j))
         out.append(psi)
     return out
+
+
+def _stack_of(psis) -> SpectrumStack:
+    """The spectrum stack whose row j is the spectrum of psis[j] (see
+    :func:`_gather`)."""
+    return _gather([psi._spectrum for psi in psis])
 
 
 def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
@@ -150,13 +162,8 @@ def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
 
 def _imaginary_powers(psis, ts) -> tuple[np.ndarray, ...]:
     """h_j^{i t_j} of each functional, as per-block (B, n, n) stacks."""
-    return _apply_stack([psi._spectrum for psi in psis],
-                        [_imaginary_f(t) for t in ts])
-
-
-def _supports(psis) -> tuple[np.ndarray, ...]:
-    """The support projections of the functionals, stacked per block."""
-    return _support_stack([psi._spectrum for psi in psis])
+    stack = _stack_of(psis)
+    return _apply_stack(stack, _imaginary_values(stack, ts))
 
 
 def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -208,8 +215,8 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
     """:func:`lemma1_cut` of B triples of one algebra, each side as
     per-block (B, n, n) stacks.  The sums chi = psi + psi' keep the cutoff
     of psis[0], which every psi shares."""
-    s = _supports(psis)
-    s_prime = _supports(psi_primes)
+    s = _support_stack(_stack_of(psis))
+    s_prime = _support_stack(_stack_of(psi_primes))
     defects = _frobenius_stack([a + b - np.eye(a.shape[-1])
                                 for a, b in zip(s, s_prime)])
     overlaps = _frobenius_stack([a @ b for a, b in zip(s, s_prime)])

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _apply_stack, _eigenvalue_powers, _eigenvectors,
-                      _frobenius_stack, _kron_block, _power_f, _powers,
-                      _stack, _unstack)
+                      _apply_stack, _eigenvalue_powers, _frobenius_stack,
+                      _kron_block, _powers, _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _raise_first)
-from .functionals import PositiveFunctional, _at_cutoff, _densities
+from .functionals import (PositiveFunctional, _at_cutoff, _densities,
+                          _stack_of)
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -241,44 +241,33 @@ def _sandwich_stack(stacked, phis: list[PositiveFunctional],
     """h_j^lefts[j] a_j h_j^rights[j] of B stacked elements a_j, h_j the
     density of phis[j], as per-block (B, n, n) stacks.  An exponent-0
     factor is skipped exactly and exponent 1 is the density itself; each
-    side is one stacked product over the elements that have it."""
+    side is one stacked product over all elements."""
     out = tuple(stacked)
     for expos, on_left in ((lefts, True), (rights, False)):
-        idx = [j for j, e in enumerate(expos) if e != 0.0]
-        if not idx:
+        skip = np.array([e == 0.0 for e in expos])
+        if skip.all():
             continue
-        factors = _density_powers([phis[j] for j in idx],
-                                  [expos[j] for j in idx])
-        whole = len(idx) == len(expos)
-        sides = []
-        for s, f in zip(out, factors):
-            part = s if whole else s[idx]
-            prod = f @ part if on_left else part @ f
-            if whole:
-                sides.append(prod)
-            else:
-                side = s.copy()
-                side[idx] = prod
-                sides.append(side)
-        out = tuple(sides)
+        prods = [f @ s if on_left else s @ f
+                 for s, f in zip(out, _density_powers(phis, expos))]
+        out = tuple(prods) if not skip.any() else tuple(
+            np.where(skip[:, None, None], s, p) for s, p in zip(out, prods))
     return out
 
 
 def _density_powers(phis: list[PositiveFunctional],
                     expos: list[float]) -> tuple[np.ndarray, ...]:
     """h_j^expos[j] of each functional as per-block stacks: the density
-    itself at exponent 1, else the power of its stored spectrum."""
-    powered = [j for j, e in enumerate(expos) if e != 1.0]
-    if not powered:
+    itself at exponent 1, else the power of its spectrum."""
+    ones = np.array([e == 1.0 for e in expos])
+    if ones.all():
         return _densities(phis)
-    powers = _apply_stack([phis[j]._spectrum for j in powered],
-                          [_power_f(expos[j]) for j in powered])
-    if len(powered) == len(expos):
-        return powers
-    out = _densities(phis)
-    for block, power in zip(out, powers):
-        block[powered] = power
-    return out
+    stack = _stack_of(phis)
+    powers = [p[:, 0] for p in _apply_stack(
+        stack, _eigenvalue_powers(stack, [[e] for e in expos]))]
+    if not ones.any():
+        return tuple(powers)
+    return tuple(np.where(ones[:, None, None], d, p)
+                 for d, p in zip(_densities(phis), powers))
 
 
 def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
@@ -317,13 +306,13 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     rights = [[weights[pt][1] for pt in pts] for pts in points]
     ident = np.array([[a == 0.0 and b == 0.0 for a, b in zip(ls, rs)]
                       for ls, rs in zip(lefts, rights)])
-    specs = [phi._spectrum for phi in phis]
-    scales = _eigenvalue_powers(specs, [[-a for a in ls] + [-b for b in rs]
+    stack = _stack_of(phis)
+    scales = _eigenvalue_powers(stack, [[-a for a in ls] + [-b for b in rs]
                                         + ls + rs
                                         for ls, rs in zip(lefts, rights)])
     G = len(points[0])
     blocks, resid_sq = [], 0.0
-    for yb, vecs, sc in zip(stacked_y, _eigenvectors(specs), scales):
+    for yb, vecs, sc in zip(stacked_y, stack.eigenvectors, scales):
         vecs_h = vecs.conj().swapaxes(-2, -1)
         down_l, down_r, up_l, up_r = (sc[:, i * G:(i + 1) * G]
                                       for i in range(4))
@@ -489,8 +478,9 @@ def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps,
     ``svd`` for all of them."""
     invs = [_as_exponent(p).inv for p in ps]
     alg = phis[0].algebra
-    powers = _apply_stack([phi._spectrum for phi in phis],
-                          [_power_f(inv) for inv in invs])
+    stack = _stack_of(phis)
+    powers = [p[:, 0] for p in _apply_stack(
+        stack, _eigenvalue_powers(stack, [[inv] for inv in invs]))]
     D = alg.total_dim
     lin = np.zeros((len(phis), D, D), dtype=np.complex128)
     ofs = 0

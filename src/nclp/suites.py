@@ -35,12 +35,13 @@ its trials live on a product).  The scalar work of each trial and point
 the stack, each row equal to the trial's own 1-D operation bit for bit, so
 a report does not depend on which trials share a batch.  Draws return
 densities and elements, not functionals: a batch builds each role's
-functionals as stacks (see ``_role_functionals``).  A batch runs stage by
-stage: a lone failing trial raises the error of its one-trial call, and of
-several, one of those that fail in the first failing stage raises.  The
-kernels return residuals and values and format no strings; :func:`run_suite`
-alone fills the residual and tolerance maps and decides ``passed``: a trial
-passes exactly when every residual is at most its tolerance.
+functionals as one stack, so that they share one spectrum stack (see
+``_role_functionals``).  A batch runs stage by stage: a lone failing trial
+raises the error of its one-trial call, and of several, one of those that
+fail in the first failing stage raises.  The kernels return residuals and
+values and format no strings; :func:`run_suite` alone fills the residual
+and tolerance maps and decides ``passed``: a trial passes exactly when
+every residual is at most its tolerance.
 
 A profile's trials are drawn and evaluated in chunks of at most
 ``CHUNK_TRIALS`` trials, each chunk one batch, so the draws a command holds
@@ -60,7 +61,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
-                      _stack, _symmetrized_stack)
+                      _stack, _support_stack, _symmetrized_stack)
 from .config import PRNG_ID, resolve_eps_rel
 from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          embed_left_channel, identity_channel, lemma9_stack,
@@ -69,7 +70,7 @@ from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          solve_sharp_pseudo_inverse_stack)
 from .errors import DomainError, UsageError, _check_type
 from .functionals import (PositiveFunctional, _positive_functionals,
-                          _supports, cocycle_chain_stack,
+                          _stack_of, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
 from .lp import (_kosaki_point, interpolation_bound_stack,
                  lemma3_bijectivity_stack)
@@ -171,12 +172,13 @@ def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
     return AlgebraElement._trusted(algebra, blocks)
 
 
-def _normalized_stack(sym) -> tuple[np.ndarray, ...]:
-    """Stacked symmetrized densities, each divided by its trace where that
-    is positive.  Built into functionals, they are the functionals of
-    normalized densities: symmetrizing them again changes no bit."""
+def _normalized_stack(sym, flags) -> tuple[np.ndarray, ...]:
+    """Stacked symmetrized densities, those flagged in the (B,) ``flags``
+    divided by their traces where those are positive.  Built into
+    functionals, they are the functionals of normalized densities:
+    symmetrizing them again changes no bit."""
     mass = sum(np.trace(s, axis1=-2, axis2=-1) for s in sym).real
-    positive = mass > 0
+    positive = (mass > 0) & flags
     scale = np.where(positive, mass, 1.0)[:, None, None]
     return tuple(np.where(positive[:, None, None], s / scale, s) for s in sym)
 
@@ -385,6 +387,7 @@ def parse_dims(text: str) -> tuple[DimsProfile, ...]:
     "2+3x2" is the algebra with blocks (2, 3) tensored with a single block of
     dimension 2; a profile without 'x' describes a single algebra.
     """
+    _check_type(text, str, "dims must be a string")
     profiles = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -469,16 +472,17 @@ def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
 
 
 def _functionals(alg: BlockAlgebra, densities, eps: float,
-                 normalize: bool = True) -> list[PositiveFunctional]:
-    """The functionals of drawn densities, built as one stack: densities to
-    be normalized (factor squares, nested pairs) symmetrized and divided by
-    their traces, already normalized ones with ``hermitize=True`` as
-    :func:`gen_classical_pair` does."""
-    if normalize:
-        return _positive_functionals(
-            alg, _normalized_stack(_symmetrized_stack(_stack(densities),
-                                                      False)), False, eps)
-    return _positive_functionals(alg, _stack(densities), True, eps)
+                 normalize=True) -> list[PositiveFunctional]:
+    """The functionals of drawn densities, built as one stack.  The
+    densities ``normalize`` flags (one flag, or one per density) are to be
+    normalized (factor squares, nested pairs): symmetrized through the
+    Hermitian gate and divided by their traces.  The others are normalized
+    already and are symmetrized without the gate, as ``hermitize=True``
+    does in :func:`gen_classical_pair`."""
+    flags = np.broadcast_to(normalize, (len(densities),))
+    sym = _symmetrized_stack(_stack(densities), ~flags)
+    return _positive_functionals(alg, _normalized_stack(sym, flags), True,
+                                 eps)
 
 
 # Per kind of a prop11 or lemma9 draw, whether each of its densities (psi1,
@@ -502,20 +506,12 @@ def _instance(alg: BlockAlgebra, densities, kind: str, eps_rel=None) -> tuple:
 
 def _role_functionals(alg: BlockAlgebra, draws, eps) -> list:
     """Per role, the functionals of (kind, densities) draws of any kinds,
-    in draw order: a role's densities build in at most two stacks, one per
-    ``_NORMALIZE`` flag of their kinds, the flag of the first draw first."""
-    flags = [_NORMALIZE[kind] for kind, _ in draws]
-    out = []
-    for r, role in enumerate(zip(*(densities for _, densities in draws))):
-        role_flags = [f[r] for f in flags]
-        built = [None] * len(role)
-        for normalize in dict.fromkeys(role_flags):
-            js = [j for j, f in enumerate(role_flags) if f == normalize]
-            for j, psi in zip(js, _functionals(
-                    alg, [role[j] for j in js], eps, normalize)):
-                built[j] = psi
-        out.append(built)
-    return out
+    in draw order, built as one stack with each draw's ``_NORMALIZE``
+    flag."""
+    roles = zip(*(densities for _, densities in draws))
+    flags = zip(*(_NORMALIZE[kind] for kind, _ in draws))
+    return [_functionals(alg, role, eps, role_flags)
+            for role, role_flags in zip(roles, flags)]
 
 
 # -- trial functions ----------------------------------------------------------
@@ -623,7 +619,8 @@ def _lemma1_batch(config, tols, alg, draws):
     residuals = zip(
         _frobenius_stack([a - b for a, b in zip(lhs, rhs)]),
         cocycle_chain_stack(psis, phis, ts, s_pars),
-        _frobenius_stack([a - b for a, b in zip(u0, _supports(psis))]))
+        _frobenius_stack([a - b for a, b in zip(
+            u0, _support_stack(_stack_of(psis)))]))
     return [({"rank": rank, "t": t},
              [("identity", float(identity), tols["identity"]),
               ("chain", float(chain), tols["chain"]),

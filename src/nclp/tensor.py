@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
-                      _apply_stack, _clipped_eig_stack, _frobenius_stack,
-                      _imaginary_f, _kron_block, _polar_stack, _power_f,
-                      _stack, _symmetrized_stack)
+                      _apply_stack, _clipped_eig_stack, _eigenvalue_powers,
+                      _frobenius_stack, _imaginary_values, _kron_block,
+                      _polar_stack, _stack, _symmetrized_stack)
 from .config import resolve_eps_rel
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
@@ -125,22 +125,18 @@ def _check_factors(T: TensorAlgebra, xs, ys):
                     f"{side} factor does not live on the {side} algebra")
 
 
-def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, make_f,
+def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, values,
                          eps: float) -> list[list[float]]:
     """Residuals of f(k) against f(x) (x) f(y) for PSD stacks k, x, y
     (eigendecomposed and clipped in that order, one ``eigh`` per block) at
     every point of each element: ``points[j]`` holds element j's points,
-    all of one length, and ``make_f(point)`` is the function of a point."""
-    spec_k = _clipped_eig_stack(T.product, _symmetrized_stack(sk, False), eps)
-    spec_x = _clipped_eig_stack(T.left, _symmetrized_stack(sx, False), eps)
-    spec_y = _clipped_eig_stack(T.right, _symmetrized_stack(sy, False), eps)
-    out = []
-    for g in range(len(points[0])):
-        fs = [make_f(pts[g]) for pts in points]
-        lhs = _apply_stack(spec_k, fs)
-        rhs = _kron_stack(_apply_stack(spec_x, fs), _apply_stack(spec_y, fs))
-        out.append(_residuals(lhs, rhs))
-    return np.stack(out, axis=1).tolist()
+    all of one length, and ``values(stack, points)`` gives the rows of f
+    at every point (:func:`_eigenvalue_powers` or
+    :func:`_imaginary_values`)."""
+    k, x, y = [_clipped_eig_stack(alg, _symmetrized_stack(s, False), eps)
+               for alg, s in ((T.product, sk), (T.left, sx), (T.right, sy))]
+    fk, fx, fy = (_apply_stack(st, values(st, points)) for st in (k, x, y))
+    return _residuals(fk, _kron_stack(fx, fy)).tolist()
 
 
 def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
@@ -152,9 +148,9 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
     ``eps``.
 
     x, y and x (x) y are polar-decomposed once, and their moduli
-    eigendecomposed once (product first); each p then costs three spectral
-    applications.  Errors: every p is validated before any evaluation; the
-    decompositions come next, then the points in order.
+    eigendecomposed once (product first); all points then take one
+    functional calculus per side.  Errors: every p is validated before any
+    evaluation; the decompositions come next, then the powers.
     """
     powers = [tuple(ps) for ps in powers]
     for ps in powers:
@@ -166,7 +162,8 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
     _, ax = _polar_stack(sx, eps)
     _, ay = _polar_stack(sy, eps)
     _, ak = _polar_stack(_kron_stack(sx, sy), eps)
-    return _factorization_stack(T, ak, ax, ay, powers, _power_f, eps)
+    return _factorization_stack(T, ak, ax, ay, powers, _eigenvalue_powers,
+                                eps)
 
 
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
@@ -186,14 +183,15 @@ def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
     h2s[j]) at every t of ``ts[j]`` (one length for all j), at the resolved
     cutoff ``eps``.
 
-    h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; each t
-    then costs three spectral applications.  Errors: the decompositions
-    come first, then the points in order.
+    h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; all
+    points then take one functional calculus per side.  Errors: the
+    decompositions come first, then the imaginary powers.
     """
     _check_factors(T, h1s, h2s)
     s1, s2 = _stack(h1s), _stack(h2s)
     return _factorization_stack(T, _kron_stack(s1, s2), s1, s2,
-                                [tuple(t) for t in ts], _imaginary_f, eps)
+                                [tuple(t) for t in ts], _imaginary_values,
+                                eps)
 
 
 def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,

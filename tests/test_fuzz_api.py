@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   KosakiSpec, LpExponent, NclpError, PositiveFunctional,
-                  QuantumChannel, SuiteConfig, TensorAlgebra, kron_element,
-                  lp_norm, run_suite, theorem6_norm)
+                  QuantumChannel, SuiteConfig, TensorAlgebra, func_calc,
+                  kron_element, lp_norm, parse_dims, run_suite,
+                  theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -200,13 +201,17 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: BlockAlgebra((2,)).identity() + 1,
     lambda: kron_element("x", AlgebraElement(_ALG, [np.eye(2)]),
                          AlgebraElement(_ALG, [np.eye(2)])),
+    lambda: REFERENCES["faithful"] + 1,
+    lambda: func_calc(_ALG.identity(), "x"),
+    lambda: parse_dims(3),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
         "text_algebra", "text_channel_algebras", "text_zero_algebra",
         "number_kron_factors", "number_theorem6_factors",
         "text_tensor_factors", "text_lp_norm_element", "text_dims",
-        "text_tolerances", "number_element_sum", "text_kron_algebra"])
+        "text_tolerances", "number_element_sum", "text_kron_algebra",
+        "number_functional_sum", "text_calculus_function", "number_dims"])
 def test_known_holes_raise_nclp_errors(call):
     with pytest.raises(NclpError):
         call()

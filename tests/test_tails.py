@@ -1,11 +1,13 @@
 """The stacked per-point tails against the 1-D operations they replace.
 
-The kernels take eigenvalue powers, masked sums and Schatten norms of many
-rows (trials times grid points) as one array operation.  Each row must equal
-the 1-D operation on that row alone, compared with ``==`` on the bytes, not
-approximately: numpy routes some scalar exponents to other ufuncs, sums
-rows of 8 or more entries in blocks of eight, and its AVX-512 ``power``
-differs from libm in the last bit, so a shortcut that is close is not equal.
+The kernels take eigenvalue powers, imaginary powers, masked sums and
+Schatten norms of many rows (trials times grid points) as one array
+operation, and the functional calculus of a spectrum stack as one sandwich
+per block.  Each row must equal the 1-D operation on that row alone,
+compared with ``==`` on the bytes, not approximately: numpy routes some
+scalar exponents to other ufuncs, sums rows of 8 or more entries in blocks
+of eight, and its AVX-512 ``power`` differs from libm in the last bit, so a
+shortcut that is close is not equal.
 Rows have up to 25 entries (the widest products), masks are random, all
 kept or none kept, and the runs are derandomized.
 """
@@ -18,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import BlockAlgebra, DomainError, LpExponent
-from nclp.algebra import (HermitianSpectrum, _eigenvalue_powers,
-                          _kept_power_sums, _powers)
+from nclp.algebra import (HermitianSpectrum, SpectrumStack, _apply_stack,
+                          _eigenvalue_powers, _imaginary_values,
+                          _kept_power_sums, _powers, _support_stack)
 from nclp.lp import _schatten, _schatten_stack
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -50,6 +53,20 @@ def _mask(rng, kind, shape):
     return rng.random(shape) < 0.6
 
 
+def _stack(rng, dims, B, masks):
+    """B spectra of the algebra with block dimensions ``dims``: positive
+    eigenvalues, random unitary eigenvectors and masks of the given kind."""
+    def unitaries(n):
+        g = rng.standard_normal((B, n, n)) + 1j * rng.standard_normal(
+            (B, n, n))
+        return np.linalg.qr(g)[0]
+    return SpectrumStack(BlockAlgebra(tuple(dims)),
+                         tuple(_values(rng, (B, n)) for n in dims),
+                         tuple(unitaries(n) for n in dims),
+                         tuple(_mask(rng, masks, (B, n)) for n in dims),
+                         1e-12)
+
+
 def _same(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -77,18 +94,15 @@ def test_stacked_power_equals_row_power(shape, seed, per_row, full_rows):
        st.booleans())
 def test_eigenvalue_powers_equal_the_kept_row_powers(dims, seed, masks,
                                                      per_spectrum):
-    alg = BlockAlgebra(tuple(dims))
     rng = np.random.default_rng(seed)
     B, G = int(rng.integers(1, 5)), int(rng.integers(1, 8))
-    spectra = [HermitianSpectrum(
-        alg, tuple(_values(rng, n) for n in dims),
-        tuple(np.eye(n) for n in dims),
-        tuple(_mask(rng, masks, n) for n in dims), 1e-12) for _ in range(B)]
+    stack = _stack(rng, dims, B, masks)
     exps = ([_exponents(rng, G) for _ in range(B)] if per_spectrum
             else _exponents(rng, G))
     with np.errstate(all="ignore"):
-        got = _eigenvalue_powers(spectra, exps)
-        for j, spec in enumerate(spectra):
+        got = _eigenvalue_powers(stack, exps)
+        for j in range(B):
+            spec = HermitianSpectrum(stack, j)
             row_exps = exps[j] if per_spectrum else exps
             for k, (vals, mask) in enumerate(zip(spec.eigenvalues,
                                                  spec.kernel_mask)):
@@ -96,6 +110,43 @@ def test_eigenvalue_powers_equal_the_kept_row_powers(dims, seed, masks,
                     want = np.zeros(vals.size)
                     want[~mask] = vals[~mask] ** e
                     assert _same(got[k][j, g], want)
+
+
+def _power_f(e):
+    return lambda lam: lam ** e
+
+
+def _imaginary_f(t):
+    return lambda lam: np.exp(1j * t * np.log(lam))
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3), SEEDS, MASKS,
+       st.sampled_from(["power", "imaginary", "support"]))
+def test_stacked_calculus_equals_the_one_row_apply(dims, seed, masks, kind):
+    # Slice (j, g) of the merged calculus at row-wise values against the
+    # B = 1 apply of the 1-D function that the values stand for.
+    rng = np.random.default_rng(seed)
+    B, G = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+    stack = _stack(rng, dims, B, masks)
+    if kind == "power":
+        points = [_exponents(rng, G) for _ in range(B)]
+        points[0][int(rng.integers(G))] = float(
+            rng.choice([-1.0, 0.5, 1.0, 2.0]))
+        got = _apply_stack(stack, _eigenvalue_powers(stack, points))
+        make_f = _power_f
+    elif kind == "imaginary":
+        points = (rng.uniform(-30.0, 30.0, (B, G))).tolist()
+        got = _apply_stack(stack, _imaginary_values(stack, points))
+        make_f = _imaginary_f
+    else:
+        got = [b[:, None] for b in _support_stack(stack)]
+        points, make_f = [[None]] * B, lambda _: np.ones_like
+    for j in range(B):
+        for g, point in enumerate(points[j]):
+            want = HermitianSpectrum(stack, j).apply(make_f(point))
+            for k, block in enumerate(want.blocks):
+                assert _same(got[k][j, g], block)
 
 
 @SETTINGS
