@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import HERMITIAN_TOL, PSD_CLIP_TOL, resolve_eps_rel
-from .errors import DomainError, ShapeError, _check_type
+from .errors import DomainError, ShapeError, _check_type, _real
 
 
 @dataclass(frozen=True)
@@ -604,12 +604,16 @@ def _calc_values(single: SpectrumStack, f: Callable, f_zero: complex
                  ) -> list[np.ndarray]:
     """Per block, the (1, n) values of f on the non-kernel eigenvalues of a
     B = 1 stack and f_zero on its kernel, each block's kept values one 1-D
-    call of f, with its warnings silenced."""
+    call of f, its warnings silenced; a DomainError unless all are numbers."""
     out = []
     for vals, mask in zip(single.eigenvalues, single.kernel_mask):
-        fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
-        if not mask.all():
-            fv[~mask] = f(vals[~mask])
+        try:
+            fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
+            if not mask.all():
+                fv[~mask] = f(vals[~mask])
+        except (TypeError, ValueError) as exc:
+            raise DomainError("f must give one number per kept eigenvalue "
+                              "and f_zero be a number") from exc
         out.append(fv)
     return out
 
@@ -702,7 +706,7 @@ def element_power(h: AlgebraElement, r: float, hermitize: bool = False,
     must be PSD up to the clip tolerance.
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec._calculus(_eigenvalue_powers, [r])
+    return spec._calculus(_eigenvalue_powers, [_real(r, "exponent")])
 
 
 def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
@@ -712,7 +716,7 @@ def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
     The result is a partial isometry u with u* u = support(h).
     """
     spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec._calculus(_imaginary_values, [t])
+    return spec._calculus(_imaginary_values, [_real(t, "t")])
 
 
 def support_projection(h: AlgebraElement,

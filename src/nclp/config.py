@@ -1,5 +1,9 @@
 """Global numerical policy: kernel cutoff, gate tolerances, identifiers.
 
+Each check's gate is written once, in ``CHECK_TOLERANCES`` (suite -> report
+key -> tolerance), which the suites and the one-point checks read; the rank
+tests count the singular values above ``RANK_RTOL`` times the largest.
+
 Every eigenvalue whose magnitude falls at or below ``eps_rel * spectral_radius``
 is treated as an exact zero of the operator (the "kernel convention"): scalar
 functions applied through the functional calculus send those directions to the
@@ -33,6 +37,23 @@ FAITHFULNESS_FLOOR = 1e-13
 
 # Orthogonal-support preconditions are checked against this Frobenius budget.
 SUPPORT_TOL = 1e-8
+
+CHECK_TOLERANCES = {
+    "lemma1": {"identity": 1e-9, "chain": 1e-10, "support_at_zero": 1e-10},
+    "lemma3": {"interpolation_slack": 1e-10, "bijectivity": 0.0},
+    "lemma5": {"residual": 1e-9},
+    "theorem6": {"relative": 1e-10, "spanning": 0.0},
+    "corollary7": {"relative": 1e-9},
+    "lemma8": {"solver_agreement": 1e-8},
+    "lemma9": {"path_agreement": 1e-10, "reason_agreement": 0.0},
+    "prop11": {"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
+               "infinite_branch": 0.0},
+    "appendixA": {"eigenvalue_multiset": 1e-9, "f_multiplicativity": 1e-9,
+                  "adjoint": 1e-12, "mixed_product": 1e-12},
+    "dpi": {"monotonicity_violation": 1e-9, "identity_equality": 1e-9},
+}
+
+RANK_RTOL = 1e-10
 
 EIGENSOLVER_ID = "numpy.linalg.eigh/svd (LAPACK)"
 PRNG_ID = "numpy PCG64 (default_rng)"

@@ -20,12 +20,12 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _apply_stack, _complex_array, _eigenvalue_powers,
                       _kept_power_sums, _kron_block, _nonfinite_error,
                       _squared_norms, _stacked, _support_stack, _unstack)
-from .config import PSD_CLIP_TOL
+from .config import CHECK_TOLERANCES, PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
-                     _check_type, _raise_first)
+                     _check_type, _raise_first, _real)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals, _stack_of)
-from .lp import _real, singular_values_stack
+from .lp import singular_values_stack
 from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional_stack
 
@@ -511,20 +511,18 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
 
 
 def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
-                 alpha: float, tol: float = 1e-10,
-                 eps_rel: float | None = None) -> CheckReport:
-    """Agreement of the two code paths at z = alpha.
+                 alpha: float, eps_rel: float | None = None) -> CheckReport:
+    """Agreement of the two code paths at z = alpha, on the lemma9 gates.
 
-    Finite values must agree to relative tol; infinite values must carry the
-    same reason code.  The info holds both Q-values and ``d_reason``, the
-    reason code of the divergence on the alpha-z path.
+    Finite values must agree to relative ``path_agreement``; infinite ones
+    must carry the same reason code.  The info holds both Q-values and
+    ``d_reason``, the reason code of the divergence on the alpha-z path.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
     ((res, (qa, qz, dz)),), = lemma9_stack([psi], [phi], [alpha])
     return CheckReport.from_residuals(
-        "lemma9", res, {"path_agreement": tol, "reason_agreement": 0.0},
-        {"q_sandwiched": str(qa), "q_alpha_z": str(qz),
-         "alpha": alpha, "d_reason": dz.reason.value})
+        "lemma9", res, CHECK_TOLERANCES["lemma9"], {"q_sandwiched": str(qa),
+         "q_alpha_z": str(qz), "alpha": alpha, "d_reason": dz.reason.value})
 
 
 def _lemma9_point(qa: DivergenceValue, qz: DivergenceValue,
@@ -574,10 +572,9 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
 
 def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
                      psi2: PositiveFunctional, phi2: PositiveFunctional,
-                     params: DivergenceParams, tol_q: float = 1e-9,
-                     tol_d: float = 1e-8,
+                     params: DivergenceParams,
                      eps_rel: float | None = None) -> CheckReport:
-    """Multiplicativity of Q and additivity of D across a tensor pair.
+    """Multiplicativity of Q, additivity of D on tensor pairs (prop11 gates).
 
     Asserted whenever both factor Q-values are finite (any alpha, z), and on
     the infinite branch when alpha = z (where the product must be +inf as
@@ -594,10 +591,8 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     }
     if not res:
         info["asserted"] = False
-    return CheckReport.from_residuals(
-        "prop11_additivity", res, {"q_multiplicativity": tol_q,
-                                   "d_additivity": tol_d,
-                                   "infinite_branch": 0.0}, info)
+    return CheckReport.from_residuals("prop11_additivity", res,
+                                      CHECK_TOLERANCES["prop11"], info)
 
 
 def _additivity_point(params: DivergenceParams, side1, side2,
@@ -838,9 +833,8 @@ def _d_stack(psis, phis, grid) -> list[list[DivergenceValue]]:
 
 def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
               channel: QuantumChannel, params: DivergenceParams,
-              slack: float = 1e-9,
               eps_rel: float | None = None) -> CheckReport:
-    """Monotonicity probe: D after the channel against D before it.
+    """Monotonicity probe, dpi gates: D after the channel against D before it.
 
     The decrease is asserted only when (alpha, z) lies in the known-valid
     monotonicity region; outside it both values are recorded without
@@ -855,8 +849,8 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     if not res:
         info["observed_violation"] = violation \
             if math.isfinite(violation) else "inf"
-    return CheckReport.from_residuals(
-        "dpi", res, {"monotonicity_violation": slack}, info)
+    return CheckReport.from_residuals("dpi", res, CHECK_TOLERANCES["dpi"],
+                                      info)
 
 
 def _dpi_point(asserted: bool, d_in: DivergenceValue,

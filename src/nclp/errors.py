@@ -50,3 +50,12 @@ def _check_type(value, kind: type, message: str):
     """The DomainError "<message>, got <type>" unless value is a kind."""
     if not isinstance(value, kind):
         raise DomainError(f"{message}, got {type(value).__name__}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; DomainError unless it is a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"{name} must be a real number, got {value!r}") from exc

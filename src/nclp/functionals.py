@@ -16,7 +16,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _imaginary_values, _stack, _support_stack,
                       _symmetrized_stack, _unstack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
-from .errors import DomainError, _check_type
+from .errors import DomainError, _check_type, _real
 
 
 class PositiveFunctional:
@@ -96,11 +96,13 @@ class PositiveFunctional:
         on a functional that lives long, and measured end to end it saved no
         time beyond run-to-run noise.
         """
-        return self.spectrum(eps_rel)._calculus(_eigenvalue_powers, [r])
+        return self.spectrum(eps_rel)._calculus(_eigenvalue_powers,
+                                                [_real(r, "exponent")])
 
     def imaginary_power(self, t: float,
                         eps_rel: float | None = None) -> AlgebraElement:
-        return self.spectrum(eps_rel)._calculus(_imaginary_values, [t])
+        return self.spectrum(eps_rel)._calculus(_imaginary_values,
+                                                [_real(t, "t")])
 
     def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
         _check_type(other, PositiveFunctional,

@@ -16,9 +16,9 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _apply_stack, _eigenvalue_powers, _frobenius_stack,
                       _kron_block, _powers, _stack, _unstack)
-from .config import FAITHFULNESS_FLOOR
+from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
-                     _check_type, _raise_first)
+                     _check_type, _raise_first, _real)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _stack_of)
 
@@ -72,16 +72,6 @@ class LpExponent:
 
     def __str__(self):
         return "inf" if self.is_inf else repr(self.value)
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float; DomainError unless it is a real number within
-    the float range."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(
-            f"{name} must be a real number, got {value!r}") from exc
 
 
 def _as_exponent(p) -> LpExponent:
@@ -457,22 +447,20 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
 
 
 def lemma3_bijectivity(phi: PositiveFunctional, p,
-                       eps_rel: float | None = None,
-                       rank_rtol: float = 1e-10) -> bool:
+                       eps_rel: float | None = None) -> bool:
     """Whether a -> a h_phi^{1/p} has full rank on the flat carrier.
 
     Decided by the singular values of the explicit total_dim x total_dim
-    linearization; a near-singular reference yields False, flagging the
-    conditioning problem rather than raising.  One element of
-    :func:`lemma3_bijectivity_stack`.
+    linearization and ``config.RANK_RTOL``; a near-singular reference
+    yields False, flagging the conditioning problem rather than raising.
+    One element of :func:`lemma3_bijectivity_stack`.
     """
     p = _as_exponent(p)
     phi, = _at_cutoff([phi], eps_rel)
-    return lemma3_bijectivity_stack([phi], [p], rank_rtol)[0]
+    return lemma3_bijectivity_stack([phi], [p])[0]
 
 
-def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps,
-                             rank_rtol: float = 1e-10) -> list[bool]:
+def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps) -> list[bool]:
     """:func:`lemma3_bijectivity` of B functionals of one algebra, phis[j]
     at its own exponent ps[j]: stacked powers and linearizations, one
     ``svd`` for all of them."""
@@ -490,5 +478,5 @@ def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps,
         lin[:, ofs:ofs + m, ofs:ofs + m] = _kron_block(
             np.broadcast_to(np.eye(n), blk.shape), blk.swapaxes(-2, -1))
         ofs += m
-    return [bool(sv[0] != 0.0 and sv[-1] > rank_rtol * sv[0])
+    return [bool(sv[0] != 0.0 and sv[-1] > RANK_RTOL * sv[0])
             for sv in np.linalg.svd(lin, compute_uv=False).tolist()]

@@ -18,8 +18,6 @@ def _py(value):
         return {str(k): _py(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_py(v) for v in value]
-    if isinstance(value, bool):
-        return value
     if isinstance(value, (int,)):
         return int(value)
     if hasattr(value, "item"):

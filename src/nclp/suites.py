@@ -19,8 +19,8 @@ chunk's draws:
 
     batch(config, tols, algebra, draws) -> [(instance, checks, info), ...]
 
-where ``tols`` are the suite's tolerances with the config's overrides
-applied and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved
+where ``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's
+overrides, and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved
 once: the batches build their functionals at it and give it to the element
 kernels.  A batch returns one triple per draw, in order: the instance
 summary (the driver adds ``dims``), a list of ``(report key, residual,
@@ -62,7 +62,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
                       _stack, _support_stack, _symmetrized_stack)
-from .config import PRNG_ID, resolve_eps_rel
+from .config import CHECK_TOLERANCES, PRNG_ID, resolve_eps_rel
 from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
                          embed_left_channel, identity_channel, lemma9_stack,
                          pinching_channel, random_unital_channel,
@@ -838,10 +838,9 @@ def _dpi_batch(config, tols, alg, draws):
 
 @dataclass(frozen=True)
 class _Suite:
-    """A named suite: its default tolerances, its default dims profiles and
-    its draw and batch functions (see the module docstring)."""
+    """A named suite: its default dims profiles and its draw and batch
+    functions; its gates are ``config.CHECK_TOLERANCES[name]``."""
 
-    tolerances: dict
     dims: tuple[DimsProfile, ...]
     draw: Callable
     batch: Callable
@@ -853,33 +852,19 @@ class _Suite:
 
 
 _SUITES = {
-    "lemma1": _Suite({"identity": 1e-9, "chain": 1e-10,
-                      "support_at_zero": 1e-10},
-                     parse_dims("2,3,4"), _lemma1_draw, _lemma1_batch),
-    "lemma3": _Suite({"interpolation_slack": 1e-10, "bijectivity": 0.0},
-                     parse_dims("2,3,2+2"), _lemma3_draw, _lemma3_batch),
-    "lemma5": _Suite({"residual": 1e-9}, parse_dims("2x2,3x2"),
-                     _lemma5_draw, _lemma5_batch),
-    "theorem6": _Suite({"relative": 1e-10, "spanning": 0.0},
-                       parse_dims("2x2,3x2,3x3,2+3x2"), _theorem6_draw,
+    "lemma1": _Suite(parse_dims("2,3,4"), _lemma1_draw, _lemma1_batch),
+    "lemma3": _Suite(parse_dims("2,3,2+2"), _lemma3_draw, _lemma3_batch),
+    "lemma5": _Suite(parse_dims("2x2,3x2"), _lemma5_draw, _lemma5_batch),
+    "theorem6": _Suite(parse_dims("2x2,3x2,3x3,2+3x2"), _theorem6_draw,
                        _theorem6_batch),
-    "corollary7": _Suite({"relative": 1e-9}, parse_dims("2x2,3x2"),
-                         _corollary7_draw, _corollary7_batch),
-    "lemma8": _Suite({"solver_agreement": 1e-8}, parse_dims("2,3"),
-                     _lemma8_draw, _lemma8_batch),
-    "lemma9": _Suite({"path_agreement": 1e-10, "reason_agreement": 0.0},
-                     parse_dims("2,3"), _lemma9_draw, _lemma9_batch),
-    "prop11": _Suite({"q_multiplicativity": 1e-9, "d_additivity": 1e-8,
-                      "infinite_branch": 0.0},
-                     parse_dims("2,3"), _prop11_draw, _prop11_batch),
-    "appendixA": _Suite({"eigenvalue_multiset": 1e-9,
-                         "f_multiplicativity": 1e-9,
-                         "adjoint": 1e-12, "mixed_product": 1e-12},
-                        parse_dims("2x2,3x2,3x3"), _appendixA_draw,
+    "corollary7": _Suite(parse_dims("2x2,3x2"), _corollary7_draw,
+                         _corollary7_batch),
+    "lemma8": _Suite(parse_dims("2,3"), _lemma8_draw, _lemma8_batch),
+    "lemma9": _Suite(parse_dims("2,3"), _lemma9_draw, _lemma9_batch),
+    "prop11": _Suite(parse_dims("2,3"), _prop11_draw, _prop11_batch),
+    "appendixA": _Suite(parse_dims("2x2,3x2,3x3"), _appendixA_draw,
                         _appendixA_batch),
-    "dpi": _Suite({"monotonicity_violation": 1e-9,
-                   "identity_equality": 1e-9},
-                  parse_dims("2,3"), _dpi_draw, _dpi_batch),
+    "dpi": _Suite(parse_dims("2,3"), _dpi_draw, _dpi_batch),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -898,7 +883,7 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
         raise UsageError(
             f"unknown suite {config.suite_name!r}; known suites: "
             f"{', '.join(SUITE_NAMES)}")
-    tols = _tols(config, suite.tolerances)
+    tols = _tols(config, CHECK_TOLERANCES[config.suite_name])
     config = dataclasses.replace(config,
                                  eps_rel=resolve_eps_rel(config.eps_rel))
     reports, first = [], 0

@@ -20,7 +20,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _apply_stack, _clipped_eig_stack, _eigenvalue_powers,
                       _frobenius_stack, _imaginary_values, _kron_block,
                       _polar_stack, _stack, _symmetrized_stack)
-from .config import resolve_eps_rel
+from .config import CHECK_TOLERANCES, RANK_RTOL, resolve_eps_rel
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals)
@@ -91,14 +91,19 @@ def _residuals(a, b) -> np.ndarray:
     return _frobenius_stack([x - y for x, y in zip(a, b)])
 
 
+def _lemma5_report(name: str, res: dict, info=None) -> CheckReport:
+    """A lemma5 check's report: every residual against the one lemma5 gate."""
+    return CheckReport.from_residuals(
+        name, res, dict.fromkeys(res, CHECK_TOLERANCES["lemma5"]["residual"]),
+        info)
+
+
 def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
-                 tol: float = 1e-9,
                  eps_rel: float | None = None) -> CheckReport:
-    """Polar factors of x (x) y against the tensor of the factor polars.
-    One element of :func:`lemma5_polar_stack`."""
+    """Polar factors of x (x) y against the tensor of the factor polars, on
+    lemma5's residual gate; one element of :func:`lemma5_polar_stack`."""
     res, = lemma5_polar_stack(T, [x], [y], resolve_eps_rel(eps_rel))
-    return CheckReport.from_residuals("lemma5_polar", res,
-                                      dict.fromkeys(res, tol))
+    return _lemma5_report("lemma5_polar", res)
 
 
 def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
@@ -167,12 +172,10 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
 
 
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
-                 p: float, tol: float = 1e-9,
-                 eps_rel: float | None = None) -> CheckReport:
-    """|x (x) y|^p against |x|^p (x) |y|^p for real p > 0."""
+                 p: float, eps_rel: float | None = None) -> CheckReport:
+    """|x (x) y|^p against |x|^p (x) |y|^p, p > 0; lemma5's residual gate."""
     (res,), = lemma5_power_stack(T, [x], [y], [[p]], resolve_eps_rel(eps_rel))
-    return CheckReport.from_residuals("lemma5_power", {"power": res},
-                                      {"power": tol}, {"p": p})
+    return _lemma5_report("lemma5_power", {"power": res}, {"p": p})
 
 
 def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
@@ -194,27 +197,23 @@ def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
                                 eps)
 
 
-def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement,
-                     h2: AlgebraElement, t: float, tol: float = 1e-9,
-                     eps_rel: float | None = None) -> CheckReport:
-    """(h1 (x) h2)^{it} against h1^{it} (x) h2^{it} for PSD factors."""
+def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement, h2: AlgebraElement,
+                     t: float, eps_rel: float | None = None) -> CheckReport:
+    """(h1 (x) h2)^{it} vs h1^{it} (x) h2^{it} for PSD h; lemma5's gate."""
     (res,), = lemma5_imaginary_stack(T, [h1], [h2], [[t]],
                                      resolve_eps_rel(eps_rel))
-    return CheckReport.from_residuals(
-        "lemma5_imaginary", {"imaginary_power": res},
-        {"imaginary_power": tol}, {"t": t})
+    return _lemma5_report("lemma5_imaginary", {"imaginary_power": res},
+                          {"t": t})
 
 
 def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
                    psi2: PositiveFunctional, t: float = 0.7,
-                   tol: float = 1e-9,
                    eps_rel: float | None = None) -> CheckReport:
-    """Product-functional density identity plus its imaginary-power half.
-    One element of :func:`lemma5_density_stack`."""
+    """Product-functional density identity plus its imaginary-power half,
+    on lemma5's residual gate; one element of :func:`lemma5_density_stack`."""
     psi1, psi2 = _at_cutoff([psi1, psi2], eps_rel)
     res, = lemma5_density_stack(T, [psi1], [psi2], [t])
-    return CheckReport.from_residuals("lemma5_density", res,
-                                      dict.fromkeys(res, tol), {"t": t})
+    return _lemma5_report("lemma5_density", res, {"t": t})
 
 
 def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
@@ -257,17 +256,16 @@ def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
 
 
 def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
-                      rng: np.random.Generator,
-                      rank_rtol: float = 1e-10) -> bool:
+                      rng: np.random.Generator) -> bool:
     """Whether random simple tensors span the full product carrier.
 
     Draws sample_budget Gaussian simple tensors x (x) y, stacks their
-    flattenings and checks the SVD rank against total_dim of the product
-    algebra.  Sample by sample, the draw order is: the blocks of x in
-    order, then those of y, each block an (n, n) standard normal real part
-    followed by its imaginary part, the entries (real + i imag)/sqrt(2).
-    All samples come from one ``standard_normal`` call in that order, which
-    yields the same values as drawing each part on its own.
+    flattenings and checks the SVD rank (``config.RANK_RTOL``) against
+    total_dim of the product algebra.  Sample by sample, the draw order is:
+    the blocks of x in order, then those of y, each block an (n, n) standard
+    normal real part followed by its imaginary part, the entries (real + i
+    imag)/sqrt(2).  All samples come from one ``standard_normal`` call in
+    that order, which yields the same values as drawing each part on its own.
     """
     D = T.product.total_dim
     if sample_budget < D:
@@ -286,7 +284,7 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
         [k.reshape(sample_budget, -1)
          for k in _kron_stack(blocks[:left], blocks[left:])], axis=1)
     sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.count_nonzero(sv > rank_rtol * sv[0])) if sv[0] > 0 else 0
+    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     return rank == D
 
 
@@ -337,18 +335,19 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
 
 
 def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,
-                           y: AlgebraElement, tol_scale: float = 1e-9
-                           ) -> CheckReport:
+                           y: AlgebraElement) -> CheckReport:
     """Spectrum of |x (x) y| equals all pairwise singular-value products.
 
     Both multisets are sorted and paired greedily in order; the residual is
-    the largest absolute mismatch, judged against tol_scale * (1 + largest
-    value).  One element of :func:`spectral_product_stack`.
+    the largest absolute mismatch, against appendixA's eigenvalue_multiset
+    gate times (1 + largest value).  One element of
+    :func:`spectral_product_stack`.
     """
     (residual, top), = spectral_product_stack(T, [x], [y])
+    scale = CHECK_TOLERANCES["appendixA"]["eigenvalue_multiset"]
     return CheckReport.from_residuals(
         "spectral_product", {"eigenvalue_multiset": residual},
-        {"eigenvalue_multiset": tol_scale * (1.0 + top)})
+        {"eigenvalue_multiset": scale * (1.0 + top)})
 
 
 def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],

@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
-                  KosakiSpec, LpExponent, NclpError, PositiveFunctional,
-                  QuantumChannel, SuiteConfig, TensorAlgebra, func_calc,
-                  kron_element, lp_norm, parse_dims, run_suite,
-                  theorem6_norm)
+                  DomainError, KosakiSpec, LpExponent, NclpError,
+                  PositiveFunctional, QuantumChannel, SuiteConfig,
+                  TensorAlgebra, element_power, func_calc, hermitian_eig,
+                  imaginary_power, kron_element, lp_norm, parse_dims,
+                  run_suite, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -204,6 +205,14 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: REFERENCES["faithful"] + 1,
     lambda: func_calc(_ALG.identity(), "x"),
     lambda: parse_dims(3),
+    lambda: func_calc(BlockAlgebra((3,)).identity(), lambda x: np.ones(7)),
+    lambda: hermitian_eig(_ALG.identity()).apply(lambda x: ["a"] * len(x)),
+    lambda: func_calc(_ALG.identity(), np.sqrt, f_zero="x"),
+    lambda: element_power(_ALG.identity(), "x"),
+    lambda: element_power(_ALG.identity(), 1j),
+    lambda: imaginary_power(_ALG.identity(), "x"),
+    lambda: REFERENCES["faithful"].power("x"),
+    lambda: REFERENCES["faithful"].imaginary_power("x"),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -211,7 +220,21 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "number_kron_factors", "number_theorem6_factors",
         "text_tensor_factors", "text_lp_norm_element", "text_dims",
         "text_tolerances", "number_element_sum", "text_kron_algebra",
-        "number_functional_sum", "text_calculus_function", "number_dims"])
+        "number_functional_sum", "text_calculus_function", "number_dims",
+        "long_calculus_values", "text_calculus_values", "text_calculus_zero",
+        "text_power",
+        "complex_power", "text_imaginary_power", "text_functional_power",
+        "text_functional_imaginary_power"])
 def test_known_holes_raise_nclp_errors(call):
     with pytest.raises(NclpError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: imaginary_power(_ALG.identity(), None),
+    lambda: REFERENCES["faithful"].imaginary_power(None),
+], ids=["element", "functional"])
+def test_missing_imaginary_exponent_is_named(call):
+    # Not the "non-finite at a non-kernel eigenvalue" of a bad function.
+    with pytest.raises(DomainError, match="t must be a real number"):
         call()

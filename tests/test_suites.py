@@ -1,18 +1,26 @@
 """Generators, the scalar oracle, suite determinism, and reason coverage."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import nclp
 from nclp import (BlockAlgebra, DivergenceParams, DomainError,
-                  PositiveFunctional, Reason, SuiteConfig, UsageError,
-                  classical_renyi_oracle, d_tilde, gen_classical_pair,
-                  gen_nested_pair, gen_orthogonal_pair,
-                  gen_positive_functional, gen_unitary, parse_dims,
-                  q_tilde_alpha_z, run_suite, summarize, trial_rng)
+                  PositiveFunctional, Reason, SuiteConfig, TensorAlgebra,
+                  UsageError, additivity_check, classical_renyi_oracle,
+                  d_tilde, dpi_probe, gen_classical_pair, gen_element,
+                  gen_faithful, gen_nested_pair, gen_orthogonal_pair,
+                  gen_positive_functional, gen_unitary, lemma5_density,
+                  lemma5_imaginary, lemma5_polar, lemma5_power,
+                  lemma9_check, parse_dims, pinching_channel,
+                  q_tilde_alpha_z, random_unital_channel, run_suite,
+                  spectral_product_check, summarize, trial_rng)
+from nclp.config import CHECK_TOLERANCES
 from nclp.suites import SUITE_NAMES, format_profile
+from nclp.tensor import spectral_product_stack
 
 
 class TestGenerators:
@@ -391,3 +399,72 @@ class TestChunks:
         assert len(reports) == 8
         assert events.index("batch") == 3
         assert events.count("draw") == 8
+
+
+class TestOneGateOwner:
+    """Each gate of a paper check is written once, in
+    ``config.CHECK_TOLERANCES``: the suites and the one-point checks read
+    it, and no public function takes a tolerance of its own."""
+
+    def test_no_public_tolerance_parameter(self):
+        found = []
+        for name, obj in vars(nclp).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", f) for m, f
+                            in inspect.getmembers(obj, callable)
+                            if not m.startswith("_")]
+            for label, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                found += [f"{label}({p})" for p in params
+                          if p in ("tol", "slack", "rank_rtol")
+                          or p.startswith("tol_")]
+        assert found == []
+
+    def test_one_point_checks_report_the_suite_gates(self):
+        # The instances of tests/test_tensor.py and tests/test_grid.py.
+        rng = np.random.default_rng(31)
+        T = TensorAlgebra(BlockAlgebra((3,)), BlockAlgebra((2,)))
+        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+        h1 = gen_positive_functional(rng, T.left, ("deficient", 2))
+        h2 = gen_positive_functional(rng, T.right, ("deficient", 1))
+        for rep in (lemma5_polar(T, x, y), lemma5_power(T, x, y, 2.0),
+                    lemma5_imaginary(T, h1.density, h2.density, 0.7),
+                    lemma5_density(T, h1, h2, t=1.3)):
+            assert rep.tolerances == dict.fromkeys(
+                rep.residuals, CHECK_TOLERANCES["lemma5"]["residual"])
+        (_, top), = spectral_product_stack(T, [x], [y])
+        assert spectral_product_check(T, x, y).tolerances == {
+            "eigenvalue_multiset":
+                CHECK_TOLERANCES["appendixA"]["eigenvalue_multiset"]
+                * (1.0 + top)}
+
+        alg = BlockAlgebra((3,))
+        psi_n, phi_n = gen_nested_pair(rng, alg, 2, 1)
+        pairs = [(gen_faithful(rng, alg), gen_faithful(rng, alg)),
+                 (psi_n, phi_n), (phi_n, psi_n),
+                 (gen_faithful(rng, alg), PositiveFunctional.zero(alg))]
+        grid = [DivergenceParams(a) for a in (0.5, 1.5, 2.0)] + [
+            DivergenceParams(0.7, z=0.5)]
+        reports = {"lemma9": [lemma9_check(psi, phi, p.alpha)
+                              for psi, phi in pairs for p in grid[:3]],
+                   "prop11": [additivity_check(*one, *two, p)
+                              for one, two in zip(pairs, pairs[1:])
+                              for p in grid],
+                   "dpi": [dpi_probe(psi, phi, channel, p)
+                           for psi, phi in pairs[:2]
+                           for channel in (pinching_channel(alg),
+                                           random_unital_channel(rng, alg,
+                                                                 alg))
+                           for p in grid]}
+        for suite, reps in reports.items():
+            gates = CHECK_TOLERANCES[suite]
+            for rep in reps:
+                assert rep.tolerances == {k: gates[k] for k in rep.residuals}
+            keys = {k for rep in reps for k in rep.residuals}
+            assert keys == set(gates) - {"identity_equality"}, suite
