@@ -8,6 +8,7 @@ support projections, polar decomposition) applies the kernel convention from
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +17,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import HERMITIAN_TOL, PSD_CLIP_TOL, resolve_eps_rel
-from .errors import DomainError, ShapeError, _check_type, _real
+from .errors import (DomainError, ShapeError, _check_type,
+                     _finite_number, _real)
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,26 @@ class AlgebraElement:
         return AlgebraElement._trusted(self.algebra, [-b for b in self.blocks])
 
     def __mul__(self, scalar):
-        return AlgebraElement(self.algebra, [scalar * b for b in self.blocks])
+        """c * x for a finite number c; an entry beyond the float range
+        becomes inf without a warning."""
+        c = _finite_number(scalar, "a scalar factor")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return AlgebraElement._trusted(self.algebra,
+                                           [c * b for b in self.blocks])
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return AlgebraElement(self.algebra, [b / scalar for b in self.blocks])
+        """x / c for a finite number c whose reciprocal is finite, as
+        :meth:`__mul__`.  numpy's complex division scales by the reciprocal,
+        so a c of subnormal size would turn zero entries into NaN."""
+        c = _finite_number(scalar, "a divisor")
+        if c == 0 or not cmath.isfinite(1 / c):
+            raise DomainError(f"a divisor must have a finite reciprocal, "
+                              f"got {scalar!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return AlgebraElement._trusted(self.algebra,
+                                           [b / c for b in self.blocks])
 
     def __matmul__(self, other):
         return multiply(self, other)
@@ -540,24 +556,20 @@ def _clip_stack(vals: Sequence[np.ndarray], eps: float
 
 
 def _symmetrized_stack(stacked: Sequence[np.ndarray],
-                       hermitize) -> tuple[np.ndarray, ...]:
-    """(h + h*)/2 of stacked elements, after the Hermitian gate; the
-    DomainError of the first element that fails it.  ``hermitize`` (one
-    flag, or a (B,) mask) names the elements that skip the gate.
+                       hermitize: bool) -> tuple[np.ndarray, ...]:
+    """(h + h*)/2 of stacked elements, after the Hermitian gate unless
+    ``hermitize``; the DomainError of the first element that fails it.
 
     The result is exactly Hermitian, so symmetrizing it again returns the
     same bits.  Entries near the float maximum overflow to inf here without
     a warning; the PSD clip then rejects the non-finite spectrum."""
-    per_element = isinstance(hermitize, np.ndarray)
     adj = _adjoint_stack(stacked)
     with np.errstate(over="ignore", invalid="ignore"):
         sym = tuple((s + a) / 2.0 for s, a in zip(stacked, adj))
-        if hermitize.all() if per_element else hermitize:
+        if hermitize:
             return sym
         defect = np.sqrt(_squared_norms([s - a for s, a in zip(stacked, adj)]))
         bad = defect > HERMITIAN_TOL * (1.0 + np.sqrt(_squared_norms(stacked)))
-    if per_element:
-        bad &= ~hermitize
     if bad.any():
         raise DomainError(
             f"matrix is not Hermitian (defect "
@@ -610,7 +622,11 @@ def _calc_values(single: SpectrumStack, f: Callable, f_zero: complex
         try:
             fv = np.full(vals.shape, complex(f_zero), dtype=np.complex128)
             if not mask.all():
-                fv[~mask] = f(vals[~mask])
+                kept = np.asarray(f(vals[~mask]))
+                # numpy would store None and other objects as NaN.
+                if kept.dtype.kind not in "biufc":
+                    raise TypeError(f"f gave values of dtype {kept.dtype}")
+                fv[~mask] = kept
         except (TypeError, ValueError) as exc:
             raise DomainError("f must give one number per kept eigenvalue "
                               "and f_zero be a number") from exc

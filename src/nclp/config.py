@@ -23,7 +23,10 @@ DEFAULT_EPS_REL = 1e-12
 EPS_REL_ENV = "NCLP_EPS_REL"
 
 # Inputs expected Hermitian are symmetrized when within this relative distance
-# of their adjoint; beyond it they are rejected.
+# of their adjoint; beyond it they are rejected.  The gate guards densities
+# that come from outside the package (matrix files, and PositiveFunctional
+# without hermitize), not generated ones: the suites and gen_* generators
+# symmetrize each density they draw exactly and build it with hermitize.
 HERMITIAN_TOL = 1e-8
 
 # Eigenvalues of PSD-expected inputs in [-PSD_CLIP_TOL * radius, 0) clip to 0;

@@ -766,34 +766,22 @@ def random_unital_channel(rng: np.random.Generator, domain: BlockAlgebra,
     return QuantumChannel(domain, codomain, [w @ inv_sqrt for w in ws])
 
 
-# Monotonicity region of the two-parameter family, as affine bounds on z per
-# alpha interval: valid iff k_lo*alpha + c_lo <= z <= k_hi*alpha + c_hi.
-# This is configuration data (the finite-dimensional characterization due to
-# Zhang); it only decides whether dpi_probe asserts or merely records.
-DPI_VALID_TABLE = (
-    {"alpha_min": 0.0, "alpha_max": 0.5, "z_lo": (-1.0, 1.0), "z_hi": None},
-    {"alpha_min": 0.5, "alpha_max": 1.0, "z_lo": (1.0, 0.0), "z_hi": None},
-    {"alpha_min": 1.0, "alpha_max": 2.0, "z_lo": (0.5, 0.0),
-     "z_hi": (1.0, 0.0)},
-    {"alpha_min": 2.0, "alpha_max": math.inf, "z_lo": (1.0, -1.0),
-     "z_hi": (1.0, 0.0)},
-)
-
-
 def dpi_valid(alpha: float, z: float) -> bool:
-    """Whether monotonicity under unital CP maps is known to hold at (alpha, z)."""
-    for row in DPI_VALID_TABLE:
-        if not (row["alpha_min"] <= alpha <= row["alpha_max"]):
-            continue
-        k, c = row["z_lo"]
-        if z < k * alpha + c:
-            continue
-        if row["z_hi"] is not None:
-            k, c = row["z_hi"]
-            if z > k * alpha + c:
-                continue
-        return True
-    return False
+    """Whether monotonicity of D_{alpha,z} under unital CP maps (the data
+    processing inequality) is known to hold at (alpha, z); it only decides
+    whether dpi_probe asserts or merely records.
+
+    In finite dimensions it holds exactly when 0 < alpha < 1 and
+    z >= max(alpha, 1 - alpha), or alpha > 1 and
+    max(alpha - 1, alpha / 2) <= z <= alpha (H. Zhang,
+    arXiv:1811.01205).  alpha = 0 counts with the first region, and
+    alpha = 1 as z >= 1/2, the union of the closed regions of both
+    sides."""
+    if 0 <= alpha < 1:
+        return z >= max(alpha, 1 - alpha)
+    if alpha == 1:
+        return z >= 0.5
+    return alpha > 1 and max(alpha - 1, alpha / 2) <= z <= alpha
 
 
 def dpi_probe_stack(psis: Sequence[PositiveFunctional],

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import cmath
+
 
 class NclpError(Exception):
     """Base class for all toolkit errors."""
@@ -59,3 +61,15 @@ def _real(value, name: str) -> float:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(
             f"{name} must be a real number, got {value!r}") from exc
+
+
+def _finite_number(value, name: str) -> complex:
+    """``value`` as a complex number; DomainError unless it is a finite
+    number (text is not one)."""
+    try:
+        number = None if isinstance(value, str) else complex(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not cmath.isfinite(number):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return number

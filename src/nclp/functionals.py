@@ -8,6 +8,8 @@ u_t = f_t(h_psi) f_{-t}(h_phi) with the kernel-killing imaginary power f_t.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
@@ -155,10 +157,12 @@ def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
 
 
 def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
-    """lam * psi for lam >= 0; mass scales linearly."""
-    if lam < 0:
-        raise DomainError(f"scale factor must be nonnegative, got {lam}")
-    return PositiveFunctional(float(lam) * psi.density,
+    """lam * psi for finite lam >= 0; mass scales linearly."""
+    lam = _real(lam, "scale factor")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise DomainError(
+            f"scale factor must be finite and nonnegative, got {lam}")
+    return PositiveFunctional(lam * psi.density,
                               eps_rel=psi._spectrum.eps_rel)
 
 

@@ -34,9 +34,12 @@ its trials live on a product).  The scalar work of each trial and point
 (eigenvalue powers, Q sums, Schatten norms) runs as row reductions across
 the stack, each row equal to the trial's own 1-D operation bit for bit, so
 a report does not depend on which trials share a batch.  Draws return
-densities and elements, not functionals: a batch builds each role's
-functionals as one stack, so that they share one spectrum stack (see
-``_role_functionals``).  A batch runs stage by stage: a lone failing trial
+finished densities and elements, not functionals.  A density that its trial
+normalizes (a factor square, a nested pair) is normalized in the draw by
+:func:`_normalized`; the reference, orthogonal, classical and zero densities
+are returned as drawn.  A batch builds each role's functionals with one
+:func:`_functionals` call, as one stack, so that they share one spectrum
+stack.  A batch runs stage by stage: a lone failing trial
 raises the error of its one-trial call, and of several, one of those that
 fail in the first failing stage raises.  The kernels return residuals and
 values and format no strings; :func:`run_suite` alone fills the residual
@@ -135,10 +138,10 @@ def _distribute(total: int, caps: tuple[int, ...]) -> list[int]:
 
 
 def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
-                            rank_profile="full", normalize: bool = True,
-                            eps_rel: float | None = None
+                            rank_profile="full", eps_rel: float | None = None
                             ) -> PositiveFunctional:
-    """Random PSD density: factor construction G G* at the requested rank.
+    """Random normalized PSD density: factor construction G G* at the
+    requested rank, divided by its trace.
 
     rank_profile is "full", "zero", or ("deficient", r); deficient ranks are
     realized with an r-column Gaussian factor so the kernel is exact at the
@@ -148,13 +151,13 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
     if rank_profile == "zero":
         return PositiveFunctional.zero(algebra, eps_rel)
     return _functionals(algebra, [_gram(rng, algebra, rank_profile)],
-                        resolve_eps_rel(eps_rel), normalize)[0]
+                        resolve_eps_rel(eps_rel))[0]
 
 
 def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
           rank_profile="full") -> AlgebraElement:
-    """The factor square G G* of :func:`gen_positive_functional` at a
-    nonzero rank profile."""
+    """The normalized factor square G G* of :func:`gen_positive_functional`
+    at a nonzero rank profile."""
     if rank_profile == "full":
         ranks = list(algebra.block_dims)
     else:
@@ -169,30 +172,28 @@ def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
         else:
             g = complex_gaussian(rng, n, r)
             blocks.append(g @ g.conj().T)
-    return AlgebraElement._trusted(algebra, blocks)
+    return _normalized(AlgebraElement._trusted(algebra, blocks))
 
 
-def _normalized_stack(sym, flags) -> tuple[np.ndarray, ...]:
-    """Stacked symmetrized densities, those flagged in the (B,) ``flags``
-    divided by their traces where those are positive.  Built into
-    functionals, they are the functionals of normalized densities:
-    symmetrizing them again changes no bit."""
-    mass = sum(np.trace(s, axis1=-2, axis2=-1) for s in sym).real
-    positive = (mass > 0) & flags
-    scale = np.where(positive, mass, 1.0)[:, None, None]
-    return tuple(np.where(positive[:, None, None], s / scale, s) for s in sym)
+def _normalized(h: AlgebraElement) -> AlgebraElement:
+    """(h + h*)/2 divided by its trace where that is positive: a drawn
+    density as its trial normalizes it.  The result is exactly Hermitian,
+    so building it with ``hermitize=True`` symmetrizes no bit of it."""
+    sym = _symmetrized_stack(h.blocks, True)
+    mass = sum(np.trace(s) for s in sym).real
+    return AlgebraElement._trusted(
+        h.algebra, [s / mass for s in sym] if mass > 0 else list(sym))
 
 
 def gen_faithful(rng: np.random.Generator, algebra: BlockAlgebra,
-                 normalize: bool = True,
                  eps_rel: float | None = None) -> PositiveFunctional:
-    return gen_positive_functional(rng, algebra, "full", normalize, eps_rel)
+    return gen_positive_functional(rng, algebra, "full", eps_rel)
 
 
 def _reference_density(rng: np.random.Generator,
                        algebra: BlockAlgebra) -> AlgebraElement:
-    """A faithful density with spectrum in [0.2, 1] before normalization,
-    to be built with ``hermitize=True``.
+    """A faithful density of trace one, its spectrum drawn from [0.2, 1]
+    and then normalized.
 
     Used where large density-power exponents meet the reference (condition
     number enters as kappa^exponent); a Gaussian square would occasionally be
@@ -217,14 +218,14 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     psi has the given rank; psi' has full rank on the orthocomplement, so
     s(psi) + s(psi') = 1 and psi + psi' is faithful.
     """
-    return tuple(PositiveFunctional(d, hermitize=True, eps_rel=eps_rel)
-                 for d in _orthogonal_densities(rng, algebra, rank))
+    return tuple(_functionals(algebra, _orthogonal_densities(
+        rng, algebra, rank), resolve_eps_rel(eps_rel)))
 
 
 def _orthogonal_densities(rng: np.random.Generator, algebra: BlockAlgebra,
                           rank: int) -> tuple[AlgebraElement, AlgebraElement]:
-    """The densities of :func:`gen_orthogonal_pair`, to be built with
-    ``hermitize=True``."""
+    """The densities of :func:`gen_orthogonal_pair`, of trace one as
+    drawn."""
     n = algebra.carrier_dim
     if not 0 < rank < n:
         raise DomainError(f"rank must lie strictly between 0 and {n}")
@@ -260,8 +261,7 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
 def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
                       rank_phi: int, rank_psi: int
                       ) -> tuple[AlgebraElement, AlgebraElement]:
-    """The densities (psi, phi) of :func:`gen_nested_pair`, before
-    normalization (see :func:`_functionals`)."""
+    """The normalized densities (psi, phi) of :func:`gen_nested_pair`."""
     if rank_psi > rank_phi:
         raise DomainError("psi rank cannot exceed phi rank")
     ranks_phi = _distribute(rank_phi, algebra.block_dims)
@@ -281,8 +281,8 @@ def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
             pb[:rsk, :rsk] = g @ g.conj().T
         phi_blocks.append(ub @ hb @ ub.conj().T)
         psi_blocks.append(ub @ pb @ ub.conj().T)
-    return (AlgebraElement._trusted(algebra, psi_blocks),
-            AlgebraElement._trusted(algebra, phi_blocks))
+    return (_normalized(AlgebraElement._trusted(algebra, psi_blocks)),
+            _normalized(AlgebraElement._trusted(algebra, phi_blocks)))
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -296,8 +296,8 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     exact zeros, so scalar-oracle comparisons are exact.
     """
     p, q = _classical_vectors(rng, algebra, orthogonal)
-    psi, phi = (PositiveFunctional(algebra.diagonal(v), hermitize=True,
-                                   eps_rel=eps_rel) for v in (p, q))
+    psi, phi = _functionals(algebra, [algebra.diagonal(v) for v in (p, q)],
+                            resolve_eps_rel(eps_rel))
     return psi, phi, p, q
 
 
@@ -471,47 +471,12 @@ def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
         rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank))
 
 
-def _functionals(alg: BlockAlgebra, densities, eps: float,
-                 normalize=True) -> list[PositiveFunctional]:
-    """The functionals of drawn densities, built as one stack.  The
-    densities ``normalize`` flags (one flag, or one per density) are to be
-    normalized (factor squares, nested pairs): symmetrized through the
-    Hermitian gate and divided by their traces.  The others are normalized
-    already and are symmetrized without the gate, as ``hermitize=True``
-    does in :func:`gen_classical_pair`."""
-    flags = np.broadcast_to(normalize, (len(densities),))
-    sym = _symmetrized_stack(_stack(densities), ~flags)
-    return _positive_functionals(alg, _normalized_stack(sym, flags), True,
-                                 eps)
-
-
-# Per kind of a prop11 or lemma9 draw, whether each of its densities (psi1,
-# phi1, psi2, phi2, or psi, phi) is normalized when built (see _functionals).
-_NORMALIZE = {"random": (True, False, True, False),
-              "support_violating_factor": (False, False, True, False),
-              "identical_pairs": (False, False, False, False),
-              "faithful": (True, True), "nested": (True, True),
-              "orthogonal": (False, False),
-              "zero_reference": (True, False), "identical": (True, True)}
-
-
-def _instance(alg: BlockAlgebra, densities, kind: str, eps_rel=None) -> tuple:
-    """The functionals of one prop11 or lemma9 draw's densities (see
-    ``_prop11_densities``, ``_lemma9_densities``), one constructor call
-    each at the cutoff ``eps_rel`` (resolved); the reference the stacked
-    batches are tested against."""
-    return tuple(psi for psi, in _role_functionals(
-        alg, [(kind, densities)], resolve_eps_rel(eps_rel)))
-
-
-def _role_functionals(alg: BlockAlgebra, draws, eps) -> list:
-    """Per role, the functionals of (kind, densities) draws of any kinds,
-    in draw order, built as one stack with each draw's ``_NORMALIZE``
-    flag."""
-    roles = zip(*(densities for _, densities in draws))
-    flags = zip(*(_NORMALIZE[kind] for kind, _ in draws))
-    return [_functionals(alg, role, eps, role_flags)
-            for role, role_flags in zip(roles, flags)]
+def _functionals(alg: BlockAlgebra, densities,
+                 eps: float) -> list[PositiveFunctional]:
+    """The functionals of finished drawn densities at the resolved cutoff
+    ``eps``, built as one stack without the Hermitian gate, as
+    ``hermitize=True`` builds them."""
+    return _positive_functionals(alg, _stack(densities), True, eps)
 
 
 # -- trial functions ----------------------------------------------------------
@@ -611,8 +576,8 @@ def _lemma1_draw(alg, rng, idx, k):
 
 def _lemma1_batch(config, tols, alg, draws):
     ranks, psis, primes, phis, ts, s_pars = zip(*draws)
-    psis = _functionals(alg, psis, config.eps_rel, normalize=False)
-    primes = _functionals(alg, primes, config.eps_rel, normalize=False)
+    psis = _functionals(alg, psis, config.eps_rel)
+    primes = _functionals(alg, primes, config.eps_rel)
     phis = _functionals(alg, phis, config.eps_rel)
     lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts)
     u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws))
@@ -676,74 +641,64 @@ def _lemma8_batch(config, tols, alg, draws):
             in zip(rank_psis, rank_phis, params, agreement.tolist())]
 
 
-def _lemma9_densities(rng, alg, variant):
-    """The densities of (psi, phi) and the variant's name."""
+def _lemma9_draw(alg, rng, idx, k):
+    """The variant's name and the densities of (psi, phi)."""
+    n = _carrier_at_least_two(alg, "lemma9")
+    variant = idx % 5
     if variant == 0:
-        return (_gram(rng, alg), _gram(rng, alg)), "faithful"
+        return "faithful", _gram(rng, alg), _gram(rng, alg)
     if variant == 1:
-        n = alg.carrier_dim
-        return _nested_densities(rng, alg, n, int(rng.integers(1, n))), \
-            "nested"
+        return ("nested", *_nested_densities(rng, alg, n,
+                                             int(rng.integers(1, n))))
     if variant == 2:
         p, q = _classical_vectors(rng, alg, True)
-        return (alg.diagonal(p), alg.diagonal(q)), \
-            "orthogonal"
+        return "orthogonal", alg.diagonal(p), alg.diagonal(q)
     if variant == 3:
-        return (_gram(rng, alg), alg.zero()), "zero_reference"
+        return "zero_reference", _gram(rng, alg), alg.zero()
     psi = _gram(rng, alg)
-    return (psi, psi), "identical"
-
-
-def _lemma9_draw(alg, rng, idx, k):
-    _carrier_at_least_two(alg, "lemma9")
-    densities, kind = _lemma9_densities(rng, alg, idx % 5)
-    return kind, densities
+    return "identical", psi, psi
 
 
 def _lemma9_batch(config, tols, alg, draws):
-    psis, phis = _role_functionals(alg, draws, config.eps_rel)
+    kinds, psis, phis = zip(*draws)
     return [({"variant": kind},
              [(f"alpha={alpha:g}:{key}", val, tols[key])
               for alpha, (res, _) in zip(LEMMA9_ALPHAS, points)
               for key, val in res.items()],
              {"d_reasons": [dz.reason.value for _, (_, _, dz) in points]})
-            for (kind, _), points in zip(draws, lemma9_stack(
-                psis, phis, LEMMA9_ALPHAS))]
-
-
-def _prop11_densities(rng, alg, variant):
-    """The densities of (psi1, phi1, psi2, phi2) and the variant's name."""
-    if variant == 1:
-        p, q = _classical_vectors(rng, alg, True)
-        psi1, phi1 = alg.diagonal(p), alg.diagonal(q)
-        psi2 = _gram(rng, alg)
-        return (psi1, phi1, psi2, _reference_density(rng, alg)), \
-            "support_violating_factor"
-    if variant == 2:
-        psi1 = _reference_density(rng, alg)
-        psi2 = _reference_density(rng, alg)
-        return (psi1, psi1, psi2, psi2), "identical_pairs"
-    n = alg.carrier_dim
-    psi1 = _ranked_gram(rng, alg, int(rng.integers(1, n + 1)))
-    phi1 = _reference_density(rng, alg)
-    psi2 = _ranked_gram(rng, alg, int(rng.integers(1, n + 1)))
-    return (psi1, phi1, psi2, _reference_density(rng, alg)), "random"
+            for kind, points in zip(kinds, lemma9_stack(
+                _functionals(alg, psis, config.eps_rel),
+                _functionals(alg, phis, config.eps_rel), LEMMA9_ALPHAS))]
 
 
 def _prop11_draw(alg, rng, idx, k):
-    densities, kind = _prop11_densities(rng, alg, idx % 3)
-    return kind, densities
+    """The variant's name and the densities of (psi1, phi1, psi2, phi2)."""
+    variant = idx % 3
+    if variant == 1:
+        p, q = _classical_vectors(rng, alg, True)
+        return ("support_violating_factor", alg.diagonal(p), alg.diagonal(q),
+                _gram(rng, alg), _reference_density(rng, alg))
+    if variant == 2:
+        psi1 = _reference_density(rng, alg)
+        psi2 = _reference_density(rng, alg)
+        return "identical_pairs", psi1, psi1, psi2, psi2
+    n = alg.carrier_dim
+    return ("random", _ranked_gram(rng, alg, int(rng.integers(1, n + 1))),
+            _reference_density(rng, alg),
+            _ranked_gram(rng, alg, int(rng.integers(1, n + 1))),
+            _reference_density(rng, alg))
 
 
 _PROP11_LABELS = tuple(params.label() for params in PROP11_GRID)
 
 
 def _prop11_batch(config, tols, alg, draws):
-    psi1s, phi1s, psi2s, phi2s = _role_functionals(alg, draws,
-                                                   config.eps_rel)
+    kinds, *roles = zip(*draws)
+    psi1s, phi1s, psi2s, phi2s = (_functionals(alg, role, config.eps_rel)
+                                  for role in roles)
     stacks = additivity_stack(psi1s, phi1s, psi2s, phi2s, PROP11_GRID)
     out = []
-    for (kind, _), psi1, psi2, points in zip(draws, psi1s, psi2s, stacks):
+    for kind, psi1, psi2, points in zip(kinds, psi1s, psi2s, stacks):
         checks = [(f"{label}:{key}", val, tols[key])
                   for label, (res, _) in zip(_PROP11_LABELS, points)
                   for key, val in res.items()]
@@ -769,13 +724,9 @@ def _appendixA_draw(T, rng, idx, k):
 def _appendixA_batch(config, tols, T, draws):
     xs, ys, xps, yps, r1s, r2s, h1s, h2s = zip(*draws)
     B, tol, eps = len(draws), tols["f_multiplicativity"], config.eps_rel
-    psi1s = _functionals(T.left, h1s, eps)
-    psi2s = _functionals(T.right, h2s, eps)
     spects = spectral_product_stack(T, xs, ys)
     powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, eps)
-    imags = lemma5_imaginary_stack(T, [psi.density for psi in psi1s],
-                                   [psi.density for psi in psi2s],
-                                   [APPENDIXA_TS] * B, eps)
+    imags = lemma5_imaginary_stack(T, h1s, h2s, [APPENDIXA_TS] * B, eps)
     adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
     out = []
     for j, (r1, r2, (spect, top)) in enumerate(zip(r1s, r2s, spects)):

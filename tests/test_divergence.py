@@ -394,6 +394,26 @@ class TestDpi:
         assert dpi_valid(3.0, 2.0)       # alpha-1 <= z <= alpha
         assert not dpi_valid(3.0, 1.5)
 
+    @pytest.mark.parametrize("alpha,z,valid", [
+        (0.0, 1.0, True), (0.0, math.nextafter(1.0, 0.0), False),
+        (0.25, 0.75, True), (0.25, math.nextafter(0.75, 0.0), False),
+        (0.5, 0.5, True), (0.5, math.nextafter(0.5, 0.0), False),
+        (0.75, 0.75, True), (0.75, math.nextafter(0.75, 0.0), False),
+        (0.75, 1e300, True), (1.0, 0.5, True),
+        (1.0, math.nextafter(0.5, 0.0), False), (1.0, 1e300, True),
+        (1.5, 0.75, True), (1.5, math.nextafter(0.75, 0.0), False),
+        (1.5, 1.5, True), (1.5, math.nextafter(1.5, 2.0), False),
+        (2.0, 1.0, True), (2.0, math.nextafter(1.0, 0.0), False),
+        (2.0, 2.0, True), (2.0, math.nextafter(2.0, 3.0), False),
+        (3.0, 2.0, True), (3.0, math.nextafter(2.0, 0.0), False),
+        (3.0, 3.0, True), (3.0, math.nextafter(3.0, 4.0), False),
+        (math.inf, 1e300, False), (math.nextafter(0.0, -1.0), 1.0, False),
+        (-1.0, 2.0, False)])
+    def test_valid_region_boundaries(self, alpha, z, valid):
+        # Closed bounds: z >= max(alpha, 1 - alpha) below alpha = 1, and
+        # max(alpha - 1, alpha / 2) <= z <= alpha above it.
+        assert dpi_valid(alpha, z) is valid
+
     def test_identity_channel_equality(self):
         rng = np.random.default_rng(58)
         alg = BlockAlgebra((3,))

@@ -26,7 +26,7 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   PositiveFunctional, QuantumChannel, SuiteConfig,
                   TensorAlgebra, element_power, func_calc, hermitian_eig,
                   imaginary_power, kron_element, lp_norm, parse_dims,
-                  run_suite, theorem6_norm)
+                  run_suite, scale, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -213,6 +213,15 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: imaginary_power(_ALG.identity(), "x"),
     lambda: REFERENCES["faithful"].power("x"),
     lambda: REFERENCES["faithful"].imaginary_power("x"),
+    lambda: scale(REFERENCES["faithful"], math.inf),
+    lambda: scale(REFERENCES["faithful"], "a"),
+    lambda: scale(REFERENCES["faithful"], None),
+    lambda: _ALG.identity() * math.inf,
+    lambda: _ALG.identity() * math.nan,
+    lambda: _ALG.identity() / 0.0,
+    lambda: _ALG.identity() / "a",
+    lambda: _ALG.identity() / 1e-320,
+    lambda: _ALG.identity() * np.array([1.0, 2.0]),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -224,8 +233,12 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "long_calculus_values", "text_calculus_values", "text_calculus_zero",
         "text_power",
         "complex_power", "text_imaginary_power", "text_functional_power",
-        "text_functional_imaginary_power"])
+        "text_functional_imaginary_power", "infinite_scale", "text_scale",
+        "none_scale", "infinite_factor", "nan_factor", "zero_divisor",
+        "text_divisor", "subnormal_divisor", "array_factor"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
+    # An error, never a numpy warning, whatever the warning filters.
     with pytest.raises(NclpError):
         call()
 
@@ -238,3 +251,12 @@ def test_missing_imaginary_exponent_is_named(call):
     # Not the "non-finite at a non-kernel eigenvalue" of a bad function.
     with pytest.raises(DomainError, match="t must be a real number"):
         call()
+
+
+@pytest.mark.parametrize("f", [lambda x: None, lambda x: [None] * len(x)],
+                         ids=["none", "list_of_none"])
+def test_calculus_values_that_are_not_numbers_are_named(f):
+    # Not the "non-finite at a non-kernel eigenvalue" of a function's domain.
+    with pytest.raises(DomainError, match="f must give one number per kept "
+                       "eigenvalue"):
+        func_calc(BlockAlgebra((3,)).identity(), f)

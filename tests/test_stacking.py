@@ -21,8 +21,9 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, PositiveFunctional,
                   SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
-                  gen_faithful, gen_nested_pair, gen_positive_functional, io,
-                  kron_element, lemma5_power, run_suite, theorem6_spanning,
+                  gen_faithful, gen_nested_pair, gen_orthogonal_pair,
+                  gen_positive_functional, io, kron_element, lemma5_power,
+                  random_unital_channel, run_suite, theorem6_spanning,
                   trial_rng)
 from nclp import suites
 from nclp.algebra import _clip_stack, _stack
@@ -240,6 +241,99 @@ def _lemma9_one_call(rng, alg, variant):
     return psi, psi
 
 
+# The inputs of trial k of a suite from the public generators, one
+# constructor call each, drawing from its stream in the order of the suite's
+# draw: its functionals (for appendixA, their densities).
+
+
+def _rank_profile(alg, rank):
+    return "full" if rank == alg.carrier_dim else ("deficient", rank)
+
+
+def _reference(rng, alg):
+    """A prop11 reference: a density of trace one, as drawn."""
+    return PositiveFunctional(suites._reference_density(rng, alg),
+                              hermitize=True)
+
+
+def _ranked_pair(rng, T):
+    """(psi1, psi2) on T's factors, both ranks drawn first."""
+    sides = (T.left, T.right)
+    ranks = [int(rng.integers(1, a.carrier_dim + 1)) for a in sides]
+    return tuple(gen_positive_functional(rng, a, _rank_profile(a, r))
+                 for a, r in zip(sides, ranks))
+
+
+def _lemma1_inputs(rng, alg, k):
+    rank = int(rng.integers(1, alg.carrier_dim))
+    return (*gen_orthogonal_pair(rng, alg, rank), gen_faithful(rng, alg))
+
+
+def _lemma3_inputs(rng, alg, k):
+    return (gen_faithful(rng, alg),)
+
+
+def _lemma5_inputs(rng, T, k):
+    gen_element(rng, T.left), gen_element(rng, T.right)
+    rng.uniform(0.4, 3.0), rng.uniform(-2.0, 2.0)
+    return _ranked_pair(rng, T)
+
+
+def _corollary7_inputs(rng, T, k):
+    return gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+
+
+def _prop11_inputs(rng, alg, k):
+    if k % 3 == 1:
+        psi1, phi1, _, _ = gen_classical_pair(rng, alg, True)
+        return psi1, phi1, gen_faithful(rng, alg), _reference(rng, alg)
+    if k % 3 == 2:
+        psi1, psi2 = _reference(rng, alg), _reference(rng, alg)
+        return psi1, psi1, psi2, psi2
+    n = alg.carrier_dim
+    return (gen_positive_functional(
+                rng, alg, _rank_profile(alg, int(rng.integers(1, n + 1)))),
+            _reference(rng, alg),
+            gen_positive_functional(
+                rng, alg, _rank_profile(alg, int(rng.integers(1, n + 1)))),
+            _reference(rng, alg))
+
+
+def _appendixA_inputs(rng, T, k):
+    for side in (T.left, T.right, T.left, T.right):
+        gen_element(rng, side)
+    return tuple(psi.density for psi in _ranked_pair(rng, T))
+
+
+def _dpi_inputs(rng, alg, k):
+    if k % 4 == 2:
+        alg = TensorAlgebra(alg, BlockAlgebra((2,))).product
+    else:
+        # The draw builds every channel on alg, the random one too.
+        random_unital_channel(rng, alg, alg)
+    return gen_faithful(rng, alg), gen_faithful(rng, alg)
+
+
+# Per suite: the kernel its batches hand the inputs to, and the positions of
+# the inputs among that kernel's arguments.
+SUITE_INPUTS = {
+    "lemma1": ("lemma1_cut_stack", (0, 1, 2), _lemma1_inputs),
+    "lemma3": ("lemma3_bijectivity_stack", (0,), _lemma3_inputs),
+    "lemma5": ("lemma5_density_stack", (1, 2), _lemma5_inputs),
+    "corollary7": ("corollary7_norm_stack", (2, 3), _corollary7_inputs),
+    "prop11": ("additivity_stack", (0, 1, 2, 3), _prop11_inputs),
+    "appendixA": ("lemma5_imaginary_stack", (1, 2), _appendixA_inputs),
+    "dpi": ("dpi_probe_stack", (0, 1), _dpi_inputs),
+}
+
+
+def _same_input(a, b):
+    if isinstance(a, PositiveFunctional):
+        return _same_functional(a, b)
+    return a.algebra == b.algebra and all(
+        np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+
+
 class TestStackedDraws:
     """Inputs built as one stack per batch equal their one-by-one
     constructions bit for bit."""
@@ -316,6 +410,40 @@ class TestStackedDraws:
             want = _lemma9_one_call(trial_rng(seed, k), alg, k % 5)
             assert _same_functional(psi, want[0])
             assert _same_functional(phi, want[1])
+
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("name", sorted(SUITE_INPUTS))
+    def test_batch_inputs_equal_the_public_generators(self, monkeypatch,
+                                                      name, wide, seed):
+        target, roles, inputs = SUITE_INPUTS[name]
+        calls = []
+        original = getattr(suites, target)
+
+        def capture(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(suites, target, capture)
+        dims = {(False, False): "3", (False, True): "2+3",
+                (True, False): "3x2",
+                (True, True): "2+3x2"}[suites._SUITES[name].tensor, wide]
+        profile, = suites.parse_dims(dims)
+        run_suite(SuiteConfig(name, 10, seed, (profile,)))
+        alg = suites._profile_algebra(profile, name,
+                                      suites._SUITES[name].tensor)
+        want = [inputs(trial_rng(seed, k), alg, k) for k in range(10)]
+        if name == "dpi":
+            # The trials on a product of alg form a second stack, after
+            # those on alg.
+            want = [w for k, w in enumerate(want) if k % 4 != 2] \
+                + want[2::4]
+        got = [trial for args in calls
+               for trial in zip(*(args[r] for r in roles))]
+        assert len(got) == len(want) == 10
+        for trial, expected in zip(got, want):
+            assert all(_same_input(a, b) for a, b in zip(trial, expected))
 
 
 class TestOverflowWithoutWarnings:

@@ -201,13 +201,15 @@ class TestProductsOncePerTrial:
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_prop11_matches_public_check(self, seed):
         from nclp import additivity_check
-        from nclp.suites import PROP11_GRID, _instance, _prop11_densities
+        from nclp.suites import PROP11_GRID, _prop11_draw
         alg = BlockAlgebra((2,))
         cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
                           dims=((alg.block_dims, None),))
         for rep in run_suite(cfg):
-            psi1, phi1, psi2, phi2 = _instance(alg, *_prop11_densities(
-                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 3))
+            idx = rep.trial_index
+            _, *densities = _prop11_draw(alg, trial_rng(seed, idx), idx, idx)
+            psi1, phi1, psi2, phi2 = (PositiveFunctional(d, hermitize=True)
+                                      for d in densities)
             expected = {}
             for params in PROP11_GRID:
                 check = additivity_check(psi1, phi1, psi2, phi2, params)
@@ -325,13 +327,15 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_lemma9_d_reasons_equal_d_tilde(self, seed):
-        from nclp.suites import LEMMA9_ALPHAS, _instance, _lemma9_densities
+        from nclp.suites import LEMMA9_ALPHAS, _lemma9_draw
         alg = BlockAlgebra((3,))
         cfg = SuiteConfig(suite_name="lemma9", trials=10, seed=seed,
                           dims=parse_dims("3"))
         for rep in run_suite(cfg):
-            psi, phi = _instance(alg, *_lemma9_densities(
-                trial_rng(seed, rep.trial_index), alg, rep.trial_index % 5))
+            idx = rep.trial_index
+            _, *densities = _lemma9_draw(alg, trial_rng(seed, idx), idx, idx)
+            psi, phi = (PositiveFunctional(d, hermitize=True)
+                        for d in densities)
             want = [d_tilde(psi, phi, DivergenceParams(a, z=a)).reason.value
                     for a in LEMMA9_ALPHAS]
             assert rep.info["d_reasons"] == want
