@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -105,8 +105,8 @@ class AlgebraElement:
     """Immutable block-diagonal complex matrix on a :class:`BlockAlgebra`.
 
     The public constructor copies every block to complex128 and checks the
-    block count and shapes.  Results the package computes itself go through
-    :meth:`_trusted` instead, which skips both.
+    block count, the shapes and that the entries are finite; results the
+    package computes itself go through :meth:`_trusted`, which skips that.
     """
 
     __slots__ = ("algebra", "blocks")
@@ -120,6 +120,8 @@ class AlgebraElement:
         for mat, n in zip(mats, algebra.block_dims):
             if mat.shape != (n, n):
                 raise ShapeError(f"block shape {mat.shape} != ({n}, {n})")
+            if not np.isfinite(mat).all():
+                raise DomainError("matrix entries must be finite")
             mat.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", mats)
@@ -163,14 +165,7 @@ class AlgebraElement:
 
     def full_matrix(self) -> np.ndarray:
         """Embed as a block-diagonal matrix on the direct-sum carrier."""
-        N = self.algebra.carrier_dim
-        out = np.zeros((N, N), dtype=np.complex128)
-        ofs = 0
-        for b in self.blocks:
-            n = b.shape[0]
-            out[ofs:ofs + n, ofs:ofs + n] = b
-            ofs += n
-        return out
+        return _full_stack(self.blocks)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -253,8 +248,8 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # all B elements.  numpy applies them matrix by matrix, so every slice equals
 # the one-element result bit for bit.  Spectra have one representation, the
 # :class:`SpectrumStack` of B eigendecompositions, which one ``eigh`` per
-# block fills; a :class:`HermitianSpectrum` is one row of it, and the
-# functionals of a batch share their batch's stack.  The scalar work of the
+# block fills, with the elements it decomposed; a :class:`HermitianSpectrum`
+# is one row of it, and so is a functional of a batch.  The scalar work of the
 # elements and their grid points (eigenvalue powers, imaginary powers, Q
 # sums, Schatten norms) runs as row reductions over the stacks, each row
 # equal to the 1-D operation it stands for (see :func:`_powers` and
@@ -356,6 +351,16 @@ def _unstack(algebra: BlockAlgebra,
             for j in range(len(stacked[0]))]
 
 
+def _full_stack(stacked: Sequence[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrices of stacked blocks, over any leading axes
+    (none for one element's blocks)."""
+    ofs = np.cumsum([0, *(s.shape[-1] for s in stacked)])
+    out = np.zeros((*stacked[0].shape[:-2], ofs[-1], ofs[-1]), np.complex128)
+    for a, b, s in zip(ofs[:-1], ofs[1:], stacked):
+        out[..., a:b, a:b] = s
+    return out
+
+
 def _frobenius_stack(stacked: Sequence[np.ndarray]) -> np.ndarray:
     """(B,) Frobenius norms of stacked elements; inf beyond the float
     range."""
@@ -391,18 +396,20 @@ def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SpectrumStack:
     """The one representation of spectra: blockwise eigendecompositions of
     B elements of one algebra with the kernel masks applied, per block the
-    (B, n) eigenvalues, the (B, n, n) eigenvectors and the (B, n) masks, all
-    read-only.  The functionals of a batch share their batch's stack and
-    the kernels read its arrays; a :class:`HermitianSpectrum` is a row."""
+    (B, n) eigenvalues, (B, n, n) eigenvectors, (B, n) masks and (B, n, n)
+    symmetrized elements, all read-only.  The kernels read its arrays; a
+    :class:`HermitianSpectrum` is a row, and so is a batch's functional."""
 
     algebra: BlockAlgebra
     eigenvalues: tuple[np.ndarray, ...]
     eigenvectors: tuple[np.ndarray, ...]
     kernel_mask: tuple[np.ndarray, ...]
+    densities: tuple[np.ndarray, ...]
     eps_rel: float
 
     def __post_init__(self):
-        for arr in (*self.eigenvalues, *self.eigenvectors, *self.kernel_mask):
+        for arr in (*self.eigenvalues, *self.eigenvectors, *self.kernel_mask,
+                    *self.densities):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -430,6 +437,8 @@ class HermitianSpectrum:
         u[self.row] for u in self.stack.eigenvectors))
     kernel_mask = property(lambda self: tuple(
         m[self.row] for m in self.stack.kernel_mask))
+    densities = property(lambda self: tuple(
+        d[self.row] for d in self.stack.densities))
 
     @cached_property
     def spectral_radius(self) -> float:
@@ -478,9 +487,8 @@ class HermitianSpectrum:
         One row of :func:`_clip_stack`."""
         single = _gather([self])
         clipped, masks = _clip_stack(single.eigenvalues, self.eps_rel)
-        return HermitianSpectrum(SpectrumStack(
-            self.algebra, clipped, single.eigenvectors, masks,
-            self.eps_rel), 0)
+        return HermitianSpectrum(replace(single, eigenvalues=clipped,
+                                         kernel_mask=masks), 0)
 
 
 def _gather(spectra: Sequence[HermitianSpectrum]) -> SpectrumStack:
@@ -494,7 +502,8 @@ def _gather(spectra: Sequence[HermitianSpectrum]) -> SpectrumStack:
     return SpectrumStack(stack.algebra, *(
         tuple(_stacked(arrays) for arrays in zip(*per_spectrum))
         for per_spectrum in zip(*((s.eigenvalues, s.eigenvectors,
-                                   s.kernel_mask) for s in spectra))),
+                                   s.kernel_mask, s.densities)
+                                  for s in spectra))),
         stack.eps_rel)
 
 
@@ -586,14 +595,15 @@ def _eig_stack(sym: Sequence[np.ndarray]):
     return tuple(w for w, _ in pairs), tuple(u for _, u in pairs)
 
 
-def _clipped_eig_stack(algebra: BlockAlgebra, sym: Sequence[np.ndarray],
-                       eps: float) -> SpectrumStack:
-    """``hermitian_eig(...).clip_psd()`` of B stacked elements already
-    returned by :func:`_symmetrized_stack`, as one stack: one ``eigh`` per
-    block and one stacked clip."""
+def _clipped_eig_stack(algebra: BlockAlgebra, stacked: Sequence[np.ndarray],
+                       hermitize: bool, eps: float) -> SpectrumStack:
+    """``hermitian_eig(h, hermitize).clip_psd()`` of B stacked elements h,
+    as one stack that holds them symmetrized: the Hermitian gate, one
+    ``eigh`` per block and the PSD clip, each for all B at once."""
+    sym = _symmetrized_stack(stacked, hermitize)
     vals, vecs = _eig_stack(sym)
     clipped, masks = _clip_stack(vals, eps)
-    return SpectrumStack(algebra, clipped, vecs, masks, eps)
+    return SpectrumStack(algebra, clipped, vecs, masks, sym, eps)
 
 
 def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
@@ -606,9 +616,10 @@ def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
     """
     _check_type(h, AlgebraElement, "a spectrum needs an AlgebraElement")
     eps = resolve_eps_rel(eps_rel)
-    vals, vecs = _eig_stack(_symmetrized_stack(_stack([h]), hermitize))
+    sym = _symmetrized_stack(_stack([h]), hermitize)
+    vals, vecs = _eig_stack(sym)
     return HermitianSpectrum(SpectrumStack(
-        h.algebra, vals, vecs, _kernel_masks(vals, eps), eps), 0)
+        h.algebra, vals, vecs, _kernel_masks(vals, eps), sym, eps), 0)
 
 
 @np.errstate(all="ignore")

@@ -26,8 +26,8 @@ from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      UsageError)
 from .lp import KosakiSpec, LpExponent, kosaki_norm, lp_norm
 from .reports import format_float
-from .suites import (SUITE_NAMES, SuiteConfig, format_profile, parse_dims,
-                     run_suite, summarize)
+from .suites import (SuiteConfig, format_profile, parse_dims, run_suite,
+                     summarize)
 from .tensor import TensorAlgebra, kron_element
 
 EXIT_OK = 0

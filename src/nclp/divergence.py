@@ -18,8 +18,9 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _apply_stack, _complex_array, _eigenvalue_powers,
-                      _kept_power_sums, _kron_block, _nonfinite_error,
-                      _squared_norms, _stacked, _support_stack, _unstack)
+                      _full_stack, _kept_power_sums, _kron_block,
+                      _nonfinite_error, _squared_norms, _stacked,
+                      _support_stack, _unstack)
 from .config import CHECK_TOLERANCES, PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first, _real)
@@ -130,6 +131,7 @@ def _support_violations(psis: Sequence[PositiveFunctional],
             _squared_norms(densities))
 
 
+@np.errstate(all="ignore")
 def q_tilde_stack(psis: Sequence[PositiveFunctional],
                   phis: Sequence[PositiveFunctional],
                   grid: Sequence[DivergenceParams]) -> list[list]:
@@ -151,34 +153,26 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
 
     Entry j lists pair j's outcome at every point: its DivergenceValue, or
     the error its one-point call would raise at that point (returned, not
-    raised).  Pairs that violate the support nesting skip the points with
-    alpha > 1, so they are evaluated in a stack of their own.
+    raised; beyond the float range, too).  All pairs are evaluated at every
+    point in one stack, and then the alpha > 1 points of pairs that violate
+    the support nesting are overwritten with the support-violation value.
     """
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
     grid = tuple(grid)
-    sharp = [p.alpha > 1 for p in grid]
     violations = (_support_violations(psis, phis).tolist()
-                  if any(sharp) else [False] * len(psis))
+                  if any(p.alpha > 1 for p in grid) else [False] * len(psis))
+    phi_stack = _stack_of(phis)
     outcomes = [[None] * len(grid) for _ in psis]
-    for violates in sorted(set(violations)):
-        js = [j for j, v in enumerate(violations) if v == violates]
-        for wanted, evaluate in ((True, _sandwiched_values),
-                                 (False, _alpha_z_values)):
-            idx = [g for g, p in enumerate(grid) if p.is_sandwiched == wanted
-                   and not (violates and sharp[g])]
-            if idx:
-                values = evaluate([psis[j] for j in js],
-                                  _stack_of([phis[j] for j in js]),
-                                  [grid[g] for g in idx])
-                for j, vals in zip(js, values):
-                    for g, value in zip(idx, vals):
-                        outcomes[j][g] = value
-        if violates:
-            for j in js:
-                outcomes[j] = [DivergenceValue.infinite(
-                    Reason.SUPPORT_VIOLATION) if out is None else out
-                    for out in outcomes[j]]
+    for wanted, evaluate in ((True, _sandwiched_values),
+                             (False, _alpha_z_values)):
+        idx = [g for g, p in enumerate(grid) if p.is_sandwiched == wanted]
+        if idx:
+            for row, violates, values in zip(outcomes, violations, evaluate(
+                    psis, phi_stack, [grid[g] for g in idx])):
+                for g, value in zip(idx, values):
+                    row[g] = (DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
+                              if violates and grid[g].alpha > 1 else value)
     return outcomes
 
 
@@ -188,7 +182,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
     directions scale to 0.  An entry is the value, or the DomainError of a
-    sandwich that is not PSD within the clip tolerance."""
+    sandwich that is not PSD within the clip tolerance or not finite."""
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
@@ -211,15 +205,16 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
         totals = totals + _kept_power_sums(e, e > eps * radius[..., None],
                                            alphas)
     return [[DomainError("sandwich block is not PSD within clip tolerance")
-             if bad else DivergenceValue(total)
-             for bad, total in zip(bads, row)]
-            for bads, row in zip(negative, totals.tolist())]
+             if bad else DivergenceValue(total) if ok and math.isfinite(total)
+             else _nonfinite_error() for bad, ok, total in zip(bads, oks, row)]
+            for bads, oks, row in zip(negative, np.isfinite(radius).tolist(),
+                                      totals.tolist())]
 
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
                     phi_stack: SpectrumStack,
                     grid: Sequence[DivergenceParams]) -> list:
-    """Q_{alpha,z} per pair and point, none of them a support violation.
+    """Q_{alpha,z} per pair and point.
 
     Q is the sum of sigma^{2z} over the non-kernel singular values of
     B = h_psi^{alpha/2z} h_phi^{(1-alpha)/2z}; the sandwich it stands for
@@ -256,15 +251,19 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
             [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
             * len(psis))
     scales = _eigenvalue_powers(phi_stack, phi_expos)
-    sv = singular_values_stack([(half[:, k:] @ u[:, None])
-                                * scale[..., None, :]
-                                for half, u, scale in zip(
-                                    powers, phi_stack.eigenvectors, scales)])
+    mats = [(half[:, k:] @ u[:, None]) * scale[..., None, :]
+            for half, u, scale in zip(powers, phi_stack.eigenvectors, scales)]
+    # Likewise a matrix that is not finite (an overflowed phi power).
+    for m in mats:
+        finite[:, k:] &= np.isfinite(m).all(axis=(-2, -1))
+    for m in mats:
+        m[~finite[:, k:]] = 0.0
+    sv = singular_values_stack(mats)
     eps = phi_stack.eps_rel
     keeps = sv > eps * sv.max(axis=-1)[..., None]
     qs = _kept_power_sums(sv, keeps, [2.0 * z for z in zs]).tolist()
     finite = finite.tolist()
-    over = (residuals > budgets).tolist() if k else None
+    over = (~(residuals <= budgets)).tolist() if k else None
     cert = dict(zip(sharp, range(k)))
     out = []
     for j, q_row in enumerate(qs):
@@ -275,7 +274,7 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
                 vals.append(_nonfinite_error())
             elif i is not None and over[j][i]:
                 vals.append(_recomposition_error(float(residuals[j, i])))
-            elif not finite[j][k + g]:
+            elif not (finite[j][k + g] and math.isfinite(q)):
                 vals.append(_nonfinite_error())
             else:
                 vals.append(DivergenceValue(q))
@@ -692,7 +691,7 @@ def precompose_stack(psis: Sequence[PositiveFunctional],
         if psi.algebra != channel.codomain:
             raise ShapeError(
                 "functional does not live on the channel codomain")
-    full = _stacked([psi.density.full_matrix() for psi in psis])
+    full = _full_stack(_densities(psis))
     counts = [len(ch.kraus) for ch in channels]
     acc = 0
     for i in range(max(counts)):

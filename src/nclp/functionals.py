@@ -15,8 +15,8 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       SpectrumStack, _apply_stack, _clipped_eig_stack,
                       _eigenvalue_powers, _frobenius_stack, _gather,
-                      _imaginary_values, _stack, _support_stack,
-                      _symmetrized_stack, _unstack, canonical_trace)
+                      _imaginary_values, _stack, _support_stack, _unstack,
+                      canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError, _check_type, _real
 
@@ -27,17 +27,17 @@ class PositiveFunctional:
     The density is symmetrized on construction and validated as PSD after
     clipping; its stored matrix entries are otherwise kept bit-exact so that
     planted zero structure (diagonal instances, exact kernels) survives.
-    The functional owns its kernel cutoff: the spectrum stored at
-    construction carries it.  That spectrum is one row of the
-    :class:`SpectrumStack` of the functional's batch (B = 1 for a
-    constructor call), and the package's kernels read the stack.  A method
-    or public function given a cutoff works on the functional as
+    The functional is one row of the :class:`SpectrumStack` of its batch
+    (B = 1 for a constructor call), plus its mass once computed:
+    ``density`` and ``algebra`` view that row, and the package's kernels
+    read the stack.  It owns its kernel cutoff, the stack's.  A method or
+    public function given a cutoff works on the functional as
     :func:`_at_cutoff` returns it.  A functional built from others (a sum, a
     multiple, a tensor product) keeps the cutoff of its first operand.  The
     constructor is one element of :func:`_positive_functionals`.
     """
 
-    __slots__ = ("algebra", "density", "_spectrum", "_mass")
+    __slots__ = ("_spectrum", "_mass")
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
@@ -45,14 +45,15 @@ class PositiveFunctional:
                     "a functional needs an AlgebraElement density")
         psi, = _positive_functionals(density.algebra, _stack([density]),
                                      hermitize, resolve_eps_rel(eps_rel))
-        self._set(psi.algebra, psi.density, psi._spectrum)
+        self._set(psi._spectrum)
 
-    def _set(self, algebra: BlockAlgebra, sym: AlgebraElement,
-             spectrum: HermitianSpectrum):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "density", sym)
-        object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "_mass", None)
+    def _set(self, spectrum: HermitianSpectrum) -> "PositiveFunctional":
+        self._spectrum, self._mass = spectrum, None
+        return self
+
+    algebra = property(lambda self: self._spectrum.algebra)
+    density = property(lambda self: AlgebraElement._trusted(
+        self.algebra, self._spectrum.densities))
 
     @classmethod
     def zero(cls, algebra: BlockAlgebra,
@@ -120,18 +121,12 @@ class PositiveFunctional:
 def _positive_functionals(algebra: BlockAlgebra, stacked, hermitize: bool,
                           eps: float) -> list[PositiveFunctional]:
     """The functionals of B stacked densities (per block a (B, n, n) array)
-    at the resolved cutoff ``eps``, as B constructor calls build them: the
-    Hermitian gate, one ``eigh`` per block and the PSD clip, each for all B
-    at once.  Functional j's spectrum is row j of the one spectrum stack.
-    The first density that fails the gate or the clip raises."""
-    sym = _symmetrized_stack(stacked, hermitize)
-    stack = _clipped_eig_stack(algebra, sym, eps)
-    out = []
-    for j, density in enumerate(_unstack(algebra, sym)):
-        psi = object.__new__(PositiveFunctional)
-        psi._set(algebra, density, HermitianSpectrum(stack, j))
-        out.append(psi)
-    return out
+    at the resolved cutoff ``eps``, as B constructor calls build them (see
+    :func:`_clipped_eig_stack`): functional j is row j of the one spectrum
+    stack.  The first density that fails the gate or the clip raises."""
+    stack = _clipped_eig_stack(algebra, stacked, hermitize, eps)
+    return [object.__new__(PositiveFunctional)._set(HermitianSpectrum(
+        stack, j)) for j in range(len(stack))]
 
 
 def _stack_of(psis) -> SpectrumStack:
@@ -148,7 +143,7 @@ def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
     here; kernels on functionals take none."""
     eps = resolve_eps_rel(eps_rel)
     return [psi if psi._spectrum.eps_rel == eps else _positive_functionals(
-        psi.algebra, _stack([psi.density]), False, eps)[0] for psi in psis]
+        psi.algebra, _densities([psi]), False, eps)[0] for psi in psis]
 
 
 def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
@@ -269,5 +264,5 @@ def cocycle_chain_stack(psis, phis, ts, ss) -> np.ndarray:
 
 
 def _densities(psis) -> tuple[np.ndarray, ...]:
-    """The functionals' densities, stacked per block."""
-    return _stack([psi.density for psi in psis])
+    """The densities of the functionals' spectrum stack (:func:`_stack_of`)."""
+    return _stack_of(psis).densities

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraElement, BlockAlgebra
 from .config import EIGENSOLVER_ID, LOG_BASE, PRNG_ID
-from .errors import DomainError, FileFormatError, OutputError, ShapeError
+from .errors import DomainError, FileFormatError, OutputError
 from .functionals import PositiveFunctional
 from .reports import _py
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _apply_stack, _eigenvalue_powers, _frobenius_stack,
-                      _kron_block, _powers, _stack, _unstack)
+                      _full_stack, _kron_block, _powers, _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _raise_first, _real)
@@ -465,18 +465,12 @@ def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps) -> list[bool]:
     at its own exponent ps[j]: stacked powers and linearizations, one
     ``svd`` for all of them."""
     invs = [_as_exponent(p).inv for p in ps]
-    alg = phis[0].algebra
     stack = _stack_of(phis)
     powers = [p[:, 0] for p in _apply_stack(
         stack, _eigenvalue_powers(stack, [[inv] for inv in invs]))]
-    D = alg.total_dim
-    lin = np.zeros((len(phis), D, D), dtype=np.complex128)
-    ofs = 0
-    for blk, n in zip(powers, alg.block_dims):
-        m = n * n
-        # row-major vec: vec(X B) = kron(I, B^T) vec(X)
-        lin[:, ofs:ofs + m, ofs:ofs + m] = _kron_block(
-            np.broadcast_to(np.eye(n), blk.shape), blk.swapaxes(-2, -1))
-        ofs += m
+    # row-major vec: vec(X B) = kron(I, B^T) vec(X), block by block
+    lin = _full_stack([
+        _kron_block(np.broadcast_to(np.eye(b.shape[-1]), b.shape),
+                    b.swapaxes(-2, -1)) for b in powers])
     return [bool(sv[0] != 0.0 and sv[-1] > RANK_RTOL * sv[0])
             for sv in np.linalg.svd(lin, compute_uv=False).tolist()]

@@ -19,11 +19,11 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _apply_stack, _clipped_eig_stack, _eigenvalue_powers,
                       _frobenius_stack, _imaginary_values, _kron_block,
-                      _polar_stack, _stack, _symmetrized_stack)
+                      _polar_stack, _stack)
 from .config import CHECK_TOLERANCES, RANK_RTOL, resolve_eps_rel
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
-                          _positive_functionals)
+                          _positive_functionals, _stack_of)
 from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 from .reports import CheckReport
@@ -80,7 +80,7 @@ def kron_functional_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
                           ) -> list[PositiveFunctional]:
     """:func:`kron_functional` of each pair, one ``eigh`` per product block.
     The products keep the cutoff of psi1s[0], which every psi1 shares."""
-    _check_factors(T, [p.density for p in psi1s], [p.density for p in psi2s])
+    _check_factors(T, psi1s, psi2s, PositiveFunctional)
     return _positive_functionals(
         T.product, _kron_stack(_densities(psi1s), _densities(psi2s)), False,
         psi1s[0]._spectrum.eps_rel)
@@ -120,27 +120,29 @@ def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
         _residuals(ak, _kron_stack(ax, ay)).tolist())]
 
 
-def _check_factors(T: TensorAlgebra, xs, ys):
+def _check_factors(T: TensorAlgebra, xs, ys, kind=AlgebraElement):
     _check_type(T, TensorAlgebra, "a tensor product needs a TensorAlgebra")
     for x, y in zip(xs, ys):
         for side, z, alg in (("left", x, T.left), ("right", y, T.right)):
-            _check_type(z, AlgebraElement, "factors must be AlgebraElements")
+            _check_type(z, kind, f"factors must be {kind.__name__}s")
             if z.algebra != alg:
                 raise ShapeError(
                     f"{side} factor does not live on the {side} algebra")
 
 
-def _factorization_stack(T: TensorAlgebra, sk, sx, sy, points, values,
-                         eps: float) -> list[list[float]]:
-    """Residuals of f(k) against f(x) (x) f(y) for PSD stacks k, x, y
-    (eigendecomposed and clipped in that order, one ``eigh`` per block) at
-    every point of each element: ``points[j]`` holds element j's points,
-    all of one length, and ``values(stack, points)`` gives the rows of f
-    at every point (:func:`_eigenvalue_powers` or
-    :func:`_imaginary_values`)."""
-    k, x, y = [_clipped_eig_stack(alg, _symmetrized_stack(s, False), eps)
-               for alg, s in ((T.product, sk), (T.left, sx), (T.right, sy))]
-    fk, fx, fy = (_apply_stack(st, values(st, points)) for st in (k, x, y))
+def _psd_spectra(T: TensorAlgebra, sk, sx, sy, eps: float) -> list:
+    """Clipped spectra of PSD stacks on T.product, T.left and T.right."""
+    return [_clipped_eig_stack(alg, s, False, eps)
+            for alg, s in ((T.product, sk), (T.left, sx), (T.right, sy))]
+
+
+def _factorization_stack(spectra, points, values) -> list[list[float]]:
+    """Residuals of f(k) against f(x) (x) f(y) for the spectrum stacks
+    (k, x, y) of a product and its factors, at every point of each element:
+    ``points[j]`` holds element j's points, all of one length, and
+    ``values(stack, points)`` gives the rows of f at every point
+    (:func:`_eigenvalue_powers` or :func:`_imaginary_values`)."""
+    fk, fx, fy = (_apply_stack(st, values(st, points)) for st in spectra)
     return _residuals(fk, _kron_stack(fx, fy)).tolist()
 
 
@@ -167,8 +169,8 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
     _, ax = _polar_stack(sx, eps)
     _, ay = _polar_stack(sy, eps)
     _, ak = _polar_stack(_kron_stack(sx, sy), eps)
-    return _factorization_stack(T, ak, ax, ay, powers, _eigenvalue_powers,
-                                eps)
+    return _factorization_stack(_psd_spectra(T, ak, ax, ay, eps), powers,
+                                _eigenvalue_powers)
 
 
 def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
@@ -192,9 +194,9 @@ def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
     """
     _check_factors(T, h1s, h2s)
     s1, s2 = _stack(h1s), _stack(h2s)
-    return _factorization_stack(T, _kron_stack(s1, s2), s1, s2,
-                                [tuple(t) for t in ts], _imaginary_values,
-                                eps)
+    return _factorization_stack(_psd_spectra(T, _kron_stack(s1, s2), s1, s2,
+                                             eps),
+                                [tuple(t) for t in ts], _imaginary_values)
 
 
 def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement, h2: AlgebraElement,
@@ -220,13 +222,12 @@ def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
                          psi2s: list[PositiveFunctional],
                          ts: Sequence[float]) -> list[dict]:
     """The residuals of :func:`lemma5_density` of each pair at its own t,
-    at the cutoff of psi1s[0], which every functional shares."""
+    from the spectra that the functionals and their products hold."""
     prods = kron_functional_stack(T, psi1s, psi2s)
     direct = _kron_stack(_densities(psi1s), _densities(psi2s))
     res_density = _residuals(_densities(prods), direct).tolist()
-    imags = lemma5_imaginary_stack(
-        T, [p.density for p in psi1s], [p.density for p in psi2s],
-        [[t] for t in ts], psi1s[0]._spectrum.eps_rel)
+    imags = _factorization_stack([_stack_of(p) for p in (prods, psi1s, psi2s)],
+                                 [[t] for t in ts], _imaginary_values)
     return [{"density": res, "imaginary_power": imag}
             for res, (imag,) in zip(res_density, imags)]
 

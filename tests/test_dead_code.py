@@ -1,9 +1,12 @@
-"""Every function, class and method defined in the package is used.
+"""Every function, class and method defined in the package is used, and
+every name a package module imports is used in that module.
 
-A name counts as used when it appears anywhere in the package, the tests or
-the benchmarks as a name, an attribute, an imported name, or a string that
-is an identifier (the benchmark tracer names methods by string).  Its own
-definition does not count.  Dunder methods are called by Python itself and
+A definition counts as used when its name appears anywhere in the package,
+the tests or the benchmarks as a name, an attribute, an imported name, or a
+string that is an identifier (the benchmark tracer names methods by string).
+Its own definition does not count.  Dunder methods are called by Python
+itself and are exempt.  An import counts as used when its name is read in
+the importing module; ``__init__.py`` re-exports and ``__future__`` imports
 are exempt.
 """
 
@@ -87,3 +90,24 @@ def _unread_parameters():
 
 def test_every_parameter_is_read():
     assert list(_unread_parameters()) == []
+
+
+def _unused_imports():
+    for path, tree in _trees(PACKAGE):
+        if path.name == "__init__.py":  # its imports are re-exports
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        yield f"{path.name}:{node.lineno} {name}"
+
+
+def test_every_import_is_used_where_imported():
+    assert list(_unused_imports()) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
-                  DivergenceValue, DomainError, PositiveFunctional,
+                  DivergenceValue, DomainError, NclpError, PositiveFunctional,
                   QuantumChannel, Reason, TensorAlgebra, additivity_check,
                   classical_renyi_oracle, d_tilde, dpi_probe, dpi_valid,
                   embed_left_channel, gen_classical_pair, gen_element,
@@ -109,6 +109,29 @@ class TestQAlphaZ:
         phi = diag_functional([0.0, 0.0, 1.0])
         q = q_tilde_alpha_z(psi, phi, DivergenceParams(3.0, z=1.2))
         assert q.reason == Reason.SUPPORT_VIOLATION
+
+    @pytest.mark.parametrize("params", [DivergenceParams(60.0, z=1.0),
+                                        DivergenceParams(3.0, z=0.05),
+                                        DivergenceParams(40.0)],
+                             ids=["alpha_z_svd", "alpha_z_certificate",
+                                  "sandwiched"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_powers_beyond_float_range_are_values_or_errors(self, params):
+        # At these orders a power of phi's small kept eigenvalue, or the
+        # Q sum, leaves the float range.  A pair whose support leaks out of
+        # phi's is still +inf with its reason, though it is evaluated in
+        # the same stack as the others; a nested pair gets a typed error.
+        phi = diag_functional([1.0, 1e-11, 0.0])
+
+        def q(psi):
+            if params.is_sandwiched:
+                return q_tilde_alpha(psi, phi, params.alpha)
+            return q_tilde_alpha_z(psi, phi, params)
+
+        assert q(diag_functional([0.3, 0.3, 0.4])).reason \
+            == Reason.SUPPORT_VIOLATION
+        with pytest.raises(NclpError):
+            q(diag_functional([0.5, 0.5, 0.0]))
 
     def test_matches_classical_oracle_on_random_diagonals(self):
         rng = np.random.default_rng(43)

@@ -25,8 +25,8 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DomainError, KosakiSpec, LpExponent, NclpError,
                   PositiveFunctional, QuantumChannel, SuiteConfig,
                   TensorAlgebra, element_power, func_calc, hermitian_eig,
-                  imaginary_power, kron_element, lp_norm, parse_dims,
-                  run_suite, scale, theorem6_norm)
+                  imaginary_power, kron_element, kron_functional, lp_norm,
+                  parse_dims, run_suite, scale, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -222,6 +222,10 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: _ALG.identity() / "a",
     lambda: _ALG.identity() / 1e-320,
     lambda: _ALG.identity() * np.array([1.0, 2.0]),
+    lambda: AlgebraElement(_ALG, [[[math.inf, 0], [0, 1]]]),
+    lambda: _ALG.diagonal([math.nan, 1.0]),
+    lambda: kron_functional(TensorAlgebra(_ALG, _ALG), "x",
+                            REFERENCES["faithful"]),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -235,7 +239,8 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "complex_power", "text_imaginary_power", "text_functional_power",
         "text_functional_imaginary_power", "infinite_scale", "text_scale",
         "none_scale", "infinite_factor", "nan_factor", "zero_divisor",
-        "text_divisor", "subnormal_divisor", "array_factor"])
+        "text_divisor", "subnormal_divisor", "array_factor", "inf_entry",
+        "nan_entry", "text_kron_functional_factor"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.

@@ -250,23 +250,64 @@ class TestTensorGrids:
             == [(r.residuals, r.info) for r in want]
 
 
+def _lapack_calls(monkeypatch, *names):
+    """The input shapes of each call of the named numpy.linalg routines,
+    recorded from here on, per routine."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(args[0]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def _run(name, trials, dims):
+    reports = run_suite(SuiteConfig(suite_name=name, trials=trials, seed=5,
+                                    dims=parse_dims(dims)))
+    assert len(reports) == trials and all(r.passed for r in reports)
+
+
 class TestStackedLapackCalls:
     @pytest.mark.parametrize("dims", ["2", "2+3"])
     def test_prop11_one_svd_per_block_per_operand_pair(self, monkeypatch,
                                                        dims):
-        calls = []
-        original = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        reports = run_suite(SuiteConfig(suite_name="prop11", trials=1,
-                                        seed=5, dims=parse_dims(dims)))
-        assert len(reports) == 1 and reports[0].passed
+        # Three trials mix the random, support_violating_factor and
+        # identical_pairs variants in one chunk.
+        calls = _lapack_calls(monkeypatch, "eigvalsh", "svd")
+        _run("prop11", 3, dims)
         alg = BlockAlgebra(parse_dims(dims)[0][0])
         product = TensorAlgebra(alg, alg).product
-        # factor 1, factor 2 and the product: one svd per block each.
-        assert len(calls) <= 2 * alg.num_blocks + product.num_blocks
-        assert all(len(shape) == 3 for shape in calls)
+        # factor 1, factor 2 and the product: at most one eigvalsh and one
+        # svd per block each, support-violating pairs included.
+        blocks = 2 * alg.num_blocks + product.num_blocks
+        assert len(calls["eigvalsh"]) <= blocks
+        assert len(calls["svd"]) <= blocks
+        assert all(len(shape) == 3 for shape in calls["svd"])
+
+    @pytest.mark.parametrize("dims", ["2", "2+3"])
+    def test_lemma9_one_eigvalsh_and_svd_per_block(self, monkeypatch, dims):
+        # Five trials hold every variant, among them the orthogonal and
+        # zero_reference pairs, which violate the support nesting.
+        calls = _lapack_calls(monkeypatch, "eigvalsh", "svd")
+        _run("lemma9", 5, dims)
+        blocks = BlockAlgebra(parse_dims(dims)[0][0]).num_blocks
+        assert len(calls["eigvalsh"]) <= blocks
+        assert len(calls["svd"]) <= blocks
+
+    @pytest.mark.parametrize("dims", ["2x2", "2+1x3"])
+    def test_lemma5_decomposes_each_matrix_once(self, monkeypatch, dims):
+        # The densities of the product functional and of its factors, and
+        # the moduli of x (x) y, x and y: one stacked eigh per block each
+        # (the imaginary powers reuse the functionals' spectra).
+        calls = _lapack_calls(monkeypatch, "eigh")
+        _run("lemma5", 4, dims)
+        (left, right), = parse_dims(dims)
+        T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
+        blocks = (T.left.num_blocks + T.right.num_blocks
+                  + T.product.num_blocks)
+        assert len(calls["eigh"]) == 2 * blocks
+        assert all(shape[0] == 4 for shape in calls["eigh"])

@@ -25,7 +25,7 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   gen_positive_functional, io, kron_element, lemma5_power,
                   random_unital_channel, run_suite, theorem6_spanning,
                   trial_rng)
-from nclp import suites
+from nclp import functionals, suites
 from nclp.algebra import _clip_stack, _stack
 from nclp.cli import main
 from nclp.divergence import q_tilde_stack
@@ -201,6 +201,22 @@ class TestStackedValues:
                 assert np.array_equal(psi._spectrum.eigenvalues[k],
                                       np.maximum(vals, 0.0))
                 assert np.array_equal(psi._spectrum.eigenvectors[k], vecs)
+
+    def test_functionals_are_rows_of_their_batch_stack(self):
+        # A batch's densities and spectra are its stack's own arrays; a
+        # functional's density views its row.
+        alg = BlockAlgebra((2, 3))
+        psis = _positive_functionals(alg, _stack(_densities(alg, 31, 5)),
+                                     False, 1e-12)
+        stack = functionals._stack_of(psis)
+        assert stack is psis[0]._spectrum.stack
+        assert functionals._densities(psis) is stack.densities
+        for j, psi in enumerate(psis):
+            assert psi._spectrum.stack is stack and psi._spectrum.row == j
+            assert psi.algebra is stack.algebra
+            for block, d in zip(psi.density.blocks, stack.densities):
+                assert np.shares_memory(block, d)
+                assert np.array_equal(block, d[j])
 
 
 def _spanning_loop(T, budget, rng):

@@ -55,15 +55,18 @@ def _mask(rng, kind, shape):
 
 def _stack(rng, dims, B, masks):
     """B spectra of the algebra with block dimensions ``dims``: positive
-    eigenvalues, random unitary eigenvectors and masks of the given kind."""
+    eigenvalues, random unitary eigenvectors, masks of the given kind, and
+    as densities the elements U diag(values) U* they decompose."""
     def unitaries(n):
         g = rng.standard_normal((B, n, n)) + 1j * rng.standard_normal(
             (B, n, n))
         return np.linalg.qr(g)[0]
-    return SpectrumStack(BlockAlgebra(tuple(dims)),
-                         tuple(_values(rng, (B, n)) for n in dims),
-                         tuple(unitaries(n) for n in dims),
+    vals = tuple(_values(rng, (B, n)) for n in dims)
+    vecs = tuple(unitaries(n) for n in dims)
+    return SpectrumStack(BlockAlgebra(tuple(dims)), vals, vecs,
                          tuple(_mask(rng, masks, (B, n)) for n in dims),
+                         tuple((u * v[:, None, :]) @ u.conj().swapaxes(-2, -1)
+                               for v, u in zip(vals, vecs)),
                          1e-12)
 
 
