@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import HERMITIAN_TOL, PSD_CLIP_TOL, resolve_eps_rel
+from .config import (HERMITIAN_TOL, PSD_CLIP_TOL, RECOMPOSITION_TOL,
+                     resolve_eps_rel)
 from .errors import (DomainError, ShapeError, _check_type,
                      _finite_number, _real)
 
@@ -254,12 +255,14 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # sums, Schatten norms) runs as row reductions over the stacks, each row
 # equal to the 1-D operation it stands for (see :func:`_powers` and
 # :func:`_kept_power_sums`); one kernel, :func:`_apply_stack`, turns such
-# rows into elements.  The one-element functions of this package are B = 1
-# calls of the stacked kernels.  Kernels only compute: they take no
-# tolerance, build no report or report string (a check kernel returns
-# residuals and values), and resolve no cutoff.  A kernel on functionals
-# reads their spectrum stack and its cutoff; any other is given a resolved
-# cutoff.
+# rows into elements, and one, :func:`_corner_solve`, solves y = h^l x h^r
+# on the support corner of each row's h and certifies the solutions.  The
+# one-element functions of this package are B = 1 calls of the stacked
+# kernels.  Kernels only compute: they take no tolerance (the corner solve
+# reads its one budget from the config), build no report or report string
+# (a check kernel returns residuals and values), and resolve no cutoff.  A
+# kernel on functionals reads their spectrum stack and its cutoff; any other
+# is given a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -529,9 +532,10 @@ def _radius(vals: Sequence[np.ndarray]) -> np.ndarray:
 
 def _kernel_masks(vals: Sequence[np.ndarray],
                   eps: float) -> tuple[np.ndarray, ...]:
-    """The kernel convention: per block, the (B, n) mask of eigenvalues with
-    |lam| <= eps * radius, the radius taken across all blocks."""
-    cut = eps * _radius(vals)[:, None]
+    """The kernel convention: per block, the (..., n) mask of eigenvalues
+    (or singular values) with |lam| <= eps * radius, the radius taken
+    across all blocks."""
+    cut = eps * _radius(vals)[..., None]
     return tuple(abs(v) <= cut for v in vals)
 
 
@@ -694,6 +698,43 @@ def _eigenvalue_powers(stack: SpectrumStack, exponents
 
 
 @np.errstate(all="ignore")
+def _corner_solve(stack: SpectrumStack, rhs: Sequence[np.ndarray],
+                  lefts: Sequence[Sequence[float]],
+                  rights: Sequence[Sequence[float]]):
+    """Corner solutions x of y_j = h_j^l x h_j^r, h_j the element that row
+    j of ``stack`` decomposes, at l = lefts[j][g] and r = rights[j][g] (one
+    length G for all j); ``rhs`` holds per block the (B, n, n) y_j, shared
+    by the G points, or a (B, G, n, n) stack of one per point.
+
+    In h_j's eigenbasis X = C / (s^l s^r) on the support corner (C the
+    rotated y); scaling back recovers C entrywise, so the residual measures
+    the part of y outside the corner plus rounding, whatever h_j's
+    conditioning.  Returns per block the (B, G, n, n) middles X, the (B, G)
+    residuals, and ``over``: not within RECOMPOSITION_TOL * (1 + ||y||_F),
+    so a NaN residual is over.  Overflow shows as non-finite values, without
+    a warning.
+    """
+    G = len(lefts[0])
+    scales = _eigenvalue_powers(stack, [[-a for a in ls] + [-b for b in rs]
+                                        + [*ls, *rs]
+                                        for ls, rs in zip(lefts, rights)])
+    mids, resid_sq = [], 0.0
+    for y, u, sc in zip(rhs, stack.eigenvectors, scales):
+        down_l, down_r, up_l, up_r = (sc[:, i * G:(i + 1) * G]
+                                      for i in range(4))
+        u = u[:, None]
+        c = u.conj().swapaxes(-2, -1) @ (y if y.ndim == 4 else y[:, None]) @ u
+        mid = (down_l[..., :, None] * c) * down_r[..., None, :]
+        back = (up_l[..., :, None] * mid) * up_r[..., None, :]
+        resid_sq = resid_sq + (abs(back - c) ** 2).sum(axis=(-2, -1))
+        mids.append(mid)
+    residuals = np.sqrt(resid_sq)
+    budgets = RECOMPOSITION_TOL * (
+        1.0 + _frobenius_stack(rhs).reshape(len(residuals), -1))
+    return mids, residuals, ~(residuals <= budgets)
+
+
+@np.errstate(all="ignore")
 def _imaginary_values(stack: SpectrumStack, ts) -> tuple[np.ndarray, ...]:
     """Per block, the rows of lam^{it} = exp(i t log lam) on the non-kernel
     eigenvalues of row j and 0 on its kernel: (B, n) rows for t = ts[j], or
@@ -767,17 +808,16 @@ def polar_decompose(x: AlgebraElement, eps_rel: float | None = None
 def _polar_stack(stacked: Sequence[np.ndarray], eps: float
                  ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Polar factors (v, |x|) of B stacked elements as per-block stacks, one
-    ``svd`` per block.  A singular value is kept when it exceeds eps times
-    the element's largest one."""
+    ``svd`` per block.  A singular value is kept unless the kernel
+    convention (:func:`_kernel_masks`) drops it."""
     svds = [np.linalg.svd(s) for s in stacked]
-    sigma_max = _radius([s[..., :1] for _, s, _ in svds])
     v_blocks, abs_blocks = [], []
-    for u, s, vh in svds:
-        keep = s > eps * sigma_max[:, None]
+    for (u, s, vh), kernel in zip(svds, _kernel_masks(
+            [s for _, s, _ in svds], eps)):
         abs_blocks.append(vh.conj().swapaxes(-2, -1) @ (s[..., None] * vh))
-        if keep.all():
+        if not kernel.any():
             v_blocks.append(u @ vh)
         else:
-            v_blocks.append(np.stack([uj[:, kj] @ vhj[kj, :] for uj, kj, vhj
-                                      in zip(u, keep, vh)]))
+            v_blocks.append(np.stack([uj[:, ~kj] @ vhj[~kj, :] for uj, kj, vhj
+                                      in zip(u, kernel, vh)]))
     return tuple(v_blocks), tuple(abs_blocks)

@@ -2,7 +2,10 @@
 
 Each check's gate is written once, in ``CHECK_TOLERANCES`` (suite -> report
 key -> tolerance), which the suites and the one-point checks read; the rank
-tests count the singular values above ``RANK_RTOL`` times the largest.
+tests count the singular values above ``RANK_RTOL`` times the largest.  The
+corner solves of y = h^l x h^r (the Kosaki membership and the alpha > 1
+sandwich equation) are certified within ``RECOMPOSITION_TOL`` times
+1 + ||y||_F.
 
 Every eigenvalue whose magnitude falls at or below ``eps_rel * spectral_radius``
 is treated as an exact zero of the operator (the "kernel convention"): scalar
@@ -57,6 +60,8 @@ CHECK_TOLERANCES = {
 }
 
 RANK_RTOL = 1e-10
+
+RECOMPOSITION_TOL = 1e-9
 
 EIGENSOLVER_ID = "numpy.linalg.eigh/svd (LAPACK)"
 PRNG_ID = "numpy PCG64 (default_rng)"

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _apply_stack, _complex_array, _eigenvalue_powers,
-                      _full_stack, _kept_power_sums, _kron_block,
-                      _nonfinite_error, _squared_norms, _stacked,
-                      _support_stack, _unstack)
+                      _apply_stack, _complex_array, _corner_solve,
+                      _eigenvalue_powers, _full_stack, _kept_power_sums,
+                      _kernel_masks, _kron_block, _nonfinite_error,
+                      _squared_norms, _stacked, _support_stack, _unstack)
 from .config import CHECK_TOLERANCES, PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first, _real)
@@ -31,7 +31,6 @@ from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional_stack
 
 SUPPORT_VIOLATION_RTOL = 1e-10
-SHARP_RECOMP_TOL = 1e-9
 CHANNEL_UNITALITY_TOL = 1e-10
 
 
@@ -50,9 +49,13 @@ class DivergenceValue:
     reason: Reason = Reason.FINITE
 
     def __post_init__(self):
-        if math.isinf(self.value) != (self.reason != Reason.FINITE):
+        value = _real(self.value, "a divergence value")
+        # One comparison rejects NaN and -inf.
+        if not (value > -math.inf
+                and math.isinf(value) == (self.reason != Reason.FINITE)):
             raise DomainError(
                 f"value {self.value} inconsistent with reason {self.reason}")
+        object.__setattr__(self, "value", value)
 
     @property
     def is_finite(self) -> bool:
@@ -80,10 +83,7 @@ class DivergenceParams:
     z: float | None = None
 
     def __post_init__(self):
-        alpha = _real(self.alpha, "alpha")
-        if not math.isfinite(alpha) or alpha <= 0 or alpha == 1:
-            raise DomainError(
-                f"alpha must be finite, positive and != 1, got {alpha}")
+        alpha = _order(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if self.z is None:
             if alpha < 0.5:
@@ -107,6 +107,15 @@ class DivergenceParams:
         if self.is_sandwiched:
             return f"alpha={self.alpha:g}"
         return f"alpha={self.alpha:g},z={self.z:g}"
+
+
+def _order(alpha) -> float:
+    """``alpha`` as a float; DomainError unless finite, positive and != 1."""
+    alpha = _real(alpha, "alpha")
+    if not math.isfinite(alpha) or alpha <= 0 or alpha == 1:
+        raise DomainError(
+            f"alpha must be finite, positive and != 1, got {alpha}")
+    return alpha
 
 
 def _check_pair(psi: PositiveFunctional, phi: PositiveFunctional):
@@ -182,7 +191,8 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
     directions scale to 0.  An entry is the value, or the DomainError of a
-    sandwich that is not PSD within the clip tolerance or not finite."""
+    sandwich that is not PSD within the clip tolerance, or of a value
+    beyond the float range (see :func:`_q_value`)."""
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
@@ -199,16 +209,31 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
                        for e in eigs], axis=0).tolist()
     eps = phi_stack.eps_rel
     # Per block, one masked row sum of the kept eigenvalues' powers; the
-    # blocks add up in order from 0.0, as Python floats would.
+    # blocks add up in order from 0.0, as Python floats would.  The cut is
+    # e > eps * radius, not the kernel convention's |e| <= eps * radius: it
+    # also drops the tiny negative eigenvalues that the PSD test lets
+    # through, whose powers would be NaN.
     totals = 0.0
     for e in eigs:
         totals = totals + _kept_power_sums(e, e > eps * radius[..., None],
                                            alphas)
     return [[DomainError("sandwich block is not PSD within clip tolerance")
-             if bad else DivergenceValue(total) if ok and math.isfinite(total)
-             else _nonfinite_error() for bad, ok, total in zip(bads, oks, row)]
+             if bad else _q_value(total, alpha) if ok else _nonfinite_error()
+             for bad, ok, total, alpha in zip(bads, oks, row, alphas)]
             for bads, oks, row in zip(negative, np.isfinite(radius).tolist(),
                                       totals.tolist())]
+
+
+def _q_value(q: float, alpha: float):
+    """The DivergenceValue of a Q sum, or the DomainError of one beyond the
+    float range: not finite, or 0 at alpha > 1, where Q of a nonzero psi
+    with s(psi) <= s(phi) is positive (other pairs are overwritten)."""
+    if not math.isfinite(q):
+        return _nonfinite_error()
+    if q == 0.0 and alpha > 1:
+        return DomainError("the Q-value underflows: it is positive but "
+                           "below the float range")
+    return DivergenceValue(q)
 
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
@@ -223,7 +248,8 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     factor is an exact column scaling in phi's eigenbasis (singular values
     are right-unitarily invariant).  For alpha > 1 the corner solution of
     the sandwich equation h_psi^{alpha/z} = h_phi^e x h_phi^e,
-    e = (alpha-1)/2z, is certified first (ConditioningError beyond budget).
+    e = (alpha-1)/2z, is certified first by :func:`_corner_solve`
+    (ConditioningError beyond budget).
     An entry is the value or the point's error, in the one-point order:
     certificate power, certificate, half power.
     """
@@ -246,10 +272,11 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     powers = _apply_stack(psi_stack, rows)
     k = len(sharp)
     if k:
-        _, residuals, budgets = _sharp_pinv_middles(
-            [b[:, :k] for b in powers], phi_stack,
-            [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
-            * len(psis))
+        sharp_expos = [[(grid[g].alpha - 1.0) / (2.0 * zs[g])
+                        for g in sharp]] * len(psis)
+        _, residuals, over = _corner_solve(
+            phi_stack, [b[:, :k] for b in powers], sharp_expos, sharp_expos)
+        over = over.tolist()
     scales = _eigenvalue_powers(phi_stack, phi_expos)
     mats = [(half[:, k:] @ u[:, None]) * scale[..., None, :]
             for half, u, scale in zip(powers, phi_stack.eigenvectors, scales)]
@@ -259,11 +286,9 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     for m in mats:
         m[~finite[:, k:]] = 0.0
     sv = singular_values_stack(mats)
-    eps = phi_stack.eps_rel
-    keeps = sv > eps * sv.max(axis=-1)[..., None]
-    qs = _kept_power_sums(sv, keeps, [2.0 * z for z in zs]).tolist()
+    kernel, = _kernel_masks([sv], phi_stack.eps_rel)
+    qs = _kept_power_sums(sv, ~kernel, [2.0 * z for z in zs]).tolist()
     finite = finite.tolist()
-    over = (~(residuals <= budgets)).tolist() if k else None
     cert = dict(zip(sharp, range(k)))
     out = []
     for j, q_row in enumerate(qs):
@@ -274,45 +299,12 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
                 vals.append(_nonfinite_error())
             elif i is not None and over[j][i]:
                 vals.append(_recomposition_error(float(residuals[j, i])))
-            elif not (finite[j][k + g] and math.isfinite(q)):
+            elif not finite[j][k + g]:
                 vals.append(_nonfinite_error())
             else:
-                vals.append(DivergenceValue(q))
+                vals.append(_q_value(q, grid[g].alpha))
         out.append(vals)
     return out
-
-
-def _sharp_pinv_middles(hp: Sequence[np.ndarray], stack: SpectrumStack,
-                        expos: Sequence[Sequence[float]]):
-    """Eigenbasis blocks of the pseudo-inverse corner solutions of the
-    sandwich equation, one per pair j and exponent e of ``expos[j]`` (one
-    length G for all j), with their certificates.
-
-    ``hp`` holds per block a (B, G, n, n) stack of right-hand sides
-    h_psi^{alpha/z} and row j of ``stack`` is the spectrum of pair j's
-    phi.  In phi's eigenbasis the solution is X_ij = C_ij / (s_i^e s_j^e)
-    on the support corner (C the transformed right-hand side); re-scaling
-    recovers C entrywise, so the recomposition residual measures exactly
-    the part of the right-hand side outside the corner plus rounding,
-    independent of phi's conditioning.
-    Returns the (B, G, n, n) middles per block, the (B, G) residuals and
-    the (B, G) budgets SHARP_RECOMP_TOL * (1 + ||h_psi^{alpha/z}||_F).
-    """
-    G = len(expos[0])
-    scales = _eigenvalue_powers(stack, [[-e for e in exps] + list(exps)
-                                        for exps in expos])
-    mids, resid_sq, frob_sq = [], 0.0, 0.0
-    for tb, u, sc in zip(hp, stack.eigenvectors, scales):
-        u = u[:, None]
-        down, up = sc[:, :G], sc[:, G:]
-        c = u.conj().swapaxes(-2, -1) @ tb @ u
-        mid = (down[..., :, None] * c) * down[..., None, :]
-        back = (up[..., :, None] * mid) * up[..., None, :]
-        resid_sq = resid_sq + (abs(back - c) ** 2).sum(axis=(-2, -1))
-        frob_sq = frob_sq + (abs(tb) ** 2).sum(axis=(-2, -1))
-        mids.append(mid)
-    budgets = SHARP_RECOMP_TOL * (1.0 + np.sqrt(frob_sq))
-    return mids, np.sqrt(resid_sq), budgets
 
 
 def _recomposition_error(residual: float) -> ConditioningError:
@@ -346,8 +338,9 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     h_psi^{alpha/z} = h_phi^{(alpha-1)/2z} x h_phi^{(alpha-1)/2z} is solved
     on the corner s(phi) . s(phi) by pseudo-inverse powers; solvability is
     equivalent to s(psi) <= s(phi) here, and the recomposition residual
-    certifies the solution (ConditioningError beyond budget).  One point of
-    :func:`q_tilde_stack`.
+    certifies the solution (ConditioningError beyond the budget
+    ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F)).  One point
+    of :func:`q_tilde_stack`.
     """
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
@@ -364,7 +357,9 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
 
     Returns x = h_phi^{-e} h_psi^{alpha/z} h_phi^{-e} compressed to the
     support corner of phi, with e = (alpha-1)/2z; the recomposition residual
-    certifies the solve (ConditioningError beyond budget).  Requires
+    certifies the solve (ConditioningError beyond the budget
+    ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F), or where it
+    is not a number).  Requires
     s(psi) <= s(phi), else the equation has no corner solution.  One pair
     of :func:`solve_sharp_pseudo_inverse_stack`.
     """
@@ -389,11 +384,10 @@ def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
     psi_stack, phi_stack = _stack_of(psis), _stack_of(phis)
     hp = _apply_stack(psi_stack, _eigenvalue_powers(
         psi_stack, [[r] for r, _ in exps]))
-    mids, residuals, budgets = _sharp_pinv_middles(hp, phi_stack,
-                                                   [[e] for _, e in exps])
-    over = residuals[:, 0] > budgets[:, 0]
+    expos = [[e] for _, e in exps]
+    mids, residuals, over = _corner_solve(phi_stack, hp, expos, expos)
     if over.any():
-        raise _recomposition_error(float(residuals[np.argmax(over), 0]))
+        raise _recomposition_error(float(residuals[np.argmax(over[:, 0]), 0]))
     return tuple(u @ mid[:, 0] @ u.conj().swapaxes(-2, -1)
                  for u, mid in zip(phi_stack.eigenvectors, mids))
 

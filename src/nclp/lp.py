@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _apply_stack, _eigenvalue_powers, _frobenius_stack,
+                      _apply_stack, _corner_solve, _eigenvalue_powers,
                       _full_stack, _kron_block, _powers, _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _raise_first, _real)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _stack_of)
-
-MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -277,14 +275,13 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
                         points: list[list[tuple[LpExponent, float]]]):
     """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
     of phis[j], for each of B stacked elements y_j and each point of
-    points[j] (one length G for all j).
+    points[j] (one length G for all j): the :func:`_corner_solve` of the
+    stack, rotated back.
 
     Returns per block a (B, G, n, n) stack of x, and per element and point
     None, the DomainError of an x beyond the float range, or the
     ConditioningError of a recomposition residual beyond budget.  A point
     with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
-    The eigenvalue powers (one broadcast power per block, each row equal to
-    the 1-D power), rotations, scalings and residuals are stacked.
     """
     weights = {}
     for pts in points:
@@ -297,39 +294,27 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     ident = np.array([[a == 0.0 and b == 0.0 for a, b in zip(ls, rs)]
                       for ls, rs in zip(lefts, rights)])
     stack = _stack_of(phis)
-    scales = _eigenvalue_powers(stack, [[-a for a in ls] + [-b for b in rs]
-                                        + ls + rs
-                                        for ls, rs in zip(lefts, rights)])
-    G = len(points[0])
-    blocks, resid_sq = [], 0.0
-    for yb, vecs, sc in zip(stacked_y, stack.eigenvectors, scales):
-        vecs_h = vecs.conj().swapaxes(-2, -1)
-        down_l, down_r, up_l, up_r = (sc[:, i * G:(i + 1) * G]
-                                      for i in range(4))
-        c = vecs_h @ yb @ vecs
-        mid = (down_l[..., :, None] * c[:, None]) * down_r[..., None, :]
-        back = (up_l[..., :, None] * mid) * up_r[..., None, :]
-        resid_sq = resid_sq + (abs(back - c[:, None]) ** 2).sum(axis=(2, 3))
-        x = vecs[:, None] @ mid @ vecs_h[:, None]
+    mids, residuals, over = _corner_solve(stack, stacked_y, lefts, rights)
+    blocks = []
+    for yb, vecs, mid in zip(stacked_y, stack.eigenvectors, mids):
+        x = vecs[:, None] @ mid @ vecs.conj().swapaxes(-2, -1)[:, None]
         if ident.any():
             x[ident] = np.broadcast_to(yb[:, None], x.shape)[ident]
         blocks.append(x)
     finite = np.isfinite(blocks[0]).all(axis=(2, 3))
     for x in blocks[1:]:
         finite &= np.isfinite(x).all(axis=(2, 3))
-    budgets = MEMBERSHIP_TOL * (1.0 + _frobenius_stack(stacked_y))
     errors = []
-    for skips, ok_j, r_j, budget in zip(ident, finite.tolist(),
-                                        np.sqrt(resid_sq).tolist(),
-                                        budgets.tolist()):
+    for skips, oks, rs, overs in zip(ident, finite.tolist(),
+                                     residuals.tolist(), over.tolist()):
         errs = []
-        for skip, ok, r in zip(skips, ok_j, r_j):
+        for skip, ok, r, bad in zip(skips, oks, rs, overs):
             if skip:
                 errs.append(None)
             elif not ok:
                 errs.append(DomainError(
                     "the membership solution exceeds the float range"))
-            elif r > budget:
+            elif bad:
                 errs.append(ConditioningError(
                     f"membership solve residual {r:.3e} exceeds budget",
                     residual=r))
@@ -346,7 +331,8 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     The solve runs in phi's eigenbasis, where dividing and re-multiplying by
     the eigenvalue powers cancels entrywise; the recomposition residual then
     reflects genuine kernel leakage rather than conditioning.  Raises
-    ConditioningError when it exceeds MEMBERSHIP_TOL * (1 + ||y||_F).
+    ConditioningError when it exceeds the budget
+    ``config.RECOMPOSITION_TOL`` * (1 + ||y||_F).
     """
     phi, = _at_cutoff([spec.phi], eps_rel)
     if y.algebra != spec.algebra:

@@ -66,12 +66,13 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
                       _stack, _support_stack, _symmetrized_stack)
 from .config import CHECK_TOLERANCES, PRNG_ID, resolve_eps_rel
-from .divergence import (DivergenceParams, additivity_stack, dpi_probe_stack,
-                         embed_left_channel, identity_channel, lemma9_stack,
-                         pinching_channel, random_unital_channel,
+from .divergence import (DivergenceParams, _order, additivity_stack,
+                         dpi_probe_stack, embed_left_channel,
+                         identity_channel, lemma9_stack, pinching_channel,
+                         random_unital_channel,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
-from .errors import DomainError, UsageError, _check_type
+from .errors import DomainError, ShapeError, UsageError, _check_type
 from .functionals import (PositiveFunctional, _positive_functionals,
                           _stack_of, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
@@ -322,11 +323,21 @@ def _classical_vectors(rng: np.random.Generator, algebra: BlockAlgebra,
 def classical_renyi_oracle(p, q, alpha: float) -> float:
     """sum_i p_i^alpha q_i^{1-alpha} with 0^x conventions matching the kernel
     rules; +inf exactly when the matrix-side value is +inf (alpha > 1 with
-    mass of p outside the support of q)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if alpha <= 0 or alpha == 1:
-        raise DomainError(f"alpha must be positive and != 1, got {alpha}")
+    mass of p outside the support of q).  p and q are vectors of one length
+    of finite nonnegative numbers, and alpha is checked as
+    :class:`DivergenceParams` checks it."""
+    alpha = _order(alpha)
+    try:
+        p, q = np.array(p, dtype=float), np.array(q, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"p and q must be vectors of numbers: {exc}") \
+            from exc
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ShapeError(f"p and q must be vectors of one length, got "
+                         f"shapes {p.shape} and {q.shape}")
+    both = np.concatenate([p, q])
+    if not ((both >= 0) & (both < math.inf)).all():
+        raise DomainError("p and q must be finite and nonnegative")
     if not np.any(p > 0):
         raise DomainError("p must be a nonzero vector")
     if alpha > 1:

@@ -7,7 +7,9 @@ string that is an identifier (the benchmark tracer names methods by string).
 Its own definition does not count.  Dunder methods are called by Python
 itself and are exempt.  An import counts as used when its name is read in
 the importing module; ``__init__.py`` re-exports and ``__future__`` imports
-are exempt.
+are exempt.  A module-level constant (an upper-case name the module
+assigns) counts as used when it is read, as a name or an attribute,
+somewhere in the package, the tests, the benchmarks or the tools.
 """
 
 import ast
@@ -111,3 +113,32 @@ def _unused_imports():
 
 def test_every_import_is_used_where_imported():
     assert list(_unused_imports()) == []
+
+
+def _read_names() -> set[str]:
+    read = set()
+    for directory in (*SOURCES, ROOT / "tools"):
+        for _, tree in _trees(directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def _constants():
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield f"{path.name}:{node.lineno} {target.id}", target.id
+
+
+def test_every_constant_is_read():
+    read = _read_names()
+    assert [where for where, name in _constants() if name not in read] == []

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
-                  DivergenceValue, DomainError, NclpError, PositiveFunctional,
-                  QuantumChannel, Reason, TensorAlgebra, additivity_check,
-                  classical_renyi_oracle, d_tilde, dpi_probe, dpi_valid,
-                  embed_left_channel, gen_classical_pair, gen_element,
+from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
+                  DivergenceParams, DivergenceValue, DomainError, NclpError,
+                  PositiveFunctional, QuantumChannel, Reason, TensorAlgebra,
+                  additivity_check, classical_renyi_oracle, d_tilde,
+                  dpi_probe, dpi_valid, embed_left_channel,
+                  gen_classical_pair, gen_element,
                   gen_faithful, gen_nested_pair, gen_unitary,
                   identity_channel, kron_functional, lemma9_check,
                   pinching_channel, precompose, q_tilde_alpha,
@@ -183,6 +184,24 @@ class TestDTilde:
         d = d_tilde(psi, phi, DivergenceParams(2.0))
         assert d.value < 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params", [DivergenceParams(2.0),
+                                        DivergenceParams(2.0, z=2.0),
+                                        DivergenceParams(2.0, z=0.7)])
+    def test_q_that_underflows_is_an_error(self, params):
+        # Q of a nonzero psi nested in phi is positive at alpha > 1; here it
+        # sums to 0 in floats, and log(0) would have no value.
+        psi = diag_functional([1e-200, 1e-200])
+        phi = diag_functional([0.5, 0.5])
+        with pytest.raises(DomainError, match="underflows"):
+            d_tilde(psi, phi, params)
+        if params.is_sandwiched:
+            with pytest.raises(DomainError, match="underflows"):
+                q_tilde_alpha(psi, phi, params.alpha)
+        below = DivergenceParams(0.5) if params.is_sandwiched \
+            else DivergenceParams(0.5, z=params.z)
+        assert d_tilde(psi, phi, below).is_finite
+
 
 class TestCovariances:
     def test_scaling_covariance(self):
@@ -330,6 +349,17 @@ class TestSharpSolvers:
         phi = diag_functional([0.0, 1.0])
         with pytest.raises(DomainError):
             solve_sharp_pseudo_inverse(psi, phi, DivergenceParams(2.0, z=1.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_certificate_is_over_budget(self):
+        # phi's small kept eigenvalue to the power -20 overflows, and the
+        # complex products make the residual NaN, which is no certificate.
+        psi = diag_functional([0.5, 0.5, 0.0])
+        phi = diag_functional([1.0, 1e-11, 0.0])
+        with pytest.raises(ConditioningError) as info:
+            solve_sharp_pseudo_inverse(psi, phi,
+                                       DivergenceParams(3.0, z=0.05))
+        assert math.isnan(info.value.residual)
 
 
 class TestChannels:

@@ -22,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
-                  DomainError, KosakiSpec, LpExponent, NclpError,
-                  PositiveFunctional, QuantumChannel, SuiteConfig,
-                  TensorAlgebra, element_power, func_calc, hermitian_eig,
+                  DivergenceValue, DomainError, KosakiSpec, LpExponent,
+                  NclpError, PositiveFunctional, QuantumChannel, Reason,
+                  SuiteConfig, TensorAlgebra, classical_renyi_oracle,
+                  element_power, func_calc, hermitian_eig,
                   imaginary_power, kron_element, kron_functional, lp_norm,
                   parse_dims, run_suite, scale, theorem6_norm)
 
@@ -226,6 +227,14 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: _ALG.diagonal([math.nan, 1.0]),
     lambda: kron_functional(TensorAlgebra(_ALG, _ALG), "x",
                             REFERENCES["faithful"]),
+    lambda: DivergenceValue(math.nan),
+    lambda: DivergenceValue("x"),
+    lambda: DivergenceValue(-math.inf, Reason.SUPPORT_VIOLATION),
+    lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], math.nan),
+    lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], math.inf),
+    lambda: classical_renyi_oracle([math.nan, 1.0], [0.5, 0.5], 2.0),
+    lambda: classical_renyi_oracle([-1.0, 2.0], [0.5, 0.5], 2.0),
+    lambda: classical_renyi_oracle([0.5, 0.5], [1.0], 2.0),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -240,7 +249,10 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "text_functional_imaginary_power", "infinite_scale", "text_scale",
         "none_scale", "infinite_factor", "nan_factor", "zero_divisor",
         "text_divisor", "subnormal_divisor", "array_factor", "inf_entry",
-        "nan_entry", "text_kron_functional_factor"])
+        "nan_entry", "text_kron_functional_factor", "nan_divergence_value",
+        "text_divergence_value", "negative_infinite_divergence_value",
+        "nan_oracle_order", "infinite_oracle_order", "nan_oracle_weight",
+        "negative_oracle_weight", "unequal_oracle_lengths"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.

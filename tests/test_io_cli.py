@@ -571,6 +571,16 @@ class TestFileInputsWithoutTraceback:
                      "--psi", str(big), "--phi", str(big)]) == 1
         assert "non-finite eigenvalue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["sandwiched"], ["alpha-z"]])
+    def test_q_that_underflows_exit_two(self, tmp_path, capsys, kind):
+        psi = write_diag(tmp_path / "psi.json", [1e-200, 1e-200])
+        phi = write_diag(tmp_path / "phi.json", [0.5, 0.5])
+        assert main(["divergence", "--kind", *kind, "--alpha", "2",
+                     "--psi", str(psi), "--phi", str(phi)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "underflows" in err
+
 
 class TestParserReuse:
     """main builds its parser once per process, and no call's arguments

@@ -2,8 +2,9 @@
 
 The kernels take eigenvalue powers, imaginary powers, masked sums and
 Schatten norms of many rows (trials times grid points) as one array
-operation, and the functional calculus of a spectrum stack as one sandwich
-per block.  Each row must equal the 1-D operation on that row alone,
+operation, and the functional calculus of a spectrum stack and the corner
+solve of y = h^l x h^r as one sandwich per block.  Each row must equal the
+1-D operation on that row alone (a solve: the B = 1, G = 1 solve),
 compared with ``==`` on the bytes, not approximately: numpy routes some
 scalar exponents to other ufuncs, sums rows of 8 or more entries in blocks
 of eight, and its AVX-512 ``power`` differs from libm in the last bit, so a
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 
 from nclp import BlockAlgebra, DomainError, LpExponent
 from nclp.algebra import (HermitianSpectrum, SpectrumStack, _apply_stack,
-                          _eigenvalue_powers, _imaginary_values,
-                          _kept_power_sums, _powers, _support_stack)
+                          _corner_solve, _eigenvalue_powers, _gather,
+                          _imaginary_values, _kept_power_sums, _powers,
+                          _support_stack)
 from nclp.lp import _schatten, _schatten_stack
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -204,3 +206,53 @@ def test_stacked_schatten_norm_equals_the_row_norm(shape, seed, huge):
     got = _schatten_stack(s, ps)
     assert [[float(v).hex() for v in row] for row in got] == [
         [v.hex() for v in row] for row in want]
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), SEEDS, MASKS,
+       st.booleans())
+def test_stacked_corner_solve_equals_the_one_row_solve(dims, seed, masks,
+                                                       per_point):
+    # Row (j, g) of a stacked solve against the B = 1, G = 1 solve of its
+    # spectrum, right-hand side and exponents: middle, residual and over.
+    rng = np.random.default_rng(seed)
+    B, G = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    stack = _stack(rng, dims, B, masks)
+    shape = (B, G) if per_point else (B,)
+    rhs = tuple(rng.standard_normal((*shape, n, n))
+                + 1j * rng.standard_normal((*shape, n, n)) for n in dims)
+    lefts = [_exponents(rng, G) for _ in range(B)]
+    rights = [_exponents(rng, G) for _ in range(B)]
+    mids, residuals, over = _corner_solve(stack, rhs, lefts, rights)
+    for j in range(B):
+        single = _gather([HermitianSpectrum(stack, j)])
+        for g in range(G):
+            y = tuple(b[j:j + 1, g:g + 1] if per_point else b[j:j + 1]
+                      for b in rhs)
+            mid, res, ov = _corner_solve(single, y, [[lefts[j][g]]],
+                                         [[rights[j][g]]])
+            for k in range(len(dims)):
+                assert _same(mids[k][j, g], mid[k][0, 0])
+            assert _same(residuals[j, g], res[0, 0])
+            assert _same(over[j, g], ov[0, 0])
+
+
+def test_corner_solve_certifies_the_corner_only():
+    # y = P a P lies in the support corner of h and is certified; a y with
+    # mass on the kernel of h, or a NaN entry, is over budget.
+    rng = np.random.default_rng(5)
+    vecs = np.linalg.qr(rng.standard_normal((1, 3, 3)))[0].astype(complex)
+    vals = np.array([[0.0, 0.5, 2.0]])
+    kernel = vals == 0.0
+    h = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-2, -1)
+    stack = SpectrumStack(BlockAlgebra((3,)), (vals,), (vecs,), (kernel,),
+                          (h,), 1e-12)
+    support, = _support_stack(stack)
+    a = rng.standard_normal((1, 3, 3)) + 0j
+    expos = [[0.25, 1.5]]
+    _, residuals, over = _corner_solve(stack, (support @ a @ support,),
+                                       expos, expos)
+    assert not over.any() and (residuals < 1e-12).all()
+    for y in (a, np.full((1, 3, 3), np.nan + 0j)):
+        _, _, over = _corner_solve(stack, (y,), expos, expos)
+        assert over.all()
