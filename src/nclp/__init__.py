@@ -10,9 +10,7 @@ CLI front end (``nclp``).
 __version__ = "0.1.0"
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      canonical_trace, element_power, func_calc,
-                      hermitian_eig, imaginary_power, multiply,
-                      polar_decompose, support_projection)
+                      canonical_trace, polar_decompose)
 from .config import DEFAULT_EPS_REL, default_eps_rel
 from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
                          Reason, additivity_check, d_tilde, dpi_probe,
@@ -25,17 +23,16 @@ from .errors import (ConditioningError, CutoffError, DomainError,
                      FileFormatError, NclpError, OutputError, ShapeError,
                      UsageError)
 from .functionals import (PositiveFunctional, cocycle_chain_residual,
-                          connes_cocycle, haagerup_density, lemma1_cut,
-                          scale)
+                          connes_cocycle, lemma1_cut, scale)
 from .lp import (KosakiSpec, LpExponent, interpolation_bound_check,
                  kosaki_embed, kosaki_membership, kosaki_norm,
-                 lemma3_bijectivity, lp_norm, operator_norm, singular_values)
+                 lemma3_bijectivity, lp_norm, singular_values)
 from .reports import CheckReport, TrialReport
 from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
-                     gen_classical_pair, gen_element, gen_faithful,
-                     gen_nested_pair, gen_orthogonal_pair,
-                     gen_positive_functional, gen_unitary, parse_dims,
-                     run_suite, summarize, trial_rng)
+                     gen_classical_pair, gen_element, gen_nested_pair,
+                     gen_orthogonal_pair, gen_positive_functional,
+                     gen_unitary, parse_dims, run_suite, summarize,
+                     trial_rng)
 from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
                      kron_functional, lemma5_density, lemma5_imaginary,
                      lemma5_polar, lemma5_power, spectral_product_check,

@@ -1,16 +1,18 @@
 """Finite-dimensional block *-algebra: elements, spectral calculus, polar parts.
 
 The ambient algebra is a direct sum of full complex matrix blocks.  Elements
-are block-diagonal matrices; all spectral machinery (functional calculus,
-support projections, polar decomposition) applies the kernel convention from
-:mod:`nclp.config`: directions flagged as kernel map to the declared f(0).
+are block-diagonal matrices.  Spectra are those of PSD densities, whose
+public calculus is the methods of :class:`nclp.functionals.PositiveFunctional`.
+The kernel convention of :mod:`nclp.config` sends kernel directions to 0, or
+to the f(0) that a caller of :meth:`HermitianSpectrum.apply` declares; polar
+decomposition drops the singular values it flags.
 """
 
 from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -18,8 +20,7 @@ import numpy as np
 
 from .config import (HERMITIAN_TOL, PSD_CLIP_TOL, RECOMPOSITION_TOL,
                      resolve_eps_rel)
-from .errors import (DomainError, ShapeError, _check_type,
-                     _finite_number, _real)
+from .errors import DomainError, ShapeError, _check_type, _finite_number
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,6 @@ class BlockAlgebra:
         for n in self.block_dims:
             blocks.append(np.diag(entries[ofs:ofs + n]))
             ofs += n
-        return AlgebraElement(self, blocks)
-
-    def from_flat(self, flat: np.ndarray) -> "AlgebraElement":
-        """Inverse of :meth:`AlgebraElement.flatten` (row-major per block)."""
-        flat = _complex_array(flat)
-        if flat.shape != (self.total_dim,):
-            raise ShapeError(f"flat vector must have length {self.total_dim}")
-        blocks, ofs = [], 0
-        for n in self.block_dims:
-            blocks.append(flat[ofs:ofs + n * n].reshape(n, n))
-            ofs += n * n
         return AlgebraElement(self, blocks)
 
     def from_full(self, full: np.ndarray) -> "AlgebraElement":
@@ -160,10 +150,6 @@ class AlgebraElement:
         range.  :func:`_frobenius_stack` of the unstacked blocks."""
         return float(_frobenius_stack(self.blocks))
 
-    def flatten(self) -> np.ndarray:
-        """Row-major concatenation of all blocks (length = total_dim)."""
-        return np.concatenate([b.ravel() for b in self.blocks])
-
     def full_matrix(self) -> np.ndarray:
         """Embed as a block-diagonal matrix on the direct-sum carrier."""
         return _full_stack(self.blocks)
@@ -214,7 +200,11 @@ class AlgebraElement:
                                            [b / c for b in self.blocks])
 
     def __matmul__(self, other):
-        return multiply(self, other)
+        """Blockwise matrix product; operands must live on the same
+        algebra."""
+        self._require_same_algebra(other)
+        return AlgebraElement._trusted(
+            self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
     def __repr__(self):
         return (f"AlgebraElement(blocks={self.algebra.block_dims}, "
@@ -228,13 +218,6 @@ def _complex_array(raw) -> np.ndarray:
         return np.array(raw, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"matrix entries must be numbers: {exc}") from exc
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Blockwise matrix product; operands must live on the same algebra."""
-    x._require_same_algebra(y)
-    return AlgebraElement._trusted(
-        x.algebra, [a @ b for a, b in zip(x.blocks, y.blocks)])
 
 
 def canonical_trace(x: AlgebraElement) -> complex:
@@ -421,9 +404,9 @@ class SpectrumStack:
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """One element's blockwise eigendecomposition with the kernel mask
-    applied: row ``row`` of a :class:`SpectrumStack`, whose arrays its
-    attributes view (a B = 1 view of the stack).
+    """One PSD element's blockwise eigendecomposition, clipped, with the
+    kernel mask applied: row ``row`` of a :class:`SpectrumStack`, whose
+    arrays its attributes view (a B = 1 view of the stack).
 
     Eigenvalues ascend within each block; the mask flags entries with
     ``|eig| <= eps_rel * spectral_radius`` (radius taken across all blocks).
@@ -450,15 +433,8 @@ class HermitianSpectrum:
     def flat_eigenvalues(self) -> np.ndarray:
         return np.concatenate(self.eigenvalues)
 
-    def flat_kernel_mask(self) -> np.ndarray:
-        return np.concatenate(self.kernel_mask)
-
     def rank(self) -> int:
         return int(sum(np.count_nonzero(~m) for m in self.kernel_mask))
-
-    def min_nonkernel(self) -> float:
-        kept = self.flat_eigenvalues()[~self.flat_kernel_mask()]
-        return float(np.min(kept)) if kept.size else 0.0
 
     def _calculus(self, values: Callable, *args) -> AlgebraElement:
         """The element U diag(v) U* of this spectrum at the values v that
@@ -476,22 +452,10 @@ class HermitianSpectrum:
         _check_type(f, Callable, "functional calculus needs a callable f")
         return self._calculus(_calc_values, f, f_zero)
 
-    def reconstruct(self) -> AlgebraElement:
-        return self.apply(lambda lam: lam, f_zero=0.0)
-
     def support(self) -> AlgebraElement:
         """Projection onto the span of the non-kernel eigenvectors.  One row
         of :func:`_support_stack`."""
         return _unstack(self.algebra, _support_stack(_gather([self])))[0]
-
-    def clip_psd(self) -> "HermitianSpectrum":
-        """Clip tiny negative eigenvalues to 0; reject genuinely negative ones
-        and a non-finite spectrum (entries so large that they overflow).
-        One row of :func:`_clip_stack`."""
-        single = _gather([self])
-        clipped, masks = _clip_stack(single.eigenvalues, self.eps_rel)
-        return HermitianSpectrum(replace(single, eigenvalues=clipped,
-                                         kernel_mask=masks), 0)
 
 
 def _gather(spectra: Sequence[HermitianSpectrum]) -> SpectrumStack:
@@ -601,29 +565,14 @@ def _eig_stack(sym: Sequence[np.ndarray]):
 
 def _clipped_eig_stack(algebra: BlockAlgebra, stacked: Sequence[np.ndarray],
                        hermitize: bool, eps: float) -> SpectrumStack:
-    """``hermitian_eig(h, hermitize).clip_psd()`` of B stacked elements h,
-    as one stack that holds them symmetrized: the Hermitian gate, one
-    ``eigh`` per block and the PSD clip, each for all B at once."""
+    """The spectra of B stacked PSD elements h, as one stack that holds
+    them symmetrized: the Hermitian gate (skipped if ``hermitize``), one
+    ``eigh`` per block and the PSD clip, each for all B at once.  The one
+    place that decomposes an element."""
     sym = _symmetrized_stack(stacked, hermitize)
     vals, vecs = _eig_stack(sym)
     clipped, masks = _clip_stack(vals, eps)
     return SpectrumStack(algebra, clipped, vecs, masks, sym, eps)
-
-
-def hermitian_eig(h: AlgebraElement, hermitize: bool = False,
-                  eps_rel: float | None = None) -> HermitianSpectrum:
-    """Blockwise Hermitian eigendecomposition with global kernel mask.
-
-    Inputs within the Hermitian gate are symmetrized to (h + h*)/2 before
-    solving, so the decomposition is deterministic for near-Hermitian data.
-    ``hermitize=True`` skips the gate and symmetrizes unconditionally.
-    """
-    _check_type(h, AlgebraElement, "a spectrum needs an AlgebraElement")
-    eps = resolve_eps_rel(eps_rel)
-    sym = _symmetrized_stack(_stack([h]), hermitize)
-    vals, vecs = _eig_stack(sym)
-    return HermitianSpectrum(SpectrumStack(
-        h.algebra, vals, vecs, _kernel_masks(vals, eps), sym, eps), 0)
 
 
 @np.errstate(all="ignore")
@@ -752,45 +701,6 @@ def _imaginary_values(stack: SpectrumStack, ts) -> tuple[np.ndarray, ...]:
         rows = np.exp(1j * t * np.log(np.where(masks, 1.0, vals)))
         out.append(np.where(masks, 0.0, rows))
     return tuple(out)
-
-
-def func_calc(h: AlgebraElement, f: Callable[[np.ndarray], np.ndarray],
-              f_zero: complex = 0.0, hermitize: bool = False,
-              eps_rel: float | None = None) -> AlgebraElement:
-    """Apply a scalar function to a Hermitian element.
-
-    f acts on the non-kernel eigenvalues; kernel directions receive the
-    declared ``f_zero`` (0 for imaginary, fractional and negative powers).
-    """
-    return hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).apply(
-        f, f_zero=f_zero)
-
-
-def element_power(h: AlgebraElement, r: float, hermitize: bool = False,
-                  eps_rel: float | None = None) -> AlgebraElement:
-    """PSD power h^r with the kernel convention 0^r := 0 (also for r <= 0).
-
-    Negative and fractional powers act as support pseudo-inverses; the input
-    must be PSD up to the clip tolerance.
-    """
-    spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec._calculus(_eigenvalue_powers, [_real(r, "exponent")])
-
-
-def imaginary_power(h: AlgebraElement, t: float, hermitize: bool = False,
-                    eps_rel: float | None = None) -> AlgebraElement:
-    """h^{it} on the support of PSD h, zero on its kernel.
-
-    The result is a partial isometry u with u* u = support(h).
-    """
-    spec = hermitian_eig(h, hermitize=hermitize, eps_rel=eps_rel).clip_psd()
-    return spec._calculus(_imaginary_values, [_real(t, "t")])
-
-
-def support_projection(h: AlgebraElement,
-                       eps_rel: float | None = None) -> AlgebraElement:
-    """Range projection of a PSD element (p = p* = p^2, ph = hp = h)."""
-    return hermitian_eig(h, eps_rel=eps_rel).clip_psd().support()
 
 
 def polar_decompose(x: AlgebraElement, eps_rel: float | None = None

@@ -126,7 +126,7 @@ def _cmd_divergence(args) -> int:
                     "eps_rel": eps, "psi": args.psi, "phi": args.phi},
             results={"Q": {"value": q.value, "reason": q.reason.value},
                      "D": {"value": d.value, "reason": d.reason.value}},
-            residuals={}, status="ok")
+            status="ok")
         sys.stdout.write(io.dumps_report(doc))
     else:
         print(f"Q={q}")
@@ -197,7 +197,7 @@ def _cmd_suite(args) -> int:
                 "tolerance_overrides": config.tolerances,
                 "eps_rel": eps},
         results=[r.fields() for r in reports],
-        residuals={}, status=summary["status"])
+        status=summary["status"])
     if args.out:
         io.write_text_file(args.out, io.dumps_report(doc))
         print(f"suite={config.suite_name} trials={summary['trials']} "

@@ -7,12 +7,14 @@ corner solves of y = h^l x h^r (the Kosaki membership and the alpha > 1
 sandwich equation) are certified within ``RECOMPOSITION_TOL`` times
 1 + ||y||_F.
 
-Every eigenvalue whose magnitude falls at or below ``eps_rel * spectral_radius``
-is treated as an exact zero of the operator (the "kernel convention"): scalar
-functions applied through the functional calculus send those directions to the
-declared f(0) value.  An entry point resolves the cutoff (a given value,
-else the ``NCLP_EPS_REL`` environment variable, else ``DEFAULT_EPS_REL``);
-from there the functionals and spectra built at it carry it.
+Every eigenvalue whose magnitude falls at or below
+``eps_rel * spectral_radius`` is treated as an exact zero of the operator (the
+"kernel convention"): a functional's powers, imaginary powers and support send
+those directions to 0, and :meth:`nclp.algebra.HermitianSpectrum.apply`, the
+one calculus of an arbitrary function, to the f(0) its caller declares.  An
+entry point resolves the cutoff (a given value, else the ``NCLP_EPS_REL``
+environment variable, else ``DEFAULT_EPS_REL``); from there the functionals
+and spectra built at it carry it.
 """
 
 from __future__ import annotations

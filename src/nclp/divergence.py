@@ -49,6 +49,8 @@ class DivergenceValue:
     reason: Reason = Reason.FINITE
 
     def __post_init__(self):
+        _check_type(self.reason, Reason,
+                    "a divergence reason must be a Reason")
         value = _real(self.value, "a divergence value")
         # One comparison rejects NaN and -inf.
         if not (value > -math.inf

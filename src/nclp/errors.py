@@ -55,8 +55,11 @@ def _check_type(value, kind: type, message: str):
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; DomainError unless it is a real number."""
+    """``value`` as a float; DomainError unless it is a real number (text
+    is not one)."""
     try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError("text is not a number")
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(

@@ -80,10 +80,11 @@ class PositiveFunctional:
     def is_zero(self) -> bool:
         return self._spectrum.spectral_radius == 0.0
 
-    def is_faithful(self, eps_rel: float | None = None) -> bool:
-        """True iff no eigenvalue of the density falls in the kernel (all of
-        the zero functional's do)."""
-        return self.spectrum(eps_rel).rank() == self.algebra.carrier_dim
+    @property
+    def is_faithful(self) -> bool:
+        """True iff no eigenvalue of the density falls in the kernel at its
+        own cutoff (all of the zero functional's do)."""
+        return self._spectrum.rank() == self.algebra.carrier_dim
 
     def support(self, eps_rel: float | None = None) -> AlgebraElement:
         return self.spectrum(eps_rel).support()
@@ -146,11 +147,6 @@ def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
         psi.algebra, _densities([psi]), False, eps)[0] for psi in psis]
 
 
-def haagerup_density(psi: PositiveFunctional) -> AlgebraElement:
-    """The density h with psi(a) = trace(h a); trace(h) = psi(1)."""
-    return psi.density
-
-
 def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
     """lam * psi for finite lam >= 0; mass scales linearly."""
     lam = _real(lam, "scale factor")
@@ -187,7 +183,7 @@ def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
     for psi, phi in zip(psis, phis):
         if psi.algebra != phi.algebra:
             raise DomainError("functionals must live on the same algebra")
-        if phi._spectrum.rank() != phi.algebra.carrier_dim:
+        if not phi.is_faithful:
             raise DomainError(
                 "reference functional must be faithful; use the support-cut "
                 "identity (lemma1_cut) for non-faithful references")
@@ -230,9 +226,8 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
         psis[0].algebra, [a + b for a, b in zip(_densities(psis),
                                                 _densities(psi_primes))],
         False, psis[0]._spectrum.eps_rel)
-    for chi in chis:
-        if chi._spectrum.rank() != chi.algebra.carrier_dim:
-            raise DomainError("psi + psi' must be faithful")
+    if not all(chi.is_faithful for chi in chis):
+        raise DomainError("psi + psi' must be faithful")
     lhs = connes_cocycle_stack(psis, phis, ts)
     rhs = tuple(a @ b for a, b in zip(
         s, connes_cocycle_stack(chis, phis, ts)))

@@ -175,12 +175,12 @@ def load_element(path, eps_rel: float | None = None) -> AlgebraElement:
 # -- run reports --------------------------------------------------------------
 
 
-def build_run_report(config: dict, results, residuals: dict,
-                     status: str) -> dict:
+def build_run_report(config: dict, results, status: str) -> dict:
     """Assemble the stable report envelope around a command's outputs.
 
-    The config, results and residuals are coerced to plain JSON values here,
-    once (see :func:`nclp.reports._py`); infinities become "inf"."""
+    The config and results are coerced to plain JSON values here, once (see
+    :func:`nclp.reports._py`); infinities become "inf".  The envelope's
+    "residuals" entry stays empty: a suite's residuals are in its results."""
     if status not in ("ok", "fail", "error"):
         raise DomainError(f"bad status {status!r}")
     echo = {"log_base": LOG_BASE, "eigensolver": EIGENSOLVER_ID,
@@ -190,7 +190,7 @@ def build_run_report(config: dict, results, residuals: dict,
         "tool_version": f"nclp {__version__}",
         "config": _py(echo),
         "results": _py(results),
-        "residuals": _py(residuals),
+        "residuals": {},
         "status": status,
     }
 

@@ -165,10 +165,6 @@ def lp_norm(x: AlgebraElement, p) -> float:
     return _schatten(singular_values(x), p)
 
 
-def operator_norm(x: AlgebraElement) -> float:
-    return lp_norm(x, math.inf)
-
-
 def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
     """A validated (p, eta) of an interpolated norm: p >= 1, eta in [0, 1]."""
     p = _as_exponent(p)

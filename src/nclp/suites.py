@@ -186,11 +186,6 @@ def _normalized(h: AlgebraElement) -> AlgebraElement:
         h.algebra, [s / mass for s in sym] if mass > 0 else list(sym))
 
 
-def gen_faithful(rng: np.random.Generator, algebra: BlockAlgebra,
-                 eps_rel: float | None = None) -> PositiveFunctional:
-    return gen_positive_functional(rng, algebra, "full", eps_rel)
-
-
 def _reference_density(rng: np.random.Generator,
                        algebra: BlockAlgebra) -> AlgebraElement:
     """A faithful density of trace one, its spectrum drawn from [0.2, 1]

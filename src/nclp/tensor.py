@@ -50,9 +50,6 @@ class TensorAlgebra:
         """Flat product-block index of left block i with right block j."""
         return i * self.right.num_blocks + j
 
-    def block_pair(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.right.num_blocks)
-
 
 def kron_element(T: TensorAlgebra, x: AlgebraElement,
                  y: AlgebraElement) -> AlgebraElement:

@@ -100,7 +100,7 @@ def test_methods_apply_the_call_cutoff():
     psi, rebuilt = _at(SMALL_PHI), _at(SMALL_PHI, CUT)
     assert psi.spectrum().rank() == 3
     assert psi.spectrum(CUT).rank() == rebuilt._spectrum.rank() == 2
-    assert psi.is_faithful() and not psi.is_faithful(CUT)
+    assert psi.is_faithful and not rebuilt.is_faithful
     assert _bits(*psi.power(-0.5, CUT).blocks) == \
         _bits(*rebuilt.power(-0.5, CUT).blocks)
     # A functional already at the cutoff is used as it is.

@@ -2,14 +2,17 @@
 every name a package module imports is used in that module.
 
 A definition counts as used when its name appears anywhere in the package,
-the tests or the benchmarks as a name, an attribute, an imported name, or a
+the benchmarks or the tools as a name, an attribute, an imported name, or a
 string that is an identifier (the benchmark tracer names methods by string).
-Its own definition does not count.  Dunder methods are called by Python
-itself and are exempt.  An import counts as used when its name is read in
-the importing module; ``__init__.py`` re-exports and ``__future__`` imports
-are exempt.  A module-level constant (an upper-case name the module
-assigns) counts as used when it is read, as a name or an attribute,
-somewhere in the package, the tests, the benchmarks or the tools.
+Its own definition does not count, and neither does a test: the callers are
+the package, whose ``__init__.py`` re-exports declare the public surface,
+the benchmarks and the tools, so a helper that only its own test calls
+fails here.  Dunder methods are called by Python itself and are exempt.  An
+import counts as used when its name is read in the importing module;
+``__init__.py`` re-exports and ``__future__`` imports are exempt.  A
+module-level constant (an upper-case name the module assigns) counts as used
+when it is read, as a name or an attribute, somewhere in the package, the
+tests, the benchmarks or the tools.
 """
 
 import ast
@@ -17,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nclp"
-SOURCES = (PACKAGE, ROOT / "tests", ROOT / "benchmarks")
+CALLERS = (PACKAGE, ROOT / "benchmarks", ROOT / "tools")
 
 
 def _trees(directory: Path):
@@ -27,7 +30,7 @@ def _trees(directory: Path):
 
 def _used_names() -> set[str]:
     used = set()
-    for directory in SOURCES:
+    for directory in CALLERS:
         for _, tree in _trees(directory):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -117,7 +120,7 @@ def test_every_import_is_used_where_imported():
 
 def _read_names() -> set[str]:
     read = set()
-    for directory in (*SOURCES, ROOT / "tools"):
+    for directory in (*CALLERS, ROOT / "tests"):
         for _, tree in _trees(directory):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) \

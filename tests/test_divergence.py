@@ -11,8 +11,8 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   PositiveFunctional, QuantumChannel, Reason, TensorAlgebra,
                   additivity_check, classical_renyi_oracle, d_tilde,
                   dpi_probe, dpi_valid, embed_left_channel,
-                  gen_classical_pair, gen_element,
-                  gen_faithful, gen_nested_pair, gen_unitary,
+                  gen_classical_pair, gen_element, gen_nested_pair,
+                  gen_positive_functional, gen_unitary,
                   identity_channel, kron_functional, lemma9_check,
                   pinching_channel, precompose, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, scale,
@@ -92,7 +92,7 @@ class TestQAlphaZ:
     def test_equal_arguments_give_mass(self):
         rng = np.random.default_rng(42)
         alg = BlockAlgebra((3,))
-        psi_f = gen_faithful(rng, alg)
+        psi_f = gen_positive_functional(rng, alg)
         psi_d = PositiveFunctional(alg.diagonal([0.4, 0.6, 0.0]))
         for psi in (psi_f, psi_d):
             for alpha, z in ((0.5, 1.0), (2.0, 2.0), (3.0, 0.5)):
@@ -207,7 +207,8 @@ class TestCovariances:
     def test_scaling_covariance(self):
         rng = np.random.default_rng(44)
         alg = BlockAlgebra((3,))
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         for alpha, z in ((0.6, 0.8), (2.0, 2.0), (3.0, 1.5)):
             params = DivergenceParams(alpha, z=z)
             base = q_tilde_alpha_z(psi, phi, params).value
@@ -220,7 +221,8 @@ class TestCovariances:
     def test_unitary_covariance(self):
         rng = np.random.default_rng(45)
         alg = BlockAlgebra((3,))
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         u = gen_unitary(rng, alg)
         for alpha, z in ((0.6, 0.8), (2.0, 2.0)):
             params = DivergenceParams(alpha, z=z)
@@ -235,7 +237,8 @@ class TestCovariances:
         rng = np.random.default_rng(46)
         alg = BlockAlgebra((2,))
         for _ in range(25):
-            psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+            psi = gen_positive_functional(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             for alpha in (0.5, 0.7, 1.5, 2.0):
                 d = d_tilde(psi, phi, DivergenceParams(alpha))
                 assert d.value >= -1e-9
@@ -249,7 +252,8 @@ class TestLemma9:
     def test_random_faithful(self):
         rng = np.random.default_rng(47)
         alg = BlockAlgebra((3,))
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         for alpha in (0.5, 0.7, 1.5, 2.0, 3.0):
             rep = lemma9_check(psi, phi, alpha)
             assert rep.passed, (alpha, rep.residuals)
@@ -290,7 +294,8 @@ class TestAdditivity:
         phi1 = diag_functional([0.0, 1.0])
         rng = np.random.default_rng(48)
         alg = psi1.algebra
-        psi2, phi2 = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi2 = gen_positive_functional(rng, alg)
+        phi2 = gen_positive_functional(rng, alg)
         rep = additivity_check(psi1, phi1, psi2, phi2,
                                DivergenceParams(3.0, z=3.0))
         assert rep.passed
@@ -300,8 +305,8 @@ class TestAdditivity:
         psi1 = diag_functional([1.0, 0.0])
         phi1 = diag_functional([0.0, 1.0])
         rng = np.random.default_rng(49)
-        psi2, phi2 = gen_faithful(rng, psi1.algebra), \
-            gen_faithful(rng, psi1.algebra)
+        psi2, phi2 = gen_positive_functional(rng, psi1.algebra), \
+            gen_positive_functional(rng, psi1.algebra)
         rep = additivity_check(psi1, phi1, psi2, phi2,
                                DivergenceParams(3.0, z=1.2))
         assert rep.passed
@@ -311,8 +316,10 @@ class TestAdditivity:
     def test_random_grid(self):
         rng = np.random.default_rng(50)
         alg = BlockAlgebra((2,))
-        psi1, phi1 = gen_faithful(rng, alg), gen_faithful(rng, alg)
-        psi2, phi2 = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi1 = gen_positive_functional(rng, alg)
+        phi1 = gen_positive_functional(rng, alg)
+        psi2 = gen_positive_functional(rng, alg)
+        phi2 = gen_positive_functional(rng, alg)
         for alpha in (0.3, 0.7, 1.5, 3.0):
             for z in (0.5, 1.0, alpha, 2 * alpha):
                 rep = additivity_check(psi1, phi1, psi2, phi2,
@@ -366,14 +373,14 @@ class TestChannels:
     def test_identity_channel_preserves_functional(self):
         rng = np.random.default_rng(53)
         alg = BlockAlgebra((2, 2))
-        psi = gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
         back = precompose(psi, identity_channel(alg))
         assert (back.density - psi.density).frobenius() <= 1e-14
 
     def test_pinching_zeroes_offdiagonals(self):
         rng = np.random.default_rng(54)
         alg = BlockAlgebra((3,))
-        psi = gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
         out = precompose(psi, pinching_channel(alg))
         got = out.density.blocks[0]
         assert np.abs(got - np.diag(np.diag(got))).max() <= 1e-14
@@ -390,7 +397,7 @@ class TestChannels:
     def test_partial_trace_multiblock(self):
         T = TensorAlgebra(BlockAlgebra((2, 2)), BlockAlgebra((3,)))
         rng = np.random.default_rng(55)
-        psi = gen_faithful(rng, T.product)
+        psi = gen_positive_functional(rng, T.product)
         back = precompose(psi, embed_left_channel(T))
         assert back.mass == pytest.approx(psi.mass, abs=1e-12)
 
@@ -421,7 +428,7 @@ class TestChannels:
     def test_mass_preserved(self):
         rng = np.random.default_rng(56)
         alg = BlockAlgebra((3,))
-        psi = gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
         ch = random_unital_channel(rng, alg, alg, num_kraus=4)
         assert precompose(psi, ch).mass == pytest.approx(psi.mass,
                                                          abs=1e-12)
@@ -470,7 +477,8 @@ class TestDpi:
     def test_identity_channel_equality(self):
         rng = np.random.default_rng(58)
         alg = BlockAlgebra((3,))
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         rep = dpi_probe(psi, phi, identity_channel(alg),
                         DivergenceParams(2.0))
         assert rep.passed
@@ -485,8 +493,9 @@ class TestDpi:
     def test_embedding_with_matched_second_factor_gives_equality(self):
         rng = np.random.default_rng(59)
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
-        psi1, phi1 = gen_faithful(rng, T.left), gen_faithful(rng, T.left)
-        psi2 = gen_faithful(rng, T.right)
+        psi1 = gen_positive_functional(rng, T.left)
+        phi1 = gen_positive_functional(rng, T.left)
+        psi2 = gen_positive_functional(rng, T.right)
         prod_psi = kron_functional(T, psi1, psi2)
         prod_phi = kron_functional(T, phi1, psi2)
         params = DivergenceParams(2.0)
@@ -501,7 +510,8 @@ class TestDpi:
         rng = np.random.default_rng(60)
         alg = BlockAlgebra((3,))
         for _ in range(20):
-            psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+            psi = gen_positive_functional(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             ch = random_unital_channel(rng, alg, alg, num_kraus=3)
             for alpha in (0.5, 0.7, 1.5, 2.0):
                 rep = dpi_probe(psi, phi, ch, DivergenceParams(alpha))
@@ -510,7 +520,8 @@ class TestDpi:
     def test_outside_valid_range_records_only(self):
         rng = np.random.default_rng(61)
         alg = BlockAlgebra((2,))
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         rep = dpi_probe(psi, phi, pinching_channel(alg),
                         DivergenceParams(2.0, z=0.3))
         assert rep.passed

@@ -5,8 +5,8 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, DomainError,
                   PositiveFunctional, canonical_trace, cocycle_chain_residual,
-                  connes_cocycle, gen_faithful, gen_orthogonal_pair,
-                  haagerup_density, lemma1_cut, scale)
+                  connes_cocycle, gen_orthogonal_pair,
+                  gen_positive_functional, lemma1_cut, scale)
 
 
 def diag_functional(entries):
@@ -17,7 +17,7 @@ def diag_functional(entries):
 class TestDensity:
     def test_diagonal_state(self):
         psi = diag_functional([0.3, 0.7])
-        h = haagerup_density(psi)
+        h = psi.density
         assert np.allclose(h.blocks[0], np.diag([0.3, 0.7]))
         assert psi.mass == pytest.approx(1.0)
 
@@ -55,8 +55,8 @@ class TestDensity:
             PositiveFunctional(alg.diagonal([-0.2, 1.0]))
 
     def test_faithfulness_flag(self):
-        assert diag_functional([0.5, 0.5]).is_faithful()
-        assert not diag_functional([0.5, 0.0]).is_faithful()
+        assert diag_functional([0.5, 0.5]).is_faithful
+        assert not diag_functional([0.5, 0.0]).is_faithful
 
 
 class TestScale:
@@ -117,8 +117,8 @@ class TestCocycle:
         alg = BlockAlgebra((3,))
         rng = np.random.default_rng(12)
         for _ in range(10):
-            psi = gen_faithful(rng, alg)
-            phi = gen_faithful(rng, alg)
+            psi = gen_positive_functional(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             t, s = rng.uniform(-5, 5, 2)
             assert cocycle_chain_residual(psi, phi, t, s) <= 1e-10
 
@@ -157,7 +157,7 @@ class TestLemma1Cut:
             for _ in range(25):
                 rank = int(rng.integers(1, n))
                 psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
-                phi = gen_faithful(rng, alg)
+                phi = gen_positive_functional(rng, alg)
                 t = float(rng.uniform(-5, 5))
                 lhs, rhs = lemma1_cut(psi, psi_prime, phi, t)
                 assert (lhs - rhs).frobenius() <= 1e-9
@@ -172,7 +172,6 @@ class TestLemma1Cut:
 
 class TestCachedSupport:
     def test_support_twice_equals_fresh_computation(self):
-        from nclp import hermitian_eig
         alg = BlockAlgebra((2, 3))
         rng = np.random.default_rng(19)
         for rank in (None, 1):
@@ -183,7 +182,7 @@ class TestCachedSupport:
                 blocks.append(g @ g.conj().T)
             density = AlgebraElement(alg, blocks)
             psi = PositiveFunctional(density)
-            fresh = hermitian_eig(density).clip_psd().support()
+            fresh = PositiveFunctional(density).support()
             first, second = psi.support(), psi.support()
             for a, b, c in zip(first.blocks, second.blocks, fresh.blocks):
                 assert np.array_equal(a, c) and np.array_equal(b, c)

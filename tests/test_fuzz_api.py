@@ -25,9 +25,8 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DivergenceValue, DomainError, KosakiSpec, LpExponent,
                   NclpError, PositiveFunctional, QuantumChannel, Reason,
                   SuiteConfig, TensorAlgebra, classical_renyi_oracle,
-                  element_power, func_calc, hermitian_eig,
-                  imaginary_power, kron_element, kron_functional, lp_norm,
-                  parse_dims, run_suite, scale, theorem6_norm)
+                  kron_element, kron_functional, lp_norm, parse_dims,
+                  run_suite, scale, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -134,6 +133,8 @@ REFERENCES = {
     "faithful": PositiveFunctional(BlockAlgebra((2,)).diagonal([0.6, 0.4])),
     "singular": PositiveFunctional(BlockAlgebra((2,)).diagonal([1.0, 0.0])),
 }
+_IDENTITY = PositiveFunctional(_ALG.identity())
+_SPECTRUM_3 = PositiveFunctional(BlockAlgebra((3,)).identity()).spectrum()
 
 
 @SETTINGS
@@ -204,14 +205,14 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: kron_element("x", AlgebraElement(_ALG, [np.eye(2)]),
                          AlgebraElement(_ALG, [np.eye(2)])),
     lambda: REFERENCES["faithful"] + 1,
-    lambda: func_calc(_ALG.identity(), "x"),
+    lambda: _IDENTITY.spectrum().apply("x"),
     lambda: parse_dims(3),
-    lambda: func_calc(BlockAlgebra((3,)).identity(), lambda x: np.ones(7)),
-    lambda: hermitian_eig(_ALG.identity()).apply(lambda x: ["a"] * len(x)),
-    lambda: func_calc(_ALG.identity(), np.sqrt, f_zero="x"),
-    lambda: element_power(_ALG.identity(), "x"),
-    lambda: element_power(_ALG.identity(), 1j),
-    lambda: imaginary_power(_ALG.identity(), "x"),
+    lambda: _SPECTRUM_3.apply(lambda x: np.ones(7)),
+    lambda: _IDENTITY.spectrum().apply(lambda x: ["a"] * len(x)),
+    lambda: _IDENTITY.spectrum().apply(np.sqrt, f_zero="x"),
+    lambda: _IDENTITY.power("x"),
+    lambda: _IDENTITY.power(1j),
+    lambda: _IDENTITY.imaginary_power("x"),
     lambda: REFERENCES["faithful"].power("x"),
     lambda: REFERENCES["faithful"].imaginary_power("x"),
     lambda: scale(REFERENCES["faithful"], math.inf),
@@ -235,6 +236,17 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: classical_renyi_oracle([math.nan, 1.0], [0.5, 0.5], 2.0),
     lambda: classical_renyi_oracle([-1.0, 2.0], [0.5, 0.5], 2.0),
     lambda: classical_renyi_oracle([0.5, 0.5], [1.0], 2.0),
+    lambda: DivergenceValue(math.inf, "x"),
+    lambda: DivergenceValue(math.inf, "support_violation"),
+    lambda: lp_norm(_ALG.identity(), "2"),
+    lambda: DivergenceParams("2"),
+    lambda: LpExponent("2"),
+    lambda: LpExponent(b"2"),
+    lambda: scale(REFERENCES["faithful"], "2"),
+    lambda: KosakiSpec(REFERENCES["faithful"], 2, "0.5"),
+    lambda: DivergenceValue("1.5"),
+    lambda: REFERENCES["faithful"].power("0.5"),
+    lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], "2"),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -252,7 +264,13 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "nan_entry", "text_kron_functional_factor", "nan_divergence_value",
         "text_divergence_value", "negative_infinite_divergence_value",
         "nan_oracle_order", "infinite_oracle_order", "nan_oracle_weight",
-        "negative_oracle_weight", "unequal_oracle_lengths"])
+        "negative_oracle_weight", "unequal_oracle_lengths",
+        "unknown_divergence_reason", "text_divergence_reason",
+        "numeric_text_lp_norm_exponent", "numeric_text_alpha",
+        "numeric_text_exponent", "numeric_bytes_exponent",
+        "numeric_text_scale", "numeric_text_eta",
+        "numeric_text_divergence_value", "numeric_text_functional_power",
+        "numeric_text_oracle_order"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.
@@ -261,7 +279,7 @@ def test_known_holes_raise_nclp_errors(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: imaginary_power(_ALG.identity(), None),
+    lambda: _IDENTITY.imaginary_power(None),
     lambda: REFERENCES["faithful"].imaginary_power(None),
 ], ids=["element", "functional"])
 def test_missing_imaginary_exponent_is_named(call):
@@ -276,4 +294,4 @@ def test_calculus_values_that_are_not_numbers_are_named(f):
     # Not the "non-finite at a non-kernel eigenvalue" of a function's domain.
     with pytest.raises(DomainError, match="f must give one number per kept "
                        "eigenvalue"):
-        func_calc(BlockAlgebra((3,)).identity(), f)
+        _SPECTRUM_3.apply(f)

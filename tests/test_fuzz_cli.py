@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclp import BlockAlgebra, io
+from nclp import AlgebraElement, BlockAlgebra, io
 from nclp.cli import main
 from nclp.suites import SUITE_NAMES
 
@@ -151,9 +151,9 @@ def pool(tmp_path_factory):
         io.save_matrix_file(paths[name], x, kind)
 
     def gaussian(dims):
-        alg = BlockAlgebra(dims)
-        return alg.from_flat(rng.standard_normal(alg.total_dim)
-                             + 1j * rng.standard_normal(alg.total_dim))
+        return AlgebraElement(BlockAlgebra(dims), [
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in dims])
 
     a2, a3, a23 = BlockAlgebra((2,)), BlockAlgebra((3,)), BlockAlgebra((2, 3))
     save("phi2", a2.diagonal([0.3, 0.7]), "functional")

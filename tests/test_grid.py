@@ -17,8 +17,8 @@ from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
                   KosakiSpec, LpExponent, PositiveFunctional, Reason,
                   SuiteConfig, TensorAlgebra, additivity_check,
                   corollary7_norm, d_tilde, default_eps_rel, dpi_probe,
-                  gen_classical_pair, gen_element, gen_faithful,
-                  gen_nested_pair, gen_positive_functional, kosaki_norm,
+                  gen_classical_pair, gen_element, gen_nested_pair,
+                  gen_positive_functional, kosaki_norm,
                   lemma5_imaginary, lemma5_power, lemma9_check, lp_norm,
                   parse_dims, pinching_channel, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, run_suite,
@@ -54,13 +54,14 @@ def pairs(dims, seed):
     psi_n, phi_n = gen_nested_pair(rng, alg, n - 1, max(1, n - 2))
     orth_psi, orth_phi, _, _ = gen_classical_pair(rng, alg, orthogonal=True)
     return [
-        ("faithful", gen_faithful(rng, alg), gen_faithful(rng, alg)),
+        ("faithful", gen_positive_functional(rng, alg),
+         gen_positive_functional(rng, alg)),
         ("nested", psi_n, phi_n),
         ("support_violation", phi_n, psi_n),
         ("deficient_psi", gen_positive_functional(
-            rng, alg, ("deficient", 1)), gen_faithful(rng, alg)),
+            rng, alg, ("deficient", 1)), gen_positive_functional(rng, alg)),
         ("orthogonal", orth_psi, orth_phi),
-        ("zero_reference", gen_faithful(rng, alg),
+        ("zero_reference", gen_positive_functional(rng, alg),
          PositiveFunctional.zero(alg)),
     ]
 
@@ -120,7 +121,8 @@ class TestDivergenceGrid:
     def test_dpi_grid(self, dims):
         alg = BlockAlgebra(dims)
         rng = np.random.default_rng(31)
-        psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+        psi = gen_positive_functional(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         for channel in (pinching_channel(alg),
                         random_unital_channel(rng, alg, alg)):
             got = dpi_probe_stack([psi], [phi], [channel], MIXED_GRID)[0]
@@ -166,7 +168,7 @@ class TestNormGrids:
     def test_kosaki_grid_equals_one_point_loop(self, dims):
         alg = BlockAlgebra(dims)
         rng = np.random.default_rng(41)
-        phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
+        phi, y = gen_positive_functional(rng, alg), gen_element(rng, alg)
         grid = kosaki_grid_points()
         assert kosaki_norms(y, phi, grid) == [
             kosaki_norm(y, KosakiSpec(phi, p, eta)) for p, eta in grid]
@@ -175,7 +177,7 @@ class TestNormGrids:
         # p = 1 has q = inf, so eta/q = (1-eta)/q = 0: the norm is ||y||_1.
         alg = BlockAlgebra((2, 3))
         rng = np.random.default_rng(42)
-        phi, y = gen_faithful(rng, alg), gen_element(rng, alg)
+        phi, y = gen_positive_functional(rng, alg), gen_element(rng, alg)
         grid = [(1.0, 0.0), (1.0, 0.5)]
         assert kosaki_norms(y, phi, grid) == [lp_norm(y, 1.0)] * 2
 
@@ -215,7 +217,8 @@ class TestNormGrids:
     def test_corollary7_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(46)
-        phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+        phi1 = gen_positive_functional(rng, T.left)
+        phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         grid = kosaki_grid_points()
         assert corollary7_norm_stack([x1], [x2], [phi1], [phi2],
@@ -241,7 +244,7 @@ class TestTensorGrids:
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(52)
         h1 = gen_positive_functional(rng, T.left, ("deficient", 1)).density
-        h2 = gen_faithful(rng, T.right).density
+        h2 = gen_positive_functional(rng, T.right).density
         ts = (-1.2, 0.3, 1.0)
         got = lemma5_imaginary_stack(T, [h1], [h2], [ts],
                                      default_eps_rel())[0]

@@ -83,11 +83,12 @@ class TestMatrixFile:
 
     def test_report_is_json_with_inf_as_string(self):
         doc = io.build_run_report(config={"seed": 1},
-                                  results={"v": math.inf},
-                                  residuals={"r": 0.5}, status="ok")
+                                  results={"v": math.inf, "r": 0.5},
+                                  status="ok")
         text = io.dumps_report(doc)
         parsed = json.loads(text)
-        assert parsed["results"]["v"] == "inf"
+        assert parsed["results"] == {"v": "inf", "r": 0.5}
+        assert parsed["residuals"] == {}
         assert parsed["config"]["log_base"] == "nat"
         assert parsed["config"]["prng"]
         assert parsed["config"]["eigensolver"]

@@ -8,8 +8,7 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DomainError, KosakiSpec, LpExponent, PositiveFunctional,
-                  UsageError,
-                  element_power, gen_element, gen_faithful,
+                  UsageError, gen_element, gen_positive_functional,
                   interpolation_bound_check, kosaki_embed, kosaki_membership,
                   kosaki_norm, lemma3_bijectivity, lp_norm)
 
@@ -167,7 +166,7 @@ class TestEmbedMembership:
     def test_half_eta_matches_power_sandwich(self):
         spec = KosakiSpec(self.phi, 2.0, 0.5)
         a = rand_element(self.alg)
-        root = element_power(self.phi.density, 0.5)
+        root = self.phi.power(0.5)
         assert (kosaki_embed(a, spec)
                 - root @ a @ root).frobenius() <= 1e-12
 
@@ -177,7 +176,7 @@ class TestEmbedMembership:
             for eta in (0.0, 0.25, 1.0):
                 spec = KosakiSpec(self.phi, p, eta)
                 x = kosaki_membership(self.phi.density, spec)
-                expected = element_power(self.phi.density, 1.0 / p) \
+                expected = self.phi.power(1.0 / p) \
                     if not math.isinf(p) else self.phi.support()
                 assert (x - expected).frobenius() <= 1e-11
 
@@ -192,13 +191,13 @@ class TestEmbedMembership:
         rng = np.random.default_rng(22)
         alg = BlockAlgebra((3,))
         for _ in range(20):
-            phi = gen_faithful(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             spec = KosakiSpec(phi, 2.5, 0.25)
             y = gen_element(rng, alg)
             x = kosaki_membership(y, spec)
             inv_q = 1 - 1 / 2.5
-            left = element_power(phi.density, 0.25 * inv_q)
-            right = element_power(phi.density, 0.75 * inv_q)
+            left = phi.power(0.25 * inv_q)
+            right = phi.power(0.75 * inv_q)
             assert (left @ x @ right - y).frobenius() \
                 <= 1e-9 * (1 + y.frobenius())
 
@@ -216,7 +215,7 @@ class TestKosakiNorm:
     def test_p1_endpoint_is_trace_norm(self):
         rng = np.random.default_rng(23)
         alg = BlockAlgebra((3,))
-        phi = gen_faithful(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         y = gen_element(rng, alg)
         spec = KosakiSpec(phi, 1.0, 0.5)
         assert kosaki_norm(y, spec) == pytest.approx(
@@ -263,7 +262,7 @@ class TestInterpolationBound:
         rng = np.random.default_rng(24)
         alg = BlockAlgebra((3,))
         for _ in range(100):
-            phi = gen_faithful(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             a = gen_element(rng, alg)
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
             eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
@@ -285,5 +284,5 @@ class TestBijectivity:
     def test_multi_block_random(self):
         rng = np.random.default_rng(25)
         alg = BlockAlgebra((2, 3))
-        phi = gen_faithful(rng, alg)
+        phi = gen_positive_functional(rng, alg)
         assert lemma3_bijectivity(phi, 3.0)

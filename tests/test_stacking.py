@@ -21,7 +21,7 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, PositiveFunctional,
                   SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
-                  gen_faithful, gen_nested_pair, gen_orthogonal_pair,
+                  gen_nested_pair, gen_orthogonal_pair,
                   gen_positive_functional, io, kron_element, lemma5_power,
                   random_unital_channel, run_suite, theorem6_spanning,
                   trial_rng)
@@ -139,8 +139,8 @@ class TestStackedErrors:
         rng = np.random.default_rng(11)
         x1s = [gen_element(rng, T.left) for _ in range(3)]
         x2s = [gen_element(rng, T.right) for _ in range(3)]
-        phi1s = [gen_faithful(rng, T.left) for _ in range(3)]
-        phi2s = [gen_faithful(rng, T.right) for _ in range(3)]
+        phi1s = [gen_positive_functional(rng, T.left) for _ in range(3)]
+        phi2s = [gen_positive_functional(rng, T.right) for _ in range(3)]
         phi2s[1] = PositiveFunctional(T.right.diagonal([1.0, 1e-15]))
         grid = [(2.0, 0.5), (3.0, 0.25)]
         want = _raised(lambda: corollary7_norm_stack(
@@ -161,8 +161,10 @@ class TestStackedErrors:
 
     def test_cocycle_reference_not_faithful(self):
         alg = BlockAlgebra((3,))
-        psis = [gen_faithful(trial_rng(13, j), alg) for j in range(3)]
-        phis = [gen_faithful(trial_rng(14, j), alg) for j in range(3)]
+        psis = [gen_positive_functional(trial_rng(13, j), alg)
+                for j in range(3)]
+        phis = [gen_positive_functional(trial_rng(14, j), alg)
+                for j in range(3)]
         phis[2] = gen_positive_functional(trial_rng(15, 0), alg,
                                           ("deficient", 1))
         want = _raised(lambda: connes_cocycle(psis[2], phis[2], 0.3))
@@ -177,11 +179,11 @@ class TestStackedValues:
         alg = BlockAlgebra((2, 3))
         psis, phis = [], []
         for j in range(4):
-            psis.append(gen_faithful(trial_rng(21, j), alg))
+            psis.append(gen_positive_functional(trial_rng(21, j), alg))
             phis.append(gen_positive_functional(
                 trial_rng(22, j), alg, "full" if j % 2 else ("deficient", 3)))
         phis.append(PositiveFunctional.zero(alg))
-        psis.append(gen_faithful(trial_rng(21, 9), alg))
+        psis.append(gen_positive_functional(trial_rng(21, 9), alg))
         grid = [DivergenceParams(a, z=z) for a in (0.5, 2.0)
                 for z in (0.7, a)] + [DivergenceParams(1.5)]
         stacked = q_tilde_stack(psis, phis, grid)
@@ -227,8 +229,10 @@ def _spanning_loop(T, budget, rng):
         return AlgebraElement(alg, [
             (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             / math.sqrt(2.0) for n in alg.block_dims])
-    return np.stack([kron_element(T, gauss(T.left), gauss(T.right)).flatten()
-                     for _ in range(budget)])
+    return np.stack([
+        np.concatenate([b.ravel() for b in kron_element(
+            T, gauss(T.left), gauss(T.right)).blocks])
+        for _ in range(budget)])
 
 
 def _same_functional(a, b):
@@ -246,14 +250,15 @@ def _lemma9_one_call(rng, alg, variant):
     constructor call per functional."""
     n = alg.carrier_dim
     if variant == 0:
-        return gen_faithful(rng, alg), gen_faithful(rng, alg)
+        return (gen_positive_functional(rng, alg),
+                gen_positive_functional(rng, alg))
     if variant == 1:
         return gen_nested_pair(rng, alg, n, int(rng.integers(1, n)))
     if variant == 2:
         return gen_classical_pair(rng, alg, True)[:2]
     if variant == 3:
-        return gen_faithful(rng, alg), PositiveFunctional.zero(alg)
-    psi = gen_faithful(rng, alg)
+        return gen_positive_functional(rng, alg), PositiveFunctional.zero(alg)
+    psi = gen_positive_functional(rng, alg)
     return psi, psi
 
 
@@ -282,11 +287,12 @@ def _ranked_pair(rng, T):
 
 def _lemma1_inputs(rng, alg, k):
     rank = int(rng.integers(1, alg.carrier_dim))
-    return (*gen_orthogonal_pair(rng, alg, rank), gen_faithful(rng, alg))
+    return (*gen_orthogonal_pair(rng, alg, rank),
+            gen_positive_functional(rng, alg))
 
 
 def _lemma3_inputs(rng, alg, k):
-    return (gen_faithful(rng, alg),)
+    return (gen_positive_functional(rng, alg),)
 
 
 def _lemma5_inputs(rng, T, k):
@@ -296,13 +302,15 @@ def _lemma5_inputs(rng, T, k):
 
 
 def _corollary7_inputs(rng, T, k):
-    return gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+    return (gen_positive_functional(rng, T.left),
+            gen_positive_functional(rng, T.right))
 
 
 def _prop11_inputs(rng, alg, k):
     if k % 3 == 1:
         psi1, phi1, _, _ = gen_classical_pair(rng, alg, True)
-        return psi1, phi1, gen_faithful(rng, alg), _reference(rng, alg)
+        return (psi1, phi1, gen_positive_functional(rng, alg),
+                _reference(rng, alg))
     if k % 3 == 2:
         psi1, psi2 = _reference(rng, alg), _reference(rng, alg)
         return psi1, psi1, psi2, psi2
@@ -327,7 +335,7 @@ def _dpi_inputs(rng, alg, k):
     else:
         # The draw builds every channel on alg, the random one too.
         random_unital_channel(rng, alg, alg)
-    return gen_faithful(rng, alg), gen_faithful(rng, alg)
+    return gen_positive_functional(rng, alg), gen_positive_functional(rng, alg)
 
 
 # Per suite: the kernel its batches hand the inputs to, and the positions of
@@ -479,8 +487,7 @@ class TestReportCoercion:
         reports = run_suite(SuiteConfig(suite_name="prop11", trials=3,
                                         seed=2, dims=suites.parse_dims("2")))
         raw = io.build_run_report({"seed": 2}, [r.fields() for r in reports],
-                                  {}, "ok")
+                                  "ok")
         coerced = io.build_run_report({"seed": 2},
-                                      [r.to_dict() for r in reports], {},
-                                      "ok")
+                                      [r.to_dict() for r in reports], "ok")
         assert io.dumps_report(raw) == io.dumps_report(coerced)

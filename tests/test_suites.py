@@ -12,7 +12,7 @@ from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   PositiveFunctional, Reason, SuiteConfig, TensorAlgebra,
                   UsageError, additivity_check, classical_renyi_oracle,
                   d_tilde, dpi_probe, gen_classical_pair, gen_element,
-                  gen_faithful, gen_nested_pair, gen_orthogonal_pair,
+                  gen_nested_pair, gen_orthogonal_pair,
                   gen_positive_functional, gen_unitary, lemma5_density,
                   lemma5_imaginary, lemma5_polar, lemma5_power,
                   lemma9_check, parse_dims, pinching_channel,
@@ -31,8 +31,7 @@ class TestGenerators:
 
     def test_full_profile_faithful(self):
         psi = gen_positive_functional(trial_rng(1, 1), BlockAlgebra((2,)))
-        assert psi.spectrum().min_nonkernel() > 0
-        assert psi.is_faithful()
+        assert psi.is_faithful
         assert psi.mass == pytest.approx(1.0)
 
     def test_deficient_rank_exact(self):
@@ -220,14 +219,15 @@ class TestProductsOncePerTrial:
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_corollary7_matches_public_norm(self, seed):
         from nclp import KosakiSpec, TensorAlgebra, corollary7_norm, \
-            gen_element, gen_faithful
+            gen_element
         from nclp.suites import COROLLARY7_ETA_GRID, COROLLARY7_P_GRID
         T = TensorAlgebra(BlockAlgebra((3,)), BlockAlgebra((2,)))
         cfg = SuiteConfig(suite_name="corollary7", trials=2, seed=seed,
                           dims=parse_dims("3x2"))
         for rep in run_suite(cfg):
             rng = trial_rng(seed, rep.trial_index)
-            phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+            phi1 = gen_positive_functional(rng, T.left)
+            phi2 = gen_positive_functional(rng, T.right)
             x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
             expected = {}
             for p in COROLLARY7_P_GRID:
@@ -342,7 +342,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_dpi_identity_equality_is_the_public_gap(self, seed):
-        from nclp import gen_faithful, identity_channel, precompose
+        from nclp import identity_channel, precompose
         from nclp.suites import DPI_ALPHAS
         alg = BlockAlgebra((3,))
         channel = identity_channel(alg)
@@ -352,7 +352,8 @@ class TestDriver:
         assert len(identity) == 2
         for rep in identity:
             rng = trial_rng(seed, rep.trial_index)
-            psi, phi = gen_faithful(rng, alg), gen_faithful(rng, alg)
+            psi = gen_positive_functional(rng, alg)
+            phi = gen_positive_functional(rng, alg)
             for alpha in DPI_ALPHAS:
                 params = DivergenceParams(alpha)
                 before = d_tilde(psi, phi, params)
@@ -450,9 +451,11 @@ class TestOneGateOwner:
 
         alg = BlockAlgebra((3,))
         psi_n, phi_n = gen_nested_pair(rng, alg, 2, 1)
-        pairs = [(gen_faithful(rng, alg), gen_faithful(rng, alg)),
+        pairs = [(gen_positive_functional(rng, alg),
+                  gen_positive_functional(rng, alg)),
                  (psi_n, phi_n), (phi_n, psi_n),
-                 (gen_faithful(rng, alg), PositiveFunctional.zero(alg))]
+                 (gen_positive_functional(rng, alg),
+                  PositiveFunctional.zero(alg))]
         grid = [DivergenceParams(a) for a in (0.5, 1.5, 2.0)] + [
             DivergenceParams(0.7, z=0.5)]
         reports = {"lemma9": [lemma9_check(psi, phi, p.alpha)

@@ -7,11 +7,10 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, KosakiSpec,
                   PositiveFunctional, ShapeError, TensorAlgebra,
-                  corollary7_norm, gen_element, gen_faithful,
-                  gen_positive_functional, kron_element, kron_functional,
-                  lemma5_density, lemma5_imaginary, lemma5_polar,
-                  lemma5_power, lp_norm, polar_decompose,
-                  spectral_product_check, support_projection, theorem6_norm,
+                  corollary7_norm, gen_element, gen_positive_functional,
+                  kron_element, kron_functional, lemma5_density,
+                  lemma5_imaginary, lemma5_polar, lemma5_power, lp_norm,
+                  polar_decompose, spectral_product_check, theorem6_norm,
                   theorem6_spanning)
 
 RNG = np.random.default_rng(31)
@@ -61,7 +60,6 @@ class TestKronElement:
         T = pair((2, 3), (2,))
         assert T.product.block_dims == (4, 6)
         assert T.block_index(1, 0) == 1
-        assert T.block_pair(1) == (1, 0)
 
     def test_wrong_algebra(self):
         T = pair((2,), (3,))
@@ -98,10 +96,10 @@ class TestKronFunctional:
 class TestLemma5:
     def test_polar_psd_case(self):
         T = pair((2,), (2,))
-        h1 = gen_positive_functional(RNG, T.left).density
-        h2 = gen_positive_functional(RNG, T.right).density
-        v, _ = polar_decompose(kron_element(T, h1, h2))
-        s = kron_element(T, support_projection(h1), support_projection(h2))
+        psi1 = gen_positive_functional(RNG, T.left)
+        psi2 = gen_positive_functional(RNG, T.right)
+        v, _ = polar_decompose(kron_element(T, psi1.density, psi2.density))
+        s = kron_element(T, psi1.support(), psi2.support())
         assert (v - s).frobenius() <= 1e-9
 
     def test_polar_nilpotent_example(self):
@@ -126,8 +124,7 @@ class TestLemma5:
         rep = lemma5_power(T, x, y, 2.0)
         assert rep.passed
         # both sides are diag(0, 36)
-        from nclp import element_power
-        lhs = element_power(kron_element(T, x, y), 2.0)
+        lhs = PositiveFunctional(kron_element(T, x, y)).power(2.0)
         assert np.allclose(lhs.blocks[0], np.diag([0.0, 36.0]))
 
     def test_power_random(self):
@@ -222,7 +219,8 @@ class TestCorollary7:
     def test_p1_endpoint_matches_trace_norm_product(self):
         T = pair((2,), (2,))
         rng = np.random.default_rng(32)
-        phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+        phi1 = gen_positive_functional(rng, T.left)
+        phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         lhs, rhs = corollary7_norm(x1, x2, KosakiSpec(phi1, 1.0, 0.25),
                                    KosakiSpec(phi2, 1.0, 0.25))
@@ -234,7 +232,8 @@ class TestCorollary7:
     def test_random_grid(self):
         rng = np.random.default_rng(33)
         T = pair((3,), (2,))
-        phi1, phi2 = gen_faithful(rng, T.left), gen_faithful(rng, T.right)
+        phi1 = gen_positive_functional(rng, T.left)
+        phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 0.5, 1.0):
