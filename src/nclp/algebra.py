@@ -55,9 +55,6 @@ class BlockAlgebra:
         """Dimension of the underlying direct-sum Hilbert space."""
         return int(sum(self.block_dims))
 
-    def element(self, blocks: Iterable[np.ndarray]) -> "AlgebraElement":
-        return AlgebraElement(self, blocks)
-
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.eye(n) for n in self.block_dims])
 

@@ -115,9 +115,9 @@ def _cmd_divergence(args) -> int:
     if psi.algebra != phi.algebra:
         raise ShapeError("psi and phi files live on different algebras")
     if params.is_sandwiched:
-        q = q_tilde_alpha(psi, phi, params.alpha, eps)
+        q = q_tilde_alpha(psi, phi, params.alpha)
     else:
-        q = q_tilde_alpha_z(psi, phi, params, eps)
+        q = q_tilde_alpha_z(psi, phi, params)
     d = d_from_q(q, psi, phi, params.alpha)
     if args.json:
         doc = io.build_run_report(
@@ -145,7 +145,7 @@ def _cmd_lp_norm(args) -> int:
             raise UsageError("--kosaki requires --phi FILE")
         phi = io.load_functional(args.phi, eps)
         spec = KosakiSpec(phi, p, 0.0 if args.eta is None else args.eta)
-        value = kosaki_norm(x, spec, eps)
+        value = kosaki_norm(x, spec)
     else:
         value = lp_norm(x, p)
     print(f"norm={format_float(value)}")

@@ -11,10 +11,12 @@ Every eigenvalue whose magnitude falls at or below
 ``eps_rel * spectral_radius`` is treated as an exact zero of the operator (the
 "kernel convention"): a functional's powers, imaginary powers and support send
 those directions to 0, and :meth:`nclp.algebra.HermitianSpectrum.apply`, the
-one calculus of an arbitrary function, to the f(0) its caller declares.  An
-entry point resolves the cutoff (a given value, else the ``NCLP_EPS_REL``
-environment variable, else ``DEFAULT_EPS_REL``); from there the functionals
-and spectra built at it carry it.
+one calculus of an arbitrary function, to the f(0) its caller declares.  The
+cutoff (a given number, else ``NCLP_EPS_REL``, else ``DEFAULT_EPS_REL``) is
+resolved only where a spectrum is computed: the constructors, generators and
+loaders of functionals, the element checks, ``run_suite`` and the CLI.  A
+functional is used at the cutoff it was built at, except by ``q_tilde_alpha``,
+``q_tilde_alpha_z``, ``d_tilde`` and ``kosaki_norm`` given a cutoff.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def default_eps_rel() -> float:
 def resolve_eps_rel(eps_rel: float | None) -> float:
     """The cutoff to use: ``eps_rel`` if given, else :func:`default_eps_rel`.
 
-    Every cutoff is validated here; a non-positive or non-finite value raises
-    :class:`CutoffError`.
+    Every cutoff is validated here; text (only ``NCLP_EPS_REL`` is read as
+    text) or a non-positive or non-finite value raises :class:`CutoffError`.
     """
     if eps_rel is None:
         return default_eps_rel()
@@ -91,6 +93,8 @@ def resolve_eps_rel(eps_rel: float | None) -> float:
 
 def _checked_eps_rel(raw, source: str) -> float:
     try:
+        if source != EPS_REL_ENV and isinstance(raw, (str, bytes, bytearray)):
+            raise TypeError("text is not a cutoff")
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
         value = math.nan

@@ -323,7 +323,8 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     For alpha < 1 this is the direct sandwiched trace; for alpha > 1 the
     value is finite exactly when s(psi) <= s(phi), in which case it equals
     the alpha-th power of the eta=1/2 interpolated norm of the density.
-    One point of :func:`q_tilde_stack`.
+    One point of :func:`q_tilde_stack`.  A given ``eps_rel`` rebuilds both
+    functionals at that cutoff; None uses each at its own.
     """
     params = DivergenceParams(alpha)
     psi, phi = _at_cutoff([psi, phi], eps_rel)
@@ -342,7 +343,7 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     equivalent to s(psi) <= s(phi) here, and the recomposition residual
     certifies the solution (ConditioningError beyond the budget
     ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F)).  One point
-    of :func:`q_tilde_stack`.
+    of :func:`q_tilde_stack`; ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
@@ -352,9 +353,7 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
 
 def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
                                phi: PositiveFunctional,
-                               params: DivergenceParams,
-                               eps_rel: float | None = None
-                               ) -> AlgebraElement:
+                               params: DivergenceParams) -> AlgebraElement:
     """Corner solution of the sandwich equation by pseudo-inverse powers.
 
     Returns x = h_phi^{-e} h_psi^{alpha/z} h_phi^{-e} compressed to the
@@ -365,7 +364,6 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     s(psi) <= s(phi), else the equation has no corner solution.  One pair
     of :func:`solve_sharp_pseudo_inverse_stack`.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     return _unstack(psi.algebra, solve_sharp_pseudo_inverse_stack(
         [psi], [phi], [params]))[0]
 
@@ -410,8 +408,7 @@ def _sharp_exponents(psis, phis, params) -> list[tuple[float, float]]:
 
 def solve_sharp_least_squares(psi: PositiveFunctional,
                               phi: PositiveFunctional,
-                              params: DivergenceParams,
-                              eps_rel: float | None = None) -> AlgebraElement:
+                              params: DivergenceParams) -> AlgebraElement:
     """Independent corner-restricted least-squares solve of the sandwich
     equation for alpha > 1.
 
@@ -421,7 +418,6 @@ def solve_sharp_least_squares(psi: PositiveFunctional,
     equation is solvable.  One pair of
     :func:`solve_sharp_least_squares_stack`.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     return _unstack(psi.algebra, solve_sharp_least_squares_stack(
         [psi], [phi], [params]))[0]
 
@@ -473,7 +469,7 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
 
     Sandwiched parameters run the sandwiched Q path; explicit (alpha, z)
     parameters run the two-parameter path.  May be negative for inputs whose
-    masses differ from 1.
+    masses differ from 1.  ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
     return _d_stack([psi], [phi], [params])[0][0]
@@ -506,14 +502,13 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
 
 
 def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
-                 alpha: float, eps_rel: float | None = None) -> CheckReport:
+                 alpha: float) -> CheckReport:
     """Agreement of the two code paths at z = alpha, on the lemma9 gates.
 
     Finite values must agree to relative ``path_agreement``; infinite ones
     must carry the same reason code.  The info holds both Q-values and
     ``d_reason``, the reason code of the divergence on the alpha-z path.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     ((res, (qa, qz, dz)),), = lemma9_stack([psi], [phi], [alpha])
     return CheckReport.from_residuals(
         "lemma9", res, CHECK_TOLERANCES["lemma9"], {"q_sandwiched": str(qa),
@@ -567,8 +562,7 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
 
 def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
                      psi2: PositiveFunctional, phi2: PositiveFunctional,
-                     params: DivergenceParams,
-                     eps_rel: float | None = None) -> CheckReport:
+                     params: DivergenceParams) -> CheckReport:
     """Multiplicativity of Q, additivity of D on tensor pairs (prop11 gates).
 
     Asserted whenever both factor Q-values are finite (any alpha, z), and on
@@ -576,7 +570,6 @@ def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
     well).  For alpha > 1 with z != alpha and an infinite factor, the values
     are recorded without assertion.
     """
-    psi1, phi1, psi2, phi2 = _at_cutoff([psi1, phi1, psi2, phi2], eps_rel)
     ((res, (q1, q2, q12, d1, d2, d12)),), = additivity_stack(
         [psi1], [phi1], [psi2], [phi2], [params])
     info = {
@@ -664,15 +657,15 @@ class QuantumChannel:
         return self.codomain.from_full(acc)
 
 
-def precompose(psi: PositiveFunctional, channel: QuantumChannel,
-               eps_rel: float | None = None) -> PositiveFunctional:
+def precompose(psi: PositiveFunctional,
+               channel: QuantumChannel) -> PositiveFunctional:
     """Pull a codomain functional back through the channel.
 
     The density maps through the adjoint Kraus sum followed by block-diagonal
     compression; unital channels preserve the mass.  One pair of
     :func:`precompose_stack`.
     """
-    return precompose_stack(_at_cutoff([psi], eps_rel), [channel])[0]
+    return precompose_stack([psi], [channel])[0]
 
 
 def precompose_stack(psis: Sequence[PositiveFunctional],
@@ -815,8 +808,8 @@ def _d_stack(psis, phis, grid) -> list[list[DivergenceValue]]:
 
 
 def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
-              channel: QuantumChannel, params: DivergenceParams,
-              eps_rel: float | None = None) -> CheckReport:
+              channel: QuantumChannel,
+              params: DivergenceParams) -> CheckReport:
     """Monotonicity probe, dpi gates: D after the channel against D before it.
 
     The decrease is asserted only when (alpha, z) lies in the known-valid
@@ -824,7 +817,6 @@ def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
     assertion.  The info's ``gap`` is |D after - D before|: 0 for two
     infinite values with the same reason, inf for different reasons.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     ((res, (d_in, d_out, gap, violation)),), = dpi_probe_stack(
         [psi], [phi], [channel], [params])
     info = {"d_before": str(d_in), "d_after": str(d_out),

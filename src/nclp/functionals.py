@@ -30,11 +30,11 @@ class PositiveFunctional:
     The functional is one row of the :class:`SpectrumStack` of its batch
     (B = 1 for a constructor call), plus its mass once computed:
     ``density`` and ``algebra`` view that row, and the package's kernels
-    read the stack.  It owns its kernel cutoff, the stack's.  A method or
-    public function given a cutoff works on the functional as
-    :func:`_at_cutoff` returns it.  A functional built from others (a sum, a
-    multiple, a tensor product) keeps the cutoff of its first operand.  The
-    constructor is one element of :func:`_positive_functionals`.
+    read the stack.  It owns its kernel cutoff, the stack's, and is used at
+    it: to cut a density at another cutoff, build its functional there.  A
+    functional built from others (a sum, a multiple, a tensor product) keeps
+    the cutoff of its first operand.  The constructor is one element of
+    :func:`_positive_functionals`.
     """
 
     __slots__ = ("_spectrum", "_mass")
@@ -63,8 +63,8 @@ class PositiveFunctional:
 
     # -- basic structure -----------------------------------------------------
 
-    def spectrum(self, eps_rel: float | None = None) -> HermitianSpectrum:
-        return _at_cutoff([self], eps_rel)[0]._spectrum
+    def spectrum(self) -> HermitianSpectrum:
+        return self._spectrum
 
     @property
     def mass(self) -> float:
@@ -86,27 +86,25 @@ class PositiveFunctional:
         own cutoff (all of the zero functional's do)."""
         return self._spectrum.rank() == self.algebra.carrier_dim
 
-    def support(self, eps_rel: float | None = None) -> AlgebraElement:
-        return self.spectrum(eps_rel).support()
+    def support(self) -> AlgebraElement:
+        return self._spectrum.support()
 
     def evaluate(self, a: AlgebraElement) -> complex:
         """psi(a) = trace(h a)."""
         return canonical_trace(self.density @ a)
 
-    def power(self, r: float, eps_rel: float | None = None) -> AlgebraElement:
+    def power(self, r: float) -> AlgebraElement:
         """Density power h^r with the kernel convention (pseudo-inverse r<0).
 
         Not memoized: a cache keyed by the exponent would grow without bound
         on a functional that lives long, and measured end to end it saved no
         time beyond run-to-run noise.
         """
-        return self.spectrum(eps_rel)._calculus(_eigenvalue_powers,
-                                                [_real(r, "exponent")])
+        return self._spectrum._calculus(_eigenvalue_powers,
+                                        [_real(r, "exponent")])
 
-    def imaginary_power(self, t: float,
-                        eps_rel: float | None = None) -> AlgebraElement:
-        return self.spectrum(eps_rel)._calculus(_imaginary_values,
-                                                [_real(t, "t")])
+    def imaginary_power(self, t: float) -> AlgebraElement:
+        return self._spectrum._calculus(_imaginary_values, [_real(t, "t")])
 
     def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
         _check_type(other, PositiveFunctional,
@@ -137,11 +135,10 @@ def _stack_of(psis) -> SpectrumStack:
 
 
 def _at_cutoff(psis, eps_rel: float | None) -> list[PositiveFunctional]:
-    """The functionals at the cutoff ``eps_rel`` (resolved; None reads
-    ``NCLP_EPS_REL``, else the default): each one already at that cutoff
-    itself, any other rebuilt at it from the same density.  Every public
-    function and method that takes a cutoff routes its functionals through
-    here; kernels on functionals take none."""
+    """The functionals at the cutoff ``eps_rel``, each rebuilt at it from its
+    density unless already there; None leaves each at its own."""
+    if eps_rel is None:
+        return psis
     eps = resolve_eps_rel(eps_rel)
     return [psi if psi._spectrum.eps_rel == eps else _positive_functionals(
         psi.algebra, _densities([psi]), False, eps)[0] for psi in psis]
@@ -164,14 +161,13 @@ def _imaginary_powers(psis, ts) -> tuple[np.ndarray, ...]:
 
 
 def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
-                   t: float, eps_rel: float | None = None) -> AlgebraElement:
+                   t: float) -> AlgebraElement:
     """Radon-Nikodym cocycle u_t = h_psi^{it} h_phi^{-it} (phi faithful).
 
     u_0 equals the support projection of psi; when the densities commute,
     u_t* u_t recovers that support for every t.  One pair of
     :func:`connes_cocycle_stack`.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     return _unstack(psi.algebra, connes_cocycle_stack([psi], [phi], [t]))[0]
 
 
@@ -193,8 +189,7 @@ def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
 
 
 def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
-               phi: PositiveFunctional, t: float,
-               eps_rel: float | None = None
+               phi: PositiveFunctional, t: float
                ) -> tuple[AlgebraElement, AlgebraElement]:
     """Support-cut cocycle identity for a non-faithful left argument.
 
@@ -203,7 +198,6 @@ def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
     residual, which the caller asserts.  One triple of
     :func:`lemma1_cut_stack`.
     """
-    psi, psi_prime, phi = _at_cutoff([psi, psi_prime, phi], eps_rel)
     lhs, rhs = lemma1_cut_stack([psi], [psi_prime], [phi], [t])
     return _unstack(psi.algebra, lhs)[0], _unstack(psi.algebra, rhs)[0]
 
@@ -235,15 +229,13 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
 
 
 def cocycle_chain_residual(psi: PositiveFunctional, phi: PositiveFunctional,
-                           t: float, s: float,
-                           eps_rel: float | None = None) -> float:
+                           t: float, s: float) -> float:
     """Residual of the flow-twisted chain rule u_{t+s} = u_t sigma_t(u_s).
 
     sigma_t is conjugation by h_phi^{it}; the identity holds for every psi
     and faithful phi, commuting or not.  One pair of
     :func:`cocycle_chain_stack`.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
     return float(cocycle_chain_stack([psi], [phi], [t], [s])[0])
 
 

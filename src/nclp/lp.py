@@ -254,15 +254,13 @@ def _density_powers(phis: list[PositiveFunctional],
                  for d, p in zip(_densities(phis), powers))
 
 
-def kosaki_embed(a: AlgebraElement, spec: KosakiSpec,
-                 eps_rel: float | None = None) -> AlgebraElement:
+def kosaki_embed(a: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
     """The injective embedding a -> h_phi^eta a h_phi^{1-eta}.  One element
     of :func:`_sandwich_stack`."""
     if a.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
-    phi, = _at_cutoff([spec.phi], eps_rel)
     return _unstack(a.algebra, _sandwich_stack(
-        _stack([a]), [phi], [spec.eta], [1.0 - spec.eta]))[0]
+        _stack([a]), [spec.phi], [spec.eta], [1.0 - spec.eta]))[0]
 
 
 # An overflow shows as a non-finite x, which is reported as an error.
@@ -320,8 +318,7 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     return blocks, errors
 
 
-def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
-                      eps_rel: float | None = None) -> AlgebraElement:
+def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
     """Solve y = h_phi^{eta/q} x h_phi^{(1-eta)/q} for x.
 
     The solve runs in phi's eigenbasis, where dividing and re-multiplying by
@@ -330,11 +327,10 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec,
     ConditioningError when it exceeds the budget
     ``config.RECOMPOSITION_TOL`` * (1 + ||y||_F).
     """
-    phi, = _at_cutoff([spec.phi], eps_rel)
     if y.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
-        _stack([y]), [phi], [[(spec.p, spec.eta)]])
+        _stack([y]), [spec.phi], [[(spec.p, spec.eta)]])
     _raise_first(errors[0])
     return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
@@ -372,14 +368,14 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
                 eps_rel: float | None = None) -> float:
     """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
-    :func:`kosaki_norm_stack`."""
+    :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
+    cutoff; None uses it at its own."""
     phi, = _at_cutoff([spec.phi], eps_rel)
     return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
                                           [[(spec.p, spec.eta)]]))[0][0]
 
 
-def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,
-                              eps_rel: float | None = None
+def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec
                               ) -> tuple[float, float]:
     """Two-sided data for the interpolation estimate on the embedding of a.
 
@@ -387,8 +383,7 @@ def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec,
     rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p}; lhs <= rhs up to float
     slack.  One element of :func:`interpolation_bound_stack`.
     """
-    phi, = _at_cutoff([spec.phi], eps_rel)
-    return interpolation_bound_stack(a.algebra, _stack([a]), [phi],
+    return interpolation_bound_stack(a.algebra, _stack([a]), [spec.phi],
                                      [(spec.p, spec.eta)])[0]
 
 
@@ -428,8 +423,7 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
     return out
 
 
-def lemma3_bijectivity(phi: PositiveFunctional, p,
-                       eps_rel: float | None = None) -> bool:
+def lemma3_bijectivity(phi: PositiveFunctional, p) -> bool:
     """Whether a -> a h_phi^{1/p} has full rank on the flat carrier.
 
     Decided by the singular values of the explicit total_dim x total_dim
@@ -437,8 +431,6 @@ def lemma3_bijectivity(phi: PositiveFunctional, p,
     yields False, flagging the conditioning problem rather than raising.
     One element of :func:`lemma3_bijectivity_stack`.
     """
-    p = _as_exponent(p)
-    phi, = _at_cutoff([phi], eps_rel)
     return lemma3_bijectivity_stack([phi], [p])[0]
 
 

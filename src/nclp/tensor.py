@@ -22,7 +22,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _polar_stack, _stack)
 from .config import CHECK_TOLERANCES, RANK_RTOL, resolve_eps_rel
 from .errors import DomainError, ShapeError, _check_type, _raise_first
-from .functionals import (PositiveFunctional, _at_cutoff, _densities,
+from .functionals import (PositiveFunctional, _densities,
                           _positive_functionals, _stack_of)
 from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
@@ -206,11 +206,9 @@ def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement, h2: AlgebraElement,
 
 
 def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
-                   psi2: PositiveFunctional, t: float = 0.7,
-                   eps_rel: float | None = None) -> CheckReport:
+                   psi2: PositiveFunctional, t: float = 0.7) -> CheckReport:
     """Product-functional density identity plus its imaginary-power half,
     on lemma5's residual gate; one element of :func:`lemma5_density_stack`."""
-    psi1, psi2 = _at_cutoff([psi1, psi2], eps_rel)
     res, = lemma5_density_stack(T, [psi1], [psi2], [t])
     return _lemma5_report("lemma5_density", res, {"t": t})
 
@@ -318,8 +316,8 @@ def corollary7_norm_stack(x1s: list[AlgebraElement],
 
 
 def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
-                    spec1: KosakiSpec, spec2: KosakiSpec,
-                    eps_rel: float | None = None) -> tuple[float, float]:
+                    spec1: KosakiSpec,
+                    spec2: KosakiSpec) -> tuple[float, float]:
     """Interpolated norm of x1 (x) x2 against the product of factor norms.
 
     The product-side norm uses the tensor reference phi1 (x) phi2 with the
@@ -327,8 +325,7 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
     """
     if spec1.p != spec2.p or spec1.eta != spec2.eta:
         raise DomainError("factor norms must share the same (p, eta)")
-    phi1, phi2 = _at_cutoff([spec1.phi, spec2.phi], eps_rel)
-    return corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+    return corollary7_norm_stack([x1], [x2], [spec1.phi], [spec2.phi],
                                  [(spec1.p, spec1.eta)])[0][0]
 
 

@@ -17,6 +17,7 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   pinching_channel, precompose, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, scale,
                   solve_sharp_least_squares, solve_sharp_pseudo_inverse)
+from nclp.divergence import precompose_stack
 
 RNG = np.random.default_rng(41)
 
@@ -400,6 +401,33 @@ class TestChannels:
         psi = gen_positive_functional(rng, T.product)
         back = precompose(psi, embed_left_channel(T))
         assert back.mass == pytest.approx(psi.mass, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (1, 1, 2)])
+    def test_stack_pulls_back_through_the_forward_channel(self, dims):
+        # (psi o T)(b) = psi(T(b)) for each pair of one batch whose channels
+        # have 1, n, 3 and 5 Kraus operators (the ragged-Kraus path).
+        rng = np.random.default_rng(58)
+        alg = BlockAlgebra(dims)
+        channels = [identity_channel(alg), pinching_channel(alg),
+                    random_unital_channel(rng, alg, alg, num_kraus=3),
+                    random_unital_channel(rng, alg, alg, num_kraus=5)]
+        psis = [gen_positive_functional(rng, alg) for _ in channels]
+        for psi, ch, out in zip(psis, channels,
+                                precompose_stack(psis, channels)):
+            for _ in range(3):
+                b = gen_element(rng, alg)
+                assert abs(out.evaluate(b)
+                           - psi.evaluate(ch.apply(b))) <= 1e-12
+
+    def test_embedding_pulls_back_through_the_forward_channel(self):
+        rng = np.random.default_rng(59)
+        T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
+        ch = embed_left_channel(T)
+        psi = gen_positive_functional(rng, T.product)
+        out, = precompose_stack([psi], [ch])
+        for _ in range(3):
+            b = gen_element(rng, T.left)
+            assert abs(out.evaluate(b) - psi.evaluate(ch.apply(b))) <= 1e-12
 
     def test_unitality_enforced(self):
         alg = BlockAlgebra((2,))

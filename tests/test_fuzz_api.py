@@ -26,7 +26,7 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   NclpError, PositiveFunctional, QuantumChannel, Reason,
                   SuiteConfig, TensorAlgebra, classical_renyi_oracle,
                   kron_element, kron_functional, lp_norm, parse_dims,
-                  run_suite, scale, theorem6_norm)
+                  polar_decompose, run_suite, scale, theorem6_norm)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -247,6 +247,8 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: DivergenceValue("1.5"),
     lambda: REFERENCES["faithful"].power("0.5"),
     lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], "2"),
+    lambda: PositiveFunctional(_ALG.identity(), eps_rel="1e-3"),
+    lambda: polar_decompose(_ALG.identity(), b"1e-3"),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -270,7 +272,8 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "numeric_text_exponent", "numeric_bytes_exponent",
         "numeric_text_scale", "numeric_text_eta",
         "numeric_text_divergence_value", "numeric_text_functional_power",
-        "numeric_text_oracle_order"])
+        "numeric_text_oracle_order", "numeric_text_cutoff",
+        "numeric_bytes_cutoff"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.
