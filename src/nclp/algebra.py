@@ -72,22 +72,6 @@ class BlockAlgebra:
             ofs += n
         return AlgebraElement(self, blocks)
 
-    def from_full(self, full: np.ndarray) -> "AlgebraElement":
-        """Compress a carrier-space matrix onto its block-diagonal part.
-
-        Off-block entries are discarded; this is the trace-preserving
-        conditional expectation onto the algebra.
-        """
-        N = self.carrier_dim
-        full = _complex_array(full)
-        if full.shape != (N, N):
-            raise ShapeError(f"full matrix must be {N}x{N}, got {full.shape}")
-        blocks, ofs = [], 0
-        for n in self.block_dims:
-            blocks.append(full[ofs:ofs + n, ofs:ofs + n])
-            ofs += n
-        return AlgebraElement(self, blocks)
-
 
 class AlgebraElement:
     """Immutable block-diagonal complex matrix on a :class:`BlockAlgebra`.
@@ -146,10 +130,6 @@ class AlgebraElement:
         """sqrt(sum |entries|^2) over all blocks; inf beyond the float
         range.  :func:`_frobenius_stack` of the unstacked blocks."""
         return float(_frobenius_stack(self.blocks))
-
-    def full_matrix(self) -> np.ndarray:
-        """Embed as a block-diagonal matrix on the direct-sum carrier."""
-        return _full_stack(self.blocks)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -510,11 +490,11 @@ def _clip_stack(vals: Sequence[np.ndarray], eps: float
     non-finite eigenvalue or one below the clip floor; within an element
     the blocks are checked in order, as in a one-element loop."""
     flat = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
-    # The floor is exact for every element whose spectrum is finite; any
-    # other element fails the finiteness test anyway.
-    floor = -PSD_CLIP_TOL * abs(flat).max(axis=-1)
-    ok = np.isfinite(flat).all(axis=-1) & (flat >= floor[:, None]).all(
-        axis=-1)
+    top, bottom = flat.max(axis=-1), flat.min(axis=-1)
+    # The floor is exact for an element whose spectrum is finite; for any
+    # other it is NaN or -inf (max and min carry them), which fails ok.
+    floor = -PSD_CLIP_TOL * np.maximum(top, -bottom)
+    ok = np.isfinite(floor) & (bottom >= floor)
     if not ok.all():
         j = int(np.flatnonzero(~ok)[0])
         floor = -PSD_CLIP_TOL * float(_radius([v[j] for v in vals]))
@@ -526,7 +506,9 @@ def _clip_stack(vals: Sequence[np.ndarray], eps: float
                     f"matrix is not PSD: eigenvalue {float(np.min(v[j])):.3e} "
                     f"below clip tolerance {floor:.3e}")
     clipped = tuple(np.maximum(v, 0.0) for v in vals)
-    return clipped, _kernel_masks(clipped, eps)
+    # _kernel_masks of the clipped values, which are >= 0: radius max(top, 0)
+    cut = eps * np.maximum(top, 0.0)[:, None]
+    return clipped, tuple(c <= cut for c in clipped)
 
 
 def _symmetrized_stack(stacked: Sequence[np.ndarray],
@@ -535,12 +517,13 @@ def _symmetrized_stack(stacked: Sequence[np.ndarray],
     ``hermitize``; the DomainError of the first element that fails it.
 
     The result is exactly Hermitian, so symmetrizing it again returns the
-    same bits.  Entries near the float maximum overflow to inf here without
-    a warning; the PSD clip then rejects the non-finite spectrum."""
+    same bits; an exactly Hermitian h (defect 0) skips the gate.  Entries
+    near the float maximum overflow to inf here without a warning; the PSD
+    clip then rejects the non-finite spectrum."""
     adj = _adjoint_stack(stacked)
     with np.errstate(over="ignore", invalid="ignore"):
         sym = tuple((s + a) / 2.0 for s, a in zip(stacked, adj))
-        if hermitize:
+        if hermitize or all((s == a).all() for s, a in zip(stacked, adj)):
             return sym
         defect = np.sqrt(_squared_norms([s - a for s, a in zip(stacked, adj)]))
         bad = defect > HERMITIAN_TOL * (1.0 + np.sqrt(_squared_norms(stacked)))

@@ -7,7 +7,9 @@ flag > NCLP_EPS_REL env > default.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call; parsing keeps no state between
-calls.
+calls.  An argv that starts with a command goes straight to that command's
+parser, leftovers raising the top-level "unrecognized arguments" error as
+``parse_args`` does; any other argv goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def _build_parser() -> _Parser:
                          metavar="KEY=VALUE")
     p_suite.add_argument("--out", default=None, metavar="FILE")
     p_suite.add_argument("--eps-rel", type=float, default=None)
+    parser.commands = sub.choices
     return parser
 
 
@@ -217,8 +220,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
         return _COMMANDS[args.command](args)
     except NclpError as exc:
         print(f"error: {exc}", file=sys.stderr)

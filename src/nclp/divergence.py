@@ -131,8 +131,12 @@ def _support_violations(psis: Sequence[PositiveFunctional],
                         phis: Sequence[PositiveFunctional]) -> np.ndarray:
     """(B,) whether s(psi) <= s(phi) fails beyond the relative budget, per
     pair of one algebra: the leak (1 - s(phi)) h_psi (1 - s(phi)) against
-    the density's norm, stacked across the pairs."""
-    supports = _support_stack(_stack_of(phis))
+    the density's norm, stacked across the pairs.  Skipped when no phi has
+    a kernel direction: then s(phi) = 1, and the leak is only rounding."""
+    phi_stack = _stack_of(phis)
+    if not any(m.any() for m in phi_stack.kernel_mask):
+        return np.zeros(len(phis), dtype=bool)
+    supports = _support_stack(phi_stack)
     densities = _densities(psis)
     comps = [np.eye(s.shape[-1], dtype=np.complex128) - s for s in supports]
     with np.errstate(over="ignore"):
@@ -647,14 +651,6 @@ class QuantumChannel:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "kraus", mats)
-
-    def apply(self, b: AlgebraElement) -> AlgebraElement:
-        """Forward action on a domain element (lands in the codomain)."""
-        if b.algebra != self.domain:
-            raise ShapeError("element does not live on the channel domain")
-        full = b.full_matrix()
-        acc = sum(v.conj().T @ full @ v for v in self.kraus)
-        return self.codomain.from_full(acc)
 
 
 def precompose(psi: PositiveFunctional,

@@ -2,9 +2,10 @@
 
 Matrix files carry explicit re/im arrays (row-major, rectangular, finite);
 files of kind "functional" must be Hermitian within the gate and PSD after
-clipping, otherwise the parser rejects them.  Reports serialize with sorted
-keys and round-trip-exact decimal floats, so identical runs yield identical
-bytes; infinities appear only as the string "inf".
+clipping, otherwise the parser rejects them.  Matrix files are written
+compact, by the C JSON encoder, reports indented; both with sorted keys and
+round-trip-exact decimal floats, so identical runs yield identical bytes;
+in a report infinities appear only as the string "inf".
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class MatrixFile:
 
 
 # The largest finite float as an int.  An entry larger in magnitude (inf, or
-# an int that no float holds, on which math.isfinite would raise) is
+# an int that no float holds or that rounds down to the float maximum) is
 # rejected, and so is NaN, which fails every comparison.
 _FLOAT_MAX = int(sys.float_info.max)
 
@@ -57,18 +58,25 @@ def _reject_constant(token: str):
 
 
 def _real_grid(raw, n: int, label: str) -> np.ndarray:
+    """The (n, n) float grid of n rows of n ints or floats (not bools); its
+    entries are checked one by one only if one is inf, NaN or the maximum."""
     if not isinstance(raw, list) or len(raw) != n:
         raise FileFormatError(f"{label} must be a list of {n} rows")
-    grid = []
     for row in raw:
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(f"{label} rows must have length {n}")
-        for v in row:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not abs(v) <= _FLOAT_MAX:
-                raise FileFormatError(f"{label} entries must be finite reals")
-        grid.append([float(v) for v in row])
-    return np.array(grid, dtype=float)
+    bad = FileFormatError(f"{label} entries must be finite reals")
+    if any(not issubclass(t, (int, float)) or t is bool
+           for t in set(map(type, chain.from_iterable(raw)))):
+        raise bad
+    try:
+        grid = np.array(raw, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise bad from None
+    if not (abs(grid) < sys.float_info.max).all() and not all(
+            abs(v) <= _FLOAT_MAX for v in chain.from_iterable(raw)):
+        raise bad
+    return grid
 
 
 def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
@@ -96,10 +104,11 @@ def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
     for i, (raw, n) in enumerate(zip(raw_blocks, dims)):
         if not isinstance(raw, dict):
             raise FileFormatError(f"block {i} must be an object")
-        re = _real_grid(raw.get("re"), n, f"block {i} re")
-        im = _real_grid(raw.get("im"), n, f"block {i} im")
-        blocks.append(re + 1j * im)
-    element = AlgebraElement(algebra, blocks)
+        block = _real_grid(raw.get("re"), n, f"block {i} re").astype(
+            np.complex128)
+        block.imag = _real_grid(raw.get("im"), n, f"block {i} im")
+        blocks.append(block)
+    element = AlgebraElement._trusted(algebra, blocks)
     if kind == "element":
         return MatrixFile(element, kind)
     try:  # the Hermitian gate and the PSD clip
@@ -121,10 +130,10 @@ def loads_matrix(text: str, eps_rel: float | None = None) -> MatrixFile:
 
 def load_matrix_file(path, eps_rel: float | None = None) -> MatrixFile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            return loads_matrix(f.read(), eps_rel)
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    return loads_matrix(text, eps_rel)
 
 
 def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
@@ -137,8 +146,7 @@ def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
     return {
         "algebra": {"blocks": list(x.algebra.block_dims)},
         "matrix": {"blocks": [
-            {"re": [[float(v) for v in row] for row in b.real],
-             "im": [[float(v) for v in row] for row in b.imag]}
+            {"re": b.real.tolist(), "im": b.imag.tolist()}
             for b in x.blocks]},
         "kind": kind,
     }
@@ -146,14 +154,15 @@ def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
 
 def dumps_matrix(x: AlgebraElement, kind: str = "element") -> str:
     return json.dumps(matrix_document(x, kind), sort_keys=True,
-                      allow_nan=False, indent=2) + "\n"
+                      allow_nan=False, separators=(",", ":")) + "\n"
 
 
 def write_text_file(path, text: str):
     """Write ``text`` to ``path``; a failing write raises OutputError, which
     names the path."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

@@ -45,11 +45,6 @@ class TestBlockAlgebra:
         with pytest.raises(DomainError):
             BlockAlgebra((2, 0))
 
-    def test_full_matrix_roundtrip(self):
-        alg = BlockAlgebra((2, 3))
-        x = rand_element(alg)
-        assert (alg.from_full(x.full_matrix()) - x).frobenius() == 0.0
-
 
 class TestMultiply:
     def test_identity(self):

@@ -7,7 +7,9 @@ string that is an identifier (the benchmark tracer names methods by string).
 Its own definition does not count, and neither does a test: the callers are
 the package, whose ``__init__.py`` re-exports declare the public surface,
 the benchmarks and the tools, so a helper that only its own test calls
-fails here.  Dunder methods are called by Python itself and are exempt.  An
+fails here.  Dunder methods are called by Python itself and are exempt.  A
+method named like another class's method counts as used through that
+method's callers, so the names that classes share are pinned.  An
 import counts as used when its name is read in the importing module;
 ``__init__.py`` re-exports and ``__future__`` imports are exempt.  A
 module-level constant (an upper-case name the module assigns) counts as used
@@ -62,6 +64,25 @@ def test_every_definition_is_referenced():
     used = _used_names()
     unused = [where for where, name in _definitions() if name not in used]
     assert unused == []
+
+
+# The method names that more than one class defines.  A name added here
+# needs callers of its own for every class that defines it, checked by hand.
+SHARED_METHOD_NAMES = {"algebra", "support", "to_dict", "zero"}
+
+
+def test_shared_method_names_are_pinned():
+    owners = {}
+    for _, tree in _trees(PACKAGE):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) \
+                            and not node.name.startswith("__"):
+                        owners.setdefault(node.name, set()).add(cls.name)
+    shared = {name for name, classes in owners.items() if len(classes) > 1}
+    assert shared == SHARED_METHOD_NAMES
 
 
 # The suite protocol fixes these parameters whether or not a function reads

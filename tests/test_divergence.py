@@ -17,9 +17,20 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   pinching_channel, precompose, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, scale,
                   solve_sharp_least_squares, solve_sharp_pseudo_inverse)
+from nclp.algebra import _full_stack
 from nclp.divergence import precompose_stack
 
 RNG = np.random.default_rng(41)
+
+
+def forward(channel, b):
+    """The channel's forward action sum_k V_k* b V_k, compressed onto the
+    codomain's blocks: the oracle of the pull-back tests."""
+    full = _full_stack(b.blocks)
+    acc = sum(v.conj().T @ full @ v for v in channel.kraus)
+    ofs = np.cumsum([0, *channel.codomain.block_dims])
+    return AlgebraElement(channel.codomain,
+                          [acc[i:j, i:j] for i, j in zip(ofs, ofs[1:])])
 
 
 def diag_functional(entries):
@@ -417,7 +428,7 @@ class TestChannels:
             for _ in range(3):
                 b = gen_element(rng, alg)
                 assert abs(out.evaluate(b)
-                           - psi.evaluate(ch.apply(b))) <= 1e-12
+                           - psi.evaluate(forward(ch, b))) <= 1e-12
 
     def test_embedding_pulls_back_through_the_forward_channel(self):
         rng = np.random.default_rng(59)
@@ -427,7 +438,7 @@ class TestChannels:
         out, = precompose_stack([psi], [ch])
         for _ in range(3):
             b = gen_element(rng, T.left)
-            assert abs(out.evaluate(b) - psi.evaluate(ch.apply(b))) <= 1e-12
+            assert abs(out.evaluate(b) - psi.evaluate(forward(ch, b))) <= 1e-12
 
     def test_unitality_enforced(self):
         alg = BlockAlgebra((2,))
@@ -465,7 +476,7 @@ class TestChannels:
         rng = np.random.default_rng(57)
         alg = BlockAlgebra((2, 2))
         ch = random_unital_channel(rng, alg, alg, num_kraus=3)
-        out = ch.apply(alg.identity())
+        out = forward(ch, alg.identity())
         assert (out - alg.identity()).frobenius() <= 1e-10
 
 

@@ -13,8 +13,9 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, CutoffError,
                   DivergenceParams, DomainError, FileFormatError,
-                  PositiveFunctional, d_tilde, default_eps_rel, lp_norm,
-                  q_tilde_alpha, q_tilde_alpha_z)
+                  PositiveFunctional, TensorAlgebra, UsageError, d_tilde,
+                  default_eps_rel, kron_element, lp_norm, q_tilde_alpha,
+                  q_tilde_alpha_z)
 from nclp import cli, io
 from nclp.cli import main
 from nclp.config import resolve_eps_rel
@@ -581,6 +582,190 @@ class TestFileInputsWithoutTraceback:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "underflows" in err
+
+
+def _bits(blocks):
+    """The bit patterns of complex blocks (so -0.0 differs from 0.0)."""
+    return [np.ascontiguousarray(b).view(np.uint64) for b in blocks]
+
+
+def _same_bits(x, y):
+    return all(np.array_equal(a, b)
+               for a, b in zip(_bits(x.blocks), _bits(y.blocks)))
+
+
+def _document(grid, n=1):
+    """An element file of one n x n block whose re part is ``grid``."""
+    return {"algebra": {"blocks": [n]}, "kind": "element",
+            "matrix": {"blocks": [{"re": grid, "im": [[0] * n] * n}]}}
+
+
+class TestMatrixFileReaderAndWriter:
+    """The reader converts each grid in one pass and keeps every rejection;
+    the writer is compact and every value round-trips bit-exact."""
+
+    EXTREMES = [-0.0, 5e-324, 1e-320, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("entry", [
+        "1e999", "-1e999", "1" + "0" * 400, "-1" + "0" * 400,
+        # an int beyond the float maximum that float() rounds down to it
+        str(int(sys.float_info.max) + 2 ** 969),
+        "true", "null", '"1"', "[1]", "{}"])
+    def test_rejected_entries(self, entry):
+        text = json.dumps(_document([["ENTRY", 0], [0, 1]], 2))
+        with pytest.raises(FileFormatError, match="finite reals"):
+            io.loads_matrix(text.replace('"ENTRY"', entry))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
+                                       int(sys.float_info.max) + 1, False])
+    def test_rejected_document_entries(self, entry):
+        with pytest.raises(FileFormatError, match="finite reals"):
+            io.parse_matrix_document(_document([[1.0, entry], [0, 1]], 2))
+
+    @pytest.mark.parametrize("grid, message", [
+        ([[1.0, 0.0]], "list of 2 rows"), ([[1.0], [0.0, 1.0]], "length 2"),
+        ([[1.0, 0.0], (0.0, 1.0)], "length 2"), ("ab", "list of 2 rows")])
+    def test_rejected_structures(self, grid, message):
+        with pytest.raises(FileFormatError, match=message):
+            io.parse_matrix_document(_document(grid, 2))
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FileFormatError, match="cannot read"):
+            io.load_matrix_file(bad)
+        assert main(["lp-norm", "--p", "2", "--x", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+    def test_float_maximum_and_ints_accepted(self):
+        top = int(sys.float_info.max)
+        got = io.parse_matrix_document(
+            _document([[top, -top], [2 ** 70, 3]], 2)).element.blocks[0]
+        want = [[sys.float_info.max, -sys.float_info.max], [2.0 ** 70, 3.0]]
+        assert np.array_equal(got.real, want) and not got.imag.any()
+
+    def _element(self, dims, kind):
+        """Entries cycling through EXTREMES (re and im) for an element; a
+        diagonal density of tiny and signed-zero entries for a
+        functional."""
+        if kind == "element":
+            values = iter(self.EXTREMES * 100)
+            return AlgebraElement(BlockAlgebra(dims), [
+                np.array([[complex(next(values), next(values))
+                           for _ in range(n)] for _ in range(n)])
+                for n in dims])
+        values = iter([5e-324, 1e-320, -0.0, 1.0] * 10)
+        return AlgebraElement(BlockAlgebra(dims), [
+            np.diag([next(values) for _ in range(n)]).astype(complex)
+            for n in dims])
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 3), (1, 1, 2)])
+    @pytest.mark.parametrize("kind", ["element", "functional"])
+    def test_compact_round_trip_is_bit_exact(self, dims, kind):
+        x = self._element(dims, kind)
+        text = io.dumps_matrix(x, kind)
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert " " not in text
+        back = io.loads_matrix(text)
+        assert back.kind == kind and _same_bits(back.element, x)
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 3), (1, 1, 2)])
+    @pytest.mark.parametrize("kind", ["element", "functional"])
+    def test_indented_file_loads_to_the_same_bits(self, dims, kind):
+        # The layout matrix files had before they were written compact.
+        x = self._element(dims, kind)
+        indented = json.dumps(io.matrix_document(x, kind), sort_keys=True,
+                              allow_nan=False, indent=2) + "\n"
+        assert _same_bits(io.loads_matrix(indented).element,
+                          io.loads_matrix(io.dumps_matrix(x, kind)).element)
+
+    @pytest.mark.parametrize("kinds", [("element", "element"),
+                                       ("functional", "functional"),
+                                       ("functional", "element")])
+    def test_tensor_output_loads_to_kron_bits(self, tmp_path, capsys, kinds):
+        rng = np.random.default_rng(73)
+        files = []
+        for dims, kind in zip(((2, 3), (1, 2)), kinds):
+            g = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in dims]
+            if kind == "functional":
+                g = [a @ a.conj().T for a in g]
+                g = [(a + a.conj().T) / 2 for a in g]
+            files.append(tmp_path / f"{len(files)}.json")
+            io.save_matrix_file(files[-1], AlgebraElement(BlockAlgebra(dims),
+                                                          g), kind)
+        left, right = (io.load_matrix_file(f) for f in files)
+        out = tmp_path / "out.json"
+        assert main(["tensor", "--left", str(files[0]), "--right",
+                     str(files[1]), "-o", str(out)]) == 0
+        capsys.readouterr()
+        want = kron_element(TensorAlgebra(left.algebra, right.algebra),
+                            left.element, right.element)
+        got = io.load_matrix_file(out)
+        assert got.kind == ("functional" if kinds == ("functional",) * 2
+                            else "element")
+        assert got.algebra == want.algebra and _same_bits(got.element, want)
+
+
+def _full_parse(argv, capsys):
+    """What the full parser's parse_args gives for argv: ("args", the
+    namespace), ("usage", the UsageError message) or ("exit", the
+    SystemExit code and what it printed)."""
+    try:
+        return "args", vars(cli._parser().parse_args(argv))
+    except UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", (exc.code, capsys.readouterr())
+
+
+class TestDispatchParity:
+    """main dispatches an argv that names a command straight to the
+    command's parser; every argv ends as the full parser's parse_args
+    would end it."""
+
+    ARGVS = [
+        [], ["-h"], ["bogus"], ["divergence"], ["divergence", "-h"],
+        ["div", "--kind", "sandwiched"],
+        ["tensor", "--left", "a.json", "--right", "b.json", "-o", "c.json",
+         "--bogus"],
+        ["tensor", "--left", "a.json", "--right", "b.json", "-o", "c.json",
+         "extra", "--", "-x"],
+        ["tensor", "--left", "a.json", "--right", "b.json", "-o", "c.json"],
+        ["lp-norm", "--p", "2", "--x", "x.json", "--eps", "1e-9"],
+        ["lp-norm", "--p", "2", "--x", "x.json", "--e", "1e-9"],
+        ["divergence", "--kind", "alpha-z", "--alpha", "0.7", "--z", "1.3",
+         "--psi", "p.json", "--phi", "f.json", "--json", "--eps-rel=1e-9"],
+        ["suite", "--name", "lemma3", "--tol-override", "a=1",
+         "--tol-override", "b=2", "--dims", "2"],
+        ["suite", "--name", "lemma3", "--trials", "x"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_outcome_as_full_parser(self, argv, capsys, monkeypatch):
+        want, value = _full_parse(argv, capsys)
+        seen = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                lambda args: seen.append(vars(args)) or 0)
+        if want == "exit":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert (exc.value.code, capsys.readouterr()) == value
+            return
+        code = main(argv)
+        err = capsys.readouterr().err
+        if want == "usage":
+            assert (code, err, seen) == (1, f"error: {value}\n", [])
+        else:
+            assert (code, err) == (0, "")
+            assert seen == [value]
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nclp", "bogus"])
+        assert main() == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestParserReuse:
