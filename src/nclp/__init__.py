@@ -13,9 +13,8 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       canonical_trace, polar_decompose)
 from .config import DEFAULT_EPS_REL, default_eps_rel
 from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
-                         Reason, additivity_check, d_tilde, dpi_probe,
-                         dpi_valid, embed_left_channel, identity_channel,
-                         lemma9_check, pinching_channel, precompose,
+                         Reason, d_tilde, dpi_valid, embed_left_channel,
+                         identity_channel, pinching_channel, precompose,
                          q_tilde_alpha, q_tilde_alpha_z,
                          random_unital_channel, solve_sharp_least_squares,
                          solve_sharp_pseudo_inverse)
@@ -27,13 +26,11 @@ from .functionals import (PositiveFunctional, cocycle_chain_residual,
 from .lp import (KosakiSpec, LpExponent, interpolation_bound_check,
                  kosaki_embed, kosaki_membership, kosaki_norm,
                  lemma3_bijectivity, lp_norm, singular_values)
-from .reports import CheckReport, TrialReport
+from .reports import TrialReport
 from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
                      gen_classical_pair, gen_element, gen_nested_pair,
                      gen_orthogonal_pair, gen_positive_functional,
                      gen_unitary, parse_dims, run_suite, summarize,
                      trial_rng)
 from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
-                     kron_functional, lemma5_density, lemma5_imaginary,
-                     lemma5_polar, lemma5_power, spectral_product_check,
-                     theorem6_norm, theorem6_spanning)
+                     kron_functional, theorem6_norm, theorem6_spanning)

@@ -1,7 +1,7 @@
 """Global numerical policy: kernel cutoff, gate tolerances, identifiers.
 
 Each check's gate is written once, in ``CHECK_TOLERANCES`` (suite -> report
-key -> tolerance), which the suites and the one-point checks read; the rank
+key -> tolerance), which only :func:`nclp.suites.run_suite` reads; the rank
 tests count the singular values above ``RANK_RTOL`` times the largest.  The
 corner solves of y = h^l x h^r (the Kosaki membership and the alpha > 1
 sandwich equation) are certified within ``RECOMPOSITION_TOL`` times
@@ -14,7 +14,7 @@ those directions to 0, and :meth:`nclp.algebra.HermitianSpectrum.apply`, the
 one calculus of an arbitrary function, to the f(0) its caller declares.  The
 cutoff (a given number, else ``NCLP_EPS_REL``, else ``DEFAULT_EPS_REL``) is
 resolved only where a spectrum is computed: the constructors, generators and
-loaders of functionals, the element checks, ``run_suite`` and the CLI.  A
+loaders of functionals, ``polar_decompose``, ``run_suite`` and the CLI.  A
 functional is used at the cutoff it was built at, except by ``q_tilde_alpha``,
 ``q_tilde_alpha_z``, ``d_tilde`` and ``kosaki_norm`` given a cutoff.
 """

@@ -21,13 +21,12 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _eigenvalue_powers, _full_stack, _kept_power_sums,
                       _kernel_masks, _kron_block, _nonfinite_error,
                       _squared_norms, _stacked, _support_stack, _unstack)
-from .config import CHECK_TOLERANCES, PSD_CLIP_TOL
+from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first, _real)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _positive_functionals, _stack_of)
 from .lp import singular_values_stack
-from .reports import CheckReport
 from .tensor import TensorAlgebra, kron_functional_stack
 
 SUPPORT_VIOLATION_RTOL = 1e-10
@@ -78,7 +77,7 @@ class DivergenceParams:
     """Order alpha and sandwich power z; z=None selects the sandwiched family.
 
     Sandwiched mode requires alpha >= 1/2; the two-parameter mode accepts any
-    finite alpha, z > 0 with alpha != 1.
+    finite alpha, z > 0 with alpha != 1.  In both, 2z must be finite.
     """
 
     alpha: float
@@ -96,6 +95,8 @@ class DivergenceParams:
             if not math.isfinite(z) or z <= 0:
                 raise DomainError(f"z must be finite and positive, got {z}")
             object.__setattr__(self, "z", z)
+        if not math.isfinite(2.0 * self.effective_z):
+            raise DomainError(f"2z overflows at z = {self.effective_z}")
 
     @property
     def is_sandwiched(self) -> bool:
@@ -482,14 +483,17 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
 def lemma9_stack(psis: Sequence[PositiveFunctional],
                  phis: Sequence[PositiveFunctional],
                  alphas: Sequence[float]) -> list[list[tuple[dict, tuple]]]:
-    """The residuals of :func:`lemma9_check` of B pairs at every order in
-    ``alphas``, each with its values (Q sandwiched, Q alpha-z, D alpha-z).
+    """Agreement of the sandwiched and alpha-z paths at z = alpha, for B
+    pairs at every order in ``alphas``: per point, the residuals and the
+    values (Q sandwiched, Q alpha-z, D alpha-z).  Two finite Q-values give
+    ``path_agreement``, their relative gap; else ``reason_agreement`` is 0
+    for equal reason codes and inf for different ones.
 
     Both paths at every order come from one :func:`q_tilde_stack`, with the
     points in the order sandwiched(alpha_1), alpha-z(alpha_1),
     sandwiched(alpha_2), ...; so the first failure of a pair raises as in a
-    loop of one-point checks, and the first pair with a failing point
-    raises it."""
+    loop over the orders, and the first pair with a failing point raises it.
+    """
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
     alphas = tuple(alphas)
@@ -503,20 +507,6 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
                                   d_from_q(qs[2 * i + 1], psi, phi, alpha))
                     for i, alpha in enumerate(alphas)])
     return out
-
-
-def lemma9_check(psi: PositiveFunctional, phi: PositiveFunctional,
-                 alpha: float) -> CheckReport:
-    """Agreement of the two code paths at z = alpha, on the lemma9 gates.
-
-    Finite values must agree to relative ``path_agreement``; infinite ones
-    must carry the same reason code.  The info holds both Q-values and
-    ``d_reason``, the reason code of the divergence on the alpha-z path.
-    """
-    ((res, (qa, qz, dz)),), = lemma9_stack([psi], [phi], [alpha])
-    return CheckReport.from_residuals(
-        "lemma9", res, CHECK_TOLERANCES["lemma9"], {"q_sandwiched": str(qa),
-         "q_alpha_z": str(qz), "alpha": alpha, "d_reason": dz.reason.value})
 
 
 def _lemma9_point(qa: DivergenceValue, qz: DivergenceValue,
@@ -534,10 +524,13 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
                      phi2s: Sequence[PositiveFunctional],
                      grid: Sequence[DivergenceParams]
                      ) -> list[list[tuple[dict, tuple]]]:
-    """The residuals of :func:`additivity_check` of B quadruples on one
-    pair of algebras, at every point of a parameter grid, each with its
-    values (Q1, Q2, Q12, D1, D2, D12); no residual where nothing is
-    asserted.
+    """Multiplicativity of Q and additivity of D on tensor pairs, for B
+    quadruples on one pair of algebras at every point of a parameter grid:
+    per point, the residuals and the values (Q1, Q2, Q12, D1, D2, D12).
+    Asserted where both factor Q-values are finite (any alpha, z), and on
+    the infinite branch where alpha = z (Q12 must be +inf too); for z !=
+    alpha with an infinite factor, the values are recorded without
+    assertion (no residual).
 
     The products psi1 (x) psi2 and phi1 (x) phi2 are built as one
     :func:`kron_functional_stack` each, and each of the three pairs (factor
@@ -562,29 +555,6 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
             (q12, psi12s[j], phi12s[j]))
             for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)])
     return out
-
-
-def additivity_check(psi1: PositiveFunctional, phi1: PositiveFunctional,
-                     psi2: PositiveFunctional, phi2: PositiveFunctional,
-                     params: DivergenceParams) -> CheckReport:
-    """Multiplicativity of Q, additivity of D on tensor pairs (prop11 gates).
-
-    Asserted whenever both factor Q-values are finite (any alpha, z), and on
-    the infinite branch when alpha = z (where the product must be +inf as
-    well).  For alpha > 1 with z != alpha and an infinite factor, the values
-    are recorded without assertion.
-    """
-    ((res, (q1, q2, q12, d1, d2, d12)),), = additivity_stack(
-        [psi1], [phi1], [psi2], [phi2], [params])
-    info = {
-        "params": params.label(),
-        "q_factors": [str(q1), str(q2)], "q_product": str(q12),
-        "d_factors": [str(d1), str(d2)], "d_product": str(d12),
-    }
-    if not res:
-        info["asserted"] = False
-    return CheckReport.from_residuals("prop11_additivity", res,
-                                      CHECK_TOLERANCES["prop11"], info)
 
 
 def _additivity_point(params: DivergenceParams, side1, side2,
@@ -753,7 +723,7 @@ def random_unital_channel(rng: np.random.Generator, domain: BlockAlgebra,
 def dpi_valid(alpha: float, z: float) -> bool:
     """Whether monotonicity of D_{alpha,z} under unital CP maps (the data
     processing inequality) is known to hold at (alpha, z); it only decides
-    whether dpi_probe asserts or merely records.
+    whether :func:`dpi_probe_stack` asserts or merely records.
 
     In finite dimensions it holds exactly when 0 < alpha < 1 and
     z >= max(alpha, 1 - alpha), or alpha > 1 and
@@ -773,10 +743,13 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
                     channels: Sequence[QuantumChannel],
                     grid: Sequence[DivergenceParams]
                     ) -> list[list[tuple[dict, tuple]]]:
-    """The residuals of :func:`dpi_probe` of B triples whose channels share
-    a domain and a codomain, at every point of a parameter grid, each with
-    its values (D before, D after, gap, violation); no residual where
-    nothing is asserted.
+    """Monotonicity of D under a channel, for B triples whose channels share
+    a domain and a codomain, at every point of a parameter grid: per point,
+    the residuals and the values (D before, D after, gap, violation).  The
+    decrease is asserted only in the known-valid region of
+    :func:`dpi_valid`; outside it both values are recorded without
+    assertion (no residual).  ``gap`` is |D after - D before|: 0 for two
+    infinite values with the same reason, inf for different reasons.
 
     psi and phi are precomposed through the channel once; the values before
     and after the channel come from one :func:`q_tilde_stack` each.  Errors,
@@ -801,27 +774,6 @@ def _d_stack(psis, phis, grid) -> list[list[DivergenceValue]]:
              for q, p in zip(_raise_first(qs), grid)]
             for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid),
                                     psis, phis)]
-
-
-def dpi_probe(psi: PositiveFunctional, phi: PositiveFunctional,
-              channel: QuantumChannel,
-              params: DivergenceParams) -> CheckReport:
-    """Monotonicity probe, dpi gates: D after the channel against D before it.
-
-    The decrease is asserted only when (alpha, z) lies in the known-valid
-    monotonicity region; outside it both values are recorded without
-    assertion.  The info's ``gap`` is |D after - D before|: 0 for two
-    infinite values with the same reason, inf for different reasons.
-    """
-    ((res, (d_in, d_out, gap, violation)),), = dpi_probe_stack(
-        [psi], [phi], [channel], [params])
-    info = {"d_before": str(d_in), "d_after": str(d_out),
-            "params": params.label(), "asserted": bool(res), "gap": gap}
-    if not res:
-        info["observed_violation"] = violation \
-            if math.isfinite(violation) else "inf"
-    return CheckReport.from_residuals("dpi", res, CHECK_TOLERANCES["dpi"],
-                                      info)
 
 
 def _dpi_point(asserted: bool, d_in: DivergenceValue,

@@ -9,6 +9,7 @@ take ||x||_p.  The interpolation inequality itself is exercised separately by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,29 +98,30 @@ def singular_values_stack(stacked) -> np.ndarray:
 def _schatten(s: np.ndarray, p: LpExponent) -> float:
     """(sum s^p)^{1/p} of a singular-value row; max s at p = inf.
 
-    Singular values near the float maximum overflow in s^p although the norm
-    may be finite; only then is the sum taken over s / max s, so every value
-    the direct sum gives keeps its bits.  DomainError if the norm itself
-    exceeds the float range.
+    s^p may overflow (singular values near the float maximum) or underflow
+    (tiny ones, or a large p) although the norm is a normal float; only when
+    the direct sum is not a normal float is it taken over s / max s, so
+    every value the direct sum gives keeps its bits.  DomainError if the
+    norm itself exceeds the float range.
     """
     if p.is_inf:
         return float(s.max())
-    norm = _power_mean_root(s, p.value)
-    if math.isfinite(norm):
-        return norm
+    total = _power_sum(s, p.value)
+    norm = _root(total, p.value)
     top = float(s.max())
-    norm = top * _power_mean_root(s / top, p.value)
+    if math.isfinite(norm) and (total >= sys.float_info.min or top == 0.0):
+        return norm
+    norm = top * _root(_power_sum(s / top, p.value), p.value)
     if not math.isfinite(norm):
         raise DomainError(f"the Schatten {p}-norm exceeds the float range "
                           f"(largest singular value {top:.6g})")
     return norm
 
 
-def _power_mean_root(s: np.ndarray, p: float) -> float:
-    """(sum s^p)^{1/p}, inf where it overflows."""
+def _power_sum(s: np.ndarray, p: float) -> float:
+    """sum s^p, inf where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((s ** p).sum())
-    return _root(total, p)
+        return float((s ** p).sum())
 
 
 def _root(total: float, p: float) -> float:
@@ -137,7 +139,7 @@ def _schatten_stack(s: np.ndarray, ps) -> list[list[float]]:
 
     One stacked power and row sum (see :func:`_powers`) for all rows; the
     root stays a Python-float power per row, and a row whose direct sum
-    gives no finite norm goes through :func:`_schatten`'s fallback (the
+    is not a normal float goes through :func:`_schatten`'s fallback (the
     first such row to raise raises)."""
     exps = [[p.value for p in row] for row in ps]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,8 +152,9 @@ def _schatten_stack(s: np.ndarray, ps) -> list[list[float]]:
         norms = []
         for g, (e, total) in enumerate(zip(row_exps, row_totals)):
             norm = tops[j][g] if e == math.inf else _root(total, e)
-            norms.append(norm if math.isfinite(norm)
-                         else _schatten(s[j, g], ps[j][g]))
+            norms.append(norm if e == math.inf or (
+                math.isfinite(norm) and total >= sys.float_info.min)
+                else _schatten(s[j, g], ps[j][g]))
         out.append(norms)
     return out
 

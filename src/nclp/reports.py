@@ -1,5 +1,6 @@
-"""Result records: :class:`CheckReport` of the one-point check functions and
-:class:`TrialReport` of the suite driver; the stacked kernels build neither."""
+"""Result records: :class:`TrialReport` of the suite driver, and
+:class:`CheckReport`, kept only for the benchmark tracer; the stacked
+kernels build neither."""
 
 from __future__ import annotations
 
@@ -41,8 +42,11 @@ def format_float(value: float) -> str:
 
 @dataclass
 class CheckReport:
-    """Residuals of one identity check against their tolerances, as a
-    one-point check function returns them."""
+    """Residuals of one identity check against their tolerances.  Nothing in
+    the package builds one; it stays because the benchmark tracer patches
+    :meth:`from_residuals` and :meth:`to_dict` by name, and the next change
+    to the benchmark deletes it with those two entries and the metric
+    ``divergence.additivity_check.self_s``."""
 
     name: str
     residuals: dict[str, float]

@@ -20,13 +20,12 @@ from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
                       _apply_stack, _clipped_eig_stack, _eigenvalue_powers,
                       _frobenius_stack, _imaginary_values, _kron_block,
                       _polar_stack, _stack)
-from .config import CHECK_TOLERANCES, RANK_RTOL, resolve_eps_rel
+from .config import RANK_RTOL
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _densities,
                           _positive_functionals, _stack_of)
 from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
-from .reports import CheckReport
 
 
 @dataclass(frozen=True)
@@ -88,25 +87,11 @@ def _residuals(a, b) -> np.ndarray:
     return _frobenius_stack([x - y for x, y in zip(a, b)])
 
 
-def _lemma5_report(name: str, res: dict, info=None) -> CheckReport:
-    """A lemma5 check's report: every residual against the one lemma5 gate."""
-    return CheckReport.from_residuals(
-        name, res, dict.fromkeys(res, CHECK_TOLERANCES["lemma5"]["residual"]),
-        info)
-
-
-def lemma5_polar(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
-                 eps_rel: float | None = None) -> CheckReport:
-    """Polar factors of x (x) y against the tensor of the factor polars, on
-    lemma5's residual gate; one element of :func:`lemma5_polar_stack`."""
-    res, = lemma5_polar_stack(T, [x], [y], resolve_eps_rel(eps_rel))
-    return _lemma5_report("lemma5_polar", res)
-
-
 def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                        ys: list[AlgebraElement], eps: float) -> list[dict]:
-    """The residuals of :func:`lemma5_polar` of each pair at the resolved
-    cutoff ``eps``, one ``svd`` per block."""
+    """Per pair, the residuals ``polar_isometry`` and ``polar_modulus`` of
+    the polar factors of x (x) y against the tensors of the factors', at the
+    resolved cutoff ``eps``; one ``svd`` per block."""
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     vx, ax = _polar_stack(sx, eps)
@@ -147,9 +132,9 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                        ys: list[AlgebraElement],
                        powers: Sequence[Sequence[float]],
                        eps: float) -> list[list[float]]:
-    """The residuals of :func:`lemma5_power` of each pair (xs[j], ys[j]) at
-    every p of ``powers[j]`` (one length for all j), at the resolved cutoff
-    ``eps``.
+    """The residuals of |x (x) y|^p against |x|^p (x) |y|^p, p > 0, of each
+    pair (xs[j], ys[j]) at every p of ``powers[j]`` (one length for all j),
+    at the resolved cutoff ``eps``.
 
     x, y and x (x) y are polar-decomposed once, and their moduli
     eigendecomposed once (product first); all points then take one
@@ -170,20 +155,13 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                                 _eigenvalue_powers)
 
 
-def lemma5_power(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
-                 p: float, eps_rel: float | None = None) -> CheckReport:
-    """|x (x) y|^p against |x|^p (x) |y|^p, p > 0; lemma5's residual gate."""
-    (res,), = lemma5_power_stack(T, [x], [y], [[p]], resolve_eps_rel(eps_rel))
-    return _lemma5_report("lemma5_power", {"power": res}, {"p": p})
-
-
 def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
                            h2s: list[AlgebraElement],
                            ts: Sequence[Sequence[float]],
                            eps: float) -> list[list[float]]:
-    """The residuals of :func:`lemma5_imaginary` of each pair (h1s[j],
-    h2s[j]) at every t of ``ts[j]`` (one length for all j), at the resolved
-    cutoff ``eps``.
+    """The residuals of (h1 (x) h2)^{it} against h1^{it} (x) h2^{it}, for
+    PSD h, of each pair (h1s[j], h2s[j]) at every t of ``ts[j]`` (one length
+    for all j), at the resolved cutoff ``eps``.
 
     h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; all
     points then take one functional calculus per side.  Errors: the
@@ -196,27 +174,12 @@ def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
                                 [tuple(t) for t in ts], _imaginary_values)
 
 
-def lemma5_imaginary(T: TensorAlgebra, h1: AlgebraElement, h2: AlgebraElement,
-                     t: float, eps_rel: float | None = None) -> CheckReport:
-    """(h1 (x) h2)^{it} vs h1^{it} (x) h2^{it} for PSD h; lemma5's gate."""
-    (res,), = lemma5_imaginary_stack(T, [h1], [h2], [[t]],
-                                     resolve_eps_rel(eps_rel))
-    return _lemma5_report("lemma5_imaginary", {"imaginary_power": res},
-                          {"t": t})
-
-
-def lemma5_density(T: TensorAlgebra, psi1: PositiveFunctional,
-                   psi2: PositiveFunctional, t: float = 0.7) -> CheckReport:
-    """Product-functional density identity plus its imaginary-power half,
-    on lemma5's residual gate; one element of :func:`lemma5_density_stack`."""
-    res, = lemma5_density_stack(T, [psi1], [psi2], [t])
-    return _lemma5_report("lemma5_density", res, {"t": t})
-
-
 def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
                          psi2s: list[PositiveFunctional],
                          ts: Sequence[float]) -> list[dict]:
-    """The residuals of :func:`lemma5_density` of each pair at its own t,
+    """Per pair at its own t, the residuals ``density``, of the density of
+    psi1 (x) psi2 against the Kronecker product of the factor densities, and
+    ``imaginary_power``, of its imaginary power against the factors', read
     from the spectra that the functionals and their products hold."""
     prods = kron_functional_stack(T, psi1s, psi2s)
     direct = _kron_stack(_densities(psi1s), _densities(psi2s))
@@ -329,28 +292,15 @@ def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
                                  [(spec1.p, spec1.eta)])[0][0]
 
 
-def spectral_product_check(T: TensorAlgebra, x: AlgebraElement,
-                           y: AlgebraElement) -> CheckReport:
-    """Spectrum of |x (x) y| equals all pairwise singular-value products.
-
-    Both multisets are sorted and paired greedily in order; the residual is
-    the largest absolute mismatch, against appendixA's eigenvalue_multiset
-    gate times (1 + largest value).  One element of
-    :func:`spectral_product_stack`.
-    """
-    (residual, top), = spectral_product_stack(T, [x], [y])
-    scale = CHECK_TOLERANCES["appendixA"]["eigenvalue_multiset"]
-    return CheckReport.from_residuals(
-        "spectral_product", {"eigenvalue_multiset": residual},
-        {"eigenvalue_multiset": scale * (1.0 + top)})
-
-
 def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                            ys: list[AlgebraElement]
                            ) -> list[tuple[float, float]]:
-    """(residual, largest product) of :func:`spectral_product_check` of
-    each pair, one ``svd`` per block; the sorting and matching are each
-    element's own 1-D operations."""
+    """(residual, largest product) per pair: the spectrum of |x (x) y|
+    against all pairwise products of the factors' singular values, both
+    sorted and paired in order, the residual the largest absolute mismatch;
+    appendixA's gate is its eigenvalue_multiset times (1 + largest product).
+    One ``svd`` per block; the sorting and matching are each element's own
+    1-D operations."""
     _check_factors(T, xs, ys)
     sx, sy = _stack(xs), _stack(ys)
     svs = [singular_values_stack(s) for s in (sx, sy, _kron_stack(sx, sy))]

@@ -19,8 +19,9 @@ import pytest
 import nclp
 from nclp import (BlockAlgebra, DivergenceParams, KosakiSpec, NclpError,
                   PositiveFunctional, connes_cocycle, d_tilde, gen_element,
-                  gen_unitary, kosaki_norm, lemma9_check, pinching_channel,
-                  precompose, q_tilde_alpha, q_tilde_alpha_z)
+                  gen_unitary, kosaki_norm, pinching_channel, precompose,
+                  q_tilde_alpha, q_tilde_alpha_z)
+from nclp.divergence import lemma9_stack
 
 ALG = BlockAlgebra((3,))
 CUT = 1e-9
@@ -69,8 +70,10 @@ CUTOFF_CALLS = {
 
 CALLS = {
     **CUTOFF_CALLS,
-    "lemma9_check": (lambda psi, phi: lemma9_check(
-        psi, phi, 2.0).to_dict(), SMALL_PSI, SMALL_PHI),
+    "lemma9_stack": (lambda psi, phi: [
+        (res, [str(v) for v in values])
+        for res, values in lemma9_stack([psi], [phi], [2.0])[0]],
+        SMALL_PSI, SMALL_PHI),
     "connes_cocycle": (lambda psi, phi: _bits(*connes_cocycle(
         psi, phi, 0.7).blocks), SMALL_PSI, FAITHFUL),
     "precompose": (lambda psi, phi: _functional_bits(precompose(

@@ -1,6 +1,7 @@
 """Divergence case analysis, covariances, channels, and monotonicity."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,16 +10,17 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DivergenceValue, DomainError, NclpError,
                   PositiveFunctional, QuantumChannel, Reason, TensorAlgebra,
-                  additivity_check, classical_renyi_oracle, d_tilde,
-                  dpi_probe, dpi_valid, embed_left_channel,
-                  gen_classical_pair, gen_element, gen_nested_pair,
-                  gen_positive_functional, gen_unitary,
-                  identity_channel, kron_functional, lemma9_check,
-                  pinching_channel, precompose, q_tilde_alpha,
-                  q_tilde_alpha_z, random_unital_channel, scale,
-                  solve_sharp_least_squares, solve_sharp_pseudo_inverse)
+                  classical_renyi_oracle, d_tilde, dpi_valid,
+                  embed_left_channel, gen_classical_pair, gen_element,
+                  gen_nested_pair, gen_positive_functional, gen_unitary,
+                  identity_channel, kron_functional, pinching_channel,
+                  precompose, q_tilde_alpha, q_tilde_alpha_z,
+                  random_unital_channel, scale, solve_sharp_least_squares,
+                  solve_sharp_pseudo_inverse)
 from nclp.algebra import _full_stack
-from nclp.divergence import precompose_stack
+from nclp.config import CHECK_TOLERANCES
+from nclp.divergence import (additivity_stack, dpi_probe_stack, lemma9_stack,
+                             precompose_stack)
 
 RNG = np.random.default_rng(41)
 
@@ -42,6 +44,31 @@ CLASSICAL_PSI = diag_functional([0.5, 0.5])
 CLASSICAL_PHI = diag_functional([1 / 3, 2 / 3])
 
 
+def within_gates(res, suite):
+    """Whether every residual is at most its suite's gate, as run_suite
+    decides a trial."""
+    gates = CHECK_TOLERANCES[suite]
+    return all(val <= gates[key] for key, val in res.items())
+
+
+def lemma9_point(psi, phi, alpha):
+    """(residuals, values) of one pair at one order."""
+    (point,), = lemma9_stack([psi], [phi], [alpha])
+    return point
+
+
+def additivity_point(psi1, phi1, psi2, phi2, params):
+    """(residuals, values) of one quadruple at one point."""
+    (point,), = additivity_stack([psi1], [phi1], [psi2], [phi2], [params])
+    return point
+
+
+def dpi_point(psi, phi, channel, params):
+    """(residuals, values) of one triple at one point."""
+    (point,), = dpi_probe_stack([psi], [phi], [channel], [params])
+    return point
+
+
 class TestParams:
     def test_sandwiched_range(self):
         DivergenceParams(0.5)
@@ -61,6 +88,18 @@ class TestParams:
     def test_effective_z(self):
         assert DivergenceParams(2.0).effective_z == 2.0
         assert DivergenceParams(2.0, z=0.5).effective_z == 0.5
+
+    @pytest.mark.parametrize("alpha,z", [(1e308, 1e308), (0.7, 1e308),
+                                         (2.0, 8.99e307), (1e308, None)])
+    def test_infinite_two_z_domain_error(self, alpha, z):
+        # 2z overflows to inf: the sandwich exponents alpha / 2z and
+        # (1 - alpha) / 2z would collapse to 0 and give Q = 1.
+        with pytest.raises(DomainError, match="2z overflows"):
+            DivergenceParams(alpha, z=z)
+
+    def test_largest_finite_two_z_accepted(self):
+        z = sys.float_info.max / 2.0
+        assert DivergenceParams(0.7, z=z).effective_z == z
 
 
 class TestDivergenceValue:
@@ -215,6 +254,37 @@ class TestDTilde:
         assert d_tilde(psi, phi, below).is_finite
 
 
+class TestDirectSums:
+    """Q is additive over the blocks of a direct sum: a pair on (2, 3) has
+    the sum of the Q-values of its per-block pairs on (2,) and (3,)."""
+
+    @staticmethod
+    def blockwise(psi):
+        return [PositiveFunctional(AlgebraElement(BlockAlgebra((n,)), [b]))
+                for n, b in zip(psi.algebra.block_dims, psi.density.blocks)]
+
+    @pytest.mark.parametrize("params", [
+        *(DivergenceParams(a) for a in (0.5, 0.7, 1.5, 2.0, 3.0)),
+        *(DivergenceParams(a, z=z)
+          for a, z in ((0.7, 0.5), (2.0, 1.5), (1.5, 1.0), (3.0, 2.0)))],
+        ids=lambda p: p.label())
+    def test_q_additive_over_blocks(self, params):
+        def q(psi, phi):
+            if params.is_sandwiched:
+                return q_tilde_alpha(psi, phi, params.alpha).value
+            return q_tilde_alpha_z(psi, phi, params).value
+
+        rng = np.random.default_rng(63)
+        alg = BlockAlgebra((2, 3))
+        for _ in range(20):
+            psi = gen_positive_functional(rng, alg)
+            phi = gen_positive_functional(rng, alg)
+            whole = q(psi, phi)
+            parts = sum(q(a, b) for a, b in zip(self.blockwise(psi),
+                                                self.blockwise(phi)))
+            assert abs(whole - parts) <= 1e-12 * whole, (whole, parts)
+
+
 class TestCovariances:
     def test_scaling_covariance(self):
         rng = np.random.default_rng(44)
@@ -258,8 +328,8 @@ class TestCovariances:
 
 class TestLemma9:
     def test_equal_states(self):
-        rep = lemma9_check(CLASSICAL_PHI, CLASSICAL_PHI, 2.0)
-        assert rep.passed
+        res, _ = lemma9_point(CLASSICAL_PHI, CLASSICAL_PHI, 2.0)
+        assert within_gates(res, "lemma9")
 
     def test_random_faithful(self):
         rng = np.random.default_rng(47)
@@ -267,22 +337,22 @@ class TestLemma9:
         psi = gen_positive_functional(rng, alg)
         phi = gen_positive_functional(rng, alg)
         for alpha in (0.5, 0.7, 1.5, 2.0, 3.0):
-            rep = lemma9_check(psi, phi, alpha)
-            assert rep.passed, (alpha, rep.residuals)
+            res, _ = lemma9_point(psi, phi, alpha)
+            assert within_gates(res, "lemma9"), (alpha, res)
 
     def test_infinite_branch_matching_reasons(self):
         psi = diag_functional([1.0, 0.0])
         phi = diag_functional([0.0, 1.0])
-        rep = lemma9_check(psi, phi, 2.0)
-        assert rep.passed
-        assert "reason_agreement" in rep.residuals
+        res, _ = lemma9_point(psi, phi, 2.0)
+        assert within_gates(res, "lemma9")
+        assert "reason_agreement" in res
 
 
 class TestAdditivity:
     def test_states_identity(self):
-        rep = additivity_check(CLASSICAL_PHI, CLASSICAL_PHI, CLASSICAL_PSI,
-                               CLASSICAL_PSI, DivergenceParams(2.0, z=2.0))
-        assert rep.passed
+        res, _ = additivity_point(CLASSICAL_PHI, CLASSICAL_PHI, CLASSICAL_PSI,
+                                  CLASSICAL_PSI, DivergenceParams(2.0, z=2.0))
+        assert within_gates(res, "prop11")
 
     def test_classical_product_distribution_oracle(self):
         # product system equals the 4-point classical product distribution
@@ -297,9 +367,9 @@ class TestAdditivity:
         want = classical_renyi_oracle(np.outer(p1, p2).ravel(),
                                       np.outer(q1, q2).ravel(), 2.0)
         assert q.value == pytest.approx(want, abs=1e-12)
-        rep = additivity_check(psi1, phi1, psi2, phi2,
-                               DivergenceParams(2.0, z=2.0))
-        assert rep.passed
+        res, _ = additivity_point(psi1, phi1, psi2, phi2,
+                                  DivergenceParams(2.0, z=2.0))
+        assert within_gates(res, "prop11")
 
     def test_planted_infinite_factor_alpha_eq_z(self):
         psi1 = diag_functional([1.0, 0.0])
@@ -308,10 +378,10 @@ class TestAdditivity:
         alg = psi1.algebra
         psi2 = gen_positive_functional(rng, alg)
         phi2 = gen_positive_functional(rng, alg)
-        rep = additivity_check(psi1, phi1, psi2, phi2,
-                               DivergenceParams(3.0, z=3.0))
-        assert rep.passed
-        assert rep.residuals.get("infinite_branch") == 0.0
+        res, _ = additivity_point(psi1, phi1, psi2, phi2,
+                                  DivergenceParams(3.0, z=3.0))
+        assert within_gates(res, "prop11")
+        assert res.get("infinite_branch") == 0.0
 
     def test_infinite_factor_alpha_ne_z_recorded_only(self):
         psi1 = diag_functional([1.0, 0.0])
@@ -319,11 +389,11 @@ class TestAdditivity:
         rng = np.random.default_rng(49)
         psi2, phi2 = gen_positive_functional(rng, psi1.algebra), \
             gen_positive_functional(rng, psi1.algebra)
-        rep = additivity_check(psi1, phi1, psi2, phi2,
-                               DivergenceParams(3.0, z=1.2))
-        assert rep.passed
-        assert rep.residuals == {}
-        assert rep.info["asserted"] is False
+        res, (q1, q2, q12, _, _, _) = additivity_point(
+            psi1, phi1, psi2, phi2, DivergenceParams(3.0, z=1.2))
+        # Nothing asserted; the values are still recorded.
+        assert res == {}
+        assert not q1.is_finite and q2.is_finite and not q12.is_finite
 
     def test_random_grid(self):
         rng = np.random.default_rng(50)
@@ -334,9 +404,9 @@ class TestAdditivity:
         phi2 = gen_positive_functional(rng, alg)
         for alpha in (0.3, 0.7, 1.5, 3.0):
             for z in (0.5, 1.0, alpha, 2 * alpha):
-                rep = additivity_check(psi1, phi1, psi2, phi2,
-                                       DivergenceParams(alpha, z=z))
-                assert rep.passed, (alpha, z, rep.residuals)
+                res, _ = additivity_point(psi1, phi1, psi2, phi2,
+                                          DivergenceParams(alpha, z=z))
+                assert within_gates(res, "prop11"), (alpha, z, res)
 
 
 class TestSharpSolvers:
@@ -518,16 +588,16 @@ class TestDpi:
         alg = BlockAlgebra((3,))
         psi = gen_positive_functional(rng, alg)
         phi = gen_positive_functional(rng, alg)
-        rep = dpi_probe(psi, phi, identity_channel(alg),
-                        DivergenceParams(2.0))
-        assert rep.passed
-        assert rep.residuals["monotonicity_violation"] <= 1e-12
+        res, _ = dpi_point(psi, phi, identity_channel(alg),
+                           DivergenceParams(2.0))
+        assert within_gates(res, "dpi")
+        assert res["monotonicity_violation"] <= 1e-12
 
     def test_pinching_decreases(self):
-        rep = dpi_probe(CLASSICAL_PSI, CLASSICAL_PHI,
-                        pinching_channel(CLASSICAL_PSI.algebra),
-                        DivergenceParams(2.0, z=2.0))
-        assert rep.passed
+        res, _ = dpi_point(CLASSICAL_PSI, CLASSICAL_PHI,
+                           pinching_channel(CLASSICAL_PSI.algebra),
+                           DivergenceParams(2.0, z=2.0))
+        assert within_gates(res, "dpi")
 
     def test_embedding_with_matched_second_factor_gives_equality(self):
         rng = np.random.default_rng(59)
@@ -541,9 +611,9 @@ class TestDpi:
         d_prod = d_tilde(prod_psi, prod_phi, params)
         d_left = d_tilde(psi1, phi1, params)
         assert d_prod.value == pytest.approx(d_left.value, abs=1e-10)
-        rep = dpi_probe(prod_psi, prod_phi, embed_left_channel(T), params)
-        assert rep.passed
-        assert rep.residuals["monotonicity_violation"] <= 1e-9
+        res, _ = dpi_point(prod_psi, prod_phi, embed_left_channel(T), params)
+        assert within_gates(res, "dpi")
+        assert res["monotonicity_violation"] <= 1e-9
 
     def test_random_channels_no_violation(self):
         rng = np.random.default_rng(60)
@@ -553,19 +623,19 @@ class TestDpi:
             phi = gen_positive_functional(rng, alg)
             ch = random_unital_channel(rng, alg, alg, num_kraus=3)
             for alpha in (0.5, 0.7, 1.5, 2.0):
-                rep = dpi_probe(psi, phi, ch, DivergenceParams(alpha))
-                assert rep.passed, (alpha, rep.residuals)
+                res, _ = dpi_point(psi, phi, ch, DivergenceParams(alpha))
+                assert within_gates(res, "dpi"), (alpha, res)
 
     def test_outside_valid_range_records_only(self):
         rng = np.random.default_rng(61)
         alg = BlockAlgebra((2,))
         psi = gen_positive_functional(rng, alg)
         phi = gen_positive_functional(rng, alg)
-        rep = dpi_probe(psi, phi, pinching_channel(alg),
-                        DivergenceParams(2.0, z=0.3))
-        assert rep.passed
-        assert rep.residuals == {}
-        assert rep.info["asserted"] is False
+        res, (d_in, d_out, _, _) = dpi_point(psi, phi, pinching_channel(alg),
+                                             DivergenceParams(2.0, z=0.3))
+        # Nothing asserted; both values are still recorded.
+        assert res == {}
+        assert d_in.is_finite and d_out.is_finite
 
     def test_identity_gap_of_two_infinite_values_is_zero(self):
         # Orthogonal supports: D is +inf (support violation) before and
@@ -573,11 +643,10 @@ class TestDpi:
         alg = BlockAlgebra((4,))
         psi, phi, _, _ = gen_classical_pair(np.random.default_rng(62), alg,
                                             orthogonal=True)
-        rep = dpi_probe(psi, phi, identity_channel(alg),
-                        DivergenceParams(2.0))
-        assert rep.info["d_before"] == rep.info["d_after"] \
-            == "inf reason=support_violation"
-        assert rep.info["gap"] == 0.0
+        _, (d_in, d_out, gap, _) = dpi_point(psi, phi, identity_channel(alg),
+                                             DivergenceParams(2.0))
+        assert str(d_in) == str(d_out) == "inf reason=support_violation"
+        assert gap == 0.0
 
     def test_gap_of_infinite_values_with_different_reasons_is_inf(self):
         from nclp.divergence import _dpi_point

@@ -1,10 +1,11 @@
-"""Stacked kernels over parameter grids against loops of their one-point
-functions.
+"""Stacked kernels over parameter grids against loops of one-point calls.
 
 A kernel given one element and a grid of parameters shares the
 parameter-free work (decompositions, basis changes, products) and stacks
-the rest; the one-point functions are the reference, and every value must
-equal theirs exactly (`==`), since the stacked arithmetic performs the same
+the rest.  The reference is a loop over the grid: of the value function
+(q_tilde_alpha, d_tilde, lp_norm, ...) where there is one, else of the same
+kernel called with one element and one point.  Every value must equal the
+reference exactly (`==`), since the stacked arithmetic performs the same
 floating-point operations per point.
 """
 
@@ -15,12 +16,10 @@ import pytest
 
 from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
                   KosakiSpec, LpExponent, PositiveFunctional, Reason,
-                  SuiteConfig, TensorAlgebra, additivity_check,
-                  corollary7_norm, d_tilde, default_eps_rel, dpi_probe,
-                  gen_classical_pair, gen_element, gen_nested_pair,
-                  gen_positive_functional, kosaki_norm,
-                  lemma5_imaginary, lemma5_power, lemma9_check, lp_norm,
-                  parse_dims, pinching_channel, q_tilde_alpha,
+                  SuiteConfig, TensorAlgebra, corollary7_norm, d_tilde,
+                  default_eps_rel, gen_classical_pair, gen_element,
+                  gen_nested_pair, gen_positive_functional, kosaki_norm,
+                  lp_norm, parse_dims, pinching_channel, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, run_suite,
                   singular_values, theorem6_norm)
 from nclp.algebra import _stack
@@ -97,11 +96,10 @@ class TestDivergenceGrid:
         alphas = (0.5, 0.7, 1.5, 2.0, 3.0)
         for kind, psi, phi in pairs(dims, seed):
             got = lemma9_stack([psi], [phi], alphas)[0]
-            want = [lemma9_check(psi, phi, a) for a in alphas]
-            assert [(res, str(qa), str(qz), dz.reason.value)
-                    for res, (qa, qz, dz) in got] == [
-                (r.residuals, r.info["q_sandwiched"], r.info["q_alpha_z"],
-                 r.info["d_reason"]) for r in want], kind
+            want = [lemma9_stack([psi], [phi], [a])[0][0] for a in alphas]
+            assert [(res, [str(v) for v in values]) for res, values
+                    in got] == [(res, [str(v) for v in values])
+                                for res, values in want], kind
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_additivity_grid(self, dims):
@@ -109,13 +107,11 @@ class TestDivergenceGrid:
         for (k1, psi1, phi1), (k2, psi2, phi2) in zip(cases, cases[1:]):
             got = additivity_stack([psi1], [phi1], [psi2], [phi2],
                                    MIXED_GRID)[0]
-            want = [additivity_check(psi1, phi1, psi2, phi2, p)
-                    for p in MIXED_GRID]
+            want = [additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                     [p])[0][0] for p in MIXED_GRID]
             assert [(res, [str(v) for v in values]) for res, values
-                    in got] == [
-                (r.residuals, [*r.info["q_factors"], r.info["q_product"],
-                               *r.info["d_factors"], r.info["d_product"]])
-                for r in want], (k1, k2)
+                    in got] == [(res, [str(v) for v in values])
+                                for res, values in want], (k1, k2)
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_dpi_grid(self, dims):
@@ -126,11 +122,12 @@ class TestDivergenceGrid:
         for channel in (pinching_channel(alg),
                         random_unital_channel(rng, alg, alg)):
             got = dpi_probe_stack([psi], [phi], [channel], MIXED_GRID)[0]
-            want = [dpi_probe(psi, phi, channel, p) for p in MIXED_GRID]
-            assert [(res, str(d_in), str(d_out), gap)
-                    for res, (d_in, d_out, gap, _) in got] == [
-                (r.residuals, r.info["d_before"], r.info["d_after"],
-                 r.info["gap"]) for r in want]
+            want = [dpi_probe_stack([psi], [phi], [channel], [p])[0][0]
+                    for p in MIXED_GRID]
+            assert [(res, str(d_in), str(d_out), gap, violation)
+                    for res, (d_in, d_out, gap, violation) in got] == [
+                (res, str(d_in), str(d_out), gap, violation)
+                for res, (d_in, d_out, gap, violation) in want]
 
     def test_certificate_failure_raised_at_its_point(self):
         # psi leaks 1e-11 outside phi's support: below the support test's
@@ -234,10 +231,10 @@ class TestTensorGrids:
         rng = np.random.default_rng(51)
         x, y = gen_element(rng, T.left), gen_element(rng, T.right)
         powers = (0.5, 1.0, 2.0, 2.7)
-        got = lemma5_power_stack(T, [x], [y], [powers], default_eps_rel())[0]
-        want = [lemma5_power(T, x, y, p) for p in powers]
-        assert [({"power": r}, {"p": p}) for r, p in zip(got, powers)] \
-            == [(r.residuals, r.info) for r in want]
+        eps = default_eps_rel()
+        got = lemma5_power_stack(T, [x], [y], [powers], eps)[0]
+        assert got == [lemma5_power_stack(T, [x], [y], [[p]], eps)[0][0]
+                       for p in powers]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
     def test_lemma5_imaginary_grid(self, left, right):
@@ -246,11 +243,10 @@ class TestTensorGrids:
         h1 = gen_positive_functional(rng, T.left, ("deficient", 1)).density
         h2 = gen_positive_functional(rng, T.right).density
         ts = (-1.2, 0.3, 1.0)
-        got = lemma5_imaginary_stack(T, [h1], [h2], [ts],
-                                     default_eps_rel())[0]
-        want = [lemma5_imaginary(T, h1, h2, t) for t in ts]
-        assert [({"imaginary_power": r}, {"t": t}) for r, t in zip(got, ts)] \
-            == [(r.residuals, r.info) for r in want]
+        eps = default_eps_rel()
+        got = lemma5_imaginary_stack(T, [h1], [h2], [ts], eps)[0]
+        assert got == [lemma5_imaginary_stack(T, [h1], [h2], [[t]], eps)[0][0]
+                       for t in ts]
 
 
 def _lapack_calls(monkeypatch, *names):

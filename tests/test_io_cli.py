@@ -141,6 +141,20 @@ class TestCliDivergence:
         assert code == 0
         assert "Q=inf reason=support_violation" in out
 
+    def test_overflowing_two_z_exit_two(self, tmp_path, capsys):
+        # 2z = inf would collapse the sandwich exponents to 0 and print a
+        # false Q=1.0 D=0.0; D_max of this pair is 0.288.
+        psi = write_diag(tmp_path / "psi.json", [0.6, 0.4])
+        phi = tmp_path / "phi.json"
+        io.save_matrix_file(phi, AlgebraElement(BlockAlgebra((2,)), [
+            np.array([[0.5, 0.1], [0.1, 0.5]])]), "functional")
+        code = main(["divergence", "--kind", "alpha-z", "--alpha", "1e308",
+                     "--z", "1e308", "--psi", str(psi), "--phi", str(phi)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "2z overflows" in captured.err
+
     def test_json_output(self, tmp_path, capsys):
         psi = write_diag(tmp_path / "psi.json", [0.5, 0.5])
         phi = write_diag(tmp_path / "phi.json", [1 / 3, 2 / 3])

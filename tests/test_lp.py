@@ -70,6 +70,36 @@ class TestLpNorm:
             with pytest.raises(DomainError, match="exceeds the float range"):
                 kosaki_membership(alg.diagonal([1e308, 1e308]), spec)
 
+    @pytest.mark.parametrize("entries,p,want", [
+        ([1e-200, 1e-200], 2, math.sqrt(2.0) * 1e-200),
+        ([1e-160, 1e-160], 2, math.sqrt(2.0) * 1e-160),
+        ([0.6, 0.4], 2000, 0.6)])
+    def test_underflowing_sum_keeps_the_norm(self, entries, p, want):
+        # sum s^p underflows to 0, or to a subnormal that has lost bits,
+        # although the norm is a normal float.
+        x = BlockAlgebra((2,)).diagonal(entries)
+        assert lp_norm(x, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 2000.0])
+    def test_zero_element_norm_is_zero(self, p):
+        assert lp_norm(BlockAlgebra((2, 1)).zero(), p) == 0.0
+
+    def test_kosaki_norm_underflowing_sum_keeps_the_norm(self):
+        alg = BlockAlgebra((2,))
+        phi = PositiveFunctional(AlgebraElement(alg, [
+            np.array([[0.5, 0.1], [0.1, 0.5]])]))
+        y = alg.diagonal([0.06, 0.04])
+        spec = KosakiSpec(phi, 1500, 0.5)
+        s = np.linalg.svd(kosaki_membership(y, spec).blocks[0],
+                          compute_uv=False)
+        top = float(s.max())
+        want = top * math.fsum(float(v) ** 1500 for v in s / top) ** (1 / 1500)
+        norm = kosaki_norm(y, spec)
+        assert norm == pytest.approx(want, rel=1e-14)
+        # Between the norms at p = 100 and p = inf, as p -> inf.
+        assert kosaki_norm(y, KosakiSpec(phi, 100, 0.5)) < norm \
+            <= kosaki_norm(y, KosakiSpec(phi, math.inf, 0.5))
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.7, 2.0, 3.0])
     def test_finite_sum_keeps_direct_value(self, p):
         x = rand_element(BlockAlgebra((2, 3)))

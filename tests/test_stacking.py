@@ -22,7 +22,7 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, PositiveFunctional,
                   SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
                   gen_nested_pair, gen_orthogonal_pair,
-                  gen_positive_functional, io, kron_element, lemma5_power,
+                  gen_positive_functional, io, kron_element,
                   random_unital_channel, run_suite, theorem6_spanning,
                   trial_rng)
 from nclp import functionals, suites
@@ -155,7 +155,9 @@ class TestStackedErrors:
         xs = [gen_element(rng, T.left) for _ in range(3)]
         ys = [gen_element(rng, T.right) for _ in range(3)]
         powers = [[0.5], [-1.0], [2.0]]
-        want = _raised(lambda: lemma5_power(T, xs[1], ys[1], -1.0))
+        want = _raised(lambda: lemma5_power_stack(T, xs[1:2], ys[1:2],
+                                                  powers[1:2], 1e-12))
+        assert want[0] is DomainError
         assert _raised(lambda: lemma5_power_stack(T, xs, ys, powers,
                                                   1e-12)) == want
 

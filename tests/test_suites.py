@@ -10,17 +10,12 @@ import pytest
 import nclp
 from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   PositiveFunctional, Reason, SuiteConfig, TensorAlgebra,
-                  UsageError, additivity_check, classical_renyi_oracle,
-                  d_tilde, dpi_probe, gen_classical_pair, gen_element,
-                  gen_nested_pair, gen_orthogonal_pair,
-                  gen_positive_functional, gen_unitary, lemma5_density,
-                  lemma5_imaginary, lemma5_polar, lemma5_power,
-                  lemma9_check, parse_dims, pinching_channel,
-                  q_tilde_alpha_z, random_unital_channel, run_suite,
-                  spectral_product_check, summarize, trial_rng)
-from nclp.config import CHECK_TOLERANCES
+                  UsageError, classical_renyi_oracle, d_tilde,
+                  gen_classical_pair, gen_element, gen_nested_pair,
+                  gen_orthogonal_pair, gen_positive_functional, gen_unitary,
+                  parse_dims, q_tilde_alpha_z, run_suite, summarize,
+                  trial_rng)
 from nclp.suites import SUITE_NAMES, format_profile
-from nclp.tensor import spectral_product_stack
 
 
 class TestGenerators:
@@ -195,11 +190,11 @@ class TestReasonCoverage:
 class TestProductsOncePerTrial:
     """prop11 and corollary7 build their tensor products once per trial and
     reuse them at every grid point; the residuals must be exactly those of
-    the public per-point functions, which build the products themselves."""
+    one-point calls, which build the products themselves."""
 
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_prop11_matches_public_check(self, seed):
-        from nclp import additivity_check
+        from nclp.divergence import additivity_stack
         from nclp.suites import PROP11_GRID, _prop11_draw
         alg = BlockAlgebra((2,))
         cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
@@ -211,8 +206,9 @@ class TestProductsOncePerTrial:
                                       for d in densities)
             expected = {}
             for params in PROP11_GRID:
-                check = additivity_check(psi1, phi1, psi2, phi2, params)
-                for key, val in check.residuals.items():
+                (res, _), = additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                             [params])[0]
+                for key, val in res.items():
                     expected[f"{params.label()}:{key}"] = val
             assert rep.residuals == expected
 
@@ -299,8 +295,8 @@ class TestDriver:
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_kernels_build_no_check_report(self, monkeypatch, name):
-        # The stacked kernels return residuals; only the one-point check
-        # functions build a CheckReport.
+        # The stacked kernels return residuals; run_suite alone gates them,
+        # into TrialReports.
         from nclp.reports import CheckReport
 
         def refuse(*args, **kwargs):
@@ -408,8 +404,8 @@ class TestChunks:
 
 class TestOneGateOwner:
     """Each gate of a paper check is written once, in
-    ``config.CHECK_TOLERANCES``: the suites and the one-point checks read
-    it, and no public function takes a tolerance of its own."""
+    ``config.CHECK_TOLERANCES``: only the suites read it, and no public
+    function takes a tolerance of its own."""
 
     def test_no_public_tolerance_parameter(self):
         found = []
@@ -430,48 +426,3 @@ class TestOneGateOwner:
                           if p in ("tol", "slack", "rank_rtol")
                           or p.startswith("tol_")]
         assert found == []
-
-    def test_one_point_checks_report_the_suite_gates(self):
-        # The instances of tests/test_tensor.py and tests/test_grid.py.
-        rng = np.random.default_rng(31)
-        T = TensorAlgebra(BlockAlgebra((3,)), BlockAlgebra((2,)))
-        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
-        h1 = gen_positive_functional(rng, T.left, ("deficient", 2))
-        h2 = gen_positive_functional(rng, T.right, ("deficient", 1))
-        for rep in (lemma5_polar(T, x, y), lemma5_power(T, x, y, 2.0),
-                    lemma5_imaginary(T, h1.density, h2.density, 0.7),
-                    lemma5_density(T, h1, h2, t=1.3)):
-            assert rep.tolerances == dict.fromkeys(
-                rep.residuals, CHECK_TOLERANCES["lemma5"]["residual"])
-        (_, top), = spectral_product_stack(T, [x], [y])
-        assert spectral_product_check(T, x, y).tolerances == {
-            "eigenvalue_multiset":
-                CHECK_TOLERANCES["appendixA"]["eigenvalue_multiset"]
-                * (1.0 + top)}
-
-        alg = BlockAlgebra((3,))
-        psi_n, phi_n = gen_nested_pair(rng, alg, 2, 1)
-        pairs = [(gen_positive_functional(rng, alg),
-                  gen_positive_functional(rng, alg)),
-                 (psi_n, phi_n), (phi_n, psi_n),
-                 (gen_positive_functional(rng, alg),
-                  PositiveFunctional.zero(alg))]
-        grid = [DivergenceParams(a) for a in (0.5, 1.5, 2.0)] + [
-            DivergenceParams(0.7, z=0.5)]
-        reports = {"lemma9": [lemma9_check(psi, phi, p.alpha)
-                              for psi, phi in pairs for p in grid[:3]],
-                   "prop11": [additivity_check(*one, *two, p)
-                              for one, two in zip(pairs, pairs[1:])
-                              for p in grid],
-                   "dpi": [dpi_probe(psi, phi, channel, p)
-                           for psi, phi in pairs[:2]
-                           for channel in (pinching_channel(alg),
-                                           random_unital_channel(rng, alg,
-                                                                 alg))
-                           for p in grid]}
-        for suite, reps in reports.items():
-            gates = CHECK_TOLERANCES[suite]
-            for rep in reps:
-                assert rep.tolerances == {k: gates[k] for k in rep.residuals}
-            keys = {k for rep in reps for k in rep.residuals}
-            assert keys == set(gates) - {"identity_equality"}, suite

@@ -177,8 +177,8 @@ P_VALUES = (0.5, 1.0, 1.5, 2.0, 3.0, math.inf)
 
 
 @SETTINGS
-@given(SHAPES, SEEDS, st.booleans())
-def test_stacked_schatten_norm_equals_the_row_norm(shape, seed, huge):
+@given(SHAPES, SEEDS, st.booleans(), st.booleans())
+def test_stacked_schatten_norm_equals_the_row_norm(shape, seed, huge, tiny):
     rows, n = shape
     rng = np.random.default_rng(seed)
     G = int(rng.integers(1, 7))
@@ -187,6 +187,11 @@ def test_stacked_schatten_norm_equals_the_row_norm(shape, seed, huge):
         # Rows near the float maximum overflow s^p and take the fallback;
         # at p < 1 some norms exceed the float range and raise.
         s[rng.random((rows, G)) < 0.5] = rng.uniform(1e300, 1.7e308, n)
+    if tiny:
+        # Tiny rows underflow s^p to 0 or a subnormal and take the fallback
+        # too; so do zero rows, whose norm is 0.
+        s[rng.random((rows, G)) < 0.5] = rng.uniform(1e-200, 1e-150, n)
+        s[rng.random((rows, G)) < 0.2] = 0.0
     ps = [[LpExponent(float(rng.choice(P_VALUES + (rng.uniform(1, 4),))))
            for _ in range(G)] for _ in range(rows)]
     want, error = [], None
