@@ -21,16 +21,13 @@ from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
 from .errors import (ConditioningError, CutoffError, DomainError,
                      FileFormatError, NclpError, OutputError, ShapeError,
                      UsageError)
-from .functionals import (PositiveFunctional, cocycle_chain_residual,
-                          connes_cocycle, lemma1_cut, scale)
-from .lp import (KosakiSpec, LpExponent, interpolation_bound_check,
-                 kosaki_embed, kosaki_membership, kosaki_norm,
-                 lemma3_bijectivity, lp_norm, singular_values)
+from .functionals import PositiveFunctional, connes_cocycle, scale
+from .lp import (KosakiSpec, LpExponent, kosaki_embed, kosaki_membership,
+                 kosaki_norm, lp_norm, singular_values)
 from .reports import TrialReport
 from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
                      gen_classical_pair, gen_element, gen_nested_pair,
                      gen_orthogonal_pair, gen_positive_functional,
                      gen_unitary, parse_dims, run_suite, summarize,
                      trial_rng)
-from .tensor import (TensorAlgebra, corollary7_norm, kron_element,
-                     kron_functional, theorem6_norm, theorem6_spanning)
+from .tensor import TensorAlgebra, kron_element, kron_functional

@@ -3,7 +3,7 @@
 Exit codes: 0 success (infinite divergences included), 1 malformed input,
 usage or an output file that cannot be written, 2 precondition violation,
 3 conditioning failure, 4 suite trials failed.  The kernel cutoff resolves
-flag > NCLP_EPS_REL env > default.
+flag > NCLP_EPS_REL env > default; ``tensor`` takes no cutoff and reads none.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call; parsing keeps no state between
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import io
-from .config import resolve_eps_rel
+from .config import DEFAULT_EPS_REL, resolve_eps_rel
 from .divergence import DivergenceParams, d_from_q, q_tilde_alpha, \
     q_tilde_alpha_z
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
@@ -156,8 +156,10 @@ def _cmd_lp_norm(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    left = io.load_matrix_file(args.left)
-    right = io.load_matrix_file(args.right)
+    # Validation reads no cutoff (the Hermitian gate, the PSD clip), so a
+    # fixed one keeps NCLP_EPS_REL out of this command.
+    left = io.load_matrix_file(args.left, DEFAULT_EPS_REL)
+    right = io.load_matrix_file(args.right, DEFAULT_EPS_REL)
     T = TensorAlgebra(left.algebra, right.algebra)
     with np.errstate(over="ignore"):
         # An entry beyond the float range is rejected when it is written.

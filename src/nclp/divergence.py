@@ -24,7 +24,8 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, ShapeError,
                      _check_type, _raise_first, _real)
-from .functionals import (PositiveFunctional, _at_cutoff, _densities,
+from .functionals import (PositiveFunctional, _at_cutoff,
+                          _check_same_algebra, _densities,
                           _positive_functionals, _stack_of)
 from .lp import singular_values_stack
 from .tensor import TensorAlgebra, kron_functional_stack
@@ -122,8 +123,7 @@ def _order(alpha) -> float:
 
 
 def _check_pair(psi: PositiveFunctional, phi: PositiveFunctional):
-    if psi.algebra != phi.algebra:
-        raise ShapeError("functionals must live on the same algebra")
+    _check_same_algebra(psi, phi)
     if psi.is_zero:
         raise DomainError("left functional must be nonzero")
 

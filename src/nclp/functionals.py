@@ -18,7 +18,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _imaginary_values, _stack, _support_stack, _unstack,
                       canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
-from .errors import DomainError, _check_type, _real
+from .errors import DomainError, ShapeError, _check_type, _real
 
 
 class PositiveFunctional:
@@ -177,35 +177,31 @@ def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
     Each power and the faithfulness test read the functional's stored
     spectrum."""
     for psi, phi in zip(psis, phis):
-        if psi.algebra != phi.algebra:
-            raise DomainError("functionals must live on the same algebra")
+        _check_same_algebra(psi, phi)
         if not phi.is_faithful:
             raise DomainError(
                 "reference functional must be faithful; use the support-cut "
-                "identity (lemma1_cut) for non-faithful references")
+                "identity (nclp suite --name lemma1) for non-faithful ones")
     left = _imaginary_powers(psis, ts)
     right = _imaginary_powers(phis, [-t for t in ts])
     return tuple(a @ b for a, b in zip(left, right))
 
 
-def lemma1_cut(psi: PositiveFunctional, psi_prime: PositiveFunctional,
-               phi: PositiveFunctional, t: float
-               ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Support-cut cocycle identity for a non-faithful left argument.
-
-    With s(psi') = 1 - s(psi) and chi = psi + psi' faithful, returns the pair
-    (u_t(psi, phi), s(psi) u_t(chi, phi)); the two agree up to numerical
-    residual, which the caller asserts.  One triple of
-    :func:`lemma1_cut_stack`.
-    """
-    lhs, rhs = lemma1_cut_stack([psi], [psi_prime], [phi], [t])
-    return _unstack(psi.algebra, lhs)[0], _unstack(psi.algebra, rhs)[0]
+def _check_same_algebra(*psis) -> None:
+    if any(psi.algebra != psis[0].algebra for psi in psis[1:]):
+        raise ShapeError("functionals must live on the same algebra")
 
 
 def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
-    """:func:`lemma1_cut` of B triples of one algebra, each side as
-    per-block (B, n, n) stacks.  The sums chi = psi + psi' keep the cutoff
-    of psis[0], which every psi shares."""
+    """Both sides of the support-cut cocycle identity for a non-faithful
+    left argument, on B triples (psi, psi', phi) of one algebra at their own
+    t: with s(psi') = 1 - s(psi) and chi = psi + psi' and phi faithful,
+    u_t(psi, phi) and s(psi) u_t(chi, phi), each as per-block (B, n, n)
+    stacks; they agree up to numerical residual.  chi keeps the cutoff of
+    psis[0], which every psi shares.  A triple on two algebras raises
+    ShapeError before anything is stacked."""
+    for triple in zip(psis, psi_primes, phis):
+        _check_same_algebra(*triple)
     s = _support_stack(_stack_of(psis))
     s_prime = _support_stack(_stack_of(psi_primes))
     defects = _frobenius_stack([a + b - np.eye(a.shape[-1])
@@ -228,19 +224,11 @@ def lemma1_cut_stack(psis, psi_primes, phis, ts) -> tuple[tuple, tuple]:
     return lhs, rhs
 
 
-def cocycle_chain_residual(psi: PositiveFunctional, phi: PositiveFunctional,
-                           t: float, s: float) -> float:
-    """Residual of the flow-twisted chain rule u_{t+s} = u_t sigma_t(u_s).
-
-    sigma_t is conjugation by h_phi^{it}; the identity holds for every psi
-    and faithful phi, commuting or not.  One pair of
-    :func:`cocycle_chain_stack`.
-    """
-    return float(cocycle_chain_stack([psi], [phi], [t], [s])[0])
-
-
 def cocycle_chain_stack(psis, phis, ts, ss) -> np.ndarray:
-    """(B,) :func:`cocycle_chain_residual` of B pairs of one algebra."""
+    """(B,) Frobenius residuals of the flow-twisted chain rule
+    u_{t+s} = u_t sigma_t(u_s) on B pairs (psi, phi) of one algebra, pair j
+    at its own (t_j, s_j).  sigma_t is conjugation by h_phi^{it}; the
+    identity holds for every psi and faithful phi, commuting or not."""
     u_ts = connes_cocycle_stack(psis, phis, [t + s for t, s in zip(ts, ss)])
     u_t = connes_cocycle_stack(psis, phis, ts)
     u_s = connes_cocycle_stack(psis, phis, ss)

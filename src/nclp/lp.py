@@ -2,8 +2,8 @@
 
 The interpolated norm of y is computed through the concrete identification:
 solve y = h_phi^{eta/q} x h_phi^{(1-eta)/q} for x (q the dual exponent) and
-take ||x||_p.  The interpolation inequality itself is exercised separately by
-:func:`interpolation_bound_check`.
+take ||x||_p.  The interpolation inequality itself is checked separately, by
+:func:`interpolation_bound_stack` in the lemma3 suite.
 """
 
 from __future__ import annotations
@@ -378,24 +378,15 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
                                           [[(spec.p, spec.eta)]]))[0][0]
 
 
-def interpolation_bound_check(a: AlgebraElement, spec: KosakiSpec
-                              ) -> tuple[float, float]:
-    """Two-sided data for the interpolation estimate on the embedding of a.
-
-    Returns (lhs, rhs) with lhs = ||h^eta a h^{1-eta}||_{p,phi,eta} and
-    rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p}; lhs <= rhs up to float
-    slack.  One element of :func:`interpolation_bound_stack`.
-    """
-    return interpolation_bound_stack(a.algebra, _stack([a]), [spec.phi],
-                                     [(spec.p, spec.eta)])[0]
-
-
 def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
                               phis: list[PositiveFunctional], points
                               ) -> list[tuple[float, float]]:
-    """:func:`interpolation_bound_check` of B stacked elements a_j (per
-    block a (B, n, n) array on ``algebra``), element j at the reference
-    phis[j] and its own validated (p, eta) = points[j].
+    """(lhs, rhs) of the interpolation estimate on the embeddings of B
+    stacked elements a_j (per block a (B, n, n) array on ``algebra``),
+    element j at the reference phis[j], of density h, and its own validated
+    (p, eta) = points[j]: lhs = ||h^eta a h^{1-eta}||_{p,phi,eta} and
+    rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p} (q the dual exponent);
+    lhs <= rhs up to float slack.
 
     The embeddings, the interpolated norms and the singular values of every
     a_j and its embedding (one ``svd`` per block for both) are stacked.
@@ -426,21 +417,13 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
     return out
 
 
-def lemma3_bijectivity(phi: PositiveFunctional, p) -> bool:
-    """Whether a -> a h_phi^{1/p} has full rank on the flat carrier.
-
-    Decided by the singular values of the explicit total_dim x total_dim
-    linearization and ``config.RANK_RTOL``; a near-singular reference
-    yields False, flagging the conditioning problem rather than raising.
-    One element of :func:`lemma3_bijectivity_stack`.
-    """
-    return lemma3_bijectivity_stack([phi], [p])[0]
-
-
 def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps) -> list[bool]:
-    """:func:`lemma3_bijectivity` of B functionals of one algebra, phis[j]
-    at its own exponent ps[j]: stacked powers and linearizations, one
-    ``svd`` for all of them."""
+    """Whether a -> a h_phi^{1/p} has full rank on the flat carrier, for B
+    functionals phis[j] of one algebra, each at its own p = ps[j].  Decided
+    by the singular values of the total_dim x total_dim linearization and
+    ``config.RANK_RTOL``: a near-singular reference yields False, flagging
+    the conditioning problem rather than raising.  Stacked powers and
+    linearizations, one ``svd`` for all of them."""
     invs = [_as_exponent(p).inv for p in ps]
     stack = _stack_of(phis)
     powers = [p[:, 0] for p in _apply_stack(

@@ -65,7 +65,8 @@ import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
                       _stack, _support_stack, _symmetrized_stack)
-from .config import CHECK_TOLERANCES, PRNG_ID, resolve_eps_rel
+from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
+                     resolve_eps_rel)
 from .divergence import (DivergenceParams, _order, additivity_stack,
                          dpi_probe_stack, embed_left_channel,
                          identity_channel, lemma9_stack, pinching_channel,
@@ -139,20 +140,19 @@ def _distribute(total: int, caps: tuple[int, ...]) -> list[int]:
 
 
 def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
-                            rank_profile="full", eps_rel: float | None = None
-                            ) -> PositiveFunctional:
+                            rank_profile="full") -> PositiveFunctional:
     """Random normalized PSD density: factor construction G G* at the
     requested rank, divided by its trace.
 
     rank_profile is "full", "zero", or ("deficient", r); deficient ranks are
     realized with an r-column Gaussian factor so the kernel is exact at the
     matrix level, not produced by thresholding.  Every ``gen_*`` helper
-    builds its functionals at the cutoff ``eps_rel`` (resolved when None).
+    builds its functionals at the default cutoff (:func:`default_eps_rel`).
     """
     if rank_profile == "zero":
-        return PositiveFunctional.zero(algebra, eps_rel)
+        return PositiveFunctional.zero(algebra)
     return _functionals(algebra, [_gram(rng, algebra, rank_profile)],
-                        resolve_eps_rel(eps_rel))[0]
+                        default_eps_rel())[0]
 
 
 def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -207,7 +207,7 @@ def _diag_element(algebra: BlockAlgebra, entries: np.ndarray,
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                        rank: int, eps_rel: float | None = None
+                        rank: int
                         ) -> tuple[PositiveFunctional, PositiveFunctional]:
     """(psi, psi') with complementary supports in a common random eigenbasis.
 
@@ -215,7 +215,7 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     s(psi) + s(psi') = 1 and psi + psi' is faithful.
     """
     return tuple(_functionals(algebra, _orthogonal_densities(
-        rng, algebra, rank), resolve_eps_rel(eps_rel)))
+        rng, algebra, rank), default_eps_rel()))
 
 
 def _orthogonal_densities(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -239,8 +239,7 @@ def _orthogonal_densities(rng: np.random.Generator, algebra: BlockAlgebra,
 
 
 def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                    rank_phi: int, rank_psi: int,
-                    eps_rel: float | None = None
+                    rank_phi: int, rank_psi: int
                     ) -> tuple[PositiveFunctional, PositiveFunctional]:
     """(psi, phi) with s(psi) <= s(phi), built in a common eigenbasis.
 
@@ -251,7 +250,7 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     square, non-commuting with phi in general.
     """
     return tuple(_functionals(algebra, _nested_densities(
-        rng, algebra, rank_phi, rank_psi), resolve_eps_rel(eps_rel)))
+        rng, algebra, rank_phi, rank_psi), default_eps_rel()))
 
 
 def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -282,8 +281,7 @@ def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                       orthogonal: bool = False,
-                       eps_rel: float | None = None
+                       orthogonal: bool = False
                        ) -> tuple[PositiveFunctional, PositiveFunctional,
                                   np.ndarray, np.ndarray]:
     """Exactly diagonal (psi, phi) plus their probability vectors.
@@ -293,7 +291,7 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     """
     p, q = _classical_vectors(rng, algebra, orthogonal)
     psi, phi = _functionals(algebra, [algebra.diagonal(v) for v in (p, q)],
-                            resolve_eps_rel(eps_rel))
+                            default_eps_rel())
     return psi, phi, p, q
 
 

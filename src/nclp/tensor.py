@@ -24,7 +24,7 @@ from .config import RANK_RTOL
 from .errors import DomainError, ShapeError, _check_type, _raise_first
 from .functionals import (PositiveFunctional, _densities,
                           _positive_functionals, _stack_of)
-from .lp import (KosakiSpec, _as_exponent, _kosaki_point, _schatten_stack,
+from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 
 
@@ -193,9 +193,10 @@ def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
 def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
                         ys: list[AlgebraElement],
                         ps) -> list[list[tuple[float, float]]]:
-    """:func:`theorem6_norm` of each pair at every p in ``ps``, from one
-    Kronecker product and one ``svd`` per block for each operand, and one
-    :func:`_schatten_stack` each, product side first."""
+    """(||x (x) y||_p, ||x||_p ||y||_p), equal up to float error, of each
+    pair at every p in ``ps``, from one Kronecker product and one ``svd``
+    per block for each operand, and one :func:`_schatten_stack` each,
+    product side first."""
     _check_factors(T, xs, ys)
     ps = [_as_exponent(p) for p in ps]
     sx, sy = _stack(xs), _stack(ys)
@@ -206,12 +207,6 @@ def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
         sides.append(_schatten_stack(
             np.broadcast_to(sv[:, None], (B, G, sv.shape[-1])), [ps] * B))
     return [[(l, u * v) for l, u, v in zip(*trio)] for trio in zip(*sides)]
-
-
-def theorem6_norm(T: TensorAlgebra, x: AlgebraElement, y: AlgebraElement,
-                  p) -> tuple[float, float]:
-    """(||x (x) y||_p, ||x||_p ||y||_p); equal up to float error."""
-    return theorem6_norm_stack(T, [x], [y], [p])[0][0]
 
 
 def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
@@ -252,8 +247,10 @@ def corollary7_norm_stack(x1s: list[AlgebraElement],
                           phi1s: list[PositiveFunctional],
                           phi2s: list[PositiveFunctional], grid
                           ) -> list[list[tuple[float, float]]]:
-    """:func:`corollary7_norm` of each (x1, x2, phi1, phi2), all on one pair
-    of algebras, at every (p, eta) of ``grid``.
+    """(interpolated norm of x1 (x) x2, product of the factors' norms) of
+    each (x1, x2, phi1, phi2), all on one pair of algebras, at every
+    (p, eta) of ``grid``; the product side uses the reference phi1 (x) phi2
+    at the factors' (p, eta).
 
     x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
     factor get one :func:`kosaki_norm_stack` across the elements and the
@@ -276,20 +273,6 @@ def corollary7_norm_stack(x1s: list[AlgebraElement],
         _raise_first((lhs, n1, n2))
         out.append([(l, a * b) for l, a, b in zip(lhs, n1, n2)])
     return out
-
-
-def corollary7_norm(x1: AlgebraElement, x2: AlgebraElement,
-                    spec1: KosakiSpec,
-                    spec2: KosakiSpec) -> tuple[float, float]:
-    """Interpolated norm of x1 (x) x2 against the product of factor norms.
-
-    The product-side norm uses the tensor reference phi1 (x) phi2 with the
-    same (p, eta) as the factors.
-    """
-    if spec1.p != spec2.p or spec1.eta != spec2.eta:
-        raise DomainError("factor norms must share the same (p, eta)")
-    return corollary7_norm_stack([x1], [x2], [spec1.phi], [spec2.phi],
-                                 [(spec1.p, spec1.eta)])[0][0]
 
 
 def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, DomainError,
-                  PositiveFunctional, canonical_trace, cocycle_chain_residual,
+                  PositiveFunctional, ShapeError, canonical_trace,
                   connes_cocycle, gen_orthogonal_pair,
-                  gen_positive_functional, lemma1_cut, scale)
+                  gen_positive_functional, scale)
+from nclp.algebra import _unstack
+from nclp.functionals import cocycle_chain_stack, lemma1_cut_stack
 
 
 def diag_functional(entries):
     alg = BlockAlgebra((len(entries),))
     return PositiveFunctional(alg.diagonal(entries))
+
+
+def support_cut(psi, psi_prime, phi, t):
+    """The two sides of the support-cut identity for one triple, as
+    elements: a one-triple call of the stack."""
+    sides = lemma1_cut_stack([psi], [psi_prime], [phi], [t])
+    return tuple(_unstack(psi.algebra, side)[0] for side in sides)
 
 
 class TestDensity:
@@ -105,6 +114,12 @@ class TestCocycle:
         with pytest.raises(DomainError):
             connes_cocycle(psi, phi, 1.0)
 
+    def test_different_algebras_shape_error(self):
+        psi = diag_functional([0.5, 0.5])
+        phi = diag_functional([0.2, 0.3, 0.5])
+        with pytest.raises(ShapeError, match="same algebra"):
+            connes_cocycle(psi, phi, 0.5)
+
     def test_chain_rule_commuting_faithful_triple(self):
         psi = diag_functional([0.5, 0.5])
         chi = diag_functional([0.1, 0.9])
@@ -120,7 +135,7 @@ class TestCocycle:
             psi = gen_positive_functional(rng, alg)
             phi = gen_positive_functional(rng, alg)
             t, s = rng.uniform(-5, 5, 2)
-            assert cocycle_chain_residual(psi, phi, t, s) <= 1e-10
+            assert cocycle_chain_stack([psi], [phi], [t], [s])[0] <= 1e-10
 
     def test_unitarity_on_support_commuting(self):
         psi = diag_functional([0.4, 0.0, 0.6])
@@ -135,7 +150,7 @@ class TestLemma1Cut:
         psi = diag_functional([0.5, 0.5])
         psi_prime = PositiveFunctional.zero(psi.algebra)
         phi = diag_functional([0.3, 0.7])
-        lhs, rhs = lemma1_cut(psi, psi_prime, phi, 0.9)
+        lhs, rhs = support_cut(psi, psi_prime, phi, 0.9)
         direct = connes_cocycle(psi, phi, 0.9)
         assert (lhs - direct).frobenius() <= 1e-12
         assert (rhs - direct).frobenius() <= 1e-12
@@ -144,7 +159,7 @@ class TestLemma1Cut:
         psi = diag_functional([0.4, 0.0])
         psi_prime = diag_functional([0.0, 0.6])
         phi = diag_functional([0.5, 0.5])
-        lhs, rhs = lemma1_cut(psi, psi_prime, phi, 1.0)
+        lhs, rhs = support_cut(psi, psi_prime, phi, 1.0)
         expected = np.diag([0.8 ** 1j, 0.0])
         assert np.abs(lhs.blocks[0] - expected).max() <= 1e-14
         assert np.abs(rhs.blocks[0] - expected).max() <= 1e-14
@@ -159,7 +174,7 @@ class TestLemma1Cut:
                 psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
                 phi = gen_positive_functional(rng, alg)
                 t = float(rng.uniform(-5, 5))
-                lhs, rhs = lemma1_cut(psi, psi_prime, phi, t)
+                lhs, rhs = support_cut(psi, psi_prime, phi, t)
                 assert (lhs - rhs).frobenius() <= 1e-9
 
     def test_support_condition_violated(self):
@@ -167,7 +182,14 @@ class TestLemma1Cut:
         bad_prime = diag_functional([0.3, 0.7])  # overlaps s(psi)
         phi = diag_functional([0.5, 0.5])
         with pytest.raises(DomainError):
-            lemma1_cut(psi, bad_prime, phi, 1.0)
+            support_cut(psi, bad_prime, phi, 1.0)
+
+    def test_different_algebras_shape_error(self):
+        psi = diag_functional([0.4, 0.0])
+        phi = diag_functional([0.5, 0.5])
+        wide_prime = diag_functional([0.0, 0.3, 0.7])
+        with pytest.raises(ShapeError, match="same algebra"):
+            support_cut(psi, wide_prime, phi, 0.5)
 
 
 class TestCachedSupport:

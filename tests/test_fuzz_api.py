@@ -26,7 +26,8 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   NclpError, PositiveFunctional, QuantumChannel, Reason,
                   SuiteConfig, TensorAlgebra, classical_renyi_oracle,
                   kron_element, kron_functional, lp_norm, parse_dims,
-                  polar_decompose, run_suite, scale, theorem6_norm)
+                  polar_decompose, run_suite, scale)
+from nclp.tensor import theorem6_norm_stack
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -195,7 +196,7 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: QuantumChannel("x", "x", [np.eye(2)]),
     lambda: PositiveFunctional.zero("x"),
     lambda: kron_element(TensorAlgebra(_ALG, _ALG), 1, 2),
-    lambda: theorem6_norm(TensorAlgebra(_ALG, _ALG), 1, 2, 2),
+    lambda: theorem6_norm_stack(TensorAlgebra(_ALG, _ALG), [1], [2], [2]),
     lambda: TensorAlgebra("x", "y").product,
     lambda: lp_norm("x", 2),
     lambda: SuiteConfig("lemma3", 1, 0, dims="x"),

@@ -16,12 +16,12 @@ import pytest
 
 from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
                   KosakiSpec, LpExponent, PositiveFunctional, Reason,
-                  SuiteConfig, TensorAlgebra, corollary7_norm, d_tilde,
+                  SuiteConfig, TensorAlgebra, d_tilde,
                   default_eps_rel, gen_classical_pair, gen_element,
                   gen_nested_pair, gen_positive_functional, kosaki_norm,
                   lp_norm, parse_dims, pinching_channel, q_tilde_alpha,
                   q_tilde_alpha_z, random_unital_channel, run_suite,
-                  singular_values, theorem6_norm)
+                  singular_values)
 from nclp.algebra import _stack
 from nclp.divergence import (_d_stack, additivity_stack, dpi_probe_stack,
                              lemma9_stack, q_tilde_stack)
@@ -208,7 +208,7 @@ class TestNormGrids:
         x, y = gen_element(rng, T.left), gen_element(rng, T.right)
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
         assert theorem6_norm_stack(T, [x], [y], ps)[0] == [
-            theorem6_norm(T, x, y, p) for p in ps]
+            theorem6_norm_stack(T, [x], [y], [p])[0][0] for p in ps]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (3,))])
     def test_corollary7_grid(self, left, right):
@@ -220,8 +220,8 @@ class TestNormGrids:
         grid = kosaki_grid_points()
         assert corollary7_norm_stack([x1], [x2], [phi1], [phi2],
                                      grid)[0] == [
-            corollary7_norm(x1, x2, KosakiSpec(phi1, p, eta),
-                            KosakiSpec(phi2, p, eta)) for p, eta in grid]
+            corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+                                  [(p, eta)])[0][0] for p, eta in grid]
 
 
 class TestTensorGrids:

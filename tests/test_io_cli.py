@@ -562,6 +562,25 @@ class TestInvalidEnvWithValidFlag:
                     "1e-12"], capsys, monkeypatch)
 
 
+class TestTensorReadsNoCutoff:
+    def test_functional_files_ignore_invalid_env(self, tmp_path, monkeypatch):
+        """``tensor`` takes no cutoff, so an invalid NCLP_EPS_REL changes
+        nothing: two functional files join to the same bytes."""
+        left = write_diag(tmp_path / "l.json", [0.3, 0.7])
+        right = write_diag(tmp_path / "r.json", [0.2, 0.3, 0.5])
+        outs = []
+        for env in (None, "abc"):
+            if env is None:
+                monkeypatch.delenv("NCLP_EPS_REL", raising=False)
+            else:
+                monkeypatch.setenv("NCLP_EPS_REL", env)
+            out = tmp_path / f"out-{env}.json"
+            assert main(["tensor", "--left", str(left), "--right", str(right),
+                         "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestFileInputsWithoutTraceback:
     """Each input that used to end in a traceback is a FileFormatError."""
 

@@ -9,8 +9,10 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DomainError, KosakiSpec, LpExponent, PositiveFunctional,
                   UsageError, gen_element, gen_positive_functional,
-                  interpolation_bound_check, kosaki_embed, kosaki_membership,
-                  kosaki_norm, lemma3_bijectivity, lp_norm)
+                  kosaki_embed, kosaki_membership, kosaki_norm, lp_norm)
+from nclp.algebra import _stack
+from nclp.lp import (_kosaki_point, interpolation_bound_stack,
+                     lemma3_bijectivity_stack)
 
 RNG = np.random.default_rng(21)
 
@@ -271,12 +273,18 @@ class TestKosakiNorm:
         assert max(values) - min(values) <= 1e-10
 
 
+def interpolation_bound(a, phi, p, eta):
+    """(lhs, rhs) of the interpolation estimate for one element: a
+    one-element call of the stack."""
+    return interpolation_bound_stack(a.algebra, _stack([a]), [phi],
+                                     [_kosaki_point(p, eta)])[0]
+
+
 class TestInterpolationBound:
     def test_identity_element(self):
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([0.4, 0.6]))
-        lhs, rhs = interpolation_bound_check(
-            alg.identity(), KosakiSpec(phi, 2.0, 0.5))
+        lhs, rhs = interpolation_bound(alg.identity(), phi, 2.0, 0.5)
         assert lhs <= rhs + 1e-10
         assert lhs == pytest.approx(1.0, abs=1e-12)  # phi(1)^{1/p} etc.
 
@@ -284,7 +292,7 @@ class TestInterpolationBound:
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([1 / 3, 2 / 3]))
         a = alg.diagonal([1.0, 0.0])
-        lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, 2.0, 0.0))
+        lhs, rhs = interpolation_bound(a, phi, 2.0, 0.0)
         assert lhs == pytest.approx(math.sqrt(1 / 3), abs=1e-12)
         assert rhs == pytest.approx(math.sqrt(1 / 3), abs=1e-12)
 
@@ -296,7 +304,7 @@ class TestInterpolationBound:
             a = gen_element(rng, alg)
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
             eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-            lhs, rhs = interpolation_bound_check(a, KosakiSpec(phi, p, eta))
+            lhs, rhs = interpolation_bound(a, phi, p, eta)
             assert lhs <= rhs + 1e-10
 
 
@@ -304,15 +312,15 @@ class TestBijectivity:
     def test_half_identity_reference(self):
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([0.5, 0.5]))
-        assert lemma3_bijectivity(phi, 2.0)
+        assert lemma3_bijectivity_stack([phi], [2.0]) == [True]
 
     def test_near_singular_flags_false(self):
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([1.0, 1e-15]))
-        assert not lemma3_bijectivity(phi, 1.0)
+        assert lemma3_bijectivity_stack([phi], [1.0]) == [False]
 
     def test_multi_block_random(self):
         rng = np.random.default_rng(25)
         alg = BlockAlgebra((2, 3))
         phi = gen_positive_functional(rng, alg)
-        assert lemma3_bijectivity(phi, 3.0)
+        assert lemma3_bijectivity_stack([phi], [3.0]) == [True]

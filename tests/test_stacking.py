@@ -23,15 +23,15 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
                   gen_nested_pair, gen_orthogonal_pair,
                   gen_positive_functional, io, kron_element,
-                  random_unital_channel, run_suite, theorem6_spanning,
-                  trial_rng)
+                  random_unital_channel, run_suite, trial_rng)
 from nclp import functionals, suites
 from nclp.algebra import _clip_stack, _stack
 from nclp.cli import main
 from nclp.divergence import q_tilde_stack
 from nclp.functionals import _positive_functionals, connes_cocycle, \
     connes_cocycle_stack
-from nclp.tensor import corollary7_norm_stack, lemma5_power_stack
+from nclp.tensor import (corollary7_norm_stack, lemma5_power_stack,
+                         theorem6_spanning)
 
 # Each suite at its default profiles and at one profile of unequal blocks.
 PROFILES = [(name, dims) for name in suites.SUITE_NAMES

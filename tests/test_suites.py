@@ -16,6 +16,7 @@ from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   parse_dims, q_tilde_alpha_z, run_suite, summarize,
                   trial_rng)
 from nclp.suites import SUITE_NAMES, format_profile
+from nclp.tensor import corollary7_norm_stack
 
 
 class TestGenerators:
@@ -214,8 +215,6 @@ class TestProductsOncePerTrial:
 
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_corollary7_matches_public_norm(self, seed):
-        from nclp import KosakiSpec, TensorAlgebra, corollary7_norm, \
-            gen_element
         from nclp.suites import COROLLARY7_ETA_GRID, COROLLARY7_P_GRID
         T = TensorAlgebra(BlockAlgebra((3,)), BlockAlgebra((2,)))
         cfg = SuiteConfig(suite_name="corollary7", trials=2, seed=seed,
@@ -228,8 +227,8 @@ class TestProductsOncePerTrial:
             expected = {}
             for p in COROLLARY7_P_GRID:
                 for eta in COROLLARY7_ETA_GRID:
-                    lhs, rhs = corollary7_norm(x1, x2, KosakiSpec(phi1, p, eta),
-                                               KosakiSpec(phi2, p, eta))
+                    (lhs, rhs), = corollary7_norm_stack(
+                        [x1], [x2], [phi1], [phi2], [(p, eta)])[0]
                     expected[f"p={p:g},eta={eta:g}"] = \
                         abs(lhs - rhs) / (1.0 + rhs)
             assert rep.residuals == expected

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nclp import (AlgebraElement, BlockAlgebra, KosakiSpec,
-                  PositiveFunctional, ShapeError, TensorAlgebra,
-                  corollary7_norm, default_eps_rel, gen_element,
+from nclp import (AlgebraElement, BlockAlgebra, PositiveFunctional,
+                  ShapeError, TensorAlgebra, default_eps_rel, gen_element,
                   gen_positive_functional, kron_element, kron_functional,
-                  lp_norm, polar_decompose, theorem6_norm, theorem6_spanning)
+                  lp_norm, polar_decompose)
 from nclp.config import CHECK_TOLERANCES
-from nclp.tensor import (lemma5_density_stack, lemma5_imaginary_stack,
-                         lemma5_polar_stack, lemma5_power_stack,
-                         spectral_product_stack)
+from nclp.tensor import (corollary7_norm_stack, lemma5_density_stack,
+                         lemma5_imaginary_stack, lemma5_polar_stack,
+                         lemma5_power_stack, spectral_product_stack,
+                         theorem6_norm_stack, theorem6_spanning)
 
 RNG = np.random.default_rng(31)
 LEMMA5_GATE = CHECK_TOLERANCES["lemma5"]["residual"]
@@ -161,14 +161,14 @@ class TestTheorem6:
         T = pair((2,), (1,))
         x = T.left.diagonal([1.0, 2.0])
         y = AlgebraElement(T.right, [np.array([[3.0]])])
-        lhs, rhs = theorem6_norm(T, x, y, 2.0)
+        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [2.0])[0]
         assert lhs == pytest.approx(3 * math.sqrt(5), abs=1e-12)
         assert rhs == pytest.approx(3 * math.sqrt(5), abs=1e-12)
 
     def test_sup_norm_multiplies(self):
         T = pair((3,), (2,))
         x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
-        lhs, rhs = theorem6_norm(T, x, y, math.inf)
+        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [math.inf])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_quasi_norm_against_product_oracle(self):
@@ -177,7 +177,7 @@ class TestTheorem6:
         sx = np.linalg.svd(x.blocks[0], compute_uv=False)
         sy = np.linalg.svd(y.blocks[0], compute_uv=False)
         expected = float(np.sum(np.outer(sx, sy) ** 0.5) ** 2)
-        lhs, rhs = theorem6_norm(T, x, y, 0.5)
+        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [0.5])[0]
         assert lhs == pytest.approx(expected, rel=1e-10)
         assert rhs == pytest.approx(expected, rel=1e-10)
 
@@ -186,7 +186,7 @@ class TestTheorem6:
             T = pair(*dims)
             x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
             for p in (0.5, 1.0, 1.7, 2.0, 3.0, math.inf):
-                lhs, rhs = theorem6_norm(T, x, y, p)
+                (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [p])[0]
                 assert abs(lhs - rhs) <= 1e-10 * (1 + rhs)
 
 
@@ -216,9 +216,8 @@ class TestCorollary7:
         T = pair((2,), (2,))
         phi1 = PositiveFunctional(T.left.diagonal([0.5, 0.5]))
         phi2 = PositiveFunctional(T.right.diagonal([0.3, 0.7]))
-        spec1 = KosakiSpec(phi1, 2.0, 0.5)
-        spec2 = KosakiSpec(phi2, 2.0, 0.5)
-        lhs, rhs = corollary7_norm(phi1.density, phi2.density, spec1, spec2)
+        (lhs, rhs), = corollary7_norm_stack([phi1.density], [phi2.density],
+                                            [phi1], [phi2], [(2.0, 0.5)])[0]
         assert lhs == pytest.approx(1.0, abs=1e-11)
         assert rhs == pytest.approx(1.0, abs=1e-11)
 
@@ -228,8 +227,8 @@ class TestCorollary7:
         phi1 = gen_positive_functional(rng, T.left)
         phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
-        lhs, rhs = corollary7_norm(x1, x2, KosakiSpec(phi1, 1.0, 0.25),
-                                   KosakiSpec(phi2, 1.0, 0.25))
+        (lhs, rhs), = corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+                                            [(1.0, 0.25)])[0]
         t6 = lp_norm(kron_element(T, x1, x2), 1.0)
         assert lhs == pytest.approx(t6, rel=1e-11)
         assert rhs == pytest.approx(lp_norm(x1, 1) * lp_norm(x2, 1),
@@ -243,20 +242,9 @@ class TestCorollary7:
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 0.5, 1.0):
-                lhs, rhs = corollary7_norm(
-                    x1, x2, KosakiSpec(phi1, p, eta),
-                    KosakiSpec(phi2, p, eta))
+                (lhs, rhs), = corollary7_norm_stack(
+                    [x1], [x2], [phi1], [phi2], [(p, eta)])[0]
                 assert abs(lhs - rhs) <= 1e-9 * (1 + rhs), (p, eta)
-
-    def test_mismatched_specs_rejected(self):
-        from nclp import DomainError
-        T = pair((2,), (2,))
-        phi1 = PositiveFunctional(T.left.diagonal([0.5, 0.5]))
-        phi2 = PositiveFunctional(T.right.diagonal([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            corollary7_norm(phi1.density, phi2.density,
-                            KosakiSpec(phi1, 2.0, 0.5),
-                            KosakiSpec(phi2, 3.0, 0.5))
 
 
 def spectral_product_within_gate(T, x, y):
