@@ -25,9 +25,8 @@ from .functionals import PositiveFunctional, connes_cocycle, scale
 from .lp import (KosakiSpec, LpExponent, kosaki_embed, kosaki_membership,
                  kosaki_norm, lp_norm, singular_values)
 from .reports import TrialReport
-from .suites import (SuiteConfig, classical_renyi_oracle, complex_gaussian,
-                     gen_classical_pair, gen_element, gen_nested_pair,
-                     gen_orthogonal_pair, gen_positive_functional,
-                     gen_unitary, parse_dims, run_suite, summarize,
-                     trial_rng)
+from .suites import (SuiteConfig, classical_renyi_oracle, gen_classical_pair,
+                     gen_element, gen_nested_pair, gen_orthogonal_pair,
+                     gen_positive_functional, gen_unitary, parse_dims,
+                     run_suite, summarize, trial_rng)
 from .tensor import TensorAlgebra, kron_element, kron_functional

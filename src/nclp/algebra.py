@@ -11,6 +11,7 @@ decomposition drops the singular values it flags.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,10 +123,6 @@ class AlgebraElement:
         return AlgebraElement._trusted(self.algebra,
                                        [b.conj().T for b in self.blocks])
 
-    @property
-    def H(self) -> "AlgebraElement":
-        return self.adjoint()
-
     def frobenius(self) -> float:
         """sqrt(sum |entries|^2) over all blocks; inf beyond the float
         range.  :func:`_frobenius_stack` of the unstacked blocks."""
@@ -227,7 +224,7 @@ def canonical_trace(x: AlgebraElement) -> complex:
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays stacked along a new leading axis; a view for one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 # For a Python-float exponent e, numpy computes ``array ** e`` with power,
@@ -296,6 +293,30 @@ def _kept_power_sums(x: np.ndarray, keep: np.ndarray,
         sums[rows] = _powers(x[rows][keep[rows]].reshape(-1, k),
                              exps[rows]).sum(axis=-1)
     return sums
+
+
+def _complex_stacks(flats: Sequence[np.ndarray],
+                    shapes) -> list[np.ndarray]:
+    """The complex Gaussian matrices that B flat standard-normal draws hold:
+    per shape (r, c), in order, the (B, r, c) stack of (re + i im)/sqrt(2),
+    each matrix's real part drawn before its imaginary part.  One draw of
+    the total size holds the numbers of consecutive draws of the parts."""
+    flat, out, ofs = _stacked(flats), [], 0
+    for r, c in shapes:
+        re, im = (flat[:, ofs + i * r * c:ofs + (i + 1) * r * c].reshape(
+            -1, r, c) for i in (0, 1))
+        out.append((re + 1j * im) / math.sqrt(2.0))
+        ofs += 2 * r * c
+    return out
+
+
+def _check_draw(rng, *algebras) -> None:
+    """The one entry check of the random draws: ``rng`` is a numpy
+    Generator and every algebra a BlockAlgebra (ranks are checked where
+    they are filled, by ``suites._distribute``)."""
+    _check_type(rng, np.random.Generator, "a draw needs a numpy Generator")
+    for alg in algebras:
+        _check_type(alg, BlockAlgebra, "a draw needs a BlockAlgebra")
 
 
 def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:

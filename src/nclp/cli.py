@@ -22,8 +22,7 @@ import numpy as np
 
 from . import io
 from .config import DEFAULT_EPS_REL, resolve_eps_rel
-from .divergence import DivergenceParams, d_from_q, q_tilde_alpha, \
-    q_tilde_alpha_z
+from .divergence import DivergenceParams, _d_stack, _point
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      UsageError)
 from .lp import KosakiSpec, LpExponent, kosaki_norm, lp_norm
@@ -117,11 +116,7 @@ def _cmd_divergence(args) -> int:
     phi = io.load_functional(args.phi, eps)
     if psi.algebra != phi.algebra:
         raise ShapeError("psi and phi files live on different algebras")
-    if params.is_sandwiched:
-        q = q_tilde_alpha(psi, phi, params.alpha)
-    else:
-        q = q_tilde_alpha_z(psi, phi, params)
-    d = d_from_q(q, psi, phi, params.alpha)
+    q, d = (_point(o) for o in _d_stack([psi], [phi], [params]))
     if args.json:
         doc = io.build_run_report(
             config={"command": "divergence", "kind": args.kind,

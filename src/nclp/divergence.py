@@ -1,10 +1,12 @@
 """Sandwiched and two-parameter Renyi divergences with full case analysis.
 
-Values are carried by :class:`DivergenceValue`: a finite nonnegative quantity
-or +inf with a machine-readable reason.  Logarithms are natural.  For order
-alpha > 1 the defining sandwich equation is solved by support pseudo-inverse
-powers after an explicit support-nesting test; an independent least-squares
-solver for the same equation is provided for cross-checking uniqueness.
+A value is a finite quantity or +inf with a machine-readable reason: a
+:class:`DivergenceValue` from the one-point functions, and value and reason
+arrays (:class:`Outcomes`) from the stacked kernels.  Logarithms are
+natural.  For order alpha > 1 the defining sandwich equation is solved by
+support pseudo-inverse powers after an explicit support-nesting test; an
+independent least-squares solver for the same equation is provided for
+cross-checking uniqueness.
 """
 
 from __future__ import annotations
@@ -12,18 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _apply_stack, _complex_array, _corner_solve,
+                      _apply_stack, _check_draw, _complex_array,
+                      _complex_stacks, _corner_solve,
                       _eigenvalue_powers, _full_stack, _kept_power_sums,
                       _kernel_masks, _kron_block, _nonfinite_error,
                       _squared_norms, _stacked, _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
-from .errors import (ConditioningError, DomainError, ShapeError,
-                     _check_type, _raise_first, _real)
+from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
+                     _check_type, _first_errors, _raise_pairwise, _real)
 from .functionals import (PositiveFunctional, _at_cutoff,
                           _check_same_algebra, _densities,
                           _positive_functionals, _stack_of)
@@ -62,10 +65,6 @@ class DivergenceValue:
     @property
     def is_finite(self) -> bool:
         return self.reason == Reason.FINITE
-
-    @classmethod
-    def infinite(cls, reason: Reason) -> "DivergenceValue":
-        return cls(math.inf, reason)
 
     def __str__(self):
         if self.is_finite:
@@ -147,10 +146,46 @@ def _support_violations(psis: Sequence[PositiveFunctional],
             _squared_norms(densities))
 
 
+class Outcomes(NamedTuple):
+    """Outcomes of B pairs at G points: (B, G) values, +inf where the reason
+    is not finite; (B, G) reason codes, indices into :data:`REASONS`; and
+    ``errors``, {pair: (point, error)} of each failing pair's first failing
+    point, whose value is NaN."""
+
+    values: np.ndarray
+    reasons: np.ndarray
+    errors: dict
+
+
+REASONS = tuple(Reason)
+_FINITE, _VIOLATION, _ZERO_Q, _ZERO_REFERENCE = range(len(REASONS))
+
+# The error codes of a Q-value (0: none).
+_NOT_PSD, _NONFINITE, _UNDERFLOW, _OVER_BUDGET = 1, 2, 3, 4
+
+
+def _q_error(code: int, residual: float) -> NclpError:
+    if code == _OVER_BUDGET:
+        return ConditioningError(
+            f"sandwich-equation recomposition residual {residual:.3e} "
+            f"exceeds budget", residual=residual)
+    return _nonfinite_error() if code == _NONFINITE else DomainError(
+        "sandwich block is not PSD within clip tolerance" if code == _NOT_PSD
+        else "the Q-value underflows: it is positive but below the float "
+        "range")
+
+
+def _point(outcomes: Outcomes) -> DivergenceValue:
+    """A one-pair, one-point outcome as a DivergenceValue, or its error."""
+    _raise_pairwise(outcomes.errors)
+    return DivergenceValue(outcomes.values.item(),
+                           REASONS[outcomes.reasons.item()])
+
+
 @np.errstate(all="ignore")
 def q_tilde_stack(psis: Sequence[PositiveFunctional],
                   phis: Sequence[PositiveFunctional],
-                  grid: Sequence[DivergenceParams]) -> list[list]:
+                  grid: Sequence[DivergenceParams]) -> Outcomes:
     """Q-values of B pairs (psis[j], phis[j]) of one algebra, read from
     their stored spectra at their one shared cutoff, at every point of a
     parameter grid: z=None takes the sandwiched path of
@@ -167,39 +202,59 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
     1-D operation (see :func:`_kept_power_sums`), so every value equals the
     one-point call's.
 
-    Entry j lists pair j's outcome at every point: its DivergenceValue, or
-    the error its one-point call would raise at that point (returned, not
-    raised; beyond the float range, too).  All pairs are evaluated at every
-    point in one stack, and then the alpha > 1 points of pairs that violate
-    the support nesting are overwritten with the support-violation value.
+    Returns :class:`Outcomes`, value and reason arrays: entry (j, g) is
+    pair j's Q-value at point g, or +inf with the support-violation reason
+    where alpha > 1 and the pair violates the support nesting (which
+    overrides the point's error).  A failing pair's error is the one its
+    one-point call raises at its first failing point: returned, not raised.
     """
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
     grid = tuple(grid)
-    violations = (_support_violations(psis, phis).tolist()
-                  if any(p.alpha > 1 for p in grid) else [False] * len(psis))
+    shape = (len(psis), len(grid))
+    sharp = np.array([p.alpha > 1 for p in grid])
     phi_stack = _stack_of(phis)
-    outcomes = [[None] * len(grid) for _ in psis]
-    for wanted, evaluate in ((True, _sandwiched_values),
-                             (False, _alpha_z_values)):
+    parts = []
+    for wanted, kernel in ((True, _sandwiched_values),
+                           (False, _alpha_z_values)):
         idx = [g for g, p in enumerate(grid) if p.is_sandwiched == wanted]
         if idx:
-            for row, violates, values in zip(outcomes, violations, evaluate(
-                    psis, phi_stack, [grid[g] for g in idx])):
-                for g, value in zip(idx, values):
-                    row[g] = (DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
-                              if violates and grid[g].alpha > 1 else value)
-    return outcomes
+            parts.append((idx, kernel(psis, phi_stack,
+                                      [grid[g] for g in idx])))
+    if len(parts) == 1:
+        values, codes, residuals = parts[0][1]
+    else:
+        values, codes = np.empty(shape), np.zeros(shape, np.int8)
+        residuals = np.empty(shape)
+        for idx, part in parts:
+            values[:, idx], codes[:, idx], residuals[:, idx] = part
+    # A value beyond the float range: not finite, or 0 at alpha > 1, where
+    # Q of a nonzero psi with s(psi) <= s(phi) is positive.
+    if not ((values > 0.0) & (values < math.inf)).all():
+        beyond = ~np.isfinite(values) | ((values == 0.0) & sharp)
+        codes = np.where((codes == 0) & beyond, np.where(
+            values == 0.0, _UNDERFLOW, _NONFINITE), codes)
+    reasons = np.zeros(shape, np.int8)
+    violated = (_support_violations(psis, phis)[:, None] & sharp
+                if any(p.alpha > 1 for p in grid) else None)
+    if violated is not None and violated.any():
+        values[violated], reasons[violated], codes[violated] = \
+            math.inf, _VIOLATION, 0
+    errors = _first_errors(codes, lambda j, g: _q_error(
+        codes[j, g], float(residuals[j, g])))
+    if errors:
+        values[codes != 0] = np.nan
+    return Outcomes(values, reasons, errors)
 
 
 def _sandwiched_values(psis: Sequence[PositiveFunctional],
                        phi_stack: SpectrumStack,
-                       grid: Sequence[DivergenceParams]) -> list:
+                       grid: Sequence[DivergenceParams]) -> tuple:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
-    directions scale to 0.  An entry is the value, or the DomainError of a
-    sandwich that is not PSD within the clip tolerance, or of a value
-    beyond the float range (see :func:`_q_value`)."""
+    directions scale to 0.  Returns the (B, G) sums, error codes (a sandwich
+    that is not PSD within the clip tolerance, or not finite) and residuals
+    (none)."""
     alphas = [p.alpha for p in grid]
     expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
              for a in alphas]
@@ -213,7 +268,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
             (mids + mids.conj().swapaxes(-2, -1)) / 2.0))
     radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
     negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
-                       for e in eigs], axis=0).tolist()
+                       for e in eigs], axis=0)
     eps = phi_stack.eps_rel
     # Per block, one masked row sum of the kept eigenvalues' powers; the
     # blocks add up in order from 0.0, as Python floats would.  The cut is
@@ -224,28 +279,14 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     for e in eigs:
         totals = totals + _kept_power_sums(e, e > eps * radius[..., None],
                                            alphas)
-    return [[DomainError("sandwich block is not PSD within clip tolerance")
-             if bad else _q_value(total, alpha) if ok else _nonfinite_error()
-             for bad, ok, total, alpha in zip(bads, oks, row, alphas)]
-            for bads, oks, row in zip(negative, np.isfinite(radius).tolist(),
-                                      totals.tolist())]
-
-
-def _q_value(q: float, alpha: float):
-    """The DivergenceValue of a Q sum, or the DomainError of one beyond the
-    float range: not finite, or 0 at alpha > 1, where Q of a nonzero psi
-    with s(psi) <= s(phi) is positive (other pairs are overwritten)."""
-    if not math.isfinite(q):
-        return _nonfinite_error()
-    if q == 0.0 and alpha > 1:
-        return DomainError("the Q-value underflows: it is positive but "
-                           "below the float range")
-    return DivergenceValue(q)
+    codes = np.where(negative, _NOT_PSD,
+                     np.where(np.isfinite(radius), 0, _NONFINITE))
+    return totals, codes, np.full(codes.shape, np.nan)
 
 
 def _alpha_z_values(psis: Sequence[PositiveFunctional],
                     phi_stack: SpectrumStack,
-                    grid: Sequence[DivergenceParams]) -> list:
+                    grid: Sequence[DivergenceParams]) -> tuple:
     """Q_{alpha,z} per pair and point.
 
     Q is the sum of sigma^{2z} over the non-kernel singular values of
@@ -257,8 +298,8 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     the sandwich equation h_psi^{alpha/z} = h_phi^e x h_phi^e,
     e = (alpha-1)/2z, is certified first by :func:`_corner_solve`
     (ConditioningError beyond budget).
-    An entry is the value or the point's error, in the one-point order:
-    certificate power, certificate, half power.
+    Returns the (B, G) sums, error codes in the one-point order (certificate
+    power, certificate, half power) and recomposition residuals.
     """
     zs = [p.effective_z for p in grid]
     sharp = [g for g, p in enumerate(grid) if p.alpha > 1]
@@ -278,12 +319,6 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
             r[~finite] = 0.0
     powers = _apply_stack(psi_stack, rows)
     k = len(sharp)
-    if k:
-        sharp_expos = [[(grid[g].alpha - 1.0) / (2.0 * zs[g])
-                        for g in sharp]] * len(psis)
-        _, residuals, over = _corner_solve(
-            phi_stack, [b[:, :k] for b in powers], sharp_expos, sharp_expos)
-        over = over.tolist()
     scales = _eigenvalue_powers(phi_stack, phi_expos)
     mats = [(half[:, k:] @ u[:, None]) * scale[..., None, :]
             for half, u, scale in zip(powers, phi_stack.eigenvectors, scales)]
@@ -294,30 +329,20 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
         m[~finite[:, k:]] = 0.0
     sv = singular_values_stack(mats)
     kernel, = _kernel_masks([sv], phi_stack.eps_rel)
-    qs = _kept_power_sums(sv, ~kernel, [2.0 * z for z in zs]).tolist()
-    finite = finite.tolist()
-    cert = dict(zip(sharp, range(k)))
-    out = []
-    for j, q_row in enumerate(qs):
-        vals = []
-        for g, q in enumerate(q_row):
-            i = cert.get(g)
-            if i is not None and not finite[j][i]:
-                vals.append(_nonfinite_error())
-            elif i is not None and over[j][i]:
-                vals.append(_recomposition_error(float(residuals[j, i])))
-            elif not finite[j][k + g]:
-                vals.append(_nonfinite_error())
-            else:
-                vals.append(_q_value(q, grid[g].alpha))
-        out.append(vals)
-    return out
-
-
-def _recomposition_error(residual: float) -> ConditioningError:
-    return ConditioningError(
-        f"sandwich-equation recomposition residual {residual:.3e} "
-        f"exceeds budget", residual=residual)
+    qs = _kept_power_sums(sv, ~kernel, [2.0 * z for z in zs])
+    codes = np.zeros(qs.shape, np.int8)
+    residuals = np.full(qs.shape, np.nan)
+    over = False
+    if k:
+        expos = [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
+        _, residuals[:, sharp], over = _corner_solve(
+            phi_stack, [b[:, :k] for b in powers], expos * len(psis),
+            expos * len(psis))
+    if not finite.all() or np.any(over):
+        codes[~finite[:, k:]] = _NONFINITE
+        codes[:, sharp] = np.where(~finite[:, :k], _NONFINITE, np.where(
+            over, _OVER_BUDGET, codes[:, sharp]))
+    return qs, codes, residuals
 
 
 def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -333,7 +358,7 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     """
     params = DivergenceParams(alpha)
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _raise_first(q_tilde_stack([psi], [phi], [params])[0])[0]
+    return _point(q_tilde_stack([psi], [phi], [params]))
 
 
 def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -353,7 +378,7 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _raise_first(q_tilde_stack([psi], [phi], [params])[0])[0]
+    return _point(q_tilde_stack([psi], [phi], [params]))
 
 
 def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
@@ -392,7 +417,8 @@ def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
     expos = [[e] for _, e in exps]
     mids, residuals, over = _corner_solve(phi_stack, hp, expos, expos)
     if over.any():
-        raise _recomposition_error(float(residuals[np.argmax(over[:, 0]), 0]))
+        raise _q_error(_OVER_BUDGET,
+                       float(residuals[np.argmax(over[:, 0]), 0]))
     return tuple(u @ mid[:, 0] @ u.conj().swapaxes(-2, -1)
                  for u, mid in zip(phi_stack.eigenvectors, mids))
 
@@ -454,17 +480,43 @@ def solve_sharp_least_squares_stack(psis: Sequence[PositiveFunctional],
     return tuple(blocks)
 
 
-def d_from_q(q: DivergenceValue, psi: PositiveFunctional,
-             phi: PositiveFunctional, alpha: float) -> DivergenceValue:
-    """Divergence from its Q-value: log(Q / psi(1)) / (alpha - 1), nat log."""
-    if not q.is_finite:
-        return q
-    if alpha < 1 and q.value == 0.0:
-        reason = Reason.ZERO_REFERENCE if phi.is_zero \
-            else Reason.ZERO_Q_ALPHA_LT_1
-        return DivergenceValue.infinite(reason)
-    return DivergenceValue(
-        math.log(q.value / psi.mass) / (alpha - 1.0))
+def _d_values(psis: Sequence[PositiveFunctional],
+              phis: Sequence[PositiveFunctional],
+              grid: Sequence[DivergenceParams], q: Outcomes) -> Outcomes:
+    """Divergences log(Q / psi(1)) / (alpha - 1) of B pairs from their
+    Q-values: an infinite Q keeps its reason, and a zero Q at alpha < 1
+    gives +inf for a zero reference or a zero Q.  One ``math.log`` per
+    point; a value beyond the float range is an error, and so is D where Q
+    is one (the Q-value's error comes first)."""
+    values, reasons, errors = [], [], {}
+    for j, (qs, codes, psi, phi) in enumerate(zip(
+            q.values.tolist(), q.reasons.tolist(), psis, phis)):
+        for g, (qv, p) in enumerate(zip(qs, grid)):
+            d = math.inf
+            if codes[g] == _FINITE and qv == 0.0 and p.alpha < 1:
+                codes[g] = _ZERO_REFERENCE if phi.is_zero else _ZERO_Q
+            elif codes[g] == _FINITE:
+                ratio = qv / psi.mass
+                d = (math.log(ratio) / (p.alpha - 1.0)
+                     if 0.0 < ratio < math.inf else math.nan)
+                if not math.isfinite(d):
+                    errors.setdefault(j, (g, DomainError(
+                        f"the divergence of pair {j} at alpha = "
+                        f"{p.alpha:g} is beyond the float range")))
+            qs[g] = d
+        values.append(qs)
+        reasons.append(codes)
+    return Outcomes(np.array(values), np.array(reasons, np.int8), errors)
+
+
+def _d_stack(psis, phis, grid) -> tuple[Outcomes, Outcomes]:
+    """The Q-values and divergences of B pairs at every point of a grid;
+    the first pair with a failing point raises, a Q-value's error before a
+    divergence's."""
+    q = q_tilde_stack(psis, phis, grid)
+    d = _d_values(psis, phis, grid, q)
+    _raise_pairwise(q.errors, d.errors)
+    return q, d
 
 
 def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -477,109 +529,87 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     masses differ from 1.  ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
     psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _d_stack([psi], [phi], [params])[0][0]
+    return _point(_d_stack([psi], [phi], [params])[1])
 
 
+# The check stacks return (residuals, values): residuals maps each report key
+# to ((B, G) residuals, (B, G) mask of the points where it is asserted).
+
+
+@np.errstate(all="ignore")
 def lemma9_stack(psis: Sequence[PositiveFunctional],
                  phis: Sequence[PositiveFunctional],
-                 alphas: Sequence[float]) -> list[list[tuple[dict, tuple]]]:
+                 alphas: Sequence[float]) -> tuple[dict, tuple]:
     """Agreement of the sandwiched and alpha-z paths at z = alpha, for B
-    pairs at every order in ``alphas``: per point, the residuals and the
-    values (Q sandwiched, Q alpha-z, D alpha-z).  Two finite Q-values give
-    ``path_agreement``, their relative gap; else ``reason_agreement`` is 0
-    for equal reason codes and inf for different ones.
+    pairs at every order in ``alphas``: the residuals, and the values (Q
+    sandwiched, Q alpha-z, D alpha-z) as :class:`Outcomes`.  Two finite
+    Q-values give ``path_agreement``, their relative gap; else
+    ``reason_agreement`` is 0 for equal reasons and inf for different ones.
 
-    Both paths at every order come from one :func:`q_tilde_stack`, with the
-    points in the order sandwiched(alpha_1), alpha-z(alpha_1),
-    sandwiched(alpha_2), ...; so the first failure of a pair raises as in a
-    loop over the orders, and the first pair with a failing point raises it.
-    """
+    Both paths come from one :func:`q_tilde_stack` with the points in the
+    order sandwiched(alpha_1), alpha-z(alpha_1), sandwiched(alpha_2), ...,
+    so the first failing pair raises as a loop over the orders would."""
     for psi, phi in zip(psis, phis):
         _check_pair(psi, phi)
-    alphas = tuple(alphas)
-    grid = []
-    for alpha in alphas:
-        grid += [DivergenceParams(alpha), DivergenceParams(alpha, z=alpha)]
-    out = []
-    for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid), psis, phis):
-        _raise_first(qs)
-        out.append([_lemma9_point(qs[2 * i], qs[2 * i + 1],
-                                  d_from_q(qs[2 * i + 1], psi, phi, alpha))
-                    for i, alpha in enumerate(alphas)])
-    return out
+    grid = [params for alpha in alphas for params in (
+        DivergenceParams(alpha), DivergenceParams(alpha, z=alpha))]
+    q = q_tilde_stack(psis, phis, grid)
+    qa, qz = (Outcomes(q.values[:, i::2], q.reasons[:, i::2], {})
+              for i in (0, 1))
+    dz = _d_values(psis, phis, grid[1::2], qz)
+    _raise_pairwise(q.errors, dz.errors)
+    both = (qa.reasons == _FINITE) & (qz.reasons == _FINITE)
+    path = abs(qa.values - qz.values) / (1.0 + abs(qa.values))
+    agreement = np.where(qa.reasons == qz.reasons, 0.0, math.inf)
+    return ({"path_agreement": (path, both),
+             "reason_agreement": (agreement, ~both)}, (qa, qz, dz))
 
 
-def _lemma9_point(qa: DivergenceValue, qz: DivergenceValue,
-                  dz: DivergenceValue) -> tuple[dict, tuple]:
-    if qa.is_finite and qz.is_finite:
-        residual = abs(qa.value - qz.value) / (1.0 + abs(qa.value))
-        return {"path_agreement": residual}, (qa, qz, dz)
-    agreement = 0.0 if qa.reason == qz.reason else math.inf
-    return {"reason_agreement": agreement}, (qa, qz, dz)
-
-
+@np.errstate(all="ignore")
 def additivity_stack(psi1s: Sequence[PositiveFunctional],
                      phi1s: Sequence[PositiveFunctional],
                      psi2s: Sequence[PositiveFunctional],
                      phi2s: Sequence[PositiveFunctional],
-                     grid: Sequence[DivergenceParams]
-                     ) -> list[list[tuple[dict, tuple]]]:
+                     grid: Sequence[DivergenceParams]) -> tuple[dict, tuple]:
     """Multiplicativity of Q and additivity of D on tensor pairs, for B
     quadruples on one pair of algebras at every point of a parameter grid:
-    per point, the residuals and the values (Q1, Q2, Q12, D1, D2, D12).
-    Asserted where both factor Q-values are finite (any alpha, z), and on
-    the infinite branch where alpha = z (Q12 must be +inf too); for z !=
-    alpha with an infinite factor, the values are recorded without
-    assertion (no residual).
+    the residuals and the values (Q1, Q2, Q12, D1, D2, D12) as
+    :class:`Outcomes`.  Asserted where both factor Q-values are finite (any
+    alpha, z), and on the infinite branch where alpha = z (Q12 must be +inf
+    too); for z != alpha with an infinite factor, the values are recorded
+    without assertion (no residual).
 
     The products psi1 (x) psi2 and phi1 (x) phi2 are built as one
     :func:`kron_functional_stack` each, and each of the three pairs (factor
     1, factor 2, product) gets one :func:`q_tilde_stack` across the
     quadruples and the points.  Errors: the products come first, the psi
-    products before the phi products; then the pairs in that order, and
-    within a pair the first failing point raises; element j raises its
-    errors as its one-element call does, the first such element first."""
+    products before the phi products; then the first failing quadruple
+    raises, its pairs' Q-values in that order before their divergences."""
     T = TensorAlgebra(psi1s[0].algebra, psi2s[0].algebra)
-    psi12s = kron_functional_stack(T, psi1s, psi2s)
-    phi12s = kron_functional_stack(T, phi1s, phi2s)
+    sides = [(psi1s, phi1s), (psi2s, phi2s),
+             (kron_functional_stack(T, psi1s, psi2s),
+              kron_functional_stack(T, phi1s, phi2s))]
     grid = tuple(grid)
-    sides = [(psi1s, phi1s), (psi2s, phi2s), (psi12s, phi12s)]
-    qs = [q_tilde_stack(psis, phis, grid) for psis, phis in sides]
-    out = []
-    for j, (q1s, q2s, q12s) in enumerate(zip(*qs)):
-        for outcomes in (q1s, q2s, q12s):
-            _raise_first(outcomes)
-        psi1, phi1, psi2, phi2 = psi1s[j], phi1s[j], psi2s[j], phi2s[j]
-        out.append([_additivity_point(
-            params, (q1, psi1, phi1), (q2, psi2, phi2),
-            (q12, psi12s[j], phi12s[j]))
-            for params, q1, q2, q12 in zip(grid, q1s, q2s, q12s)])
-    return out
-
-
-def _additivity_point(params: DivergenceParams, side1, side2,
-                      side12) -> tuple[dict, tuple]:
-    """The additivity residuals and values of one point from its three (Q,
-    psi, phi); no residual where nothing is asserted."""
-    (q1, _, _), (q2, _, _), (q12, _, _) = side1, side2, side12
-    d1, d2, d12 = (d_from_q(q, psi, phi, params.alpha)
-                   for q, psi, phi in (side1, side2, side12))
-    values = (q1, q2, q12, d1, d2, d12)
-
-    if q1.is_finite and q2.is_finite:
-        prod = q1.value * q2.value
-        res_q = abs(q12.value - prod) / (1.0 + prod) \
-            if q12.is_finite else math.inf
-        if d1.is_finite and d2.is_finite and d12.is_finite:
-            res_d = abs(d12.value - d1.value - d2.value)
-        else:
-            finite_sum = d1.is_finite and d2.is_finite
-            res_d = 0.0 if (not finite_sum and not d12.is_finite) else math.inf
-        return {"q_multiplicativity": res_q, "d_additivity": res_d}, values
-
-    if params.is_sandwiched or params.z == params.alpha:
-        return {"infinite_branch": math.inf if q12.is_finite else 0.0}, values
-    return {}, values
+    q1, q2, q12 = qs = [q_tilde_stack(*side, grid) for side in sides]
+    d1, d2, d12 = ds = [_d_values(*side, grid, q)
+                        for side, q in zip(sides, qs)]
+    _raise_pairwise(*(o.errors for o in (*qs, *ds)))
+    both = (q1.reasons == _FINITE) & (q2.reasons == _FINITE)
+    finite12 = q12.reasons == _FINITE
+    d_finite = [d.reasons == _FINITE for d in ds]
+    prod = q1.values * q2.values
+    res_d = np.where(d_finite[0] & d_finite[1] & d_finite[2],
+                     abs(d12.values - d1.values - d2.values),
+                     np.where(d_finite[0] & d_finite[1] | d_finite[2],
+                              math.inf, 0.0))
+    equal_z = np.array([p.is_sandwiched or p.z == p.alpha for p in grid])
+    return ({"q_multiplicativity": (np.where(
+                finite12, abs(q12.values - prod) / (1.0 + prod), math.inf),
+                both),
+             "d_additivity": (res_d, both),
+             "infinite_branch": (np.where(finite12, math.inf, 0.0),
+                                 ~both & equal_z)},
+            (q1, q2, q12, d1, d2, d12))
 
 
 # -- channels and monotonicity ------------------------------------------------
@@ -706,14 +736,30 @@ def random_unital_channel(rng: np.random.Generator, domain: BlockAlgebra,
                           codomain: BlockAlgebra,
                           num_kraus: int = 3) -> QuantumChannel:
     """Random unital CP map: Gaussian Kraus draws whitened to sum V*V = 1."""
+    _check_draw(rng, domain, codomain)
+    return _whitened_channel(domain, codomain, _kraus_draw(
+        rng, domain, codomain, num_kraus))
+
+
+def _kraus_draw(rng: np.random.Generator, domain: BlockAlgebra,
+                codomain: BlockAlgebra, num_kraus: int = 3) -> np.ndarray:
+    """The raw numbers of :func:`random_unital_channel`: num_kraus complex
+    Gaussian (n_dom, n_cod) matrices in one ``standard_normal`` call."""
     n_dom, n_cod = domain.carrier_dim, codomain.carrier_dim
     if num_kraus * n_dom < n_cod:
         raise DomainError(
             f"{num_kraus} Kraus operators of height {n_dom} cannot be unital "
             f"onto a carrier of dimension {n_cod}")
-    ws = [(rng.standard_normal((n_dom, n_cod))
-           + 1j * rng.standard_normal((n_dom, n_cod))) / math.sqrt(2.0)
-          for _ in range(num_kraus)]
+    return rng.standard_normal(2 * num_kraus * n_dom * n_cod)
+
+
+def _whitened_channel(domain: BlockAlgebra, codomain: BlockAlgebra,
+                      flat: np.ndarray) -> QuantumChannel:
+    """The channel of one :func:`_kraus_draw`: its Kraus draws W_i
+    whitened by (sum W_i* W_i)^{-1/2}."""
+    shape = (domain.carrier_dim, codomain.carrier_dim)
+    ws = [w[0] for w in _complex_stacks(
+        [flat], [shape] * (flat.size // (2 * shape[0] * shape[1])))]
     gram = sum(w.conj().T @ w for w in ws)
     vals, vecs = np.linalg.eigh(gram)
     inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
@@ -738,18 +784,20 @@ def dpi_valid(alpha: float, z: float) -> bool:
     return alpha > 1 and max(alpha - 1, alpha / 2) <= z <= alpha
 
 
+@np.errstate(all="ignore")
 def dpi_probe_stack(psis: Sequence[PositiveFunctional],
                     phis: Sequence[PositiveFunctional],
                     channels: Sequence[QuantumChannel],
-                    grid: Sequence[DivergenceParams]
-                    ) -> list[list[tuple[dict, tuple]]]:
+                    grid: Sequence[DivergenceParams]) -> tuple[dict, tuple]:
     """Monotonicity of D under a channel, for B triples whose channels share
-    a domain and a codomain, at every point of a parameter grid: per point,
-    the residuals and the values (D before, D after, gap, violation).  The
+    a domain and a codomain, at every point of a parameter grid: the
+    residual ``monotonicity_violation``, max(0, D after - D before) (0 for
+    an infinite D before, inf for an infinite D after only), and the values
+    (D before and D after as :class:`Outcomes`, gap, violation).  The
     decrease is asserted only in the known-valid region of
     :func:`dpi_valid`; outside it both values are recorded without
-    assertion (no residual).  ``gap`` is |D after - D before|: 0 for two
-    infinite values with the same reason, inf for different reasons.
+    assertion.  ``gap`` is |D after - D before|: 0 for two infinite values
+    with the same reason, inf for different reasons.
 
     psi and phi are precomposed through the channel once; the values before
     and after the channel come from one :func:`q_tilde_stack` each.  Errors,
@@ -757,38 +805,16 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
     then the values after them; within a stage the first pair with a
     failing point raises it."""
     grid = tuple(grid)
-    asserted = [dpi_valid(p.alpha, p.effective_z) for p in grid]
-    d_ins = _d_stack(psis, phis, grid)
-    psi_cs = precompose_stack(psis, channels)
-    phi_cs = precompose_stack(phis, channels)
-    d_outs = _d_stack(psi_cs, phi_cs, grid)
-    return [[_dpi_point(valid, d_in, d_out)
-             for valid, d_in, d_out in zip(asserted, ins, outs)]
-            for ins, outs in zip(d_ins, d_outs)]
-
-
-def _d_stack(psis, phis, grid) -> list[list[DivergenceValue]]:
-    """Per pair, the divergences at every point; the first pair with a
-    failing point raises it."""
-    return [[d_from_q(q, psi, phi, p.alpha)
-             for q, p in zip(_raise_first(qs), grid)]
-            for qs, psi, phi in zip(q_tilde_stack(psis, phis, grid),
-                                    psis, phis)]
-
-
-def _dpi_point(asserted: bool, d_in: DivergenceValue,
-               d_out: DivergenceValue) -> tuple[dict, tuple]:
-    if not d_in.is_finite:
-        violation = 0.0
-    elif not d_out.is_finite:
-        violation = math.inf
-    else:
-        violation = max(0.0, d_out.value - d_in.value)
-    if d_in.is_finite and d_out.is_finite:
-        gap = abs(d_out.value - d_in.value)
-    else:
-        gap = 0.0 if d_in.reason == d_out.reason else math.inf
-    values = (d_in, d_out, gap, violation)
-    if asserted:
-        return {"monotonicity_violation": violation}, values
-    return {}, values
+    _, d_in = _d_stack(psis, phis, grid)
+    _, d_out = _d_stack(precompose_stack(psis, channels),
+                        precompose_stack(phis, channels), grid)
+    finite_in, finite_out = d_in.reasons == _FINITE, d_out.reasons == _FINITE
+    diff = d_out.values - d_in.values
+    violation = np.where(finite_in, np.where(
+        finite_out, np.where(diff > 0.0, diff, 0.0), math.inf), 0.0)
+    gap = np.where(finite_in & finite_out, abs(diff),
+                   np.where(d_in.reasons == d_out.reasons, 0.0, math.inf))
+    asserted = np.array([dpi_valid(p.alpha, p.effective_z) for p in grid])
+    return ({"monotonicity_violation": (
+                violation, np.broadcast_to(asserted, violation.shape))},
+            (d_in, d_out, gap, violation))

@@ -2,17 +2,29 @@
 
 import cmath
 
+import numpy as np
+
 
 class NclpError(Exception):
     """Base class for all toolkit errors."""
 
 
-def _raise_first(outcomes):
-    """The outcomes, after raising the first one that is an error."""
-    for out in outcomes:
-        if isinstance(out, NclpError):
-            raise out
-    return outcomes
+def _first_errors(codes: np.ndarray, make) -> dict:
+    """The error map {row: (point, error)} of a stack's (B, G) codes,
+    nonzero where a point fails: make(row, point) at each row's first."""
+    if not codes.any():
+        return {}
+    return {j: (g, make(j, g)) for j in np.flatnonzero(codes.any(axis=1))
+            .tolist() for g in [int(np.argmax(codes[j] != 0))]}
+
+
+def _raise_pairwise(*error_maps) -> None:
+    """Raise the error of the first row that fails, from the first error
+    map that holds one for it."""
+    failing = set().union(*error_maps)
+    if failing:
+        j = min(failing)
+        raise next(errors[j][1] for errors in error_maps if j in errors)
 
 
 class ShapeError(NclpError):

@@ -19,7 +19,7 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _full_stack, _kron_block, _powers, _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
-                     _check_type, _raise_first, _real)
+                     _check_type, _first_errors, _raise_pairwise, _real)
 from .functionals import (PositiveFunctional, _at_cutoff, _densities,
                           _stack_of)
 
@@ -275,10 +275,11 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     points[j] (one length G for all j): the :func:`_corner_solve` of the
     stack, rotated back.
 
-    Returns per block a (B, G, n, n) stack of x, and per element and point
-    None, the DomainError of an x beyond the float range, or the
-    ConditioningError of a recomposition residual beyond budget.  A point
-    with eta/q = (1-eta)/q = 0 is the identity, x = y, with no residual.
+    Returns per block a (B, G, n, n) stack of x, and the error map (see
+    :func:`nclp.errors._first_errors`) of the DomainError of an x beyond the
+    float range or the ConditioningError of a recomposition residual beyond
+    budget.  A point with eta/q = (1-eta)/q = 0 is the identity, x = y, with
+    no residual.
     """
     weights = {}
     for pts in points:
@@ -301,24 +302,12 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     finite = np.isfinite(blocks[0]).all(axis=(2, 3))
     for x in blocks[1:]:
         finite &= np.isfinite(x).all(axis=(2, 3))
-    errors = []
-    for skips, oks, rs, overs in zip(ident, finite.tolist(),
-                                     residuals.tolist(), over.tolist()):
-        errs = []
-        for skip, ok, r, bad in zip(skips, oks, rs, overs):
-            if skip:
-                errs.append(None)
-            elif not ok:
-                errs.append(DomainError(
-                    "the membership solution exceeds the float range"))
-            elif bad:
-                errs.append(ConditioningError(
-                    f"membership solve residual {r:.3e} exceeds budget",
-                    residual=r))
-            else:
-                errs.append(None)
-        errors.append(errs)
-    return blocks, errors
+    codes = np.where(ident, 0, np.where(finite, np.where(over, 2, 0), 1))
+    return blocks, _first_errors(codes, lambda j, g: DomainError(
+        "the membership solution exceeds the float range") if codes[j, g] == 1
+        else ConditioningError(f"membership solve residual "
+                               f"{residuals[j, g]:.3e} exceeds budget",
+                               residual=float(residuals[j, g])))
 
 
 def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
@@ -334,12 +323,12 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
         raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
         _stack([y]), [spec.phi], [[(spec.p, spec.eta)]])
-    _raise_first(errors[0])
+    _raise_pairwise(errors)
     return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
 
 def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
-                      phis: list[PositiveFunctional], points) -> list:
+                      phis: list[PositiveFunctional], points) -> tuple:
     """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
     (B, n, n) array on ``algebra``) at every validated (p, eta) of
     ``points[j]`` (see :func:`_kosaki_point`; one length for all j).
@@ -347,25 +336,26 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
     Shared by all points of an element: phi_j's faithfulness-floor check
     and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
     The scalings, recomposition residuals, back-rotations, singular values
-    (one ``svd`` per block) and norms are stacked.  Entry j is element j's
-    list of norms, or its error: the floor of phis[j], then its first
-    failing point, as a one-element call raises them.
+    (one ``svd`` per block) and norms are stacked.  Returns the norms,
+    entry [j][g], and the error maps (see :func:`nclp.errors._first_errors`)
+    of the floor of phis[j] and then of its first failing point, which a
+    one-element call raises in that order (:func:`_raise_pairwise`).
     """
-    floor = [_floor_error(phi._spectrum) for phi in phis]
-    for err, phi in zip(floor, phis):
+    floor = {}
+    for j, phi in enumerate(phis):
+        err = _floor_error(phi._spectrum)
+        if err is not None:
+            floor[j] = (0, err)
         if phi.algebra != algebra:
             raise err or ShapeError(
                 "element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(stacked_y, phis, points)
-    firsts = [next((e for e in (f, *errs) if e is not None), None)
-              for f, errs in zip(floor, errors)]
-    failed = [j for j, e in enumerate(firsts) if e is not None]
+    failed = sorted({*floor, *errors})
     if failed:
         for x in blocks:
             x[failed] = 0.0
-    norms = _schatten_stack(singular_values_stack(blocks),
-                            [[p for p, _ in pts] for pts in points])
-    return [err or row for err, row in zip(firsts, norms)]
+    return _schatten_stack(singular_values_stack(blocks), [
+        [p for p, _ in pts] for pts in points]), [floor, errors]
 
 
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
@@ -374,8 +364,10 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
     :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
     cutoff; None uses it at its own."""
     phi, = _at_cutoff([spec.phi], eps_rel)
-    return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
-                                          [[(spec.p, spec.eta)]]))[0][0]
+    norms, errors = kosaki_norm_stack(y.algebra, _stack([y]), [phi],
+                                      [[(spec.p, spec.eta)]])
+    _raise_pairwise(*errors)
+    return norms[0][0]
 
 
 def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
@@ -402,8 +394,9 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
                 "element and reference functional algebras differ")
     ys = _sandwich_stack(stacked_a, phis, [eta for _, eta in points],
                          [1.0 - eta for _, eta in points])
-    lhs = _raise_first(kosaki_norm_stack(algebra, ys, phis,
-                                         [[pt] for pt in points]))
+    lhs, errors = kosaki_norm_stack(algebra, ys, phis,
+                                    [[pt] for pt in points])
+    _raise_pairwise(*errors)
     svs = singular_values_stack([np.concatenate([a, y])
                                  for a, y in zip(stacked_a, ys)])
     B = len(phis)

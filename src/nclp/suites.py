@@ -1,55 +1,42 @@
 """Seeded instance generation, scalar oracles, and the named invariant suites.
 
-Each suite draws its instances from a per-trial generator stream derived from
-(seed, trial_index), so runs are deterministic and trials are independent of
-scheduling.  Suite names form the external contract: lemma1, lemma3, lemma5,
-theorem6, corollary7, lemma8, lemma9, prop11, appendixA, dpi.
+Suite names form the external contract: lemma1, lemma3, lemma5, theorem6,
+corollary7, lemma8, lemma9, prop11, appendixA, dpi.  One driver,
+:func:`run_suite`, runs each from the ``_SUITES`` table.  Per profile it
+builds the algebra (a :class:`TensorAlgebra` for tensor profiles such as
+2x2, else a :class:`BlockAlgebra`) and runs the trials in chunks of at most
+``CHUNK_TRIALS``, each chunk one batch.  A draw has two halves:
 
-One driver, :func:`run_suite`, runs every suite from the ``_SUITES`` table.
-Per profile it builds the algebra (a :class:`TensorAlgebra` for tensor
-profiles such as 2x2, else a :class:`BlockAlgebra`) and first draws the
-trials' inputs, a chunk at a time (see below), each from its own
-``trial_rng(seed, idx)`` stream:
+* Per trial, ``draw(algebra, rng, idx, k) -> draw`` takes the trial's raw
+  numbers from its own ``trial_rng(seed, idx)`` stream (``idx`` counts
+  across profiles, ``k`` within one) in the order that fixes the stream:
+  consecutive ``standard_normal`` calls merge into one of the total size.
+  It does no linear algebra.  A density is drawn as a triple (build, key,
+  data), and an element as its flat Gaussian numbers (:func:`_normals`).
+* Per chunk, ``batch(config, tols, algebra, draws) -> [(instance, checks,
+  info), ...]`` first builds the draws as per-block (B, n, n) stacks:
+  :func:`_density_stacks` groups the density draws of all roles by build
+  and key (shape and ranks), without padding, and runs each group's
+  complex combine, QR with the phase fix, G G*, U diag(lambda) U* and
+  normalization as one stacked call each; :func:`_functionals` gives each
+  role one spectrum stack.  The public ``gen_*`` generators are B = 1 calls
+  of the same code.
 
-    draw(algebra, rng, idx, k) -> draw
-
-where ``idx`` is the trial's index across all profiles and ``k`` its index
-within the profile.  It then calls the suite's batch function once on the
-chunk's draws:
-
-    batch(config, tols, algebra, draws) -> [(instance, checks, info), ...]
-
-where ``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's
-overrides, and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved
-once: the batches build their functionals at it and give it to the element
-kernels.  A batch returns one triple per draw, in order: the instance
-summary (the driver adds ``dims``), a list of ``(report key, residual,
-tolerance)`` checks and the report's ``info``.  There is no group key: the
-trials of a chunk that take different code paths (the variants of
-``prop11``, ``lemma9`` and ``dpi``) share one batch, and each kernel sorts
-its own branches.  The batches evaluate their trials as stacks, with one
-LAPACK call per block for the whole chunk (``lstsq``, which takes one
-system at a time, aside; ``dpi`` makes one stack per algebra, as some of
-its trials live on a product).  The scalar work of each trial and point
-(eigenvalue powers, Q sums, Schatten norms) runs as row reductions across
-the stack, each row equal to the trial's own 1-D operation bit for bit, so
-a report does not depend on which trials share a batch.  Draws return
-finished densities and elements, not functionals.  A density that its trial
-normalizes (a factor square, a nested pair) is normalized in the draw by
-:func:`_normalized`; the reference, orthogonal, classical and zero densities
-are returned as drawn.  A batch builds each role's functionals with one
-:func:`_functionals` call, as one stack, so that they share one spectrum
-stack.  A batch runs stage by stage: a lone failing trial
-raises the error of its one-trial call, and of several, one of those that
-fail in the first failing stage raises.  The kernels return residuals and
-values and format no strings; :func:`run_suite` alone fills the residual
-and tolerance maps and decides ``passed``: a trial passes exactly when
-every residual is at most its tolerance.
-
-A profile's trials are drawn and evaluated in chunks of at most
-``CHUNK_TRIALS`` trials, each chunk one batch, so the draws a command holds
-are bounded; since reports do not depend on batching, the chunk size
-changes no byte of them (``CHUNK_TRIALS = 1`` runs one-trial batches).
+``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's overrides,
+and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved once.  A
+batch returns, per draw in order, the instance summary (the driver adds
+``dims``), its ``(report key, residual, tolerance)`` checks and the
+report's ``info``.  The trials of a chunk that take different code paths
+(the variants of ``prop11``, ``lemma9`` and ``dpi``) share one batch; each
+kernel sorts its own branches, and ``dpi`` makes one stack per algebra.
+Every operation is elementwise, matrix by matrix (one LAPACK call per block
+for the chunk; ``lstsq`` runs per system) or a row reduction equal to the
+trial's own 1-D operation, so a report does not depend on which trials
+share a chunk (``CHUNK_TRIALS = 1`` changes no byte).  The divergence check
+kernels return value and reason arrays, no value objects.  A batch runs
+stage by stage, and a failing trial raises the error of its one-trial call.
+Only :func:`run_suite` fills the residual and tolerance maps and decides
+``passed``: every residual is at most its tolerance.
 """
 
 from __future__ import annotations
@@ -63,14 +50,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, _frobenius_stack,
-                      _stack, _support_stack, _symmetrized_stack)
+from .algebra import (AlgebraElement, BlockAlgebra, _check_draw,
+                      _complex_stacks, _frobenius_stack, _stacked,
+                      _support_stack, _symmetrized_stack, _unstack)
 from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
                      resolve_eps_rel)
-from .divergence import (DivergenceParams, _order, additivity_stack,
+from .divergence import (REASONS, DivergenceParams, _kraus_draw, _order,
+                         _whitened_channel, additivity_stack,
                          dpi_probe_stack, embed_left_channel,
                          identity_channel, lemma9_stack, pinching_channel,
-                         random_unital_channel,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
 from .errors import DomainError, ShapeError, UsageError, _check_type
@@ -94,49 +82,210 @@ DimsProfile = tuple[tuple[int, ...], "tuple[int, ...] | None"]
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent per-trial stream derived from (seed, trial_index)."""
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (
+            seed, trial_index)):
+        raise DomainError(f"seed and trial index must be nonnegative "
+                          f"integers, got {seed!r} and {trial_index!r}")
     return np.random.default_rng([int(seed), int(trial_index)])
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int,
-                     cols: int) -> np.ndarray:
-    """Standard complex normal entries: (N + iN)/sqrt(2), N the real draw."""
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+def _normals(rng: np.random.Generator, *algebras) -> np.ndarray:
+    """The raw numbers of one Gaussian element per algebra, in order."""
+    return rng.standard_normal(2 * sum(a.total_dim for a in algebras))
 
 
-# The generators wrap the fresh complex128 blocks they compute with
-# AlgebraElement._trusted, without the public constructor's copy.
+def _elements(flats, *algebras) -> list[tuple[np.ndarray, ...]]:
+    """Per algebra, the per-block stacks of the elements of B draws of
+    :func:`_normals`."""
+    blocks = iter(_complex_stacks(flats, [(n, n) for a in algebras
+                                          for n in a.block_dims]))
+    return [tuple(next(blocks) for _ in a.block_dims) for a in algebras]
+
+
+def _unitaries(blocks) -> list[np.ndarray]:
+    """Per block, Q of each Gaussian matrix's QR with the phases of R's
+    diagonal divided out: Haar-distributed unitaries."""
+    out = []
+    for q, r in map(np.linalg.qr, blocks):
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        out.append(q * np.where(np.abs(d) > 0, d / np.abs(
+            np.where(d == 0, 1, d)), 1.0).conj()[..., None, :])
+    return out
+
+
+def _normalized(blocks) -> list[np.ndarray]:
+    """(h + h*)/2 divided by its trace where that is positive, per row: a
+    drawn density as its trial normalizes it.  The result is exactly
+    Hermitian, so building it with ``hermitize=True`` symmetrizes no bit of
+    it."""
+    sym = _symmetrized_stack(blocks, True)
+    mass = sum(np.trace(s, axis1=-2, axis2=-1) for s in sym).real[
+        :, None, None]
+    if (mass > 0).all():
+        return [s / mass for s in sym]
+    return [np.where(mass > 0, s / np.where(mass > 0, mass, 1.0), s)
+            for s in sym]
+
+
+def _distribute(total: int, caps) -> tuple[int, ...]:
+    """Left-to-right fill of a rank, a nonnegative integer, under per-block
+    caps."""
+    if not (isinstance(total, numbers.Integral) and total >= 0):
+        raise DomainError(f"a rank must be a nonnegative integer, got "
+                          f"{total!r}")
+    out, left = [], total
+    for cap in caps:
+        out.append(min(cap, left))
+        left -= out[-1]
+    if left > 0:
+        raise DomainError(f"rank {total} exceeds capacity {sum(caps)}")
+    return tuple(out)
+
+
+def _gram_draw(rng: np.random.Generator, alg: BlockAlgebra,
+               rank=None) -> tuple:
+    """The raw draw of a normalized factor square G G*: per block an n x r
+    Gaussian factor, the r filling ``rank`` (full by default)."""
+    ranks = _distribute(alg.carrier_dim if rank is None else rank,
+                        alg.block_dims)
+    return _gram, (ranks,), rng.standard_normal(
+        2 * sum(n * r for n, r in zip(alg.block_dims, ranks)))
+
+
+def _gram(alg, ranks, flats) -> list[np.ndarray]:
+    factors = iter(_complex_stacks(flats, [
+        (n, r) for n, r in zip(alg.block_dims, ranks) if r]))
+    return _normalized([g @ g.conj().swapaxes(-2, -1) if r else np.zeros(
+        (len(flats), n, n), np.complex128) for n, r in zip(
+            alg.block_dims, ranks) for g in [next(factors) if r else None]])
+
+
+def _diagonal(alg, vectors) -> list[np.ndarray]:
+    """The block-diagonal densities whose carrier diagonals are B vectors."""
+    v, out, ofs = _stacked(vectors), [], 0
+    for n in alg.block_dims:
+        out.append(np.zeros((len(v), n, n), np.complex128))
+        out[-1][:, range(n), range(n)] = v[:, ofs:ofs + n]
+        ofs += n
+    return out
+
+
+def _rotated_draw(rng: np.random.Generator, alg: BlockAlgebra,
+                  low: float) -> tuple:
+    """The raw draw of U diag(e / sum e) U*: a random block unitary U, then
+    the carrier's entries e uniform in [low, 1)."""
+    return _rotated, (), (_normals(rng, alg),
+                          rng.uniform(low, 1.0, alg.carrier_dim))
+
+
+def _rotated(alg, datas) -> list[np.ndarray]:
+    flats, entries = zip(*datas)
+    e = _stacked(entries)
+    return [u @ d @ u.conj().swapaxes(-2, -1) for u, d in zip(
+        _unitaries(_elements(flats, alg)[0]),
+        _diagonal(alg, e / e.sum(axis=-1, keepdims=True)))]
+
+
+def _orthogonal_draw(rng: np.random.Generator, alg: BlockAlgebra,
+                     rank: int) -> tuple[tuple, tuple]:
+    """The raw draws of (psi, psi') of :func:`gen_orthogonal_pair`: one
+    unitary, and entries in [0.1, 1) on psi's first ``rank`` carrier
+    directions (by :func:`_distribute`) and on the others for psi'."""
+    first = np.concatenate([np.arange(n) < r for n, r in zip(
+        alg.block_dims, _distribute(rank, alg.block_dims))])
+    if not 0 < rank < alg.carrier_dim:
+        raise DomainError(f"rank must lie strictly between 0 and "
+                          f"{alg.carrier_dim}")
+    _, _, (flat, entries) = _rotated_draw(rng, alg, 0.1)
+    return tuple((_rotated, (), (flat, np.where(mask, entries, 0.0)))
+                 for mask in (first, ~first))
+
+
+def _nested_draw(rng: np.random.Generator, alg: BlockAlgebra, rank_phi: int,
+                 rank_psi: int) -> tuple[tuple, tuple]:
+    """The raw draws of (psi, phi) of :func:`gen_nested_pair`: a unitary,
+    then per block phi's corner factor and spectrum and psi's factor."""
+    ranks_phi = _distribute(rank_phi, alg.block_dims)
+    ranks = tuple(zip(ranks_phi, _distribute(rank_psi, ranks_phi)))
+    data = (_normals(rng, alg), [
+        (rng.standard_normal(2 * rp * rp), rng.uniform(0.2, 1.0, rp),
+         rng.standard_normal(2 * rs * rs)) for rp, rs in ranks])
+    return tuple((_nested, (ranks, role), data) for role in ("psi", "phi"))
+
+
+def _nested(alg, ranks, role, datas) -> list[np.ndarray]:
+    """The psi or phi densities of nested draws: in the unitary's basis, psi
+    is a factor square G G* and phi is W diag(spectrum) W*, W from a QR,
+    each on its corner."""
+    us = _unitaries(_elements([u for u, _ in datas], alg)[0])
+    blocks = []
+    for b, (n, (rp, rs), u) in enumerate(zip(alg.block_dims, ranks, us)):
+        h = np.zeros((len(datas), n, n), np.complex128)
+        parts = [per_block[b] for _, per_block in datas]
+        if role == "phi" and rp:
+            w, _ = np.linalg.qr(_complex_stacks([p[0] for p in parts],
+                                                [(rp, rp)])[0])
+            h[:, :rp, :rp] = (w * _stacked([p[1] for p in parts])[
+                :, None, :]) @ w.conj().swapaxes(-2, -1)
+        elif role == "psi" and rs:
+            g, = _complex_stacks([p[2] for p in parts], [(rs, rs)])
+            h[:, :rs, :rs] = g @ g.conj().swapaxes(-2, -1)
+        blocks.append(u @ h @ u.conj().swapaxes(-2, -1))
+    return _normalized(blocks)
+
+
+def _classical_draw(rng: np.random.Generator, n: int,
+                    orthogonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The probability vectors of :func:`gen_classical_pair`."""
+    if orthogonal and n < 2:
+        raise DomainError("orthogonal supports need carrier dim >= 2")
+    p, q = rng.uniform(0.1, 1.0, 2 * n).reshape(2, n)
+    if orthogonal:
+        p[n // 2:] = 0.0
+        q[:n // 2] = 0.0
+    return p / np.sum(p), q / np.sum(q)
+
+
+def _density_stacks(alg: BlockAlgebra, raws) -> list[np.ndarray]:
+    """Per block, the (B, n, n) stack of the densities of B raw draws: each
+    group of one build and key is built as one stack, without padding, and
+    scattered into its rows."""
+    groups = {}
+    for j, (build, key, _) in enumerate(raws):
+        groups.setdefault((build, key), []).append(j)
+    if len(groups) == 1:
+        return build(alg, *key, [data for _, _, data in raws])
+    out = [np.empty((len(raws), n, n), np.complex128) for n in alg.block_dims]
+    for (build, key), js in groups.items():
+        for o, s in zip(out, build(alg, *key, [raws[j][2] for j in js])):
+            o[js] = s
+    return out
+
+
+def _functionals(alg: BlockAlgebra, eps: float,
+                 *roles) -> list[list[PositiveFunctional]]:
+    """Per role, the functionals of its B raw density draws at the resolved
+    cutoff ``eps``, one spectrum stack per role, built without the
+    Hermitian gate, as ``hermitize=True`` builds them.  The densities of
+    all roles are built as one stack."""
+    stacks, B = _density_stacks(alg, sum(roles, ())), len(roles[0])
+    return [_positive_functionals(alg, [s[i * B:(i + 1) * B] for s in stacks],
+                                  True, eps) for i in range(len(roles))]
 
 
 def gen_element(rng: np.random.Generator,
                 algebra: BlockAlgebra) -> AlgebraElement:
-    return AlgebraElement._trusted(
-        algebra, [complex_gaussian(rng, n, n) for n in algebra.block_dims])
+    _check_draw(rng, algebra)
+    return _unstack(algebra, _elements([_normals(rng, algebra)],
+                                       algebra)[0])[0]
 
 
 def gen_unitary(rng: np.random.Generator,
                 algebra: BlockAlgebra) -> AlgebraElement:
     """Haar-ish block unitary via QR with the phase-of-R correction."""
-    blocks = []
-    for n in algebra.block_dims:
-        q, r = np.linalg.qr(complex_gaussian(rng, n, n))
-        d = np.diag(r)
-        phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1, d)),
-                          1.0)
-        blocks.append(q * phases.conj())
-    return AlgebraElement._trusted(algebra, blocks)
-
-
-def _distribute(total: int, caps: tuple[int, ...]) -> list[int]:
-    """Left-to-right fill of a rank budget under per-block caps."""
-    out, left = [], total
-    for cap in caps:
-        take = min(cap, left)
-        out.append(take)
-        left -= take
-    if left > 0:
-        raise DomainError(f"rank {total} exceeds capacity {sum(caps)}")
-    return out
+    _check_draw(rng, algebra)
+    return _unstack(algebra, _unitaries(_elements(
+        [_normals(rng, algebra)], algebra)[0]))[0]
 
 
 def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -149,61 +298,17 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
     matrix level, not produced by thresholding.  Every ``gen_*`` helper
     builds its functionals at the default cutoff (:func:`default_eps_rel`).
     """
+    _check_draw(rng, algebra)
+    try:
+        rank = ({"full": algebra.carrier_dim, "zero": 0}[rank_profile]
+                if isinstance(rank_profile, str)
+                else dict([rank_profile])["deficient"])
+    except (TypeError, ValueError, KeyError):
+        raise DomainError(f"unknown rank profile {rank_profile!r}") from None
     if rank_profile == "zero":
         return PositiveFunctional.zero(algebra)
-    return _functionals(algebra, [_gram(rng, algebra, rank_profile)],
-                        default_eps_rel())[0]
-
-
-def _gram(rng: np.random.Generator, algebra: BlockAlgebra,
-          rank_profile="full") -> AlgebraElement:
-    """The normalized factor square G G* of :func:`gen_positive_functional`
-    at a nonzero rank profile."""
-    if rank_profile == "full":
-        ranks = list(algebra.block_dims)
-    else:
-        kind, r = rank_profile
-        if kind != "deficient":
-            raise DomainError(f"unknown rank profile {rank_profile!r}")
-        ranks = _distribute(int(r), algebra.block_dims)
-    blocks = []
-    for n, r in zip(algebra.block_dims, ranks):
-        if r == 0:
-            blocks.append(np.zeros((n, n), dtype=np.complex128))
-        else:
-            g = complex_gaussian(rng, n, r)
-            blocks.append(g @ g.conj().T)
-    return _normalized(AlgebraElement._trusted(algebra, blocks))
-
-
-def _normalized(h: AlgebraElement) -> AlgebraElement:
-    """(h + h*)/2 divided by its trace where that is positive: a drawn
-    density as its trial normalizes it.  The result is exactly Hermitian,
-    so building it with ``hermitize=True`` symmetrizes no bit of it."""
-    sym = _symmetrized_stack(h.blocks, True)
-    mass = sum(np.trace(s) for s in sym).real
-    return AlgebraElement._trusted(
-        h.algebra, [s / mass for s in sym] if mass > 0 else list(sym))
-
-
-def _reference_density(rng: np.random.Generator,
-                       algebra: BlockAlgebra) -> AlgebraElement:
-    """A faithful density of trace one, its spectrum drawn from [0.2, 1]
-    and then normalized.
-
-    Used where large density-power exponents meet the reference (condition
-    number enters as kappa^exponent); a Gaussian square would occasionally be
-    too ill-conditioned for the advertised residuals.
-    """
-    n = algebra.carrier_dim
-    u = gen_unitary(rng, algebra)
-    entries = rng.uniform(0.2, 1.0, n)
-    return _diag_element(algebra, entries / np.sum(entries), u)
-
-
-def _diag_element(algebra: BlockAlgebra, entries: np.ndarray,
-                  basis: AlgebraElement) -> AlgebraElement:
-    return basis @ algebra.diagonal(entries) @ basis.H
+    return _functionals(algebra, default_eps_rel(),
+                        (_gram_draw(rng, algebra, rank),))[0][0]
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -214,28 +319,9 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     psi has the given rank; psi' has full rank on the orthocomplement, so
     s(psi) + s(psi') = 1 and psi + psi' is faithful.
     """
-    return tuple(_functionals(algebra, _orthogonal_densities(
-        rng, algebra, rank), default_eps_rel()))
-
-
-def _orthogonal_densities(rng: np.random.Generator, algebra: BlockAlgebra,
-                          rank: int) -> tuple[AlgebraElement, AlgebraElement]:
-    """The densities of :func:`gen_orthogonal_pair`, of trace one as
-    drawn."""
-    n = algebra.carrier_dim
-    if not 0 < rank < n:
-        raise DomainError(f"rank must lie strictly between 0 and {n}")
-    ranks = _distribute(rank, algebra.block_dims)
-    u = gen_unitary(rng, algebra)
-    a = np.zeros(n)
-    b = np.zeros(n)
-    ofs = 0
-    for nk, rk in zip(algebra.block_dims, ranks):
-        a[ofs:ofs + rk] = rng.uniform(0.1, 1.0, rk)
-        b[ofs + rk:ofs + nk] = rng.uniform(0.1, 1.0, nk - rk)
-        ofs += nk
-    return (_diag_element(algebra, a / np.sum(a), u),
-            _diag_element(algebra, b / np.sum(b), u))
+    _check_draw(rng, algebra)
+    return tuple(_functionals(algebra, default_eps_rel(), _orthogonal_draw(
+        rng, algebra, rank))[0])
 
 
 def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -249,35 +335,9 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     the sandwich equation stay accurate); psi's corner is a Gaussian factor
     square, non-commuting with phi in general.
     """
-    return tuple(_functionals(algebra, _nested_densities(
-        rng, algebra, rank_phi, rank_psi), default_eps_rel()))
-
-
-def _nested_densities(rng: np.random.Generator, algebra: BlockAlgebra,
-                      rank_phi: int, rank_psi: int
-                      ) -> tuple[AlgebraElement, AlgebraElement]:
-    """The normalized densities (psi, phi) of :func:`gen_nested_pair`."""
-    if rank_psi > rank_phi:
-        raise DomainError("psi rank cannot exceed phi rank")
-    ranks_phi = _distribute(rank_phi, algebra.block_dims)
-    ranks_psi = _distribute(rank_psi, tuple(ranks_phi))
-    u = gen_unitary(rng, algebra)
-    phi_blocks, psi_blocks = [], []
-    for ub, nk, rpk, rsk in zip(u.blocks, algebra.block_dims, ranks_phi,
-                                ranks_psi):
-        hb = np.zeros((nk, nk), dtype=np.complex128)
-        pb = np.zeros((nk, nk), dtype=np.complex128)
-        if rpk:
-            w, _ = np.linalg.qr(complex_gaussian(rng, rpk, rpk))
-            spectrum = rng.uniform(0.2, 1.0, rpk)
-            hb[:rpk, :rpk] = (w * spectrum) @ w.conj().T
-        if rsk:
-            g = complex_gaussian(rng, rsk, rsk)
-            pb[:rsk, :rsk] = g @ g.conj().T
-        phi_blocks.append(ub @ hb @ ub.conj().T)
-        psi_blocks.append(ub @ pb @ ub.conj().T)
-    return (_normalized(AlgebraElement._trusted(algebra, psi_blocks)),
-            _normalized(AlgebraElement._trusted(algebra, phi_blocks)))
+    _check_draw(rng, algebra)
+    return tuple(_functionals(algebra, default_eps_rel(), _nested_draw(
+        rng, algebra, rank_phi, rank_psi))[0])
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -289,25 +349,11 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     With orthogonal=True the supports split the carrier coordinates, with
     exact zeros, so scalar-oracle comparisons are exact.
     """
-    p, q = _classical_vectors(rng, algebra, orthogonal)
-    psi, phi = _functionals(algebra, [algebra.diagonal(v) for v in (p, q)],
-                            default_eps_rel())
+    _check_draw(rng, algebra)
+    p, q = _classical_draw(rng, algebra.carrier_dim, orthogonal)
+    (psi, phi), = _functionals(algebra, default_eps_rel(),
+                               tuple((_diagonal, (), v) for v in (p, q)))
     return psi, phi, p, q
-
-
-def _classical_vectors(rng: np.random.Generator, algebra: BlockAlgebra,
-                       orthogonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The probability vectors of :func:`gen_classical_pair`."""
-    n = algebra.carrier_dim
-    p = rng.uniform(0.1, 1.0, n)
-    q = rng.uniform(0.1, 1.0, n)
-    if orthogonal:
-        if n < 2:
-            raise DomainError("orthogonal supports need carrier dim >= 2")
-        k = n // 2
-        p[k:] = 0.0
-        q[:k] = 0.0
-    return p / np.sum(p), q / np.sum(q)
 
 
 # -- scalar oracle ------------------------------------------------------------
@@ -467,22 +513,6 @@ def _carrier_at_least_two(alg: BlockAlgebra, suite: str) -> int:
     return n
 
 
-def _ranked_gram(rng: np.random.Generator, alg: BlockAlgebra,
-                 rank: int) -> AlgebraElement:
-    """The factor square of a random functional of the given rank, full
-    rank included."""
-    return _gram(
-        rng, alg, "full" if rank == alg.carrier_dim else ("deficient", rank))
-
-
-def _functionals(alg: BlockAlgebra, densities,
-                 eps: float) -> list[PositiveFunctional]:
-    """The functionals of finished drawn densities at the resolved cutoff
-    ``eps``, built as one stack without the Hermitian gate, as
-    ``hermitize=True`` builds them."""
-    return _positive_functionals(alg, _stack(densities), True, eps)
-
-
 # -- trial functions ----------------------------------------------------------
 
 THEOREM6_P_GRID = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
@@ -505,12 +535,19 @@ APPENDIXA_TS = (0.3, 1.0)
 
 def _theorem6_draw(T, rng, idx, k):
     # The spanning check runs once per profile, on its first trial's stream.
-    return gen_element(rng, T.left), gen_element(rng, T.right), \
-        rng if k == 0 else None
+    return _normals(rng, T.left, T.right), rng if k == 0 else None
+
+
+def _factors(flats, *algebras) -> list[list[AlgebraElement]]:
+    """Per algebra, the elements of B draws of :func:`_normals` on the
+    algebras."""
+    return [_unstack(a, s) for a, s in zip(algebras,
+                                           _elements(flats, *algebras))]
 
 
 def _theorem6_batch(config, tols, T, draws):
-    xs, ys, rngs = zip(*draws)
+    flats, rngs = zip(*draws)
+    xs, ys = _factors(flats, T.left, T.right)
     out = []
     for rng, norms in zip(rngs, theorem6_norm_stack(T, xs, ys,
                                                      THEOREM6_P_GRID)):
@@ -525,22 +562,27 @@ def _theorem6_batch(config, tols, T, draws):
     return out
 
 
+def _ranked_grams(rng, T) -> tuple:
+    """Both factor ranks, then a factor-square draw at each."""
+    ranks = [int(rng.integers(1, a.carrier_dim + 1)) for a in (T.left,
+                                                               T.right)]
+    return (*ranks, _gram_draw(rng, T.left, ranks[0]),
+            _gram_draw(rng, T.right, ranks[1]))
+
+
 def _lemma5_draw(T, rng, idx, k):
-    x = gen_element(rng, T.left)
-    y = gen_element(rng, T.right)
+    flat = _normals(rng, T.left, T.right)
     p = float(rng.uniform(0.4, 3.0))
     t = float(rng.uniform(-2.0, 2.0))
-    r1 = int(rng.integers(1, T.left.carrier_dim + 1))
-    r2 = int(rng.integers(1, T.right.carrier_dim + 1))
-    return (x, y, p, t, r1, r2, _ranked_gram(rng, T.left, r1),
-            _ranked_gram(rng, T.right, r2))
+    return (flat, p, t, *_ranked_grams(rng, T))
 
 
 def _lemma5_batch(config, tols, T, draws):
-    xs, ys, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
+    flats, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
     tol, eps = tols["residual"], config.eps_rel
-    psi1s = _functionals(T.left, h1s, eps)
-    psi2s = _functionals(T.right, h2s, eps)
+    xs, ys = _factors(flats, T.left, T.right)
+    (psi1s,), (psi2s,) = (_functionals(a, eps, h) for a, h in (
+        (T.left, h1s), (T.right, h2s)))
     residuals = zip(lemma5_polar_stack(T, xs, ys, eps),
                     lemma5_power_stack(T, xs, ys, [[p] for p in ps], eps),
                     lemma5_density_stack(T, psi1s, psi2s, ts))
@@ -552,15 +594,16 @@ def _lemma5_batch(config, tols, T, draws):
 
 
 def _corollary7_draw(T, rng, idx, k):
-    return (_gram(rng, T.left), _gram(rng, T.right),
-            gen_element(rng, T.left), gen_element(rng, T.right))
+    return (_gram_draw(rng, T.left),
+            _gram_draw(rng, T.right), _normals(rng, T.left, T.right))
 
 
 def _corollary7_batch(config, tols, T, draws):
-    h1s, h2s, x1s, x2s = zip(*draws)
-    phi1s = _functionals(T.left, h1s, config.eps_rel)
-    phi2s = _functionals(T.right, h2s, config.eps_rel)
-    norms = corollary7_norm_stack(x1s, x2s, phi1s, phi2s, COROLLARY7_GRID)
+    h1s, h2s, flats = zip(*draws)
+    (phi1s,), (phi2s,) = (_functionals(a, config.eps_rel, h) for a, h in (
+        (T.left, h1s), (T.right, h2s)))
+    norms = corollary7_norm_stack(*_factors(flats, T.left, T.right),
+                                  phi1s, phi2s, COROLLARY7_GRID)
     return [({"masses": [phi1.mass, phi2.mass]},
              [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
                tols["relative"])
@@ -571,18 +614,15 @@ def _corollary7_batch(config, tols, T, draws):
 def _lemma1_draw(alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma1")
     rank = int(rng.integers(1, n))
-    psi, psi_prime = _orthogonal_densities(rng, alg, rank)
-    phi = _gram(rng, alg)
-    t = float(rng.uniform(-5.0, 5.0))
-    s_par = float(rng.uniform(-5.0, 5.0))
+    psi, psi_prime = _orthogonal_draw(rng, alg, rank)
+    phi = _gram_draw(rng, alg)
+    t, s_par = rng.uniform(-5.0, 5.0, 2).tolist()
     return rank, psi, psi_prime, phi, t, s_par
 
 
 def _lemma1_batch(config, tols, alg, draws):
-    ranks, psis, primes, phis, ts, s_pars = zip(*draws)
-    psis = _functionals(alg, psis, config.eps_rel)
-    primes = _functionals(alg, primes, config.eps_rel)
-    phis = _functionals(alg, phis, config.eps_rel)
+    ranks, *roles, ts, s_pars = zip(*draws)
+    psis, primes, phis = _functionals(alg, config.eps_rel, *roles)
     lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts)
     u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws))
     residuals = zip(
@@ -599,19 +639,23 @@ def _lemma1_batch(config, tols, alg, draws):
                                                           residuals)]
 
 
+def _pick(rng, options):
+    """One of the options, as ``rng.choice(options)`` picks it and with the
+    same draw, without its conversion."""
+    return options[int(rng.integers(0, len(options)))]
+
+
 def _lemma3_draw(alg, rng, idx, k):
-    phi = _gram(rng, alg)
-    a = gen_element(rng, alg)
-    p = float(rng.choice(LEMMA3_P_GRID))
-    eta = float(rng.choice(LEMMA3_ETA_GRID))
-    return phi, a, p, eta
+    return (_gram_draw(rng, alg), _normals(rng, alg),
+            _pick(rng, LEMMA3_P_GRID), _pick(rng, LEMMA3_ETA_GRID))
 
 
 def _lemma3_batch(config, tols, alg, draws):
-    phis, xs, ps, etas = zip(*draws)
-    phis = _functionals(alg, phis, config.eps_rel)
+    phis, flats, ps, etas = zip(*draws)
+    phis, = _functionals(alg, config.eps_rel, phis)
     points = [_kosaki_point(p, eta) for p, eta in zip(ps, etas)]
-    bounds = interpolation_bound_stack(alg, _stack(xs), phis, points)
+    bounds = interpolation_bound_stack(alg, _elements(flats, alg)[0], phis,
+                                       points)
     bijective = lemma3_bijectivity_stack(phis, [p for p, _ in points])
     return [({"p": _p_label(p), "eta": eta},
              [("interpolation_slack", max(0.0, lhs - rhs),
@@ -625,16 +669,15 @@ def _lemma8_draw(alg, rng, idx, k):
     n = _carrier_at_least_two(alg, "lemma8")
     rank_phi = int(rng.integers(1, n))
     rank_psi = int(rng.integers(1, rank_phi + 1))
-    psi, phi = _nested_densities(rng, alg, rank_phi, rank_psi)
-    alpha = float(rng.choice((1.5, 2.0, 3.0)))
-    z = float(rng.choice((0.7, 1.0, alpha, 2.0 * alpha)))
+    psi, phi = _nested_draw(rng, alg, rank_phi, rank_psi)
+    alpha = _pick(rng, (1.5, 2.0, 3.0))
+    z = _pick(rng, (0.7, 1.0, alpha, 2.0 * alpha))
     return rank_psi, rank_phi, psi, phi, DivergenceParams(alpha, z=z)
 
 
 def _lemma8_batch(config, tols, alg, draws):
     rank_psis, rank_phis, psis, phis, params = zip(*draws)
-    psis = _functionals(alg, psis, config.eps_rel)
-    phis = _functionals(alg, phis, config.eps_rel)
+    psis, phis = _functionals(alg, config.eps_rel, psis, phis)
     x_pinv = solve_sharp_pseudo_inverse_stack(psis, phis, params)
     x_ls = solve_sharp_least_squares_stack(psis, phis, params)
     agreement = (_frobenius_stack([a - b for a, b in zip(x_pinv, x_ls)])
@@ -646,51 +689,61 @@ def _lemma8_batch(config, tols, alg, draws):
 
 
 def _lemma9_draw(alg, rng, idx, k):
-    """The variant's name and the densities of (psi, phi)."""
+    """The variant's name and the raw draws of (psi, phi)."""
     n = _carrier_at_least_two(alg, "lemma9")
     variant = idx % 5
     if variant == 0:
-        return "faithful", _gram(rng, alg), _gram(rng, alg)
+        return "faithful", _gram_draw(rng, alg), _gram_draw(rng, alg)
     if variant == 1:
-        return ("nested", *_nested_densities(rng, alg, n,
-                                             int(rng.integers(1, n))))
+        return ("nested", *_nested_draw(rng, alg, n,
+                                        int(rng.integers(1, n))))
     if variant == 2:
-        p, q = _classical_vectors(rng, alg, True)
-        return "orthogonal", alg.diagonal(p), alg.diagonal(q)
+        return ("orthogonal", *((_diagonal, (), v)
+                                for v in _classical_draw(rng, n, True)))
     if variant == 3:
-        return "zero_reference", _gram(rng, alg), alg.zero()
-    psi = _gram(rng, alg)
+        return ("zero_reference", _gram_draw(rng, alg),
+                (_diagonal, (), np.zeros(n)))
+    psi = _gram_draw(rng, alg)
     return "identical", psi, psi
+
+
+def _grid_checks(labels, residuals: dict, tols) -> list[list[tuple]]:
+    """Per trial, the checks (label:key, residual, tolerance) of a check
+    stack's residuals, point by point and key by key where asserted."""
+    cols = [(key, res.tolist(), on.tolist())
+            for key, (res, on) in residuals.items()]
+    return [[(f"{label}:{key}", res[j][g], tols[key])
+             for g, label in enumerate(labels)
+             for key, res, on in cols if on[j][g]]
+            for j in range(len(cols[0][1]))]
 
 
 def _lemma9_batch(config, tols, alg, draws):
     kinds, psis, phis = zip(*draws)
-    return [({"variant": kind},
-             [(f"alpha={alpha:g}:{key}", val, tols[key])
-              for alpha, (res, _) in zip(LEMMA9_ALPHAS, points)
-              for key, val in res.items()],
-             {"d_reasons": [dz.reason.value for _, (_, _, dz) in points]})
-            for kind, points in zip(kinds, lemma9_stack(
-                _functionals(alg, psis, config.eps_rel),
-                _functionals(alg, phis, config.eps_rel), LEMMA9_ALPHAS))]
+    residuals, (_, _, dz) = lemma9_stack(
+        *_functionals(alg, config.eps_rel, psis, phis), LEMMA9_ALPHAS)
+    checks = _grid_checks([f"alpha={a:g}" for a in LEMMA9_ALPHAS], residuals,
+                          tols)
+    return [({"variant": kind}, trial,
+             {"d_reasons": [REASONS[c].value for c in codes]})
+            for kind, trial, codes in zip(kinds, checks, dz.reasons.tolist())]
 
 
 def _prop11_draw(alg, rng, idx, k):
-    """The variant's name and the densities of (psi1, phi1, psi2, phi2)."""
+    """The variant's name and the raw draws of (psi1, phi1, psi2, phi2)."""
     variant = idx % 3
     if variant == 1:
-        p, q = _classical_vectors(rng, alg, True)
-        return ("support_violating_factor", alg.diagonal(p), alg.diagonal(q),
-                _gram(rng, alg), _reference_density(rng, alg))
+        p, q = _classical_draw(rng, alg.carrier_dim, True)
+        return ("support_violating_factor", (_diagonal, (), p),
+                (_diagonal, (), q), _gram_draw(rng, alg),
+                _rotated_draw(rng, alg, 0.2))
     if variant == 2:
-        psi1 = _reference_density(rng, alg)
-        psi2 = _reference_density(rng, alg)
+        psi1 = _rotated_draw(rng, alg, 0.2)
+        psi2 = _rotated_draw(rng, alg, 0.2)
         return "identical_pairs", psi1, psi1, psi2, psi2
-    n = alg.carrier_dim
-    return ("random", _ranked_gram(rng, alg, int(rng.integers(1, n + 1))),
-            _reference_density(rng, alg),
-            _ranked_gram(rng, alg, int(rng.integers(1, n + 1))),
-            _reference_density(rng, alg))
+    return ("random", *(draw for _ in range(2) for draw in (
+        _gram_draw(rng, alg, int(rng.integers(1, alg.carrier_dim + 1))),
+        _rotated_draw(rng, alg, 0.2))))
 
 
 _PROP11_LABELS = tuple(params.label() for params in PROP11_GRID)
@@ -698,39 +751,34 @@ _PROP11_LABELS = tuple(params.label() for params in PROP11_GRID)
 
 def _prop11_batch(config, tols, alg, draws):
     kinds, *roles = zip(*draws)
-    psi1s, phi1s, psi2s, phi2s = (_functionals(alg, role, config.eps_rel)
-                                  for role in roles)
-    stacks = additivity_stack(psi1s, phi1s, psi2s, phi2s, PROP11_GRID)
-    out = []
-    for kind, psi1, psi2, points in zip(kinds, psi1s, psi2s, stacks):
-        checks = [(f"{label}:{key}", val, tols[key])
-                  for label, (res, _) in zip(_PROP11_LABELS, points)
-                  for key, val in res.items()]
-        unasserted = [f"{label}: recorded only"
-                      for label, (res, _) in zip(_PROP11_LABELS, points)
-                      if not res]
-        out.append(({"variant": kind, "masses": [psi1.mass, psi2.mass]},
-                    checks, {"unasserted": unasserted} if unasserted else {}))
-    return out
+    psi1s, phi1s, psi2s, phi2s = _functionals(alg, config.eps_rel, *roles)
+    residuals, _ = additivity_stack(psi1s, phi1s, psi2s, phi2s, PROP11_GRID)
+    asserted = np.any([on for _, on in residuals.values()], axis=0).tolist()
+    return [({"variant": kind, "masses": [psi1.mass, psi2.mass]}, trial,
+             {"unasserted": unasserted} if unasserted else {})
+            for kind, psi1, psi2, trial, unasserted in zip(
+                kinds, psi1s, psi2s,
+                _grid_checks(_PROP11_LABELS, residuals, tols),
+                ([f"{label}: recorded only"
+                  for label, on in zip(_PROP11_LABELS, row) if not on]
+                 for row in asserted))]
 
 
 def _appendixA_draw(T, rng, idx, k):
-    x = gen_element(rng, T.left)
-    y = gen_element(rng, T.right)
-    xp = gen_element(rng, T.left)
-    yp = gen_element(rng, T.right)
-    r1 = int(rng.integers(1, T.left.carrier_dim + 1))
-    r2 = int(rng.integers(1, T.right.carrier_dim + 1))
-    return (x, y, xp, yp, r1, r2, _ranked_gram(rng, T.left, r1),
-            _ranked_gram(rng, T.right, r2))
+    return (_normals(rng, T.left, T.right, T.left, T.right),
+            *_ranked_grams(rng, T))
 
 
 def _appendixA_batch(config, tols, T, draws):
-    xs, ys, xps, yps, r1s, r2s, h1s, h2s = zip(*draws)
+    flats, r1s, r2s, h1s, h2s = zip(*draws)
     B, tol, eps = len(draws), tols["f_multiplicativity"], config.eps_rel
+    xs, ys, xps, yps = _factors(flats, T.left, T.right, T.left, T.right)
     spects = spectral_product_stack(T, xs, ys)
     powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, eps)
-    imags = lemma5_imaginary_stack(T, h1s, h2s, [APPENDIXA_TS] * B, eps)
+    imags = lemma5_imaginary_stack(
+        T, _unstack(T.left, _density_stacks(T.left, h1s)),
+        _unstack(T.right, _density_stacks(T.right, h2s)),
+        [APPENDIXA_TS] * B, eps)
     adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
     out = []
     for j, (r1, r2, (spect, top)) in enumerate(zip(r1s, r2s, spects)):
@@ -746,45 +794,49 @@ def _appendixA_batch(config, tols, T, draws):
     return out
 
 
+_DPI_KINDS = ("identity", "pinching", "partial_trace_embedding",
+              "random_unital")
+_DPI_RIGHT = BlockAlgebra((2,))
+
+
 def _dpi_draw(alg, rng, idx, k):
+    """The variant, the raw draws of (psi, phi) and the random channel's
+    Gaussian numbers, which every variant on alg draws first."""
     variant = idx % 4
-    if variant == 2:
-        T = TensorAlgebra(alg, BlockAlgebra((2,)))
-        channel = embed_left_channel(T)
-        kind = "partial_trace_embedding"
-        alg = T.product
-    else:
-        # Every channel is built, so the random one draws in every variant.
-        channel = {0: identity_channel(alg),
-                   1: pinching_channel(alg),
-                   3: random_unital_channel(rng, alg, alg)}[variant]
-        kind = {0: "identity", 1: "pinching", 3: "random_unital"}[variant]
-    return kind, _gram(rng, alg), _gram(rng, alg), channel
+    kraus = None if variant == 2 else _kraus_draw(rng, alg, alg)
+    on = TensorAlgebra(alg, _DPI_RIGHT).product if variant == 2 else alg
+    return variant, _gram_draw(rng, on), _gram_draw(rng, on), kraus
 
 
 def _dpi_batch(config, tols, alg, draws):
     # The trials of partial_trace_embedding live on a product of alg: one
     # stack of the trials on alg and one of those on the product, in the
-    # order of their first trial.
-    on_alg = [psi.algebra == alg for _, psi, _, _ in draws]
+    # order of their first trial.  The fixed channels are built once.
+    T = TensorAlgebra(alg, _DPI_RIGHT)
+    fixed = (identity_channel(alg), pinching_channel(alg),
+             embed_left_channel(T))
+    on_alg = [variant != 2 for variant, *_ in draws]
     grid = [DivergenceParams(alpha) for alpha in DPI_ALPHAS]
     out = [None] * len(draws)
     for flag in dict.fromkeys(on_alg):
         js = [j for j, f in enumerate(on_alg) if f == flag]
-        kinds, psis, phis, channels = zip(*(draws[j] for j in js))
-        on = psis[0].algebra
-        for j, kind, points in zip(js, kinds, dpi_probe_stack(
-                _functionals(on, psis, config.eps_rel),
-                _functionals(on, phis, config.eps_rel), channels, grid)):
-            checks = []
-            for alpha, (res, (_, _, gap, _)) in zip(DPI_ALPHAS, points):
-                checks.append((f"alpha={alpha:g}:violation",
-                               res.get("monotonicity_violation", 0.0),
-                               tols["monotonicity_violation"]))
-                if kind == "identity":
-                    checks.append((f"alpha={alpha:g}:identity_equality",
-                                   gap, tols["identity_equality"]))
-            out[j] = ({"channel": kind}, checks, {})
+        variants, psis, phis, krauses = zip(*(draws[j] for j in js))
+        on = alg if flag else T.product
+        residuals, (_, _, gaps, _) = dpi_probe_stack(
+            *_functionals(on, config.eps_rel, psis, phis),
+            [fixed[v] if v < 3 else _whitened_channel(alg, alg, kraus)
+             for v, kraus in zip(variants, krauses)], grid)
+        # Every trial records its violation, asserted or not (then 0).
+        violation, asserted = residuals["monotonicity_violation"]
+        checks = _grid_checks([f"alpha={a:g}" for a in DPI_ALPHAS], {
+            "violation": (np.where(asserted, violation, 0.0),
+                          np.ones(gaps.shape, bool)),
+            "identity_equality": (gaps, np.equal(variants, 0)[:, None]
+                                  & np.ones(gaps.shape, bool))}, {
+            "violation": tols["monotonicity_violation"],
+            "identity_equality": tols["identity_equality"]})
+        for j, variant, trial in zip(js, variants, checks):
+            out[j] = ({"channel": _DPI_KINDS[variant]}, trial, {})
     return out
 
 

@@ -9,7 +9,6 @@ blockwise along simple tensors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -17,11 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
-                      _apply_stack, _clipped_eig_stack, _eigenvalue_powers,
-                      _frobenius_stack, _imaginary_values, _kron_block,
-                      _polar_stack, _stack)
+                      _apply_stack, _clipped_eig_stack, _complex_stacks,
+                      _eigenvalue_powers, _frobenius_stack, _imaginary_values,
+                      _kron_block, _polar_stack, _stack)
 from .config import RANK_RTOL
-from .errors import DomainError, ShapeError, _check_type, _raise_first
+from .errors import DomainError, ShapeError, _check_type, _raise_pairwise
 from .functionals import (PositiveFunctional, _densities,
                           _positive_functionals, _stack_of)
 from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
@@ -226,13 +225,8 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
         raise DomainError(
             f"sample budget {sample_budget} below carrier dimension {D}")
     dims = (*T.left.block_dims, *T.right.block_dims)
-    draws = rng.standard_normal((sample_budget, 2 * sum(n * n for n in dims)))
-    blocks, ofs = [], 0
-    for n in dims:
-        re, im = (draws[:, ofs + k * n * n:ofs + (k + 1) * n * n].reshape(
-            sample_budget, n, n) for k in (0, 1))
-        blocks.append((re + 1j * im) / math.sqrt(2.0))
-        ofs += 2 * n * n
+    blocks = _complex_stacks(rng.standard_normal(
+        (sample_budget, 2 * sum(n * n for n in dims))), [(n, n) for n in dims])
     left = T.left.num_blocks
     rows = np.concatenate(
         [k.reshape(sample_budget, -1)
@@ -268,11 +262,9 @@ def corollary7_norm_stack(x1s: list[AlgebraElement],
                                points),
              kosaki_norm_stack(T.left, s1, phi1s, points),
              kosaki_norm_stack(T.right, s2, phi2s, points)]
-    out = []
-    for lhs, n1, n2 in zip(*sides):
-        _raise_first((lhs, n1, n2))
-        out.append([(l, a * b) for l, a, b in zip(lhs, n1, n2)])
-    return out
+    _raise_pairwise(*(m for _, maps in sides for m in maps))
+    return [[(l, a * b) for l, a, b in zip(*rows)]
+            for rows in zip(*(norms for norms, _ in sides))]
 
 
 def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],

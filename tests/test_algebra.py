@@ -18,7 +18,7 @@ def rand_element(alg, rng=RNG):
 
 def rand_psd(alg, rng=RNG):
     x = rand_element(alg, rng)
-    return x @ x.H
+    return x @ x.adjoint()
 
 
 def naive_product(a, b):
@@ -66,7 +66,7 @@ class TestMultiply:
     def test_adjoint_compatible(self):
         alg = BlockAlgebra((2, 3))
         x, y = rand_element(alg), rand_element(alg)
-        assert ((x @ y).H - y.H @ x.H).frobenius() < 1e-13
+        assert ((x @ y).adjoint() - y.adjoint() @ x.adjoint()).frobenius() < 1e-13
 
     def test_algebra_mismatch(self):
         with pytest.raises(ShapeError):
@@ -166,7 +166,7 @@ class TestFuncCalc:
                 lhs = h.imaginary_power(t) @ h.imaginary_power(s)
                 rhs = h.imaginary_power(t + s)
                 assert (lhs - rhs).frobenius() <= 1e-10
-                adj = h.imaginary_power(t).H
+                adj = h.imaginary_power(t).adjoint()
                 assert (adj - h.imaginary_power(-t)).frobenius() <= 1e-10
 
     def test_partial_isometry_onto_support(self):
@@ -175,7 +175,7 @@ class TestFuncCalc:
         g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         h = PositiveFunctional(AlgebraElement(alg, [g @ g.conj().T]))
         u = h.imaginary_power(1.7)
-        assert (u.H @ u - h.support()).frobenius() <= 1e-10
+        assert (u.adjoint() @ u - h.support()).frobenius() <= 1e-10
 
     def test_power_law(self):
         alg = BlockAlgebra((3,))
@@ -219,7 +219,7 @@ class TestSupportProjection:
         h = rand_psd(alg)
         p = PositiveFunctional(h).support()
         assert (p @ p - p).frobenius() <= 1e-10
-        assert (p - p.H).frobenius() <= 1e-10
+        assert (p - p.adjoint()).frobenius() <= 1e-10
         assert (p @ h - h).frobenius() <= 1e-9
 
     def test_non_psd_rejected(self):
@@ -249,7 +249,7 @@ class TestPolar:
             x = rand_element(alg)
             v, absx = polar_decompose(x)
             assert (v @ absx - x).frobenius() <= 1e-10 * (1 + x.frobenius())
-            assert (v.H @ v - PositiveFunctional(
+            assert (v.adjoint() @ v - PositiveFunctional(
                 absx).support()).frobenius() <= 1e-10
 
     def test_injective_case_unitary_and_canonical(self):
@@ -257,8 +257,8 @@ class TestPolar:
         x = rand_element(alg) + 3.0 * alg.identity()
         v, _ = polar_decompose(x)
         eye = alg.identity()
-        assert (v @ v.H - eye).frobenius() <= 1e-10
-        canonical = x @ PositiveFunctional(x.H @ x).power(-0.5)
+        assert (v @ v.adjoint() - eye).frobenius() <= 1e-10
+        canonical = x @ PositiveFunctional(x.adjoint() @ x).power(-0.5)
         assert (v - canonical).frobenius() <= 1e-10
 
 
@@ -270,7 +270,7 @@ class TestInternalResults:
         alg = BlockAlgebra((1, 2, 3))
         x, y = rand_element(alg), rand_element(alg)
         h = PositiveFunctional(rand_psd(alg))
-        results = [x @ y, x + y, x - y, -x, x.H, h.spectrum().apply(np.sqrt),
+        results = [x @ y, x + y, x - y, -x, x.adjoint(), h.spectrum().apply(np.sqrt),
                    h.support(), *polar_decompose(x), h.power(0.5),
                    h.imaginary_power(0.3)]
         for r in results:

@@ -23,6 +23,8 @@ from nclp import (BlockAlgebra, DivergenceParams, KosakiSpec, NclpError,
                   q_tilde_alpha, q_tilde_alpha_z)
 from nclp.divergence import lemma9_stack
 
+from _outcomes import points
+
 ALG = BlockAlgebra((3,))
 CUT = 1e-9
 DEFAULT = 1e-12
@@ -30,7 +32,7 @@ DEFAULT = 1e-12
 
 def _density(seed, spectrum):
     u = gen_unitary(np.random.default_rng(seed), ALG)
-    return u @ ALG.diagonal(spectrum) @ u.H
+    return u @ ALG.diagonal(spectrum) @ u.adjoint()
 
 
 # Each has one eigenvalue under CUT and over the default cutoff, except the
@@ -72,7 +74,7 @@ CALLS = {
     **CUTOFF_CALLS,
     "lemma9_stack": (lambda psi, phi: [
         (res, [str(v) for v in values])
-        for res, values in lemma9_stack([psi], [phi], [2.0])[0]],
+        for res, values in points(lemma9_stack([psi], [phi], [2.0]))],
         SMALL_PSI, SMALL_PHI),
     "connes_cocycle": (lambda psi, phi: _bits(*connes_cocycle(
         psi, phi, 0.7).blocks), SMALL_PSI, FAITHFUL),

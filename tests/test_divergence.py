@@ -22,6 +22,8 @@ from nclp.config import CHECK_TOLERANCES
 from nclp.divergence import (additivity_stack, dpi_probe_stack, lemma9_stack,
                              precompose_stack)
 
+from _outcomes import point
+
 RNG = np.random.default_rng(41)
 
 
@@ -53,20 +55,17 @@ def within_gates(res, suite):
 
 def lemma9_point(psi, phi, alpha):
     """(residuals, values) of one pair at one order."""
-    (point,), = lemma9_stack([psi], [phi], [alpha])
-    return point
+    return point(lemma9_stack([psi], [phi], [alpha]))
 
 
 def additivity_point(psi1, phi1, psi2, phi2, params):
     """(residuals, values) of one quadruple at one point."""
-    (point,), = additivity_stack([psi1], [phi1], [psi2], [phi2], [params])
-    return point
+    return point(additivity_stack([psi1], [phi1], [psi2], [phi2], [params]))
 
 
 def dpi_point(psi, phi, channel, params):
     """(residuals, values) of one triple at one point."""
-    (point,), = dpi_probe_stack([psi], [phi], [channel], [params])
-    return point
+    return point(dpi_probe_stack([psi], [phi], [channel], [params]))
 
 
 class TestParams:
@@ -105,7 +104,7 @@ class TestParams:
 class TestDivergenceValue:
     def test_consistency_enforced(self):
         DivergenceValue(1.5)
-        DivergenceValue.infinite(Reason.SUPPORT_VIOLATION)
+        DivergenceValue(math.inf, Reason.SUPPORT_VIOLATION)
         with pytest.raises(DomainError):
             DivergenceValue(math.inf)
         with pytest.raises(DomainError):
@@ -310,8 +309,8 @@ class TestCovariances:
             params = DivergenceParams(alpha, z=z)
             base = q_tilde_alpha_z(psi, phi, params).value
             conj = q_tilde_alpha_z(
-                PositiveFunctional(u @ psi.density @ u.H, hermitize=True),
-                PositiveFunctional(u @ phi.density @ u.H, hermitize=True),
+                PositiveFunctional(u @ psi.density @ u.adjoint(), hermitize=True),
+                PositiveFunctional(u @ phi.density @ u.adjoint(), hermitize=True),
                 params).value
             assert conj == pytest.approx(base, rel=1e-10)
 
@@ -648,10 +647,23 @@ class TestDpi:
         assert str(d_in) == str(d_out) == "inf reason=support_violation"
         assert gap == 0.0
 
-    def test_gap_of_infinite_values_with_different_reasons_is_inf(self):
-        from nclp.divergence import _dpi_point
-        _, (_, _, gap, _) = _dpi_point(
-            dpi_valid(0.5, 0.5),
-            DivergenceValue.infinite(Reason.ZERO_REFERENCE),
-            DivergenceValue.infinite(Reason.ZERO_Q_ALPHA_LT_1))
-        assert gap == math.inf
+    def test_gap_of_infinite_values_with_different_reasons_is_inf(
+            self, monkeypatch):
+        # D before the channel is +inf for a zero reference, D after it for
+        # a zero Q-value.
+        from nclp import divergence
+        reasons = iter([Reason.ZERO_REFERENCE, Reason.ZERO_Q_ALPHA_LT_1])
+
+        def infinite(psis, phis, grid):
+            d = divergence.Outcomes(np.full((1, 1), math.inf), np.full(
+                (1, 1), divergence.REASONS.index(next(reasons))), {})
+            return d, d
+
+        monkeypatch.setattr(divergence, "_d_stack", infinite)
+        assert dpi_valid(0.5, 0.5)
+        res, (d_in, d_out, gap, _) = dpi_point(
+            CLASSICAL_PSI, CLASSICAL_PHI, pinching_channel(
+                CLASSICAL_PSI.algebra), DivergenceParams(0.5))
+        assert (d_in.reason, d_out.reason) == (Reason.ZERO_REFERENCE,
+                                               Reason.ZERO_Q_ALPHA_LT_1)
+        assert gap == math.inf and res == {"monotonicity_violation": 0.0}

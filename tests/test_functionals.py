@@ -142,7 +142,7 @@ class TestCocycle:
         phi = diag_functional([0.2, 0.5, 0.3])
         for t in (-3.0, 1.1):
             u = connes_cocycle(psi, phi, t)
-            assert (u.H @ u - psi.support()).frobenius() <= 1e-10
+            assert (u.adjoint() @ u - psi.support()).frobenius() <= 1e-10
 
 
 class TestLemma1Cut:

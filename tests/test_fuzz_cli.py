@@ -158,7 +158,7 @@ def pool(tmp_path_factory):
     a2, a3, a23 = BlockAlgebra((2,)), BlockAlgebra((3,)), BlockAlgebra((2, 3))
     save("phi2", a2.diagonal([0.3, 0.7]), "functional")
     g = gaussian((2,))
-    save("psi2", g @ g.H, "functional")
+    save("psi2", g @ g.adjoint(), "functional")
     save("psi2r", a2.diagonal([1.0, 0.0]), "functional")
     save("x2", gaussian((2,)), "element")
     save("phi3", a3.diagonal([0.2, 0.3, 0.5]), "functional")

@@ -25,10 +25,12 @@ from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
 from nclp.algebra import _stack
 from nclp.divergence import (_d_stack, additivity_stack, dpi_probe_stack,
                              lemma9_stack, q_tilde_stack)
-from nclp.errors import _raise_first
+from nclp.errors import _raise_pairwise
 from nclp.lp import _kosaki_point, _schatten, kosaki_norm_stack
 from nclp.tensor import (corollary7_norm_stack, lemma5_imaginary_stack,
                          lemma5_power_stack, theorem6_norm_stack)
+
+from _outcomes import points, row
 
 ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 AZ_GRID = tuple(DivergenceParams(a, z=z) for a in ALPHAS
@@ -75,28 +77,29 @@ class TestDivergenceGrid:
     def test_q_grid_equals_one_point_loop(self, dims, seed, grid):
         for kind, psi, phi in pairs(dims, seed):
             expected = [one_point_q(psi, phi, p) for p in grid]
-            assert q_tilde_stack([psi], [phi], grid)[0] == expected, kind
+            assert row(q_tilde_stack([psi], [phi], grid)) == expected, kind
 
     def test_branches_are_reached(self):
         reasons = set()
         for dims, seed in CASES:
             for _, psi, phi in pairs(dims, seed):
-                reasons.update(d.reason for d in _d_stack(
-                    [psi], [phi], MIXED_GRID)[0])
+                reasons.update(d.reason for d in row(_d_stack(
+                    [psi], [phi], MIXED_GRID)[1]))
         assert reasons == set(Reason)
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_d_grid_equals_one_point_loop(self, dims, seed):
         for kind, psi, phi in pairs(dims, seed):
-            assert _d_stack([psi], [phi], MIXED_GRID)[0] == [
+            assert row(_d_stack([psi], [phi], MIXED_GRID)[1]) == [
                 d_tilde(psi, phi, p) for p in MIXED_GRID], kind
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_lemma9_grid(self, dims, seed):
         alphas = (0.5, 0.7, 1.5, 2.0, 3.0)
         for kind, psi, phi in pairs(dims, seed):
-            got = lemma9_stack([psi], [phi], alphas)[0]
-            want = [lemma9_stack([psi], [phi], [a])[0][0] for a in alphas]
+            got = points(lemma9_stack([psi], [phi], alphas))
+            want = [points(lemma9_stack([psi], [phi], [a]))[0]
+                    for a in alphas]
             assert [(res, [str(v) for v in values]) for res, values
                     in got] == [(res, [str(v) for v in values])
                                 for res, values in want], kind
@@ -105,10 +108,10 @@ class TestDivergenceGrid:
     def test_additivity_grid(self, dims):
         cases = pairs(dims, 21)
         for (k1, psi1, phi1), (k2, psi2, phi2) in zip(cases, cases[1:]):
-            got = additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                   MIXED_GRID)[0]
-            want = [additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                     [p])[0][0] for p in MIXED_GRID]
+            got = points(additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                          MIXED_GRID))
+            want = [points(additivity_stack([psi1], [phi1], [psi2], [phi2],
+                                            [p]))[0] for p in MIXED_GRID]
             assert [(res, [str(v) for v in values]) for res, values
                     in got] == [(res, [str(v) for v in values])
                                 for res, values in want], (k1, k2)
@@ -121,8 +124,9 @@ class TestDivergenceGrid:
         phi = gen_positive_functional(rng, alg)
         for channel in (pinching_channel(alg),
                         random_unital_channel(rng, alg, alg)):
-            got = dpi_probe_stack([psi], [phi], [channel], MIXED_GRID)[0]
-            want = [dpi_probe_stack([psi], [phi], [channel], [p])[0][0]
+            got = points(dpi_probe_stack([psi], [phi], [channel],
+                                         MIXED_GRID))
+            want = [points(dpi_probe_stack([psi], [phi], [channel], [p]))[0]
                     for p in MIXED_GRID]
             assert [(res, str(d_in), str(d_out), gap, violation)
                     for res, (d_in, d_out, gap, violation) in got] == [
@@ -141,8 +145,10 @@ class TestDivergenceGrid:
         assert q_tilde_alpha_z(psi, phi, grid[0]).is_finite
         with pytest.raises(ConditioningError) as one:
             q_tilde_alpha_z(psi, phi, grid[1])
+        (point, error), = q_tilde_stack([psi], [phi], grid).errors.values()
+        assert point == 1
         with pytest.raises(ConditioningError) as stacked:
-            _raise_first(q_tilde_stack([psi], [phi], grid)[0])
+            raise error
         assert stacked.value.residual == one.value.residual
         assert str(stacked.value) == str(one.value)
 
@@ -156,8 +162,10 @@ def kosaki_norms(y, phi, grid):
     """The norms of one element at every point, from one stack call; the
     first failing point raises."""
     points = [_kosaki_point(p, eta) for p, eta in grid]
-    return _raise_first(kosaki_norm_stack(y.algebra, _stack([y]), [phi],
-                                          [points]))[0]
+    norms, errors = kosaki_norm_stack(y.algebra, _stack([y]), [phi],
+                                      [points])
+    _raise_pairwise(*errors)
+    return norms[0]
 
 
 class TestNormGrids:

@@ -120,7 +120,7 @@ class TestLpNorm:
         # independent route: sqrt of eigenvalues of x* x
         alg = BlockAlgebra((3,))
         x = rand_element(alg)
-        sv = np.sqrt(np.linalg.eigvalsh((x.H @ x).blocks[0]))
+        sv = np.sqrt(np.linalg.eigvalsh((x.adjoint() @ x).blocks[0]))
         expected = float(np.sum(sv ** 1.7) ** (1 / 1.7))
         assert lp_norm(x, 1.7) == pytest.approx(expected, abs=1e-12)
 
@@ -131,7 +131,7 @@ class TestLpNorm:
             x = rand_element(alg)
             _, absx = polar_decompose(x)
             n = lp_norm(x, p)
-            assert lp_norm(x.H, p) == pytest.approx(n, rel=1e-12)
+            assert lp_norm(x.adjoint(), p) == pytest.approx(n, rel=1e-12)
             assert lp_norm(absx, p) == pytest.approx(n, rel=1e-12)
 
     def test_homogeneity_and_triangle(self):

@@ -19,19 +19,22 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
-                  DivergenceParams, DomainError, PositiveFunctional,
-                  SuiteConfig, TensorAlgebra, gen_classical_pair, gen_element,
-                  gen_nested_pair, gen_orthogonal_pair,
-                  gen_positive_functional, io, kron_element,
+                  DivergenceParams, DomainError, PositiveFunctional, Reason,
+                  SuiteConfig, TensorAlgebra, default_eps_rel,
+                  gen_classical_pair, gen_element, gen_nested_pair,
+                  gen_orthogonal_pair, gen_positive_functional, io,
+                  kron_element, q_tilde_alpha, q_tilde_alpha_z,
                   random_unital_channel, run_suite, trial_rng)
 from nclp import functionals, suites
 from nclp.algebra import _clip_stack, _stack
 from nclp.cli import main
-from nclp.divergence import q_tilde_stack
+from nclp.divergence import REASONS, q_tilde_stack
 from nclp.functionals import _positive_functionals, connes_cocycle, \
     connes_cocycle_stack
 from nclp.tensor import (corollary7_norm_stack, lemma5_power_stack,
                          theorem6_spanning)
+
+from _outcomes import value
 
 # Each suite at its default profiles and at one profile of unequal blocks.
 PROFILES = [(name, dims) for name in suites.SUITE_NAMES
@@ -93,6 +96,12 @@ class TestKnownGateFailure:
         capsys.readouterr()
         assert (tmp_path / "single.json").read_bytes() == \
             (tmp_path / "stacked.json").read_bytes()
+
+
+def one_point_q(psi, phi, params):
+    if params.is_sandwiched:
+        return q_tilde_alpha(psi, phi, params.alpha)
+    return q_tilde_alpha_z(psi, phi, params)
 
 
 def _densities(alg, seed, count):
@@ -189,8 +198,46 @@ class TestStackedValues:
         grid = [DivergenceParams(a, z=z) for a in (0.5, 2.0)
                 for z in (0.7, a)] + [DivergenceParams(1.5)]
         stacked = q_tilde_stack(psis, phis, grid)
-        for psi, phi, outcomes in zip(psis, phis, stacked):
-            assert outcomes == q_tilde_stack([psi], [phi], grid)[0]
+        for j, (psi, phi) in enumerate(zip(psis, phis)):
+            single = q_tilde_stack([psi], [phi], grid)
+            assert stacked.values[j].tobytes() == single.values[0].tobytes()
+            assert stacked.reasons[j].tolist() == single.reasons[0].tolist()
+            assert stacked.errors.get(j, (None, None))[0] == \
+                single.errors.get(0, (None, None))[0]
+
+    def test_q_stack_arrays_equal_the_one_point_values(self):
+        # Every entry, reason included, is the DivergenceValue of the
+        # one-point call; a pair's first failing point holds its error.
+        alg = BlockAlgebra((2, 3))
+        psis = [gen_positive_functional(trial_rng(41, j), alg)
+                for j in range(3)]
+        phis = [gen_positive_functional(trial_rng(42, 0), alg,
+                                        ("deficient", 2)),
+                gen_positive_functional(trial_rng(42, 1), alg),
+                PositiveFunctional(alg.diagonal([1.0, 1e-11, 1.0, 1.0,
+                                                 0.0]))]
+        psis[2] = PositiveFunctional(alg.diagonal([1.0, 1e-11, 1.0, 1.0,
+                                                   1e-11]))
+        grid = [DivergenceParams(a) for a in (0.5, 2.0)] + [
+            DivergenceParams(a, z=z) for a in (0.7, 1.5, 3.0)
+            for z in (0.9, 2.0 * a)]
+        stacked = q_tilde_stack(psis, phis, grid)
+        reasons = set()
+        for j, (psi, phi) in enumerate(zip(psis, phis)):
+            for g, params in enumerate(grid):
+                if stacked.errors.get(j, (None,))[0] == g:
+                    with pytest.raises(Exception) as info:
+                        one_point_q(psi, phi, params)
+                    assert (type(info.value), str(info.value)) == (
+                        type(stacked.errors[j][1]),
+                        str(stacked.errors[j][1]))
+                    break
+                want = one_point_q(psi, phi, params)
+                assert value(stacked, j, g) == want
+                assert REASONS[stacked.reasons[j, g]] == want.reason
+                reasons.add(want.reason)
+        assert reasons == {Reason.FINITE, Reason.SUPPORT_VIOLATION}
+        assert list(stacked.errors) == [2]
 
     def test_functional_stack_equals_an_eigh_loop(self):
         # The reference loop: symmetrize, eigh, clip, one matrix at a time.
@@ -275,8 +322,8 @@ def _rank_profile(alg, rank):
 
 def _reference(rng, alg):
     """A prop11 reference: a density of trace one, as drawn."""
-    return PositiveFunctional(suites._reference_density(rng, alg),
-                              hermitize=True)
+    return suites._functionals(alg, default_eps_rel(), (
+        suites._rotated_draw(rng, alg, 0.2),))[0][0]
 
 
 def _ranked_pair(rng, T):
@@ -493,3 +540,205 @@ class TestReportCoercion:
         coerced = io.build_run_report({"seed": 2},
                                       [r.to_dict() for r in reports], "ok")
         assert io.dumps_report(raw) == io.dumps_report(coerced)
+
+
+# Today's draws, one trial and one role at a time, as they consume a trial's
+# stream: the reference the two-half draws must leave each stream at.
+
+
+def _gauss(rng, rows, cols):
+    rng.standard_normal((rows, cols))
+    rng.standard_normal((rows, cols))
+
+
+def _seq_element(rng, alg):
+    for n in alg.block_dims:
+        _gauss(rng, n, n)
+
+
+def _seq_gram(rng, alg, rank=None):
+    ranks = suites._distribute(alg.carrier_dim if rank is None else rank,
+                               alg.block_dims)
+    for n, r in zip(alg.block_dims, ranks):
+        if r:
+            _gauss(rng, n, r)
+
+
+def _seq_reference(rng, alg):
+    _seq_element(rng, alg)
+    rng.uniform(0.2, 1.0, alg.carrier_dim)
+
+
+def _seq_classical(rng, alg):
+    rng.uniform(0.1, 1.0, alg.carrier_dim)
+    rng.uniform(0.1, 1.0, alg.carrier_dim)
+
+
+def _seq_nested(rng, alg, rank_phi, rank_psi):
+    ranks_phi = suites._distribute(rank_phi, alg.block_dims)
+    _seq_element(rng, alg)
+    for rp, rs in zip(ranks_phi, suites._distribute(rank_psi, ranks_phi)):
+        if rp:
+            _gauss(rng, rp, rp)
+            rng.uniform(0.2, 1.0, rp)
+        if rs:
+            _gauss(rng, rs, rs)
+
+
+def _seq_ranked_pair(rng, T):
+    r1 = int(rng.integers(1, T.left.carrier_dim + 1))
+    r2 = int(rng.integers(1, T.right.carrier_dim + 1))
+    _seq_gram(rng, T.left, r1)
+    _seq_gram(rng, T.right, r2)
+
+
+def _seq_lemma1(rng, alg, idx):
+    rank = int(rng.integers(1, alg.carrier_dim))
+    _seq_element(rng, alg)
+    for n, r in zip(alg.block_dims, suites._distribute(rank, alg.block_dims)):
+        rng.uniform(0.1, 1.0, r)
+        rng.uniform(0.1, 1.0, n - r)
+    _seq_gram(rng, alg)
+    rng.uniform(-5.0, 5.0)
+    rng.uniform(-5.0, 5.0)
+
+
+def _seq_lemma3(rng, alg, idx):
+    _seq_gram(rng, alg)
+    _seq_element(rng, alg)
+    rng.choice(suites.LEMMA3_P_GRID)
+    rng.choice(suites.LEMMA3_ETA_GRID)
+
+
+def _seq_lemma8(rng, alg, idx):
+    rank_phi = int(rng.integers(1, alg.carrier_dim))
+    _seq_nested(rng, alg, rank_phi, int(rng.integers(1, rank_phi + 1)))
+    alpha = float(rng.choice((1.5, 2.0, 3.0)))
+    rng.choice((0.7, 1.0, alpha, 2.0 * alpha))
+
+
+def _seq_lemma9(rng, alg, idx):
+    n = alg.carrier_dim
+    if idx % 5 == 1:
+        _seq_nested(rng, alg, n, int(rng.integers(1, n)))
+    elif idx % 5 == 2:
+        _seq_classical(rng, alg)
+    else:
+        for _ in range(1 if idx % 5 > 2 else 2):
+            _seq_gram(rng, alg)
+
+
+def _seq_prop11(rng, alg, idx):
+    if idx % 3 == 1:
+        _seq_classical(rng, alg)
+        _seq_gram(rng, alg)
+        _seq_reference(rng, alg)
+        return
+    for _ in range(2):
+        if idx % 3 == 0:
+            _seq_gram(rng, alg, int(rng.integers(1, alg.carrier_dim + 1)))
+        _seq_reference(rng, alg)
+
+
+def _seq_dpi(rng, alg, idx):
+    if idx % 4 == 2:
+        alg = TensorAlgebra(alg, BlockAlgebra((2,))).product
+    else:
+        for _ in range(3):
+            _gauss(rng, alg.carrier_dim, alg.carrier_dim)
+    _seq_gram(rng, alg)
+    _seq_gram(rng, alg)
+
+
+def _seq_theorem6(rng, T, idx):
+    _seq_element(rng, T.left)
+    _seq_element(rng, T.right)
+
+
+def _seq_lemma5(rng, T, idx):
+    _seq_theorem6(rng, T, idx)
+    rng.uniform(0.4, 3.0)
+    rng.uniform(-2.0, 2.0)
+    _seq_ranked_pair(rng, T)
+
+
+def _seq_corollary7(rng, T, idx):
+    _seq_gram(rng, T.left)
+    _seq_gram(rng, T.right)
+    _seq_theorem6(rng, T, idx)
+
+
+def _seq_appendixA(rng, T, idx):
+    _seq_theorem6(rng, T, idx)
+    _seq_theorem6(rng, T, idx)
+    _seq_ranked_pair(rng, T)
+
+
+SEQUENTIAL = {"lemma1": _seq_lemma1, "lemma3": _seq_lemma3,
+              "lemma5": _seq_lemma5, "theorem6": _seq_theorem6,
+              "corollary7": _seq_corollary7, "lemma8": _seq_lemma8,
+              "lemma9": _seq_lemma9, "prop11": _seq_prop11,
+              "appendixA": _seq_appendixA, "dpi": _seq_dpi}
+
+# Every suite at two profiles of mixed ranks: one block and two blocks.
+MIXED_RANKS = [(name, dims) for name in suites.SUITE_NAMES
+               for dims in (("3x2", "2+3x2") if suites._SUITES[name].tensor
+                            else ("3", "2+3"))]
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestTwoHalfDraws:
+    """A draw takes its raw numbers per trial and does its linear algebra
+    per chunk: each trial's rows of a chunk's stacks equal the stacks of
+    its draw built alone (B = 1), and its stream ends where the sequential
+    draw leaves it."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 281])
+    @pytest.mark.parametrize("name,dims", MIXED_RANKS)
+    def test_chunk_rows_equal_one_draw_builds(self, monkeypatch, name, dims,
+                                              seed):
+        built = []
+
+        def capturing(fn):
+            original = getattr(suites, fn)
+
+            def capture(first, *rest):
+                out = original(first, *rest)
+                built.append((original, first, rest, out))
+                return out
+            monkeypatch.setattr(suites, fn, capture)
+
+        capturing("_density_stacks")
+        capturing("_elements")
+        run_suite(SuiteConfig(name, 10, seed, suites.parse_dims(dims)))
+        assert max(len(first) if original.__name__ == "_elements"
+                   else len(rest[0]) for original, first, rest, _ in built) > 1
+        for original, first, rest, out in built:
+            if original.__name__ == "_density_stacks":
+                rows = [original(first, rest[0][j:j + 1])
+                        for j in range(len(rest[0]))]
+                stacked = [list(out)]
+            else:
+                rows = [[block for blocks in original(first[j:j + 1], *rest)
+                         for block in blocks] for j in range(len(first))]
+                stacked = [[block for blocks in out for block in blocks]]
+            for j, single in enumerate(rows):
+                assert _bits(s[0] for s in single) == _bits(
+                    s[j] for s in stacked[0])
+
+    @pytest.mark.parametrize("seed", [3, 17, 281])
+    @pytest.mark.parametrize("name,dims", MIXED_RANKS)
+    def test_stream_ends_where_the_sequential_draw_left_it(self, name, dims,
+                                                            seed):
+        suite = suites._SUITES[name]
+        profile, = suites.parse_dims(dims)
+        alg = suites._profile_algebra(profile, name, suite.tensor)
+        for idx in range(10):
+            rng = trial_rng(seed, idx)
+            suite.draw(alg, rng, idx, idx)
+            reference = np.random.default_rng([seed, idx])
+            SEQUENTIAL[name](reference, alg, idx)
+            assert rng.bit_generator.state == reference.bit_generator.state

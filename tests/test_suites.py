@@ -9,14 +9,49 @@ import pytest
 
 import nclp
 from nclp import (BlockAlgebra, DivergenceParams, DomainError,
-                  PositiveFunctional, Reason, SuiteConfig, TensorAlgebra,
-                  UsageError, classical_renyi_oracle, d_tilde,
-                  gen_classical_pair, gen_element, gen_nested_pair,
-                  gen_orthogonal_pair, gen_positive_functional, gen_unitary,
-                  parse_dims, q_tilde_alpha_z, run_suite, summarize,
-                  trial_rng)
+                  PositiveFunctional, Reason, ShapeError, SuiteConfig,
+                  TensorAlgebra, UsageError, classical_renyi_oracle, d_tilde,
+                  default_eps_rel, gen_classical_pair, gen_element,
+                  gen_nested_pair, gen_orthogonal_pair,
+                  gen_positive_functional, gen_unitary, parse_dims,
+                  q_tilde_alpha_z, random_unital_channel, run_suite,
+                  summarize, trial_rng)
 from nclp.suites import SUITE_NAMES, format_profile
 from nclp.tensor import corollary7_norm_stack
+
+from _outcomes import point
+
+
+_ALG3 = BlockAlgebra((3,))
+
+
+class TestGeneratorEntryCheck:
+    """Wrong arguments to the draws end in a typed error, from the one entry
+    check at their front."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: gen_element("x", _ALG3),
+        lambda: gen_unitary("x", _ALG3),
+        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3, "bogus"),
+        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3,
+                                        ("deficient", "x")),
+        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3,
+                                        ("deficient", -1)),
+        lambda: gen_orthogonal_pair(trial_rng(1, 0), _ALG3, 1.5),
+        lambda: gen_orthogonal_pair(trial_rng(1, 0), _ALG3, "1"),
+        lambda: gen_nested_pair(trial_rng(1, 0), _ALG3, 2, "1"),
+        lambda: gen_nested_pair(trial_rng(1, 0), _ALG3, -1, -2),
+        lambda: trial_rng("a", 1),
+        lambda: trial_rng(-1, 1),
+        lambda: random_unital_channel("x", _ALG3, _ALG3),
+    ], ids=["element_rng", "unitary_rng", "profile_bogus",
+            "profile_rank_text", "profile_rank_negative",
+            "orthogonal_rank_float", "orthogonal_rank_text",
+            "nested_rank_text", "nested_ranks_negative", "trial_rng_text",
+            "trial_rng_negative", "channel_rng"])
+    def test_typed_error(self, call):
+        with pytest.raises((DomainError, ShapeError)):
+            call()
 
 
 class TestGenerators:
@@ -48,7 +83,7 @@ class TestGenerators:
     def test_unitary_blocks(self):
         u = gen_unitary(trial_rng(2, 0), BlockAlgebra((3, 2)))
         eye = BlockAlgebra((3, 2)).identity()
-        assert (u @ u.H - eye).frobenius() <= 1e-12
+        assert (u @ u.adjoint() - eye).frobenius() <= 1e-12
 
     def test_orthogonal_pair_supports(self):
         rng = trial_rng(3, 0)
@@ -196,19 +231,20 @@ class TestProductsOncePerTrial:
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_prop11_matches_public_check(self, seed):
         from nclp.divergence import additivity_stack
-        from nclp.suites import PROP11_GRID, _prop11_draw
+        from nclp.suites import PROP11_GRID, _functionals, _prop11_draw
         alg = BlockAlgebra((2,))
         cfg = SuiteConfig(suite_name="prop11", trials=3, seed=seed,
                           dims=((alg.block_dims, None),))
         for rep in run_suite(cfg):
             idx = rep.trial_index
-            _, *densities = _prop11_draw(alg, trial_rng(seed, idx), idx, idx)
-            psi1, phi1, psi2, phi2 = (PositiveFunctional(d, hermitize=True)
-                                      for d in densities)
+            _, *raws = _prop11_draw(alg, trial_rng(seed, idx), idx, idx)
+            psi1, phi1, psi2, phi2 = (
+                _functionals(alg, default_eps_rel(), (raw,))[0][0]
+                for raw in raws)
             expected = {}
             for params in PROP11_GRID:
-                (res, _), = additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                             [params])[0]
+                res, _ = point(additivity_stack([psi1], [phi1], [psi2],
+                                                [phi2], [params]))
                 for key, val in res.items():
                     expected[f"{params.label()}:{key}"] = val
             assert rep.residuals == expected
@@ -322,15 +358,15 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_lemma9_d_reasons_equal_d_tilde(self, seed):
-        from nclp.suites import LEMMA9_ALPHAS, _lemma9_draw
+        from nclp.suites import LEMMA9_ALPHAS, _functionals, _lemma9_draw
         alg = BlockAlgebra((3,))
         cfg = SuiteConfig(suite_name="lemma9", trials=10, seed=seed,
                           dims=parse_dims("3"))
         for rep in run_suite(cfg):
             idx = rep.trial_index
-            _, *densities = _lemma9_draw(alg, trial_rng(seed, idx), idx, idx)
-            psi, phi = (PositiveFunctional(d, hermitize=True)
-                        for d in densities)
+            _, *raws = _lemma9_draw(alg, trial_rng(seed, idx), idx, idx)
+            psi, phi = (_functionals(alg, default_eps_rel(), (raw,))[0][0]
+                        for raw in raws)
             want = [d_tilde(psi, phi, DivergenceParams(a, z=a)).reason.value
                     for a in LEMMA9_ALPHAS]
             assert rep.info["d_reasons"] == want

@@ -48,8 +48,8 @@ class TestKronElement:
     def test_adjoint(self):
         T = pair((3,), (2,))
         x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
-        assert (kron_element(T, x, y).H
-                - kron_element(T, x.H, y.H)).frobenius() == 0.0
+        assert (kron_element(T, x, y).adjoint()
+                - kron_element(T, x.adjoint(), y.adjoint())).frobenius() == 0.0
 
     def test_bilinear(self):
         T = pair((2,), (2,))
