@@ -112,8 +112,7 @@ def _cmd_divergence(args) -> int:
     else:
         z = args.alpha if args.z is None else args.z
         params = DivergenceParams(args.alpha, z=z)
-    psi = io.load_functional(args.psi, eps)
-    phi = io.load_functional(args.phi, eps)
+    psi, phi = io.load_functionals([args.psi, args.phi], eps)
     if psi.algebra != phi.algebra:
         raise ShapeError("psi and phi files live on different algebras")
     q, d = (_point(o) for o in _d_stack([psi], [phi], [params]))

@@ -18,10 +18,10 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, BlockAlgebra
-from .config import EIGENSOLVER_ID, LOG_BASE, PRNG_ID
-from .errors import DomainError, FileFormatError, OutputError
-from .functionals import PositiveFunctional
+from .algebra import AlgebraElement, BlockAlgebra, _stack
+from .config import EIGENSOLVER_ID, LOG_BASE, PRNG_ID, resolve_eps_rel
+from .errors import DomainError, FileFormatError, NclpError, OutputError
+from .functionals import PositiveFunctional, _positive_functionals
 from .reports import _py
 
 KINDS = ("element", "functional")
@@ -82,6 +82,15 @@ def _real_grid(raw, n: int, label: str) -> np.ndarray:
 def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
     """Validate and decode one matrix-file JSON document; a functional is
     built at the kernel cutoff ``eps_rel``."""
+    element, kind = _decoded(doc)
+    if kind == "element":
+        return MatrixFile(element, kind)
+    return MatrixFile(element, kind, _functionals([element], eps_rel)[0])
+
+
+def _decoded(doc) -> tuple[AlgebraElement, str]:
+    """The element and kind of a matrix-file document, its structure and
+    entries checked."""
     if not isinstance(doc, dict):
         raise FileFormatError("document must be a JSON object")
     try:
@@ -108,32 +117,44 @@ def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
             np.complex128)
         block.imag = _real_grid(raw.get("im"), n, f"block {i} im")
         blocks.append(block)
-    element = AlgebraElement._trusted(algebra, blocks)
-    if kind == "element":
-        return MatrixFile(element, kind)
-    try:  # the Hermitian gate and the PSD clip
-        phi = PositiveFunctional(element, eps_rel=eps_rel)
+    return AlgebraElement._trusted(algebra, blocks), kind
+
+
+def _functionals(elements, eps_rel) -> list[PositiveFunctional]:
+    """The functionals of functional payloads on one algebra, built as one
+    stack through the Hermitian gate and the PSD clip; the first invalid
+    payload raises."""
+    eps = resolve_eps_rel(eps_rel)
+    try:
+        return _positive_functionals(elements[0].algebra, _stack(elements),
+                                     False, eps)
     except DomainError as exc:
         raise FileFormatError(f"invalid functional payload: {exc}") from exc
-    return MatrixFile(element, kind, phi)
 
 
-def loads_matrix(text: str, eps_rel: float | None = None) -> MatrixFile:
+def _document(text: str):
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError("invalid JSON: nested too deeply") from exc
-    return parse_matrix_document(doc, eps_rel)
+
+
+def loads_matrix(text: str, eps_rel: float | None = None) -> MatrixFile:
+    return parse_matrix_document(_document(text), eps_rel)
+
+
+def _read(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def load_matrix_file(path, eps_rel: float | None = None) -> MatrixFile:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return loads_matrix(f.read(), eps_rel)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    return loads_matrix(_read(path), eps_rel)
 
 
 def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
@@ -172,7 +193,29 @@ def save_matrix_file(path, x: AlgebraElement, kind: str = "element"):
 
 
 def load_functional(path, eps_rel: float | None = None) -> PositiveFunctional:
-    return load_matrix_file(path, eps_rel).functional()
+    return load_functionals([path], eps_rel)[0]
+
+
+def load_functionals(paths, eps_rel: float | None = None
+                     ) -> list[PositiveFunctional]:
+    """The functionals of functional files, with the errors that
+    :func:`load_functional` of each in order raises, built as one stack
+    when they share an algebra: a file's payload is validated before a
+    later file's error is raised."""
+    elements = []
+    for path in paths:
+        try:
+            element, kind = _decoded(_document(_read(path)))
+            if kind != "functional":
+                MatrixFile(element, kind).functional()  # the kind's error
+        except NclpError:
+            for earlier in elements:
+                _functionals([earlier], eps_rel)
+            raise
+        elements.append(element)
+    if len({e.algebra for e in elements}) > 1:
+        return [_functionals([e], eps_rel)[0] for e in elements]
+    return _functionals(elements, eps_rel)
 
 
 def load_element(path, eps_rel: float | None = None) -> AlgebraElement:

@@ -14,8 +14,8 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, CutoffError,
                   DivergenceParams, DomainError, FileFormatError,
                   PositiveFunctional, TensorAlgebra, UsageError, d_tilde,
-                  default_eps_rel, kron_element, lp_norm, q_tilde_alpha,
-                  q_tilde_alpha_z)
+                  default_eps_rel, gen_positive_functional, kron_element,
+                  lp_norm, q_tilde_alpha, q_tilde_alpha_z)
 from nclp import cli, io
 from nclp.cli import main
 from nclp.config import resolve_eps_rel
@@ -435,6 +435,45 @@ class TestCliDivergenceDomain:
              else q_tilde_alpha_z(f_psi, f_phi, params))
         d = d_tilde(f_psi, f_phi, params)
         assert capsys.readouterr().out == f"Q={q}\nD={d}\n"
+
+
+class TestLoadFunctionals:
+    """The divergence command loads its two files as one stack, with the
+    errors of two load_functional calls in file order: a file's payload is
+    validated before a later file's error is raised."""
+
+    @pytest.mark.parametrize("psi,phi", [
+        ("bad", "missing"), ("bad", "good"), ("good", "bad"),
+        ("bad", "wide"), ("element", "bad"), ("good", "element"),
+        ("bad", "element")])
+    def test_first_error_in_file_order(self, tmp_path, psi, phi):
+        files = {"good": write_diag(tmp_path / "good.json", [0.5, 0.5]),
+                 "bad": write_diag(tmp_path / "bad.json", [1.0, -1.0]),
+                 "wide": write_diag(tmp_path / "wide.json", [1.0, 1.0, 1.0]),
+                 "element": write_diag(tmp_path / "element.json",
+                                       [0.5, 0.5], "element"),
+                 "missing": tmp_path / "missing.json"}
+        paths = [files[psi], files[phi]]
+        with pytest.raises(FileFormatError) as one:
+            [io.load_functional(path) for path in paths]
+        with pytest.raises(FileFormatError) as stacked:
+            io.load_functionals(paths)
+        assert str(stacked.value) == str(one.value)
+
+    def test_one_stack_equals_two_loads(self, tmp_path):
+        alg = BlockAlgebra((2, 3))
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / "psi.json", tmp_path / "phi.json"]
+        for path in paths:
+            io.save_matrix_file(path, gen_positive_functional(
+                rng, alg).density, "functional")
+        for psi, path in zip(io.load_functionals(paths), paths):
+            one = io.load_functional(path)
+            for a, b in zip((*psi.density.blocks, *psi._spectrum.eigenvalues,
+                             *psi._spectrum.eigenvectors),
+                            (*one.density.blocks, *one._spectrum.eigenvalues,
+                             *one._spectrum.eigenvectors)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestCliSuiteSmallCarrier:
