@@ -215,11 +215,15 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # rows into elements, and one, :func:`_corner_solve`, solves y = h^l x h^r
 # on the support corner of each row's h and certifies the solutions.  The
 # one-element functions of this package are B = 1 calls of the stacked
-# kernels.  Kernels only compute: they take no tolerance (the corner solve
-# reads its one budget from the config), build no report or report string
-# (a check kernel returns residuals and values), and resolve no cutoff.  A
-# kernel on functionals reads their spectrum stack and its cutoff; any other
-# is given a resolved cutoff.
+# kernels.  A kernel takes a batch of elements as per-block stacks, whose
+# block shapes name their algebra (:func:`_algebra_of`), and a batch of
+# functionals as a list; :class:`AlgebraElement` is the type of the
+# one-point API and the generators, which stack and unstack at that boundary
+# (:func:`_stack`, :func:`_unstack`).  Kernels only compute: they take no
+# tolerance (the corner solve reads its one budget from the config), build
+# no report or report string (a check kernel returns residuals and values),
+# and resolve no cutoff.  A kernel on functionals reads their spectrum stack
+# and its cutoff; any other is given a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -323,6 +327,11 @@ def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
     """Per block, the (B, n, n) stack of the elements' blocks, in order."""
     return tuple([_stacked(arrays)
                   for arrays in zip(*[x.blocks for x in elements])])
+
+
+def _algebra_of(stacked: Sequence[np.ndarray]) -> BlockAlgebra:
+    """The algebra of per-block stacks, read off their block shapes."""
+    return BlockAlgebra(tuple(s.shape[-1] for s in stacked))
 
 
 def _unstack(algebra: BlockAlgebra,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import io
-from .config import DEFAULT_EPS_REL, resolve_eps_rel
+from .config import resolve_eps_rel
 from .divergence import DivergenceParams, _d_stack, _point
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      UsageError)
@@ -136,7 +136,7 @@ def _cmd_lp_norm(args) -> int:
         raise UsageError("--eta and --phi apply only with --kosaki")
     eps = resolve_eps_rel(args.eps_rel)
     p = LpExponent.parse(args.p)
-    x = io.load_element(args.x, eps)
+    x = io.load_matrix_file(args.x).element
     if args.kosaki:
         if not args.phi:
             raise UsageError("--kosaki requires --phi FILE")
@@ -150,10 +150,8 @@ def _cmd_lp_norm(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    # Validation reads no cutoff (the Hermitian gate, the PSD clip), so a
-    # fixed one keeps NCLP_EPS_REL out of this command.
-    left = io.load_matrix_file(args.left, DEFAULT_EPS_REL)
-    right = io.load_matrix_file(args.right, DEFAULT_EPS_REL)
+    left = io.load_matrix_file(args.left)
+    right = io.load_matrix_file(args.right)
     T = TensorAlgebra(left.algebra, right.algebra)
     with np.errstate(over="ignore"):
         # An entry beyond the float range is rejected when it is written.

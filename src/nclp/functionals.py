@@ -173,15 +173,19 @@ def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
 
 def connes_cocycle_stack(psis, phis, ts) -> tuple[np.ndarray, ...]:
     """u_{t_j}(psi_j, phi_j) of B pairs of one algebra, as per-block
-    (B, n, n) stacks; the first pair, in order, that fails a check raises.
-    Each power and the faithfulness test read the functional's stored
-    spectrum."""
-    for psi, phi in zip(psis, phis):
-        _check_same_algebra(psi, phi)
-        if not phi.is_faithful:
-            raise DomainError(
-                "reference functional must be faithful; use the support-cut "
-                "identity (nclp suite --name lemma1) for non-faithful ones")
+    (B, n, n) stacks; the first pair, in order, that fails a check raises:
+    a pair off the first pair's algebra, then a phi that is not faithful.
+    The powers and the faithfulness test read the references' stored
+    spectrum stack, whose rows are faithful where no kernel mask is set."""
+    same = [psi.algebra == phi.algebra == phis[0].algebra
+            for psi, phi in zip(psis, phis)]
+    k = same.index(False) if False in same else len(same)
+    if k and any(m.any() for m in _stack_of(phis[:k]).kernel_mask):
+        raise DomainError(
+            "reference functional must be faithful; use the support-cut "
+            "identity (nclp suite --name lemma1) for non-faithful ones")
+    if k < len(same):
+        raise ShapeError("functionals must live on the same algebra")
     left = _imaginary_powers(psis, ts)
     right = _imaginary_powers(phis, [-t for t in ts])
     return tuple(a @ b for a, b in zip(left, right))

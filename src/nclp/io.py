@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, BlockAlgebra, _stack
-from .config import EIGENSOLVER_ID, LOG_BASE, PRNG_ID, resolve_eps_rel
+from .config import (DEFAULT_EPS_REL, EIGENSOLVER_ID, LOG_BASE, PRNG_ID,
+                     resolve_eps_rel)
 from .errors import DomainError, FileFormatError, NclpError, OutputError
 from .functionals import PositiveFunctional, _positive_functionals
 from .reports import _py
@@ -29,22 +30,15 @@ KINDS = ("element", "functional")
 
 @dataclass(frozen=True)
 class MatrixFile:
-    """A decoded matrix file.  A file of kind "functional" carries its
-    functional, built and validated once when the file is parsed."""
+    """A decoded matrix file; one of kind "functional" has passed the
+    Hermitian gate and the PSD clip."""
 
     element: AlgebraElement
     kind: str
-    phi: PositiveFunctional | None = None
 
     @property
     def algebra(self) -> BlockAlgebra:
         return self.element.algebra
-
-    def functional(self) -> PositiveFunctional:
-        if self.phi is None:
-            raise FileFormatError(
-                f"expected a functional file, got kind={self.kind!r}")
-        return self.phi
 
 
 # The largest finite float as an int.  An entry larger in magnitude (inf, or
@@ -79,13 +73,13 @@ def _real_grid(raw, n: int, label: str) -> np.ndarray:
     return grid
 
 
-def parse_matrix_document(doc, eps_rel: float | None = None) -> MatrixFile:
-    """Validate and decode one matrix-file JSON document; a functional is
-    built at the kernel cutoff ``eps_rel``."""
+def parse_matrix_document(doc) -> MatrixFile:
+    """Validate and decode one matrix-file JSON document.  The validation of
+    a functional reads no cutoff, so it runs at the default one."""
     element, kind = _decoded(doc)
-    if kind == "element":
-        return MatrixFile(element, kind)
-    return MatrixFile(element, kind, _functionals([element], eps_rel)[0])
+    if kind == "functional":
+        _functionals([element], DEFAULT_EPS_REL)
+    return MatrixFile(element, kind)
 
 
 def _decoded(doc) -> tuple[AlgebraElement, str]:
@@ -141,8 +135,8 @@ def _document(text: str):
         raise FileFormatError("invalid JSON: nested too deeply") from exc
 
 
-def loads_matrix(text: str, eps_rel: float | None = None) -> MatrixFile:
-    return parse_matrix_document(_document(text), eps_rel)
+def loads_matrix(text: str) -> MatrixFile:
+    return parse_matrix_document(_document(text))
 
 
 def _read(path) -> str:
@@ -153,8 +147,8 @@ def _read(path) -> str:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def load_matrix_file(path, eps_rel: float | None = None) -> MatrixFile:
-    return loads_matrix(_read(path), eps_rel)
+def load_matrix_file(path) -> MatrixFile:
+    return loads_matrix(_read(path))
 
 
 def matrix_document(x: AlgebraElement, kind: str = "element") -> dict:
@@ -207,7 +201,8 @@ def load_functionals(paths, eps_rel: float | None = None
         try:
             element, kind = _decoded(_document(_read(path)))
             if kind != "functional":
-                MatrixFile(element, kind).functional()  # the kind's error
+                raise FileFormatError(
+                    f"expected a functional file, got kind={kind!r}")
         except NclpError:
             for earlier in elements:
                 _functionals([earlier], eps_rel)
@@ -216,12 +211,6 @@ def load_functionals(paths, eps_rel: float | None = None
     if len({e.algebra for e in elements}) > 1:
         return [_functionals([e], eps_rel)[0] for e in elements]
     return _functionals(elements, eps_rel)
-
-
-def load_element(path, eps_rel: float | None = None) -> AlgebraElement:
-    """The element of a matrix file; a functional file is validated at the
-    cutoff ``eps_rel``."""
-    return load_matrix_file(path, eps_rel).element
 
 
 # -- run reports --------------------------------------------------------------

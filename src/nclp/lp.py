@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _apply_stack, _corner_solve, _eigenvalue_powers,
-                      _full_stack, _kron_block, _powers, _stack, _unstack)
+                      _algebra_of, _apply_stack, _corner_solve,
+                      _eigenvalue_powers, _full_stack, _kron_block, _powers,
+                      _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _first_errors, _raise_pairwise, _real)
@@ -327,11 +328,11 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
     return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
 
 
-def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
-                      phis: list[PositiveFunctional], points) -> tuple:
+def kosaki_norm_stack(stacked_y, phis: list[PositiveFunctional],
+                      points) -> tuple:
     """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
-    (B, n, n) array on ``algebra``) at every validated (p, eta) of
-    ``points[j]`` (see :func:`_kosaki_point`; one length for all j).
+    (B, n, n) array) at every validated (p, eta) of ``points[j]`` (see
+    :func:`_kosaki_point`; one length for all j).
 
     Shared by all points of an element: phi_j's faithfulness-floor check
     and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
@@ -339,9 +340,11 @@ def kosaki_norm_stack(algebra: BlockAlgebra, stacked_y,
     (one ``svd`` per block) and norms are stacked.  Returns the norms,
     entry [j][g], and the error maps (see :func:`nclp.errors._first_errors`)
     of the floor of phis[j] and then of its first failing point, which a
-    one-element call raises in that order (:func:`_raise_pairwise`).
+    one-element call raises in that order (:func:`_raise_pairwise`).  A
+    phis[j] on another algebra than the stack's raises, before any solve,
+    its floor error if it has one, else ShapeError.
     """
-    floor = {}
+    algebra, floor = _algebra_of(stacked_y), {}
     for j, phi in enumerate(phis):
         err = _floor_error(phi._spectrum)
         if err is not None:
@@ -364,17 +367,16 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
     :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
     cutoff; None uses it at its own."""
     phi, = _at_cutoff([spec.phi], eps_rel)
-    norms, errors = kosaki_norm_stack(y.algebra, _stack([y]), [phi],
+    norms, errors = kosaki_norm_stack(_stack([y]), [phi],
                                       [[(spec.p, spec.eta)]])
     _raise_pairwise(*errors)
     return norms[0][0]
 
 
-def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
-                              phis: list[PositiveFunctional], points
-                              ) -> list[tuple[float, float]]:
+def interpolation_bound_stack(stacked_a, phis: list[PositiveFunctional],
+                              points) -> list[tuple[float, float]]:
     """(lhs, rhs) of the interpolation estimate on the embeddings of B
-    stacked elements a_j (per block a (B, n, n) array on ``algebra``),
+    stacked elements a_j (per block a (B, n, n) array),
     element j at the reference phis[j], of density h, and its own validated
     (p, eta) = points[j]: lhs = ||h^eta a h^{1-eta}||_{p,phi,eta} and
     rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p} (q the dual exponent);
@@ -382,9 +384,11 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
 
     The embeddings, the interpolated norms and the singular values of every
     a_j and its embedding (one ``svd`` per block for both) are stacked.
-    Errors, stage by stage: each reference's faithfulness floor and algebra,
-    then the norms; within a stage the first failing element raises.
+    Errors, stage by stage: each reference's faithfulness floor and algebra
+    (that of the stack), then the norms; within a stage the first failing
+    element raises.
     """
+    algebra = _algebra_of(stacked_a)
     for phi in phis:
         err = _floor_error(phi._spectrum)
         if err is not None:
@@ -394,8 +398,7 @@ def interpolation_bound_stack(algebra: BlockAlgebra, stacked_a,
                 "element and reference functional algebras differ")
     ys = _sandwich_stack(stacked_a, phis, [eta for _, eta in points],
                          [1.0 - eta for _, eta in points])
-    lhs, errors = kosaki_norm_stack(algebra, ys, phis,
-                                    [[pt] for pt in points])
+    lhs, errors = kosaki_norm_stack(ys, phis, [[pt] for pt in points])
     _raise_pairwise(*errors)
     svs = singular_values_stack([np.concatenate([a, y])
                                  for a, y in zip(stacked_a, ys)])

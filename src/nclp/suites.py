@@ -19,8 +19,9 @@ builds the algebra (a :class:`TensorAlgebra` for tensor profiles such as
   and key (shape and ranks), without padding, and runs each group's
   complex combine, QR with the phase fix, G G*, U diag(lambda) U* and
   normalization as one stacked call each; :func:`_functionals` gives each
-  role one spectrum stack.  The public ``gen_*`` generators are B = 1 calls
-  of the same code.
+  role one spectrum stack.  The kernels take the element stacks as they
+  are built, and the functionals as lists.  The public ``gen_*``
+  generators are B = 1 calls of the same code.
 
 ``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's overrides,
 and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved once.  A
@@ -538,18 +539,11 @@ def _theorem6_draw(T, rng, idx, k):
     return _normals(rng, T.left, T.right), rng if k == 0 else None
 
 
-def _factors(flats, *algebras) -> list[list[AlgebraElement]]:
-    """Per algebra, the elements of B draws of :func:`_normals` on the
-    algebras."""
-    return [_unstack(a, s) for a, s in zip(algebras,
-                                           _elements(flats, *algebras))]
-
-
 def _theorem6_batch(config, tols, T, draws):
     flats, rngs = zip(*draws)
-    xs, ys = _factors(flats, T.left, T.right)
+    xs, ys = _elements(flats, T.left, T.right)
     out = []
-    for rng, norms in zip(rngs, theorem6_norm_stack(T, xs, ys,
+    for rng, norms in zip(rngs, theorem6_norm_stack(xs, ys,
                                                      THEOREM6_P_GRID)):
         checks = [(f"p={_p_label(p)}", abs(lhs - rhs) / (1.0 + rhs),
                    tols["relative"])
@@ -580,11 +574,11 @@ def _lemma5_draw(T, rng, idx, k):
 def _lemma5_batch(config, tols, T, draws):
     flats, ps, ts, r1s, r2s, h1s, h2s = zip(*draws)
     tol, eps = tols["residual"], config.eps_rel
-    xs, ys = _factors(flats, T.left, T.right)
+    xs, ys = _elements(flats, T.left, T.right)
     (psi1s,), (psi2s,) = (_functionals(a, eps, h) for a, h in (
         (T.left, h1s), (T.right, h2s)))
-    residuals = zip(lemma5_polar_stack(T, xs, ys, eps),
-                    lemma5_power_stack(T, xs, ys, [[p] for p in ps], eps),
+    residuals = zip(lemma5_polar_stack(xs, ys, eps),
+                    lemma5_power_stack(xs, ys, [[p] for p in ps], eps),
                     lemma5_density_stack(T, psi1s, psi2s, ts))
     return [({"ranks": [r1, r2], "p": p, "t": t},
              [(key, val, tol) for res in (polar, {"power": power}, density)
@@ -602,7 +596,7 @@ def _corollary7_batch(config, tols, T, draws):
     h1s, h2s, flats = zip(*draws)
     (phi1s,), (phi2s,) = (_functionals(a, config.eps_rel, h) for a, h in (
         (T.left, h1s), (T.right, h2s)))
-    norms = corollary7_norm_stack(*_factors(flats, T.left, T.right),
+    norms = corollary7_norm_stack(*_elements(flats, T.left, T.right),
                                   phi1s, phi2s, COROLLARY7_GRID)
     return [({"masses": [phi1.mass, phi2.mass]},
              [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
@@ -654,7 +648,7 @@ def _lemma3_batch(config, tols, alg, draws):
     phis, flats, ps, etas = zip(*draws)
     phis, = _functionals(alg, config.eps_rel, phis)
     points = [_kosaki_point(p, eta) for p, eta in zip(ps, etas)]
-    bounds = interpolation_bound_stack(alg, _elements(flats, alg)[0], phis,
+    bounds = interpolation_bound_stack(_elements(flats, alg)[0], phis,
                                        points)
     bijective = lemma3_bijectivity_stack(phis, [p for p, _ in points])
     return [({"p": _p_label(p), "eta": eta},
@@ -772,14 +766,13 @@ def _appendixA_draw(T, rng, idx, k):
 def _appendixA_batch(config, tols, T, draws):
     flats, r1s, r2s, h1s, h2s = zip(*draws)
     B, tol, eps = len(draws), tols["f_multiplicativity"], config.eps_rel
-    xs, ys, xps, yps = _factors(flats, T.left, T.right, T.left, T.right)
-    spects = spectral_product_stack(T, xs, ys)
-    powers = lemma5_power_stack(T, xs, ys, [APPENDIXA_POWERS] * B, eps)
-    imags = lemma5_imaginary_stack(
-        T, _unstack(T.left, _density_stacks(T.left, h1s)),
-        _unstack(T.right, _density_stacks(T.right, h2s)),
-        [APPENDIXA_TS] * B, eps)
-    adjoint, mixed = kron_identities_stack(T, xs, ys, xps, yps)
+    xs, ys, xps, yps = _elements(flats, T.left, T.right, T.left, T.right)
+    spects = spectral_product_stack(xs, ys)
+    powers = lemma5_power_stack(xs, ys, [APPENDIXA_POWERS] * B, eps)
+    imags = lemma5_imaginary_stack(_density_stacks(T.left, h1s),
+                                   _density_stacks(T.right, h2s),
+                                   [APPENDIXA_TS] * B, eps)
+    adjoint, mixed = kron_identities_stack(xs, ys, xps, yps)
     out = []
     for j, (r1, r2, (spect, top)) in enumerate(zip(r1s, r2s, spects)):
         checks = [("eigenvalue_multiset", spect,

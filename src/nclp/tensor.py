@@ -4,7 +4,11 @@ The product of two block algebras carries one block per (left, right) block
 pair, ordered left-major; entrywise the convention is row-major,
 (x (x) y)[(a,b),(c,d)] = x[a,c] y[b,d], matching numpy.kron.  The checks in
 this module verify that polar parts, powers, norms and spectra all factorize
-blockwise along simple tensors.
+blockwise along simple tensors.  They take the left and right elements as
+per-block stacks and read both algebras off the block shapes;
+:func:`kron_element` and :func:`kron_functional_stack`, which build
+elements and functionals, check their factors against a
+:class:`TensorAlgebra`.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
-                      _apply_stack, _clipped_eig_stack, _complex_stacks,
-                      _eigenvalue_powers, _frobenius_stack, _imaginary_values,
-                      _kron_block, _polar_stack, _stack)
+                      _algebra_of, _apply_stack, _clipped_eig_stack,
+                      _complex_stacks, _eigenvalue_powers, _frobenius_stack,
+                      _imaginary_values, _kron_block, _polar_stack)
 from .config import RANK_RTOL
 from .errors import DomainError, ShapeError, _check_type, _raise_pairwise
 from .functionals import (PositiveFunctional, _densities,
@@ -86,16 +90,14 @@ def _residuals(a, b) -> np.ndarray:
     return _frobenius_stack([x - y for x, y in zip(a, b)])
 
 
-def lemma5_polar_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                       ys: list[AlgebraElement], eps: float) -> list[dict]:
-    """Per pair, the residuals ``polar_isometry`` and ``polar_modulus`` of
-    the polar factors of x (x) y against the tensors of the factors', at the
-    resolved cutoff ``eps``; one ``svd`` per block."""
-    _check_factors(T, xs, ys)
-    sx, sy = _stack(xs), _stack(ys)
-    vx, ax = _polar_stack(sx, eps)
-    vy, ay = _polar_stack(sy, eps)
-    vk, ak = _polar_stack(_kron_stack(sx, sy), eps)
+def lemma5_polar_stack(xs, ys, eps: float) -> list[dict]:
+    """Per pair of the stacked left and right elements, the residuals
+    ``polar_isometry`` and ``polar_modulus`` of the polar factors of
+    x (x) y against the tensors of the factors', at the resolved cutoff
+    ``eps``; one ``svd`` per block."""
+    vx, ax = _polar_stack(xs, eps)
+    vy, ay = _polar_stack(ys, eps)
+    vk, ak = _polar_stack(_kron_stack(xs, ys), eps)
     return [{"polar_isometry": v, "polar_modulus": a} for v, a in zip(
         _residuals(vk, _kron_stack(vx, vy)).tolist(),
         _residuals(ak, _kron_stack(ax, ay)).tolist())]
@@ -111,10 +113,10 @@ def _check_factors(T: TensorAlgebra, xs, ys, kind=AlgebraElement):
                     f"{side} factor does not live on the {side} algebra")
 
 
-def _psd_spectra(T: TensorAlgebra, sk, sx, sy, eps: float) -> list:
-    """Clipped spectra of PSD stacks on T.product, T.left and T.right."""
-    return [_clipped_eig_stack(alg, s, False, eps)
-            for alg, s in ((T.product, sk), (T.left, sx), (T.right, sy))]
+def _psd_spectra(stacks, eps: float) -> list:
+    """Clipped spectra of PSD stacks, each on the algebra of its shapes."""
+    return [_clipped_eig_stack(_algebra_of(s), s, False, eps)
+            for s in stacks]
 
 
 def _factorization_stack(spectra, points, values) -> list[list[float]]:
@@ -127,13 +129,11 @@ def _factorization_stack(spectra, points, values) -> list[list[float]]:
     return _residuals(fk, _kron_stack(fx, fy)).tolist()
 
 
-def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                       ys: list[AlgebraElement],
-                       powers: Sequence[Sequence[float]],
+def lemma5_power_stack(xs, ys, powers: Sequence[Sequence[float]],
                        eps: float) -> list[list[float]]:
     """The residuals of |x (x) y|^p against |x|^p (x) |y|^p, p > 0, of each
-    pair (xs[j], ys[j]) at every p of ``powers[j]`` (one length for all j),
-    at the resolved cutoff ``eps``.
+    pair j of the stacked left and right elements at every p of
+    ``powers[j]`` (one length for all j), at the resolved cutoff ``eps``.
 
     x, y and x (x) y are polar-decomposed once, and their moduli
     eigendecomposed once (product first); all points then take one
@@ -145,32 +145,26 @@ def lemma5_power_stack(T: TensorAlgebra, xs: list[AlgebraElement],
         for p in ps:
             if p <= 0:
                 raise DomainError(f"power must be positive, got {p}")
-    _check_factors(T, xs, ys)
-    sx, sy = _stack(xs), _stack(ys)
-    _, ax = _polar_stack(sx, eps)
-    _, ay = _polar_stack(sy, eps)
-    _, ak = _polar_stack(_kron_stack(sx, sy), eps)
-    return _factorization_stack(_psd_spectra(T, ak, ax, ay, eps), powers,
+    _, ax = _polar_stack(xs, eps)
+    _, ay = _polar_stack(ys, eps)
+    _, ak = _polar_stack(_kron_stack(xs, ys), eps)
+    return _factorization_stack(_psd_spectra((ak, ax, ay), eps), powers,
                                 _eigenvalue_powers)
 
 
-def lemma5_imaginary_stack(T: TensorAlgebra, h1s: list[AlgebraElement],
-                           h2s: list[AlgebraElement],
-                           ts: Sequence[Sequence[float]],
+def lemma5_imaginary_stack(h1s, h2s, ts: Sequence[Sequence[float]],
                            eps: float) -> list[list[float]]:
     """The residuals of (h1 (x) h2)^{it} against h1^{it} (x) h2^{it}, for
-    PSD h, of each pair (h1s[j], h2s[j]) at every t of ``ts[j]`` (one length
-    for all j), at the resolved cutoff ``eps``.
+    PSD h, of each pair j of the stacked left and right elements at every t
+    of ``ts[j]`` (one length for all j), at the resolved cutoff ``eps``.
 
     h1 (x) h2, h1 and h2 are eigendecomposed once, in that order; all
     points then take one functional calculus per side.  Errors: the
     decompositions come first, then the imaginary powers.
     """
-    _check_factors(T, h1s, h2s)
-    s1, s2 = _stack(h1s), _stack(h2s)
-    return _factorization_stack(_psd_spectra(T, _kron_stack(s1, s2), s1, s2,
-                                             eps),
-                                [tuple(t) for t in ts], _imaginary_values)
+    return _factorization_stack(
+        _psd_spectra((_kron_stack(h1s, h2s), h1s, h2s), eps),
+        [tuple(t) for t in ts], _imaginary_values)
 
 
 def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
@@ -189,19 +183,15 @@ def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
             for res, (imag,) in zip(res_density, imags)]
 
 
-def theorem6_norm_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                        ys: list[AlgebraElement],
-                        ps) -> list[list[tuple[float, float]]]:
+def theorem6_norm_stack(xs, ys, ps) -> list[list[tuple[float, float]]]:
     """(||x (x) y||_p, ||x||_p ||y||_p), equal up to float error, of each
-    pair at every p in ``ps``, from one Kronecker product and one ``svd``
-    per block for each operand, and one :func:`_schatten_stack` each,
-    product side first."""
-    _check_factors(T, xs, ys)
+    pair of the stacked left and right elements at every p in ``ps``, from
+    one Kronecker product and one ``svd`` per block for each operand, and
+    one :func:`_schatten_stack` each, product side first."""
     ps = [_as_exponent(p) for p in ps]
-    sx, sy = _stack(xs), _stack(ys)
-    B, G = len(xs), len(ps)
+    B, G = len(xs[0]), len(ps)
     sides = []
-    for s in (_kron_stack(sx, sy), sx, sy):
+    for s in (_kron_stack(xs, ys), xs, ys):
         sv = singular_values_stack(s)
         sides.append(_schatten_stack(
             np.broadcast_to(sv[:, None], (B, G, sv.shape[-1])), [ps] * B))
@@ -236,49 +226,44 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     return rank == D
 
 
-def corollary7_norm_stack(x1s: list[AlgebraElement],
-                          x2s: list[AlgebraElement],
-                          phi1s: list[PositiveFunctional],
+def corollary7_norm_stack(x1s, x2s, phi1s: list[PositiveFunctional],
                           phi2s: list[PositiveFunctional], grid
                           ) -> list[list[tuple[float, float]]]:
     """(interpolated norm of x1 (x) x2, product of the factors' norms) of
-    each (x1, x2, phi1, phi2), all on one pair of algebras, at every
-    (p, eta) of ``grid``; the product side uses the reference phi1 (x) phi2
-    at the factors' (p, eta).
+    each (x1, x2, phi1, phi2), x1 and x2 rows of the stacked left and right
+    elements and every phi1 and phi2 on their algebras, at every (p, eta)
+    of ``grid``; the product side uses the reference phi1 (x) phi2 at the
+    factors' (p, eta).
 
     x1 (x) x2 and phi1 (x) phi2 are built once; the product side and each
     factor get one :func:`kosaki_norm_stack` across the elements and the
     points, in that order.  Element j's error is raised as its one-element
     call raises it (within a side, the first failing point), the first such
     element first."""
-    for x1, x2, phi1, phi2 in zip(x1s, x2s, phi1s, phi2s):
-        if x1.algebra != phi1.algebra or x2.algebra != phi2.algebra:
+    T = TensorAlgebra(_algebra_of(x1s), _algebra_of(x2s))
+    for phi1, phi2 in zip(phi1s, phi2s):
+        if phi1.algebra != T.left or phi2.algebra != T.right:
             raise ShapeError("elements must live on their spec's algebra")
-    points = [[_kosaki_point(p, eta) for p, eta in grid]] * len(x1s)
-    T = TensorAlgebra(x1s[0].algebra, x2s[0].algebra)
-    s1, s2 = _stack(x1s), _stack(x2s)
-    sides = [kosaki_norm_stack(T.product, _kron_stack(s1, s2),
+    points = [[_kosaki_point(p, eta) for p, eta in grid]] * len(phi1s)
+    sides = [kosaki_norm_stack(_kron_stack(x1s, x2s),
                                kron_functional_stack(T, phi1s, phi2s),
                                points),
-             kosaki_norm_stack(T.left, s1, phi1s, points),
-             kosaki_norm_stack(T.right, s2, phi2s, points)]
+             kosaki_norm_stack(x1s, phi1s, points),
+             kosaki_norm_stack(x2s, phi2s, points)]
     _raise_pairwise(*(m for _, maps in sides for m in maps))
     return [[(l, a * b) for l, a, b in zip(*rows)]
             for rows in zip(*(norms for norms, _ in sides))]
 
 
-def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],
-                           ys: list[AlgebraElement]
-                           ) -> list[tuple[float, float]]:
-    """(residual, largest product) per pair: the spectrum of |x (x) y|
+def spectral_product_stack(xs, ys) -> list[tuple[float, float]]:
+    """(residual, largest product) per pair of the stacked left and right
+    elements: the spectrum of |x (x) y|
     against all pairwise products of the factors' singular values, both
     sorted and paired in order, the residual the largest absolute mismatch;
     appendixA's gate is its eigenvalue_multiset times (1 + largest product).
     One ``svd`` per block; the sorting and matching are each element's own
     1-D operations."""
-    _check_factors(T, xs, ys)
-    sx, sy = _stack(xs), _stack(ys)
-    svs = [singular_values_stack(s) for s in (sx, sy, _kron_stack(sx, sy))]
+    svs = [singular_values_stack(s) for s in (xs, ys, _kron_stack(xs, ys))]
     out = []
     for s1, s2, sk in zip(*svs):
         products = np.sort(np.outer(s1, s2).ravel())
@@ -287,17 +272,14 @@ def spectral_product_stack(T: TensorAlgebra, xs: list[AlgebraElement],
     return out
 
 
-def kron_identities_stack(T: TensorAlgebra, xs, ys, xps, yps
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def kron_identities_stack(xs, ys, xps, yps) -> tuple[np.ndarray, np.ndarray]:
     """(B,) residuals of (x (x) y)* = x* (x) y* and of the mixed product
-    (x (x) y)(x' (x) y') = x x' (x) y y' for stacked elements."""
-    _check_factors(T, xs, ys)
-    _check_factors(T, xps, yps)
-    sx, sy, sxp, syp = (_stack(e) for e in (xs, ys, xps, yps))
-    kx, ky = _kron_stack(sx, sy), _kron_stack(sxp, syp)
+    (x (x) y)(x' (x) y') = x x' (x) y y' for stacked left (x, x') and right
+    (y, y') elements."""
+    kx, ky = _kron_stack(xs, ys), _kron_stack(xps, yps)
     adjoint = _residuals(_adjoint_stack(kx),
-                         _kron_stack(_adjoint_stack(sx), _adjoint_stack(sy)))
+                         _kron_stack(_adjoint_stack(xs), _adjoint_stack(ys)))
     mixed = _residuals([a @ b for a, b in zip(kx, ky)],
-                       _kron_stack([a @ b for a, b in zip(sx, sxp)],
-                                   [a @ b for a, b in zip(sy, syp)]))
+                       _kron_stack([a @ b for a, b in zip(xs, xps)],
+                                   [a @ b for a, b in zip(ys, yps)]))
     return adjoint, mixed

@@ -5,7 +5,9 @@ A function or class counts as used when its name appears anywhere in the
 package, the benchmarks or the tools as a name, an attribute or an imported
 name.  A method counts as used only when it is accessed as an attribute
 there, or named by a string of the benchmark tracer, which patches methods
-by name: a local variable or another string of the same name is no call.
+by name: a local variable or another string of the same name is no call,
+and neither is an attribute read off an imported module (``np.diagonal``
+is no call of ``BlockAlgebra.diagonal``).
 The methods of the public surface that only the tests call are pinned in
 ``PUBLIC_METHODS``, each with its reason.  A definition's own name does not
 count, and neither does a test: the callers are the package, whose
@@ -35,20 +37,40 @@ def _trees(directory: Path):
 
 
 TRACER = ROOT / "benchmarks" / "tracing.py"
+SUBMODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _modules(tree) -> set[str]:
+    """The names a module binds to imported modules: those of ``import``
+    statements and the package's submodules imported by name."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if isinstance(node, ast.Import) or alias.name in SUBMODULES}
+
+
+def _off_module(node: ast.Attribute, modules: set[str]) -> bool:
+    """Whether an attribute chain starts at an imported module."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
 
 
 def _uses() -> tuple[set[str], set[str]]:
     """(names, attributes): the names and imported names the callers read,
-    and the attributes they access with the identifier strings of the
-    benchmark tracer."""
+    with the attributes read off imported modules, and the other attributes
+    they access with the identifier strings of the benchmark tracer."""
     names, attributes = set(), set()
     for directory in CALLERS:
         for path, tree in _trees(directory):
+            modules = _modules(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    attributes.add(node.attr)
+                    (names if _off_module(node, modules)
+                     else attributes).add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
                     if node.asname:
@@ -85,6 +107,8 @@ PUBLIC_METHODS = {
     "imaginary_power": "PositiveFunctional: h^{it}, the one-functional form "
                        "of the calculus behind the Connes cocycle",
     "identity": "BlockAlgebra: the unit of the algebra",
+    "diagonal": "BlockAlgebra: the element of a carrier diagonal; the tests "
+                "build their classical densities with it",
     "adjoint": "AlgebraElement: x*, the involution of the algebra",
 }
 

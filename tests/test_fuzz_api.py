@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DivergenceValue, DomainError, KosakiSpec, LpExponent,
                   NclpError, PositiveFunctional, QuantumChannel, Reason,
-                  SuiteConfig, TensorAlgebra, classical_renyi_oracle,
-                  kron_element, kron_functional, lp_norm, parse_dims,
-                  polar_decompose, run_suite, scale)
-from nclp.tensor import theorem6_norm_stack
+                  ShapeError, SuiteConfig, TensorAlgebra,
+                  classical_renyi_oracle, kosaki_norm, kron_element,
+                  kron_functional, lp_norm, parse_dims, polar_decompose,
+                  run_suite, scale)
+from nclp.algebra import _stack
+from nclp.tensor import corollary7_norm_stack
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -196,7 +198,6 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: QuantumChannel("x", "x", [np.eye(2)]),
     lambda: PositiveFunctional.zero("x"),
     lambda: kron_element(TensorAlgebra(_ALG, _ALG), 1, 2),
-    lambda: theorem6_norm_stack(TensorAlgebra(_ALG, _ALG), [1], [2], [2]),
     lambda: TensorAlgebra("x", "y").product,
     lambda: lp_norm("x", 2),
     lambda: SuiteConfig("lemma3", 1, 0, dims="x"),
@@ -253,8 +254,7 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
         "text_algebra", "text_channel_algebras", "text_zero_algebra",
-        "number_kron_factors", "number_theorem6_factors",
-        "text_tensor_factors", "text_lp_norm_element", "text_dims",
+        "number_kron_factors", "text_tensor_factors", "text_lp_norm_element", "text_dims",
         "text_tolerances", "number_element_sum", "text_kron_algebra",
         "number_functional_sum", "text_calculus_function", "number_dims",
         "long_calculus_values", "text_calculus_values", "text_calculus_zero",
@@ -278,6 +278,25 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.
     with pytest.raises(NclpError):
+        call()
+
+
+# An element of the (3,) algebra against references on the (2,) algebra.
+_OTHER_ALGEBRA_ELEMENT = BlockAlgebra((3,)).identity()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: corollary7_norm_stack(
+        _stack([_OTHER_ALGEBRA_ELEMENT]), _stack([_ALG.identity()]),
+        [REFERENCES["faithful"]], [REFERENCES["faithful"]], [(2.0, 0.5)]),
+    lambda: kosaki_norm(_OTHER_ALGEBRA_ELEMENT,
+                        KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
+], ids=["corollary7_norm_stack", "kosaki_norm"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_element_of_another_algebra_is_a_shape_error(call):
+    # The stack's block shapes are checked against the reference's algebra
+    # before any numpy operation could fail on them.
+    with pytest.raises(ShapeError):
         call()
 
 

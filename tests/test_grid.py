@@ -162,8 +162,7 @@ def kosaki_norms(y, phi, grid):
     """The norms of one element at every point, from one stack call; the
     first failing point raises."""
     points = [_kosaki_point(p, eta) for p, eta in grid]
-    norms, errors = kosaki_norm_stack(y.algebra, _stack([y]), [phi],
-                                      [points])
+    norms, errors = kosaki_norm_stack(_stack([y]), [phi], [points])
     _raise_pairwise(*errors)
     return norms[0]
 
@@ -213,10 +212,11 @@ class TestNormGrids:
     def test_theorem6_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(45)
-        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+        xs, ys = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+            rng, T.right)])
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
-        assert theorem6_norm_stack(T, [x], [y], ps)[0] == [
-            theorem6_norm_stack(T, [x], [y], [p])[0][0] for p in ps]
+        assert theorem6_norm_stack(xs, ys, ps)[0] == [
+            theorem6_norm_stack(xs, ys, [p])[0][0] for p in ps]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (3,))])
     def test_corollary7_grid(self, left, right):
@@ -224,11 +224,11 @@ class TestNormGrids:
         rng = np.random.default_rng(46)
         phi1 = gen_positive_functional(rng, T.left)
         phi2 = gen_positive_functional(rng, T.right)
-        x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+        x1s, x2s = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+            rng, T.right)])
         grid = kosaki_grid_points()
-        assert corollary7_norm_stack([x1], [x2], [phi1], [phi2],
-                                     grid)[0] == [
-            corollary7_norm_stack([x1], [x2], [phi1], [phi2],
+        assert corollary7_norm_stack(x1s, x2s, [phi1], [phi2], grid)[0] == [
+            corollary7_norm_stack(x1s, x2s, [phi1], [phi2],
                                   [(p, eta)])[0][0] for p, eta in grid]
 
 
@@ -237,23 +237,25 @@ class TestTensorGrids:
     def test_lemma5_power_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(51)
-        x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+        xs, ys = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+            rng, T.right)])
         powers = (0.5, 1.0, 2.0, 2.7)
         eps = default_eps_rel()
-        got = lemma5_power_stack(T, [x], [y], [powers], eps)[0]
-        assert got == [lemma5_power_stack(T, [x], [y], [[p]], eps)[0][0]
+        got = lemma5_power_stack(xs, ys, [powers], eps)[0]
+        assert got == [lemma5_power_stack(xs, ys, [[p]], eps)[0][0]
                        for p in powers]
 
     @pytest.mark.parametrize("left,right", [((2,), (2,)), ((2, 3), (2,))])
     def test_lemma5_imaginary_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(52)
-        h1 = gen_positive_functional(rng, T.left, ("deficient", 1)).density
-        h2 = gen_positive_functional(rng, T.right).density
+        h1s = _stack([gen_positive_functional(rng, T.left,
+                                              ("deficient", 1)).density])
+        h2s = _stack([gen_positive_functional(rng, T.right).density])
         ts = (-1.2, 0.3, 1.0)
         eps = default_eps_rel()
-        got = lemma5_imaginary_stack(T, [h1], [h2], [ts], eps)[0]
-        assert got == [lemma5_imaginary_stack(T, [h1], [h2], [[t]], eps)[0][0]
+        got = lemma5_imaginary_stack(h1s, h2s, [ts], eps)[0]
+        assert got == [lemma5_imaginary_stack(h1s, h2s, [[t]], eps)[0][0]
                        for t in ts]
 
 

@@ -276,7 +276,7 @@ class TestKosakiNorm:
 def interpolation_bound(a, phi, p, eta):
     """(lhs, rhs) of the interpolation estimate for one element: a
     one-element call of the stack."""
-    return interpolation_bound_stack(a.algebra, _stack([a]), [phi],
+    return interpolation_bound_stack(_stack([a]), [phi],
                                      [_kosaki_point(p, eta)])[0]
 
 

@@ -16,6 +16,7 @@ from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   gen_positive_functional, gen_unitary, parse_dims,
                   q_tilde_alpha_z, random_unital_channel, run_suite,
                   summarize, trial_rng)
+from nclp.algebra import _stack
 from nclp.suites import SUITE_NAMES, format_profile
 from nclp.tensor import corollary7_norm_stack
 
@@ -264,7 +265,8 @@ class TestProductsOncePerTrial:
             for p in COROLLARY7_P_GRID:
                 for eta in COROLLARY7_ETA_GRID:
                     (lhs, rhs), = corollary7_norm_stack(
-                        [x1], [x2], [phi1], [phi2], [(p, eta)])[0]
+                        _stack([x1]), _stack([x2]), [phi1], [phi2],
+                        [(p, eta)])[0]
                     expected[f"p={p:g},eta={eta:g}"] = \
                         abs(lhs - rhs) / (1.0 + rhs)
             assert rep.residuals == expected

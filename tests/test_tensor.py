@@ -9,6 +9,7 @@ from nclp import (AlgebraElement, BlockAlgebra, PositiveFunctional,
                   ShapeError, TensorAlgebra, default_eps_rel, gen_element,
                   gen_positive_functional, kron_element, kron_functional,
                   lp_norm, polar_decompose)
+from nclp.algebra import _stack
 from nclp.config import CHECK_TOLERANCES
 from nclp.tensor import (corollary7_norm_stack, lemma5_density_stack,
                          lemma5_imaginary_stack, lemma5_polar_stack,
@@ -116,8 +117,8 @@ class TestLemma5:
     def test_polar_random(self):
         T = pair((3,), (2,))
         for _ in range(20):
-            res, = lemma5_polar_stack(T, [gen_element(RNG, T.left)],
-                                      [gen_element(RNG, T.right)],
+            res, = lemma5_polar_stack(_stack([gen_element(RNG, T.left)]),
+                                      _stack([gen_element(RNG, T.right)]),
                                       default_eps_rel())
             assert max(res.values()) <= LEMMA5_GATE, res
 
@@ -125,7 +126,8 @@ class TestLemma5:
         T = pair((2,), (1,))
         x = T.left.diagonal([0.0, 2.0])
         y = AlgebraElement(T.right, [np.array([[3.0]])])
-        (res,), = lemma5_power_stack(T, [x], [y], [[2.0]], default_eps_rel())
+        (res,), = lemma5_power_stack(_stack([x]), _stack([y]), [[2.0]],
+                                     default_eps_rel())
         assert res <= LEMMA5_GATE
         # both sides are diag(0, 36)
         lhs = PositiveFunctional(kron_element(T, x, y)).power(2.0)
@@ -134,16 +136,16 @@ class TestLemma5:
     def test_power_random(self):
         T = pair((3,), (2,))
         for p in (0.5, 1.0, 1.7, 2.0):
-            (res,), = lemma5_power_stack(T, [gen_element(RNG, T.left)],
-                                         [gen_element(RNG, T.right)], [[p]],
-                                         default_eps_rel())
+            (res,), = lemma5_power_stack(
+                _stack([gen_element(RNG, T.left)]),
+                _stack([gen_element(RNG, T.right)]), [[p]], default_eps_rel())
             assert res <= LEMMA5_GATE, (p, res)
 
     def test_imaginary_rank_deficient(self):
         T = pair((3,), (2,))
         h1 = gen_positive_functional(RNG, T.left, ("deficient", 2)).density
         h2 = gen_positive_functional(RNG, T.right, ("deficient", 1)).density
-        (res,), = lemma5_imaginary_stack(T, [h1], [h2], [[0.7]],
+        (res,), = lemma5_imaginary_stack(_stack([h1]), _stack([h2]), [[0.7]],
                                          default_eps_rel())
         assert res <= LEMMA5_GATE, res
 
@@ -161,14 +163,16 @@ class TestTheorem6:
         T = pair((2,), (1,))
         x = T.left.diagonal([1.0, 2.0])
         y = AlgebraElement(T.right, [np.array([[3.0]])])
-        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [2.0])[0]
+        (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
+                                          [2.0])[0]
         assert lhs == pytest.approx(3 * math.sqrt(5), abs=1e-12)
         assert rhs == pytest.approx(3 * math.sqrt(5), abs=1e-12)
 
     def test_sup_norm_multiplies(self):
         T = pair((3,), (2,))
         x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
-        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [math.inf])[0]
+        (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
+                                          [math.inf])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_quasi_norm_against_product_oracle(self):
@@ -177,7 +181,8 @@ class TestTheorem6:
         sx = np.linalg.svd(x.blocks[0], compute_uv=False)
         sy = np.linalg.svd(y.blocks[0], compute_uv=False)
         expected = float(np.sum(np.outer(sx, sy) ** 0.5) ** 2)
-        (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [0.5])[0]
+        (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
+                                          [0.5])[0]
         assert lhs == pytest.approx(expected, rel=1e-10)
         assert rhs == pytest.approx(expected, rel=1e-10)
 
@@ -186,7 +191,8 @@ class TestTheorem6:
             T = pair(*dims)
             x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
             for p in (0.5, 1.0, 1.7, 2.0, 3.0, math.inf):
-                (lhs, rhs), = theorem6_norm_stack(T, [x], [y], [p])[0]
+                (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
+                                                  [p])[0]
                 assert abs(lhs - rhs) <= 1e-10 * (1 + rhs)
 
 
@@ -216,8 +222,9 @@ class TestCorollary7:
         T = pair((2,), (2,))
         phi1 = PositiveFunctional(T.left.diagonal([0.5, 0.5]))
         phi2 = PositiveFunctional(T.right.diagonal([0.3, 0.7]))
-        (lhs, rhs), = corollary7_norm_stack([phi1.density], [phi2.density],
-                                            [phi1], [phi2], [(2.0, 0.5)])[0]
+        (lhs, rhs), = corollary7_norm_stack(
+            _stack([phi1.density]), _stack([phi2.density]), [phi1], [phi2],
+            [(2.0, 0.5)])[0]
         assert lhs == pytest.approx(1.0, abs=1e-11)
         assert rhs == pytest.approx(1.0, abs=1e-11)
 
@@ -227,8 +234,8 @@ class TestCorollary7:
         phi1 = gen_positive_functional(rng, T.left)
         phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
-        (lhs, rhs), = corollary7_norm_stack([x1], [x2], [phi1], [phi2],
-                                            [(1.0, 0.25)])[0]
+        (lhs, rhs), = corollary7_norm_stack(_stack([x1]), _stack([x2]),
+                                            [phi1], [phi2], [(1.0, 0.25)])[0]
         t6 = lp_norm(kron_element(T, x1, x2), 1.0)
         assert lhs == pytest.approx(t6, rel=1e-11)
         assert rhs == pytest.approx(lp_norm(x1, 1) * lp_norm(x2, 1),
@@ -243,14 +250,15 @@ class TestCorollary7:
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 0.5, 1.0):
                 (lhs, rhs), = corollary7_norm_stack(
-                    [x1], [x2], [phi1], [phi2], [(p, eta)])[0]
+                    _stack([x1]), _stack([x2]), [phi1], [phi2],
+                    [(p, eta)])[0]
                 assert abs(lhs - rhs) <= 1e-9 * (1 + rhs), (p, eta)
 
 
-def spectral_product_within_gate(T, x, y):
+def spectral_product_within_gate(x, y):
     """Whether the spectral-product residual of x (x) y is within
     appendixA's gate, which scales with the largest product."""
-    (residual, top), = spectral_product_stack(T, [x], [y])
+    (residual, top), = spectral_product_stack(_stack([x]), _stack([y]))
     gate = CHECK_TOLERANCES["appendixA"]["eigenvalue_multiset"] * (1.0 + top)
     return residual <= gate, residual
 
@@ -259,20 +267,20 @@ class TestSpectralProduct:
     def test_random(self):
         T = pair((3,), (2,))
         ok, residual = spectral_product_within_gate(
-            T, gen_element(RNG, T.left), gen_element(RNG, T.right))
+            gen_element(RNG, T.left), gen_element(RNG, T.right))
         assert ok, residual
 
     def test_rank_deficient(self):
         T = pair((3,), (2,))
         h1 = gen_positive_functional(RNG, T.left, ("deficient", 1)).density
         h2 = gen_positive_functional(RNG, T.right).density
-        ok, residual = spectral_product_within_gate(T, h1, h2)
+        ok, residual = spectral_product_within_gate(h1, h2)
         assert ok, residual
 
     def test_multiblock(self):
         T = pair((2, 2), (2,))
         ok, residual = spectral_product_within_gate(
-            T, gen_element(RNG, T.left), gen_element(RNG, T.right))
+            gen_element(RNG, T.left), gen_element(RNG, T.right))
         assert ok, residual
 
 
