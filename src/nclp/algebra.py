@@ -217,13 +217,16 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # one-element functions of this package are B = 1 calls of the stacked
 # kernels.  A kernel takes a batch of elements as per-block stacks, whose
 # block shapes name their algebra (:func:`_algebra_of`), and a batch of
-# functionals as a list; :class:`AlgebraElement` is the type of the
-# one-point API and the generators, which stack and unstack at that boundary
-# (:func:`_stack`, :func:`_unstack`).  Kernels only compute: they take no
-# tolerance (the corner solve reads its one budget from the config), build
-# no report or report string (a check kernel returns residuals and values),
-# and resolve no cutoff.  A kernel on functionals reads their spectrum stack
-# and its cutoff; any other is given a resolved cutoff.
+# functionals as a :class:`SpectrumStack`, and checks their algebras and
+# sizes in one :func:`_check_batches`.  :class:`AlgebraElement` and
+# ``functionals.PositiveFunctional`` are the types of the one-point API and
+# the generators, which stack and unstack at that boundary (:func:`_stack`,
+# :func:`_unstack`, ``functionals._stacks``, ``functionals._rows``).
+# Kernels only compute: they take no tolerance (the corner solve reads its
+# one budget from the config), build no report or report string (a check
+# kernel returns residuals and values), and resolve no cutoff.  A kernel on
+# functionals reads their spectrum stacks and their cutoffs; any other is
+# given a resolved cutoff.
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -324,7 +327,11 @@ def _check_draw(rng, *algebras) -> None:
 
 
 def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
-    """Per block, the (B, n, n) stack of the elements' blocks, in order."""
+    """Per block, the (B, n, n) stack of the elements' blocks, in order;
+    DomainError unless every element is an AlgebraElement."""
+    for x in elements:
+        _check_type(x, AlgebraElement, "an element argument must be an "
+                    "AlgebraElement")
     return tuple([_stacked(arrays)
                   for arrays in zip(*[x.blocks for x in elements])])
 
@@ -334,10 +341,25 @@ def _algebra_of(stacked: Sequence[np.ndarray]) -> BlockAlgebra:
     return BlockAlgebra(tuple(s.shape[-1] for s in stacked))
 
 
-def _unstack(algebra: BlockAlgebra,
-             stacked: Sequence[np.ndarray]) -> list[AlgebraElement]:
+def _check_batches(batches, algebras=(), message: str = "") -> None:
+    """The entry check of a kernel's batches, before any numpy call:
+    ShapeError(message) unless all ``algebras`` are equal, then ShapeError
+    unless all batches hold the same number of rows B.  A batch is sized by
+    ``len``: a :class:`SpectrumStack`, the first block of per-block element
+    stacks, or a per-row list (exponents, parameters, channels)."""
+    if any(a != algebras[0] for a in algebras[1:]):
+        raise ShapeError(message)
+    sizes = [len(b) for b in batches]
+    if any(n != sizes[0] for n in sizes[1:]):
+        raise ShapeError(f"a kernel's batches must have one length, got "
+                         f"{sizes}")
+
+
+def _unstack(stacked: Sequence[np.ndarray]) -> list[AlgebraElement]:
     """The B elements of per-block (B, n, n) stacks that the package
-    computed itself.  The stacks become read-only; the blocks are views."""
+    computed itself, on the algebra of their block shapes.  The stacks
+    become read-only; the blocks are views."""
+    algebra = _algebra_of(stacked)
     for s in stacked:
         s.setflags(write=False)
     return [AlgebraElement._trusted(algebra, [s[j] for s in stacked])
@@ -390,23 +412,32 @@ class SpectrumStack:
     """The one representation of spectra: blockwise eigendecompositions of
     B elements of one algebra with the kernel masks applied, per block the
     (B, n) eigenvalues, (B, n, n) eigenvectors, (B, n) masks and (B, n, n)
-    symmetrized elements, all read-only.  The kernels read its arrays; a
-    :class:`HermitianSpectrum` is a row, and so is a batch's functional."""
+    symmetrized elements, and the (B,) spectral radii, all read-only.  The
+    kernels read its arrays; a :class:`HermitianSpectrum` is a row, and so
+    is a functional."""
 
     algebra: BlockAlgebra
     eigenvalues: tuple[np.ndarray, ...]
     eigenvectors: tuple[np.ndarray, ...]
     kernel_mask: tuple[np.ndarray, ...]
     densities: tuple[np.ndarray, ...]
+    radius: np.ndarray
     eps_rel: float
 
     def __post_init__(self):
         for arr in (*self.eigenvalues, *self.eigenvectors, *self.kernel_mask,
-                    *self.densities):
+                    *self.densities, self.radius):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.eigenvalues[0].shape[0]
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """(B,) traces of the rows' densities, computed on the first read:
+        each equals the row's :func:`canonical_trace`, real part."""
+        return sum(np.trace(d, axis1=-2, axis2=-1)
+                   for d in self.densities).real
 
 
 @dataclass(frozen=True)
@@ -433,12 +464,8 @@ class HermitianSpectrum:
     densities = property(lambda self: tuple(
         d[self.row] for d in self.stack.densities))
 
-    @cached_property
-    def spectral_radius(self) -> float:
-        return float(_radius(self.eigenvalues))
-
-    def flat_eigenvalues(self) -> np.ndarray:
-        return np.concatenate(self.eigenvalues)
+    spectral_radius = property(lambda self: float(
+        self.stack.radius[self.row]))
 
     def rank(self) -> int:
         return int(sum(np.count_nonzero(~m) for m in self.kernel_mask))
@@ -447,7 +474,7 @@ class HermitianSpectrum:
         """The element U diag(v) U* of this spectrum at the values v that
         ``values(single, *args)`` gives for its B = 1 stack ``single`` (see
         :func:`_apply_stack`)."""
-        single = _gather([self])
+        single = _gather(self)
         return AlgebraElement._trusted(self.algebra, [
             b.reshape(b.shape[-2:])
             for b in _apply_stack(single, values(single, *args))])
@@ -462,23 +489,20 @@ class HermitianSpectrum:
     def support(self) -> AlgebraElement:
         """Projection onto the span of the non-kernel eigenvectors.  One row
         of :func:`_support_stack`."""
-        return _unstack(self.algebra, _support_stack(_gather([self])))[0]
+        return _unstack(_support_stack(_gather(self)))[0]
 
 
-def _gather(spectra: Sequence[HermitianSpectrum]) -> SpectrumStack:
-    """The stack whose row j is spectra[j]: the stack they are the rows of,
-    in order, else one stacked from their rows (views for one spectrum),
-    which share one cutoff.  The one place that gathers spectra."""
-    stack = spectra[0].stack
-    if len(spectra) == len(stack) and all(
-            s.stack is stack and s.row == j for j, s in enumerate(spectra)):
+def _gather(spectrum: HermitianSpectrum) -> SpectrumStack:
+    """The B = 1 stack of one spectrum: its stack if that holds one row,
+    else a view of its row.  The one place that turns a row into a
+    stack."""
+    stack, j = spectrum.stack, spectrum.row
+    if len(stack) == 1:
         return stack
     return SpectrumStack(stack.algebra, *(
-        tuple(_stacked(arrays) for arrays in zip(*per_spectrum))
-        for per_spectrum in zip(*((s.eigenvalues, s.eigenvectors,
-                                   s.kernel_mask, s.densities)
-                                  for s in spectra))),
-        stack.eps_rel)
+        tuple(a[j:j + 1] for a in arrays) for arrays in (
+            stack.eigenvalues, stack.eigenvectors, stack.kernel_mask,
+            stack.densities)), stack.radius[j:j + 1], stack.eps_rel)
 
 
 def _nonfinite_error() -> DomainError:
@@ -510,11 +534,12 @@ def _kernel_masks(vals: Sequence[np.ndarray],
     return tuple(abs(v) <= cut for v in vals)
 
 
-def _clip_stack(vals: Sequence[np.ndarray], eps: float
-                ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+def _clip_stack(vals: Sequence[np.ndarray], eps: float) -> tuple:
     """The PSD clip of stacked eigenvalues: values in [-PSD_CLIP_TOL * radius,
     0) become 0, and the kernel masks are recomputed from the clipped values
-    so that every clipped direction counts as kernel.
+    so that every clipped direction counts as kernel.  Returns the clipped
+    values and the masks per block, and the (B,) radii of the clipped
+    values.
 
     Raises the DomainError of the first element, in order, with a
     non-finite eigenvalue or one below the clip floor; within an element
@@ -537,8 +562,9 @@ def _clip_stack(vals: Sequence[np.ndarray], eps: float
                     f"below clip tolerance {floor:.3e}")
     clipped = tuple(np.maximum(v, 0.0) for v in vals)
     # _kernel_masks of the clipped values, which are >= 0: radius max(top, 0)
-    cut = eps * np.maximum(top, 0.0)[:, None]
-    return clipped, tuple(c <= cut for c in clipped)
+    radius = np.maximum(top, 0.0)
+    cut = eps * radius[:, None]
+    return clipped, tuple(c <= cut for c in clipped), radius
 
 
 def _symmetrized_stack(stacked: Sequence[np.ndarray],
@@ -581,8 +607,8 @@ def _clipped_eig_stack(algebra: BlockAlgebra, stacked: Sequence[np.ndarray],
     place that decomposes an element."""
     sym = _symmetrized_stack(stacked, hermitize)
     vals, vecs = _eig_stack(sym)
-    clipped, masks = _clip_stack(vals, eps)
-    return SpectrumStack(algebra, clipped, vecs, masks, sym, eps)
+    clipped, masks, radius = _clip_stack(vals, eps)
+    return SpectrumStack(algebra, clipped, vecs, masks, sym, radius, eps)
 
 
 @np.errstate(all="ignore")
@@ -722,7 +748,7 @@ def polar_decompose(x: AlgebraElement, eps_rel: float | None = None
     :func:`_polar_stack`.
     """
     v, a = _polar_stack(_stack([x]), resolve_eps_rel(eps_rel))
-    return _unstack(x.algebra, v)[0], _unstack(x.algebra, a)[0]
+    return _unstack(v)[0], _unstack(a)[0]
 
 
 def _polar_stack(stacked: Sequence[np.ndarray], eps: float

@@ -25,6 +25,7 @@ from .config import resolve_eps_rel
 from .divergence import DivergenceParams, _d_stack, _point
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      UsageError)
+from .functionals import _stacks
 from .lp import KosakiSpec, LpExponent, kosaki_norm, lp_norm
 from .reports import format_float
 from .suites import (SuiteConfig, format_profile, parse_dims, run_suite,
@@ -115,7 +116,7 @@ def _cmd_divergence(args) -> int:
     psi, phi = io.load_functionals([args.psi, args.phi], eps)
     if psi.algebra != phi.algebra:
         raise ShapeError("psi and phi files live on different algebras")
-    q, d = (_point(o) for o in _d_stack([psi], [phi], [params]))
+    q, d = (_point(o) for o in _d_stack(*_stacks([psi, phi]), [params]))
     if args.json:
         doc = io.build_run_report(
             config={"command": "divergence", "kind": args.kind,

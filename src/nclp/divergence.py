@@ -19,17 +19,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _apply_stack, _check_draw, _complex_array,
-                      _complex_stacks, _corner_solve,
-                      _eigenvalue_powers, _full_stack, _kept_power_sums,
-                      _kernel_masks, _kron_block, _nonfinite_error,
-                      _squared_norms, _stacked, _support_stack, _unstack)
+                      _apply_stack, _check_batches, _check_draw,
+                      _clipped_eig_stack, _complex_array, _complex_stacks,
+                      _corner_solve, _eigenvalue_powers, _full_stack,
+                      _kept_power_sums, _kernel_masks, _kron_block,
+                      _nonfinite_error, _squared_norms, _stacked,
+                      _support_stack, _unstack)
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      _check_type, _first_errors, _raise_pairwise, _real)
-from .functionals import (PositiveFunctional, _at_cutoff,
-                          _check_same_algebra, _densities,
-                          _positive_functionals, _stack_of)
+from .functionals import PositiveFunctional, _rows, _stacks
 from .lp import singular_values_stack
 from .tensor import TensorAlgebra, kron_functional_stack
 
@@ -121,23 +120,16 @@ def _order(alpha) -> float:
     return alpha
 
 
-def _check_pair(psi: PositiveFunctional, phi: PositiveFunctional):
-    _check_same_algebra(psi, phi)
-    if psi.is_zero:
-        raise DomainError("left functional must be nonzero")
-
-
-def _support_violations(psis: Sequence[PositiveFunctional],
-                        phis: Sequence[PositiveFunctional]) -> np.ndarray:
+def _support_violations(psis: SpectrumStack,
+                        phis: SpectrumStack) -> np.ndarray:
     """(B,) whether s(psi) <= s(phi) fails beyond the relative budget, per
     pair of one algebra: the leak (1 - s(phi)) h_psi (1 - s(phi)) against
     the density's norm, stacked across the pairs.  Skipped when no phi has
     a kernel direction: then s(phi) = 1, and the leak is only rounding."""
-    phi_stack = _stack_of(phis)
-    if not any(m.any() for m in phi_stack.kernel_mask):
+    if not any(m.any() for m in phis.kernel_mask):
         return np.zeros(len(phis), dtype=bool)
-    supports = _support_stack(phi_stack)
-    densities = _densities(psis)
+    supports = _support_stack(phis)
+    densities = psis.densities
     comps = [np.eye(s.shape[-1], dtype=np.complex128) - s for s in supports]
     with np.errstate(over="ignore"):
         leak = np.sqrt(_squared_norms([c @ h @ c
@@ -183,16 +175,15 @@ def _point(outcomes: Outcomes) -> DivergenceValue:
 
 
 @np.errstate(all="ignore")
-def q_tilde_stack(psis: Sequence[PositiveFunctional],
-                  phis: Sequence[PositiveFunctional],
+def q_tilde_stack(psis: SpectrumStack, phis: SpectrumStack,
                   grid: Sequence[DivergenceParams]) -> Outcomes:
-    """Q-values of B pairs (psis[j], phis[j]) of one algebra, read from
-    their stored spectra at their one shared cutoff, at every point of a
-    parameter grid: z=None takes the sandwiched path of
+    """Q-values of B pairs (row j of psis, row j of phis) of one algebra,
+    read from their spectra at their one shared cutoff, at every point of
+    a parameter grid: z=None takes the sandwiched path of
     :func:`q_tilde_alpha`, other points the two-parameter path of
     :func:`q_tilde_alpha_z`.
 
-    Shared by all points of a pair: the pair check, the support-nesting test
+    Shared by all points of a pair: the entry check, the support-nesting test
     (run once if some alpha > 1) and the rotation of h_psi into phi's
     eigenbasis.  Per block, the sandwiched points of all pairs share one
     stacked ``eigvalsh`` and the two-parameter points one stacked ``svd``;
@@ -208,19 +199,19 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
     overrides the point's error).  A failing pair's error is the one its
     one-point call raises at its first failing point: returned, not raised.
     """
-    for psi, phi in zip(psis, phis):
-        _check_pair(psi, phi)
+    _check_batches([psis, phis], [psis.algebra, phis.algebra],
+                   "functionals must live on the same algebra")
+    if not psis.radius.all():
+        raise DomainError("left functional must be nonzero")
     grid = tuple(grid)
     shape = (len(psis), len(grid))
     sharp = np.array([p.alpha > 1 for p in grid])
-    phi_stack = _stack_of(phis)
     parts = []
     for wanted, kernel in ((True, _sandwiched_values),
                            (False, _alpha_z_values)):
         idx = [g for g, p in enumerate(grid) if p.is_sandwiched == wanted]
         if idx:
-            parts.append((idx, kernel(psis, phi_stack,
-                                      [grid[g] for g in idx])))
+            parts.append((idx, kernel(psis, phis, [grid[g] for g in idx])))
     if len(parts) == 1:
         values, codes, residuals = parts[0][1]
     else:
@@ -247,8 +238,7 @@ def q_tilde_stack(psis: Sequence[PositiveFunctional],
     return Outcomes(values, reasons, errors)
 
 
-def _sandwiched_values(psis: Sequence[PositiveFunctional],
-                       phi_stack: SpectrumStack,
+def _sandwiched_values(psis: SpectrumStack, phi_stack: SpectrumStack,
                        grid: Sequence[DivergenceParams]) -> tuple:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
@@ -261,7 +251,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     scales = _eigenvalue_powers(phi_stack, expos)
     eigs = []
     for vecs, scale, tb in zip(phi_stack.eigenvectors, scales,
-                               _densities(psis)):
+                               psis.densities):
         c = vecs.conj().swapaxes(-2, -1) @ tb @ vecs
         mids = (scale[..., :, None] * c[:, None]) * scale[..., None, :]
         eigs.append(np.linalg.eigvalsh(
@@ -284,8 +274,7 @@ def _sandwiched_values(psis: Sequence[PositiveFunctional],
     return totals, codes, np.full(codes.shape, np.nan)
 
 
-def _alpha_z_values(psis: Sequence[PositiveFunctional],
-                    phi_stack: SpectrumStack,
+def _alpha_z_values(psi_stack: SpectrumStack, phi_stack: SpectrumStack,
                     grid: Sequence[DivergenceParams]) -> tuple:
     """Q_{alpha,z} per pair and point.
 
@@ -307,7 +296,6 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
     phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
                  else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
-    psi_stack = _stack_of(psis)
     rows = _eigenvalue_powers(psi_stack, cert_expos + half_expos)
     # A power that is not finite on some kept eigenvalue is that point's
     # error; its rows are zeroed so that the stacked calls still run.
@@ -336,8 +324,8 @@ def _alpha_z_values(psis: Sequence[PositiveFunctional],
     if k:
         expos = [[(grid[g].alpha - 1.0) / (2.0 * zs[g]) for g in sharp]]
         _, residuals[:, sharp], over = _corner_solve(
-            phi_stack, [b[:, :k] for b in powers], expos * len(psis),
-            expos * len(psis))
+            phi_stack, [b[:, :k] for b in powers], expos * len(psi_stack),
+            expos * len(psi_stack))
     if not finite.all() or np.any(over):
         codes[~finite[:, k:]] = _NONFINITE
         codes[:, sharp] = np.where(~finite[:, :k], _NONFINITE, np.where(
@@ -357,8 +345,7 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     functionals at that cutoff; None uses each at its own.
     """
     params = DivergenceParams(alpha)
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _point(q_tilde_stack([psi], [phi], [params]))
+    return _point(q_tilde_stack(*_stacks([psi, phi], eps_rel), [params]))
 
 
 def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
@@ -377,8 +364,7 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     """
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _point(q_tilde_stack([psi], [phi], [params]))
+    return _point(q_tilde_stack(*_stacks([psi, phi], eps_rel), [params]))
 
 
 def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
@@ -394,24 +380,23 @@ def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
     s(psi) <= s(phi), else the equation has no corner solution.  One pair
     of :func:`solve_sharp_pseudo_inverse_stack`.
     """
-    return _unstack(psi.algebra, solve_sharp_pseudo_inverse_stack(
-        [psi], [phi], [params]))[0]
+    return _unstack(solve_sharp_pseudo_inverse_stack(
+        *_stacks([psi, phi]), [params]))[0]
 
 
-def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
-                                     phis: Sequence[PositiveFunctional],
+def solve_sharp_pseudo_inverse_stack(psi_stack: SpectrumStack,
+                                     phi_stack: SpectrumStack,
                                      params: Sequence[DivergenceParams]
                                      ) -> tuple[np.ndarray, ...]:
     """:func:`solve_sharp_pseudo_inverse` of B pairs of one algebra, pair j
     at params[j], as per-block (B, n, n) stacks: one stacked support test,
     power, solve and back-rotation per block.  Errors, stage by stage: the
-    pair checks, the support nesting, the powers, the certificates; within
+    entry checks, the support nesting, the powers, the certificates; within
     a stage the first failing pair raises."""
-    exps = _sharp_exponents(psis, phis, params)
-    if _support_violations(psis, phis).any():
+    exps = _sharp_exponents(psi_stack, phi_stack, params)
+    if _support_violations(psi_stack, phi_stack).any():
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    psi_stack, phi_stack = _stack_of(psis), _stack_of(phis)
     hp = _apply_stack(psi_stack, _eigenvalue_powers(
         psi_stack, [[r] for r, _ in exps]))
     expos = [[e] for _, e in exps]
@@ -425,10 +410,14 @@ def solve_sharp_pseudo_inverse_stack(psis: Sequence[PositiveFunctional],
 
 def _sharp_exponents(psis, phis, params) -> list[tuple[float, float]]:
     """Per pair, (alpha/z, (alpha-1)/2z) of the sandwich equation, after
-    the pair check and the alpha > 1 check of each pair in order."""
+    the batch check and the pair checks (a nonzero psi, alpha > 1) of each
+    pair in order."""
+    _check_batches([psis, phis, params], [psis.algebra, phis.algebra],
+                   "functionals must live on the same algebra")
     out = []
-    for psi, phi, p in zip(psis, phis, params):
-        _check_pair(psi, phi)
+    for p, radius in zip(params, psis.radius.tolist()):
+        if radius == 0.0:
+            raise DomainError("left functional must be nonzero")
         alpha, z = p.alpha, p.effective_z
         if alpha <= 1:
             raise DomainError(
@@ -449,20 +438,19 @@ def solve_sharp_least_squares(psi: PositiveFunctional,
     equation is solvable.  One pair of
     :func:`solve_sharp_least_squares_stack`.
     """
-    return _unstack(psi.algebra, solve_sharp_least_squares_stack(
-        [psi], [phi], [params]))[0]
+    return _unstack(solve_sharp_least_squares_stack(
+        *_stacks([psi, phi]), [params]))[0]
 
 
-def solve_sharp_least_squares_stack(psis: Sequence[PositiveFunctional],
-                                    phis: Sequence[PositiveFunctional],
+def solve_sharp_least_squares_stack(psi_stack: SpectrumStack,
+                                    phi_stack: SpectrumStack,
                                     params: Sequence[DivergenceParams]
                                     ) -> tuple[np.ndarray, ...]:
     """:func:`solve_sharp_least_squares` of B pairs of one algebra, pair j
     at params[j], as per-block (B, n, n) stacks.  The powers, supports and
     linearizations are stacked; ``lstsq``, which takes one system at a
     time, runs per pair and block."""
-    exps = _sharp_exponents(psis, phis, params)
-    phi_stack, psi_stack = _stack_of(phis), _stack_of(psis)
+    exps = _sharp_exponents(psi_stack, phi_stack, params)
     a = _apply_stack(phi_stack, _eigenvalue_powers(
         phi_stack, [[e] for _, e in exps]))
     s = _support_stack(phi_stack)
@@ -480,8 +468,7 @@ def solve_sharp_least_squares_stack(psis: Sequence[PositiveFunctional],
     return tuple(blocks)
 
 
-def _d_values(psis: Sequence[PositiveFunctional],
-              phis: Sequence[PositiveFunctional],
+def _d_values(psis: SpectrumStack, phis: SpectrumStack,
               grid: Sequence[DivergenceParams], q: Outcomes) -> Outcomes:
     """Divergences log(Q / psi(1)) / (alpha - 1) of B pairs from their
     Q-values: an infinite Q keeps its reason, and a zero Q at alpha < 1
@@ -489,14 +476,15 @@ def _d_values(psis: Sequence[PositiveFunctional],
     point; a value beyond the float range is an error, and so is D where Q
     is one (the Q-value's error comes first)."""
     values, reasons, errors = [], [], {}
-    for j, (qs, codes, psi, phi) in enumerate(zip(
-            q.values.tolist(), q.reasons.tolist(), psis, phis)):
+    for j, (qs, codes, mass, zero_phi) in enumerate(zip(
+            q.values.tolist(), q.reasons.tolist(), psis.masses.tolist(),
+            (phis.radius == 0.0).tolist())):
         for g, (qv, p) in enumerate(zip(qs, grid)):
             d = math.inf
             if codes[g] == _FINITE and qv == 0.0 and p.alpha < 1:
-                codes[g] = _ZERO_REFERENCE if phi.is_zero else _ZERO_Q
+                codes[g] = _ZERO_REFERENCE if zero_phi else _ZERO_Q
             elif codes[g] == _FINITE:
-                ratio = qv / psi.mass
+                ratio = qv / mass
                 d = (math.log(ratio) / (p.alpha - 1.0)
                      if 0.0 < ratio < math.inf else math.nan)
                 if not math.isfinite(d):
@@ -528,8 +516,7 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     parameters run the two-parameter path.  May be negative for inputs whose
     masses differ from 1.  ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
-    psi, phi = _at_cutoff([psi, phi], eps_rel)
-    return _point(_d_stack([psi], [phi], [params])[1])
+    return _point(_d_stack(*_stacks([psi, phi], eps_rel), [params])[1])
 
 
 # The check stacks return (residuals, values): residuals maps each report key
@@ -537,8 +524,7 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
 
 
 @np.errstate(all="ignore")
-def lemma9_stack(psis: Sequence[PositiveFunctional],
-                 phis: Sequence[PositiveFunctional],
+def lemma9_stack(psis: SpectrumStack, phis: SpectrumStack,
                  alphas: Sequence[float]) -> tuple[dict, tuple]:
     """Agreement of the sandwiched and alpha-z paths at z = alpha, for B
     pairs at every order in ``alphas``: the residuals, and the values (Q
@@ -549,8 +535,6 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
     Both paths come from one :func:`q_tilde_stack` with the points in the
     order sandwiched(alpha_1), alpha-z(alpha_1), sandwiched(alpha_2), ...,
     so the first failing pair raises as a loop over the orders would."""
-    for psi, phi in zip(psis, phis):
-        _check_pair(psi, phi)
     grid = [params for alpha in alphas for params in (
         DivergenceParams(alpha), DivergenceParams(alpha, z=alpha))]
     q = q_tilde_stack(psis, phis, grid)
@@ -566,10 +550,8 @@ def lemma9_stack(psis: Sequence[PositiveFunctional],
 
 
 @np.errstate(all="ignore")
-def additivity_stack(psi1s: Sequence[PositiveFunctional],
-                     phi1s: Sequence[PositiveFunctional],
-                     psi2s: Sequence[PositiveFunctional],
-                     phi2s: Sequence[PositiveFunctional],
+def additivity_stack(psi1s: SpectrumStack, phi1s: SpectrumStack,
+                     psi2s: SpectrumStack, phi2s: SpectrumStack,
                      grid: Sequence[DivergenceParams]) -> tuple[dict, tuple]:
     """Multiplicativity of Q and additivity of D on tensor pairs, for B
     quadruples on one pair of algebras at every point of a parameter grid:
@@ -585,7 +567,8 @@ def additivity_stack(psi1s: Sequence[PositiveFunctional],
     quadruples and the points.  Errors: the products come first, the psi
     products before the phi products; then the first failing quadruple
     raises, its pairs' Q-values in that order before their divergences."""
-    T = TensorAlgebra(psi1s[0].algebra, psi2s[0].algebra)
+    _check_batches([psi1s, phi1s, psi2s, phi2s])
+    T = TensorAlgebra(psi1s.algebra, psi2s.algebra)
     sides = [(psi1s, phi1s), (psi2s, phi2s),
              (kron_functional_stack(T, psi1s, psi2s),
               kron_functional_stack(T, phi1s, phi2s))]
@@ -661,22 +644,21 @@ def precompose(psi: PositiveFunctional,
     compression; unital channels preserve the mass.  One pair of
     :func:`precompose_stack`.
     """
-    return precompose_stack([psi], [channel])[0]
+    psis, = _stacks([psi])
+    return _rows(precompose_stack(psis, [channel]))[0]
 
 
-def precompose_stack(psis: Sequence[PositiveFunctional],
-                     channels: Sequence[QuantumChannel]
-                     ) -> list[PositiveFunctional]:
+def precompose_stack(psis: SpectrumStack,
+                     channels: Sequence[QuantumChannel]) -> SpectrumStack:
     """:func:`precompose` of B pairs whose channels share a domain and a
     codomain, stacked across the pairs.  The channels may have different
     numbers of Kraus operators: each pair sums its own terms in its own
-    order, as a one-pair call does.  The pulled-back functionals keep the
-    cutoff of psis[0], which every psi shares."""
-    for psi, channel in zip(psis, channels):
-        if psi.algebra != channel.codomain:
-            raise ShapeError(
-                "functional does not live on the channel codomain")
-    full = _full_stack(_densities(psis))
+    order, as a one-pair call does.  The pulled-back stack keeps the
+    cutoff of ``psis``."""
+    _check_batches([psis, channels], [psis.algebra, *{
+        ch.codomain for ch in channels}],
+        "functional does not live on the channel codomain")
+    full = _full_stack(psis.densities)
     counts = [len(ch.kraus) for ch in channels]
     acc = 0
     for i in range(max(counts)):
@@ -689,8 +671,7 @@ def precompose_stack(psis: Sequence[PositiveFunctional],
     domain = channels[0].domain
     offsets = np.cumsum([0, *domain.block_dims])
     blocks = [acc[:, a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    return _positive_functionals(domain, blocks, True,
-                                 psis[0]._spectrum.eps_rel)
+    return _clipped_eig_stack(domain, blocks, True, psis.eps_rel)
 
 
 def identity_channel(algebra: BlockAlgebra) -> QuantumChannel:
@@ -785,8 +766,7 @@ def dpi_valid(alpha: float, z: float) -> bool:
 
 
 @np.errstate(all="ignore")
-def dpi_probe_stack(psis: Sequence[PositiveFunctional],
-                    phis: Sequence[PositiveFunctional],
+def dpi_probe_stack(psis: SpectrumStack, phis: SpectrumStack,
                     channels: Sequence[QuantumChannel],
                     grid: Sequence[DivergenceParams]) -> tuple[dict, tuple]:
     """Monotonicity of D under a channel, for B triples whose channels share
@@ -804,6 +784,7 @@ def dpi_probe_stack(psis: Sequence[PositiveFunctional],
     stage by stage: the values before the channels, the precompositions,
     then the values after them; within a stage the first pair with a
     failing point raises it."""
+    _check_batches([psis, phis, channels])
     grid = tuple(grid)
     _, d_in = _d_stack(psis, phis, grid)
     _, d_out = _d_stack(precompose_stack(psis, channels),

@@ -18,11 +18,12 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, BlockAlgebra, _stack
+from .algebra import (AlgebraElement, BlockAlgebra, _clipped_eig_stack,
+                      _stack)
 from .config import (DEFAULT_EPS_REL, EIGENSOLVER_ID, LOG_BASE, PRNG_ID,
                      resolve_eps_rel)
 from .errors import DomainError, FileFormatError, NclpError, OutputError
-from .functionals import PositiveFunctional, _positive_functionals
+from .functionals import PositiveFunctional, _rows
 from .reports import _py
 
 KINDS = ("element", "functional")
@@ -120,8 +121,8 @@ def _functionals(elements, eps_rel) -> list[PositiveFunctional]:
     payload raises."""
     eps = resolve_eps_rel(eps_rel)
     try:
-        return _positive_functionals(elements[0].algebra, _stack(elements),
-                                     False, eps)
+        return _rows(_clipped_eig_stack(elements[0].algebra,
+                                        _stack(elements), False, eps))
     except DomainError as exc:
         raise FileFormatError(f"invalid functional payload: {exc}") from exc
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      _algebra_of, _apply_stack, _corner_solve,
-                      _eigenvalue_powers, _full_stack, _kron_block, _powers,
-                      _stack, _unstack)
+from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
+                      _algebra_of, _apply_stack, _check_batches,
+                      _corner_solve, _eigenvalue_powers, _full_stack,
+                      _kron_block, _powers, _stack, _unstack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
                      _check_type, _first_errors, _raise_pairwise, _real)
-from .functionals import (PositiveFunctional, _at_cutoff, _densities,
-                          _stack_of)
+from .functionals import PositiveFunctional, _stacks
 
 
 @dataclass(frozen=True)
@@ -180,17 +179,17 @@ def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
     return p, eta
 
 
-def _floor_error(spec: HermitianSpectrum) -> ConditioningError | None:
-    """The ConditioningError of a reference whose min eig falls below
-    FAITHFULNESS_FLOOR * max eig, else None."""
-    radius = spec.spectral_radius
-    low = float(np.min(spec.flat_eigenvalues()))
-    if radius == 0.0 or low < FAITHFULNESS_FLOOR * radius:
-        return ConditioningError(
-            f"reference functional is singular or below the faithfulness "
-            f"floor (min eig {low:.3e}, max eig {radius:.3e})",
-            residual=low)
-    return None
+def _floor_errors(stack: SpectrumStack) -> dict:
+    """The error map (see :func:`nclp.errors._first_errors`) of the
+    ConditioningError of each reference row whose min eig falls below
+    FAITHFULNESS_FLOOR * max eig (the stack's radius)."""
+    low = np.min([v.min(axis=-1) for v in stack.eigenvalues], axis=0)
+    radius = stack.radius
+    bad = (radius == 0.0) | (low < FAITHFULNESS_FLOOR * radius)
+    return {j: (0, ConditioningError(
+        f"reference functional is singular or below the faithfulness "
+        f"floor (min eig {low[j]:.3e}, max eig {radius[j]:.3e})",
+        residual=float(low[j]))) for j in np.flatnonzero(bad).tolist()}
 
 
 @dataclass(frozen=True)
@@ -214,22 +213,19 @@ class KosakiSpec:
         object.__setattr__(self, "eta", eta)
         # The floor reads only eigenvalues, which no cutoff changes, so the
         # stored spectrum serves and no cutoff is resolved here.
-        err = _floor_error(self.phi._spectrum)
-        if err is not None:
-            raise err
+        _raise_pairwise(_floor_errors(_stacks([self.phi])[0]))
 
     @property
     def algebra(self) -> BlockAlgebra:
         return self.phi.algebra
 
 
-def _sandwich_stack(stacked, phis: list[PositiveFunctional],
-                    lefts: list[float], rights: list[float]
-                    ) -> tuple[np.ndarray, ...]:
+def _sandwich_stack(stacked, phis: SpectrumStack, lefts: list[float],
+                    rights: list[float]) -> tuple[np.ndarray, ...]:
     """h_j^lefts[j] a_j h_j^rights[j] of B stacked elements a_j, h_j the
-    density of phis[j], as per-block (B, n, n) stacks.  An exponent-0
-    factor is skipped exactly and exponent 1 is the density itself; each
-    side is one stacked product over all elements."""
+    density of row j of ``phis``, as per-block (B, n, n) stacks.  An
+    exponent-0 factor is skipped exactly and exponent 1 is the density
+    itself; each side is one stacked product over all elements."""
     out = tuple(stacked)
     for expos, on_left in ((lefts, True), (rights, False)):
         skip = np.array([e == 0.0 for e in expos])
@@ -242,39 +238,39 @@ def _sandwich_stack(stacked, phis: list[PositiveFunctional],
     return out
 
 
-def _density_powers(phis: list[PositiveFunctional],
+def _density_powers(phis: SpectrumStack,
                     expos: list[float]) -> tuple[np.ndarray, ...]:
-    """h_j^expos[j] of each functional as per-block stacks: the density
-    itself at exponent 1, else the power of its spectrum."""
+    """h_j^expos[j] of each row as per-block stacks: the density itself at
+    exponent 1, else the power of its spectrum."""
     ones = np.array([e == 1.0 for e in expos])
     if ones.all():
-        return _densities(phis)
-    stack = _stack_of(phis)
+        return phis.densities
     powers = [p[:, 0] for p in _apply_stack(
-        stack, _eigenvalue_powers(stack, [[e] for e in expos]))]
+        phis, _eigenvalue_powers(phis, [[e] for e in expos]))]
     if not ones.any():
         return tuple(powers)
     return tuple(np.where(ones[:, None, None], d, p)
-                 for d, p in zip(_densities(phis), powers))
+                 for d, p in zip(phis.densities, powers))
 
 
 def kosaki_embed(a: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
     """The injective embedding a -> h_phi^eta a h_phi^{1-eta}.  One element
     of :func:`_sandwich_stack`."""
+    stacked = _stack([a])
     if a.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
-    return _unstack(a.algebra, _sandwich_stack(
-        _stack([a]), [spec.phi], [spec.eta], [1.0 - spec.eta]))[0]
+    return _unstack(_sandwich_stack(
+        stacked, _stacks([spec.phi])[0], [spec.eta], [1.0 - spec.eta]))[0]
 
 
 # An overflow shows as a non-finite x, which is reported as an error.
 @np.errstate(over="ignore", invalid="ignore")
-def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
+def _kosaki_memberships(stacked_y, stack: SpectrumStack,
                         points: list[list[tuple[LpExponent, float]]]):
     """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
-    of phis[j], for each of B stacked elements y_j and each point of
-    points[j] (one length G for all j): the :func:`_corner_solve` of the
-    stack, rotated back.
+    of row j of ``stack``, for each of B stacked elements y_j and each
+    point of points[j] (one length G for all j): the :func:`_corner_solve`
+    of the stack, rotated back.
 
     Returns per block a (B, G, n, n) stack of x, and the error map (see
     :func:`nclp.errors._first_errors`) of the DomainError of an x beyond the
@@ -292,7 +288,6 @@ def _kosaki_memberships(stacked_y, phis: list[PositiveFunctional],
     rights = [[weights[pt][1] for pt in pts] for pts in points]
     ident = np.array([[a == 0.0 and b == 0.0 for a, b in zip(ls, rs)]
                       for ls, rs in zip(lefts, rights)])
-    stack = _stack_of(phis)
     mids, residuals, over = _corner_solve(stack, stacked_y, lefts, rights)
     blocks = []
     for yb, vecs, mid in zip(stacked_y, stack.eigenvectors, mids):
@@ -320,38 +315,34 @@ def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
     ConditioningError when it exceeds the budget
     ``config.RECOMPOSITION_TOL`` * (1 + ||y||_F).
     """
+    stacked = _stack([y])
     if y.algebra != spec.algebra:
         raise ShapeError("element and reference functional algebras differ")
     blocks, errors = _kosaki_memberships(
-        _stack([y]), [spec.phi], [[(spec.p, spec.eta)]])
+        stacked, _stacks([spec.phi])[0], [[(spec.p, spec.eta)]])
     _raise_pairwise(errors)
-    return _unstack(y.algebra, [b[:, 0] for b in blocks])[0]
+    return _unstack([b[:, 0] for b in blocks])[0]
 
 
-def kosaki_norm_stack(stacked_y, phis: list[PositiveFunctional],
-                      points) -> tuple:
+def kosaki_norm_stack(stacked_y, phis: SpectrumStack, points) -> tuple:
     """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
-    (B, n, n) array) at every validated (p, eta) of ``points[j]`` (see
-    :func:`_kosaki_point`; one length for all j).
+    (B, n, n) array), phi_j row j of ``phis``, at every validated (p, eta)
+    of ``points[j]`` (see :func:`_kosaki_point`; one length for all j).
 
     Shared by all points of an element: phi_j's faithfulness-floor check
     and the rotation U* y U into the eigenbasis of phi_j's stored spectrum.
     The scalings, recomposition residuals, back-rotations, singular values
     (one ``svd`` per block) and norms are stacked.  Returns the norms,
     entry [j][g], and the error maps (see :func:`nclp.errors._first_errors`)
-    of the floor of phis[j] and then of its first failing point, which a
-    one-element call raises in that order (:func:`_raise_pairwise`).  A
-    phis[j] on another algebra than the stack's raises, before any solve,
-    its floor error if it has one, else ShapeError.
+    of the floor of phi_j and then of its first failing point, which a
+    one-element call raises in that order (:func:`_raise_pairwise`).
+    ``phis`` on another algebra than the elements' raises ShapeError
+    before any solve.
     """
-    algebra, floor = _algebra_of(stacked_y), {}
-    for j, phi in enumerate(phis):
-        err = _floor_error(phi._spectrum)
-        if err is not None:
-            floor[j] = (0, err)
-        if phi.algebra != algebra:
-            raise err or ShapeError(
-                "element and reference functional algebras differ")
+    _check_batches([stacked_y[0], phis, points],
+                   [_algebra_of(stacked_y), phis.algebra],
+                   "element and reference functional algebras differ")
+    floor = _floor_errors(phis)
     blocks, errors = _kosaki_memberships(stacked_y, phis, points)
     failed = sorted({*floor, *errors})
     if failed:
@@ -366,36 +357,32 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
     """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
     :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
     cutoff; None uses it at its own."""
-    phi, = _at_cutoff([spec.phi], eps_rel)
-    norms, errors = kosaki_norm_stack(_stack([y]), [phi],
+    norms, errors = kosaki_norm_stack(_stack([y]),
+                                      _stacks([spec.phi], eps_rel)[0],
                                       [[(spec.p, spec.eta)]])
     _raise_pairwise(*errors)
     return norms[0][0]
 
 
-def interpolation_bound_stack(stacked_a, phis: list[PositiveFunctional],
+def interpolation_bound_stack(stacked_a, phis: SpectrumStack,
                               points) -> list[tuple[float, float]]:
     """(lhs, rhs) of the interpolation estimate on the embeddings of B
     stacked elements a_j (per block a (B, n, n) array),
-    element j at the reference phis[j], of density h, and its own validated
+    element j at row j of ``phis``, of density h, and its own validated
     (p, eta) = points[j]: lhs = ||h^eta a h^{1-eta}||_{p,phi,eta} and
     rhs = ||a||^{1/q} ||h^eta a h^{1-eta}||_1^{1/p} (q the dual exponent);
     lhs <= rhs up to float slack.
 
     The embeddings, the interpolated norms and the singular values of every
     a_j and its embedding (one ``svd`` per block for both) are stacked.
-    Errors, stage by stage: each reference's faithfulness floor and algebra
-    (that of the stack), then the norms; within a stage the first failing
-    element raises.
+    Errors, stage by stage: the references' algebra (that of the
+    elements), their faithfulness floors, then the norms; within a stage
+    the first failing element raises.
     """
-    algebra = _algebra_of(stacked_a)
-    for phi in phis:
-        err = _floor_error(phi._spectrum)
-        if err is not None:
-            raise err
-        if phi.algebra != algebra:
-            raise ShapeError(
-                "element and reference functional algebras differ")
+    _check_batches([stacked_a[0], phis, points],
+                   [_algebra_of(stacked_a), phis.algebra],
+                   "element and reference functional algebras differ")
+    _raise_pairwise(_floor_errors(phis))
     ys = _sandwich_stack(stacked_a, phis, [eta for _, eta in points],
                          [1.0 - eta for _, eta in points])
     lhs, errors = kosaki_norm_stack(ys, phis, [[pt] for pt in points])
@@ -413,17 +400,17 @@ def interpolation_bound_stack(stacked_a, phis: list[PositiveFunctional],
     return out
 
 
-def lemma3_bijectivity_stack(phis: list[PositiveFunctional], ps) -> list[bool]:
+def lemma3_bijectivity_stack(phis: SpectrumStack, ps) -> list[bool]:
     """Whether a -> a h_phi^{1/p} has full rank on the flat carrier, for B
-    functionals phis[j] of one algebra, each at its own p = ps[j].  Decided
+    functionals phi_j of one stack, each at its own p = ps[j].  Decided
     by the singular values of the total_dim x total_dim linearization and
     ``config.RANK_RTOL``: a near-singular reference yields False, flagging
     the conditioning problem rather than raising.  Stacked powers and
     linearizations, one ``svd`` for all of them."""
+    _check_batches([phis, ps])
     invs = [_as_exponent(p).inv for p in ps]
-    stack = _stack_of(phis)
     powers = [p[:, 0] for p in _apply_stack(
-        stack, _eigenvalue_powers(stack, [[inv] for inv in invs]))]
+        phis, _eigenvalue_powers(phis, [[inv] for inv in invs]))]
     # row-major vec: vec(X B) = kron(I, B^T) vec(X), block by block
     lin = _full_stack([
         _kron_block(np.broadcast_to(np.eye(b.shape[-1]), b.shape),

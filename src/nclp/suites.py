@@ -19,9 +19,9 @@ builds the algebra (a :class:`TensorAlgebra` for tensor profiles such as
   and key (shape and ranks), without padding, and runs each group's
   complex combine, QR with the phase fix, G G*, U diag(lambda) U* and
   normalization as one stacked call each; :func:`_functionals` gives each
-  role one spectrum stack.  The kernels take the element stacks as they
-  are built, and the functionals as lists.  The public ``gen_*``
-  generators are B = 1 calls of the same code.
+  role one spectrum stack.  The kernels take the element and functional
+  stacks as they are built.  The public ``gen_*`` generators are B = 1
+  calls of the same code and return the stacks' rows.
 
 ``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's overrides,
 and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved once.  A
@@ -51,9 +51,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, _check_draw,
-                      _complex_stacks, _frobenius_stack, _stacked,
-                      _support_stack, _symmetrized_stack, _unstack)
+from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
+                      _check_draw, _clipped_eig_stack, _complex_stacks,
+                      _frobenius_stack, _stacked, _support_stack,
+                      _symmetrized_stack, _unstack)
 from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
                      resolve_eps_rel)
 from .divergence import (REASONS, DivergenceParams, _kraus_draw, _order,
@@ -63,8 +64,7 @@ from .divergence import (REASONS, DivergenceParams, _kraus_draw, _order,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
 from .errors import DomainError, ShapeError, UsageError, _check_type
-from .functionals import (PositiveFunctional, _positive_functionals,
-                          _stack_of, cocycle_chain_stack,
+from .functionals import (PositiveFunctional, _rows, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
 from .lp import (_kosaki_point, interpolation_bound_stack,
                  lemma3_bijectivity_stack)
@@ -264,29 +264,28 @@ def _density_stacks(alg: BlockAlgebra, raws) -> list[np.ndarray]:
 
 
 def _functionals(alg: BlockAlgebra, eps: float,
-                 *roles) -> list[list[PositiveFunctional]]:
-    """Per role, the functionals of its B raw density draws at the resolved
-    cutoff ``eps``, one spectrum stack per role, built without the
-    Hermitian gate, as ``hermitize=True`` builds them.  The densities of
-    all roles are built as one stack."""
+                 *roles) -> list[SpectrumStack]:
+    """Per role, the spectrum stack of its B raw density draws at the
+    resolved cutoff ``eps``, built without the Hermitian gate, as
+    ``hermitize=True`` builds them.  The densities of all roles are built
+    as one stack."""
     stacks, B = _density_stacks(alg, sum(roles, ())), len(roles[0])
-    return [_positive_functionals(alg, [s[i * B:(i + 1) * B] for s in stacks],
-                                  True, eps) for i in range(len(roles))]
+    return [_clipped_eig_stack(alg, [s[i * B:(i + 1) * B] for s in stacks],
+                               True, eps) for i in range(len(roles))]
 
 
 def gen_element(rng: np.random.Generator,
                 algebra: BlockAlgebra) -> AlgebraElement:
     _check_draw(rng, algebra)
-    return _unstack(algebra, _elements([_normals(rng, algebra)],
-                                       algebra)[0])[0]
+    return _unstack(_elements([_normals(rng, algebra)], algebra)[0])[0]
 
 
 def gen_unitary(rng: np.random.Generator,
                 algebra: BlockAlgebra) -> AlgebraElement:
     """Haar-ish block unitary via QR with the phase-of-R correction."""
     _check_draw(rng, algebra)
-    return _unstack(algebra, _unitaries(_elements(
-        [_normals(rng, algebra)], algebra)[0]))[0]
+    return _unstack(_unitaries(_elements([_normals(rng, algebra)],
+                                         algebra)[0]))[0]
 
 
 def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -308,8 +307,8 @@ def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
         raise DomainError(f"unknown rank profile {rank_profile!r}") from None
     if rank_profile == "zero":
         return PositiveFunctional.zero(algebra)
-    return _functionals(algebra, default_eps_rel(),
-                        (_gram_draw(rng, algebra, rank),))[0][0]
+    return _rows(_functionals(algebra, default_eps_rel(),
+                              (_gram_draw(rng, algebra, rank),))[0])[0]
 
 
 def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -321,8 +320,8 @@ def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     s(psi) + s(psi') = 1 and psi + psi' is faithful.
     """
     _check_draw(rng, algebra)
-    return tuple(_functionals(algebra, default_eps_rel(), _orthogonal_draw(
-        rng, algebra, rank))[0])
+    return tuple(_rows(_functionals(algebra, default_eps_rel(),
+                                    _orthogonal_draw(rng, algebra, rank))[0]))
 
 
 def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -337,8 +336,8 @@ def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     square, non-commuting with phi in general.
     """
     _check_draw(rng, algebra)
-    return tuple(_functionals(algebra, default_eps_rel(), _nested_draw(
-        rng, algebra, rank_phi, rank_psi))[0])
+    return tuple(_rows(_functionals(algebra, default_eps_rel(), _nested_draw(
+        rng, algebra, rank_phi, rank_psi))[0]))
 
 
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
@@ -352,8 +351,8 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     """
     _check_draw(rng, algebra)
     p, q = _classical_draw(rng, algebra.carrier_dim, orthogonal)
-    (psi, phi), = _functionals(algebra, default_eps_rel(),
-                               tuple((_diagonal, (), v) for v in (p, q)))
+    psi, phi = _rows(_functionals(algebra, default_eps_rel(), tuple(
+        (_diagonal, (), v) for v in (p, q)))[0])
     return psi, phi, p, q
 
 
@@ -598,11 +597,12 @@ def _corollary7_batch(config, tols, T, draws):
         (T.left, h1s), (T.right, h2s)))
     norms = corollary7_norm_stack(*_elements(flats, T.left, T.right),
                                   phi1s, phi2s, COROLLARY7_GRID)
-    return [({"masses": [phi1.mass, phi2.mass]},
+    return [({"masses": [m1, m2]},
              [(f"p={_p_label(p)},eta={eta:g}", abs(lhs - rhs) / (1.0 + rhs),
                tols["relative"])
               for (p, eta), (lhs, rhs) in zip(COROLLARY7_GRID, trial)], {})
-            for phi1, phi2, trial in zip(phi1s, phi2s, norms)]
+            for m1, m2, trial in zip(phi1s.masses.tolist(),
+                                     phi2s.masses.tolist(), norms)]
 
 
 def _lemma1_draw(alg, rng, idx, k):
@@ -623,7 +623,7 @@ def _lemma1_batch(config, tols, alg, draws):
         _frobenius_stack([a - b for a, b in zip(lhs, rhs)]),
         cocycle_chain_stack(psis, phis, ts, s_pars),
         _frobenius_stack([a - b for a, b in zip(
-            u0, _support_stack(_stack_of(psis)))]))
+            u0, _support_stack(psis))]))
     return [({"rank": rank, "t": t},
              [("identity", float(identity), tols["identity"]),
               ("chain", float(chain), tols["chain"]),
@@ -748,10 +748,10 @@ def _prop11_batch(config, tols, alg, draws):
     psi1s, phi1s, psi2s, phi2s = _functionals(alg, config.eps_rel, *roles)
     residuals, _ = additivity_stack(psi1s, phi1s, psi2s, phi2s, PROP11_GRID)
     asserted = np.any([on for _, on in residuals.values()], axis=0).tolist()
-    return [({"variant": kind, "masses": [psi1.mass, psi2.mass]}, trial,
+    return [({"variant": kind, "masses": [m1, m2]}, trial,
              {"unasserted": unasserted} if unasserted else {})
-            for kind, psi1, psi2, trial, unasserted in zip(
-                kinds, psi1s, psi2s,
+            for kind, m1, m2, trial, unasserted in zip(
+                kinds, psi1s.masses.tolist(), psi2s.masses.tolist(),
                 _grid_checks(_PROP11_LABELS, residuals, tols),
                 ([f"{label}: recorded only"
                   for label, on in zip(_PROP11_LABELS, row) if not on]

@@ -5,7 +5,8 @@ pair, ordered left-major; entrywise the convention is row-major,
 (x (x) y)[(a,b),(c,d)] = x[a,c] y[b,d], matching numpy.kron.  The checks in
 this module verify that polar parts, powers, norms and spectra all factorize
 blockwise along simple tensors.  They take the left and right elements as
-per-block stacks and read both algebras off the block shapes;
+per-block stacks and read both algebras off the block shapes, and take
+batches of functionals as one :class:`~nclp.algebra.SpectrumStack` each;
 :func:`kron_element` and :func:`kron_functional_stack`, which build
 elements and functionals, check their factors against a
 :class:`TensorAlgebra`.
@@ -19,14 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, _adjoint_stack,
-                      _algebra_of, _apply_stack, _clipped_eig_stack,
-                      _complex_stacks, _eigenvalue_powers, _frobenius_stack,
+from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
+                      _adjoint_stack, _algebra_of, _apply_stack,
+                      _check_batches, _clipped_eig_stack, _complex_stacks,
+                      _eigenvalue_powers, _frobenius_stack,
                       _imaginary_values, _kron_block, _polar_stack)
 from .config import RANK_RTOL
 from .errors import DomainError, ShapeError, _check_type, _raise_pairwise
-from .functionals import (PositiveFunctional, _densities,
-                          _positive_functionals, _stack_of)
+from .functionals import PositiveFunctional, _rows, _stacks
 from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 
@@ -56,7 +57,9 @@ class TensorAlgebra:
 def kron_element(T: TensorAlgebra, x: AlgebraElement,
                  y: AlgebraElement) -> AlgebraElement:
     """Blockwise Kronecker product of a left and a right element."""
-    _check_factors(T, [x], [y])
+    for z in (x, y):
+        _check_type(z, AlgebraElement, "factors must be AlgebraElements")
+    _check_factors(T, x.algebra, y.algebra)
     return AlgebraElement._trusted(
         T.product, [_kron_block(xb, yb) for xb in x.blocks for yb in y.blocks])
 
@@ -71,18 +74,22 @@ def kron_functional(T: TensorAlgebra, psi1: PositiveFunctional,
                     psi2: PositiveFunctional) -> PositiveFunctional:
     """Product functional; density is the Kronecker of the factor densities.
     It keeps psi1's cutoff.  One pair of :func:`kron_functional_stack`."""
-    return kron_functional_stack(T, [psi1], [psi2])[0]
+    for psi in (psi1, psi2):
+        _check_type(psi, PositiveFunctional,
+                    "factors must be PositiveFunctionals")
+    return _rows(kron_functional_stack(T, *_stacks([psi1, psi2])))[0]
 
 
-def kron_functional_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
-                          psi2s: list[PositiveFunctional]
-                          ) -> list[PositiveFunctional]:
-    """:func:`kron_functional` of each pair, one ``eigh`` per product block.
-    The products keep the cutoff of psi1s[0], which every psi1 shares."""
-    _check_factors(T, psi1s, psi2s, PositiveFunctional)
-    return _positive_functionals(
-        T.product, _kron_stack(_densities(psi1s), _densities(psi2s)), False,
-        psi1s[0]._spectrum.eps_rel)
+def kron_functional_stack(T: TensorAlgebra, psi1s: SpectrumStack,
+                          psi2s: SpectrumStack) -> SpectrumStack:
+    """:func:`kron_functional` of each row pair of two stacks, as one stack
+    with one ``eigh`` per product block.  The products keep the cutoff of
+    ``psi1s``."""
+    _check_factors(T, psi1s.algebra, psi2s.algebra)
+    _check_batches([psi1s, psi2s])
+    return _clipped_eig_stack(
+        T.product, _kron_stack(psi1s.densities, psi2s.densities), False,
+        psi1s.eps_rel)
 
 
 def _residuals(a, b) -> np.ndarray:
@@ -95,6 +102,7 @@ def lemma5_polar_stack(xs, ys, eps: float) -> list[dict]:
     ``polar_isometry`` and ``polar_modulus`` of the polar factors of
     x (x) y against the tensors of the factors', at the resolved cutoff
     ``eps``; one ``svd`` per block."""
+    _check_batches([xs[0], ys[0]])
     vx, ax = _polar_stack(xs, eps)
     vy, ay = _polar_stack(ys, eps)
     vk, ak = _polar_stack(_kron_stack(xs, ys), eps)
@@ -103,14 +111,15 @@ def lemma5_polar_stack(xs, ys, eps: float) -> list[dict]:
         _residuals(ak, _kron_stack(ax, ay)).tolist())]
 
 
-def _check_factors(T: TensorAlgebra, xs, ys, kind=AlgebraElement):
+def _check_factors(T: TensorAlgebra, left: BlockAlgebra,
+                   right: BlockAlgebra) -> None:
+    """ShapeError unless ``left`` and ``right`` are the factors of T."""
     _check_type(T, TensorAlgebra, "a tensor product needs a TensorAlgebra")
-    for x, y in zip(xs, ys):
-        for side, z, alg in (("left", x, T.left), ("right", y, T.right)):
-            _check_type(z, kind, f"factors must be {kind.__name__}s")
-            if z.algebra != alg:
-                raise ShapeError(
-                    f"{side} factor does not live on the {side} algebra")
+    for side, alg, factor in (("left", left, T.left),
+                              ("right", right, T.right)):
+        if alg != factor:
+            raise ShapeError(
+                f"{side} factor does not live on the {side} algebra")
 
 
 def _psd_spectra(stacks, eps: float) -> list:
@@ -140,6 +149,7 @@ def lemma5_power_stack(xs, ys, powers: Sequence[Sequence[float]],
     functional calculus per side.  Errors: every p is validated before any
     evaluation; the decompositions come next, then the powers.
     """
+    _check_batches([xs[0], ys[0], powers])
     powers = [tuple(ps) for ps in powers]
     for ps in powers:
         for p in ps:
@@ -162,23 +172,25 @@ def lemma5_imaginary_stack(h1s, h2s, ts: Sequence[Sequence[float]],
     points then take one functional calculus per side.  Errors: the
     decompositions come first, then the imaginary powers.
     """
+    _check_batches([h1s[0], h2s[0], ts])
     return _factorization_stack(
         _psd_spectra((_kron_stack(h1s, h2s), h1s, h2s), eps),
         [tuple(t) for t in ts], _imaginary_values)
 
 
-def lemma5_density_stack(T: TensorAlgebra, psi1s: list[PositiveFunctional],
-                         psi2s: list[PositiveFunctional],
-                         ts: Sequence[float]) -> list[dict]:
-    """Per pair at its own t, the residuals ``density``, of the density of
-    psi1 (x) psi2 against the Kronecker product of the factor densities, and
-    ``imaginary_power``, of its imaginary power against the factors', read
-    from the spectra that the functionals and their products hold."""
+def lemma5_density_stack(T: TensorAlgebra, psi1s: SpectrumStack,
+                         psi2s: SpectrumStack, ts: Sequence[float]
+                         ) -> list[dict]:
+    """Per row pair at its own t, the residuals ``density``, of the density
+    of psi1 (x) psi2 against the Kronecker product of the factor densities,
+    and ``imaginary_power``, of its imaginary power against the factors',
+    read from the spectra of the stacks and of their products."""
+    _check_batches([psi1s, psi2s, ts])
     prods = kron_functional_stack(T, psi1s, psi2s)
-    direct = _kron_stack(_densities(psi1s), _densities(psi2s))
-    res_density = _residuals(_densities(prods), direct).tolist()
-    imags = _factorization_stack([_stack_of(p) for p in (prods, psi1s, psi2s)],
-                                 [[t] for t in ts], _imaginary_values)
+    direct = _kron_stack(psi1s.densities, psi2s.densities)
+    res_density = _residuals(prods.densities, direct).tolist()
+    imags = _factorization_stack([prods, psi1s, psi2s], [[t] for t in ts],
+                                 _imaginary_values)
     return [{"density": res, "imaginary_power": imag}
             for res, (imag,) in zip(res_density, imags)]
 
@@ -188,6 +200,7 @@ def theorem6_norm_stack(xs, ys, ps) -> list[list[tuple[float, float]]]:
     pair of the stacked left and right elements at every p in ``ps``, from
     one Kronecker product and one ``svd`` per block for each operand, and
     one :func:`_schatten_stack` each, product side first."""
+    _check_batches([xs[0], ys[0]])
     ps = [_as_exponent(p) for p in ps]
     B, G = len(xs[0]), len(ps)
     sides = []
@@ -226,12 +239,12 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     return rank == D
 
 
-def corollary7_norm_stack(x1s, x2s, phi1s: list[PositiveFunctional],
-                          phi2s: list[PositiveFunctional], grid
+def corollary7_norm_stack(x1s, x2s, phi1s: SpectrumStack,
+                          phi2s: SpectrumStack, grid
                           ) -> list[list[tuple[float, float]]]:
     """(interpolated norm of x1 (x) x2, product of the factors' norms) of
-    each (x1, x2, phi1, phi2), x1 and x2 rows of the stacked left and right
-    elements and every phi1 and phi2 on their algebras, at every (p, eta)
+    each (x1, x2, phi1, phi2), rows of the stacked left and right elements
+    and of two stacks on their algebras, at every (p, eta)
     of ``grid``; the product side uses the reference phi1 (x) phi2 at the
     factors' (p, eta).
 
@@ -241,9 +254,9 @@ def corollary7_norm_stack(x1s, x2s, phi1s: list[PositiveFunctional],
     call raises it (within a side, the first failing point), the first such
     element first."""
     T = TensorAlgebra(_algebra_of(x1s), _algebra_of(x2s))
-    for phi1, phi2 in zip(phi1s, phi2s):
-        if phi1.algebra != T.left or phi2.algebra != T.right:
-            raise ShapeError("elements must live on their spec's algebra")
+    _check_batches([x1s[0], x2s[0], phi1s, phi2s],
+                   [(T.left, T.right), (phi1s.algebra, phi2s.algebra)],
+                   "elements must live on their spec's algebra")
     points = [[_kosaki_point(p, eta) for p, eta in grid]] * len(phi1s)
     sides = [kosaki_norm_stack(_kron_stack(x1s, x2s),
                                kron_functional_stack(T, phi1s, phi2s),
@@ -263,6 +276,7 @@ def spectral_product_stack(xs, ys) -> list[tuple[float, float]]:
     appendixA's gate is its eigenvalue_multiset times (1 + largest product).
     One ``svd`` per block; the sorting and matching are each element's own
     1-D operations."""
+    _check_batches([xs[0], ys[0]])
     svs = [singular_values_stack(s) for s in (xs, ys, _kron_stack(xs, ys))]
     out = []
     for s1, s2, sk in zip(*svs):
@@ -276,6 +290,7 @@ def kron_identities_stack(xs, ys, xps, yps) -> tuple[np.ndarray, np.ndarray]:
     """(B,) residuals of (x (x) y)* = x* (x) y* and of the mixed product
     (x (x) y)(x' (x) y') = x x' (x) y y' for stacked left (x, x') and right
     (y, y') elements."""
+    _check_batches([xs[0], ys[0], xps[0], yps[0]])
     kx, ky = _kron_stack(xs, ys), _kron_stack(xps, yps)
     adjoint = _residuals(_adjoint_stack(kx),
                          _kron_stack(_adjoint_stack(xs), _adjoint_stack(ys)))

@@ -24,6 +24,7 @@ from nclp import (BlockAlgebra, DivergenceParams, KosakiSpec, NclpError,
 from nclp.divergence import lemma9_stack
 
 from _outcomes import points
+from _stacks import stack
 
 ALG = BlockAlgebra((3,))
 CUT = 1e-9
@@ -74,7 +75,8 @@ CALLS = {
     **CUTOFF_CALLS,
     "lemma9_stack": (lambda psi, phi: [
         (res, [str(v) for v in values])
-        for res, values in points(lemma9_stack([psi], [phi], [2.0]))],
+        for res, values in points(lemma9_stack(stack([psi]), stack([phi]),
+                                               [2.0]))],
         SMALL_PSI, SMALL_PHI),
     "connes_cocycle": (lambda psi, phi: _bits(*connes_cocycle(
         psi, phi, 0.7).blocks), SMALL_PSI, FAITHFUL),

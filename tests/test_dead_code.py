@@ -110,6 +110,10 @@ PUBLIC_METHODS = {
     "diagonal": "BlockAlgebra: the element of a carrier diagonal; the tests "
                 "build their classical densities with it",
     "adjoint": "AlgebraElement: x*, the involution of the algebra",
+    "is_zero": "PositiveFunctional: whether psi = 0; the kernels read the "
+               "radii of their stacks instead",
+    "is_faithful": "PositiveFunctional: whether s(psi) = 1; the kernels "
+                   "read the kernel masks of their stacks instead",
 }
 
 

@@ -21,8 +21,10 @@ from nclp.algebra import _full_stack
 from nclp.config import CHECK_TOLERANCES
 from nclp.divergence import (additivity_stack, dpi_probe_stack, lemma9_stack,
                              precompose_stack)
+from nclp.functionals import _rows
 
 from _outcomes import point
+from _stacks import stack
 
 RNG = np.random.default_rng(41)
 
@@ -55,17 +57,19 @@ def within_gates(res, suite):
 
 def lemma9_point(psi, phi, alpha):
     """(residuals, values) of one pair at one order."""
-    return point(lemma9_stack([psi], [phi], [alpha]))
+    return point(lemma9_stack(stack([psi]), stack([phi]), [alpha]))
 
 
 def additivity_point(psi1, phi1, psi2, phi2, params):
     """(residuals, values) of one quadruple at one point."""
-    return point(additivity_stack([psi1], [phi1], [psi2], [phi2], [params]))
+    return point(additivity_stack(stack([psi1]), stack([phi1]),
+                                  stack([psi2]), stack([phi2]), [params]))
 
 
 def dpi_point(psi, phi, channel, params):
     """(residuals, values) of one triple at one point."""
-    return point(dpi_probe_stack([psi], [phi], [channel], [params]))
+    return point(dpi_probe_stack(stack([psi]), stack([phi]), [channel],
+                                 [params]))
 
 
 class TestParams:
@@ -492,8 +496,8 @@ class TestChannels:
                     random_unital_channel(rng, alg, alg, num_kraus=3),
                     random_unital_channel(rng, alg, alg, num_kraus=5)]
         psis = [gen_positive_functional(rng, alg) for _ in channels]
-        for psi, ch, out in zip(psis, channels,
-                                precompose_stack(psis, channels)):
+        for psi, ch, out in zip(psis, channels, _rows(
+                precompose_stack(stack(psis), channels))):
             for _ in range(3):
                 b = gen_element(rng, alg)
                 assert abs(out.evaluate(b)
@@ -504,7 +508,7 @@ class TestChannels:
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
         ch = embed_left_channel(T)
         psi = gen_positive_functional(rng, T.product)
-        out, = precompose_stack([psi], [ch])
+        out, = _rows(precompose_stack(stack([psi]), [ch]))
         for _ in range(3):
             b = gen_element(rng, T.left)
             assert abs(out.evaluate(b) - psi.evaluate(forward(ch, b))) <= 1e-12

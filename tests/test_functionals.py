@@ -10,6 +10,8 @@ from nclp import (AlgebraElement, BlockAlgebra, DomainError,
 from nclp.algebra import _unstack
 from nclp.functionals import cocycle_chain_stack, lemma1_cut_stack
 
+from _stacks import stack
+
 
 def diag_functional(entries):
     alg = BlockAlgebra((len(entries),))
@@ -19,8 +21,9 @@ def diag_functional(entries):
 def support_cut(psi, psi_prime, phi, t):
     """The two sides of the support-cut identity for one triple, as
     elements: a one-triple call of the stack."""
-    sides = lemma1_cut_stack([psi], [psi_prime], [phi], [t])
-    return tuple(_unstack(psi.algebra, side)[0] for side in sides)
+    sides = lemma1_cut_stack(stack([psi]), stack([psi_prime]), stack([phi]),
+                             [t])
+    return tuple(_unstack(side)[0] for side in sides)
 
 
 class TestDensity:
@@ -135,7 +138,8 @@ class TestCocycle:
             psi = gen_positive_functional(rng, alg)
             phi = gen_positive_functional(rng, alg)
             t, s = rng.uniform(-5, 5, 2)
-            assert cocycle_chain_stack([psi], [phi], [t], [s])[0] <= 1e-10
+            assert cocycle_chain_stack(stack([psi]), stack([phi]), [t],
+                                       [s])[0] <= 1e-10
 
     def test_unitarity_on_support_commuting(self):
         psi = diag_functional([0.4, 0.0, 0.6])

@@ -25,11 +25,15 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DivergenceValue, DomainError, KosakiSpec, LpExponent,
                   NclpError, PositiveFunctional, QuantumChannel, Reason,
                   ShapeError, SuiteConfig, TensorAlgebra,
-                  classical_renyi_oracle, kosaki_norm, kron_element,
-                  kron_functional, lp_norm, parse_dims, polar_decompose,
-                  run_suite, scale)
+                  classical_renyi_oracle, connes_cocycle, d_tilde,
+                  identity_channel, kosaki_embed, kosaki_membership,
+                  kosaki_norm, kron_element, kron_functional, lp_norm,
+                  parse_dims, polar_decompose, precompose, q_tilde_alpha,
+                  run_suite, scale, solve_sharp_pseudo_inverse)
 from nclp.algebra import _stack
 from nclp.tensor import corollary7_norm_stack
+
+from _stacks import stack
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -250,6 +254,17 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], "2"),
     lambda: PositiveFunctional(_ALG.identity(), eps_rel="1e-3"),
     lambda: polar_decompose(_ALG.identity(), b"1e-3"),
+    lambda: q_tilde_alpha("x", REFERENCES["faithful"], 2.0),
+    lambda: q_tilde_alpha(REFERENCES["faithful"], "x", 2.0),
+    lambda: d_tilde("x", REFERENCES["faithful"], DivergenceParams(2.0)),
+    lambda: precompose("x", identity_channel(_ALG)),
+    lambda: connes_cocycle("x", REFERENCES["faithful"], 0.1),
+    lambda: solve_sharp_pseudo_inverse("x", REFERENCES["faithful"],
+                                       DivergenceParams(2.0)),
+    lambda: polar_decompose("x"),
+    lambda: kosaki_embed("x", KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
+    lambda: kosaki_membership("x",
+                              KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -273,7 +288,10 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "numeric_text_scale", "numeric_text_eta",
         "numeric_text_divergence_value", "numeric_text_functional_power",
         "numeric_text_oracle_order", "numeric_text_cutoff",
-        "numeric_bytes_cutoff"])
+        "numeric_bytes_cutoff", "text_q_left", "text_q_reference",
+        "text_d_left", "text_precompose_functional", "text_cocycle_left",
+        "text_solve_left", "text_polar_element", "text_embed_element",
+        "text_membership_element"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.
@@ -288,7 +306,8 @@ _OTHER_ALGEBRA_ELEMENT = BlockAlgebra((3,)).identity()
 @pytest.mark.parametrize("call", [
     lambda: corollary7_norm_stack(
         _stack([_OTHER_ALGEBRA_ELEMENT]), _stack([_ALG.identity()]),
-        [REFERENCES["faithful"]], [REFERENCES["faithful"]], [(2.0, 0.5)]),
+        stack([REFERENCES["faithful"]]), stack([REFERENCES["faithful"]]),
+        [(2.0, 0.5)]),
     lambda: kosaki_norm(_OTHER_ALGEBRA_ELEMENT,
                         KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
 ], ids=["corollary7_norm_stack", "kosaki_norm"])

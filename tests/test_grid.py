@@ -31,6 +31,7 @@ from nclp.tensor import (corollary7_norm_stack, lemma5_imaginary_stack,
                          lemma5_power_stack, theorem6_norm_stack)
 
 from _outcomes import points, row
+from _stacks import stack
 
 ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 AZ_GRID = tuple(DivergenceParams(a, z=z) for a in ALPHAS
@@ -77,28 +78,30 @@ class TestDivergenceGrid:
     def test_q_grid_equals_one_point_loop(self, dims, seed, grid):
         for kind, psi, phi in pairs(dims, seed):
             expected = [one_point_q(psi, phi, p) for p in grid]
-            assert row(q_tilde_stack([psi], [phi], grid)) == expected, kind
+            assert row(q_tilde_stack(stack([psi]), stack([phi]),
+                                     grid)) == expected, kind
 
     def test_branches_are_reached(self):
         reasons = set()
         for dims, seed in CASES:
             for _, psi, phi in pairs(dims, seed):
                 reasons.update(d.reason for d in row(_d_stack(
-                    [psi], [phi], MIXED_GRID)[1]))
+                    stack([psi]), stack([phi]), MIXED_GRID)[1]))
         assert reasons == set(Reason)
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_d_grid_equals_one_point_loop(self, dims, seed):
         for kind, psi, phi in pairs(dims, seed):
-            assert row(_d_stack([psi], [phi], MIXED_GRID)[1]) == [
+            assert row(_d_stack(stack([psi]), stack([phi]),
+                                MIXED_GRID)[1]) == [
                 d_tilde(psi, phi, p) for p in MIXED_GRID], kind
 
     @pytest.mark.parametrize("dims,seed", CASES)
     def test_lemma9_grid(self, dims, seed):
         alphas = (0.5, 0.7, 1.5, 2.0, 3.0)
         for kind, psi, phi in pairs(dims, seed):
-            got = points(lemma9_stack([psi], [phi], alphas))
-            want = [points(lemma9_stack([psi], [phi], [a]))[0]
+            got = points(lemma9_stack(stack([psi]), stack([phi]), alphas))
+            want = [points(lemma9_stack(stack([psi]), stack([phi]), [a]))[0]
                     for a in alphas]
             assert [(res, [str(v) for v in values]) for res, values
                     in got] == [(res, [str(v) for v in values])
@@ -108,10 +111,10 @@ class TestDivergenceGrid:
     def test_additivity_grid(self, dims):
         cases = pairs(dims, 21)
         for (k1, psi1, phi1), (k2, psi2, phi2) in zip(cases, cases[1:]):
-            got = points(additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                          MIXED_GRID))
-            want = [points(additivity_stack([psi1], [phi1], [psi2], [phi2],
-                                            [p]))[0] for p in MIXED_GRID]
+            quadruple = [stack([psi]) for psi in (psi1, phi1, psi2, phi2)]
+            got = points(additivity_stack(*quadruple, MIXED_GRID))
+            want = [points(additivity_stack(*quadruple, [p]))[0]
+                    for p in MIXED_GRID]
             assert [(res, [str(v) for v in values]) for res, values
                     in got] == [(res, [str(v) for v in values])
                                 for res, values in want], (k1, k2)
@@ -124,9 +127,10 @@ class TestDivergenceGrid:
         phi = gen_positive_functional(rng, alg)
         for channel in (pinching_channel(alg),
                         random_unital_channel(rng, alg, alg)):
-            got = points(dpi_probe_stack([psi], [phi], [channel],
+            got = points(dpi_probe_stack(stack([psi]), stack([phi]), [channel],
                                          MIXED_GRID))
-            want = [points(dpi_probe_stack([psi], [phi], [channel], [p]))[0]
+            want = [points(dpi_probe_stack(stack([psi]), stack([phi]),
+                                           [channel], [p]))[0]
                     for p in MIXED_GRID]
             assert [(res, str(d_in), str(d_out), gap, violation)
                     for res, (d_in, d_out, gap, violation) in got] == [
@@ -145,7 +149,8 @@ class TestDivergenceGrid:
         assert q_tilde_alpha_z(psi, phi, grid[0]).is_finite
         with pytest.raises(ConditioningError) as one:
             q_tilde_alpha_z(psi, phi, grid[1])
-        (point, error), = q_tilde_stack([psi], [phi], grid).errors.values()
+        (point, error), = q_tilde_stack(stack([psi]), stack([phi]),
+                                        grid).errors.values()
         assert point == 1
         with pytest.raises(ConditioningError) as stacked:
             raise error
@@ -162,7 +167,7 @@ def kosaki_norms(y, phi, grid):
     """The norms of one element at every point, from one stack call; the
     first failing point raises."""
     points = [_kosaki_point(p, eta) for p, eta in grid]
-    norms, errors = kosaki_norm_stack(_stack([y]), [phi], [points])
+    norms, errors = kosaki_norm_stack(_stack([y]), stack([phi]), [points])
     _raise_pairwise(*errors)
     return norms[0]
 
@@ -227,8 +232,9 @@ class TestNormGrids:
         x1s, x2s = _stack([gen_element(rng, T.left)]), _stack([gen_element(
             rng, T.right)])
         grid = kosaki_grid_points()
-        assert corollary7_norm_stack(x1s, x2s, [phi1], [phi2], grid)[0] == [
-            corollary7_norm_stack(x1s, x2s, [phi1], [phi2],
+        phi1s, phi2s = stack([phi1]), stack([phi2])
+        assert corollary7_norm_stack(x1s, x2s, phi1s, phi2s, grid)[0] == [
+            corollary7_norm_stack(x1s, x2s, phi1s, phi2s,
                                   [(p, eta)])[0][0] for p, eta in grid]
 
 

@@ -14,6 +14,8 @@ from nclp.algebra import _stack
 from nclp.lp import (_kosaki_point, interpolation_bound_stack,
                      lemma3_bijectivity_stack)
 
+from _stacks import stack
+
 RNG = np.random.default_rng(21)
 
 
@@ -276,7 +278,7 @@ class TestKosakiNorm:
 def interpolation_bound(a, phi, p, eta):
     """(lhs, rhs) of the interpolation estimate for one element: a
     one-element call of the stack."""
-    return interpolation_bound_stack(_stack([a]), [phi],
+    return interpolation_bound_stack(_stack([a]), stack([phi]),
                                      [_kosaki_point(p, eta)])[0]
 
 
@@ -312,15 +314,15 @@ class TestBijectivity:
     def test_half_identity_reference(self):
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([0.5, 0.5]))
-        assert lemma3_bijectivity_stack([phi], [2.0]) == [True]
+        assert lemma3_bijectivity_stack(stack([phi]), [2.0]) == [True]
 
     def test_near_singular_flags_false(self):
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([1.0, 1e-15]))
-        assert lemma3_bijectivity_stack([phi], [1.0]) == [False]
+        assert lemma3_bijectivity_stack(stack([phi]), [1.0]) == [False]
 
     def test_multi_block_random(self):
         rng = np.random.default_rng(25)
         alg = BlockAlgebra((2, 3))
         phi = gen_positive_functional(rng, alg)
-        assert lemma3_bijectivity_stack([phi], [3.0]) == [True]
+        assert lemma3_bijectivity_stack(stack([phi]), [3.0]) == [True]

@@ -19,22 +19,25 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
-                  DivergenceParams, DomainError, PositiveFunctional, Reason,
-                  SuiteConfig, TensorAlgebra, default_eps_rel,
+                  DivergenceParams, DomainError, LpExponent,
+                  PositiveFunctional, Reason, ShapeError, SuiteConfig,
+                  TensorAlgebra, default_eps_rel, identity_channel,
                   gen_classical_pair, gen_element, gen_nested_pair,
                   gen_orthogonal_pair, gen_positive_functional, io,
                   kron_element, q_tilde_alpha, q_tilde_alpha_z,
-                  random_unital_channel, run_suite, trial_rng)
-from nclp import functionals, suites
-from nclp.algebra import _clip_stack, _stack
+                  canonical_trace, random_unital_channel, run_suite,
+                  trial_rng)
+from nclp import divergence, functionals, lp, suites, tensor
+from nclp.algebra import (SpectrumStack, _clip_stack, _clipped_eig_stack,
+                          _stack)
 from nclp.cli import main
 from nclp.divergence import REASONS, q_tilde_stack
-from nclp.functionals import _positive_functionals, connes_cocycle, \
-    connes_cocycle_stack
+from nclp.functionals import connes_cocycle, connes_cocycle_stack
 from nclp.tensor import (corollary7_norm_stack, lemma5_power_stack,
                          theorem6_spanning)
 
 from _outcomes import value
+from _stacks import stack
 
 # Each suite at its default profiles and at one profile of unequal blocks.
 PROFILES = [(name, dims) for name in suites.SUITE_NAMES
@@ -128,8 +131,8 @@ class TestStackedErrors:
         densities = _densities(alg, 5, 4)
         densities[2] = AlgebraElement(alg, [np.array(bad)])
         want = _raised(lambda: PositiveFunctional(densities[2]))
-        got = _raised(lambda: _positive_functionals(alg, _stack(densities),
-                                                    False, 1e-12))
+        got = _raised(lambda: _clipped_eig_stack(alg, _stack(densities),
+                                                 False, 1e-12))
         assert got == want
 
     def test_clip_reads_blocks_in_order(self):
@@ -153,10 +156,12 @@ class TestStackedErrors:
         phi2s[1] = PositiveFunctional(T.right.diagonal([1.0, 1e-15]))
         grid = [(2.0, 0.5), (3.0, 0.25)]
         want = _raised(lambda: corollary7_norm_stack(
-            _stack(x1s[1:2]), _stack(x2s[1:2]), phi1s[1:2], phi2s[1:2], grid))
+            _stack(x1s[1:2]), _stack(x2s[1:2]), stack(phi1s[1:2]),
+            stack(phi2s[1:2]), grid))
         assert want[0] is ConditioningError
         assert _raised(lambda: corollary7_norm_stack(
-            _stack(x1s), _stack(x2s), phi1s, phi2s, grid)) == want
+            _stack(x1s), _stack(x2s), stack(phi1s), stack(phi2s),
+            grid)) == want
 
     def test_power_not_positive(self):
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
@@ -180,7 +185,80 @@ class TestStackedErrors:
                                           ("deficient", 1))
         want = _raised(lambda: connes_cocycle(psis[2], phis[2], 0.3))
         assert _raised(lambda: connes_cocycle_stack(
-            psis, phis, [0.1, 0.2, 0.3])) == want
+            stack(psis), stack(phis), [0.1, 0.2, 0.3])) == want
+
+
+_A2 = BlockAlgebra((2,))
+_T2 = TensorAlgebra(_A2, _A2)
+_P2 = DivergenceParams(2.0)
+_KOSAKI = (LpExponent(2.0), 0.5)
+
+# Per kernel that takes more than one batch: a call whose batches differ in
+# length, given functional stacks F[B] and element stacks X[B] of B rows.
+UNEQUAL_BATCHES = {
+    "q_tilde_stack": lambda F, X: divergence.q_tilde_stack(F[2], F[1], [_P2]),
+    "lemma9_stack": lambda F, X: divergence.lemma9_stack(F[1], F[2], [2.0]),
+    "additivity_stack": lambda F, X: divergence.additivity_stack(
+        F[2], F[2], F[2], F[1], [_P2]),
+    "dpi_probe_stack": lambda F, X: divergence.dpi_probe_stack(
+        F[2], F[2], [identity_channel(_A2)], [_P2]),
+    "precompose_stack": lambda F, X: divergence.precompose_stack(
+        F[2], [identity_channel(_A2)]),
+    "solve_sharp_pseudo_inverse_stack": lambda F, X:
+        divergence.solve_sharp_pseudo_inverse_stack(F[2], F[2], [_P2]),
+    "solve_sharp_least_squares_stack": lambda F, X:
+        divergence.solve_sharp_least_squares_stack(F[1], F[2], [_P2]),
+    "connes_cocycle_stack": lambda F, X: connes_cocycle_stack(
+        F[2], F[1], [0.1, 0.2]),
+    "lemma1_cut_stack": lambda F, X: functionals.lemma1_cut_stack(
+        F[2], F[2], F[2], [0.1]),
+    "cocycle_chain_stack": lambda F, X: functionals.cocycle_chain_stack(
+        F[2], F[2], [0.1, 0.2], [0.3]),
+    "kosaki_norm_stack": lambda F, X: lp.kosaki_norm_stack(
+        X[2], F[1], [[_KOSAKI]] * 2),
+    "interpolation_bound_stack": lambda F, X: lp.interpolation_bound_stack(
+        X[1], F[2], [_KOSAKI] * 2),
+    "lemma3_bijectivity_stack": lambda F, X: lp.lemma3_bijectivity_stack(
+        F[2], [2.0]),
+    "kron_functional_stack": lambda F, X: tensor.kron_functional_stack(
+        _T2, F[2], F[1]),
+    "lemma5_density_stack": lambda F, X: tensor.lemma5_density_stack(
+        _T2, F[2], F[2], [0.3]),
+    "corollary7_norm_stack/elements": lambda F, X: corollary7_norm_stack(
+        X[2], X[2], F[1], F[1], [(2.0, 0.5)]),
+    "corollary7_norm_stack/functionals": lambda F, X: corollary7_norm_stack(
+        X[1], X[1], F[2], F[2], [(2.0, 0.5)]),
+    "theorem6_norm_stack": lambda F, X: tensor.theorem6_norm_stack(
+        X[2], X[1], [2.0]),
+    "lemma5_polar_stack": lambda F, X: tensor.lemma5_polar_stack(
+        X[1], X[2], 1e-12),
+    "lemma5_power_stack": lambda F, X: lemma5_power_stack(
+        X[2], X[2], [[0.5]], 1e-12),
+    "lemma5_imaginary_stack": lambda F, X: tensor.lemma5_imaginary_stack(
+        X[2], X[1], [[0.3]] * 2, 1e-12),
+    "spectral_product_stack": lambda F, X: tensor.spectral_product_stack(
+        X[2], X[1]),
+    "kron_identities_stack": lambda F, X: tensor.kron_identities_stack(
+        X[2], X[2], X[2], X[1]),
+}
+
+
+class TestBatchSizes:
+    @pytest.mark.parametrize("kernel", sorted(UNEQUAL_BATCHES))
+    def test_unequal_batches_raise_before_any_lapack_call(self, monkeypatch,
+                                                          kernel):
+        F = {b: stack([gen_positive_functional(trial_rng(71, j), _A2)
+                       for j in range(b)]) for b in (1, 2)}
+        X = {b: _stack([gen_element(trial_rng(72, j), _A2)
+                        for j in range(b)]) for b in (1, 2)}
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a LAPACK routine ran")
+
+        for name in ("eigh", "eigvalsh", "svd", "qr", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, no_call)
+        with pytest.raises(ShapeError, match="one length"):
+            UNEQUAL_BATCHES[kernel](F, X)
 
 
 class TestStackedValues:
@@ -197,9 +275,9 @@ class TestStackedValues:
         psis.append(gen_positive_functional(trial_rng(21, 9), alg))
         grid = [DivergenceParams(a, z=z) for a in (0.5, 2.0)
                 for z in (0.7, a)] + [DivergenceParams(1.5)]
-        stacked = q_tilde_stack(psis, phis, grid)
+        stacked = q_tilde_stack(stack(psis), stack(phis), grid)
         for j, (psi, phi) in enumerate(zip(psis, phis)):
-            single = q_tilde_stack([psi], [phi], grid)
+            single = q_tilde_stack(stack([psi]), stack([phi]), grid)
             assert stacked.values[j].tobytes() == single.values[0].tobytes()
             assert stacked.reasons[j].tolist() == single.reasons[0].tolist()
             assert stacked.errors.get(j, (None, None))[0] == \
@@ -221,7 +299,7 @@ class TestStackedValues:
         grid = [DivergenceParams(a) for a in (0.5, 2.0)] + [
             DivergenceParams(a, z=z) for a in (0.7, 1.5, 3.0)
             for z in (0.9, 2.0 * a)]
-        stacked = q_tilde_stack(psis, phis, grid)
+        stacked = q_tilde_stack(stack(psis), stack(phis), grid)
         reasons = set()
         for j, (psi, phi) in enumerate(zip(psis, phis)):
             for g, params in enumerate(grid):
@@ -243,8 +321,8 @@ class TestStackedValues:
         # The reference loop: symmetrize, eigh, clip, one matrix at a time.
         alg = BlockAlgebra((2, 3))
         densities = _densities(alg, 31, 5)
-        for psi, d in zip(_positive_functionals(alg, _stack(densities),
-                                                False, 1e-12), densities):
+        for psi, d in zip(functionals._rows(_clipped_eig_stack(
+                alg, _stack(densities), False, 1e-12)), densities):
             for k, b in enumerate(d.blocks):
                 sym = (b + b.conj().T) / 2.0
                 vals, vecs = np.linalg.eigh(sym)
@@ -257,17 +335,37 @@ class TestStackedValues:
         # A batch's densities and spectra are its stack's own arrays; a
         # functional's density views its row.
         alg = BlockAlgebra((2, 3))
-        psis = _positive_functionals(alg, _stack(_densities(alg, 31, 5)),
-                                     False, 1e-12)
-        stack = functionals._stack_of(psis)
-        assert stack is psis[0]._spectrum.stack
-        assert functionals._densities(psis) is stack.densities
+        batch = _clipped_eig_stack(alg, _stack(_densities(alg, 31, 5)),
+                                   False, 1e-12)
+        psis = functionals._rows(batch)
         for j, psi in enumerate(psis):
-            assert psi._spectrum.stack is stack and psi._spectrum.row == j
-            assert psi.algebra is stack.algebra
-            for block, d in zip(psi.density.blocks, stack.densities):
+            assert psi._spectrum.stack is batch and psi._spectrum.row == j
+            assert psi.algebra is batch.algebra
+            for block, d in zip(psi.density.blocks, batch.densities):
                 assert np.shares_memory(block, d)
                 assert np.array_equal(block, d[j])
+            # A one-point call's one-row stack views the row.
+            single, = functionals._stacks([psi])
+            assert len(single) == 1
+            assert all(np.shares_memory(a, b) for a, b in zip(
+                single.eigenvectors, batch.eigenvectors))
+
+    def test_masses_and_radii_equal_the_per_row_values(self):
+        # The stack's (B,) masses and radii equal each row's canonical
+        # trace and largest |eigenvalue|, bit for bit, at block sizes on
+        # both sides of numpy's eight-entry pairwise sum.
+        for dims in [(2,), (3,), (2, 3), (5,), (6, 2), (8,), (9,), (12,),
+                     (16,), (25,)]:
+            alg = BlockAlgebra(dims)
+            for count in (1, 3, 64):
+                batch = _clipped_eig_stack(
+                    alg, _stack(_densities(alg, 61, count)), False, 1e-12)
+                for j, psi in enumerate(functionals._rows(batch)):
+                    assert batch.masses[j] == canonical_trace(
+                        psi.density).real
+                    assert batch.radius[j] == max(
+                        abs(v).max() for v in psi._spectrum.eigenvalues)
+                    assert psi.mass == float(batch.masses[j])
 
 
 def _spanning_loop(T, budget, rng):
@@ -322,8 +420,8 @@ def _rank_profile(alg, rank):
 
 def _reference(rng, alg):
     """A prop11 reference: a density of trace one, as drawn."""
-    return suites._functionals(alg, default_eps_rel(), (
-        suites._rotated_draw(rng, alg, 0.2),))[0][0]
+    return functionals._rows(suites._functionals(alg, default_eps_rel(), (
+        suites._rotated_draw(rng, alg, 0.2),))[0])[0]
 
 
 def _ranked_pair(rng, T):
@@ -401,9 +499,12 @@ SUITE_INPUTS = {
 
 
 def _rows(arg):
-    """The per-trial inputs of a kernel argument: a list of functionals as
-    it is, and a per-block stack of elements as each row's blocks."""
-    return list(zip(*arg)) if isinstance(arg[0], np.ndarray) else arg
+    """The per-trial inputs of a kernel argument: the rows of a functional
+    stack as functionals, and of a per-block stack of elements as each
+    row's blocks."""
+    if isinstance(arg, SpectrumStack):
+        return functionals._rows(arg)
+    return list(zip(*arg))
 
 
 def _same_input(a, b):
@@ -448,7 +549,7 @@ class TestStackedDraws:
         original = getattr(suites, target)
 
         def capture(psis, phis, *args):
-            got.extend(zip(psis, phis))
+            got.extend(zip(functionals._rows(psis), functionals._rows(phis)))
             return original(psis, phis, *args)
 
         monkeypatch.setattr(suites, target, capture)

@@ -17,10 +17,12 @@ from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   q_tilde_alpha_z, random_unital_channel, run_suite,
                   summarize, trial_rng)
 from nclp.algebra import _stack
+from nclp.functionals import _rows
 from nclp.suites import SUITE_NAMES, format_profile
 from nclp.tensor import corollary7_norm_stack
 
 from _outcomes import point
+from _stacks import stack
 
 
 _ALG3 = BlockAlgebra((3,))
@@ -239,13 +241,11 @@ class TestProductsOncePerTrial:
         for rep in run_suite(cfg):
             idx = rep.trial_index
             _, *raws = _prop11_draw(alg, trial_rng(seed, idx), idx, idx)
-            psi1, phi1, psi2, phi2 = (
-                _functionals(alg, default_eps_rel(), (raw,))[0][0]
-                for raw in raws)
+            roles = [_functionals(alg, default_eps_rel(), (raw,))[0]
+                     for raw in raws]
             expected = {}
             for params in PROP11_GRID:
-                res, _ = point(additivity_stack([psi1], [phi1], [psi2],
-                                                [phi2], [params]))
+                res, _ = point(additivity_stack(*roles, [params]))
                 for key, val in res.items():
                     expected[f"{params.label()}:{key}"] = val
             assert rep.residuals == expected
@@ -265,8 +265,8 @@ class TestProductsOncePerTrial:
             for p in COROLLARY7_P_GRID:
                 for eta in COROLLARY7_ETA_GRID:
                     (lhs, rhs), = corollary7_norm_stack(
-                        _stack([x1]), _stack([x2]), [phi1], [phi2],
-                        [(p, eta)])[0]
+                        _stack([x1]), _stack([x2]), stack([phi1]),
+                        stack([phi2]), [(p, eta)])[0]
                     expected[f"p={p:g},eta={eta:g}"] = \
                         abs(lhs - rhs) / (1.0 + rhs)
             assert rep.residuals == expected
@@ -277,8 +277,7 @@ class TestProductsOncePerTrial:
         original = tensor.kron_functional_stack
 
         def counting(T, psi1s, psi2s):
-            # Holding the factors keeps their ids from being reused.
-            pairs.append(list(zip(psi1s, psi2s)))
+            pairs.append((psi1s, psi2s))
             return original(T, psi1s, psi2s)
 
         # The suite builds no product itself; additivity_stack builds the
@@ -289,11 +288,10 @@ class TestProductsOncePerTrial:
         reports = run_suite(SuiteConfig(suite_name="prop11", trials=6,
                                         seed=5, dims=parse_dims("2")))
         assert len(reports) == 6 and all(r.passed for r in reports)
-        # Three variants, two quadruples each, in one batch: two stacks of
-        # six.
-        assert [len(stack) for stack in pairs] == [6, 6]
-        built = [(id(a), id(b)) for stack in pairs for a, b in stack]
-        assert len(set(built)) == len(built) == 2 * 6
+        # Three variants, two quadruples each, in one batch: two products
+        # of stacks of six, of four distinct factor stacks.
+        assert [(len(a), len(b)) for a, b in pairs] == [(6, 6), (6, 6)]
+        assert len({id(s) for pair in pairs for s in pair}) == 4
 
 
 class TestDriver:
@@ -367,8 +365,8 @@ class TestDriver:
         for rep in run_suite(cfg):
             idx = rep.trial_index
             _, *raws = _lemma9_draw(alg, trial_rng(seed, idx), idx, idx)
-            psi, phi = (_functionals(alg, default_eps_rel(), (raw,))[0][0]
-                        for raw in raws)
+            psi, phi = (_rows(_functionals(alg, default_eps_rel(),
+                                           (raw,))[0])[0] for raw in raws)
             want = [d_tilde(psi, phi, DivergenceParams(a, z=a)).reason.value
                     for a in LEMMA9_ALPHAS]
             assert rep.info["d_reasons"] == want

@@ -69,6 +69,7 @@ def _stack(rng, dims, B, masks):
                          tuple(_mask(rng, masks, (B, n)) for n in dims),
                          tuple((u * v[:, None, :]) @ u.conj().swapaxes(-2, -1)
                                for v, u in zip(vals, vecs)),
+                         np.max([v.max(axis=-1) for v in vals], axis=0),
                          1e-12)
 
 
@@ -230,7 +231,7 @@ def test_stacked_corner_solve_equals_the_one_row_solve(dims, seed, masks,
     rights = [_exponents(rng, G) for _ in range(B)]
     mids, residuals, over = _corner_solve(stack, rhs, lefts, rights)
     for j in range(B):
-        single = _gather([HermitianSpectrum(stack, j)])
+        single = _gather(HermitianSpectrum(stack, j))
         for g in range(G):
             y = tuple(b[j:j + 1, g:g + 1] if per_point else b[j:j + 1]
                       for b in rhs)
@@ -251,7 +252,7 @@ def test_corner_solve_certifies_the_corner_only():
     kernel = vals == 0.0
     h = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-2, -1)
     stack = SpectrumStack(BlockAlgebra((3,)), (vals,), (vecs,), (kernel,),
-                          (h,), 1e-12)
+                          (h,), vals.max(axis=-1), 1e-12)
     support, = _support_stack(stack)
     a = rng.standard_normal((1, 3, 3)) + 0j
     expos = [[0.25, 1.5]]

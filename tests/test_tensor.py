@@ -16,6 +16,8 @@ from nclp.tensor import (corollary7_norm_stack, lemma5_density_stack,
                          lemma5_power_stack, spectral_product_stack,
                          theorem6_norm_stack, theorem6_spanning)
 
+from _stacks import stack
+
 RNG = np.random.default_rng(31)
 LEMMA5_GATE = CHECK_TOLERANCES["lemma5"]["residual"]
 
@@ -153,7 +155,7 @@ class TestLemma5:
         T = pair((2,), (3,))
         psi1 = gen_positive_functional(RNG, T.left)
         psi2 = gen_positive_functional(RNG, T.right, ("deficient", 2))
-        res, = lemma5_density_stack(T, [psi1], [psi2], [1.3])
+        res, = lemma5_density_stack(T, stack([psi1]), stack([psi2]), [1.3])
         assert max(res.values()) <= LEMMA5_GATE, res
         assert res["density"] == 0.0
 
@@ -223,8 +225,8 @@ class TestCorollary7:
         phi1 = PositiveFunctional(T.left.diagonal([0.5, 0.5]))
         phi2 = PositiveFunctional(T.right.diagonal([0.3, 0.7]))
         (lhs, rhs), = corollary7_norm_stack(
-            _stack([phi1.density]), _stack([phi2.density]), [phi1], [phi2],
-            [(2.0, 0.5)])[0]
+            _stack([phi1.density]), _stack([phi2.density]), stack([phi1]),
+            stack([phi2]), [(2.0, 0.5)])[0]
         assert lhs == pytest.approx(1.0, abs=1e-11)
         assert rhs == pytest.approx(1.0, abs=1e-11)
 
@@ -235,7 +237,8 @@ class TestCorollary7:
         phi2 = gen_positive_functional(rng, T.right)
         x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
         (lhs, rhs), = corollary7_norm_stack(_stack([x1]), _stack([x2]),
-                                            [phi1], [phi2], [(1.0, 0.25)])[0]
+                                            stack([phi1]), stack([phi2]),
+                                            [(1.0, 0.25)])[0]
         t6 = lp_norm(kron_element(T, x1, x2), 1.0)
         assert lhs == pytest.approx(t6, rel=1e-11)
         assert rhs == pytest.approx(lp_norm(x1, 1) * lp_norm(x2, 1),
@@ -250,7 +253,7 @@ class TestCorollary7:
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 0.5, 1.0):
                 (lhs, rhs), = corollary7_norm_stack(
-                    _stack([x1]), _stack([x2]), [phi1], [phi2],
+                    _stack([x1]), _stack([x2]), stack([phi1]), stack([phi2]),
                     [(p, eta)])[0]
                 assert abs(lhs - rhs) <= 1e-9 * (1 + rhs), (p, eta)
 
