@@ -5,28 +5,40 @@ functionals, Radon-Nikodym cocycles, Schatten and interpolated L^p norms,
 Kronecker-product factorization identities, and sandwiched / two-parameter
 Renyi divergences, all exposed as pure, property-testable operations with a
 CLI front end (``nclp``).
+
+``__all__`` is the public surface: the names that ``nclp.cli``, the
+benchmark and the acceptance gates call, the types those calls take or
+return, and the errors.  The stacked kernels and the instance builders stay
+in their modules.
 """
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
-                      canonical_trace, polar_decompose)
-from .config import DEFAULT_EPS_REL, default_eps_rel
-from .divergence import (DivergenceParams, DivergenceValue, QuantumChannel,
-                         Reason, d_tilde, dpi_valid, embed_left_channel,
-                         identity_channel, pinching_channel, precompose,
-                         q_tilde_alpha, q_tilde_alpha_z,
-                         random_unital_channel, solve_sharp_least_squares,
-                         solve_sharp_pseudo_inverse)
+from .algebra import AlgebraElement, BlockAlgebra, HermitianSpectrum
+from .config import default_eps_rel
+from .divergence import (DivergenceParams, DivergenceValue, Reason, d_tilde,
+                         q_tilde_alpha, q_tilde_alpha_z)
 from .errors import (ConditioningError, CutoffError, DomainError,
                      FileFormatError, NclpError, OutputError, ShapeError,
                      UsageError)
-from .functionals import PositiveFunctional, connes_cocycle, scale
-from .lp import (KosakiSpec, LpExponent, kosaki_embed, kosaki_membership,
-                 kosaki_norm, lp_norm, singular_values)
+from .functionals import PositiveFunctional
+from .lp import KosakiSpec, LpExponent, kosaki_norm, lp_norm
 from .reports import TrialReport
 from .suites import (SuiteConfig, classical_renyi_oracle, gen_classical_pair,
-                     gen_element, gen_nested_pair, gen_orthogonal_pair,
-                     gen_positive_functional, gen_unitary, parse_dims,
-                     run_suite, summarize, trial_rng)
-from .tensor import TensorAlgebra, kron_element, kron_functional
+                     parse_dims, run_suite, summarize, trial_rng)
+from .tensor import TensorAlgebra, kron_element
+
+__all__ = [
+    "AlgebraElement", "BlockAlgebra", "HermitianSpectrum",
+    "default_eps_rel",
+    "DivergenceParams", "DivergenceValue", "Reason", "d_tilde",
+    "q_tilde_alpha", "q_tilde_alpha_z",
+    "ConditioningError", "CutoffError", "DomainError", "FileFormatError",
+    "NclpError", "OutputError", "ShapeError", "UsageError",
+    "PositiveFunctional",
+    "KosakiSpec", "LpExponent", "kosaki_norm", "lp_norm",
+    "TrialReport",
+    "SuiteConfig", "classical_renyi_oracle", "gen_classical_pair",
+    "parse_dims", "run_suite", "summarize", "trial_rng",
+    "TensorAlgebra", "kron_element",
+]

@@ -19,8 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import (HERMITIAN_TOL, PSD_CLIP_TOL, RECOMPOSITION_TOL,
-                     resolve_eps_rel)
+from .config import HERMITIAN_TOL, PSD_CLIP_TOL, RECOMPOSITION_TOL
 from .errors import DomainError, ShapeError, _check_type, _finite_number
 
 
@@ -219,8 +218,8 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # block shapes name their algebra (:func:`_algebra_of`), and a batch of
 # functionals as a :class:`SpectrumStack`, and checks their algebras and
 # sizes in one :func:`_check_batches`.  :class:`AlgebraElement` and
-# ``functionals.PositiveFunctional`` are the types of the one-point API and
-# the generators, which stack and unstack at that boundary (:func:`_stack`,
+# ``functionals.PositiveFunctional`` are the types of the one-point API,
+# which stacks and unstacks at that boundary (:func:`_stack`,
 # :func:`_unstack`, ``functionals._stacks``, ``functionals._rows``).
 # Kernels only compute: they take no tolerance (the corner solve reads its
 # one budget from the config), build no report or report string (a check
@@ -739,23 +738,13 @@ def _imaginary_values(stack: SpectrumStack, ts) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def polar_decompose(x: AlgebraElement, eps_rel: float | None = None
-                    ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Canonical polar factors: x = v |x| with |x| = (x* x)^{1/2}.
-
-    v is the phase-canonical partial isometry x (x* x)^{-1/2} on the support,
-    so v* v equals the support projection of |x|.  One element of
-    :func:`_polar_stack`.
-    """
-    v, a = _polar_stack(_stack([x]), resolve_eps_rel(eps_rel))
-    return _unstack(v)[0], _unstack(a)[0]
-
-
 def _polar_stack(stacked: Sequence[np.ndarray], eps: float
                  ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Polar factors (v, |x|) of B stacked elements as per-block stacks, one
-    ``svd`` per block.  A singular value is kept unless the kernel
-    convention (:func:`_kernel_masks`) drops it."""
+    """Canonical polar factors x = v |x|, |x| = (x* x)^{1/2}, of B stacked
+    elements as per-block stacks, one ``svd`` per block: v is the partial
+    isometry on the support, so v* v is the support projection of |x|.  A
+    singular value is kept unless the kernel convention
+    (:func:`_kernel_masks`) drops it."""
     svds = [np.linalg.svd(s) for s in stacked]
     v_blocks, abs_blocks = [], []
     for (u, s, vh), kernel in zip(svds, _kernel_masks(

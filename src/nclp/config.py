@@ -14,9 +14,9 @@ those directions to 0, and :meth:`nclp.algebra.HermitianSpectrum.apply`, the
 one calculus of an arbitrary function, to the f(0) its caller declares.  The
 cutoff (a given number, else ``NCLP_EPS_REL``, else ``DEFAULT_EPS_REL``) is
 resolved only where a spectrum is computed: the constructors, generators and
-loaders of functionals, ``polar_decompose``, ``run_suite`` and the CLI.  A
-functional is used at the cutoff it was built at, except by ``q_tilde_alpha``,
-``q_tilde_alpha_z``, ``d_tilde`` and ``kosaki_norm`` given a cutoff.
+loaders of functionals, ``run_suite`` and the CLI.  A functional is used at
+the cutoff it was built at, except by ``q_tilde_alpha``, ``q_tilde_alpha_z``,
+``d_tilde`` and ``kosaki_norm`` given a cutoff.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ EPS_REL_ENV = "NCLP_EPS_REL"
 # Inputs expected Hermitian are symmetrized when within this relative distance
 # of their adjoint; beyond it they are rejected.  The gate guards densities
 # that come from outside the package (matrix files, and PositiveFunctional
-# without hermitize), not generated ones: the suites and gen_* generators
-# symmetrize each density they draw exactly and build it with hermitize.
+# without hermitize), not generated ones: the suites symmetrize each density
+# they draw exactly and build it with hermitize.
 HERMITIAN_TOL = 1e-8
 
 # Eigenvalues of PSD-expected inputs in [-PSD_CLIP_TOL * radius, 0) clip to 0;

@@ -18,17 +18,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _apply_stack, _check_batches, _check_draw,
-                      _clipped_eig_stack, _complex_array, _complex_stacks,
-                      _corner_solve, _eigenvalue_powers, _full_stack,
-                      _kept_power_sums, _kernel_masks, _kron_block,
-                      _nonfinite_error, _squared_norms, _stacked,
-                      _support_stack, _unstack)
+from .algebra import (BlockAlgebra, SpectrumStack, _apply_stack,
+                      _check_batches, _clipped_eig_stack, _complex_array,
+                      _complex_stacks, _corner_solve, _eigenvalue_powers,
+                      _full_stack, _kept_power_sums, _kernel_masks,
+                      _kron_block, _nonfinite_error, _squared_norms,
+                      _stacked, _support_stack)
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      _check_type, _first_errors, _raise_pairwise, _real)
-from .functionals import PositiveFunctional, _rows, _stacks
+from .functionals import PositiveFunctional, _stacks
 from .lp import singular_values_stack
 from .tensor import TensorAlgebra, kron_functional_stack
 
@@ -362,37 +361,27 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F)).  One point
     of :func:`q_tilde_stack`; ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
+    _check_type(params, DivergenceParams, "params must be DivergenceParams")
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
     return _point(q_tilde_stack(*_stacks([psi, phi], eps_rel), [params]))
-
-
-def solve_sharp_pseudo_inverse(psi: PositiveFunctional,
-                               phi: PositiveFunctional,
-                               params: DivergenceParams) -> AlgebraElement:
-    """Corner solution of the sandwich equation by pseudo-inverse powers.
-
-    Returns x = h_phi^{-e} h_psi^{alpha/z} h_phi^{-e} compressed to the
-    support corner of phi, with e = (alpha-1)/2z; the recomposition residual
-    certifies the solve (ConditioningError beyond the budget
-    ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F), or where it
-    is not a number).  Requires
-    s(psi) <= s(phi), else the equation has no corner solution.  One pair
-    of :func:`solve_sharp_pseudo_inverse_stack`.
-    """
-    return _unstack(solve_sharp_pseudo_inverse_stack(
-        *_stacks([psi, phi]), [params]))[0]
 
 
 def solve_sharp_pseudo_inverse_stack(psi_stack: SpectrumStack,
                                      phi_stack: SpectrumStack,
                                      params: Sequence[DivergenceParams]
                                      ) -> tuple[np.ndarray, ...]:
-    """:func:`solve_sharp_pseudo_inverse` of B pairs of one algebra, pair j
-    at params[j], as per-block (B, n, n) stacks: one stacked support test,
-    power, solve and back-rotation per block.  Errors, stage by stage: the
-    entry checks, the support nesting, the powers, the certificates; within
-    a stage the first failing pair raises."""
+    """Corner solutions of the sandwich equation by pseudo-inverse powers,
+    for B pairs of one algebra, pair j at params[j] with alpha > 1, as
+    per-block (B, n, n) stacks: x = h_phi^{-e} h_psi^{alpha/z} h_phi^{-e}
+    compressed to the support corner of phi, e = (alpha-1)/2z.  The
+    recomposition residual certifies each solve (ConditioningError beyond
+    the budget ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F),
+    or where it is not a number); s(psi) <= s(phi) is required.  One
+    stacked support test, power, solve and back-rotation per block.
+    Errors, stage by stage: the entry checks, the support nesting, the
+    powers, the certificates; within a stage the first failing pair
+    raises."""
     exps = _sharp_exponents(psi_stack, phi_stack, params)
     if _support_violations(psi_stack, phi_stack).any():
         raise DomainError(
@@ -426,30 +415,19 @@ def _sharp_exponents(psis, phis, params) -> list[tuple[float, float]]:
     return out
 
 
-def solve_sharp_least_squares(psi: PositiveFunctional,
-                              phi: PositiveFunctional,
-                              params: DivergenceParams) -> AlgebraElement:
-    """Independent corner-restricted least-squares solve of the sandwich
-    equation for alpha > 1.
-
-    Builds the explicit linearization of x -> h_phi^e (s x s) h_phi^e per
-    block and returns the minimum-norm least-squares solution compressed to
-    the corner.  Coincides with the pseudo-inverse solution whenever the
-    equation is solvable.  One pair of
-    :func:`solve_sharp_least_squares_stack`.
-    """
-    return _unstack(solve_sharp_least_squares_stack(
-        *_stacks([psi, phi]), [params]))[0]
-
-
 def solve_sharp_least_squares_stack(psi_stack: SpectrumStack,
                                     phi_stack: SpectrumStack,
                                     params: Sequence[DivergenceParams]
                                     ) -> tuple[np.ndarray, ...]:
-    """:func:`solve_sharp_least_squares` of B pairs of one algebra, pair j
-    at params[j], as per-block (B, n, n) stacks.  The powers, supports and
-    linearizations are stacked; ``lstsq``, which takes one system at a
-    time, runs per pair and block."""
+    """The independent corner-restricted least-squares solve of the
+    sandwich equation, for B pairs of one algebra, pair j at params[j]
+    with alpha > 1, as per-block (B, n, n) stacks: the minimum-norm
+    solution of the linearization of x -> h_phi^e (s x s) h_phi^e,
+    compressed to the corner; it coincides with
+    :func:`solve_sharp_pseudo_inverse_stack` where the equation is
+    solvable.  The powers, supports and linearizations are stacked;
+    ``lstsq``, which takes one system at a time, runs per pair and
+    block."""
     exps = _sharp_exponents(psi_stack, phi_stack, params)
     a = _apply_stack(phi_stack, _eigenvalue_powers(
         phi_stack, [[e] for _, e in exps]))
@@ -516,6 +494,7 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     parameters run the two-parameter path.  May be negative for inputs whose
     masses differ from 1.  ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
+    _check_type(params, DivergenceParams, "params must be DivergenceParams")
     return _point(_d_stack(*_stacks([psi, phi], eps_rel), [params])[1])
 
 
@@ -605,7 +584,7 @@ class QuantumChannel:
     codomain algebra, where each V_i is a carrier-space matrix from the
     codomain carrier to the domain carrier and E is the block-diagonal
     conditional expectation (a pinching, itself unital CP).  Functionals on
-    the codomain pull back through :func:`precompose`.
+    the codomain pull back through :func:`precompose_stack`.
     """
 
     __slots__ = ("domain", "codomain", "kraus")
@@ -636,25 +615,15 @@ class QuantumChannel:
         object.__setattr__(self, "kraus", mats)
 
 
-def precompose(psi: PositiveFunctional,
-               channel: QuantumChannel) -> PositiveFunctional:
-    """Pull a codomain functional back through the channel.
-
-    The density maps through the adjoint Kraus sum followed by block-diagonal
-    compression; unital channels preserve the mass.  One pair of
-    :func:`precompose_stack`.
-    """
-    psis, = _stacks([psi])
-    return _rows(precompose_stack(psis, [channel]))[0]
-
-
 def precompose_stack(psis: SpectrumStack,
                      channels: Sequence[QuantumChannel]) -> SpectrumStack:
-    """:func:`precompose` of B pairs whose channels share a domain and a
-    codomain, stacked across the pairs.  The channels may have different
-    numbers of Kraus operators: each pair sums its own terms in its own
-    order, as a one-pair call does.  The pulled-back stack keeps the
-    cutoff of ``psis``."""
+    """The codomain functionals of B pairs pulled back through their
+    channels, which share a domain and a codomain: each density maps
+    through the adjoint Kraus sum followed by block-diagonal compression
+    (a unital channel preserves the mass), stacked across the pairs.  The
+    channels may have different numbers of Kraus operators: each pair sums
+    its own terms in its own order, as a one-pair call does.  The
+    pulled-back stack keeps the cutoff of ``psis``."""
     _check_batches([psis, channels], [psis.algebra, *{
         ch.codomain for ch in channels}],
         "functional does not live on the channel codomain")
@@ -674,12 +643,12 @@ def precompose_stack(psis: SpectrumStack,
     return _clipped_eig_stack(domain, blocks, True, psis.eps_rel)
 
 
-def identity_channel(algebra: BlockAlgebra) -> QuantumChannel:
+def _identity_channel(algebra: BlockAlgebra) -> QuantumChannel:
     return QuantumChannel(algebra, algebra,
                           [np.eye(algebra.carrier_dim)])
 
 
-def pinching_channel(algebra: BlockAlgebra) -> QuantumChannel:
+def _pinching_channel(algebra: BlockAlgebra) -> QuantumChannel:
     """Projective Kraus set onto the carrier diagonal; zeroes off-diagonals."""
     n = algebra.carrier_dim
     eye = np.eye(n)
@@ -688,7 +657,7 @@ def pinching_channel(algebra: BlockAlgebra) -> QuantumChannel:
         [np.outer(eye[i], eye[i]) for i in range(n)])
 
 
-def embed_left_channel(T: TensorAlgebra) -> QuantumChannel:
+def _embed_left_channel(T: TensorAlgebra) -> QuantumChannel:
     """The unital embedding a -> a (x) 1 of the left factor into the product.
 
     Precomposing a product functional with this channel yields the partial
@@ -713,19 +682,11 @@ def embed_left_channel(T: TensorAlgebra) -> QuantumChannel:
     return QuantumChannel(dom, cod, kraus)
 
 
-def random_unital_channel(rng: np.random.Generator, domain: BlockAlgebra,
-                          codomain: BlockAlgebra,
-                          num_kraus: int = 3) -> QuantumChannel:
-    """Random unital CP map: Gaussian Kraus draws whitened to sum V*V = 1."""
-    _check_draw(rng, domain, codomain)
-    return _whitened_channel(domain, codomain, _kraus_draw(
-        rng, domain, codomain, num_kraus))
-
-
 def _kraus_draw(rng: np.random.Generator, domain: BlockAlgebra,
                 codomain: BlockAlgebra, num_kraus: int = 3) -> np.ndarray:
-    """The raw numbers of :func:`random_unital_channel`: num_kraus complex
-    Gaussian (n_dom, n_cod) matrices in one ``standard_normal`` call."""
+    """The raw numbers of a random unital channel (see
+    :func:`_whitened_channel`): num_kraus complex Gaussian (n_dom, n_cod)
+    matrices in one ``standard_normal`` call."""
     n_dom, n_cod = domain.carrier_dim, codomain.carrier_dim
     if num_kraus * n_dom < n_cod:
         raise DomainError(
@@ -747,7 +708,7 @@ def _whitened_channel(domain: BlockAlgebra, codomain: BlockAlgebra,
     return QuantumChannel(domain, codomain, [w @ inv_sqrt for w in ws])
 
 
-def dpi_valid(alpha: float, z: float) -> bool:
+def _dpi_valid(alpha: float, z: float) -> bool:
     """Whether monotonicity of D_{alpha,z} under unital CP maps (the data
     processing inequality) is known to hold at (alpha, z); it only decides
     whether :func:`dpi_probe_stack` asserts or merely records.
@@ -775,7 +736,7 @@ def dpi_probe_stack(psis: SpectrumStack, phis: SpectrumStack,
     an infinite D before, inf for an infinite D after only), and the values
     (D before and D after as :class:`Outcomes`, gap, violation).  The
     decrease is asserted only in the known-valid region of
-    :func:`dpi_valid`; outside it both values are recorded without
+    :func:`_dpi_valid`; outside it both values are recorded without
     assertion.  ``gap`` is |D after - D before|: 0 for two infinite values
     with the same reason, inf for different reasons.
 
@@ -795,7 +756,7 @@ def dpi_probe_stack(psis: SpectrumStack, phis: SpectrumStack,
         finite_out, np.where(diff > 0.0, diff, 0.0), math.inf), 0.0)
     gap = np.where(finite_in & finite_out, abs(diff),
                    np.where(d_in.reasons == d_out.reasons, 0.0, math.inf))
-    asserted = np.array([dpi_valid(p.alpha, p.effective_z) for p in grid])
+    asserted = np.array([_dpi_valid(p.alpha, p.effective_z) for p in grid])
     return ({"monotonicity_violation": (
                 violation, np.broadcast_to(asserted, violation.shape))},
             (d_in, d_out, gap, violation))

@@ -11,15 +11,13 @@ the one-point API; the kernels take batches of functionals as stacks, and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       SpectrumStack, _apply_stack, _check_batches,
                       _clipped_eig_stack, _eigenvalue_powers,
                       _frobenius_stack, _gather, _imaginary_values, _stack,
-                      _support_stack, _unstack, canonical_trace)
+                      _support_stack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError, _check_type, _real
 
@@ -134,37 +132,18 @@ def _stacks(psis, eps_rel: float | None = None) -> list[SpectrumStack]:
         s.algebra, s.densities, False, eps) for s in stacks]
 
 
-def scale(psi: PositiveFunctional, lam: float) -> PositiveFunctional:
-    """lam * psi for finite lam >= 0; mass scales linearly."""
-    lam = _real(lam, "scale factor")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DomainError(
-            f"scale factor must be finite and nonnegative, got {lam}")
-    return PositiveFunctional(lam * psi.density,
-                              eps_rel=psi._spectrum.eps_rel)
-
-
 def _imaginary_powers(stack: SpectrumStack, ts) -> tuple[np.ndarray, ...]:
     """h_j^{i t_j} of each row, as per-block (B, n, n) stacks."""
     return _apply_stack(stack, _imaginary_values(stack, ts))
 
 
-def connes_cocycle(psi: PositiveFunctional, phi: PositiveFunctional,
-                   t: float) -> AlgebraElement:
-    """Radon-Nikodym cocycle u_t = h_psi^{it} h_phi^{-it} (phi faithful).
-
-    u_0 equals the support projection of psi; when the densities commute,
-    u_t* u_t recovers that support for every t.  One pair of
-    :func:`connes_cocycle_stack`.
-    """
-    return _unstack(connes_cocycle_stack(*_stacks([psi, phi]), [t]))[0]
-
-
 def connes_cocycle_stack(psis: SpectrumStack, phis: SpectrumStack,
                          ts) -> tuple[np.ndarray, ...]:
-    """u_{t_j}(psi_j, phi_j) of B pairs of one algebra, as per-block
-    (B, n, n) stacks.  Errors: stacks on two algebras, then a phi that is
-    not faithful (where a kernel mask is set), the first such row."""
+    """Radon-Nikodym cocycles u_t = h_psi^{it} h_phi^{-it} (phi faithful)
+    of B pairs of one algebra, pair j at t_j, as per-block (B, n, n)
+    stacks; u_0 is the support projection of psi.  Errors: stacks on two
+    algebras, then a phi that is not faithful (where a kernel mask is set),
+    the first such row."""
     _check_batches([psis, phis, ts], [psis.algebra, phis.algebra],
                    "functionals must live on the same algebra")
     if any(m.any() for m in phis.kernel_mask):

@@ -17,10 +17,10 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _algebra_of, _apply_stack, _check_batches,
                       _corner_solve, _eigenvalue_powers, _full_stack,
-                      _kron_block, _powers, _stack, _unstack)
+                      _kron_block, _powers, _stack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
-from .errors import (ConditioningError, DomainError, ShapeError, UsageError,
-                     _check_type, _first_errors, _raise_pairwise, _real)
+from .errors import (ConditioningError, DomainError, UsageError, _check_type,
+                     _first_errors, _raise_pairwise, _real)
 from .functionals import PositiveFunctional, _stacks
 
 
@@ -75,13 +75,6 @@ class LpExponent:
 
 def _as_exponent(p) -> LpExponent:
     return p if isinstance(p, LpExponent) else LpExponent(p)
-
-
-def singular_values(x: AlgebraElement) -> np.ndarray:
-    """All singular values across blocks, descending within each block;
-    :func:`singular_values_stack` of the unstacked blocks."""
-    _check_type(x, AlgebraElement, "singular values need an AlgebraElement")
-    return singular_values_stack(x.blocks)
 
 
 def singular_values_stack(stacked) -> np.ndarray:
@@ -165,7 +158,8 @@ def lp_norm(x: AlgebraElement, p) -> float:
     A genuine norm for p >= 1, a quasi-norm for 0 < p < 1.
     """
     p = _as_exponent(p)
-    return _schatten(singular_values(x), p)
+    _check_type(x, AlgebraElement, "singular values need an AlgebraElement")
+    return _schatten(singular_values_stack(x.blocks), p)
 
 
 def _kosaki_point(p, eta) -> tuple[LpExponent, float]:
@@ -223,7 +217,8 @@ class KosakiSpec:
 def _sandwich_stack(stacked, phis: SpectrumStack, lefts: list[float],
                     rights: list[float]) -> tuple[np.ndarray, ...]:
     """h_j^lefts[j] a_j h_j^rights[j] of B stacked elements a_j, h_j the
-    density of row j of ``phis``, as per-block (B, n, n) stacks.  An
+    density of row j of ``phis``, as per-block (B, n, n) stacks: at
+    (eta, 1 - eta), the Kosaki embedding a -> h^eta a h^{1-eta}.  An
     exponent-0 factor is skipped exactly and exponent 1 is the density
     itself; each side is one stacked product over all elements."""
     out = tuple(stacked)
@@ -253,16 +248,6 @@ def _density_powers(phis: SpectrumStack,
                  for d, p in zip(phis.densities, powers))
 
 
-def kosaki_embed(a: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
-    """The injective embedding a -> h_phi^eta a h_phi^{1-eta}.  One element
-    of :func:`_sandwich_stack`."""
-    stacked = _stack([a])
-    if a.algebra != spec.algebra:
-        raise ShapeError("element and reference functional algebras differ")
-    return _unstack(_sandwich_stack(
-        stacked, _stacks([spec.phi])[0], [spec.eta], [1.0 - spec.eta]))[0]
-
-
 # An overflow shows as a non-finite x, which is reported as an error.
 @np.errstate(over="ignore", invalid="ignore")
 def _kosaki_memberships(stacked_y, stack: SpectrumStack,
@@ -270,7 +255,9 @@ def _kosaki_memberships(stacked_y, stack: SpectrumStack,
     """Solutions x of y_j = h_j^{eta/q} x h_j^{(1-eta)/q}, h_j the density
     of row j of ``stack``, for each of B stacked elements y_j and each
     point of points[j] (one length G for all j): the :func:`_corner_solve`
-    of the stack, rotated back.
+    of the stack, rotated back.  The solve runs in h_j's eigenbasis, where
+    the eigenvalue powers cancel entrywise, so the recomposition residual
+    shows kernel leakage, not conditioning.
 
     Returns per block a (B, G, n, n) stack of x, and the error map (see
     :func:`nclp.errors._first_errors`) of the DomainError of an x beyond the
@@ -306,24 +293,6 @@ def _kosaki_memberships(stacked_y, stack: SpectrumStack,
                                residual=float(residuals[j, g])))
 
 
-def kosaki_membership(y: AlgebraElement, spec: KosakiSpec) -> AlgebraElement:
-    """Solve y = h_phi^{eta/q} x h_phi^{(1-eta)/q} for x.
-
-    The solve runs in phi's eigenbasis, where dividing and re-multiplying by
-    the eigenvalue powers cancels entrywise; the recomposition residual then
-    reflects genuine kernel leakage rather than conditioning.  Raises
-    ConditioningError when it exceeds the budget
-    ``config.RECOMPOSITION_TOL`` * (1 + ||y||_F).
-    """
-    stacked = _stack([y])
-    if y.algebra != spec.algebra:
-        raise ShapeError("element and reference functional algebras differ")
-    blocks, errors = _kosaki_memberships(
-        stacked, _stacks([spec.phi])[0], [[(spec.p, spec.eta)]])
-    _raise_pairwise(errors)
-    return _unstack([b[:, 0] for b in blocks])[0]
-
-
 def kosaki_norm_stack(stacked_y, phis: SpectrumStack, points) -> tuple:
     """||y_j||_{p,phi_j,eta} of B stacked elements y_j (per block a
     (B, n, n) array), phi_j row j of ``phis``, at every validated (p, eta)
@@ -357,6 +326,7 @@ def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
     """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
     :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
     cutoff; None uses it at its own."""
+    _check_type(spec, KosakiSpec, "an interpolated norm needs a KosakiSpec")
     norms, errors = kosaki_norm_stack(_stack([y]),
                                       _stacks([spec.phi], eps_rel)[0],
                                       [[(spec.p, spec.eta)]])

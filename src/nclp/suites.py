@@ -20,8 +20,8 @@ builds the algebra (a :class:`TensorAlgebra` for tensor profiles such as
   complex combine, QR with the phase fix, G G*, U diag(lambda) U* and
   normalization as one stacked call each; :func:`_functionals` gives each
   role one spectrum stack.  The kernels take the element and functional
-  stacks as they are built.  The public ``gen_*`` generators are B = 1
-  calls of the same code and return the stacks' rows.
+  stacks as they are built.  :func:`gen_classical_pair` is a B = 1 call of
+  the same code and returns the stack's rows.
 
 ``tols`` are ``config.CHECK_TOLERANCES[name]`` with the config's overrides,
 and ``config.eps_rel`` is the cutoff :func:`run_suite` resolved once.  A
@@ -51,16 +51,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _check_draw, _clipped_eig_stack, _complex_stacks,
-                      _frobenius_stack, _stacked, _support_stack,
-                      _symmetrized_stack, _unstack)
+from .algebra import (BlockAlgebra, SpectrumStack, _check_draw,
+                      _clipped_eig_stack, _complex_stacks, _frobenius_stack,
+                      _stacked, _support_stack, _symmetrized_stack)
 from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
                      resolve_eps_rel)
-from .divergence import (REASONS, DivergenceParams, _kraus_draw, _order,
-                         _whitened_channel, additivity_stack,
-                         dpi_probe_stack, embed_left_channel,
-                         identity_channel, lemma9_stack, pinching_channel,
+from .divergence import (REASONS, DivergenceParams, _embed_left_channel,
+                         _identity_channel, _kraus_draw, _order,
+                         _pinching_channel, _whitened_channel,
+                         additivity_stack, dpi_probe_stack, lemma9_stack,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
 from .errors import DomainError, ShapeError, UsageError, _check_type
@@ -189,9 +188,11 @@ def _rotated(alg, datas) -> list[np.ndarray]:
 
 def _orthogonal_draw(rng: np.random.Generator, alg: BlockAlgebra,
                      rank: int) -> tuple[tuple, tuple]:
-    """The raw draws of (psi, psi') of :func:`gen_orthogonal_pair`: one
-    unitary, and entries in [0.1, 1) on psi's first ``rank`` carrier
-    directions (by :func:`_distribute`) and on the others for psi'."""
+    """The raw draws of (psi, psi') with complementary supports in a common
+    random eigenbasis, so that s(psi) + s(psi') = 1 and psi + psi' is
+    faithful: one unitary, and entries in [0.1, 1) on psi's first ``rank``
+    carrier directions (by :func:`_distribute`) and on the others for
+    psi'."""
     first = np.concatenate([np.arange(n) < r for n, r in zip(
         alg.block_dims, _distribute(rank, alg.block_dims))])
     if not 0 < rank < alg.carrier_dim:
@@ -204,8 +205,11 @@ def _orthogonal_draw(rng: np.random.Generator, alg: BlockAlgebra,
 
 def _nested_draw(rng: np.random.Generator, alg: BlockAlgebra, rank_phi: int,
                  rank_psi: int) -> tuple[tuple, tuple]:
-    """The raw draws of (psi, phi) of :func:`gen_nested_pair`: a unitary,
-    then per block phi's corner factor and spectrum and psi's factor."""
+    """The raw draws of (psi, phi) with s(psi) <= s(phi), nested on the
+    leading coordinates of each block before a common random rotation: a
+    unitary, then per block phi's corner factor and spectrum (in
+    [0.2, 1], so that direct solves of the sandwich equation stay
+    accurate) and psi's factor."""
     ranks_phi = _distribute(rank_phi, alg.block_dims)
     ranks = tuple(zip(ranks_phi, _distribute(rank_psi, ranks_phi)))
     data = (_normals(rng, alg), [
@@ -237,7 +241,9 @@ def _nested(alg, ranks, role, datas) -> list[np.ndarray]:
 
 def _classical_draw(rng: np.random.Generator, n: int,
                     orthogonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The probability vectors of :func:`gen_classical_pair`."""
+    """The probability vectors of a classical pair (see
+    :func:`gen_classical_pair`): entries in [0.1, 1), normalized, with
+    exact zeros splitting the carrier when ``orthogonal``."""
     if orthogonal and n < 2:
         raise DomainError("orthogonal supports need carrier dim >= 2")
     p, q = rng.uniform(0.1, 1.0, 2 * n).reshape(2, n)
@@ -274,72 +280,6 @@ def _functionals(alg: BlockAlgebra, eps: float,
                                True, eps) for i in range(len(roles))]
 
 
-def gen_element(rng: np.random.Generator,
-                algebra: BlockAlgebra) -> AlgebraElement:
-    _check_draw(rng, algebra)
-    return _unstack(_elements([_normals(rng, algebra)], algebra)[0])[0]
-
-
-def gen_unitary(rng: np.random.Generator,
-                algebra: BlockAlgebra) -> AlgebraElement:
-    """Haar-ish block unitary via QR with the phase-of-R correction."""
-    _check_draw(rng, algebra)
-    return _unstack(_unitaries(_elements([_normals(rng, algebra)],
-                                         algebra)[0]))[0]
-
-
-def gen_positive_functional(rng: np.random.Generator, algebra: BlockAlgebra,
-                            rank_profile="full") -> PositiveFunctional:
-    """Random normalized PSD density: factor construction G G* at the
-    requested rank, divided by its trace.
-
-    rank_profile is "full", "zero", or ("deficient", r); deficient ranks are
-    realized with an r-column Gaussian factor so the kernel is exact at the
-    matrix level, not produced by thresholding.  Every ``gen_*`` helper
-    builds its functionals at the default cutoff (:func:`default_eps_rel`).
-    """
-    _check_draw(rng, algebra)
-    try:
-        rank = ({"full": algebra.carrier_dim, "zero": 0}[rank_profile]
-                if isinstance(rank_profile, str)
-                else dict([rank_profile])["deficient"])
-    except (TypeError, ValueError, KeyError):
-        raise DomainError(f"unknown rank profile {rank_profile!r}") from None
-    if rank_profile == "zero":
-        return PositiveFunctional.zero(algebra)
-    return _rows(_functionals(algebra, default_eps_rel(),
-                              (_gram_draw(rng, algebra, rank),))[0])[0]
-
-
-def gen_orthogonal_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                        rank: int
-                        ) -> tuple[PositiveFunctional, PositiveFunctional]:
-    """(psi, psi') with complementary supports in a common random eigenbasis.
-
-    psi has the given rank; psi' has full rank on the orthocomplement, so
-    s(psi) + s(psi') = 1 and psi + psi' is faithful.
-    """
-    _check_draw(rng, algebra)
-    return tuple(_rows(_functionals(algebra, default_eps_rel(),
-                                    _orthogonal_draw(rng, algebra, rank))[0]))
-
-
-def gen_nested_pair(rng: np.random.Generator, algebra: BlockAlgebra,
-                    rank_phi: int, rank_psi: int
-                    ) -> tuple[PositiveFunctional, PositiveFunctional]:
-    """(psi, phi) with s(psi) <= s(phi), built in a common eigenbasis.
-
-    Support patterns sit on the leading coordinates per block before a common
-    random rotation, so the nesting is structural.  phi's corner spectrum is
-    drawn from [0.2, 1] (bounded condition number, so direct linear solves of
-    the sandwich equation stay accurate); psi's corner is a Gaussian factor
-    square, non-commuting with phi in general.
-    """
-    _check_draw(rng, algebra)
-    return tuple(_rows(_functionals(algebra, default_eps_rel(), _nested_draw(
-        rng, algebra, rank_phi, rank_psi))[0]))
-
-
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
                        orthogonal: bool = False
                        ) -> tuple[PositiveFunctional, PositiveFunctional,
@@ -347,7 +287,8 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     """Exactly diagonal (psi, phi) plus their probability vectors.
 
     With orthogonal=True the supports split the carrier coordinates, with
-    exact zeros, so scalar-oracle comparisons are exact.
+    exact zeros, so scalar-oracle comparisons are exact.  The functionals
+    are built at the default cutoff (:func:`default_eps_rel`).
     """
     _check_draw(rng, algebra)
     p, q = _classical_draw(rng, algebra.carrier_dim, orthogonal)
@@ -806,8 +747,8 @@ def _dpi_batch(config, tols, alg, draws):
     # stack of the trials on alg and one of those on the product, in the
     # order of their first trial.  The fixed channels are built once.
     T = TensorAlgebra(alg, _DPI_RIGHT)
-    fixed = (identity_channel(alg), pinching_channel(alg),
-             embed_left_channel(T))
+    fixed = (_identity_channel(alg), _pinching_channel(alg),
+             _embed_left_channel(T))
     on_alg = [variant != 2 for variant, *_ in draws]
     grid = [DivergenceParams(alpha) for alpha in DPI_ALPHAS]
     out = [None] * len(draws)
@@ -878,6 +819,7 @@ CHUNK_TRIALS = 64
 
 def run_suite(config: SuiteConfig) -> list[TrialReport]:
     """Run a named suite; deterministic given the config."""
+    _check_type(config, SuiteConfig, "a suite run needs a SuiteConfig")
     suite = _SUITES.get(config.suite_name)
     if suite is None:
         raise UsageError(
@@ -909,6 +851,9 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
 
 
 def summarize(reports: list[TrialReport]) -> dict:
+    _check_type(reports, list, "a summary needs a list of TrialReports")
+    for report in reports:
+        _check_type(report, TrialReport, "a summary needs TrialReports")
     failures = sum(1 for r in reports if not r.passed)
     return {
         "trials": len(reports),

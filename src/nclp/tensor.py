@@ -27,7 +27,6 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _imaginary_values, _kron_block, _polar_stack)
 from .config import RANK_RTOL
 from .errors import DomainError, ShapeError, _check_type, _raise_pairwise
-from .functionals import PositiveFunctional, _rows, _stacks
 from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 
@@ -70,21 +69,12 @@ def _kron_stack(sx, sy) -> tuple[np.ndarray, ...]:
     return tuple(_kron_block(a, b) for a in sx for b in sy)
 
 
-def kron_functional(T: TensorAlgebra, psi1: PositiveFunctional,
-                    psi2: PositiveFunctional) -> PositiveFunctional:
-    """Product functional; density is the Kronecker of the factor densities.
-    It keeps psi1's cutoff.  One pair of :func:`kron_functional_stack`."""
-    for psi in (psi1, psi2):
-        _check_type(psi, PositiveFunctional,
-                    "factors must be PositiveFunctionals")
-    return _rows(kron_functional_stack(T, *_stacks([psi1, psi2])))[0]
-
-
 def kron_functional_stack(T: TensorAlgebra, psi1s: SpectrumStack,
                           psi2s: SpectrumStack) -> SpectrumStack:
-    """:func:`kron_functional` of each row pair of two stacks, as one stack
-    with one ``eigh`` per product block.  The products keep the cutoff of
-    ``psi1s``."""
+    """The product functionals psi1 (x) psi2 of the row pairs of two
+    stacks, whose densities are the Kronecker products of the factors', as
+    one stack with one ``eigh`` per product block.  The products keep the
+    cutoff of ``psi1s``."""
     _check_factors(T, psi1s.algebra, psi2s.algebra)
     _check_batches([psi1s, psi2s])
     return _clipped_eig_stack(

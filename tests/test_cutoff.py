@@ -18,13 +18,13 @@ import pytest
 
 import nclp
 from nclp import (BlockAlgebra, DivergenceParams, KosakiSpec, NclpError,
-                  PositiveFunctional, connes_cocycle, d_tilde, gen_element,
-                  gen_unitary, kosaki_norm, pinching_channel, precompose,
-                  q_tilde_alpha, q_tilde_alpha_z)
-from nclp.divergence import lemma9_stack
+                  PositiveFunctional, d_tilde, kosaki_norm, q_tilde_alpha,
+                  q_tilde_alpha_z)
+from nclp.divergence import _pinching_channel, lemma9_stack, precompose_stack
+from nclp.functionals import connes_cocycle_stack
 
 from _outcomes import points
-from _stacks import stack
+from _stacks import element, stack, unitary
 
 ALG = BlockAlgebra((3,))
 CUT = 1e-9
@@ -32,7 +32,7 @@ DEFAULT = 1e-12
 
 
 def _density(seed, spectrum):
-    u = gen_unitary(np.random.default_rng(seed), ALG)
+    u = unitary(np.random.default_rng(seed), ALG)
     return u @ ALG.diagonal(spectrum) @ u.adjoint()
 
 
@@ -41,7 +41,7 @@ def _density(seed, spectrum):
 SMALL_PSI = _density(1, [0.6, 0.4, 3e-11])
 SMALL_PHI = _density(2, [0.5, 0.5, 1e-10])
 FAITHFUL = _density(3, [0.3, 0.3, 0.4])
-Y = gen_element(np.random.default_rng(4), ALG)
+Y = element(np.random.default_rng(4), ALG)
 
 
 def _at(density, eps_rel=None):
@@ -52,10 +52,8 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-def _functional_bits(psi):
-    spec = psi._spectrum
-    return _bits(*psi.density.blocks, *spec.eigenvalues, *spec.kernel_mask,
-                 spec.eps_rel)
+def _stack_bits(st):
+    return _bits(*st.densities, *st.eigenvalues, *st.kernel_mask, st.eps_rel)
 
 
 # The four calls that take a cutoff: name -> (call returning a comparable
@@ -78,10 +76,10 @@ CALLS = {
         for res, values in points(lemma9_stack(stack([psi]), stack([phi]),
                                                [2.0]))],
         SMALL_PSI, SMALL_PHI),
-    "connes_cocycle": (lambda psi, phi: _bits(*connes_cocycle(
-        psi, phi, 0.7).blocks), SMALL_PSI, FAITHFUL),
-    "precompose": (lambda psi, phi: _functional_bits(precompose(
-        psi, pinching_channel(ALG))), SMALL_PSI, SMALL_PHI),
+    "connes_cocycle_stack": (lambda psi, phi: _bits(*connes_cocycle_stack(
+        stack([psi]), stack([phi]), [0.7])), SMALL_PSI, FAITHFUL),
+    "precompose_stack": (lambda psi, phi: _stack_bits(precompose_stack(
+        stack([psi]), [_pinching_channel(ALG)])), SMALL_PSI, SMALL_PHI),
 }
 
 # The methods on one functional (phi is not used).
@@ -133,8 +131,10 @@ def test_a_functional_agrees_with_itself():
     assert psi.spectrum().rank() == 1
     assert psi.power(-1).blocks[0][1, 1] == 0.0
     assert psi.support().blocks[0][1, 1] == 0.0
-    u = connes_cocycle(psi, PositiveFunctional(alg.identity()), 0.5)
-    assert u.blocks[0][1, 1] == 0.0
+    u, = connes_cocycle_stack(stack([psi]),
+                              stack([PositiveFunctional(alg.identity())]),
+                              [0.5])
+    assert u[0, 1, 1] == 0.0
 
 
 def _takes_a_functional(fn):

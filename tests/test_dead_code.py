@@ -2,25 +2,27 @@
 every name a package module imports is used in that module.
 
 A function or class counts as used when its name appears anywhere in the
-package, the benchmarks or the tools as a name, an attribute or an imported
-name.  A method counts as used only when it is accessed as an attribute
-there, or named by a string of the benchmark tracer, which patches methods
-by name: a local variable or another string of the same name is no call,
-and neither is an attribute read off an imported module (``np.diagonal``
-is no call of ``BlockAlgebra.diagonal``).
+package, the benchmarks, the tools or the acceptance gates
+(``tests/test_acceptance.py``) as a name, an attribute or an imported name;
+a re-export of ``__init__.py`` is no use.  A method counts as used only
+when it is accessed as an attribute there, or named by a string of the
+benchmark tracer, which patches methods by name: a local variable or
+another string of the same name is no call, and neither is an attribute
+read off an imported module (``np.diagonal`` is no call of
+``BlockAlgebra.diagonal``).
 The methods of the public surface that only the tests call are pinned in
 ``PUBLIC_METHODS``, each with its reason.  A definition's own name does not
-count, and neither does a test: the callers are the package, whose
-``__init__.py`` re-exports declare the public surface, the benchmarks and
-the tools, so a helper that only its own test calls fails here.  Dunder
-methods are called by Python itself and are exempt.  A method named like
-another class's method counts as used through that method's callers, so
-the names that classes share are pinned.  An import counts as used when its
-name is read in the importing module; ``__init__.py`` re-exports and
-``__future__`` imports are exempt.  A module-level constant (an upper-case
-name the module assigns) counts as used when it is read, as a name or an
-attribute, somewhere in the package, the tests, the benchmarks or the
-tools.
+count, and neither does a test other than the acceptance gates: the callers
+are the package, the benchmarks, the tools and the acceptance gates, the
+users that the public surface serves, so a function that only its own test
+or an export calls fails here.  Dunder methods are called by Python itself
+and are exempt.  A method named like another class's method counts as used
+through that method's callers, so the names that classes share are pinned.
+An import counts as used when its name is read in the importing module;
+``__init__.py`` re-exports and ``__future__`` imports are exempt.  A
+module-level constant (an upper-case name the module assigns) counts as
+used when it is read, as a name or an attribute, somewhere in the package,
+the tests, the benchmarks or the tools.
 """
 
 import ast
@@ -28,11 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nclp"
-CALLERS = (PACKAGE, ROOT / "benchmarks", ROOT / "tools")
+INIT = PACKAGE / "__init__.py"
+CALLERS = (PACKAGE, ROOT / "benchmarks", ROOT / "tools",
+           ROOT / "tests" / "test_acceptance.py")
 
 
-def _trees(directory: Path):
-    for path in sorted(directory.rglob("*.py")):
+def _trees(where: Path):
+    """The parsed Python files of a directory, or of one file."""
+    for path in [where] if where.is_file() else sorted(where.rglob("*.py")):
         yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
@@ -71,7 +76,7 @@ def _uses() -> tuple[set[str], set[str]]:
                 elif isinstance(node, ast.Attribute):
                     (names if _off_module(node, modules)
                      else attributes).add(node.attr)
-                elif isinstance(node, ast.alias):
+                elif isinstance(node, ast.alias) and path != INIT:
                     names.add(node.name.split(".")[-1])
                     if node.asname:
                         names.add(node.asname)

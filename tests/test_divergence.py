@@ -9,22 +9,22 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DivergenceValue, DomainError, NclpError,
-                  PositiveFunctional, QuantumChannel, Reason, TensorAlgebra,
-                  classical_renyi_oracle, d_tilde, dpi_valid,
-                  embed_left_channel, gen_classical_pair, gen_element,
-                  gen_nested_pair, gen_positive_functional, gen_unitary,
-                  identity_channel, kron_functional, pinching_channel,
-                  precompose, q_tilde_alpha, q_tilde_alpha_z,
-                  random_unital_channel, scale, solve_sharp_least_squares,
-                  solve_sharp_pseudo_inverse)
-from nclp.algebra import _full_stack
+                  PositiveFunctional, Reason, TensorAlgebra,
+                  classical_renyi_oracle, d_tilde, gen_classical_pair,
+                  q_tilde_alpha, q_tilde_alpha_z)
+from nclp.algebra import _full_stack, _unstack
 from nclp.config import CHECK_TOLERANCES
-from nclp.divergence import (additivity_stack, dpi_probe_stack, lemma9_stack,
-                             precompose_stack)
+from nclp.divergence import (QuantumChannel, _dpi_valid, _embed_left_channel,
+                             _identity_channel, _pinching_channel,
+                             additivity_stack, dpi_probe_stack, lemma9_stack,
+                             precompose_stack,
+                             solve_sharp_least_squares_stack,
+                             solve_sharp_pseudo_inverse_stack)
 from nclp.functionals import _rows
 
 from _outcomes import point
-from _stacks import stack
+from _stacks import (element, functional, kron, nested_pair, stack,
+                     unital_channel, unitary)
 
 RNG = np.random.default_rng(41)
 
@@ -53,6 +53,17 @@ def within_gates(res, suite):
     decides a trial."""
     gates = CHECK_TOLERANCES[suite]
     return all(val <= gates[key] for key, val in res.items())
+
+
+def pull_back(psi, channel):
+    """psi o channel: one pair of the precomposition stack."""
+    return _rows(precompose_stack(stack([psi]), [channel]))[0]
+
+
+def solve(kernel, psi, phi, params):
+    """One pair's corner solution of the sandwich equation, as an element,
+    by one of the two solver stacks."""
+    return _unstack(kernel(stack([psi]), stack([phi]), [params]))[0]
 
 
 def lemma9_point(psi, phi, alpha):
@@ -146,7 +157,7 @@ class TestQAlphaZ:
     def test_equal_arguments_give_mass(self):
         rng = np.random.default_rng(42)
         alg = BlockAlgebra((3,))
-        psi_f = gen_positive_functional(rng, alg)
+        psi_f = functional(rng, alg)
         psi_d = PositiveFunctional(alg.diagonal([0.4, 0.6, 0.0]))
         for psi in (psi_f, psi_d):
             for alpha, z in ((0.5, 1.0), (2.0, 2.0), (3.0, 0.5)):
@@ -234,7 +245,7 @@ class TestDTilde:
 
     def test_unnormalized_can_be_negative(self):
         psi = diag_functional([0.5, 0.5])
-        phi = scale(diag_functional([0.5, 0.5]), 4.0)
+        phi = diag_functional([2.0, 2.0])
         d = d_tilde(psi, phi, DivergenceParams(2.0))
         assert d.value < 0.0
 
@@ -280,8 +291,8 @@ class TestDirectSums:
         rng = np.random.default_rng(63)
         alg = BlockAlgebra((2, 3))
         for _ in range(20):
-            psi = gen_positive_functional(rng, alg)
-            phi = gen_positive_functional(rng, alg)
+            psi = functional(rng, alg)
+            phi = functional(rng, alg)
             whole = q(psi, phi)
             parts = sum(q(a, b) for a, b in zip(self.blockwise(psi),
                                                 self.blockwise(phi)))
@@ -292,13 +303,14 @@ class TestCovariances:
     def test_scaling_covariance(self):
         rng = np.random.default_rng(44)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
         for alpha, z in ((0.6, 0.8), (2.0, 2.0), (3.0, 1.5)):
             params = DivergenceParams(alpha, z=z)
             base = q_tilde_alpha_z(psi, phi, params).value
             lam, mu = 1.7, 0.4
-            scaled = q_tilde_alpha_z(scale(psi, lam), scale(phi, mu),
+            scaled = q_tilde_alpha_z(PositiveFunctional(lam * psi.density),
+                                     PositiveFunctional(mu * phi.density),
                                      params).value
             want = lam ** alpha * mu ** (1 - alpha) * base
             assert scaled == pytest.approx(want, rel=1e-10)
@@ -306,9 +318,9 @@ class TestCovariances:
     def test_unitary_covariance(self):
         rng = np.random.default_rng(45)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
-        u = gen_unitary(rng, alg)
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
+        u = unitary(rng, alg)
         for alpha, z in ((0.6, 0.8), (2.0, 2.0)):
             params = DivergenceParams(alpha, z=z)
             base = q_tilde_alpha_z(psi, phi, params).value
@@ -322,8 +334,8 @@ class TestCovariances:
         rng = np.random.default_rng(46)
         alg = BlockAlgebra((2,))
         for _ in range(25):
-            psi = gen_positive_functional(rng, alg)
-            phi = gen_positive_functional(rng, alg)
+            psi = functional(rng, alg)
+            phi = functional(rng, alg)
             for alpha in (0.5, 0.7, 1.5, 2.0):
                 d = d_tilde(psi, phi, DivergenceParams(alpha))
                 assert d.value >= -1e-9
@@ -337,8 +349,8 @@ class TestLemma9:
     def test_random_faithful(self):
         rng = np.random.default_rng(47)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
         for alpha in (0.5, 0.7, 1.5, 2.0, 3.0):
             res, _ = lemma9_point(psi, phi, alpha)
             assert within_gates(res, "lemma9"), (alpha, res)
@@ -364,8 +376,8 @@ class TestAdditivity:
         psi1, phi1 = diag_functional(p1), diag_functional(q1)
         psi2, phi2 = diag_functional(p2), diag_functional(q2)
         T = TensorAlgebra(psi1.algebra, psi2.algebra)
-        prod_psi = kron_functional(T, psi1, psi2)
-        prod_phi = kron_functional(T, phi1, phi2)
+        prod_psi = kron(T, psi1, psi2)
+        prod_phi = kron(T, phi1, phi2)
         q = q_tilde_alpha_z(prod_psi, prod_phi, DivergenceParams(2.0, z=2.0))
         want = classical_renyi_oracle(np.outer(p1, p2).ravel(),
                                       np.outer(q1, q2).ravel(), 2.0)
@@ -379,8 +391,8 @@ class TestAdditivity:
         phi1 = diag_functional([0.0, 1.0])
         rng = np.random.default_rng(48)
         alg = psi1.algebra
-        psi2 = gen_positive_functional(rng, alg)
-        phi2 = gen_positive_functional(rng, alg)
+        psi2 = functional(rng, alg)
+        phi2 = functional(rng, alg)
         res, _ = additivity_point(psi1, phi1, psi2, phi2,
                                   DivergenceParams(3.0, z=3.0))
         assert within_gates(res, "prop11")
@@ -390,8 +402,8 @@ class TestAdditivity:
         psi1 = diag_functional([1.0, 0.0])
         phi1 = diag_functional([0.0, 1.0])
         rng = np.random.default_rng(49)
-        psi2, phi2 = gen_positive_functional(rng, psi1.algebra), \
-            gen_positive_functional(rng, psi1.algebra)
+        psi2, phi2 = functional(rng, psi1.algebra), \
+            functional(rng, psi1.algebra)
         res, (q1, q2, q12, _, _, _) = additivity_point(
             psi1, phi1, psi2, phi2, DivergenceParams(3.0, z=1.2))
         # Nothing asserted; the values are still recorded.
@@ -401,10 +413,10 @@ class TestAdditivity:
     def test_random_grid(self):
         rng = np.random.default_rng(50)
         alg = BlockAlgebra((2,))
-        psi1 = gen_positive_functional(rng, alg)
-        phi1 = gen_positive_functional(rng, alg)
-        psi2 = gen_positive_functional(rng, alg)
-        phi2 = gen_positive_functional(rng, alg)
+        psi1 = functional(rng, alg)
+        phi1 = functional(rng, alg)
+        psi2 = functional(rng, alg)
+        phi2 = functional(rng, alg)
         for alpha in (0.3, 0.7, 1.5, 3.0):
             for z in (0.5, 1.0, alpha, 2 * alpha):
                 res, _ = additivity_point(psi1, phi1, psi2, phi2,
@@ -419,20 +431,20 @@ class TestSharpSolvers:
         for _ in range(25):
             rank_phi = int(rng.integers(1, 3))
             rank_psi = int(rng.integers(1, rank_phi + 1))
-            psi, phi = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+            psi, phi = nested_pair(rng, alg, rank_phi, rank_psi)
             params = DivergenceParams(
                 float(rng.choice([1.5, 2.0, 3.0])),
                 z=float(rng.choice([0.7, 1.0, 2.0])))
-            x1 = solve_sharp_pseudo_inverse(psi, phi, params)
-            x2 = solve_sharp_least_squares(psi, phi, params)
+            x1 = solve(solve_sharp_pseudo_inverse_stack, psi, phi, params)
+            x2 = solve(solve_sharp_least_squares_stack, psi, phi, params)
             assert (x1 - x2).frobenius() <= 1e-8 * (1 + x1.frobenius())
 
     def test_solution_lives_in_corner(self):
         rng = np.random.default_rng(52)
         alg = BlockAlgebra((3,))
-        psi, phi = gen_nested_pair(rng, alg, 2, 1)
+        psi, phi = nested_pair(rng, alg, 2, 1)
         params = DivergenceParams(2.0, z=1.0)
-        x = solve_sharp_pseudo_inverse(psi, phi, params)
+        x = solve(solve_sharp_pseudo_inverse_stack, psi, phi, params)
         s = phi.support()
         assert (s @ x @ s - x).frobenius() <= 1e-10 * (1 + x.frobenius())
 
@@ -440,7 +452,8 @@ class TestSharpSolvers:
         psi = diag_functional([1.0, 0.0])
         phi = diag_functional([0.0, 1.0])
         with pytest.raises(DomainError):
-            solve_sharp_pseudo_inverse(psi, phi, DivergenceParams(2.0, z=1.0))
+            solve(solve_sharp_pseudo_inverse_stack, psi, phi,
+                  DivergenceParams(2.0, z=1.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_certificate_is_over_budget(self):
@@ -449,8 +462,8 @@ class TestSharpSolvers:
         psi = diag_functional([0.5, 0.5, 0.0])
         phi = diag_functional([1.0, 1e-11, 0.0])
         with pytest.raises(ConditioningError) as info:
-            solve_sharp_pseudo_inverse(psi, phi,
-                                       DivergenceParams(3.0, z=0.05))
+            solve(solve_sharp_pseudo_inverse_stack, psi, phi,
+                  DivergenceParams(3.0, z=0.05))
         assert math.isnan(info.value.residual)
 
 
@@ -458,15 +471,15 @@ class TestChannels:
     def test_identity_channel_preserves_functional(self):
         rng = np.random.default_rng(53)
         alg = BlockAlgebra((2, 2))
-        psi = gen_positive_functional(rng, alg)
-        back = precompose(psi, identity_channel(alg))
+        psi = functional(rng, alg)
+        back = pull_back(psi, _identity_channel(alg))
         assert (back.density - psi.density).frobenius() <= 1e-14
 
     def test_pinching_zeroes_offdiagonals(self):
         rng = np.random.default_rng(54)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        out = precompose(psi, pinching_channel(alg))
+        psi = functional(rng, alg)
+        out = pull_back(psi, _pinching_channel(alg))
         got = out.density.blocks[0]
         assert np.abs(got - np.diag(np.diag(got))).max() <= 1e-14
         assert np.allclose(np.diag(got), np.diag(psi.density.blocks[0]))
@@ -475,15 +488,15 @@ class TestChannels:
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
         psi1 = PositiveFunctional(T.left.diagonal([0.4, 0.6]))
         psi2 = PositiveFunctional(T.right.diagonal([0.2, 0.3]))
-        prod = kron_functional(T, psi1, psi2)
-        back = precompose(prod, embed_left_channel(T))
+        prod = kron(T, psi1, psi2)
+        back = pull_back(prod, _embed_left_channel(T))
         assert (back.density - 0.5 * psi1.density).frobenius() <= 1e-13
 
     def test_partial_trace_multiblock(self):
         T = TensorAlgebra(BlockAlgebra((2, 2)), BlockAlgebra((3,)))
         rng = np.random.default_rng(55)
-        psi = gen_positive_functional(rng, T.product)
-        back = precompose(psi, embed_left_channel(T))
+        psi = functional(rng, T.product)
+        back = pull_back(psi, _embed_left_channel(T))
         assert back.mass == pytest.approx(psi.mass, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (1, 1, 2)])
@@ -492,25 +505,25 @@ class TestChannels:
         # have 1, n, 3 and 5 Kraus operators (the ragged-Kraus path).
         rng = np.random.default_rng(58)
         alg = BlockAlgebra(dims)
-        channels = [identity_channel(alg), pinching_channel(alg),
-                    random_unital_channel(rng, alg, alg, num_kraus=3),
-                    random_unital_channel(rng, alg, alg, num_kraus=5)]
-        psis = [gen_positive_functional(rng, alg) for _ in channels]
+        channels = [_identity_channel(alg), _pinching_channel(alg),
+                    unital_channel(rng, alg, alg, num_kraus=3),
+                    unital_channel(rng, alg, alg, num_kraus=5)]
+        psis = [functional(rng, alg) for _ in channels]
         for psi, ch, out in zip(psis, channels, _rows(
                 precompose_stack(stack(psis), channels))):
             for _ in range(3):
-                b = gen_element(rng, alg)
+                b = element(rng, alg)
                 assert abs(out.evaluate(b)
                            - psi.evaluate(forward(ch, b))) <= 1e-12
 
     def test_embedding_pulls_back_through_the_forward_channel(self):
         rng = np.random.default_rng(59)
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
-        ch = embed_left_channel(T)
-        psi = gen_positive_functional(rng, T.product)
+        ch = _embed_left_channel(T)
+        psi = functional(rng, T.product)
         out, = _rows(precompose_stack(stack([psi]), [ch]))
         for _ in range(3):
-            b = gen_element(rng, T.left)
+            b = element(rng, T.left)
             assert abs(out.evaluate(b) - psi.evaluate(forward(ch, b))) <= 1e-12
 
     def test_unitality_enforced(self):
@@ -540,15 +553,14 @@ class TestChannels:
     def test_mass_preserved(self):
         rng = np.random.default_rng(56)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        ch = random_unital_channel(rng, alg, alg, num_kraus=4)
-        assert precompose(psi, ch).mass == pytest.approx(psi.mass,
-                                                         abs=1e-12)
+        psi = functional(rng, alg)
+        ch = unital_channel(rng, alg, alg, num_kraus=4)
+        assert pull_back(psi, ch).mass == pytest.approx(psi.mass, abs=1e-12)
 
     def test_apply_unital(self):
         rng = np.random.default_rng(57)
         alg = BlockAlgebra((2, 2))
-        ch = random_unital_channel(rng, alg, alg, num_kraus=3)
+        ch = unital_channel(rng, alg, alg, num_kraus=3)
         out = forward(ch, alg.identity())
         assert (out - alg.identity()).frobenius() <= 1e-10
 
@@ -557,14 +569,14 @@ class TestDpi:
     def test_valid_region_table(self):
         # sandwiched line z = alpha is valid for alpha >= 1/2
         for alpha in (0.5, 0.9, 1.5, 2.0, 5.0):
-            assert dpi_valid(alpha, alpha)
-        assert dpi_valid(0.3, 0.8)       # z >= 1 - alpha
-        assert not dpi_valid(0.3, 0.2)   # below max(alpha, 1-alpha)
-        assert dpi_valid(2.0, 1.0)       # alpha/2 <= z <= alpha
-        assert not dpi_valid(2.0, 0.4)
-        assert not dpi_valid(2.0, 3.0)
-        assert dpi_valid(3.0, 2.0)       # alpha-1 <= z <= alpha
-        assert not dpi_valid(3.0, 1.5)
+            assert _dpi_valid(alpha, alpha)
+        assert _dpi_valid(0.3, 0.8)       # z >= 1 - alpha
+        assert not _dpi_valid(0.3, 0.2)   # below max(alpha, 1-alpha)
+        assert _dpi_valid(2.0, 1.0)       # alpha/2 <= z <= alpha
+        assert not _dpi_valid(2.0, 0.4)
+        assert not _dpi_valid(2.0, 3.0)
+        assert _dpi_valid(3.0, 2.0)       # alpha-1 <= z <= alpha
+        assert not _dpi_valid(3.0, 1.5)
 
     @pytest.mark.parametrize("alpha,z,valid", [
         (0.0, 1.0, True), (0.0, math.nextafter(1.0, 0.0), False),
@@ -584,37 +596,37 @@ class TestDpi:
     def test_valid_region_boundaries(self, alpha, z, valid):
         # Closed bounds: z >= max(alpha, 1 - alpha) below alpha = 1, and
         # max(alpha - 1, alpha / 2) <= z <= alpha above it.
-        assert dpi_valid(alpha, z) is valid
+        assert _dpi_valid(alpha, z) is valid
 
     def test_identity_channel_equality(self):
         rng = np.random.default_rng(58)
         alg = BlockAlgebra((3,))
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
-        res, _ = dpi_point(psi, phi, identity_channel(alg),
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
+        res, _ = dpi_point(psi, phi, _identity_channel(alg),
                            DivergenceParams(2.0))
         assert within_gates(res, "dpi")
         assert res["monotonicity_violation"] <= 1e-12
 
     def test_pinching_decreases(self):
         res, _ = dpi_point(CLASSICAL_PSI, CLASSICAL_PHI,
-                           pinching_channel(CLASSICAL_PSI.algebra),
+                           _pinching_channel(CLASSICAL_PSI.algebra),
                            DivergenceParams(2.0, z=2.0))
         assert within_gates(res, "dpi")
 
     def test_embedding_with_matched_second_factor_gives_equality(self):
         rng = np.random.default_rng(59)
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
-        psi1 = gen_positive_functional(rng, T.left)
-        phi1 = gen_positive_functional(rng, T.left)
-        psi2 = gen_positive_functional(rng, T.right)
-        prod_psi = kron_functional(T, psi1, psi2)
-        prod_phi = kron_functional(T, phi1, psi2)
+        psi1 = functional(rng, T.left)
+        phi1 = functional(rng, T.left)
+        psi2 = functional(rng, T.right)
+        prod_psi = kron(T, psi1, psi2)
+        prod_phi = kron(T, phi1, psi2)
         params = DivergenceParams(2.0)
         d_prod = d_tilde(prod_psi, prod_phi, params)
         d_left = d_tilde(psi1, phi1, params)
         assert d_prod.value == pytest.approx(d_left.value, abs=1e-10)
-        res, _ = dpi_point(prod_psi, prod_phi, embed_left_channel(T), params)
+        res, _ = dpi_point(prod_psi, prod_phi, _embed_left_channel(T), params)
         assert within_gates(res, "dpi")
         assert res["monotonicity_violation"] <= 1e-9
 
@@ -622,9 +634,9 @@ class TestDpi:
         rng = np.random.default_rng(60)
         alg = BlockAlgebra((3,))
         for _ in range(20):
-            psi = gen_positive_functional(rng, alg)
-            phi = gen_positive_functional(rng, alg)
-            ch = random_unital_channel(rng, alg, alg, num_kraus=3)
+            psi = functional(rng, alg)
+            phi = functional(rng, alg)
+            ch = unital_channel(rng, alg, alg, num_kraus=3)
             for alpha in (0.5, 0.7, 1.5, 2.0):
                 res, _ = dpi_point(psi, phi, ch, DivergenceParams(alpha))
                 assert within_gates(res, "dpi"), (alpha, res)
@@ -632,9 +644,9 @@ class TestDpi:
     def test_outside_valid_range_records_only(self):
         rng = np.random.default_rng(61)
         alg = BlockAlgebra((2,))
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
-        res, (d_in, d_out, _, _) = dpi_point(psi, phi, pinching_channel(alg),
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
+        res, (d_in, d_out, _, _) = dpi_point(psi, phi, _pinching_channel(alg),
                                              DivergenceParams(2.0, z=0.3))
         # Nothing asserted; both values are still recorded.
         assert res == {}
@@ -646,7 +658,7 @@ class TestDpi:
         alg = BlockAlgebra((4,))
         psi, phi, _, _ = gen_classical_pair(np.random.default_rng(62), alg,
                                             orthogonal=True)
-        _, (d_in, d_out, gap, _) = dpi_point(psi, phi, identity_channel(alg),
+        _, (d_in, d_out, gap, _) = dpi_point(psi, phi, _identity_channel(alg),
                                              DivergenceParams(2.0))
         assert str(d_in) == str(d_out) == "inf reason=support_violation"
         assert gap == 0.0
@@ -664,9 +676,9 @@ class TestDpi:
             return d, d
 
         monkeypatch.setattr(divergence, "_d_stack", infinite)
-        assert dpi_valid(0.5, 0.5)
+        assert _dpi_valid(0.5, 0.5)
         res, (d_in, d_out, gap, _) = dpi_point(
-            CLASSICAL_PSI, CLASSICAL_PHI, pinching_channel(
+            CLASSICAL_PSI, CLASSICAL_PHI, _pinching_channel(
                 CLASSICAL_PSI.algebra), DivergenceParams(0.5))
         assert (d_in.reason, d_out.reason) == (Reason.ZERO_REFERENCE,
                                                Reason.ZERO_Q_ALPHA_LT_1)

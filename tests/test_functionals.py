@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, DomainError,
-                  PositiveFunctional, ShapeError, canonical_trace,
-                  connes_cocycle, gen_orthogonal_pair,
-                  gen_positive_functional, scale)
-from nclp.algebra import _unstack
-from nclp.functionals import cocycle_chain_stack, lemma1_cut_stack
+                  PositiveFunctional, ShapeError)
+from nclp.algebra import _unstack, canonical_trace
+from nclp.functionals import (cocycle_chain_stack, connes_cocycle_stack,
+                              lemma1_cut_stack)
 
-from _stacks import stack
+from _stacks import functional, orthogonal_pair, stack
 
 
 def diag_functional(entries):
     alg = BlockAlgebra((len(entries),))
     return PositiveFunctional(alg.diagonal(entries))
+
+
+def cocycle(psi, phi, t):
+    """u_t(psi, phi) as an element: a one-pair call of the stack."""
+    return _unstack(connes_cocycle_stack(stack([psi]), stack([phi]), [t]))[0]
 
 
 def support_cut(psi, psi_prime, phi, t):
@@ -71,36 +75,18 @@ class TestDensity:
         assert not diag_functional([0.5, 0.0]).is_faithful
 
 
-class TestScale:
-    def test_unchanged(self):
-        psi = diag_functional([0.3, 0.7])
-        assert (scale(psi, 1.0).density - psi.density).frobenius() == 0.0
-
-    def test_zero(self):
-        psi = diag_functional([0.3, 0.7])
-        assert scale(psi, 0.0).is_zero
-
-    def test_mass_linearity(self):
-        psi = diag_functional([0.2, 0.3])
-        assert scale(psi, 2.0).mass == pytest.approx(1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            scale(diag_functional([1.0]), -0.5)
-
-
 class TestCocycle:
     def test_self_cocycle_is_identity(self):
         phi = diag_functional([0.25, 0.75])
         eye = phi.algebra.identity()
         for t in (-2.0, 0.0, 0.4, 3.7):
-            u = connes_cocycle(phi, phi, t)
+            u = cocycle(phi, phi, t)
             assert (u - eye).frobenius() <= 1e-12
 
     def test_commuting_diagonal_oracle(self):
         psi = diag_functional([0.5, 0.5])
         phi = diag_functional([1 / 3, 2 / 3])
-        u = connes_cocycle(psi, phi, 1.0)
+        u = cocycle(psi, phi, 1.0)
         expected = np.diag([np.exp(1j * np.log(1.5)),
                             np.exp(1j * np.log(0.75))])
         assert np.abs(u.blocks[0] - expected).max() <= 1e-14
@@ -108,35 +94,35 @@ class TestCocycle:
     def test_zero_time_gives_support(self):
         psi = diag_functional([0.4, 0.0])
         phi = diag_functional([0.5, 0.5])
-        u = connes_cocycle(psi, phi, 0.0)
+        u = cocycle(psi, phi, 0.0)
         assert (u - psi.support()).frobenius() <= 1e-12
 
     def test_non_faithful_reference_rejected(self):
         psi = diag_functional([0.5, 0.5])
         phi = diag_functional([1.0, 0.0])
         with pytest.raises(DomainError):
-            connes_cocycle(psi, phi, 1.0)
+            cocycle(psi, phi, 1.0)
 
     def test_different_algebras_shape_error(self):
         psi = diag_functional([0.5, 0.5])
         phi = diag_functional([0.2, 0.3, 0.5])
         with pytest.raises(ShapeError, match="same algebra"):
-            connes_cocycle(psi, phi, 0.5)
+            cocycle(psi, phi, 0.5)
 
     def test_chain_rule_commuting_faithful_triple(self):
         psi = diag_functional([0.5, 0.5])
         chi = diag_functional([0.1, 0.9])
         phi = diag_functional([1 / 3, 2 / 3])
         for t in (-1.5, 0.7):
-            lhs = connes_cocycle(psi, chi, t) @ connes_cocycle(chi, phi, t)
-            assert (lhs - connes_cocycle(psi, phi, t)).frobenius() <= 1e-10
+            lhs = cocycle(psi, chi, t) @ cocycle(chi, phi, t)
+            assert (lhs - cocycle(psi, phi, t)).frobenius() <= 1e-10
 
     def test_flow_twisted_chain_rule_non_commuting(self):
         alg = BlockAlgebra((3,))
         rng = np.random.default_rng(12)
         for _ in range(10):
-            psi = gen_positive_functional(rng, alg)
-            phi = gen_positive_functional(rng, alg)
+            psi = functional(rng, alg)
+            phi = functional(rng, alg)
             t, s = rng.uniform(-5, 5, 2)
             assert cocycle_chain_stack(stack([psi]), stack([phi]), [t],
                                        [s])[0] <= 1e-10
@@ -145,7 +131,7 @@ class TestCocycle:
         psi = diag_functional([0.4, 0.0, 0.6])
         phi = diag_functional([0.2, 0.5, 0.3])
         for t in (-3.0, 1.1):
-            u = connes_cocycle(psi, phi, t)
+            u = cocycle(psi, phi, t)
             assert (u.adjoint() @ u - psi.support()).frobenius() <= 1e-10
 
 
@@ -155,7 +141,7 @@ class TestLemma1Cut:
         psi_prime = PositiveFunctional.zero(psi.algebra)
         phi = diag_functional([0.3, 0.7])
         lhs, rhs = support_cut(psi, psi_prime, phi, 0.9)
-        direct = connes_cocycle(psi, phi, 0.9)
+        direct = cocycle(psi, phi, 0.9)
         assert (lhs - direct).frobenius() <= 1e-12
         assert (rhs - direct).frobenius() <= 1e-12
 
@@ -175,8 +161,8 @@ class TestLemma1Cut:
             n = alg.carrier_dim
             for _ in range(25):
                 rank = int(rng.integers(1, n))
-                psi, psi_prime = gen_orthogonal_pair(rng, alg, rank)
-                phi = gen_positive_functional(rng, alg)
+                psi, psi_prime = orthogonal_pair(rng, alg, rank)
+                phi = functional(rng, alg)
                 t = float(rng.uniform(-5, 5))
                 lhs, rhs = support_cut(psi, psi_prime, phi, t)
                 assert (lhs - rhs).frobenius() <= 1e-9

@@ -2,10 +2,11 @@
 returns or raises NclpError, never another exception.
 
 Covered: BlockAlgebra, AlgebraElement (also through diagonal),
-PositiveFunctional, DivergenceParams, LpExponent, KosakiSpec,
-QuantumChannel and SuiteConfig; a SuiteConfig that constructs with few
-trials must also run.  Known holes in other public functions given junk
-arguments are pinned as single cases at the end.
+PositiveFunctional, DivergenceParams, LpExponent, KosakiSpec and
+SuiteConfig, and QuantumChannel, which the dpi suite builds; a SuiteConfig
+that constructs with few trials must also run.  Known holes in other
+public functions given junk arguments are pinned as single cases at the
+end.
 The arguments mix valid values with wrong types, numbers beyond the float
 range, non-finite numbers, strings and wrong shapes; an argument meant to
 be an algebra, an element or a functional may be junk or an object of
@@ -23,14 +24,12 @@ from hypothesis import strategies as st
 
 from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DivergenceValue, DomainError, KosakiSpec, LpExponent,
-                  NclpError, PositiveFunctional, QuantumChannel, Reason,
-                  ShapeError, SuiteConfig, TensorAlgebra,
-                  classical_renyi_oracle, connes_cocycle, d_tilde,
-                  identity_channel, kosaki_embed, kosaki_membership,
-                  kosaki_norm, kron_element, kron_functional, lp_norm,
-                  parse_dims, polar_decompose, precompose, q_tilde_alpha,
-                  run_suite, scale, solve_sharp_pseudo_inverse)
+                  NclpError, PositiveFunctional, Reason, ShapeError,
+                  SuiteConfig, TensorAlgebra, classical_renyi_oracle,
+                  d_tilde, kosaki_norm, kron_element, lp_norm, parse_dims,
+                  q_tilde_alpha, q_tilde_alpha_z, run_suite, summarize)
 from nclp.algebra import _stack
+from nclp.divergence import QuantumChannel
 from nclp.tensor import corollary7_norm_stack
 
 from _stacks import stack
@@ -220,9 +219,6 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: _IDENTITY.imaginary_power("x"),
     lambda: REFERENCES["faithful"].power("x"),
     lambda: REFERENCES["faithful"].imaginary_power("x"),
-    lambda: scale(REFERENCES["faithful"], math.inf),
-    lambda: scale(REFERENCES["faithful"], "a"),
-    lambda: scale(REFERENCES["faithful"], None),
     lambda: _ALG.identity() * math.inf,
     lambda: _ALG.identity() * math.nan,
     lambda: _ALG.identity() / 0.0,
@@ -231,8 +227,6 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: _ALG.identity() * np.array([1.0, 2.0]),
     lambda: AlgebraElement(_ALG, [[[math.inf, 0], [0, 1]]]),
     lambda: _ALG.diagonal([math.nan, 1.0]),
-    lambda: kron_functional(TensorAlgebra(_ALG, _ALG), "x",
-                            REFERENCES["faithful"]),
     lambda: DivergenceValue(math.nan),
     lambda: DivergenceValue("x"),
     lambda: DivergenceValue(-math.inf, Reason.SUPPORT_VIOLATION),
@@ -247,24 +241,32 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: DivergenceParams("2"),
     lambda: LpExponent("2"),
     lambda: LpExponent(b"2"),
-    lambda: scale(REFERENCES["faithful"], "2"),
     lambda: KosakiSpec(REFERENCES["faithful"], 2, "0.5"),
     lambda: DivergenceValue("1.5"),
     lambda: REFERENCES["faithful"].power("0.5"),
     lambda: classical_renyi_oracle([0.5, 0.5], [0.5, 0.5], "2"),
     lambda: PositiveFunctional(_ALG.identity(), eps_rel="1e-3"),
-    lambda: polar_decompose(_ALG.identity(), b"1e-3"),
+    lambda: PositiveFunctional(_ALG.identity(), eps_rel=b"1e-3"),
     lambda: q_tilde_alpha("x", REFERENCES["faithful"], 2.0),
     lambda: q_tilde_alpha(REFERENCES["faithful"], "x", 2.0),
     lambda: d_tilde("x", REFERENCES["faithful"], DivergenceParams(2.0)),
-    lambda: precompose("x", identity_channel(_ALG)),
-    lambda: connes_cocycle("x", REFERENCES["faithful"], 0.1),
-    lambda: solve_sharp_pseudo_inverse("x", REFERENCES["faithful"],
-                                       DivergenceParams(2.0)),
-    lambda: polar_decompose("x"),
-    lambda: kosaki_embed("x", KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
-    lambda: kosaki_membership("x",
-                              KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
+    lambda: d_tilde(REFERENCES["faithful"], "x", DivergenceParams(2.0)),
+    lambda: q_tilde_alpha(REFERENCES["faithful"], REFERENCES["faithful"],
+                          "x"),
+    lambda: q_tilde_alpha_z("x", REFERENCES["faithful"],
+                            DivergenceParams(2.0)),
+    lambda: q_tilde_alpha_z(REFERENCES["faithful"], "x",
+                            DivergenceParams(2.0)),
+    lambda: kosaki_norm("x", KosakiSpec(REFERENCES["faithful"], 2.0, 0.5)),
+    lambda: kosaki_norm(_ALG.identity(), "x"),
+    lambda: q_tilde_alpha_z(REFERENCES["faithful"], REFERENCES["faithful"],
+                            2.0),
+    lambda: d_tilde(REFERENCES["faithful"], REFERENCES["faithful"], 2.0),
+    lambda: run_suite("x"),
+    lambda: summarize("x"),
+    lambda: summarize([1]),
+    lambda: summarize(None),
+    lambda: kosaki_norm(_ALG.identity(), None),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -275,23 +277,24 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "long_calculus_values", "text_calculus_values", "text_calculus_zero",
         "text_power",
         "complex_power", "text_imaginary_power", "text_functional_power",
-        "text_functional_imaginary_power", "infinite_scale", "text_scale",
-        "none_scale", "infinite_factor", "nan_factor", "zero_divisor",
-        "text_divisor", "subnormal_divisor", "array_factor", "inf_entry",
-        "nan_entry", "text_kron_functional_factor", "nan_divergence_value",
+        "text_functional_imaginary_power", "infinite_factor", "nan_factor",
+        "zero_divisor", "text_divisor", "subnormal_divisor", "array_factor",
+        "inf_entry", "nan_entry", "nan_divergence_value",
         "text_divergence_value", "negative_infinite_divergence_value",
         "nan_oracle_order", "infinite_oracle_order", "nan_oracle_weight",
         "negative_oracle_weight", "unequal_oracle_lengths",
         "unknown_divergence_reason", "text_divergence_reason",
         "numeric_text_lp_norm_exponent", "numeric_text_alpha",
-        "numeric_text_exponent", "numeric_bytes_exponent",
-        "numeric_text_scale", "numeric_text_eta",
+        "numeric_text_exponent", "numeric_bytes_exponent", "numeric_text_eta",
         "numeric_text_divergence_value", "numeric_text_functional_power",
         "numeric_text_oracle_order", "numeric_text_cutoff",
         "numeric_bytes_cutoff", "text_q_left", "text_q_reference",
-        "text_d_left", "text_precompose_functional", "text_cocycle_left",
-        "text_solve_left", "text_polar_element", "text_embed_element",
-        "text_membership_element"])
+        "text_d_left", "text_d_reference", "text_q_params",
+        "text_q_alpha_z_left", "text_q_alpha_z_reference",
+        "text_kosaki_norm_element", "text_kosaki_spec",
+        "number_alpha_z_params", "number_d_params",
+        "text_suite_config", "text_reports", "number_report", "none_reports",
+        "none_kosaki_spec"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.

@@ -16,22 +16,20 @@ import pytest
 
 from nclp import (BlockAlgebra, ConditioningError, DivergenceParams,
                   KosakiSpec, LpExponent, PositiveFunctional, Reason,
-                  SuiteConfig, TensorAlgebra, d_tilde,
-                  default_eps_rel, gen_classical_pair, gen_element,
-                  gen_nested_pair, gen_positive_functional, kosaki_norm,
-                  lp_norm, parse_dims, pinching_channel, q_tilde_alpha,
-                  q_tilde_alpha_z, random_unital_channel, run_suite,
-                  singular_values)
+                  SuiteConfig, TensorAlgebra, d_tilde, default_eps_rel,
+                  gen_classical_pair, kosaki_norm, lp_norm, parse_dims,
+                  q_tilde_alpha, q_tilde_alpha_z, run_suite)
 from nclp.algebra import _stack
-from nclp.divergence import (_d_stack, additivity_stack, dpi_probe_stack,
-                             lemma9_stack, q_tilde_stack)
+from nclp.divergence import (_d_stack, _pinching_channel, additivity_stack,
+                             dpi_probe_stack, lemma9_stack, q_tilde_stack)
 from nclp.errors import _raise_pairwise
-from nclp.lp import _kosaki_point, _schatten, kosaki_norm_stack
+from nclp.lp import (_kosaki_point, _schatten, kosaki_norm_stack,
+                     singular_values_stack)
 from nclp.tensor import (corollary7_norm_stack, lemma5_imaginary_stack,
                          lemma5_power_stack, theorem6_norm_stack)
 
 from _outcomes import points, row
-from _stacks import stack
+from _stacks import element, functional, nested_pair, stack, unital_channel
 
 ALPHAS = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 AZ_GRID = tuple(DivergenceParams(a, z=z) for a in ALPHAS
@@ -53,17 +51,16 @@ def pairs(dims, seed):
     alg = BlockAlgebra(dims)
     rng = np.random.default_rng(seed)
     n = alg.carrier_dim
-    psi_n, phi_n = gen_nested_pair(rng, alg, n - 1, max(1, n - 2))
+    psi_n, phi_n = nested_pair(rng, alg, n - 1, max(1, n - 2))
     orth_psi, orth_phi, _, _ = gen_classical_pair(rng, alg, orthogonal=True)
     return [
-        ("faithful", gen_positive_functional(rng, alg),
-         gen_positive_functional(rng, alg)),
+        ("faithful", functional(rng, alg),
+         functional(rng, alg)),
         ("nested", psi_n, phi_n),
         ("support_violation", phi_n, psi_n),
-        ("deficient_psi", gen_positive_functional(
-            rng, alg, ("deficient", 1)), gen_positive_functional(rng, alg)),
+        ("deficient_psi", functional(rng, alg, 1), functional(rng, alg)),
         ("orthogonal", orth_psi, orth_phi),
-        ("zero_reference", gen_positive_functional(rng, alg),
+        ("zero_reference", functional(rng, alg),
          PositiveFunctional.zero(alg)),
     ]
 
@@ -123,10 +120,10 @@ class TestDivergenceGrid:
     def test_dpi_grid(self, dims):
         alg = BlockAlgebra(dims)
         rng = np.random.default_rng(31)
-        psi = gen_positive_functional(rng, alg)
-        phi = gen_positive_functional(rng, alg)
-        for channel in (pinching_channel(alg),
-                        random_unital_channel(rng, alg, alg)):
+        psi = functional(rng, alg)
+        phi = functional(rng, alg)
+        for channel in (_pinching_channel(alg),
+                        unital_channel(rng, alg, alg)):
             got = points(dpi_probe_stack(stack([psi]), stack([phi]), [channel],
                                          MIXED_GRID))
             want = [points(dpi_probe_stack(stack([psi]), stack([phi]),
@@ -177,7 +174,7 @@ class TestNormGrids:
     def test_kosaki_grid_equals_one_point_loop(self, dims):
         alg = BlockAlgebra(dims)
         rng = np.random.default_rng(41)
-        phi, y = gen_positive_functional(rng, alg), gen_element(rng, alg)
+        phi, y = functional(rng, alg), element(rng, alg)
         grid = kosaki_grid_points()
         assert kosaki_norms(y, phi, grid) == [
             kosaki_norm(y, KosakiSpec(phi, p, eta)) for p, eta in grid]
@@ -186,7 +183,7 @@ class TestNormGrids:
         # p = 1 has q = inf, so eta/q = (1-eta)/q = 0: the norm is ||y||_1.
         alg = BlockAlgebra((2, 3))
         rng = np.random.default_rng(42)
-        phi, y = gen_positive_functional(rng, alg), gen_element(rng, alg)
+        phi, y = functional(rng, alg), element(rng, alg)
         grid = [(1.0, 0.0), (1.0, 0.5)]
         assert kosaki_norms(y, phi, grid) == [lp_norm(y, 1.0)] * 2
 
@@ -196,7 +193,7 @@ class TestNormGrids:
         # which only non-identity points see.
         alg = BlockAlgebra((2,))
         phi = PositiveFunctional(alg.diagonal([1.0, 5e-13]))
-        y = gen_element(np.random.default_rng(43), alg)
+        y = element(np.random.default_rng(43), alg)
         grid = [(1.0, 0.5), (2.0, 0.5), (4.0, 0.0)]
         assert kosaki_norm(y, KosakiSpec(phi, 1.0, 0.5)) == lp_norm(y, 1.0)
         with pytest.raises(ConditioningError) as one:
@@ -207,9 +204,9 @@ class TestNormGrids:
 
     @pytest.mark.parametrize("dims", PROFILES)
     def test_lp_norms(self, dims):
-        x = gen_element(np.random.default_rng(44), BlockAlgebra(dims))
+        x = element(np.random.default_rng(44), BlockAlgebra(dims))
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
-        s = singular_values(x)
+        s = singular_values_stack(x.blocks)
         assert [_schatten(s, LpExponent(p)) for p in ps] == [
             lp_norm(x, p) for p in ps]
 
@@ -217,7 +214,7 @@ class TestNormGrids:
     def test_theorem6_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(45)
-        xs, ys = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+        xs, ys = _stack([element(rng, T.left)]), _stack([element(
             rng, T.right)])
         ps = (0.5, 1.0, 1.7, 2.0, 3.0, math.inf)
         assert theorem6_norm_stack(xs, ys, ps)[0] == [
@@ -227,9 +224,9 @@ class TestNormGrids:
     def test_corollary7_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(46)
-        phi1 = gen_positive_functional(rng, T.left)
-        phi2 = gen_positive_functional(rng, T.right)
-        x1s, x2s = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+        phi1 = functional(rng, T.left)
+        phi2 = functional(rng, T.right)
+        x1s, x2s = _stack([element(rng, T.left)]), _stack([element(
             rng, T.right)])
         grid = kosaki_grid_points()
         phi1s, phi2s = stack([phi1]), stack([phi2])
@@ -243,7 +240,7 @@ class TestTensorGrids:
     def test_lemma5_power_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(51)
-        xs, ys = _stack([gen_element(rng, T.left)]), _stack([gen_element(
+        xs, ys = _stack([element(rng, T.left)]), _stack([element(
             rng, T.right)])
         powers = (0.5, 1.0, 2.0, 2.7)
         eps = default_eps_rel()
@@ -255,9 +252,8 @@ class TestTensorGrids:
     def test_lemma5_imaginary_grid(self, left, right):
         T = TensorAlgebra(BlockAlgebra(left), BlockAlgebra(right))
         rng = np.random.default_rng(52)
-        h1s = _stack([gen_positive_functional(rng, T.left,
-                                              ("deficient", 1)).density])
-        h2s = _stack([gen_positive_functional(rng, T.right).density])
+        h1s = _stack([functional(rng, T.left, 1).density])
+        h2s = _stack([functional(rng, T.right).density])
         ts = (-1.2, 0.3, 1.0)
         eps = default_eps_rel()
         got = lemma5_imaginary_stack(h1s, h2s, [ts], eps)[0]

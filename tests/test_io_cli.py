@@ -14,12 +14,14 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, CutoffError,
                   DivergenceParams, DomainError, FileFormatError,
                   PositiveFunctional, TensorAlgebra, UsageError, d_tilde,
-                  default_eps_rel, gen_positive_functional, kron_element,
-                  lp_norm, q_tilde_alpha, q_tilde_alpha_z)
+                  default_eps_rel, kron_element, lp_norm, q_tilde_alpha,
+                  q_tilde_alpha_z)
 from nclp import cli, io
 from nclp.cli import main
 from nclp.config import resolve_eps_rel
 from nclp.suites import SUITE_NAMES
+
+from _stacks import functional
 
 
 def write_diag(path, entries, kind="functional"):
@@ -465,8 +467,8 @@ class TestLoadFunctionals:
         rng = np.random.default_rng(5)
         paths = [tmp_path / "psi.json", tmp_path / "phi.json"]
         for path in paths:
-            io.save_matrix_file(path, gen_positive_functional(
-                rng, alg).density, "functional")
+            io.save_matrix_file(path, functional(rng, alg).density,
+                                "functional")
         for psi, path in zip(io.load_functionals(paths), paths):
             one = io.load_functional(path)
             for a, b in zip((*psi.density.blocks, *psi._spectrum.eigenvalues,

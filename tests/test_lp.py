@@ -8,13 +8,13 @@ import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DomainError, KosakiSpec, LpExponent, PositiveFunctional,
-                  UsageError, gen_element, gen_positive_functional,
-                  kosaki_embed, kosaki_membership, kosaki_norm, lp_norm)
-from nclp.algebra import _stack
-from nclp.lp import (_kosaki_point, interpolation_bound_stack,
-                     lemma3_bijectivity_stack)
+                  UsageError, kosaki_norm, lp_norm)
+from nclp.algebra import _stack, _unstack
+from nclp.errors import _raise_pairwise
+from nclp.lp import (_kosaki_memberships, _kosaki_point, _sandwich_stack,
+                     interpolation_bound_stack, lemma3_bijectivity_stack)
 
-from _stacks import stack
+from _stacks import element, functional, polar, stack
 
 RNG = np.random.default_rng(21)
 
@@ -23,6 +23,22 @@ def rand_element(alg, rng=RNG):
     return AlgebraElement(alg, [
         (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         / np.sqrt(2) for n in alg.block_dims])
+
+
+def embed(a, spec):
+    """h^eta a h^{1-eta}, h the density of spec's phi: one element of the
+    sandwich stack."""
+    return _unstack(_sandwich_stack(_stack([a]), stack([spec.phi]),
+                                    [spec.eta], [1.0 - spec.eta]))[0]
+
+
+def membership(y, spec):
+    """The solution x of y = h^{eta/q} x h^{(1-eta)/q}: one point of the
+    membership stack, whose error it raises."""
+    blocks, errors = _kosaki_memberships(_stack([y]), stack([spec.phi]),
+                                         [[(spec.p, spec.eta)]])
+    _raise_pairwise(errors)
+    return _unstack([b[:, 0] for b in blocks])[0]
 
 
 class TestLpExponent:
@@ -72,7 +88,7 @@ class TestLpNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="exceeds the float range"):
-                kosaki_membership(alg.diagonal([1e308, 1e308]), spec)
+                membership(alg.diagonal([1e308, 1e308]), spec)
 
     @pytest.mark.parametrize("entries,p,want", [
         ([1e-200, 1e-200], 2, math.sqrt(2.0) * 1e-200),
@@ -94,7 +110,7 @@ class TestLpNorm:
             np.array([[0.5, 0.1], [0.1, 0.5]])]))
         y = alg.diagonal([0.06, 0.04])
         spec = KosakiSpec(phi, 1500, 0.5)
-        s = np.linalg.svd(kosaki_membership(y, spec).blocks[0],
+        s = np.linalg.svd(membership(y, spec).blocks[0],
                           compute_uv=False)
         top = float(s.max())
         want = top * math.fsum(float(v) ** 1500 for v in s / top) ** (1 / 1500)
@@ -127,11 +143,10 @@ class TestLpNorm:
         assert lp_norm(x, 1.7) == pytest.approx(expected, abs=1e-12)
 
     def test_adjoint_and_modulus_invariance(self):
-        from nclp import polar_decompose
         alg = BlockAlgebra((3, 2))
         for p in (0.5, 1.0, 1.7, 2.0, math.inf):
             x = rand_element(alg)
-            _, absx = polar_decompose(x)
+            _, absx = polar(x)
             n = lp_norm(x, p)
             assert lp_norm(x.adjoint(), p) == pytest.approx(n, rel=1e-12)
             assert lp_norm(absx, p) == pytest.approx(n, rel=1e-12)
@@ -188,20 +203,20 @@ class TestEmbedMembership:
 
     def test_identity_embeds_to_density(self):
         spec = KosakiSpec(self.phi, 2.0, 0.5)
-        y = kosaki_embed(self.alg.identity(), spec)
+        y = embed(self.alg.identity(), spec)
         assert (y - self.phi.density).frobenius() <= 1e-12
 
     def test_eta_zero_is_right_multiplication(self):
         spec = KosakiSpec(self.phi, 2.0, 0.0)
         a = rand_element(self.alg)
-        assert (kosaki_embed(a, spec)
+        assert (embed(a, spec)
                 - a @ self.phi.density).frobenius() == 0.0
 
     def test_half_eta_matches_power_sandwich(self):
         spec = KosakiSpec(self.phi, 2.0, 0.5)
         a = rand_element(self.alg)
         root = self.phi.power(0.5)
-        assert (kosaki_embed(a, spec)
+        assert (embed(a, spec)
                 - root @ a @ root).frobenius() <= 1e-12
 
     def test_membership_of_density_is_power(self):
@@ -209,7 +224,7 @@ class TestEmbedMembership:
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 1.0):
                 spec = KosakiSpec(self.phi, p, eta)
-                x = kosaki_membership(self.phi.density, spec)
+                x = membership(self.phi.density, spec)
                 expected = self.phi.power(1.0 / p) \
                     if not math.isinf(p) else self.phi.support()
                 assert (x - expected).frobenius() <= 1e-11
@@ -218,17 +233,17 @@ class TestEmbedMembership:
         a = rand_element(self.alg)
         for eta in (0.0, 0.5, 1.0):
             spec = KosakiSpec(self.phi, math.inf, eta)
-            x = kosaki_membership(kosaki_embed(a, spec), spec)
+            x = membership(embed(a, spec), spec)
             assert (x - a).frobenius() <= 1e-9
 
     def test_random_recomposition(self):
         rng = np.random.default_rng(22)
         alg = BlockAlgebra((3,))
         for _ in range(20):
-            phi = gen_positive_functional(rng, alg)
+            phi = functional(rng, alg)
             spec = KosakiSpec(phi, 2.5, 0.25)
-            y = gen_element(rng, alg)
-            x = kosaki_membership(y, spec)
+            y = element(rng, alg)
+            x = membership(y, spec)
             inv_q = 1 - 1 / 2.5
             left = phi.power(0.25 * inv_q)
             right = phi.power(0.75 * inv_q)
@@ -249,8 +264,8 @@ class TestKosakiNorm:
     def test_p1_endpoint_is_trace_norm(self):
         rng = np.random.default_rng(23)
         alg = BlockAlgebra((3,))
-        phi = gen_positive_functional(rng, alg)
-        y = gen_element(rng, alg)
+        phi = functional(rng, alg)
+        y = element(rng, alg)
         spec = KosakiSpec(phi, 1.0, 0.5)
         assert kosaki_norm(y, spec) == pytest.approx(
             lp_norm(y, 1), abs=1e-12)
@@ -260,7 +275,7 @@ class TestKosakiNorm:
         phi = PositiveFunctional(alg.diagonal([1 / 3, 2 / 3]))
         a = alg.diagonal([1.0, 0.0])
         spec = KosakiSpec(phi, 2.0, 0.0)
-        y = kosaki_embed(a, spec)
+        y = embed(a, spec)
         assert kosaki_norm(y, spec) == pytest.approx(
             math.sqrt(1 / 3), abs=1e-12)
 
@@ -269,7 +284,7 @@ class TestKosakiNorm:
         phi = PositiveFunctional(alg.diagonal([0.2, 0.3, 0.5]))
         a = alg.diagonal([1.5, -0.7, 2.2])  # commutes with the density
         p = 2.5
-        values = [kosaki_norm(kosaki_embed(a, KosakiSpec(phi, p, eta)),
+        values = [kosaki_norm(embed(a, KosakiSpec(phi, p, eta)),
                               KosakiSpec(phi, p, eta))
                   for eta in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert max(values) - min(values) <= 1e-10
@@ -302,8 +317,8 @@ class TestInterpolationBound:
         rng = np.random.default_rng(24)
         alg = BlockAlgebra((3,))
         for _ in range(100):
-            phi = gen_positive_functional(rng, alg)
-            a = gen_element(rng, alg)
+            phi = functional(rng, alg)
+            a = element(rng, alg)
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
             eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             lhs, rhs = interpolation_bound(a, phi, p, eta)
@@ -324,5 +339,5 @@ class TestBijectivity:
     def test_multi_block_random(self):
         rng = np.random.default_rng(25)
         alg = BlockAlgebra((2, 3))
-        phi = gen_positive_functional(rng, alg)
+        phi = functional(rng, alg)
         assert lemma3_bijectivity_stack(stack([phi]), [3.0]) == [True]

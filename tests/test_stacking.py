@@ -21,23 +21,21 @@ import pytest
 from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   DivergenceParams, DomainError, LpExponent,
                   PositiveFunctional, Reason, ShapeError, SuiteConfig,
-                  TensorAlgebra, default_eps_rel, identity_channel,
-                  gen_classical_pair, gen_element, gen_nested_pair,
-                  gen_orthogonal_pair, gen_positive_functional, io,
-                  kron_element, q_tilde_alpha, q_tilde_alpha_z,
-                  canonical_trace, random_unital_channel, run_suite,
+                  TensorAlgebra, default_eps_rel, gen_classical_pair, io,
+                  kron_element, q_tilde_alpha, q_tilde_alpha_z, run_suite,
                   trial_rng)
 from nclp import divergence, functionals, lp, suites, tensor
 from nclp.algebra import (SpectrumStack, _clip_stack, _clipped_eig_stack,
-                          _stack)
+                          _stack, canonical_trace)
 from nclp.cli import main
-from nclp.divergence import REASONS, q_tilde_stack
-from nclp.functionals import connes_cocycle, connes_cocycle_stack
+from nclp.divergence import REASONS, _identity_channel, q_tilde_stack
+from nclp.functionals import connes_cocycle_stack
 from nclp.tensor import (corollary7_norm_stack, lemma5_power_stack,
                          theorem6_spanning)
 
 from _outcomes import value
-from _stacks import stack
+from _stacks import (element, functional, nested_pair, orthogonal_pair,
+                     stack, unital_channel)
 
 # Each suite at its default profiles and at one profile of unequal blocks.
 PROFILES = [(name, dims) for name in suites.SUITE_NAMES
@@ -108,7 +106,7 @@ def one_point_q(psi, phi, params):
 
 
 def _densities(alg, seed, count):
-    return [gen_positive_functional(trial_rng(seed, j), alg).density
+    return [functional(trial_rng(seed, j), alg).density
             for j in range(count)]
 
 
@@ -149,10 +147,10 @@ class TestStackedErrors:
     def test_reference_below_the_faithfulness_floor(self):
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
         rng = np.random.default_rng(11)
-        x1s = [gen_element(rng, T.left) for _ in range(3)]
-        x2s = [gen_element(rng, T.right) for _ in range(3)]
-        phi1s = [gen_positive_functional(rng, T.left) for _ in range(3)]
-        phi2s = [gen_positive_functional(rng, T.right) for _ in range(3)]
+        x1s = [element(rng, T.left) for _ in range(3)]
+        x2s = [element(rng, T.right) for _ in range(3)]
+        phi1s = [functional(rng, T.left) for _ in range(3)]
+        phi2s = [functional(rng, T.right) for _ in range(3)]
         phi2s[1] = PositiveFunctional(T.right.diagonal([1.0, 1e-15]))
         grid = [(2.0, 0.5), (3.0, 0.25)]
         want = _raised(lambda: corollary7_norm_stack(
@@ -166,8 +164,8 @@ class TestStackedErrors:
     def test_power_not_positive(self):
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
         rng = np.random.default_rng(12)
-        xs = [gen_element(rng, T.left) for _ in range(3)]
-        ys = [gen_element(rng, T.right) for _ in range(3)]
+        xs = [element(rng, T.left) for _ in range(3)]
+        ys = [element(rng, T.right) for _ in range(3)]
         powers = [[0.5], [-1.0], [2.0]]
         want = _raised(lambda: lemma5_power_stack(
             _stack(xs[1:2]), _stack(ys[1:2]), powers[1:2], 1e-12))
@@ -177,13 +175,13 @@ class TestStackedErrors:
 
     def test_cocycle_reference_not_faithful(self):
         alg = BlockAlgebra((3,))
-        psis = [gen_positive_functional(trial_rng(13, j), alg)
+        psis = [functional(trial_rng(13, j), alg)
                 for j in range(3)]
-        phis = [gen_positive_functional(trial_rng(14, j), alg)
+        phis = [functional(trial_rng(14, j), alg)
                 for j in range(3)]
-        phis[2] = gen_positive_functional(trial_rng(15, 0), alg,
-                                          ("deficient", 1))
-        want = _raised(lambda: connes_cocycle(psis[2], phis[2], 0.3))
+        phis[2] = functional(trial_rng(15, 0), alg, 1)
+        want = _raised(lambda: connes_cocycle_stack(
+            stack([psis[2]]), stack([phis[2]]), [0.3]))
         assert _raised(lambda: connes_cocycle_stack(
             stack(psis), stack(phis), [0.1, 0.2, 0.3])) == want
 
@@ -201,9 +199,9 @@ UNEQUAL_BATCHES = {
     "additivity_stack": lambda F, X: divergence.additivity_stack(
         F[2], F[2], F[2], F[1], [_P2]),
     "dpi_probe_stack": lambda F, X: divergence.dpi_probe_stack(
-        F[2], F[2], [identity_channel(_A2)], [_P2]),
+        F[2], F[2], [_identity_channel(_A2)], [_P2]),
     "precompose_stack": lambda F, X: divergence.precompose_stack(
-        F[2], [identity_channel(_A2)]),
+        F[2], [_identity_channel(_A2)]),
     "solve_sharp_pseudo_inverse_stack": lambda F, X:
         divergence.solve_sharp_pseudo_inverse_stack(F[2], F[2], [_P2]),
     "solve_sharp_least_squares_stack": lambda F, X:
@@ -247,9 +245,9 @@ class TestBatchSizes:
     @pytest.mark.parametrize("kernel", sorted(UNEQUAL_BATCHES))
     def test_unequal_batches_raise_before_any_lapack_call(self, monkeypatch,
                                                           kernel):
-        F = {b: stack([gen_positive_functional(trial_rng(71, j), _A2)
+        F = {b: stack([functional(trial_rng(71, j), _A2)
                        for j in range(b)]) for b in (1, 2)}
-        X = {b: _stack([gen_element(trial_rng(72, j), _A2)
+        X = {b: _stack([element(trial_rng(72, j), _A2)
                         for j in range(b)]) for b in (1, 2)}
 
         def no_call(*args, **kwargs):
@@ -268,11 +266,11 @@ class TestStackedValues:
         alg = BlockAlgebra((2, 3))
         psis, phis = [], []
         for j in range(4):
-            psis.append(gen_positive_functional(trial_rng(21, j), alg))
-            phis.append(gen_positive_functional(
-                trial_rng(22, j), alg, "full" if j % 2 else ("deficient", 3)))
+            psis.append(functional(trial_rng(21, j), alg))
+            phis.append(functional(trial_rng(22, j), alg,
+                                   None if j % 2 else 3))
         phis.append(PositiveFunctional.zero(alg))
-        psis.append(gen_positive_functional(trial_rng(21, 9), alg))
+        psis.append(functional(trial_rng(21, 9), alg))
         grid = [DivergenceParams(a, z=z) for a in (0.5, 2.0)
                 for z in (0.7, a)] + [DivergenceParams(1.5)]
         stacked = q_tilde_stack(stack(psis), stack(phis), grid)
@@ -287,11 +285,10 @@ class TestStackedValues:
         # Every entry, reason included, is the DivergenceValue of the
         # one-point call; a pair's first failing point holds its error.
         alg = BlockAlgebra((2, 3))
-        psis = [gen_positive_functional(trial_rng(41, j), alg)
+        psis = [functional(trial_rng(41, j), alg)
                 for j in range(3)]
-        phis = [gen_positive_functional(trial_rng(42, 0), alg,
-                                        ("deficient", 2)),
-                gen_positive_functional(trial_rng(42, 1), alg),
+        phis = [functional(trial_rng(42, 0), alg, 2),
+                functional(trial_rng(42, 1), alg),
                 PositiveFunctional(alg.diagonal([1.0, 1e-11, 1.0, 1.0,
                                                  0.0]))]
         psis[2] = PositiveFunctional(alg.diagonal([1.0, 1e-11, 1.0, 1.0,
@@ -393,29 +390,25 @@ def _same_functional(a, b):
 
 
 def _lemma9_one_call(rng, alg, variant):
-    """The (psi, phi) of a lemma9 draw from the public generators, one
-    constructor call per functional."""
+    """The (psi, phi) of a lemma9 draw from the one-draw generators of
+    ``_stacks`` and ``gen_classical_pair``, one build per draw."""
     n = alg.carrier_dim
     if variant == 0:
-        return (gen_positive_functional(rng, alg),
-                gen_positive_functional(rng, alg))
+        return (functional(rng, alg),
+                functional(rng, alg))
     if variant == 1:
-        return gen_nested_pair(rng, alg, n, int(rng.integers(1, n)))
+        return nested_pair(rng, alg, n, int(rng.integers(1, n)))
     if variant == 2:
         return gen_classical_pair(rng, alg, True)[:2]
     if variant == 3:
-        return gen_positive_functional(rng, alg), PositiveFunctional.zero(alg)
-    psi = gen_positive_functional(rng, alg)
+        return functional(rng, alg), PositiveFunctional.zero(alg)
+    psi = functional(rng, alg)
     return psi, psi
 
 
-# The inputs of trial k of a suite from the public generators, one
-# constructor call each, drawing from its stream in the order of the suite's
-# draw: its functionals (for appendixA, their densities).
-
-
-def _rank_profile(alg, rank):
-    return "full" if rank == alg.carrier_dim else ("deficient", rank)
+# The inputs of trial k of a suite from the one-draw generators, one build
+# each, drawing from its stream in the order of the suite's draw: its
+# functionals (for appendixA, their densities).
 
 
 def _reference(rng, alg):
@@ -428,51 +421,48 @@ def _ranked_pair(rng, T):
     """(psi1, psi2) on T's factors, both ranks drawn first."""
     sides = (T.left, T.right)
     ranks = [int(rng.integers(1, a.carrier_dim + 1)) for a in sides]
-    return tuple(gen_positive_functional(rng, a, _rank_profile(a, r))
-                 for a, r in zip(sides, ranks))
+    return tuple(functional(rng, a, r) for a, r in zip(sides, ranks))
 
 
 def _lemma1_inputs(rng, alg, k):
     rank = int(rng.integers(1, alg.carrier_dim))
-    return (*gen_orthogonal_pair(rng, alg, rank),
-            gen_positive_functional(rng, alg))
+    return (*orthogonal_pair(rng, alg, rank),
+            functional(rng, alg))
 
 
 def _lemma3_inputs(rng, alg, k):
-    return (gen_positive_functional(rng, alg),)
+    return (functional(rng, alg),)
 
 
 def _lemma5_inputs(rng, T, k):
-    gen_element(rng, T.left), gen_element(rng, T.right)
+    element(rng, T.left), element(rng, T.right)
     rng.uniform(0.4, 3.0), rng.uniform(-2.0, 2.0)
     return _ranked_pair(rng, T)
 
 
 def _corollary7_inputs(rng, T, k):
-    return (gen_positive_functional(rng, T.left),
-            gen_positive_functional(rng, T.right))
+    return (functional(rng, T.left),
+            functional(rng, T.right))
 
 
 def _prop11_inputs(rng, alg, k):
     if k % 3 == 1:
         psi1, phi1, _, _ = gen_classical_pair(rng, alg, True)
-        return (psi1, phi1, gen_positive_functional(rng, alg),
+        return (psi1, phi1, functional(rng, alg),
                 _reference(rng, alg))
     if k % 3 == 2:
         psi1, psi2 = _reference(rng, alg), _reference(rng, alg)
         return psi1, psi1, psi2, psi2
     n = alg.carrier_dim
-    return (gen_positive_functional(
-                rng, alg, _rank_profile(alg, int(rng.integers(1, n + 1)))),
+    return (functional(rng, alg, int(rng.integers(1, n + 1))),
             _reference(rng, alg),
-            gen_positive_functional(
-                rng, alg, _rank_profile(alg, int(rng.integers(1, n + 1)))),
+            functional(rng, alg, int(rng.integers(1, n + 1))),
             _reference(rng, alg))
 
 
 def _appendixA_inputs(rng, T, k):
     for side in (T.left, T.right, T.left, T.right):
-        gen_element(rng, side)
+        element(rng, side)
     return tuple(psi.density for psi in _ranked_pair(rng, T))
 
 
@@ -481,8 +471,8 @@ def _dpi_inputs(rng, alg, k):
         alg = TensorAlgebra(alg, BlockAlgebra((2,))).product
     else:
         # The draw builds every channel on alg, the random one too.
-        random_unital_channel(rng, alg, alg)
-    return gen_positive_functional(rng, alg), gen_positive_functional(rng, alg)
+        unital_channel(rng, alg, alg)
+    return functional(rng, alg), functional(rng, alg)
 
 
 # Per suite: the kernel its batches hand the inputs to, and the positions of
@@ -559,8 +549,8 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("dims", ["3", "2+3"])
-    def test_lemma8_functionals_equal_gen_nested_pair(self, monkeypatch,
-                                                      seed, dims):
+    def test_lemma8_functionals_equal_nested_pair(self, monkeypatch, seed,
+                                                  dims):
         alg = BlockAlgebra(suites.parse_dims(dims)[0][0])
         got, _ = self._batch_functionals(
             monkeypatch, "lemma8", "solve_sharp_pseudo_inverse_stack", seed,
@@ -570,13 +560,13 @@ class TestStackedDraws:
             rng = trial_rng(seed, k)
             rank_phi = int(rng.integers(1, alg.carrier_dim))
             rank_psi = int(rng.integers(1, rank_phi + 1))
-            want = gen_nested_pair(rng, alg, rank_phi, rank_psi)
+            want = nested_pair(rng, alg, rank_phi, rank_psi)
             assert _same_functional(psi, want[0])
             assert _same_functional(phi, want[1])
 
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("dims", ["3", "2+3"])
-    def test_lemma9_functionals_equal_the_public_generators(
+    def test_lemma9_functionals_equal_the_one_draw_generators(
             self, monkeypatch, seed, dims):
         alg = BlockAlgebra(suites.parse_dims(dims)[0][0])
         got, reports = self._batch_functionals(monkeypatch, "lemma9",
@@ -595,8 +585,8 @@ class TestStackedDraws:
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("name", sorted(SUITE_INPUTS))
-    def test_batch_inputs_equal_the_public_generators(self, monkeypatch,
-                                                      name, wide, seed):
+    def test_batch_inputs_equal_the_one_draw_generators(self, monkeypatch,
+                                                        name, wide, seed):
         target, roles, inputs = SUITE_INPUTS[name]
         calls = []
         original = getattr(suites, target)

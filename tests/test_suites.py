@@ -11,47 +11,44 @@ import nclp
 from nclp import (BlockAlgebra, DivergenceParams, DomainError,
                   PositiveFunctional, Reason, ShapeError, SuiteConfig,
                   TensorAlgebra, UsageError, classical_renyi_oracle, d_tilde,
-                  default_eps_rel, gen_classical_pair, gen_element,
-                  gen_nested_pair, gen_orthogonal_pair,
-                  gen_positive_functional, gen_unitary, parse_dims,
-                  q_tilde_alpha_z, random_unital_channel, run_suite,
-                  summarize, trial_rng)
+                  default_eps_rel, gen_classical_pair, parse_dims,
+                  q_tilde_alpha_z, run_suite, summarize, trial_rng)
 from nclp.algebra import _stack
 from nclp.functionals import _rows
-from nclp.suites import SUITE_NAMES, format_profile
+from nclp.suites import (SUITE_NAMES, _gram_draw, _nested_draw,
+                         _orthogonal_draw, format_profile)
 from nclp.tensor import corollary7_norm_stack
 
 from _outcomes import point
-from _stacks import stack
+from _stacks import (element, functional, nested_pair, orthogonal_pair,
+                     stack, unitary)
 
 
 _ALG3 = BlockAlgebra((3,))
 
 
 class TestGeneratorEntryCheck:
-    """Wrong arguments to the draws end in a typed error, from the one entry
-    check at their front."""
+    """Wrong arguments to the generator and the draws end in a typed error:
+    from the generator's one entry check at its front, and from the rank
+    fill of the draws."""
 
     @pytest.mark.parametrize("call", [
-        lambda: gen_element("x", _ALG3),
-        lambda: gen_unitary("x", _ALG3),
-        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3, "bogus"),
-        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3,
-                                        ("deficient", "x")),
-        lambda: gen_positive_functional(trial_rng(1, 0), _ALG3,
-                                        ("deficient", -1)),
-        lambda: gen_orthogonal_pair(trial_rng(1, 0), _ALG3, 1.5),
-        lambda: gen_orthogonal_pair(trial_rng(1, 0), _ALG3, "1"),
-        lambda: gen_nested_pair(trial_rng(1, 0), _ALG3, 2, "1"),
-        lambda: gen_nested_pair(trial_rng(1, 0), _ALG3, -1, -2),
+        lambda: gen_classical_pair("x", _ALG3),
+        lambda: gen_classical_pair(trial_rng(1, 0), "x"),
+        lambda: _gram_draw(trial_rng(1, 0), _ALG3, 1.5),
+        lambda: _gram_draw(trial_rng(1, 0), _ALG3, "1"),
+        lambda: _gram_draw(trial_rng(1, 0), _ALG3, -1),
+        lambda: _orthogonal_draw(trial_rng(1, 0), _ALG3, 1.5),
+        lambda: _orthogonal_draw(trial_rng(1, 0), _ALG3, "1"),
+        lambda: _nested_draw(trial_rng(1, 0), _ALG3, 2, "1"),
+        lambda: _nested_draw(trial_rng(1, 0), _ALG3, -1, -2),
         lambda: trial_rng("a", 1),
         lambda: trial_rng(-1, 1),
-        lambda: random_unital_channel("x", _ALG3, _ALG3),
-    ], ids=["element_rng", "unitary_rng", "profile_bogus",
-            "profile_rank_text", "profile_rank_negative",
-            "orthogonal_rank_float", "orthogonal_rank_text",
-            "nested_rank_text", "nested_ranks_negative", "trial_rng_text",
-            "trial_rng_negative", "channel_rng"])
+    ], ids=["classical_pair_rng", "classical_pair_algebra",
+            "gram_rank_float", "gram_rank_text", "gram_rank_negative", "orthogonal_rank_float",
+            "orthogonal_rank_text", "nested_rank_text",
+            "nested_ranks_negative", "trial_rng_text",
+            "trial_rng_negative"])
     def test_typed_error(self, call):
         with pytest.raises((DomainError, ShapeError)):
             call()
@@ -59,46 +56,42 @@ class TestGeneratorEntryCheck:
 
 class TestGenerators:
     def test_zero_profile(self):
-        psi = gen_positive_functional(trial_rng(1, 0), BlockAlgebra((2,)),
-                                      "zero")
+        psi = functional(trial_rng(1, 0), BlockAlgebra((2,)), 0)
         assert psi.is_zero and psi.mass == 0.0
 
     def test_full_profile_faithful(self):
-        psi = gen_positive_functional(trial_rng(1, 1), BlockAlgebra((2,)))
+        psi = functional(trial_rng(1, 1), BlockAlgebra((2,)))
         assert psi.is_faithful
         assert psi.mass == pytest.approx(1.0)
 
     def test_deficient_rank_exact(self):
-        psi = gen_positive_functional(trial_rng(1, 2), BlockAlgebra((3,)),
-                                      ("deficient", 1))
+        psi = functional(trial_rng(1, 2), BlockAlgebra((3,)), 1)
         assert psi.spectrum().rank() == 1
 
     def test_deficient_multiblock_distribution(self):
-        psi = gen_positive_functional(trial_rng(1, 3), BlockAlgebra((2, 3)),
-                                      ("deficient", 4))
+        psi = functional(trial_rng(1, 3), BlockAlgebra((2, 3)), 4)
         assert psi.spectrum().rank() == 4
 
     def test_rank_exceeding_capacity(self):
         with pytest.raises(DomainError):
-            gen_positive_functional(trial_rng(1, 4), BlockAlgebra((2,)),
-                                    ("deficient", 3))
+            functional(trial_rng(1, 4), BlockAlgebra((2,)), 3)
 
     def test_unitary_blocks(self):
-        u = gen_unitary(trial_rng(2, 0), BlockAlgebra((3, 2)))
+        u = unitary(trial_rng(2, 0), BlockAlgebra((3, 2)))
         eye = BlockAlgebra((3, 2)).identity()
         assert (u @ u.adjoint() - eye).frobenius() <= 1e-12
 
     def test_orthogonal_pair_supports(self):
         rng = trial_rng(3, 0)
         alg = BlockAlgebra((2, 2))
-        psi, psi_prime = gen_orthogonal_pair(rng, alg, 2)
+        psi, psi_prime = orthogonal_pair(rng, alg, 2)
         s, sp = psi.support(), psi_prime.support()
         assert (s + sp - alg.identity()).frobenius() <= 1e-12
         assert (s @ sp).frobenius() <= 1e-12
 
     def test_nested_pair_supports(self):
         rng = trial_rng(4, 0)
-        psi, phi = gen_nested_pair(rng, BlockAlgebra((3,)), 2, 1)
+        psi, phi = nested_pair(rng, BlockAlgebra((3,)), 2, 1)
         comp = psi.algebra.identity() - phi.support()
         leak = (comp @ psi.density @ comp).frobenius()
         assert leak <= 1e-12 * psi.density.frobenius()
@@ -258,9 +251,9 @@ class TestProductsOncePerTrial:
                           dims=parse_dims("3x2"))
         for rep in run_suite(cfg):
             rng = trial_rng(seed, rep.trial_index)
-            phi1 = gen_positive_functional(rng, T.left)
-            phi2 = gen_positive_functional(rng, T.right)
-            x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+            phi1 = functional(rng, T.left)
+            phi2 = functional(rng, T.right)
+            x1, x2 = element(rng, T.left), element(rng, T.right)
             expected = {}
             for p in COROLLARY7_P_GRID:
                 for eta in COROLLARY7_ETA_GRID:
@@ -373,23 +366,23 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_dpi_identity_equality_is_the_public_gap(self, seed):
-        from nclp import identity_channel, precompose
+        from nclp.divergence import _identity_channel, precompose_stack
         from nclp.suites import DPI_ALPHAS
         alg = BlockAlgebra((3,))
-        channel = identity_channel(alg)
+        channel = _identity_channel(alg)
         reports = run_suite(SuiteConfig(suite_name="dpi", trials=8, seed=seed,
                                         dims=parse_dims("3")))
         identity = [r for r in reports if r.instance["channel"] == "identity"]
         assert len(identity) == 2
         for rep in identity:
             rng = trial_rng(seed, rep.trial_index)
-            psi = gen_positive_functional(rng, alg)
-            phi = gen_positive_functional(rng, alg)
+            psi = functional(rng, alg)
+            phi = functional(rng, alg)
             for alpha in DPI_ALPHAS:
                 params = DivergenceParams(alpha)
                 before = d_tilde(psi, phi, params)
-                after = d_tilde(precompose(psi, channel),
-                                precompose(phi, channel), params)
+                after = d_tilde(*_rows(precompose_stack(
+                    stack([psi, phi]), [channel] * 2)), params)
                 assert rep.residuals[f"alpha={alpha:g}:identity_equality"] \
                     == abs(after.value - before.value)
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from nclp import (AlgebraElement, BlockAlgebra, PositiveFunctional,
-                  ShapeError, TensorAlgebra, default_eps_rel, gen_element,
-                  gen_positive_functional, kron_element, kron_functional,
-                  lp_norm, polar_decompose)
+                  ShapeError, TensorAlgebra, default_eps_rel, kron_element,
+                  lp_norm)
 from nclp.algebra import _stack
 from nclp.config import CHECK_TOLERANCES
 from nclp.tensor import (corollary7_norm_stack, lemma5_density_stack,
@@ -16,7 +15,7 @@ from nclp.tensor import (corollary7_norm_stack, lemma5_density_stack,
                          lemma5_power_stack, spectral_product_stack,
                          theorem6_norm_stack, theorem6_spanning)
 
-from _stacks import stack
+from _stacks import element, functional, kron, polar, stack
 
 RNG = np.random.default_rng(31)
 LEMMA5_GATE = CHECK_TOLERANCES["lemma5"]["residual"]
@@ -42,22 +41,22 @@ class TestKronElement:
     def test_mixed_product(self):
         T = pair((3,), (2,))
         for _ in range(20):
-            x, xp = gen_element(RNG, T.left), gen_element(RNG, T.left)
-            y, yp = gen_element(RNG, T.right), gen_element(RNG, T.right)
+            x, xp = element(RNG, T.left), element(RNG, T.left)
+            y, yp = element(RNG, T.right), element(RNG, T.right)
             lhs = kron_element(T, x, y) @ kron_element(T, xp, yp)
             rhs = kron_element(T, x @ xp, y @ yp)
             assert (lhs - rhs).frobenius() <= 1e-12
 
     def test_adjoint(self):
         T = pair((3,), (2,))
-        x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
+        x, y = element(RNG, T.left), element(RNG, T.right)
         assert (kron_element(T, x, y).adjoint()
                 - kron_element(T, x.adjoint(), y.adjoint())).frobenius() == 0.0
 
     def test_bilinear(self):
         T = pair((2,), (2,))
-        x, xp = gen_element(RNG, T.left), gen_element(RNG, T.left)
-        y = gen_element(RNG, T.right)
+        x, xp = element(RNG, T.left), element(RNG, T.left)
+        y = element(RNG, T.right)
         lhs = kron_element(T, x + 2.0 * xp, y)
         rhs = kron_element(T, x, y) + 2.0 * kron_element(T, xp, y)
         assert (lhs - rhs).frobenius() <= 1e-13
@@ -70,8 +69,8 @@ class TestKronElement:
     def test_wrong_algebra(self):
         T = pair((2,), (3,))
         with pytest.raises(ShapeError):
-            kron_element(T, gen_element(RNG, T.right),
-                         gen_element(RNG, T.right))
+            kron_element(T, element(RNG, T.right),
+                         element(RNG, T.right))
 
 
 class TestKronFunctional:
@@ -79,21 +78,21 @@ class TestKronFunctional:
         T = pair((2,), (2,))
         a = PositiveFunctional(T.left.diagonal([0.4, 0.6]))
         b = PositiveFunctional(T.right.diagonal([0.5, 0.5]))
-        assert kron_functional(T, a, b).mass == pytest.approx(1.0)
+        assert kron(T, a, b).mass == pytest.approx(1.0)
 
     def test_mass_multiplies(self):
         T = pair((2,), (2,))
         a = PositiveFunctional(T.left.diagonal([0.2, 0.3]))
         b = PositiveFunctional(T.right.diagonal([0.1, 0.3]))
-        assert kron_functional(T, a, b).mass == pytest.approx(0.2)
+        assert kron(T, a, b).mass == pytest.approx(0.2)
 
     def test_factorizes_on_simple_tensors(self):
         T = pair((3,), (2,))
-        psi1 = gen_positive_functional(RNG, T.left)
-        psi2 = gen_positive_functional(RNG, T.right)
-        prod = kron_functional(T, psi1, psi2)
+        psi1 = functional(RNG, T.left)
+        psi2 = functional(RNG, T.right)
+        prod = kron(T, psi1, psi2)
         for _ in range(10):
-            a, b = gen_element(RNG, T.left), gen_element(RNG, T.right)
+            a, b = element(RNG, T.left), element(RNG, T.right)
             lhs = prod.evaluate(kron_element(T, a, b))
             rhs = psi1.evaluate(a) * psi2.evaluate(b)
             assert abs(lhs - rhs) <= 1e-12
@@ -102,9 +101,9 @@ class TestKronFunctional:
 class TestLemma5:
     def test_polar_psd_case(self):
         T = pair((2,), (2,))
-        psi1 = gen_positive_functional(RNG, T.left)
-        psi2 = gen_positive_functional(RNG, T.right)
-        v, _ = polar_decompose(kron_element(T, psi1.density, psi2.density))
+        psi1 = functional(RNG, T.left)
+        psi2 = functional(RNG, T.right)
+        v, _ = polar(kron_element(T, psi1.density, psi2.density))
         s = kron_element(T, psi1.support(), psi2.support())
         assert (v - s).frobenius() <= 1e-9
 
@@ -112,15 +111,15 @@ class TestLemma5:
         T = pair((2,), (1,))
         x = AlgebraElement(T.left, [np.array([[0.0, 2.0], [0.0, 0.0]])])
         y = AlgebraElement(T.right, [np.array([[1.0]])])
-        v, absxy = polar_decompose(kron_element(T, x, y))
+        v, absxy = polar(kron_element(T, x, y))
         assert np.allclose(v.blocks[0], [[0, 1], [0, 0]])
         assert np.allclose(absxy.blocks[0], np.diag([0.0, 2.0]))
 
     def test_polar_random(self):
         T = pair((3,), (2,))
         for _ in range(20):
-            res, = lemma5_polar_stack(_stack([gen_element(RNG, T.left)]),
-                                      _stack([gen_element(RNG, T.right)]),
+            res, = lemma5_polar_stack(_stack([element(RNG, T.left)]),
+                                      _stack([element(RNG, T.right)]),
                                       default_eps_rel())
             assert max(res.values()) <= LEMMA5_GATE, res
 
@@ -139,22 +138,22 @@ class TestLemma5:
         T = pair((3,), (2,))
         for p in (0.5, 1.0, 1.7, 2.0):
             (res,), = lemma5_power_stack(
-                _stack([gen_element(RNG, T.left)]),
-                _stack([gen_element(RNG, T.right)]), [[p]], default_eps_rel())
+                _stack([element(RNG, T.left)]),
+                _stack([element(RNG, T.right)]), [[p]], default_eps_rel())
             assert res <= LEMMA5_GATE, (p, res)
 
     def test_imaginary_rank_deficient(self):
         T = pair((3,), (2,))
-        h1 = gen_positive_functional(RNG, T.left, ("deficient", 2)).density
-        h2 = gen_positive_functional(RNG, T.right, ("deficient", 1)).density
+        h1 = functional(RNG, T.left, 2).density
+        h2 = functional(RNG, T.right, 1).density
         (res,), = lemma5_imaginary_stack(_stack([h1]), _stack([h2]), [[0.7]],
                                          default_eps_rel())
         assert res <= LEMMA5_GATE, res
 
     def test_density_identity(self):
         T = pair((2,), (3,))
-        psi1 = gen_positive_functional(RNG, T.left)
-        psi2 = gen_positive_functional(RNG, T.right, ("deficient", 2))
+        psi1 = functional(RNG, T.left)
+        psi2 = functional(RNG, T.right, 2)
         res, = lemma5_density_stack(T, stack([psi1]), stack([psi2]), [1.3])
         assert max(res.values()) <= LEMMA5_GATE, res
         assert res["density"] == 0.0
@@ -172,14 +171,14 @@ class TestTheorem6:
 
     def test_sup_norm_multiplies(self):
         T = pair((3,), (2,))
-        x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
+        x, y = element(RNG, T.left), element(RNG, T.right)
         (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
                                           [math.inf])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_quasi_norm_against_product_oracle(self):
         T = pair((3,), (3,))
-        x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
+        x, y = element(RNG, T.left), element(RNG, T.right)
         sx = np.linalg.svd(x.blocks[0], compute_uv=False)
         sy = np.linalg.svd(y.blocks[0], compute_uv=False)
         expected = float(np.sum(np.outer(sx, sy) ** 0.5) ** 2)
@@ -191,7 +190,7 @@ class TestTheorem6:
     def test_grid_multiplicativity(self):
         for dims in (((2,), (2,)), ((2, 3), (2,))):
             T = pair(*dims)
-            x, y = gen_element(RNG, T.left), gen_element(RNG, T.right)
+            x, y = element(RNG, T.left), element(RNG, T.right)
             for p in (0.5, 1.0, 1.7, 2.0, 3.0, math.inf):
                 (lhs, rhs), = theorem6_norm_stack(_stack([x]), _stack([y]),
                                                   [p])[0]
@@ -233,9 +232,9 @@ class TestCorollary7:
     def test_p1_endpoint_matches_trace_norm_product(self):
         T = pair((2,), (2,))
         rng = np.random.default_rng(32)
-        phi1 = gen_positive_functional(rng, T.left)
-        phi2 = gen_positive_functional(rng, T.right)
-        x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+        phi1 = functional(rng, T.left)
+        phi2 = functional(rng, T.right)
+        x1, x2 = element(rng, T.left), element(rng, T.right)
         (lhs, rhs), = corollary7_norm_stack(_stack([x1]), _stack([x2]),
                                             stack([phi1]), stack([phi2]),
                                             [(1.0, 0.25)])[0]
@@ -247,9 +246,9 @@ class TestCorollary7:
     def test_random_grid(self):
         rng = np.random.default_rng(33)
         T = pair((3,), (2,))
-        phi1 = gen_positive_functional(rng, T.left)
-        phi2 = gen_positive_functional(rng, T.right)
-        x1, x2 = gen_element(rng, T.left), gen_element(rng, T.right)
+        phi1 = functional(rng, T.left)
+        phi2 = functional(rng, T.right)
+        x1, x2 = element(rng, T.left), element(rng, T.right)
         for p in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.0, 0.25, 0.5, 1.0):
                 (lhs, rhs), = corollary7_norm_stack(
@@ -270,20 +269,20 @@ class TestSpectralProduct:
     def test_random(self):
         T = pair((3,), (2,))
         ok, residual = spectral_product_within_gate(
-            gen_element(RNG, T.left), gen_element(RNG, T.right))
+            element(RNG, T.left), element(RNG, T.right))
         assert ok, residual
 
     def test_rank_deficient(self):
         T = pair((3,), (2,))
-        h1 = gen_positive_functional(RNG, T.left, ("deficient", 1)).density
-        h2 = gen_positive_functional(RNG, T.right).density
+        h1 = functional(RNG, T.left, 1).density
+        h2 = functional(RNG, T.right).density
         ok, residual = spectral_product_within_gate(h1, h2)
         assert ok, residual
 
     def test_multiblock(self):
         T = pair((2, 2), (2,))
         ok, residual = spectral_product_within_gate(
-            gen_element(RNG, T.left), gen_element(RNG, T.right))
+            element(RNG, T.left), element(RNG, T.right))
         assert ok, residual
 
 
@@ -295,7 +294,7 @@ class TestKronBlocks:
         T = pair(left, right)
         rng = np.random.default_rng(sum(left) * 10 + sum(right))
         for _ in range(5):
-            x, y = gen_element(rng, T.left), gen_element(rng, T.right)
+            x, y = element(rng, T.left), element(rng, T.right)
             got = kron_element(T, x, y).blocks
             want = [np.kron(xb, yb) for xb in x.blocks for yb in y.blocks]
             assert len(got) == len(want)
