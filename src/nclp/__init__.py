@@ -8,8 +8,10 @@ CLI front end (``nclp``).
 
 ``__all__`` is the public surface: the names that ``nclp.cli``, the
 benchmark and the acceptance gates call, the types those calls take or
-return, and the errors.  The stacked kernels and the instance builders stay
-in their modules.
+return, and the errors.  With the annotations of the exported callables it
+is the entry-check declaration, whose one reader is ``errors._typed``: an
+argument of the wrong type raises DomainError.  The stacked kernels and the
+instance builders stay in their modules.
 """
 
 __version__ = "0.1.0"

@@ -13,14 +13,14 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import HERMITIAN_TOL, PSD_CLIP_TOL, RECOMPOSITION_TOL
-from .errors import DomainError, ShapeError, _check_type, _finite_number
+from .errors import DomainError, ShapeError, _finite_number, _typed
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ class BlockAlgebra:
         return AlgebraElement(self, blocks)
 
 
+@_typed
 class AlgebraElement:
     """Immutable block-diagonal complex matrix on a :class:`BlockAlgebra`.
 
@@ -83,8 +84,7 @@ class AlgebraElement:
 
     __slots__ = ("algebra", "blocks")
 
-    def __init__(self, algebra: BlockAlgebra, blocks: Iterable[np.ndarray]):
-        _check_type(algebra, BlockAlgebra, "an element needs a BlockAlgebra")
+    def __init__(self, algebra: BlockAlgebra, blocks: Iterable):
         mats = tuple(_complex_array(b) for b in blocks)
         if len(mats) != algebra.num_blocks:
             raise ShapeError(
@@ -129,9 +129,8 @@ class AlgebraElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_algebra(self, other: "AlgebraElement"):
-        _check_type(other, AlgebraElement,
-                    "element arithmetic needs an AlgebraElement")
+    @_typed
+    def _require_same_algebra(self, other: AlgebraElement):
         if other.algebra != self.algebra:
             raise ShapeError(
                 f"algebra mismatch: {self.algebra.block_dims} vs "
@@ -193,6 +192,7 @@ def _complex_array(raw) -> np.ndarray:
         raise DomainError(f"matrix entries must be numbers: {exc}") from exc
 
 
+@_typed
 def canonical_trace(x: AlgebraElement) -> complex:
     """Sum of diagonal entries over all blocks (the tracial functional)."""
     return complex(sum(np.trace(b) for b in x.blocks))
@@ -316,21 +316,8 @@ def _complex_stacks(flats: Sequence[np.ndarray],
     return out
 
 
-def _check_draw(rng, *algebras) -> None:
-    """The one entry check of the random draws: ``rng`` is a numpy
-    Generator and every algebra a BlockAlgebra (ranks are checked where
-    they are filled, by ``suites._distribute``)."""
-    _check_type(rng, np.random.Generator, "a draw needs a numpy Generator")
-    for alg in algebras:
-        _check_type(alg, BlockAlgebra, "a draw needs a BlockAlgebra")
-
-
 def _stack(elements: Sequence[AlgebraElement]) -> tuple[np.ndarray, ...]:
-    """Per block, the (B, n, n) stack of the elements' blocks, in order;
-    DomainError unless every element is an AlgebraElement."""
-    for x in elements:
-        _check_type(x, AlgebraElement, "an element argument must be an "
-                    "AlgebraElement")
+    """Per block, the (B, n, n) stack of the elements' blocks, in order."""
     return tuple([_stacked(arrays)
                   for arrays in zip(*[x.blocks for x in elements])])
 
@@ -482,7 +469,8 @@ class HermitianSpectrum:
               f_zero: complex = 0.0) -> AlgebraElement:
         """Functional calculus: f on non-kernel eigenvalues, f(0) elsewhere,
         each block's kept eigenvalues one 1-D call of f."""
-        _check_type(f, Callable, "functional calculus needs a callable f")
+        if not callable(f):
+            raise DomainError(f"f must be callable, got {type(f).__name__}")
         return self._calculus(_calc_values, f, f_zero)
 
     def support(self) -> AlgebraElement:

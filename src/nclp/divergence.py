@@ -26,7 +26,7 @@ from .algebra import (BlockAlgebra, SpectrumStack, _apply_stack,
                       _stacked, _support_stack)
 from .config import PSD_CLIP_TOL
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
-                     _check_type, _first_errors, _raise_pairwise, _real)
+                     _first_errors, _raise_pairwise, _real, _typed)
 from .functionals import PositiveFunctional, _stacks
 from .lp import singular_values_stack
 from .tensor import TensorAlgebra, kron_functional_stack
@@ -41,7 +41,12 @@ class Reason(str, Enum):
     ZERO_Q_ALPHA_LT_1 = "zero_Q_alpha_lt_1"
     ZERO_REFERENCE = "zero_reference"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"{value!r} is not a valid {cls.__name__}")
 
+
+@_typed
 @dataclass(frozen=True)
 class DivergenceValue:
     """A divergence outcome: finite value, or +inf with a reason code."""
@@ -50,8 +55,6 @@ class DivergenceValue:
     reason: Reason = Reason.FINITE
 
     def __post_init__(self):
-        _check_type(self.reason, Reason,
-                    "a divergence reason must be a Reason")
         value = _real(self.value, "a divergence value")
         # One comparison rejects NaN and -inf.
         if not (value > -math.inf
@@ -332,6 +335,7 @@ def _alpha_z_values(psi_stack: SpectrumStack, phi_stack: SpectrumStack,
     return qs, codes, residuals
 
 
+@_typed
 def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
                   alpha: float, eps_rel: float | None = None
                   ) -> DivergenceValue:
@@ -347,6 +351,7 @@ def q_tilde_alpha(psi: PositiveFunctional, phi: PositiveFunctional,
     return _point(q_tilde_stack(*_stacks([psi, phi], eps_rel), [params]))
 
 
+@_typed
 def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
                     params: DivergenceParams, eps_rel: float | None = None
                     ) -> DivergenceValue:
@@ -361,7 +366,6 @@ def q_tilde_alpha_z(psi: PositiveFunctional, phi: PositiveFunctional,
     ``config.RECOMPOSITION_TOL`` * (1 + ||h_psi^{alpha/z}||_F)).  One point
     of :func:`q_tilde_stack`; ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
-    _check_type(params, DivergenceParams, "params must be DivergenceParams")
     if params.is_sandwiched:
         params = DivergenceParams(params.alpha, z=params.alpha)
     return _point(q_tilde_stack(*_stacks([psi, phi], eps_rel), [params]))
@@ -485,6 +489,7 @@ def _d_stack(psis, phis, grid) -> tuple[Outcomes, Outcomes]:
     return q, d
 
 
+@_typed
 def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
             params: DivergenceParams, eps_rel: float | None = None
             ) -> DivergenceValue:
@@ -494,7 +499,6 @@ def d_tilde(psi: PositiveFunctional, phi: PositiveFunctional,
     parameters run the two-parameter path.  May be negative for inputs whose
     masses differ from 1.  ``eps_rel`` as in :func:`q_tilde_alpha`.
     """
-    _check_type(params, DivergenceParams, "params must be DivergenceParams")
     return _point(_d_stack(*_stacks([psi, phi], eps_rel), [params])[1])
 
 
@@ -577,6 +581,7 @@ def additivity_stack(psi1s: SpectrumStack, phi1s: SpectrumStack,
 # -- channels and monotonicity ------------------------------------------------
 
 
+@_typed
 class QuantumChannel:
     """Unital completely positive map given by Kraus operators.
 
@@ -590,9 +595,6 @@ class QuantumChannel:
     __slots__ = ("domain", "codomain", "kraus")
 
     def __init__(self, domain: BlockAlgebra, codomain: BlockAlgebra, kraus):
-        for alg in (domain, codomain):
-            _check_type(alg, BlockAlgebra,
-                        "a channel maps between BlockAlgebras")
         mats = tuple(_complex_array(v) for v in kraus)
         if not mats:
             raise DomainError("a channel needs at least one Kraus operator")

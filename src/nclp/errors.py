@@ -1,6 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and :func:`_typed`, the one
+reader of the entry-check declaration: ``nclp.__all__`` plus annotations."""
 
 import cmath
+import functools
+import numbers
+import typing
 
 import numpy as np
 
@@ -60,10 +64,45 @@ class CutoffError(UsageError, ValueError):
     it came from a flag, from NCLP_EPS_REL or from an API call."""
 
 
-def _check_type(value, kind: type, message: str):
-    """The DomainError "<message>, got <type>" unless value is a kind."""
-    if not isinstance(value, kind):
-        raise DomainError(f"{message}, got {type(value).__name__}")
+def _typed(target):
+    """``target``, a function or a class (then its ``__init__``), checking
+    each argument whose annotation is a class, or a list of one: DomainError
+    "<argument> must be <Class>, got <type>" unless it is one.  ``bool`` is
+    checked; numbers are left to :func:`_real`, which converts them."""
+    if isinstance(target, type):
+        target.__init__ = _typed(target.__init__)
+        return target
+
+    @functools.wraps(target)
+    def checked(*args, **kwargs):
+        names, classes = _classes(target)
+        for name, value in (*zip(names, args), *kwargs.items()):
+            kind, item, label = classes.get(name, (object, None, ""))
+            bad = [value] if not isinstance(value, kind) else item and [
+                v for v in value if not isinstance(v, item)]
+            if bad:
+                raise DomainError(f"{name} must be {label}, got "
+                                  f"{type(bad[0]).__name__}")
+        return target(*args, **kwargs)
+
+    return checked
+
+
+@functools.cache
+def _classes(fn) -> tuple[tuple[str, ...], dict]:
+    """fn's parameter names, in order, and the (class, list item class or
+    False, label) that :func:`_typed` checks each annotated one against."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    classes = {}
+    for name, hint in typing.get_type_hints(fn).items():
+        item = typing.get_origin(hint) is list and typing.get_args(hint)[0]
+        kind = item or hint
+        if name in names and isinstance(kind, type) and (
+                kind is bool or not issubclass(kind, numbers.Number)):
+            classes[name] = (list if item else kind, item,
+                             ("list of " if item else "") + kind.__name__)
+    return names, classes
 
 
 def _real(value, name: str) -> float:

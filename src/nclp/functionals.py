@@ -19,9 +19,10 @@ from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       _frobenius_stack, _gather, _imaginary_values, _stack,
                       _support_stack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
-from .errors import DomainError, _check_type, _real
+from .errors import DomainError, _real, _typed
 
 
+@_typed
 class PositiveFunctional:
     """A normal positive functional on a block algebra, held as its density.
 
@@ -40,8 +41,6 @@ class PositiveFunctional:
 
     def __init__(self, density: AlgebraElement, hermitize: bool = False,
                  eps_rel: float | None = None):
-        _check_type(density, AlgebraElement,
-                    "a functional needs an AlgebraElement density")
         psi, = _rows(_clipped_eig_stack(density.algebra, _stack([density]),
                                         hermitize, resolve_eps_rel(eps_rel)))
         self._spectrum = psi._spectrum
@@ -51,9 +50,9 @@ class PositiveFunctional:
         self.algebra, self._spectrum.densities))
 
     @classmethod
+    @_typed
     def zero(cls, algebra: BlockAlgebra,
-             eps_rel: float | None = None) -> "PositiveFunctional":
-        _check_type(algebra, BlockAlgebra, "a functional needs a BlockAlgebra")
+             eps_rel: float | None = None) -> PositiveFunctional:
         return cls(algebra.zero(), eps_rel=eps_rel)
 
     # -- basic structure -----------------------------------------------------
@@ -96,9 +95,8 @@ class PositiveFunctional:
     def imaginary_power(self, t: float) -> AlgebraElement:
         return self._spectrum._calculus(_imaginary_values, [_real(t, "t")])
 
-    def __add__(self, other: "PositiveFunctional") -> "PositiveFunctional":
-        _check_type(other, PositiveFunctional,
-                    "functional addition needs a PositiveFunctional")
+    @_typed
+    def __add__(self, other: PositiveFunctional) -> PositiveFunctional:
         return PositiveFunctional(self.density + other.density,
                                   eps_rel=self._spectrum.eps_rel)
 
@@ -117,13 +115,9 @@ def _rows(stack: SpectrumStack) -> list[PositiveFunctional]:
 
 
 def _stacks(psis, eps_rel: float | None = None) -> list[SpectrumStack]:
-    """The one-row stacks of one-point functional arguments (DomainError
-    unless each is a PositiveFunctional), rebuilt at the cutoff ``eps_rel``
-    unless already there; None leaves each at its own.  The one place that
-    turns functionals into stacks."""
-    for psi in psis:
-        _check_type(psi, PositiveFunctional,
-                    "a functional argument must be a PositiveFunctional")
+    """The one-row stacks of one-point functional arguments, rebuilt at the
+    cutoff ``eps_rel`` unless already there; None leaves each at its own.
+    The one place that turns functionals into stacks."""
     stacks = [_gather(psi._spectrum) for psi in psis]
     if eps_rel is None:
         return stacks

@@ -19,8 +19,8 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _corner_solve, _eigenvalue_powers, _full_stack,
                       _kron_block, _powers, _stack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
-from .errors import (ConditioningError, DomainError, UsageError, _check_type,
-                     _first_errors, _raise_pairwise, _real)
+from .errors import (ConditioningError, DomainError, UsageError,
+                     _first_errors, _raise_pairwise, _real, _typed)
 from .functionals import PositiveFunctional, _stacks
 
 
@@ -152,13 +152,13 @@ def _schatten_stack(s: np.ndarray, ps) -> list[list[float]]:
     return out
 
 
+@_typed
 def lp_norm(x: AlgebraElement, p) -> float:
     """||x||_p = (sum sigma_i^p)^{1/p}; ||x||_inf = max sigma_i.
 
     A genuine norm for p >= 1, a quasi-norm for 0 < p < 1.
     """
     p = _as_exponent(p)
-    _check_type(x, AlgebraElement, "singular values need an AlgebraElement")
     return _schatten(singular_values_stack(x.blocks), p)
 
 
@@ -186,6 +186,7 @@ def _floor_errors(stack: SpectrumStack) -> dict:
         residual=float(low[j]))) for j in np.flatnonzero(bad).tolist()}
 
 
+@_typed
 @dataclass(frozen=True)
 class KosakiSpec:
     """Parameters of an interpolated-space norm: reference phi, p >= 1, eta.
@@ -196,12 +197,10 @@ class KosakiSpec:
     """
 
     phi: PositiveFunctional
-    p: LpExponent
+    p: LpExponent | float
     eta: float
 
     def __post_init__(self):
-        _check_type(self.phi, PositiveFunctional,
-                    "the reference must be a PositiveFunctional")
         p, eta = _kosaki_point(self.p, self.eta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "eta", eta)
@@ -321,12 +320,12 @@ def kosaki_norm_stack(stacked_y, phis: SpectrumStack, points) -> tuple:
         [p for p, _ in pts] for pts in points]), [floor, errors]
 
 
+@_typed
 def kosaki_norm(y: AlgebraElement, spec: KosakiSpec,
                 eps_rel: float | None = None) -> float:
     """||y||_{p,phi,eta}; equals ||y||_1 at p = 1.  One point of
     :func:`kosaki_norm_stack`.  A given ``eps_rel`` rebuilds phi at that
     cutoff; None uses it at its own."""
-    _check_type(spec, KosakiSpec, "an interpolated norm needs a KosakiSpec")
     norms, errors = kosaki_norm_stack(_stack([y]),
                                       _stacks([spec.phi], eps_rel)[0],
                                       [[(spec.p, spec.eta)]])

@@ -88,18 +88,9 @@ class TrialReport:
     info: dict = field(default_factory=dict)
 
     def fields(self) -> dict:
-        """The report's fields by name, values as stored; a run report
-        coerces them once (see :func:`nclp.io.build_run_report`)."""
-        return {
-            "suite": self.suite,
-            "trial_index": self.trial_index,
-            "generator": self.generator,
-            "instance": self.instance,
-            "residuals": self.residuals,
-            "tolerances": self.tolerances,
-            "passed": self.passed,
-            "info": self.info,
-        }
+        """The report's fields by name, in order, values as stored; a run
+        report coerces them once (see :func:`nclp.io.build_run_report`)."""
+        return dict(vars(self))
 
     def to_dict(self) -> dict:
         """The fields as plain JSON-serializable Python."""

@@ -51,9 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (BlockAlgebra, SpectrumStack, _check_draw,
-                      _clipped_eig_stack, _complex_stacks, _frobenius_stack,
-                      _stacked, _support_stack, _symmetrized_stack)
+from .algebra import (BlockAlgebra, SpectrumStack, _clipped_eig_stack,
+                      _complex_stacks, _frobenius_stack, _stacked,
+                      _support_stack, _symmetrized_stack)
 from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
                      resolve_eps_rel)
 from .divergence import (REASONS, DivergenceParams, _embed_left_channel,
@@ -62,7 +62,7 @@ from .divergence import (REASONS, DivergenceParams, _embed_left_channel,
                          additivity_stack, dpi_probe_stack, lemma9_stack,
                          solve_sharp_least_squares_stack,
                          solve_sharp_pseudo_inverse_stack)
-from .errors import DomainError, ShapeError, UsageError, _check_type
+from .errors import DomainError, ShapeError, UsageError, _typed
 from .functionals import (PositiveFunctional, _rows, cocycle_chain_stack,
                           connes_cocycle_stack, lemma1_cut_stack)
 from .lp import (_kosaki_point, interpolation_bound_stack,
@@ -280,6 +280,7 @@ def _functionals(alg: BlockAlgebra, eps: float,
                                True, eps) for i in range(len(roles))]
 
 
+@_typed
 def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
                        orthogonal: bool = False
                        ) -> tuple[PositiveFunctional, PositiveFunctional,
@@ -290,7 +291,6 @@ def gen_classical_pair(rng: np.random.Generator, algebra: BlockAlgebra,
     exact zeros, so scalar-oracle comparisons are exact.  The functionals
     are built at the default cutoff (:func:`default_eps_rel`).
     """
-    _check_draw(rng, algebra)
     p, q = _classical_draw(rng, algebra.carrier_dim, orthogonal)
     psi, phi = _rows(_functionals(algebra, default_eps_rel(), tuple(
         (_diagonal, (), v) for v in (p, q)))[0])
@@ -332,6 +332,7 @@ def classical_renyi_oracle(p, q, alpha: float) -> float:
 # -- configuration ------------------------------------------------------------
 
 
+@_typed
 @dataclass(frozen=True)
 class SuiteConfig:
     """One suite run: name, trial count, seed, dim profiles (as
@@ -342,7 +343,7 @@ class SuiteConfig:
     trials: int
     seed: int
     dims: tuple[DimsProfile, ...] = ()
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     eps_rel: float | None = None
 
     def __post_init__(self):
@@ -363,8 +364,6 @@ class SuiteConfig:
             raise DomainError(f"dims must be (left, right) profiles of "
                               f"block dimensions, got {self.dims!r}") from exc
         object.__setattr__(self, "dims", dims)
-        _check_type(self.tolerances, Mapping,
-                    "tolerances must map check keys to numbers")
         bad = [f"{key}={t}" for key, t in self.tolerances.items()
                if not (isinstance(t, (int, float)) and (t == 0.0 or t > 0))]
         if bad:
@@ -372,13 +371,13 @@ class SuiteConfig:
                 f"tolerances must be positive, got {', '.join(bad)}")
 
 
+@_typed
 def parse_dims(text: str) -> tuple[DimsProfile, ...]:
     """Parse "2x2,3x2" style profiles; '+' joins direct-sum blocks.
 
     "2+3x2" is the algebra with blocks (2, 3) tensored with a single block of
     dimension 2; a profile without 'x' describes a single algebra.
     """
-    _check_type(text, str, "dims must be a string")
     profiles = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -427,9 +426,7 @@ def _tols(config: SuiteConfig, defaults: dict) -> dict:
             f"suite {config.suite_name} has no tolerance "
             f"{', '.join(map(repr, unknown))}; valid keys: "
             f"{', '.join(sorted(defaults))}")
-    merged = dict(defaults)
-    merged.update(config.tolerances)
-    return merged
+    return {**defaults, **config.tolerances}
 
 
 def _profile_algebra(profile: DimsProfile, suite: str,
@@ -817,9 +814,9 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 CHUNK_TRIALS = 64
 
 
+@_typed
 def run_suite(config: SuiteConfig) -> list[TrialReport]:
     """Run a named suite; deterministic given the config."""
-    _check_type(config, SuiteConfig, "a suite run needs a SuiteConfig")
     suite = _SUITES.get(config.suite_name)
     if suite is None:
         raise UsageError(
@@ -850,13 +847,8 @@ def run_suite(config: SuiteConfig) -> list[TrialReport]:
     return reports
 
 
+@_typed
 def summarize(reports: list[TrialReport]) -> dict:
-    _check_type(reports, list, "a summary needs a list of TrialReports")
-    for report in reports:
-        _check_type(report, TrialReport, "a summary needs TrialReports")
     failures = sum(1 for r in reports if not r.passed)
-    return {
-        "trials": len(reports),
-        "failures": failures,
-        "status": "ok" if failures == 0 else "fail",
-    }
+    return {"trials": len(reports), "failures": failures,
+            "status": "ok" if failures == 0 else "fail"}

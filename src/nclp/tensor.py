@@ -26,22 +26,18 @@ from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _eigenvalue_powers, _frobenius_stack,
                       _imaginary_values, _kron_block, _polar_stack)
 from .config import RANK_RTOL
-from .errors import DomainError, ShapeError, _check_type, _raise_pairwise
+from .errors import DomainError, ShapeError, _raise_pairwise, _typed
 from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 
 
+@_typed
 @dataclass(frozen=True)
 class TensorAlgebra:
     """Product of two block algebras with the left-major block index map."""
 
     left: BlockAlgebra
     right: BlockAlgebra
-
-    def __post_init__(self):
-        for alg in (self.left, self.right):
-            _check_type(alg, BlockAlgebra,
-                        "a tensor product needs two BlockAlgebras")
 
     @cached_property
     def product(self) -> BlockAlgebra:
@@ -53,11 +49,10 @@ class TensorAlgebra:
         return i * self.right.num_blocks + j
 
 
+@_typed
 def kron_element(T: TensorAlgebra, x: AlgebraElement,
                  y: AlgebraElement) -> AlgebraElement:
     """Blockwise Kronecker product of a left and a right element."""
-    for z in (x, y):
-        _check_type(z, AlgebraElement, "factors must be AlgebraElements")
     _check_factors(T, x.algebra, y.algebra)
     return AlgebraElement._trusted(
         T.product, [_kron_block(xb, yb) for xb in x.blocks for yb in y.blocks])
@@ -104,10 +99,8 @@ def lemma5_polar_stack(xs, ys, eps: float) -> list[dict]:
 def _check_factors(T: TensorAlgebra, left: BlockAlgebra,
                    right: BlockAlgebra) -> None:
     """ShapeError unless ``left`` and ``right`` are the factors of T."""
-    _check_type(T, TensorAlgebra, "a tensor product needs a TensorAlgebra")
-    for side, alg, factor in (("left", left, T.left),
-                              ("right", right, T.right)):
-        if alg != factor:
+    for side, alg in (("left", left), ("right", right)):
+        if alg != getattr(T, side):
             raise ShapeError(
                 f"{side} factor does not live on the {side} algebra")
 

@@ -4,7 +4,9 @@ every name a package module imports is used in that module.
 A function or class counts as used when its name appears anywhere in the
 package, the benchmarks, the tools or the acceptance gates
 (``tests/test_acceptance.py``) as a name, an attribute or an imported name;
-a re-export of ``__init__.py`` is no use.  A method counts as used only
+a re-export of ``__init__.py`` is no use, and neither is a local: a name
+that a function, or a function around it, binds as a parameter, an
+assignment target or a loop target.  A method counts as used only
 when it is accessed as an attribute there, or named by a string of the
 benchmark tracer, which patches methods by name: a local variable or
 another string of the same name is no call, and neither is an attribute
@@ -15,8 +17,8 @@ The methods of the public surface that only the tests call are pinned in
 count, and neither does a test other than the acceptance gates: the callers
 are the package, the benchmarks, the tools and the acceptance gates, the
 users that the public surface serves, so a function that only its own test
-or an export calls fails here.  Dunder methods are called by Python itself
-and are exempt.  A method named like another class's method counts as used
+or an export calls fails here.  Dunder methods, and sunder ones such as an
+enum's ``_missing_``, are called by Python itself and are exempt.  A method named like another class's method counts as used
 through that method's callers, so the names that classes share are pinned.
 An import counts as used when its name is read in the importing module;
 ``__init__.py`` re-exports and ``__future__`` imports are exempt.  A
@@ -62,6 +64,36 @@ def _off_module(node: ast.Attribute, modules: set[str]) -> bool:
     return isinstance(node, ast.Name) and node.id in modules
 
 
+def _bound(fn) -> set[str]:
+    """The names a function binds: its parameters and the names it stores
+    (assignment and loop targets), nested functions and classes aside."""
+    args = fn.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _locals(node, bound=frozenset()) -> set[int]:
+    """The ids of the Name nodes under ``node`` whose name a function around
+    them binds (see :func:`_bound`)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _bound(node)
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id in bound:
+            out.add(id(child))
+        out |= _locals(child, bound)
+    return out
+
+
 def _uses() -> tuple[set[str], set[str]]:
     """(names, attributes): the names and imported names the callers read,
     with the attributes read off imported modules, and the other attributes
@@ -69,10 +101,11 @@ def _uses() -> tuple[set[str], set[str]]:
     names, attributes = set(), set()
     for directory in CALLERS:
         for path, tree in _trees(directory):
-            modules = _modules(tree)
+            modules, local = _modules(tree), _locals(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    if id(node) not in local:
+                        names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     (names if _off_module(node, modules)
                      else attributes).add(node.attr)
@@ -89,7 +122,7 @@ def _uses() -> tuple[set[str], set[str]]:
 
 def _definitions():
     """(where, name, is_method) of every function and class of the
-    package, dunders aside."""
+    package, dunders and sunders aside."""
     for path, tree in _trees(PACKAGE):
         methods = {id(node) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for node in cls.body}
@@ -97,7 +130,7 @@ def _definitions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
+                if not (name.startswith("_") and name.endswith("_")):
                     yield (f"{path.name}:{node.lineno} {name}", name,
                            id(node) in methods)
 

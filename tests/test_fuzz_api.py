@@ -26,9 +26,10 @@ from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
                   DivergenceValue, DomainError, KosakiSpec, LpExponent,
                   NclpError, PositiveFunctional, Reason, ShapeError,
                   SuiteConfig, TensorAlgebra, classical_renyi_oracle,
-                  d_tilde, kosaki_norm, kron_element, lp_norm, parse_dims,
-                  q_tilde_alpha, q_tilde_alpha_z, run_suite, summarize)
-from nclp.algebra import _stack
+                  d_tilde, gen_classical_pair, kosaki_norm, kron_element,
+                  lp_norm, parse_dims, q_tilde_alpha, q_tilde_alpha_z,
+                  run_suite, summarize, trial_rng)
+from nclp.algebra import _stack, canonical_trace
 from nclp.divergence import QuantumChannel
 from nclp.tensor import corollary7_norm_stack
 
@@ -267,6 +268,10 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
     lambda: summarize([1]),
     lambda: summarize(None),
     lambda: kosaki_norm(_ALG.identity(), None),
+    lambda: gen_classical_pair(trial_rng(1, 0), _ALG, "x"),
+    lambda: canonical_trace("x"),
+    lambda: PositiveFunctional(_ALG.identity(), hermitize="no"),
+    lambda: SuiteConfig(5, 1, 0),
 ], ids=["fractional_block", "fractional_trials", "huge_alpha",
         "huge_exponent", "text_alpha", "none_exponent", "text_eta",
         "text_block", "text_kraus", "text_reference", "text_density",
@@ -294,7 +299,8 @@ def test_suite_config(name, trials, seed, tolerances, eps_rel, dims):
         "text_kosaki_norm_element", "text_kosaki_spec",
         "number_alpha_z_params", "number_d_params",
         "text_suite_config", "text_reports", "number_report", "none_reports",
-        "none_kosaki_spec"])
+        "none_kosaki_spec", "text_orthogonal", "text_canonical_trace",
+        "text_hermitize", "number_suite_name"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_known_holes_raise_nclp_errors(call):
     # An error, never a numpy warning, whatever the warning filters.

@@ -29,8 +29,8 @@ _ALG3 = BlockAlgebra((3,))
 
 class TestGeneratorEntryCheck:
     """Wrong arguments to the generator and the draws end in a typed error:
-    from the generator's one entry check at its front, and from the rank
-    fill of the draws."""
+    from the generator's annotations, which ``errors._typed`` checks, and
+    from the rank fill of the draws."""
 
     @pytest.mark.parametrize("call", [
         lambda: gen_classical_pair("x", _ALG3),
@@ -366,7 +366,8 @@ class TestDriver:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_dpi_identity_equality_is_the_public_gap(self, seed):
-        from nclp.divergence import _identity_channel, precompose_stack
+        from nclp.divergence import (_identity_channel, _kraus_draw,
+                                     precompose_stack)
         from nclp.suites import DPI_ALPHAS
         alg = BlockAlgebra((3,))
         channel = _identity_channel(alg)
@@ -376,6 +377,9 @@ class TestDriver:
         assert len(identity) == 2
         for rep in identity:
             rng = trial_rng(seed, rep.trial_index)
+            # Every trial on the base algebra takes its Kraus numbers
+            # first, whatever its channel.
+            _kraus_draw(rng, alg, alg)
             psi = functional(rng, alg)
             phi = functional(rng, alg)
             for alpha in DPI_ALPHAS:
