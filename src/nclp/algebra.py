@@ -213,6 +213,8 @@ def canonical_trace(x: AlgebraElement) -> complex:
 # :func:`_kept_power_sums`); one kernel, :func:`_apply_stack`, turns such
 # rows into elements, and one, :func:`_corner_solve`, solves y = h^l x h^r
 # on the support corner of each row's h and certifies the solutions.  The
+# radius, the PSD clip and the kernel cut have one home, :func:`_clip_stack`,
+# and the Hermitian symmetrization one, :func:`_symmetrized_stack`.  The
 # one-element functions of this package are B = 1 calls of the stacked
 # kernels.  A kernel takes a batch of elements as per-block stacks, whose
 # block shapes name their algebra (:func:`_algebra_of`), and a batch of
@@ -369,6 +371,11 @@ def _frobenius_stack(stacked: Sequence[np.ndarray]) -> np.ndarray:
         return np.sqrt(_squared_norms(stacked))
 
 
+def _residuals(a, b) -> np.ndarray:
+    """(B,) Frobenius norms of the differences of two stacks."""
+    return _frobenius_stack([x - y for x, y in zip(a, b)])
+
+
 def _squared_norms(stacked: Sequence[np.ndarray]) -> np.ndarray:
     """Sum of |entries|^2 over the last two axes of every block."""
     return sum((abs(s) ** 2).sum(axis=(-2, -1)) for s in stacked)
@@ -426,18 +433,25 @@ class SpectrumStack:
                    for d in self.densities).real
 
 
+@_typed
 @dataclass(frozen=True)
 class HermitianSpectrum:
     """One PSD element's blockwise eigendecomposition, clipped, with the
     kernel mask applied: row ``row`` of a :class:`SpectrumStack`, whose
     arrays its attributes view (a B = 1 view of the stack).
 
-    Eigenvalues ascend within each block; the mask flags entries with
-    ``|eig| <= eps_rel * spectral_radius`` (radius taken across all blocks).
+    Eigenvalues ascend within each block; the mask is the kernel cut of
+    :func:`_clip_stack`, at ``eps_rel * spectral_radius``.
     """
 
     stack: SpectrumStack
     row: int
+
+    def __post_init__(self):
+        if not (hasattr(self.row, "__index__")
+                and 0 <= operator.index(self.row) < len(self.stack)):
+            raise DomainError(f"row must be an index of the stack's "
+                              f"{len(self.stack)} rows, got {self.row!r}")
 
     algebra = property(lambda self: self.stack.algebra)
     eps_rel = property(lambda self: self.stack.eps_rel)
@@ -498,60 +512,45 @@ def _nonfinite_error() -> DomainError:
         "function undefined (non-finite) at a non-kernel eigenvalue")
 
 
-def _radius(vals: Sequence[np.ndarray]) -> np.ndarray:
-    """(B,) largest |eigenvalue| across the blocks of each element (a
-    scalar for unstacked blocks).
-
-    Blocks are combined as Python's ``max`` combines them (a later block
-    wins only if it is larger), so a NaN block counts only when it comes
-    first, exactly as in a one-element loop."""
-    radius = abs(vals[0]).max(axis=-1)
-    for v in vals[1:]:
-        r = abs(v).max(axis=-1)
-        radius = np.where(r > radius, r, radius)
-    return radius
-
-
-def _kernel_masks(vals: Sequence[np.ndarray],
-                  eps: float) -> tuple[np.ndarray, ...]:
-    """The kernel convention: per block, the (..., n) mask of eigenvalues
-    (or singular values) with |lam| <= eps * radius, the radius taken
-    across all blocks."""
-    cut = eps * _radius(vals)[..., None]
-    return tuple(abs(v) <= cut for v in vals)
+_NOT_PSD, _NONFINITE = 1, 2  # the verdicts of a failed PSD clip
 
 
 def _clip_stack(vals: Sequence[np.ndarray], eps: float) -> tuple:
-    """The PSD clip of stacked eigenvalues: values in [-PSD_CLIP_TOL * radius,
-    0) become 0, and the kernel masks are recomputed from the clipped values
-    so that every clipped direction counts as kernel.  Returns the clipped
-    values and the masks per block, and the (B,) radii of the clipped
-    values.
+    """The radius, the PSD clip and the kernel cut of per-block (..., n)
+    eigenvalues or singular values: per block the clipped values and the
+    kernel masks, per row the radius and the verdict of the clip.
 
-    Raises the DomainError of the first element, in order, with a
-    non-finite eigenvalue or one below the clip floor; within an element
-    the blocks are checked in order, as in a one-element loop."""
+    A row's radius is its largest |value| across the blocks.  Values in
+    [-PSD_CLIP_TOL * radius, 0) clip to 0; a lower value fails the clip
+    (_NOT_PSD), and so does a non-finite one, which makes the radius
+    non-finite (_NONFINITE).  The clipped values at or below eps * radius
+    are the kernel; for a row that passes, the radius is that of its
+    clipped values."""
     flat = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
-    top, bottom = flat.max(axis=-1), flat.min(axis=-1)
-    # The floor is exact for an element whose spectrum is finite; for any
-    # other it is NaN or -inf (max and min carry them), which fails ok.
-    floor = -PSD_CLIP_TOL * np.maximum(top, -bottom)
-    ok = np.isfinite(floor) & (bottom >= floor)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        floor = -PSD_CLIP_TOL * float(_radius([v[j] for v in vals]))
-        for v in vals:
-            if not np.isfinite(v[j]).all():
-                raise DomainError("matrix has a non-finite eigenvalue")
-            if np.any(v[j] < floor):
-                raise DomainError(
-                    f"matrix is not PSD: eigenvalue {float(np.min(v[j])):.3e} "
-                    f"below clip tolerance {floor:.3e}")
+    radius, bottom = abs(flat).max(axis=-1), flat.min(axis=-1)
+    verdict = np.where(np.isfinite(radius), np.where(
+        bottom < -PSD_CLIP_TOL * radius, _NOT_PSD, 0), _NONFINITE)
     clipped = tuple(np.maximum(v, 0.0) for v in vals)
-    # _kernel_masks of the clipped values, which are >= 0: radius max(top, 0)
-    radius = np.maximum(top, 0.0)
-    cut = eps * radius[:, None]
-    return clipped, tuple(c <= cut for c in clipped), radius
+    cut = eps * radius[..., None]
+    return clipped, tuple(c <= cut for c in clipped), radius, verdict
+
+
+def _raise_clip(vals: Sequence[np.ndarray], verdict: np.ndarray) -> None:
+    """Raise the DomainError of the first row whose verdict (see
+    :func:`_clip_stack`) fails the clip.  Its blocks are read in order, as
+    in a one-element loop, against the floor of its blocks without NaN: a
+    NaN block does not hide a value below the floor in an earlier one."""
+    row = [v[int(np.flatnonzero(verdict)[0])] for v in vals]
+    clean = [v for v in row if not np.isnan(v).any()]
+    floor = (-PSD_CLIP_TOL * float(_clip_stack(clean, 0.0)[2]) if clean
+             else math.nan)
+    for v in row:
+        if not np.isfinite(v).all():
+            raise DomainError("matrix has a non-finite eigenvalue")
+        if np.any(v < floor):
+            raise DomainError(
+                f"matrix is not PSD: eigenvalue {float(np.min(v)):.3e} "
+                f"below clip tolerance {floor:.3e}")
 
 
 def _symmetrized_stack(stacked: Sequence[np.ndarray],
@@ -594,7 +593,9 @@ def _clipped_eig_stack(algebra: BlockAlgebra, stacked: Sequence[np.ndarray],
     place that decomposes an element."""
     sym = _symmetrized_stack(stacked, hermitize)
     vals, vecs = _eig_stack(sym)
-    clipped, masks, radius = _clip_stack(vals, eps)
+    clipped, masks, radius, verdict = _clip_stack(vals, eps)
+    if verdict.any():
+        _raise_clip(vals, verdict)
     return SpectrumStack(algebra, clipped, vecs, masks, sym, radius, eps)
 
 
@@ -669,6 +670,13 @@ def _eigenvalue_powers(stack: SpectrumStack, exponents
     return tuple(out)
 
 
+def _power_stack(stack: SpectrumStack, exponents) -> tuple[np.ndarray, ...]:
+    """h_j^{e_j} of each row j at e_j = exponents[j], kernel convention
+    applied, as per-block (B, n, n) stacks."""
+    return tuple(p[:, 0] for p in _apply_stack(
+        stack, _eigenvalue_powers(stack, [[e] for e in exponents])))
+
+
 @np.errstate(all="ignore")
 def _corner_solve(stack: SpectrumStack, rhs: Sequence[np.ndarray],
                   lefts: Sequence[Sequence[float]],
@@ -731,12 +739,12 @@ def _polar_stack(stacked: Sequence[np.ndarray], eps: float
     """Canonical polar factors x = v |x|, |x| = (x* x)^{1/2}, of B stacked
     elements as per-block stacks, one ``svd`` per block: v is the partial
     isometry on the support, so v* v is the support projection of |x|.  A
-    singular value is kept unless the kernel convention
-    (:func:`_kernel_masks`) drops it."""
+    singular value is kept unless the kernel cut of :func:`_clip_stack`
+    drops it."""
     svds = [np.linalg.svd(s) for s in stacked]
     v_blocks, abs_blocks = [], []
-    for (u, s, vh), kernel in zip(svds, _kernel_masks(
-            [s for _, s, _ in svds], eps)):
+    for (u, s, vh), kernel in zip(svds, _clip_stack(
+            [s for _, s, _ in svds], eps)[1]):
         abs_blocks.append(vh.conj().swapaxes(-2, -1) @ (s[..., None] * vh))
         if not kernel.any():
             v_blocks.append(u @ vh)

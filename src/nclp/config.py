@@ -1,8 +1,9 @@
 """Global numerical policy: kernel cutoff, gate tolerances, identifiers.
 
 Each check's gate is written once, in ``CHECK_TOLERANCES`` (suite -> report
-key -> tolerance), which only :func:`nclp.suites.run_suite` reads; the rank
-tests count the singular values above ``RANK_RTOL`` times the largest.  The
+key -> tolerance), which only :func:`nclp.suites.run_suite` reads; the one
+rank test, :func:`nclp.lp._full_rank`, asks for the smallest singular value
+above ``RANK_RTOL`` times the largest.  The
 corner solves of y = h^l x h^r (the Kosaki membership and the alpha > 1
 sandwich equation) are certified within ``RECOMPOSITION_TOL`` times
 1 + ||y||_F.
@@ -12,6 +13,9 @@ Every eigenvalue whose magnitude falls at or below
 "kernel convention"): a functional's powers, imaginary powers and support send
 those directions to 0, and :meth:`nclp.algebra.HermitianSpectrum.apply`, the
 one calculus of an arbitrary function, to the f(0) its caller declares.  The
+spectral radius, the PSD clip (``PSD_CLIP_TOL``) and this cut of every
+spectrum, sandwich and singular value have one home,
+:func:`nclp.algebra._clip_stack`.  The
 cutoff (a given number, else ``NCLP_EPS_REL``, else ``DEFAULT_EPS_REL``) is
 resolved only where a spectrum is computed: the constructors, generators and
 loaders of functionals, ``run_suite`` and the CLI.  A functional is used at

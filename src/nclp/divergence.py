@@ -18,13 +18,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import (BlockAlgebra, SpectrumStack, _apply_stack,
-                      _check_batches, _clipped_eig_stack, _complex_array,
-                      _complex_stacks, _corner_solve, _eigenvalue_powers,
-                      _full_stack, _kept_power_sums, _kernel_masks,
-                      _kron_block, _nonfinite_error, _squared_norms,
-                      _stacked, _support_stack)
-from .config import PSD_CLIP_TOL
+from .algebra import (_NONFINITE, _NOT_PSD, BlockAlgebra, SpectrumStack,
+                      _apply_stack, _check_batches, _clip_stack,
+                      _clipped_eig_stack, _complex_array, _complex_stacks,
+                      _corner_solve, _eigenvalue_powers, _full_stack,
+                      _kept_power_sums, _kron_block, _nonfinite_error,
+                      _power_stack, _squared_norms, _stacked, _support_stack,
+                      _symmetrized_stack)
 from .errors import (ConditioningError, DomainError, NclpError, ShapeError,
                      _first_errors, _raise_pairwise, _real, _typed)
 from .functionals import PositiveFunctional, _stacks
@@ -154,8 +154,9 @@ class Outcomes(NamedTuple):
 REASONS = tuple(Reason)
 _FINITE, _VIOLATION, _ZERO_Q, _ZERO_REFERENCE = range(len(REASONS))
 
-# The error codes of a Q-value (0: none).
-_NOT_PSD, _NONFINITE, _UNDERFLOW, _OVER_BUDGET = 1, 2, 3, 4
+# The error codes of a Q-value (0: none): the verdicts of the PSD clip
+# (a sandwich not PSD, or not finite), then these.
+_UNDERFLOW, _OVER_BUDGET = 3, 4
 
 
 def _q_error(code: int, residual: float) -> NclpError:
@@ -244,35 +245,25 @@ def _sandwiched_values(psis: SpectrumStack, phi_stack: SpectrumStack,
                        grid: Sequence[DivergenceParams]) -> tuple:
     """trace((h_phi^e h_psi h_phi^e)^alpha), e = (1-alpha)/(2 alpha), per
     pair and point; the sandwich is formed in phi's eigenbasis, where kernel
-    directions scale to 0.  Returns the (B, G) sums, error codes (a sandwich
-    that is not PSD within the clip tolerance, or not finite) and residuals
-    (none)."""
+    directions scale to 0, and its eigenvalues go through :func:`_clip_stack`
+    at phi's cutoff.  Returns the (B, G) sums of the kept eigenvalues'
+    powers, error codes (the verdicts of the clip) and residuals (none)."""
     alphas = [p.alpha for p in grid]
-    expos = [(1.0 - a) / (2.0 * a) if a < 1 else -((a - 1.0) / (2.0 * a))
-             for a in alphas]
-    scales = _eigenvalue_powers(phi_stack, expos)
-    eigs = []
+    scales = _eigenvalue_powers(phi_stack, [(1.0 - a) / (2.0 * a)
+                                            for a in alphas])
+    mids = []
     for vecs, scale, tb in zip(phi_stack.eigenvectors, scales,
                                psis.densities):
         c = vecs.conj().swapaxes(-2, -1) @ tb @ vecs
-        mids = (scale[..., :, None] * c[:, None]) * scale[..., None, :]
-        eigs.append(np.linalg.eigvalsh(
-            (mids + mids.conj().swapaxes(-2, -1)) / 2.0))
-    radius = np.max([np.abs(e).max(axis=-1) for e in eigs], axis=0)
-    negative = np.any([(e < -PSD_CLIP_TOL * radius[..., None]).any(axis=-1)
-                       for e in eigs], axis=0)
-    eps = phi_stack.eps_rel
+        mids.append((scale[..., :, None] * c[:, None]) * scale[..., None, :])
+    eigs, kernels, _, codes = _clip_stack(
+        [np.linalg.eigvalsh(m) for m in _symmetrized_stack(mids, True)],
+        phi_stack.eps_rel)
     # Per block, one masked row sum of the kept eigenvalues' powers; the
-    # blocks add up in order from 0.0, as Python floats would.  The cut is
-    # e > eps * radius, not the kernel convention's |e| <= eps * radius: it
-    # also drops the tiny negative eigenvalues that the PSD test lets
-    # through, whose powers would be NaN.
+    # blocks add up in order from 0.0, as Python floats would.
     totals = 0.0
-    for e in eigs:
-        totals = totals + _kept_power_sums(e, e > eps * radius[..., None],
-                                           alphas)
-    codes = np.where(negative, _NOT_PSD,
-                     np.where(np.isfinite(radius), 0, _NONFINITE))
+    for e, kernel in zip(eigs, kernels):
+        totals = totals + _kept_power_sums(e, ~kernel, alphas)
     return totals, codes, np.full(codes.shape, np.nan)
 
 
@@ -296,8 +287,7 @@ def _alpha_z_values(psi_stack: SpectrumStack, phi_stack: SpectrumStack,
     sharp = [g for g, p in enumerate(grid) if p.alpha > 1]
     cert_expos = [grid[g].alpha / zs[g] for g in sharp]
     half_expos = [p.alpha / (2.0 * z) for p, z in zip(grid, zs)]
-    phi_expos = [(1.0 - p.alpha) / (2.0 * z) if p.alpha < 1
-                 else -(p.alpha - 1.0) / (2.0 * z) for p, z in zip(grid, zs)]
+    phi_expos = [(1.0 - p.alpha) / (2.0 * z) for p, z in zip(grid, zs)]
     rows = _eigenvalue_powers(psi_stack, cert_expos + half_expos)
     # A power that is not finite on some kept eigenvalue is that point's
     # error; its rows are zeroed so that the stacked calls still run.
@@ -318,7 +308,7 @@ def _alpha_z_values(psi_stack: SpectrumStack, phi_stack: SpectrumStack,
     for m in mats:
         m[~finite[:, k:]] = 0.0
     sv = singular_values_stack(mats)
-    kernel, = _kernel_masks([sv], phi_stack.eps_rel)
+    (kernel,) = _clip_stack([sv], phi_stack.eps_rel)[1]
     qs = _kept_power_sums(sv, ~kernel, [2.0 * z for z in zs])
     codes = np.zeros(qs.shape, np.int8)
     residuals = np.full(qs.shape, np.nan)
@@ -390,8 +380,7 @@ def solve_sharp_pseudo_inverse_stack(psi_stack: SpectrumStack,
     if _support_violations(psi_stack, phi_stack).any():
         raise DomainError(
             "sandwich equation unsolvable: s(psi) <= s(phi) fails")
-    hp = _apply_stack(psi_stack, _eigenvalue_powers(
-        psi_stack, [[r] for r, _ in exps]))
+    hp = _power_stack(psi_stack, [r for r, _ in exps])
     expos = [[e] for _, e in exps]
     mids, residuals, over = _corner_solve(phi_stack, hp, expos, expos)
     if over.any():
@@ -433,14 +422,11 @@ def solve_sharp_least_squares_stack(psi_stack: SpectrumStack,
     ``lstsq``, which takes one system at a time, runs per pair and
     block."""
     exps = _sharp_exponents(psi_stack, phi_stack, params)
-    a = _apply_stack(phi_stack, _eigenvalue_powers(
-        phi_stack, [[e] for _, e in exps]))
+    a = _power_stack(phi_stack, [e for _, e in exps])
     s = _support_stack(phi_stack)
-    target = _apply_stack(psi_stack, _eigenvalue_powers(
-        psi_stack, [[r] for r, _ in exps]))
+    target = _power_stack(psi_stack, [r for r, _ in exps])
     blocks = []
     for ab, sb, cb in zip(a, s, target):
-        ab, cb = ab[:, 0], cb[:, 0]
         # row-major vec: vec(A X A) = kron(A, A^T) vec(X)
         full = (_kron_block(ab, ab.swapaxes(-2, -1))
                 @ _kron_block(sb, sb.swapaxes(-2, -1)))

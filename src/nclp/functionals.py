@@ -16,8 +16,8 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, HermitianSpectrum,
                       SpectrumStack, _apply_stack, _check_batches,
                       _clipped_eig_stack, _eigenvalue_powers,
-                      _frobenius_stack, _gather, _imaginary_values, _stack,
-                      _support_stack, canonical_trace)
+                      _frobenius_stack, _gather, _imaginary_values,
+                      _residuals, _stack, _support_stack, canonical_trace)
 from .config import SUPPORT_TOL, resolve_eps_rel
 from .errors import DomainError, _real, _typed
 
@@ -193,5 +193,5 @@ def cocycle_chain_stack(psis, phis, ts, ss) -> np.ndarray:
     u_s = connes_cocycle_stack(psis, phis, ss)
     w = _imaginary_powers(phis, ts)
     w_inv = _imaginary_powers(phis, [-t for t in ts])
-    return _frobenius_stack([a - b @ (c @ d @ e) for a, b, c, d, e
-                             in zip(u_ts, u_t, w, u_s, w_inv)])
+    return _residuals(u_ts, [b @ (c @ d @ e)
+                             for b, c, d, e in zip(u_t, w, u_s, w_inv)])

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
-                      _algebra_of, _apply_stack, _check_batches,
-                      _corner_solve, _eigenvalue_powers, _full_stack,
-                      _kron_block, _powers, _stack)
+                      _algebra_of, _check_batches, _corner_solve,
+                      _full_stack, _kron_block, _power_stack, _powers,
+                      _stack)
 from .config import FAITHFULNESS_FLOOR, RANK_RTOL
 from .errors import (ConditioningError, DomainError, UsageError,
                      _first_errors, _raise_pairwise, _real, _typed)
@@ -239,10 +239,9 @@ def _density_powers(phis: SpectrumStack,
     ones = np.array([e == 1.0 for e in expos])
     if ones.all():
         return phis.densities
-    powers = [p[:, 0] for p in _apply_stack(
-        phis, _eigenvalue_powers(phis, [[e] for e in expos]))]
+    powers = _power_stack(phis, expos)
     if not ones.any():
-        return tuple(powers)
+        return powers
     return tuple(np.where(ones[:, None, None], d, p)
                  for d, p in zip(phis.densities, powers))
 
@@ -372,17 +371,21 @@ def interpolation_bound_stack(stacked_a, phis: SpectrumStack,
 def lemma3_bijectivity_stack(phis: SpectrumStack, ps) -> list[bool]:
     """Whether a -> a h_phi^{1/p} has full rank on the flat carrier, for B
     functionals phi_j of one stack, each at its own p = ps[j].  Decided
-    by the singular values of the total_dim x total_dim linearization and
-    ``config.RANK_RTOL``: a near-singular reference yields False, flagging
-    the conditioning problem rather than raising.  Stacked powers and
+    by the :func:`_full_rank` test of the total_dim x total_dim
+    linearization: a near-singular reference yields False, flagging the
+    conditioning problem rather than raising.  Stacked powers and
     linearizations, one ``svd`` for all of them."""
     _check_batches([phis, ps])
-    invs = [_as_exponent(p).inv for p in ps]
-    powers = [p[:, 0] for p in _apply_stack(
-        phis, _eigenvalue_powers(phis, [[inv] for inv in invs]))]
+    powers = _power_stack(phis, [_as_exponent(p).inv for p in ps])
     # row-major vec: vec(X B) = kron(I, B^T) vec(X), block by block
     lin = _full_stack([
         _kron_block(np.broadcast_to(np.eye(b.shape[-1]), b.shape),
                     b.swapaxes(-2, -1)) for b in powers])
-    return [bool(sv[0] != 0.0 and sv[-1] > RANK_RTOL * sv[0])
-            for sv in np.linalg.svd(lin, compute_uv=False).tolist()]
+    return _full_rank(lin).tolist()
+
+
+def _full_rank(mats: np.ndarray) -> np.ndarray:
+    """The rank test: whether each matrix of a stack has full rank, its
+    smallest singular value above RANK_RTOL times its largest, not 0."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return (sv[..., 0] != 0.0) & (sv[..., -1] > RANK_RTOL * sv[..., 0])

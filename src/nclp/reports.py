@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import _typed
+
 
 def _py(value):
     """Coerce numpy scalars/containers to plain JSON-serializable Python."""
@@ -74,6 +76,7 @@ class CheckReport:
         }
 
 
+@_typed
 @dataclass
 class TrialReport:
     """One property-suite trial: provenance, instance summary, residuals."""

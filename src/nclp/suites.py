@@ -52,8 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (BlockAlgebra, SpectrumStack, _clipped_eig_stack,
-                      _complex_stacks, _frobenius_stack, _stacked,
-                      _support_stack, _symmetrized_stack)
+                      _complex_stacks, _frobenius_stack, _residuals,
+                      _stacked, _support_stack, _symmetrized_stack)
 from .config import (CHECK_TOLERANCES, PRNG_ID, default_eps_rel,
                      resolve_eps_rel)
 from .divergence import (REASONS, DivergenceParams, _embed_left_channel,
@@ -557,11 +557,9 @@ def _lemma1_batch(config, tols, alg, draws):
     psis, primes, phis = _functionals(alg, config.eps_rel, *roles)
     lhs, rhs = lemma1_cut_stack(psis, primes, phis, ts)
     u0 = connes_cocycle_stack(psis, phis, [0.0] * len(draws))
-    residuals = zip(
-        _frobenius_stack([a - b for a, b in zip(lhs, rhs)]),
-        cocycle_chain_stack(psis, phis, ts, s_pars),
-        _frobenius_stack([a - b for a, b in zip(
-            u0, _support_stack(psis))]))
+    residuals = zip(_residuals(lhs, rhs),
+                    cocycle_chain_stack(psis, phis, ts, s_pars),
+                    _residuals(u0, _support_stack(psis)))
     return [({"rank": rank, "t": t},
              [("identity", float(identity), tols["identity"]),
               ("chain", float(chain), tols["chain"]),
@@ -612,8 +610,7 @@ def _lemma8_batch(config, tols, alg, draws):
     psis, phis = _functionals(alg, config.eps_rel, psis, phis)
     x_pinv = solve_sharp_pseudo_inverse_stack(psis, phis, params)
     x_ls = solve_sharp_least_squares_stack(psis, phis, params)
-    agreement = (_frobenius_stack([a - b for a, b in zip(x_pinv, x_ls)])
-                 / (1.0 + _frobenius_stack(x_pinv)))
+    agreement = _residuals(x_pinv, x_ls) / (1.0 + _frobenius_stack(x_pinv))
     return [({"ranks": [rank_psi, rank_phi], "params": par.label()},
              [("solver_agreement", res, tols["solver_agreement"])], {})
             for rank_psi, rank_phi, par, res

@@ -23,11 +23,10 @@ import numpy as np
 from .algebra import (AlgebraElement, BlockAlgebra, SpectrumStack,
                       _adjoint_stack, _algebra_of, _apply_stack,
                       _check_batches, _clipped_eig_stack, _complex_stacks,
-                      _eigenvalue_powers, _frobenius_stack,
-                      _imaginary_values, _kron_block, _polar_stack)
-from .config import RANK_RTOL
+                      _eigenvalue_powers, _imaginary_values, _kron_block,
+                      _polar_stack, _residuals)
 from .errors import DomainError, ShapeError, _raise_pairwise, _typed
-from .lp import (_as_exponent, _kosaki_point, _schatten_stack,
+from .lp import (_as_exponent, _full_rank, _kosaki_point, _schatten_stack,
                  kosaki_norm_stack, singular_values_stack)
 
 
@@ -75,11 +74,6 @@ def kron_functional_stack(T: TensorAlgebra, psi1s: SpectrumStack,
     return _clipped_eig_stack(
         T.product, _kron_stack(psi1s.densities, psi2s.densities), False,
         psi1s.eps_rel)
-
-
-def _residuals(a, b) -> np.ndarray:
-    """(B,) Frobenius norms of the differences of two stacks."""
-    return _frobenius_stack([x - y for x, y in zip(a, b)])
 
 
 def lemma5_polar_stack(xs, ys, eps: float) -> list[dict]:
@@ -199,12 +193,13 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     """Whether random simple tensors span the full product carrier.
 
     Draws sample_budget Gaussian simple tensors x (x) y, stacks their
-    flattenings and checks the SVD rank (``config.RANK_RTOL``) against
-    total_dim of the product algebra.  Sample by sample, the draw order is:
-    the blocks of x in order, then those of y, each block an (n, n) standard
-    normal real part followed by its imaginary part, the entries (real + i
-    imag)/sqrt(2).  All samples come from one ``standard_normal`` call in
-    that order, which yields the same values as drawing each part on its own.
+    flattenings and checks that they have rank total_dim of the product
+    algebra (:func:`nclp.lp._full_rank`).  Sample by sample, the draw order
+    is: the blocks of x in order, then those of y, each block an (n, n)
+    standard normal real part followed by its imaginary part, the entries
+    (real + i imag)/sqrt(2).  All samples come from one ``standard_normal``
+    call in that order, which yields the same values as drawing each part
+    on its own.
     """
     D = T.product.total_dim
     if sample_budget < D:
@@ -217,9 +212,7 @@ def theorem6_spanning(T: TensorAlgebra, sample_budget: int,
     rows = np.concatenate(
         [k.reshape(sample_budget, -1)
          for k in _kron_stack(blocks[:left], blocks[left:])], axis=1)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
-    return rank == D
+    return bool(_full_rank(rows))
 
 
 def corollary7_norm_stack(x1s, x2s, phi1s: SpectrumStack,

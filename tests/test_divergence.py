@@ -12,17 +12,18 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   PositiveFunctional, Reason, TensorAlgebra,
                   classical_renyi_oracle, d_tilde, gen_classical_pair,
                   q_tilde_alpha, q_tilde_alpha_z)
-from nclp.algebra import _full_stack, _unstack
+from nclp.algebra import SpectrumStack, _full_stack, _unstack
 from nclp.config import CHECK_TOLERANCES
 from nclp.divergence import (QuantumChannel, _dpi_valid, _embed_left_channel,
                              _identity_channel, _pinching_channel,
                              additivity_stack, dpi_probe_stack, lemma9_stack,
-                             precompose_stack,
+                             precompose_stack, q_tilde_stack,
                              solve_sharp_least_squares_stack,
                              solve_sharp_pseudo_inverse_stack)
+from nclp.errors import _raise_pairwise
 from nclp.functionals import _rows
 
-from _outcomes import point
+from _outcomes import point, value
 from _stacks import (element, functional, kron, nested_pair, stack,
                      unital_channel, unitary)
 
@@ -151,6 +152,46 @@ class TestQSandwiched:
     def test_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             q_tilde_alpha(CLASSICAL_PSI, CLASSICAL_PHI, 0.3)
+
+
+def hand_stack(diagonal, eps=1e-12):
+    """A one-row stack of the diagonal density ``diagonal``, built by hand
+    past the PSD clip: its eigenvalues as given, none in the kernel."""
+    n = len(diagonal)
+    return SpectrumStack(
+        BlockAlgebra((n,)), (np.array([diagonal], float),),
+        (np.eye(n, dtype=complex)[None],), (np.zeros((1, n), bool),),
+        (np.diag(diagonal).astype(complex)[None],),
+        np.array([max(map(abs, diagonal))]), eps)
+
+
+class TestSandwichErrors:
+    """How the sandwiched path classifies the eigenvalues of its sandwich:
+    below the clip floor, not finite, or negative within the tolerance."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_below_the_clip_floor(self, alpha):
+        q = q_tilde_stack(hand_stack([1.0, -1e-3]), hand_stack([1.0, 1.0]),
+                          [DivergenceParams(alpha)])
+        with pytest.raises(DomainError, match="sandwich block is not PSD "
+                           "within clip tolerance"):
+            _raise_pairwise(q.errors)
+
+    def test_non_finite(self):
+        # phi^{-1/4} scales by sqrt(10): the 1 x 1 sandwich overflows, and
+        # its eigenvalue is its entry, inf.
+        q = q_tilde_stack(hand_stack([1e308]), hand_stack([1e-2]),
+                          [DivergenceParams(2.0)])
+        with pytest.raises(DomainError, match="non-finite"):
+            _raise_pairwise(q.errors)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    def test_negative_within_the_tolerance_is_left_out(self, alpha):
+        # -1e-12 is above the floor -1e-10; its power would be NaN.
+        q = q_tilde_stack(hand_stack([1.0, -1e-12]), hand_stack([1.0, 1.0]),
+                          [DivergenceParams(alpha)])
+        assert q.errors == {}
+        assert value(q) == DivergenceValue(1.0)
 
 
 class TestQAlphaZ:

@@ -9,8 +9,9 @@ call at a time with junk (a string, None, NaN, ``object()``, another
 package object or a nested list); the call must return or raise an
 NclpError.  A meta-test fails when an export has no valid call here, so a
 new export is covered, and another when an export whose annotations name a
-class that ``_typed`` checks is not wrapped by it.  The runs are
-derandomized, as in the other fuzz tests.
+class that ``_typed`` checks is not wrapped by it, or is wrapped though
+they name none.  The runs are derandomized, as in the other fuzz tests.
+The spectrum's row and a report's fields have cases of their own.
 """
 
 import inspect
@@ -22,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nclp
-from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams,
-                  KosakiSpec, NclpError, PositiveFunctional, Reason,
-                  SuiteConfig, TensorAlgebra, TrialReport, parse_dims,
-                  trial_rng)
+from nclp import (AlgebraElement, BlockAlgebra, DivergenceParams, DomainError,
+                  HermitianSpectrum, KosakiSpec, NclpError,
+                  PositiveFunctional, Reason, SuiteConfig, TensorAlgebra,
+                  TrialReport, parse_dims, summarize, trial_rng)
 from nclp.errors import _classes
 
 _ALG = BlockAlgebra((2,))
@@ -72,15 +73,6 @@ JUNK = st.one_of(
     st.lists(st.lists(st.one_of(st.floats(), st.integers(-3, 3)),
                       max_size=3), min_size=1, max_size=3))
 
-# Exports whose annotations name a class that _typed checks, left unwrapped.
-UNCHECKED = {
-    "HermitianSpectrum": "a row of a SpectrumStack, which only the package "
-                         "builds; functionals._rows makes one per functional",
-    "TrialReport": "a plain record of one trial, which run_suite builds from "
-                   "the values it computed",
-}
-
-
 def _callables() -> list[str]:
     return [name for name in nclp.__all__
             if not (inspect.isclass(getattr(nclp, name)) and issubclass(
@@ -107,7 +99,7 @@ def _raw(export):
 def test_checked_annotations_are_read_by_typed(name):
     raw, wrapped = _raw(getattr(nclp, name))
     checked = bool(inspect.isfunction(raw) and _classes(raw)[1])
-    assert wrapped == (checked and name not in UNCHECKED)
+    assert wrapped == checked
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
@@ -120,3 +112,21 @@ def test_one_wrong_argument_ends_in_an_nclp_error(name, position, junk):
         getattr(nclp, name)(*args)
     except NclpError:
         pass
+
+
+_STACK = _PSI.spectrum().stack
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HermitianSpectrum("x", 0).rank(),
+    lambda: HermitianSpectrum(_STACK, 1),
+    lambda: HermitianSpectrum(_STACK, -1),
+    lambda: HermitianSpectrum(_STACK, "0"),
+    lambda: HermitianSpectrum(_STACK, 0.0),
+    lambda: summarize([TrialReport(1, 0, 2, 3, 4, 5, "yes")]),
+    lambda: TrialReport("lemma8", 0, "g", {}, {}, {}, "yes"),
+], ids=["stack", "row-past-end", "row-negative", "row-text", "row-float",
+        "report-fields", "report-passed"])
+def test_spectrum_rows_and_reports_are_checked(call):
+    with pytest.raises(DomainError):
+        call()

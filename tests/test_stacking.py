@@ -26,7 +26,7 @@ from nclp import (AlgebraElement, BlockAlgebra, ConditioningError,
                   trial_rng)
 from nclp import divergence, functionals, lp, suites, tensor
 from nclp.algebra import (SpectrumStack, _clip_stack, _clipped_eig_stack,
-                          _stack, canonical_trace)
+                          _raise_clip, _stack, canonical_trace)
 from nclp.cli import main
 from nclp.divergence import REASONS, _identity_channel, q_tilde_stack
 from nclp.functionals import connes_cocycle_stack
@@ -140,9 +140,9 @@ class TestStackedErrors:
                 np.array([[0.5, 1.0], [np.nan, 1.0]]))
         with pytest.raises(DomainError, match="eigenvalue -1.000e\\+00 "
                            "below clip tolerance -1.000e-10"):
-            _clip_stack(vals, 1e-12)
+            _raise_clip(vals, _clip_stack(vals, 1e-12)[3])
         with pytest.raises(DomainError, match="non-finite"):
-            _clip_stack(vals[::-1], 1e-12)
+            _raise_clip(vals[::-1], _clip_stack(vals[::-1], 1e-12)[3])
 
     def test_reference_below_the_faithfulness_floor(self):
         T = TensorAlgebra(BlockAlgebra((2,)), BlockAlgebra((2,)))
